@@ -130,7 +130,7 @@ def _eval_note(function: str, params: dict[str, float]) -> str | None:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    names, evaluate = FUNCTIONS[args.function]
+    names, evaluate, _ = FUNCTIONS[args.function]
     params = _collect_params(args, names)
     result = evaluate(params)
     note = _eval_note(args.function, params)

@@ -24,7 +24,7 @@ from scipy import special as _special
 
 from .errors import DomainError
 
-__all__ = ["faddeeva_w", "erfc_complex", "scaled_wofz_term"]
+__all__ = ["faddeeva_w", "faddeeva_w_grid", "erfc_complex"]
 
 
 def _as_finite_complex(name: str, z: complex) -> complex:
@@ -50,6 +50,25 @@ def faddeeva_w(z: complex) -> complex:
     return v
 
 
+def faddeeva_w_grid(
+    x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """w(x + iy) over arrays: real part, imaginary part and a finite mask.
+
+    The elementwise form of faddeeva_w, bit for bit: the mask is False
+    exactly where faddeeva_w raises DomainError, for a non-finite argument
+    or a value beyond double range, and the parts there are meaningless.
+    """
+    z = np.empty(np.shape(x), dtype=np.complex128)
+    z.real = x
+    z.imag = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _special.wofz(z)
+    wr, wi = w.real, w.imag
+    ok = np.isfinite(x) & np.isfinite(y) & np.isfinite(wr) & np.isfinite(wi)
+    return wr, wi, ok
+
+
 def erfc_complex(z: complex) -> complex:
     """Complementary error function erfc(z) for complex z.
 
@@ -63,15 +82,3 @@ def erfc_complex(z: complex) -> complex:
     if not (math.isfinite(v.real) and math.isfinite(v.imag)):
         raise DomainError(f"erfc(z) overflows double precision at z={z!r}")
     return v
-
-
-def scaled_wofz_term(z: complex) -> complex:
-    """The product e^{-z^2} erfc(-iz), evaluated in its stable scaled form.
-
-    Each term of the closed-form broadening functions is such a product;
-    forming the two factors separately overflows once |Im z|^2 - |Re z|^2
-    is large (e^{-z^2} alone exceeds double range while the product stays
-    bounded).  This is by definition w(z), so the Faddeeva kernel computes
-    it without ever forming e^{-z^2}.
-    """
-    return faddeeva_w(z)

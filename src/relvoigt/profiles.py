@@ -20,17 +20,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ParameterError
+from .result import GridFailures
 
 __all__ = [
     "ProfileParams",
     "ReducedCoordsNonRel",
     "ReducedCoordsRel",
     "bw_nonrel",
+    "bw_nonrel_grid",
     "bw_rel",
+    "bw_rel_grid",
     "gaussian",
     "reduce_nonrel",
+    "reduce_nonrel_grid",
     "reduce_rel",
+    "reduce_rel_grid",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -99,7 +106,10 @@ def bw_nonrel(e: float, params: ProfileParams) -> float:
     e = _finite("e", e)
     gamma = _require_positive("gamma", params.gamma)
     d = e - params.mu
-    return (gamma / (2.0 * math.pi)) / (d * d + 0.25 * gamma * gamma)
+    den = d * d + 0.25 * gamma * gamma
+    if den == 0.0:
+        raise DomainError(f"Breit-Wigner denominator underflows at e={e!r}, {params!r}")
+    return (gamma / (2.0 * math.pi)) / den
 
 
 def bw_rel(e: float, params: ProfileParams) -> float:
@@ -112,7 +122,10 @@ def bw_rel(e: float, params: ProfileParams) -> float:
     gamma = _require_positive("gamma", params.gamma)
     q = e * e - mu * mu
     mg = mu * gamma
-    return (mg / math.pi) / (q * q + mg * mg)
+    den = q * q + mg * mg
+    if den == 0.0:
+        raise DomainError(f"Breit-Wigner denominator underflows at e={e!r}, {params!r}")
+    return (mg / math.pi) / den
 
 
 def gaussian(x: float, sigma: float) -> float:
@@ -143,9 +156,75 @@ def reduce_rel(e: float, params: ProfileParams) -> ReducedCoordsRel:
     """
     e = _finite("e", e)
     sigma = _require_positive("sigma", params.sigma)
+    den = 2.0 * sigma * sigma
+    if den == 0.0:
+        raise DomainError(f"sigma={sigma!r} is too small: sigma^2 underflows")
     s = _SQRT2 * sigma
     return ReducedCoordsRel(
-        a=params.gamma * params.mu / (2.0 * sigma * sigma),
+        a=params.gamma * params.mu / den,
         u1=(e - params.mu) / s,
         u2=(e + params.mu) / s,
     )
+
+
+# Elementwise forms of the scalar maps above, for the grid evaluators.  Each
+# takes broadcast float arrays and flags in `fails`, in the scalar order,
+# every point where the scalar map raises; the arithmetic is the scalar's,
+# operation for operation, so successful points agree bit for bit.
+
+
+def _flag_nonfinite(fails: GridFailures, *xs: np.ndarray) -> None:
+    bad = np.zeros(fails.codes.shape, dtype=bool)
+    for x in xs:
+        bad |= ~np.isfinite(x)
+    fails.flag(bad, DomainError)
+
+
+def bw_nonrel_grid(e, mu, gamma, fails: GridFailures) -> np.ndarray:
+    """bw_nonrel over arrays."""
+    _flag_nonfinite(fails, e)
+    fails.flag(~(gamma > 0.0), ParameterError)
+    with np.errstate(all="ignore"):
+        d = e - mu
+        den = d * d + 0.25 * gamma * gamma
+        fails.flag(den == 0.0, DomainError)
+        return (gamma / (2.0 * math.pi)) / den
+
+
+def bw_rel_grid(e, mu, gamma, fails: GridFailures) -> np.ndarray:
+    """bw_rel over arrays."""
+    _flag_nonfinite(fails, e)
+    fails.flag(~(mu > 0.0), ParameterError)
+    fails.flag(~(gamma > 0.0), ParameterError)
+    with np.errstate(all="ignore"):
+        q = e * e - mu * mu
+        mg = mu * gamma
+        den = q * q + mg * mg
+        fails.flag(den == 0.0, DomainError)
+        return (mg / math.pi) / den
+
+
+def reduce_nonrel_grid(e, mu, gamma, sigma, fails: GridFailures):
+    """reduce_nonrel over arrays: the coordinates (a, u)."""
+    _flag_nonfinite(fails, e)
+    fails.flag(~(sigma > 0.0), ParameterError)
+    with np.errstate(all="ignore"):
+        a = gamma / (2.0 * _SQRT2 * sigma)
+        u = (e - mu) / (_SQRT2 * sigma)
+    _flag_nonfinite(fails, a, u)
+    return a, u
+
+
+def reduce_rel_grid(e, mu, gamma, sigma, fails: GridFailures):
+    """reduce_rel over arrays: the coordinates (a, u1, u2)."""
+    _flag_nonfinite(fails, e)
+    fails.flag(~(sigma > 0.0), ParameterError)
+    with np.errstate(all="ignore"):
+        den = 2.0 * sigma * sigma
+        fails.flag(den == 0.0, DomainError)
+        s = _SQRT2 * sigma
+        a = gamma * mu / den
+        u1 = (e - mu) / s
+        u2 = (e + mu) / s
+    _flag_nonfinite(fails, a, u1, u2)
+    return a, u1, u2

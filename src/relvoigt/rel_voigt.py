@@ -9,7 +9,10 @@ Breit-Wigner with a Gaussian gives
 in the reduced coordinates of ``profiles.reduce_rel``.  The quartic
 denominator factors over four complex roots, and the integral collapses to
 four Faddeeva-function terms grouped by the square roots w1, w2 of
-(u1-u2)^2 +- 4ia; that closed form is the production path.
+(u1-u2)^2 +- 4ia.  The second group is the complex conjugate of the first,
+bit for bit in floating point, so the production path evaluates one group
+g1 = (w(t1+) + w(-t1-)) / (2 w1) with two Faddeeva calls and returns
+H2 = 2 Re g1.
 
 The closed form degrades in two regimes, both covered explicitly: near the
 degenerate manifold u1 = u2 with small a the two pole groups cancel
@@ -18,6 +21,13 @@ min(|u1|, |u2|) large a leading-order asymptotic is available as a
 cross-check.  Independent routes (direct quadrature, a shifted-contour
 form, and two integral representations obtained by Gaussianizing the
 denominator) exist solely to verify the closed form against each other.
+
+Every function used by the sweeps also has a grid form (``h2_grid``,
+``v2_grid``, ...) that evaluates whole arrays of points in one call.  The
+grid forms repeat the scalar arithmetic operation for operation, with
+CPython's complex division and square root written out in real arithmetic,
+so each point matches the scalar evaluator bit for bit; the rare points in
+the degenerate corner go through the scalar h2 itself.
 
 H2 is odd in a and exactly symmetric under u1 <-> u2 and under
 (u1, u2) -> (-u1, -u2).  The pole algebra below is arranged so those
@@ -34,9 +44,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_fn import faddeeva_w
-from .errors import DomainError, IntegrationError, ParameterError
-from .profiles import ProfileParams, bw_nonrel, bw_rel, reduce_rel
+from .complex_fn import faddeeva_w, faddeeva_w_grid
+from .errors import DomainError, IntegrationError, ParameterError, RelVoigtError
+from .profiles import (
+    ProfileParams,
+    bw_nonrel,
+    bw_nonrel_grid,
+    bw_rel,
+    bw_rel_grid,
+    reduce_rel,
+    reduce_rel_grid,
+)
 from .quadrature import (
     QuadratureConfig,
     integrate_interval,
@@ -44,13 +62,14 @@ from .quadrature import (
     integrate_real_line_compactified,
     integrate_semi_infinite,
 )
-from .result import EvalResult
-from .voigt import v0
+from .result import EvalResult, GridFailures, GridResult, grid_arrays
+from .voigt import v0, v0_grid
 
 __all__ = [
     "PoleSet",
     "pole_set",
     "h2",
+    "h2_grid",
     "h2_quadrature",
     "h2_limit_a0",
     "h2_degenerate_series",
@@ -58,11 +77,15 @@ __all__ = [
     "h2_rectangle",
     "h2_integral_rep",
     "i2_closed",
+    "i2_grid",
     "i2_quadrature",
     "v2",
+    "v2_grid",
     "v2_gamma0_limit",
     "d0",
+    "d0_grid",
     "d2",
+    "d2_grid",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -73,9 +96,11 @@ _SQRT_PI = math.sqrt(math.pi)
 _DEGENERATE_GAP = 1e-3
 _DEGENERATE_A = 1e-3
 
-# The four-term sum is real for real inputs; a residual imaginary part
-# beyond this (relative) level means the evaluation broke down.
-_REALNESS_TOL = 1e-10
+# CPython's cmath.sqrt scales arguments whose parts are both below
+# DBL_MIN by 2^53 before taking the square root, and the result by 2^-27.
+_DBL_MIN = 2.2250738585072014e-308
+_SQRT_SCALE_UP = 53
+_SQRT_SCALE_DOWN = -27
 
 
 def _finite(name: str, x: float) -> float:
@@ -137,21 +162,70 @@ def pole_set(a: float, u1: float, u2: float) -> PoleSet:
 
 
 def _h2_closed_form(a: float, u1: float, u2: float) -> EvalResult:
-    # requires a > 0 so that all four w arguments lie in the upper
-    # half-plane, where the Faddeeva function is bounded
+    # requires a > 0 so that both w arguments lie in the upper half-plane,
+    # where the Faddeeva function is bounded.  The second pole group
+    # g2 = (w(-t2+) + w(t2-)) / (2 w2) is conj(g1) bit for bit (cmath.sqrt,
+    # w and complex division all commute with conjugation exactly), so
+    # g1 + g2 = 2 Re g1 with no imaginary residue and |g1| + |g2| = 2 |g1|.
     ps = pole_set(a, u1, u2)
     g1 = (faddeeva_w(ps.t1_plus) + faddeeva_w(-ps.t1_minus)) / (2.0 * ps.w1)
-    g2 = (faddeeva_w(-ps.t2_plus) + faddeeva_w(ps.t2_minus)) / (2.0 * ps.w2)
-    total = g1 + g2
-    value = total.real
-    residual = abs(total.imag)
-    if residual > _REALNESS_TOL * (1.0 + abs(value)):
-        raise IntegrationError(
-            f"closed form lost realness at (a, u1, u2)=({a!r}, {u1!r}, {u2!r}): "
-            f"residual imaginary part {residual:.3e}"
-        )
-    err = residual + 1e-13 * (abs(g1) + abs(g2))
-    return EvalResult(value, err, "closed_form")
+    return EvalResult(2.0 * g1.real, 1e-13 * (2.0 * abs(g1)), "closed_form")
+
+
+# CPython complex arithmetic written out on real arrays: the grid forms use
+# these so that every operation rounds exactly as in the scalar evaluators
+# (numpy's own complex division and abs differ in the last ulp).
+
+
+def _cmul_real(k: float, zr, zi):
+    """k * z for a float k, as CPython computes it: k is promoted to k + 0i."""
+    return k * zr - 0.0 * zi, k * zi + 0.0 * zr
+
+
+def _cquot(ar, ai, br, bi):
+    """a / b by CPython's _Py_c_quot (Smith's algorithm); b must be nonzero."""
+    real_big = np.abs(br) >= np.abs(bi)
+    ratio = np.where(real_big, bi / br, br / bi)
+    denom = np.where(real_big, br + bi * ratio, br * ratio + bi)
+    re = np.where(real_big, ar + ai * ratio, ar * ratio + ai) / denom
+    im = np.where(real_big, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im
+
+
+def _csqrt(x, y):
+    """cmath.sqrt(complex(x, y)) for x >= 0, (x, y) != 0, as CPython computes it."""
+    ax, ay = np.abs(x), np.abs(y)
+    tiny = (ax < _DBL_MIN) & (ay < _DBL_MIN)
+    big_ax = ax / 8.0
+    s = np.where(
+        tiny,
+        np.ldexp(
+            np.sqrt(
+                np.ldexp(ax, _SQRT_SCALE_UP)
+                + np.hypot(np.ldexp(ax, _SQRT_SCALE_UP), np.ldexp(ay, _SQRT_SCALE_UP))
+            ),
+            _SQRT_SCALE_DOWN,
+        ),
+        2.0 * np.sqrt(big_ax + np.hypot(big_ax, ay / 8.0)),
+    )
+    return s, np.copysign(ay / (2.0 * s), y)
+
+
+def _h2_closed_form_grid(a, u1, u2):
+    """_h2_closed_form over arrays with a > 0: value, estimate, finite mask."""
+    # pole_set's w1 and t1+-, then -t1-, in CPython's complex arithmetic
+    d = u1 - u2
+    s = u1 + u2
+    w1r, w1i = _csqrt(d * d, 4.0 * a)
+    t1p_r, t1p_i = _cmul_real(0.5, s + w1r, 0.0 + w1i)
+    t1m_r, t1m_i = _cmul_real(0.5, s - w1r, 0.0 - w1i)
+    fr, fi, f_ok = faddeeva_w_grid(t1p_r, t1p_i)
+    gr, gi, g_ok = faddeeva_w_grid(-t1m_r, -t1m_i)
+    g1r, g1i = _cquot(fr + gr, fi + gi, *_cmul_real(2.0, w1r, w1i))
+    value = 2.0 * g1r
+    err = 1e-13 * (2.0 * np.hypot(g1r, g1i))
+    ok = f_ok & g_ok & np.isfinite(value) & np.isfinite(err)
+    return value, err, ok
 
 
 def h2(a: float, u1: float, u2: float) -> EvalResult:
@@ -174,6 +248,40 @@ def h2(a: float, u1: float, u2: float) -> EvalResult:
     if abs(u1 - u2) < _DEGENERATE_GAP and a < _DEGENERATE_A:
         return h2_degenerate_series(a, 0.5 * (u1 + u2))
     return _h2_closed_form(a, u1, u2)
+
+
+def h2_grid(a, u1, u2) -> GridResult:
+    """h2 over broadcast arrays of points, bit for bit with the scalar h2.
+
+    Points in the degenerate corner (gap and a both below 1e-3) go through
+    the scalar h2 one at a time, which keeps the bits of its libm exp and
+    sqrt; everything else takes the closed form in one vectorised pass.
+    """
+    a, u1, u2 = grid_arrays(a, u1, u2)
+    fails = GridFailures(a.shape)
+    fails.flag(~(np.isfinite(a) & np.isfinite(u1) & np.isfinite(u2)), DomainError)
+    value = np.zeros(a.shape)
+    err = np.zeros(a.shape)
+    with np.errstate(all="ignore"):
+        aa = np.abs(a)
+        live = fails.ok & (a != 0.0)
+        corner = live & (np.abs(u1 - u2) < _DEGENERATE_GAP) & (aa < _DEGENERATE_A)
+        closed = live & ~corner
+        v, e, ok = _h2_closed_form_grid(aa[closed], u1[closed], u2[closed])
+    value[closed] = np.where(a[closed] < 0.0, -v, v)
+    err[closed] = e
+    broken = np.zeros(a.shape, dtype=bool)
+    broken[closed] = ~ok
+    fails.flag(broken, DomainError)
+    for i in np.flatnonzero(corner):
+        try:
+            r = h2(float(a.flat[i]), float(u1.flat[i]), float(u2.flat[i]))
+        except RelVoigtError as exc:
+            fails.flag_at(i, type(exc))
+            continue
+        value.flat[i] = r.value
+        err.flat[i] = r.error_estimate
+    return fails.result(value, err)
 
 
 def _peak_seeds(a: float, u1: float, u2: float) -> list[float]:
@@ -460,18 +568,33 @@ def i2_closed(a: float, u1: float, u2: float) -> float:
     a = _finite("a", a)
     u1 = _finite("u1", u1)
     u2 = _finite("u2", u2)
-    if a == 0.0 and u1 == u2:
-        raise DomainError("double pole on the real axis")
     if a < 0.0:
         return -i2_closed(-a, u1, u2)
+    # 1/w2 is conj(1/w1) bit for bit, so Re(1/w1 + 1/w2) = 2 Re(1/w1)
     ps = pole_set(a, u1, u2)
-    z = 1.0 / ps.w1 + 1.0 / ps.w2
-    if abs(z.imag) > 1e-12:
-        raise IntegrationError(
-            f"closed form lost realness at (a, u1, u2)=({a!r}, {u1!r}, {u2!r}): "
-            f"residual imaginary part {abs(z.imag):.3e}"
-        )
-    return z.real
+    if ps.w1 == 0.0:
+        # a = 0 and (u1 - u2)^2 = 0, also when the gap squared underflows
+        raise DomainError("double pole on the real axis")
+    value = 2.0 * (1.0 / ps.w1).real
+    if not math.isfinite(value):
+        raise DomainError(f"I2 overflows at (a, u1, u2)=({a!r}, {u1!r}, {u2!r})")
+    return value
+
+
+def i2_grid(a, u1, u2) -> GridResult:
+    """i2_closed over broadcast arrays of points, bit for bit; no estimate."""
+    a, u1, u2 = grid_arrays(a, u1, u2)
+    fails = GridFailures(a.shape)
+    fails.flag(~(np.isfinite(a) & np.isfinite(u1) & np.isfinite(u2)), DomainError)
+    with np.errstate(all="ignore"):
+        d = u1 - u2
+        dd = d * d
+        fails.flag((a == 0.0) & (dd == 0.0), DomainError)
+        w1r, w1i = _csqrt(dd, 4.0 * np.abs(a))
+        inv_r, _ = _cquot(1.0, 0.0, w1r, w1i)
+        value = 2.0 * inv_r
+    fails.flag(~np.isfinite(value), DomainError)
+    return fails.result(np.where(a < 0.0, -value, value))
 
 
 def i2_quadrature(
@@ -514,6 +637,24 @@ def v2(e: float, params: ProfileParams) -> float:
     return h2(rc.a, rc.u1, rc.u2).value / (2.0 * _SQRT_PI * sigma * sigma)
 
 
+def v2_grid(e, mu, gamma, sigma) -> GridResult:
+    """v2 over broadcast arrays of (e, mu, gamma, sigma), bit for bit."""
+    e, mu, gamma, sigma = grid_arrays(e, mu, gamma, sigma)
+    fails = GridFailures(e.shape)
+    fails.flag(~(np.isfinite(mu) & np.isfinite(gamma) & np.isfinite(sigma)), DomainError)
+    fails.flag(~(mu > 0.0), ParameterError)
+    fails.flag(~(gamma > 0.0), ParameterError)
+    a, u1, u2 = reduce_rel_grid(e, mu, gamma, sigma, fails)
+    live = fails.ok
+    h = h2_grid(a[live], u1[live], u2[live])
+    fails.codes[live] = h.codes
+    value = np.zeros(e.shape)
+    s = sigma[live]
+    with np.errstate(all="ignore"):
+        value[live] = h.value / (2.0 * _SQRT_PI * s * s)
+    return fails.result(value)
+
+
 def v2_gamma0_limit(e: float, mu: float, sigma: float, side: int) -> float:
     """One-sided limit of V2 as gamma -> 0: a two-Gaussian line pair.
 
@@ -553,7 +694,7 @@ def d0(sigma: float, gamma: float, mu: float) -> float:
     if sigma == 0.0:
         return 1.0
     params = ProfileParams(mu=mu, gamma=gamma, sigma=sigma)
-    return v0(mu, params) / bw_nonrel(mu, params)
+    return v0(mu, params) / _peak_density(bw_nonrel(mu, params), params)
 
 
 def d2(sigma: float, gamma: float, mu: float) -> float:
@@ -562,4 +703,41 @@ def d2(sigma: float, gamma: float, mu: float) -> float:
     if sigma == 0.0:
         return 1.0
     params = ProfileParams(mu=mu, gamma=gamma, sigma=sigma)
-    return v2(mu, params) / bw_rel(mu, params)
+    return v2(mu, params) / _peak_density(bw_rel(mu, params), params)
+
+
+def _peak_density(bw: float, params: ProfileParams) -> float:
+    if bw == 0.0:
+        raise DomainError(f"Breit-Wigner peak density underflows to 0 at {params!r}")
+    return bw
+
+
+def _ratio_grid(sigma, gamma, mu, profile_grid, bw_grid) -> GridResult:
+    # d0/d2 over arrays: the profile at its peak E = mu over the bare
+    # Breit-Wigner there, with the checks of _check_ratio_params first
+    sigma, gamma, mu = grid_arrays(sigma, gamma, mu)
+    fails = GridFailures(sigma.shape)
+    fails.flag(~(np.isfinite(sigma) & np.isfinite(gamma) & np.isfinite(mu)), DomainError)
+    fails.flag((gamma <= 0.0) | (mu <= 0.0) | (sigma < 0.0), ParameterError)
+    value = np.ones(sigma.shape)
+    live = fails.ok & (sigma != 0.0)
+    s, g, m = sigma[live], gamma[live], mu[live]
+    peak = profile_grid(m, m, g, s)
+    sub = GridFailures(s.shape)
+    sub.codes[...] = peak.codes
+    bw = bw_grid(m, m, g, sub)
+    sub.flag(bw == 0.0, DomainError)
+    fails.codes[live] = sub.codes
+    with np.errstate(all="ignore"):
+        value[live] = peak.value / bw
+    return fails.result(value)
+
+
+def d0_grid(sigma, gamma, mu) -> GridResult:
+    """d0 over broadcast arrays of (sigma, gamma, mu), bit for bit."""
+    return _ratio_grid(sigma, gamma, mu, v0_grid, bw_nonrel_grid)
+
+
+def d2_grid(sigma, gamma, mu) -> GridResult:
+    """d2 over broadcast arrays of (sigma, gamma, mu), bit for bit."""
+    return _ratio_grid(sigma, gamma, mu, v2_grid, bw_rel_grid)

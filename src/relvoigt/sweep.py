@@ -2,16 +2,16 @@
 
 A SweepSpec pins every parameter of the chosen function except one axis,
 which ranges over a linear or logarithmic grid.  run_sweep evaluates the
-function pointwise and never aborts the grid: a point that violates a
-precondition produces a row carrying the error name instead of a value,
-and the sweep continues.  Serializers emit CSV (fixed 17-significant-digit
-scientific notation, so output is byte-stable across runs) or JSON
-(shortest round-trip floats).
+whole grid in one call of the function's grid evaluator (``h2_grid`` and
+friends), whose rows match the scalar evaluator bit for bit, and never
+aborts the grid: a point that violates a precondition produces a row
+carrying the error name instead of a value.  Serializers emit CSV (fixed
+17-significant-digit scientific notation, so output is byte-stable across
+runs) or JSON (shortest round-trip floats).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, TextIO
@@ -19,9 +19,8 @@ from typing import Callable, Mapping, TextIO
 import numpy as np
 
 from . import rel_voigt, voigt
-from .errors import DomainError, RelVoigtError
+from .errors import DomainError
 from .profiles import ProfileParams
-from .result import EvalResult
 
 __all__ = ["FUNCTIONS", "SweepSpec", "SweepRow", "run_sweep", "write_csv", "json_payload"]
 
@@ -30,15 +29,22 @@ def _profile(p: Mapping[str, float]) -> ProfileParams:
     return ProfileParams(mu=p["mu"], gamma=p["gamma"], sigma=p["sigma"])
 
 
-# name -> (ordered parameter names, evaluator over a parameter dict)
-FUNCTIONS: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "h0": (("a", "u"), lambda p: voigt.h0(p["a"], p["u"])),
-    "h2": (("a", "u1", "u2"), lambda p: rel_voigt.h2(p["a"], p["u1"], p["u2"])),
-    "v0": (("e", "mu", "gamma", "sigma"), lambda p: voigt.v0(p["e"], _profile(p))),
-    "v2": (("e", "mu", "gamma", "sigma"), lambda p: rel_voigt.v2(p["e"], _profile(p))),
-    "d0": (("sigma", "gamma", "mu"), lambda p: rel_voigt.d0(p["sigma"], p["gamma"], p["mu"])),
-    "d2": (("sigma", "gamma", "mu"), lambda p: rel_voigt.d2(p["sigma"], p["gamma"], p["mu"])),
-    "i2": (("a", "u1", "u2"), lambda p: rel_voigt.i2_closed(p["a"], p["u1"], p["u2"])),
+# name -> (ordered parameter names, evaluator over a parameter dict,
+#          grid evaluator taking the parameters as keyword arrays)
+FUNCTIONS: dict[str, tuple[tuple[str, ...], Callable, Callable]] = {
+    "h0": (("a", "u"), lambda p: voigt.h0(p["a"], p["u"]), voigt.h0_grid),
+    "h2": (("a", "u1", "u2"), lambda p: rel_voigt.h2(p["a"], p["u1"], p["u2"]),
+           rel_voigt.h2_grid),
+    "v0": (("e", "mu", "gamma", "sigma"), lambda p: voigt.v0(p["e"], _profile(p)),
+           voigt.v0_grid),
+    "v2": (("e", "mu", "gamma", "sigma"), lambda p: rel_voigt.v2(p["e"], _profile(p)),
+           rel_voigt.v2_grid),
+    "d0": (("sigma", "gamma", "mu"), lambda p: rel_voigt.d0(p["sigma"], p["gamma"], p["mu"]),
+           rel_voigt.d0_grid),
+    "d2": (("sigma", "gamma", "mu"), lambda p: rel_voigt.d2(p["sigma"], p["gamma"], p["mu"]),
+           rel_voigt.d2_grid),
+    "i2": (("a", "u1", "u2"), lambda p: rel_voigt.i2_closed(p["a"], p["u1"], p["u2"]),
+           rel_voigt.i2_grid),
 }
 
 
@@ -122,21 +128,17 @@ class SweepRow:
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the spec's function over its grid, one row per point."""
-    evaluate = FUNCTIONS[spec.function][1]
-    rows = []
-    for x in spec.grid():
-        params = dict(spec.fixed)
-        params[spec.axis] = float(x)
-        try:
-            res = evaluate(params)
-        except RelVoigtError as exc:
-            rows.append(SweepRow(float(x), None, None, type(exc).__name__))
-            continue
-        if isinstance(res, EvalResult):
-            rows.append(SweepRow(float(x), res.value, res.error_estimate, ""))
-        else:
-            rows.append(SweepRow(float(x), float(res), None, ""))
-    return rows
+    grid = spec.grid()
+    res = FUNCTIONS[spec.function][2](**spec.fixed, **{spec.axis: grid})
+    values = res.value.tolist()
+    if res.error_estimate is None:
+        estimates = [None] * len(values)
+    else:
+        estimates = res.error_estimate.tolist()
+    return [
+        SweepRow(x, None, None, err) if err else SweepRow(x, value, est, "")
+        for x, value, est, err in zip(grid.tolist(), values, estimates, res.error.tolist())
+    ]
 
 
 def _fmt(x: float | None) -> str:
@@ -144,11 +146,17 @@ def _fmt(x: float | None) -> str:
 
 
 def write_csv(spec: SweepSpec, rows: list[SweepRow], stream: TextIO) -> None:
-    """Write rows as CSV with a header naming the axis column."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([spec.axis, "value", "error_estimate", "error"])
-    for r in rows:
-        writer.writerow([_fmt(r.axis_value), _fmt(r.value), _fmt(r.error_estimate), r.error])
+    """Write rows as CSV with a header naming the axis column.
+
+    No field can hold a comma, quote or newline (parameter names, numbers
+    and exception names), so lines are formatted directly, unquoted.
+    """
+    lines = [f"{spec.axis},value,error_estimate,error\n"]
+    lines += [
+        f"{_fmt(r.axis_value)},{_fmt(r.value)},{_fmt(r.error_estimate)},{r.error}\n"
+        for r in rows
+    ]
+    stream.write("".join(lines))
 
 
 def json_payload(spec: SweepSpec, rows: list[SweepRow]) -> dict:

@@ -23,13 +23,13 @@ import math
 
 import numpy as np
 
-from .complex_fn import scaled_wofz_term
+from .complex_fn import faddeeva_w, faddeeva_w_grid
 from .errors import DomainError, IntegrationError, ParameterError
-from .profiles import ProfileParams, reduce_nonrel
+from .profiles import ProfileParams, reduce_nonrel, reduce_nonrel_grid
 from .quadrature import QuadratureConfig, integrate_semi_infinite
-from .result import EvalResult
+from .result import EvalResult, GridFailures, GridResult, grid_arrays
 
-__all__ = ["h0", "h0_limit_a0", "h0_laplace_rep", "v0"]
+__all__ = ["h0", "h0_grid", "h0_limit_a0", "h0_laplace_rep", "v0", "v0_grid"]
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -56,7 +56,21 @@ def h0(a: float, u: float) -> float:
         return 0.0
     if a < 0.0:
         return -h0(-a, u)
-    return scaled_wofz_term(complex(u, a)).real
+    return faddeeva_w(complex(u, a)).real
+
+
+def _h0_values(a: np.ndarray, u: np.ndarray, fails: GridFailures) -> np.ndarray:
+    fails.flag(~(np.isfinite(a) & np.isfinite(u)), DomainError)
+    wr, _, ok = faddeeva_w_grid(u, np.abs(a))
+    fails.flag(~ok & (a != 0.0), DomainError)
+    return np.where(a == 0.0, 0.0, np.where(a < 0.0, -wr, wr))
+
+
+def h0_grid(a, u) -> GridResult:
+    """h0 over broadcast arrays of points, bit for bit; no error estimate."""
+    a, u = grid_arrays(a, u)
+    fails = GridFailures(a.shape)
+    return fails.result(_h0_values(a, u, fails))
 
 
 def h0_limit_a0(u: float, side: int) -> float:
@@ -96,3 +110,15 @@ def v0(e: float, params: ProfileParams) -> float:
         raise ParameterError(f"gamma must be > 0, got {params.gamma!r}")
     rc = reduce_nonrel(e, params)
     return h0(rc.a, rc.u) / (_SQRT_2PI * params.sigma)
+
+
+def v0_grid(e, mu, gamma, sigma) -> GridResult:
+    """v0 over broadcast arrays of (e, mu, gamma, sigma), bit for bit."""
+    e, mu, gamma, sigma = grid_arrays(e, mu, gamma, sigma)
+    fails = GridFailures(e.shape)
+    fails.flag(~(np.isfinite(mu) & np.isfinite(gamma) & np.isfinite(sigma)), DomainError)
+    fails.flag(~(gamma > 0.0), ParameterError)
+    a, u = reduce_nonrel_grid(e, mu, gamma, sigma, fails)
+    with np.errstate(all="ignore"):
+        value = _h0_values(a, u, fails) / (_SQRT_2PI * sigma)
+    return fails.result(value)

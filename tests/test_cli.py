@@ -4,16 +4,24 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args: str, **kw):
+    # the children import relvoigt from this checkout's src, installed or not
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC if not path else SRC + os.pathsep + path}
     return subprocess.run(
         [sys.executable, "-m", "relvoigt", *args],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
         **kw,
     )
 
@@ -115,6 +123,22 @@ def test_sweep_output_file_and_error_rows(tmp_path):
     assert lines[0] == "sigma,value,error_estimate,error"
     assert lines[1].endswith(",,,ParameterError")
     assert lines[3].count(",") == 3 and "Error" not in lines[3]
+
+
+def test_underflowing_sigma_is_a_domain_error_not_a_traceback():
+    # sigma^2 underflows: eval exits 2 with an error line, and a sweep
+    # through that region records DomainError rows and exits 0
+    r = run_cli("eval", "v2", "--e", "1", "--mu", "1", "--gamma", "0.5", "--sigma", "1e-170")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+    r = run_cli(
+        "sweep", "v2", "--axis", "sigma", "--start", "1e-170", "--stop", "1",
+        "--steps", "4", "--scale", "log", "--e", "1", "--mu", "1", "--gamma", "0.5",
+    )
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.split("\n")
+    assert lines[1].endswith(",,,DomainError")
+    assert lines[4].count(",") == 3 and "Error" not in lines[4]
 
 
 def test_sweep_json_flag():

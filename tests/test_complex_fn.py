@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from relvoigt import DomainError, erfc_complex, faddeeva_w, scaled_wofz_term
+from relvoigt import DomainError, erfc_complex, faddeeva_w
+from relvoigt.complex_fn import faddeeva_w_grid
 from relvoigt.quadrature import QuadratureConfig, integrate_real_line
 
 from oracles import erfc_real, erfcx_real
@@ -128,24 +129,32 @@ def test_erfc_complement_identity():
     assert abs(erfc_complex(z) + erfc_complex(-z) - 2.0) < 1e-12
 
 
-def test_scaled_wofz_term_is_w():
-    assert scaled_wofz_term(0.0) == 1.0 + 0.0j
-    z = complex(5, 5)
-    assert scaled_wofz_term(z) == faddeeva_w(z)
-    got = scaled_wofz_term(10j)
-    assert got == faddeeva_w(10j)
-    assert abs(got.real - erfcx_real(10.0)) < 1e-14
-
-
-def test_scaled_wofz_term_no_overflow_large_imag():
+def test_w_no_overflow_large_imag():
     # naive e^{-z^2} * erfc(-iz) overflows here; the fused form must not
     z = complex(0.5, 60.0)
-    got = scaled_wofz_term(z)
+    got = faddeeva_w(z)
     assert math.isfinite(got.real) and math.isfinite(got.imag)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
 def test_non_finite_inputs_rejected(bad):
-    for fn in (faddeeva_w, erfc_complex, scaled_wofz_term):
+    for fn in (faddeeva_w, erfc_complex):
         with pytest.raises(DomainError):
             fn(bad)
+
+
+def test_w_grid_matches_scalar_bitwise():
+    """faddeeva_w_grid equals faddeeva_w, and its mask marks the raises."""
+    rng = np.random.default_rng(20261017)
+    x = np.concatenate([rng.uniform(-30.0, 30.0, 400), [0.0, -0.0, 1.0, np.nan, 2.0]])
+    y = np.concatenate([rng.uniform(-30.0, 30.0, 400), [0.0, 5.0, np.inf, 1.0, -40.0]])
+    wr, wi, ok = faddeeva_w_grid(x, y)
+    for i in range(len(x)):
+        try:
+            w = faddeeva_w(complex(x[i], y[i]))
+        except DomainError:
+            assert not ok[i]
+            continue
+        assert ok[i]
+        assert (wr[i].hex(), wi[i].hex()) == (w.real.hex(), w.imag.hex())
+    assert not ok[-3:].any()  # non-finite argument, non-finite argument, overflow

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from relvoigt import (
+    DomainError,
     ParameterError,
     ProfileParams,
     bw_nonrel,
@@ -157,4 +158,11 @@ def test_parameter_validation():
         reduce_nonrel(0.0, ProfileParams(mu=1.0, gamma=0.5, sigma=0.0))
     with pytest.raises(ParameterError):
         reduce_rel(0.0, ProfileParams(mu=1.0, gamma=0.5, sigma=-0.1))
+    # underflowing denominators raise DomainError, not ZeroDivisionError
+    with pytest.raises(DomainError):
+        reduce_rel(0.0, ProfileParams(mu=1.0, gamma=0.5, sigma=1e-170))
+    with pytest.raises(DomainError):
+        bw_nonrel(1.0, ProfileParams(mu=1.0, gamma=1e-170, sigma=0.3))
+    with pytest.raises(DomainError):
+        bw_rel(1.0, ProfileParams(mu=1.0, gamma=1e-170, sigma=0.3))
     assert bw_nonrel(0.0, good) > 0.0

@@ -27,6 +27,7 @@ from relvoigt import (
     h2_rectangle,
     i2_closed,
     i2_quadrature,
+    faddeeva_w,
     pole_set,
     v2,
     v2_gamma0_limit,
@@ -331,6 +332,34 @@ def test_i2_a0_values():
     assert abs(i2_closed(0.0, 1.0, 0.0) - 2.0) < 1e-15
     with pytest.raises(DomainError):
         i2_closed(0.0, 1.0, 1.0)
+    # the gap squared underflows: numerically the same double pole
+    with pytest.raises(DomainError):
+        i2_closed(0.0, 1e-200, 0.0)
+    # 4a overflows the pole algebra, which used to return NaN
+    with pytest.raises(DomainError):
+        i2_closed(1e308, 0.0, 1.0)
+
+
+def test_second_pole_group_is_conjugate_bitwise():
+    """g2 == conj(g1) and 1/w2 == conj(1/w1) bit for bit.
+
+    This is what lets h2 evaluate H2 = 2 Re g1 from two Faddeeva calls and
+    i2_closed evaluate 2 Re(1/w1), with no realness check.
+    """
+    rng = np.random.default_rng(20261017)
+    n = 20_000
+    a = 10.0 ** rng.uniform(-12.0, 4.0, n)
+    u1 = rng.uniform(-12.0, 12.0, n)
+    u2 = np.where(rng.random(n) < 0.3, u1 + rng.uniform(-1e-3, 1e-3, n), rng.uniform(-12.0, 12.0, n))
+    for ai, x, y in zip(a.tolist(), u1.tolist(), u2.tolist()):
+        ps = pole_set(ai, x, y)
+        g1 = (faddeeva_w(ps.t1_plus) + faddeeva_w(-ps.t1_minus)) / (2.0 * ps.w1)
+        g2 = (faddeeva_w(-ps.t2_plus) + faddeeva_w(ps.t2_minus)) / (2.0 * ps.w2)
+        c1 = g1.conjugate()
+        assert (g2.real.hex(), g2.imag.hex()) == (c1.real.hex(), c1.imag.hex())
+        r1 = (1.0 / ps.w1).conjugate()
+        r2 = 1.0 / ps.w2
+        assert (r2.real.hex(), r2.imag.hex()) == (r1.real.hex(), r1.imag.hex())
 
 
 def test_i2_matches_quadrature_grid():
@@ -462,6 +491,9 @@ def test_v2_parameter_errors():
         v2(0.0, ProfileParams(mu=0.0, gamma=0.5, sigma=0.3))
     with pytest.raises(ParameterError):
         v2(0.0, ProfileParams(mu=1.0, gamma=0.5, sigma=0.0))
+    # sigma^2 underflows: a DomainError, not a ZeroDivisionError
+    with pytest.raises(DomainError):
+        v2(1.0, ProfileParams(mu=1.0, gamma=0.5, sigma=1e-170))
 
 
 # ---------------------------------------------------------------- damping
@@ -488,6 +520,20 @@ def test_damping_small_sigma_near_one():
     devs = [abs(d2(s, 0.5, 1.0) - 1.0) for s in (0.01, 0.005, 0.0025)]
     assert devs[0] < 0.05
     assert devs == sorted(devs, reverse=True)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (d0, (1.0, 1e200, 1.0)),  # gamma^2 overflows: the peak density is 0
+        (d0, (1.0, 1e-170, 1.0)),  # gamma^2 underflows: 0/0 peak density
+        (d2, (1.0, 1e200, 1.0)),
+        (d2, (1.0, 0.5, 1e-170)),
+    ],
+)
+def test_damping_underflowing_peak_is_domain_error(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)
 
 
 def test_damping_parameter_errors():

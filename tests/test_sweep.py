@@ -6,10 +6,11 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from relvoigt import DomainError, h2
-from relvoigt.sweep import SweepSpec, json_payload, run_sweep, write_csv
+from relvoigt import DomainError, EvalResult, RelVoigtError, h2
+from relvoigt.sweep import FUNCTIONS, SweepSpec, json_payload, run_sweep, write_csv
 
 
 def spec_h0(**kw):
@@ -98,6 +99,117 @@ def test_run_sweep_marks_domain_errors_and_continues():
     assert rows[0].error == "ParameterError" and rows[0].value is None
     assert rows[1].error == "ParameterError"  # sigma == 0
     assert rows[-1].error == "" and rows[-1].value > 0.0
+
+
+def test_run_sweep_underflowing_sigma_rows_are_domain_errors():
+    # sigma^2 underflows below about 1e-162: those rows must be DomainError
+    # rows and the sweep must go on, not abort with ZeroDivisionError
+    s = SweepSpec(
+        function="v2", fixed={"e": 1.0, "mu": 1.0, "gamma": 0.5}, axis="sigma",
+        start=1e-170, stop=1.0, steps=18, scale="log",
+    )
+    rows = run_sweep(s)
+    assert [r.error for r in rows[:2]] == ["DomainError", "DomainError"]
+    assert rows[-1].error == "" and rows[-1].value > 0.0
+
+
+def _bits(x):
+    return None if x is None else float(x).hex()
+
+
+def _scalar_row(function, params):
+    try:
+        res = FUNCTIONS[function][1](params)
+    except RelVoigtError as exc:
+        return (None, None, type(exc).__name__)
+    if isinstance(res, EvalResult):
+        return (_bits(res.value), _bits(res.error_estimate), "")
+    return (_bits(res), None, "")
+
+
+def _parity_specs(seed):
+    rng = np.random.default_rng(seed)
+
+    def u(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    def lu(lo, hi):
+        return float(10.0 ** rng.uniform(lo, hi))
+
+    x = u(-8.0, 8.0)
+    big = u(5.0, 9.0)
+    return [
+        # a crosses zero: a < 0 rows, and an exact a = 0 at the centre
+        dict(function="h0", fixed={"u": u(-5, 5)}, axis="a", start=-2.0, stop=2.0, steps=41),
+        dict(function="h0", fixed={"a": 0.0}, axis="u", start=u(-9, -1), stop=u(1, 9), steps=17),
+        dict(function="h0", fixed={"a": lu(-12, 3)}, axis="u", start=u(-40, -1), stop=u(1, 40), steps=101),
+        dict(function="h2", fixed={"u1": u(-3, 3), "u2": u(-3, 3)}, axis="a",
+             start=-2.0, stop=2.0, steps=41),
+        dict(function="h2", fixed={"a": 0.0, "u2": u(-3, 3)}, axis="u1", start=-4.0, stop=4.0, steps=17),
+        # the degenerate-series corner: gap below 1e-3 with a from 1e-14 up
+        dict(function="h2", fixed={"u1": x, "u2": x + u(-1e-3, 1e-3)}, axis="a",
+             start=lu(-14, -10), stop=lu(-2, 0), steps=101, scale="log"),
+        dict(function="h2", fixed={"a": lu(-8, -4), "u2": x}, axis="u1",
+             start=x - 2e-3, stop=x + 2e-3, steps=101),
+        # near the diagonal at large |u|
+        dict(function="h2", fixed={"u1": big, "u2": big + u(-1e-2, 1e-2)}, axis="a",
+             start=lu(-14, -10), stop=lu(-1, 1), steps=101, scale="log"),
+        dict(function="h2", fixed={"a": -lu(-9, 1), "u2": -big}, axis="u1",
+             start=-big - 1.0, stop=-big + 1.0, steps=101),
+        # overflowing poles: h2(1, 1e200, -1e200) and its neighbours
+        dict(function="h2", fixed={"a": 1.0, "u2": -1e200}, axis="u1",
+             start=1e150, stop=1e200, steps=21, scale="log"),
+        dict(function="h2", fixed={"u1": 0.5, "u2": -0.5}, axis="a",
+             start=1e300, stop=1.7e308, steps=21, scale="log"),
+        dict(function="i2", fixed={"u1": u(-3, 3), "u2": u(-3, 3)}, axis="a",
+             start=-3.0, stop=3.0, steps=61),
+        # a = 0 with the gap shrinking to 0 and below sqrt(DBL_MIN)
+        dict(function="i2", fixed={"a": 0.0, "u2": 0.0}, axis="u1", start=-1e-150, stop=1e-150, steps=41),
+        dict(function="i2", fixed={"a": 0.0, "u2": 0.0}, axis="u1", start=1e-320, stop=1.0, steps=41,
+             scale="log"),
+        dict(function="i2", fixed={"u1": 1.0, "u2": 1.0 + lu(-300, -1)}, axis="a",
+             start=1e-320, stop=1.7e308, steps=101, scale="log"),
+        # parameters crossing into invalid ranges, and underflowing sigma^2
+        dict(function="v0", fixed={"e": u(0, 2), "mu": 1.0, "gamma": u(0.1, 2)}, axis="sigma",
+             start=-0.5, stop=u(0.5, 3), steps=41),
+        dict(function="v0", fixed={"e": u(0, 2), "mu": 1.0, "sigma": u(0.1, 2)}, axis="gamma",
+             start=-0.5, stop=u(0.5, 3), steps=41),
+        dict(function="v0", fixed={"e": 1.0, "mu": 1.0, "gamma": 1e-300}, axis="sigma",
+             start=1e-323, stop=1.0, steps=41, scale="log"),
+        dict(function="v2", fixed={"e": u(0, 2), "mu": u(0.5, 2), "gamma": u(0.1, 2)}, axis="sigma",
+             start=-0.5, stop=u(0.5, 3), steps=41),
+        dict(function="v2", fixed={"e": u(0, 2), "gamma": u(0.1, 2), "sigma": u(0.1, 2)}, axis="mu",
+             start=-1.0, stop=u(1, 3), steps=41),
+        dict(function="v2", fixed={"e": u(0, 2), "mu": 1.0, "gamma": u(0.1, 2)}, axis="sigma",
+             start=1e-170, stop=1.0, steps=41, scale="log"),
+        dict(function="v2", fixed={"mu": u(0.5, 2), "gamma": lu(-6, -2), "sigma": lu(-3, -1)},
+             axis="e", start=-3.0, stop=3.0, steps=101),
+        dict(function="d0", fixed={"gamma": u(0.1, 2), "mu": u(0.5, 2)}, axis="sigma",
+             start=-1.0, stop=u(1, 3), steps=41),
+        dict(function="d0", fixed={"sigma": u(0.1, 2), "mu": u(0.5, 2)}, axis="gamma",
+             start=1e-200, stop=1e200, steps=41, scale="log"),
+        dict(function="d2", fixed={"gamma": u(0.1, 2), "mu": u(0.5, 2)}, axis="sigma",
+             start=-1.0, stop=u(1, 3), steps=41),
+        dict(function="d2", fixed={"sigma": u(0.1, 2), "gamma": u(0.1, 2)}, axis="mu",
+             start=1e-200, stop=1e200, steps=41, scale="log"),
+        dict(function="d2", fixed={"sigma": u(0.1, 2), "mu": u(0.5, 2)}, axis="gamma",
+             start=-1.0, stop=1e200, steps=41),
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_sweep_rows_match_scalar_evaluator_bitwise(seed):
+    specs = [SweepSpec(**kw) for kw in _parity_specs(seed)]
+    assert {s.function for s in specs} == set(FUNCTIONS)
+    errors = set()
+    for spec in specs:
+        for row in run_sweep(spec):
+            params = dict(spec.fixed)
+            params[spec.axis] = row.axis_value
+            got = (_bits(row.value), _bits(row.error_estimate), row.error)
+            assert got == _scalar_row(spec.function, params), (spec.function, params)
+            errors.add(row.error)
+    assert errors == {"", "DomainError", "ParameterError"}
 
 
 def test_csv_shape_and_stability():
