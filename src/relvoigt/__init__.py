@@ -56,10 +56,12 @@ from .rel_voigt import (
     h2_large_u_asymptotic,
     h2_limit_a0,
     h2_quadrature,
+    h2_quadrature_grid,
     h2_rectangle,
     i2_closed,
     i2_grid,
     i2_quadrature,
+    i2_quadrature_grid,
     pole_set,
     v2,
     v2_gamma0_limit,
@@ -107,6 +109,7 @@ __all__ = [
     "h2",
     "h2_grid",
     "h2_quadrature",
+    "h2_quadrature_grid",
     "h2_limit_a0",
     "h2_degenerate_series",
     "h2_large_u_asymptotic",
@@ -115,6 +118,7 @@ __all__ = [
     "i2_closed",
     "i2_grid",
     "i2_quadrature",
+    "i2_quadrature_grid",
     "v2",
     "v2_grid",
     "v2_gamma0_limit",

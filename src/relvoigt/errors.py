@@ -5,11 +5,22 @@ DomainError marks inputs outside an operation's mathematical domain
 ParameterError is the physical-parameter flavor (mu, gamma, sigma out of
 range).  IntegrationError signals quadrature breakdown: a non-finite
 integrand value or a scheme that cannot reach its tolerance.
+
+require_finite and check_side are the argument checks every module shares.
 """
 
 from __future__ import annotations
 
-__all__ = ["RelVoigtError", "DomainError", "ParameterError", "IntegrationError"]
+import math
+
+__all__ = [
+    "RelVoigtError",
+    "DomainError",
+    "ParameterError",
+    "IntegrationError",
+    "require_finite",
+    "check_side",
+]
 
 
 class RelVoigtError(Exception):
@@ -26,3 +37,18 @@ class ParameterError(DomainError):
 
 class IntegrationError(RelVoigtError, RuntimeError):
     """Numerical integration failed or met a non-finite integrand value."""
+
+
+def require_finite(name: str, x: float) -> float:
+    """x as a float; DomainError naming the argument unless it is finite."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {x!r}")
+    return x
+
+
+def check_side(side: int) -> int:
+    """The side of a one-sided limit; DomainError unless it is +1 or -1."""
+    if side not in (1, -1):
+        raise DomainError(f"side must be +1 or -1, got {side!r}")
+    return side

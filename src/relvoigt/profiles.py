@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, require_finite
 from .result import GridFailures
 
 __all__ = [
@@ -44,13 +44,6 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
-def _finite(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
-
-
 @dataclass(frozen=True)
 class ProfileParams:
     """Resonance mass mu, width gamma and Gaussian dispersion sigma.
@@ -67,7 +60,7 @@ class ProfileParams:
 
     def __post_init__(self) -> None:
         for name in ("mu", "gamma", "sigma"):
-            _finite(name, getattr(self, name))
+            require_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -76,8 +69,8 @@ class ReducedCoordsNonRel:
     u: float
 
     def __post_init__(self) -> None:
-        _finite("a", self.a)
-        _finite("u", self.u)
+        require_finite("a", self.a)
+        require_finite("u", self.u)
 
 
 @dataclass(frozen=True)
@@ -87,9 +80,9 @@ class ReducedCoordsRel:
     u2: float
 
     def __post_init__(self) -> None:
-        _finite("a", self.a)
-        _finite("u1", self.u1)
-        _finite("u2", self.u2)
+        require_finite("a", self.a)
+        require_finite("u1", self.u1)
+        require_finite("u2", self.u2)
 
 
 def _require_positive(name: str, x: float) -> float:
@@ -103,7 +96,7 @@ def bw_nonrel(e: float, params: ProfileParams) -> float:
 
     Unit-normalized Cauchy density centered at mu; maximum 2/(pi Gamma).
     """
-    e = _finite("e", e)
+    e = require_finite("e", e)
     gamma = _require_positive("gamma", params.gamma)
     d = e - params.mu
     den = d * d + 0.25 * gamma * gamma
@@ -117,7 +110,7 @@ def bw_rel(e: float, params: ProfileParams) -> float:
 
     Even in E with maxima at E = +-mu where it reaches 1/(pi mu Gamma).
     """
-    e = _finite("e", e)
+    e = require_finite("e", e)
     mu = _require_positive("mu", params.mu)
     gamma = _require_positive("gamma", params.gamma)
     q = e * e - mu * mu
@@ -130,8 +123,8 @@ def bw_rel(e: float, params: ProfileParams) -> float:
 
 def gaussian(x: float, sigma: float) -> float:
     """Centered Gaussian density; callers pass x = E - E0 for a shifted peak."""
-    x = _finite("x", x)
-    sigma = _finite("sigma", sigma)
+    x = require_finite("x", x)
+    sigma = require_finite("sigma", sigma)
     _require_positive("sigma", sigma)
     z = x / sigma
     return math.exp(-0.5 * z * z) / (sigma * _SQRT2PI)
@@ -139,7 +132,7 @@ def gaussian(x: float, sigma: float) -> float:
 
 def reduce_nonrel(e: float, params: ProfileParams) -> ReducedCoordsNonRel:
     """Map (E; mu, gamma, sigma) to the classical reduced coordinates (a, u)."""
-    e = _finite("e", e)
+    e = require_finite("e", e)
     sigma = _require_positive("sigma", params.sigma)
     return ReducedCoordsNonRel(
         a=params.gamma / (2.0 * _SQRT2 * sigma),
@@ -154,7 +147,7 @@ def reduce_rel(e: float, params: ProfileParams) -> ReducedCoordsRel:
     (the reduced functions know what to do with it), only sigma must be
     positive.
     """
-    e = _finite("e", e)
+    e = require_finite("e", e)
     sigma = _require_positive("sigma", params.sigma)
     den = 2.0 * sigma * sigma
     if den == 0.0:

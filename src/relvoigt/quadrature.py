@@ -1,16 +1,28 @@
-"""Adaptive Gauss-Kronrod quadrature with batched panel evaluation.
+"""Adaptive Gauss-Kronrod quadrature, batched over many integrals at once.
 
 This module is the package's independent numerical route: every closed form
 elsewhere is cross-checked against direct integration done here, so the
 integrators are built from scratch on the embedded 7/15 Gauss-Kronrod pair
-(the low-order result comes for free, giving per-panel error estimates)
-plus interval bookkeeping, with no third-party integration backend.
+(QUADPACK's dqk15, Piessens et al. 1983; the low-order result comes for
+free, giving per-panel error estimates) plus interval bookkeeping, with no
+third-party integration backend.
 
-Integrands receive a 1-D numpy array of abscissas and must return an array
-of the same length; complex-valued integrands are allowed (real and
-imaginary parts are integrated in one pass).  Batching whole rounds of
-panels into single integrand calls is what keeps grid-scale verification
-runs fast enough.
+There is one refinement loop.  It carries any number of independent
+integrals in lock-step: every round evaluates all new panels of all live
+integrals in a single integrand call, then each integral applies its own
+stop test, error-share split and subdivision budget, finishes on its own
+and has its panels dropped.  The ``*_batch`` integrators run it over many
+integrals, at most a fixed group of them live at a time so a round's
+abscissas stay small; the scalar integrators are the one-integral case of
+the same code, so both follow every rule identically.
+
+Integrand contract.  A scalar integrand receives a 1-D numpy array of
+abscissas and returns an array of the same length.  A batched integrand
+receives the abscissas and an int array of the same length giving, for
+each abscissa, the index of the integral it belongs to, and returns one
+value per abscissa.  Complex-valued integrands are allowed (real and
+imaginary parts are integrated in one pass).  A non-finite value raises
+IntegrationError for the whole call.
 
 Everything here is pure and writes no module state after import, so
 concurrent calls from multiple threads are safe; the integrand callable
@@ -25,15 +37,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError
+from .errors import DomainError, IntegrationError, require_finite
+from .result import GridFailures, GridResult
 
 __all__ = [
+    "QuadratureBatch",
     "QuadratureConfig",
     "QuadratureResult",
     "integrate_interval",
     "integrate_real_line",
+    "integrate_real_line_batch",
     "integrate_real_line_compactified",
+    "integrate_real_line_compactified_batch",
     "integrate_semi_infinite",
+    "integrate_semi_infinite_batch",
+    "peak_seeds",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -90,14 +108,13 @@ _WG = np.array(
     ]
 )
 
+# integrals live at once in one refinement loop: a round's abscissas and
+# panel arrays scale with it, and 64 keeps the verify suites' peak memory
+# within a few MB while still amortising the per-round overhead
+_GROUP = 64
+
 Integrand = Callable[[np.ndarray], np.ndarray]
-
-
-def _require_finite(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
+BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -108,7 +125,8 @@ class QuadratureConfig:
     max_subdivisions caps the number of panel splits; exhausting it yields
     converged=False rather than an exception.  truncation_radius is the
     real-line half-width R, in units of the integrand's Gaussian envelope
-    (the default 12 leaves a tail below 1e-62 for e^{-t^2} decay).
+    (the default 12 leaves a tail below 1e-62 for e^{-t^2} decay).  A
+    batched call applies the config to each of its integrals separately.
     """
 
     abs_tol: float = 1e-10
@@ -126,8 +144,9 @@ class QuadratureConfig:
                 f"max_subdivisions must be >= 1, got {self.max_subdivisions!r}"
             )
 
-    def target(self, value: complex) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(value))
+    def target(self, value):
+        """max(abs_tol, rel_tol * |value|), elementwise for arrays."""
+        return np.maximum(self.abs_tol, self.rel_tol * np.abs(value))
 
 
 @dataclass(frozen=True)
@@ -144,15 +163,38 @@ class QuadratureResult:
     evaluations: int
 
 
-def _eval_panels(f: Integrand, lo: np.ndarray, hi: np.ndarray):
+@dataclass(frozen=True, eq=False)
+class QuadratureBatch:
+    """Results of a batched call: arrays indexed like its integrals.
+
+    Entry k holds what a scalar integrator returns for integral k alone;
+    batch[k] gives it as a QuadratureResult.
+    """
+
+    value: np.ndarray
+    error_estimate: np.ndarray
+    converged: np.ndarray
+    evaluations: np.ndarray
+
+    def __getitem__(self, k: int) -> QuadratureResult:
+        v = self.value[k]
+        return QuadratureResult(
+            complex(v) if np.iscomplexobj(v) else float(v),
+            float(self.error_estimate[k]),
+            bool(self.converged[k]),
+            int(self.evaluations[k]),
+        )
+
+
+def _eval_panels(f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     """Apply the G7/K15 pair to a batch of panels in one integrand call.
 
-    Returns (kronrod values, error estimates, abscissa count).
+    Returns the Kronrod values and error estimates per panel.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     nodes = (mid[:, None] + half[:, None] * _XK).ravel()
-    fv = np.asarray(f(nodes))
+    fv = np.asarray(f(nodes, np.repeat(owner, _XK.size)))
     if fv.shape != nodes.shape:
         raise IntegrationError("integrand must return one value per abscissa")
     finite = np.isfinite(fv)
@@ -176,22 +218,192 @@ def _eval_panels(f: Integrand, lo: np.ndarray, hi: np.ndarray):
         raw,
     )
     err = np.maximum(err, 50.0 * _EPS * resabs)
-    return resk, err, nodes.size
+    return resk, err
 
 
-def _edges(lo: float, hi: float, breakpoints) -> np.ndarray:
-    pts = [lo, hi]
-    if breakpoints is not None:
-        b = np.asarray(breakpoints, dtype=float).ravel()
-        if b.size and not np.isfinite(b).all():
-            raise DomainError("breakpoints must be finite")
-        pts.append(np.clip(b, lo, hi))
-    edges = np.unique(np.concatenate([np.atleast_1d(np.asarray(p, float)) for p in pts]))
-    return edges
+def _sum_by(owner: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    # per-integral sums of a real or complex panel quantity
+    if np.iscomplexobj(x):
+        return np.bincount(owner, x.real, n) + 1j * np.bincount(owner, x.imag, n)
+    return np.bincount(owner, x, n)
 
 
-def _scalar(total):
-    return complex(total) if np.iscomplexobj(total) else float(total)
+def _wide(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # panels wider than 64 ulps of their endpoints can still be split
+    return (hi - lo) > 64.0 * _EPS * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+
+
+def _refine(f: BatchIntegrand, plo, phi, own, n: int, cfg: QuadratureConfig):
+    """Adaptively integrate n integrals from their initial panels, in lock-step.
+
+    plo, phi and own list every initial panel with the index (0..n-1) of
+    its integral.  Each integral follows the rule of a lone integral: stop
+    converged once its error sum meets cfg.target(value); otherwise split
+    every panel holding more than its share of the error and wider than 64
+    ulps, worst first when fewer splits remain in the max_subdivisions
+    budget; stop unconverged when the budget is spent or nothing can be
+    split.  Returns per-integral (value, error, converged, evaluations).
+    """
+    val, err = _eval_panels(f, plo, phi, own)
+    wide = _wide(plo, phi)
+    evaluations = _XK.size * np.bincount(own, minlength=n)
+    splits = np.zeros(n, dtype=np.int64)
+    live = np.ones(n, dtype=bool)
+    value = np.zeros(n, dtype=val.dtype)
+    error = np.zeros(n)
+    converged = np.zeros(n, dtype=bool)
+
+    while True:
+        total = _sum_by(own, val, n)
+        total_err = np.bincount(own, err, n)
+        done = total_err <= cfg.target(total)
+
+        # split every panel above its error share, worst first under budget
+        share = total_err / (2.0 * np.maximum(np.bincount(own, minlength=n), 1))
+        mask = (err > share[own]) & wide
+        budget = int(cfg.max_subdivisions) - splits
+        stop = live & (done | (budget <= 0) | (np.bincount(own[mask], minlength=n) == 0))
+        if stop.any():
+            value[stop] = total[stop]
+            error[stop] = total_err[stop]
+            converged[stop] = done[stop]
+            live &= ~stop
+            if not live.any():
+                return value, error, converged, evaluations
+            mask &= live[own]
+
+        idx = np.flatnonzero(mask)
+        o = own[idx]
+        if (np.bincount(o, minlength=n) > budget).any():
+            order = np.lexsort((-err[idx], o))
+            idx, o = idx[order], o[order]
+            rank = np.arange(idx.size) - np.searchsorted(o, o)
+            first = rank < budget[o]
+            idx, o = idx[first], o[first]
+        splits += np.bincount(o, minlength=n)
+
+        a, b = plo[idx], phi[idx]
+        m = 0.5 * (a + b)
+        new_lo = np.concatenate([a, m])
+        new_hi = np.concatenate([m, b])
+        new_own = np.concatenate([o, o])
+        new_val, new_err = _eval_panels(f, new_lo, new_hi, new_own)
+        evaluations += _XK.size * np.bincount(new_own, minlength=n)
+
+        keep = live[own]
+        keep[idx] = False
+        plo = np.concatenate([plo[keep], new_lo])
+        phi = np.concatenate([phi[keep], new_hi])
+        own = np.concatenate([own[keep], new_own])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
+        wide = np.concatenate([wide[keep], _wide(new_lo, new_hi)])
+
+
+def _integrate_groups(
+    f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, cfg: QuadratureConfig, breaks=None
+):
+    """Integrate f over [lo[k], hi[k]] for every k, _GROUP integrals at a time.
+
+    Every lo[k] < hi[k].  breaks, an (n, m) array, adds initial panel edges
+    per integral; they are clipped onto [lo, hi] and duplicates are dropped.
+    Returns per-integral (value, error, converged, evaluations).
+    """
+    parts = []
+    for k0 in range(0, lo.size, _GROUP):
+        k1 = min(k0 + _GROUP, lo.size)
+        if breaks is None:
+            plo, phi, own = lo[k0:k1], hi[k0:k1], np.arange(k1 - k0)
+        else:
+            l, h = lo[k0:k1, None], hi[k0:k1, None]
+            edges = np.sort(np.concatenate([l, h, np.clip(breaks[k0:k1], l, h)], axis=1), axis=1)
+            keep = edges[:, 1:] > edges[:, :-1]
+            plo, phi, own = edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
+
+        def g(x, o, k0=k0):
+            return f(x, o + k0)
+
+        parts.append(_refine(g, plo, phi, own, k1 - k0, cfg))
+    if not parts:
+        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def quadrature_grid(route, fails: GridFailures, *coords: np.ndarray) -> GridResult:
+    """A batched quadrature route over the grid points fails still holds ok.
+
+    route(*coords) integrates the points whose coordinates it is given and
+    returns a QuadratureBatch; it is called on _GROUP points at a time, so
+    whatever it builds per point stays small.  A point that does not
+    converge fails with IntegrationError, as the scalar route raises there.
+    A non-finite integrand value aborts a whole batch, so after one the
+    points of that batch are rerun one at a time to find its source.
+    """
+    live = np.flatnonzero(fails.ok)
+    value = np.zeros(fails.codes.shape)
+    estimate = np.zeros(fails.codes.shape)
+    failed = np.zeros(fails.codes.shape, dtype=bool)
+    for k0 in range(0, live.size, _GROUP):
+        idx = live[k0 : k0 + _GROUP]
+        pts = [c.flat[idx] for c in coords]
+        try:
+            r = route(*pts)
+            got, est, ok = r.value, r.error_estimate, r.converged
+        except IntegrationError:
+            got, est = np.zeros(idx.size), np.zeros(idx.size)
+            ok = np.zeros(idx.size, dtype=bool)
+            for j in range(idx.size):
+                try:
+                    r = route(*(p[j : j + 1] for p in pts))
+                except IntegrationError:
+                    continue
+                got[j], est[j], ok[j] = r.value[0], r.error_estimate[0], r.converged[0]
+        value.flat[idx] = got
+        estimate.flat[idx] = est
+        failed.flat[idx] = ~ok
+    fails.flag(failed, IntegrationError)
+    return fails.result(value, estimate)
+
+
+def _per_integral(name: str, x, n: int) -> np.ndarray:
+    x = np.broadcast_to(np.asarray(x, dtype=float), (n,))
+    if not np.isfinite(x).all():
+        raise DomainError(f"{name} must be finite, got {x[~np.isfinite(x)][0]!r}")
+    return x
+
+
+def peak_seeds(centers, width) -> np.ndarray:
+    """Panel seeds walking geometrically out of peaks of a given width.
+
+    centers is an (n, c) array of peak positions and width a length-n
+    array; row k of the result holds integral k's seeds: its centers, then
+    for each center x the pairs x - w, x + w for w = width, 4 width,
+    16 width, ... while w < 2.  Passing panel edges this way means
+    adaptive refinement never has to discover a spike much narrower than
+    its panel.  Rows with shorter walks are padded by repeating the
+    center, which adds no panel edge.  A width of 2 or more walks nowhere,
+    and so does one that is not positive (it could never reach 2).
+    """
+    centers = np.asarray(centers, dtype=float)
+    w = np.asarray(width, dtype=float).reshape(-1, 1)
+    w = np.where(w > 0.0, w, 2.0)
+    steps = []
+    while (w < 2.0).any():
+        steps.append(w)
+        w = w * 4.0
+    if not steps:
+        return centers
+    w = np.concatenate(steps, axis=1)
+    walks = [centers]
+    for x in centers.T:
+        x = x[:, None]
+        pair = np.stack([np.where(w < 2.0, x - w, x), np.where(w < 2.0, x + w, x)], axis=2)
+        walks.append(pair.reshape(len(x), -1))
+    return np.concatenate(walks, axis=1)
+
+
+def _lone(f: Integrand) -> BatchIntegrand:
+    return lambda x, owner: f(x)
 
 
 def integrate_interval(
@@ -210,48 +422,57 @@ def integrate_interval(
     budget) so each refinement round costs one vectorized integrand call.
     """
     cfg = config if config is not None else QuadratureConfig()
-    lo = _require_finite("lo", lo)
-    hi = _require_finite("hi", hi)
+    lo = require_finite("lo", lo)
+    hi = require_finite("hi", hi)
     if not hi > lo:
         raise DomainError(f"need hi > lo, got [{lo!r}, {hi!r}]")
+    breaks = None
+    if breakpoints is not None:
+        breaks = np.asarray(breakpoints, dtype=float).reshape(1, -1)
+        if not np.isfinite(breaks).all():
+            raise DomainError("breakpoints must be finite")
+    out = _integrate_groups(_lone(f), np.array([lo]), np.array([hi]), cfg, breaks)
+    return QuadratureBatch(*out)[0]
 
-    edges = _edges(lo, hi, breakpoints)
-    plo, phi = edges[:-1], edges[1:]
-    val, err, n = _eval_panels(f, plo, phi)
-    evaluations = n
-    splits = 0
 
-    while True:
-        total = val.sum()
-        total_err = float(err.sum())
-        if total_err <= cfg.target(total):
-            return QuadratureResult(_scalar(total), total_err, True, evaluations)
+def integrate_real_line_batch(
+    f: BatchIntegrand,
+    n: int,
+    config: QuadratureConfig | None = None,
+    *,
+    seeds=None,
+    center=0.0,
+    scale=1.0,
+) -> QuadratureBatch:
+    """integrate_real_line for n integrals at once; f(t, owner) as above.
 
-        # split every panel above its error share, worst first under budget
-        widths = phi - plo
-        splittable = widths > 64.0 * _EPS * np.maximum(
-            1.0, np.maximum(np.abs(plo), np.abs(phi))
-        )
-        mask = (err > total_err / (2.0 * len(plo))) & splittable
-        budget = int(cfg.max_subdivisions) - splits
-        if budget <= 0 or not mask.any():
-            return QuadratureResult(_scalar(total), total_err, False, evaluations)
-        idx = np.nonzero(mask)[0]
-        if len(idx) > budget:
-            idx = idx[np.argsort(err[idx])[::-1][:budget]]
-        splits += len(idx)
+    seeds is an (n, m) array of panel seeds, row k for integral k (repeat
+    a value to pad a short row); center and scale are scalars or length-n
+    arrays.
+    """
+    cfg = config if config is not None else QuadratureConfig()
+    center = _per_integral("center", center, n)
+    scale = _per_integral("scale", scale, n)
+    if not (scale > 0.0).all():
+        raise DomainError(f"scale must be > 0, got {scale[~(scale > 0.0)][0]!r}")
 
-        a, b = plo[idx], phi[idx]
-        m = 0.5 * (a + b)
-        new_lo = np.concatenate([a, m])
-        new_hi = np.concatenate([m, b])
-        new_val, new_err, n = _eval_panels(f, new_lo, new_hi)
-        evaluations += n
+    radius = cfg.truncation_radius
+    lo = center - scale * radius
+    hi = center + scale * radius
+    pts = center[:, None] + scale[:, None] * np.linspace(-radius, radius, 17)
+    if seeds is not None:
+        seeds = np.asarray(seeds, dtype=float).reshape(n, -1)
+        if not np.isfinite(seeds).all():
+            raise DomainError("breakpoints must be finite")
+        pts = np.concatenate([pts, seeds], axis=1)
 
-        plo = np.concatenate([np.delete(plo, idx), new_lo])
-        phi = np.concatenate([np.delete(phi, idx), new_hi])
-        val = np.concatenate([np.delete(val, idx), new_val])
-        err = np.concatenate([np.delete(err, idx), new_err])
+    value, error, converged, evaluations = _integrate_groups(f, lo, hi, cfg, pts)
+    # Gaussian tail bound from the integrand at the truncation points
+    owner = np.arange(n)
+    edge = np.abs(np.asarray(f(np.concatenate([lo, hi]), np.concatenate([owner, owner]))))
+    error = error + (edge[:n] + edge[n:]) * scale / (2.0 * radius)
+    converged = converged & (error <= cfg.target(value))
+    return QuadratureBatch(value, error, converged, evaluations + 2)
 
 
 def integrate_real_line(
@@ -270,24 +491,39 @@ def integrate_real_line(
     (|f(lo)| + |f(hi)|) * scale / (2 R) is folded into the error estimate.
     seeds (in f's own coordinate) become initial panel boundaries.
     """
-    cfg = config if config is not None else QuadratureConfig()
-    center = _require_finite("center", center)
-    scale = _require_finite("scale", scale)
+    center = require_finite("center", center)
+    scale = require_finite("scale", scale)
     if scale <= 0.0:
         raise DomainError(f"scale must be > 0, got {scale!r}")
+    s = None if seeds is None else np.asarray(seeds, dtype=float).reshape(1, -1)
+    return integrate_real_line_batch(
+        _lone(f), 1, config, seeds=s, center=center, scale=scale
+    )[0]
 
-    radius = cfg.truncation_radius
-    lo = center - scale * radius
-    hi = center + scale * radius
-    base = center + scale * np.linspace(-radius, radius, 17)
-    pts = base if seeds is None else np.concatenate([base, np.asarray(seeds, float)])
 
-    inner = integrate_interval(f, lo, hi, cfg, breakpoints=pts)
-    edge = np.asarray(f(np.array([lo, hi])))
-    tail = float((abs(edge[0]) + abs(edge[1])) * scale / (2.0 * radius))
-    error = inner.error_estimate + tail
-    converged = inner.converged and error <= cfg.target(inner.value)
-    return QuadratureResult(inner.value, error, converged, inner.evaluations + 2)
+def integrate_real_line_compactified_batch(
+    f: BatchIntegrand, n: int, config: QuadratureConfig | None = None, *, seeds=None
+) -> QuadratureBatch:
+    """integrate_real_line_compactified for n integrals at once.
+
+    f(t, owner) as for the other batched integrators; seeds is an (n, m)
+    array, row k for integral k.
+    """
+    cfg = config if config is not None else QuadratureConfig()
+
+    def g(theta: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        t = np.tan(theta)
+        return np.asarray(f(t, owner)) * (1.0 + t * t)
+
+    half_pi = 0.5 * math.pi
+    pts = np.broadcast_to(np.linspace(-half_pi, half_pi, 33), (n, 33))
+    if seeds is not None:
+        s = np.asarray(seeds, dtype=float).reshape(n, -1)
+        if not np.isfinite(s).all():
+            raise DomainError("seeds must be finite")
+        pts = np.concatenate([pts, np.arctan(s)], axis=1)
+    edge = np.full(n, half_pi)
+    return QuadratureBatch(*_integrate_groups(g, -edge, edge, cfg, pts))
 
 
 def integrate_real_line_compactified(
@@ -304,22 +540,109 @@ def integrate_real_line_compactified(
     covers integrands the Gaussian-envelope truncation of
     integrate_real_line would bias, such as pure rational densities.
     """
+    s = None if seeds is None else np.asarray(seeds, dtype=float).reshape(1, -1)
+    return integrate_real_line_compactified_batch(_lone(f), 1, config, seeds=s)[0]
+
+
+def integrate_semi_infinite_batch(
+    f: BatchIntegrand, n: int, config: QuadratureConfig | None = None, *, period_hint=None
+) -> QuadratureBatch:
+    """integrate_semi_infinite for n integrals at once.
+
+    f(x, owner) as for the other batched integrators.  period_hint is None
+    or a length-n array whose NaN entries mean "no hint" for that integral.
+    Every live integral advances by one block per round, and the blocks of
+    a round are integrated together.
+    """
     cfg = config if config is not None else QuadratureConfig()
+    hint = np.full(n, np.nan) if period_hint is None else np.asarray(period_hint, float)
+    hint = np.broadcast_to(hint, (n,))
+    bad = ~np.isnan(hint) & ~(np.isfinite(hint) & (hint > 0.0))
+    if bad.any():
+        raise DomainError(f"period_hint must be finite and > 0, got {hint[bad][0]!r}")
 
-    def g(theta: np.ndarray) -> np.ndarray:
-        t = np.tan(theta)
-        return np.asarray(f(t)) * (1.0 + t * t)
+    block_cfg = QuadratureConfig(
+        abs_tol=cfg.abs_tol / 32.0,
+        rel_tol=min(cfg.rel_tol, 1e-12),
+        max_subdivisions=cfg.max_subdivisions,
+        truncation_radius=cfg.truncation_radius,
+    )
+    periodic = hint <= 16.0
+    max_blocks = np.where(periodic, 4096, 64)
 
-    half_pi = 0.5 * math.pi
-    base = np.linspace(-half_pi, half_pi, 33)
-    if seeds is not None:
-        s = np.asarray(seeds, dtype=float)
-        if s.size and not np.isfinite(s).all():
-            raise DomainError("seeds must be finite")
-        pts = np.concatenate([base, np.arctan(s)])
-    else:
-        pts = base
-    return integrate_interval(g, -half_pi, half_pi, cfg, breakpoints=pts)
+    edge = np.zeros(n)
+    err_sum = np.zeros(n)
+    evaluations = np.zeros(n, dtype=np.int64)
+    error = np.zeros(n)
+    converged = np.zeros(n, dtype=bool)
+    total = value = hist = None
+    live = np.arange(n)
+    block = 0
+    while live.size:
+        e = edge[live]
+        nxt = np.where(periodic[live], e + hint[live], np.where(e == 0.0, 1.0, 2.0 * e))
+
+        def g(x, o, live=live):
+            return f(x, live[o])
+
+        v, er, _, ev = _integrate_groups(g, e, nxt, block_cfg)
+        if total is None:
+            total = np.zeros(n, dtype=v.dtype)
+            value = np.zeros(n, dtype=v.dtype)
+            hist = np.zeros((3, n), dtype=v.dtype)
+        # the last three block values of each integral, oldest first
+        hist[:, live] = np.stack([hist[1, live], hist[2, live], v])
+        total[live] += v
+        err_sum[live] += er
+        evaluations[live] += ev
+        edge[live] = nxt
+        block += 1
+
+        finished = block >= max_blocks[live]
+        tot, es = total[live], err_sum[live]
+        val = tot.copy()
+        out_err = es + np.abs(v)
+        ok = np.zeros(live.size, dtype=bool)
+        if block >= 3:
+            v0, v1, v2 = hist[:, live]
+            mag, mag1 = np.abs(v2), np.abs(v1)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                rho = np.where(mag1 > 0.0, mag / mag1, 0.0)
+
+                # plain stop: remaining tail bounded by measured geometric decay
+                tail_bound = np.where(rho > 0.0, mag * rho / (1.0 - rho), 0.0)
+                plain = (rho < 0.95) & (es + tail_bound + mag * _EPS <= cfg.target(tot))
+
+                # geometric closure for exponential-envelope periodic blocks
+                r1 = v2 / v1
+                r2 = v1 / v0
+                ar1 = np.abs(r1)
+                drift = np.abs(r1 - r2)
+                closed = tot + v2 * r1 / (1.0 - r1)
+                closed_err = es + mag * drift / (1.0 - ar1) ** 2
+                close = (
+                    ~plain
+                    & periodic[live]
+                    & (mag1 > 0.0)
+                    & (np.abs(v0) > 0.0)
+                    & (ar1 < 1.0)
+                    & (np.abs(r2) < 1.0)
+                    & (drift <= 0.05 * (1.0 - ar1))
+                    & (closed_err <= cfg.target(closed))
+                )
+            val = np.where(close, closed, val)
+            out_err = np.where(plain, es + tail_bound, np.where(close, closed_err, out_err))
+            ok = plain | close
+        finished |= ok
+        k = live[finished]
+        value[k] = val[finished]
+        error[k] = out_err[finished]
+        converged[k] = ok[finished]
+        live = live[~finished]
+
+    if value is None:
+        value = np.zeros(n)
+    return QuadratureBatch(value, error, converged, evaluations)
 
 
 def integrate_semi_infinite(
@@ -344,69 +667,9 @@ def integrate_semi_infinite(
     by 1/(1-rho)^2) is folded into the error estimate.  Within each block
     the adaptive rule subdivides down to the oscillation scale.
     """
-    cfg = config if config is not None else QuadratureConfig()
+    hint = None
     if period_hint is not None:
-        period_hint = _require_finite("period_hint", period_hint)
-        if period_hint <= 0.0:
-            raise DomainError(f"period_hint must be > 0, got {period_hint!r}")
-
-    block_cfg = QuadratureConfig(
-        abs_tol=cfg.abs_tol / 32.0,
-        rel_tol=min(cfg.rel_tol, 1e-12),
-        max_subdivisions=cfg.max_subdivisions,
-        truncation_radius=cfg.truncation_radius,
-    )
-
-    periodic = period_hint is not None and period_hint <= 16.0
-    values: list[complex] = []
-    err_sum = 0.0
-    evaluations = 0
-    edge = 0.0
-    block_index = 0
-    max_blocks = 4096 if periodic else 64
-
-    while block_index < max_blocks:
-        if periodic:
-            nxt = edge + period_hint
-        else:
-            nxt = 1.0 if edge == 0.0 else 2.0 * edge
-        r = integrate_interval(f, edge, nxt, block_cfg)
-        values.append(r.value)
-        err_sum += r.error_estimate
-        evaluations += r.evaluations
-        edge = nxt
-        block_index += 1
-
-        total = sum(values)
-        target = cfg.target(total)
-        if len(values) >= 3:
-            v0, v1, v2 = values[-3], values[-2], values[-1]
-            mag = abs(v2)
-            rho = abs(v2) / abs(v1) if abs(v1) > 0.0 else 0.0
-
-            # plain stop: remaining tail bounded by measured geometric decay
-            if rho < 0.95:
-                tail_bound = mag * rho / (1.0 - rho) if rho > 0.0 else 0.0
-                if err_sum + tail_bound + mag * _EPS <= target:
-                    return QuadratureResult(
-                        _scalar(total), err_sum + tail_bound, True, evaluations
-                    )
-
-            # geometric closure for exponential-envelope periodic blocks
-            if periodic and abs(v1) > 0.0 and abs(v0) > 0.0:
-                r1 = v2 / v1
-                r2 = v1 / v0
-                if abs(r1) < 1.0 and abs(r2) < 1.0:
-                    drift = abs(r1 - r2)
-                    if drift <= 0.05 * (1.0 - abs(r1)):
-                        tail = v2 * r1 / (1.0 - r1)
-                        closure_err = mag * drift / (1.0 - abs(r1)) ** 2
-                        closed = total + tail
-                        total_err = err_sum + closure_err
-                        if total_err <= cfg.target(closed):
-                            return QuadratureResult(
-                                _scalar(closed), total_err, True, evaluations
-                            )
-
-    total = sum(values)
-    return QuadratureResult(_scalar(total), err_sum + abs(values[-1]), False, evaluations)
+        hint = require_finite("period_hint", period_hint)
+        if hint <= 0.0:
+            raise DomainError(f"period_hint must be > 0, got {hint!r}")
+    return integrate_semi_infinite_batch(_lone(f), 1, config, period_hint=hint)[0]

@@ -29,6 +29,11 @@ CPython's complex division and square root written out in real arithmetic,
 so each point matches the scalar evaluator bit for bit; the rare points in
 the degenerate corner go through the scalar h2 itself.
 
+The direct-quadrature oracles have grid forms as well (``h2_quadrature_grid``,
+``i2_quadrature_grid``).  They integrate all points through the batched
+refinement loop of ``quadrature``, and agree with the scalar routes within
+the error estimates rather than bit for bit.
+
 H2 is odd in a and exactly symmetric under u1 <-> u2 and under
 (u1, u2) -> (-u1, -u2).  The pole algebra below is arranged so those
 symmetries hold bitwise in floating point, not just approximately: the
@@ -45,7 +50,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex_fn import faddeeva_w, faddeeva_w_grid
-from .errors import DomainError, IntegrationError, ParameterError, RelVoigtError
+from .errors import (
+    DomainError,
+    IntegrationError,
+    ParameterError,
+    RelVoigtError,
+    check_side,
+    require_finite,
+)
 from .profiles import (
     ProfileParams,
     bw_nonrel,
@@ -56,11 +68,15 @@ from .profiles import (
     reduce_rel_grid,
 )
 from .quadrature import (
+    QuadratureBatch,
     QuadratureConfig,
     integrate_interval,
     integrate_real_line,
-    integrate_real_line_compactified,
-    integrate_semi_infinite,
+    integrate_real_line_batch,
+    integrate_real_line_compactified_batch,
+    integrate_semi_infinite_batch,
+    peak_seeds,
+    quadrature_grid,
 )
 from .result import EvalResult, GridFailures, GridResult, grid_arrays
 from .voigt import v0, v0_grid
@@ -71,6 +87,7 @@ __all__ = [
     "h2",
     "h2_grid",
     "h2_quadrature",
+    "h2_quadrature_grid",
     "h2_limit_a0",
     "h2_degenerate_series",
     "h2_large_u_asymptotic",
@@ -79,6 +96,7 @@ __all__ = [
     "i2_closed",
     "i2_grid",
     "i2_quadrature",
+    "i2_quadrature_grid",
     "v2",
     "v2_grid",
     "v2_gamma0_limit",
@@ -101,19 +119,6 @@ _DEGENERATE_A = 1e-3
 _DBL_MIN = 2.2250738585072014e-308
 _SQRT_SCALE_UP = 53
 _SQRT_SCALE_DOWN = -27
-
-
-def _finite(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
-
-
-def _check_side(side: int) -> int:
-    if side not in (1, -1):
-        raise DomainError(f"side must be +1 or -1, got {side!r}")
-    return side
 
 
 @dataclass(frozen=True)
@@ -143,9 +148,9 @@ def pole_set(a: float, u1: float, u2: float) -> PoleSet:
     both reproduces every field bitwise (squaring absorbs the sign flip of
     the difference, and the sum is commutative).
     """
-    a = _finite("a", a)
-    u1 = _finite("u1", u1)
-    u2 = _finite("u2", u2)
+    a = require_finite("a", a)
+    u1 = require_finite("u1", u1)
+    u2 = require_finite("u2", u2)
     d = u1 - u2
     dd = d * d
     s = u1 + u2
@@ -237,9 +242,9 @@ def h2(a: float, u1: float, u2: float) -> EvalResult:
     the Laurent series, and everything else takes the four-term closed
     form.  The method field of the result records the path.
     """
-    a = _finite("a", a)
-    u1 = _finite("u1", u1)
-    u2 = _finite("u2", u2)
+    a = require_finite("a", a)
+    u1 = require_finite("u1", u1)
+    u2 = require_finite("u2", u2)
     if a == 0.0:
         return EvalResult(0.0, 0.0, "closed_form")
     if a < 0.0:
@@ -284,22 +289,63 @@ def h2_grid(a, u1, u2) -> GridResult:
     return fails.result(value, err)
 
 
-def _peak_seeds(a: float, u1: float, u2: float) -> list[float]:
+def _peak_seeds(a, u1, u2) -> np.ndarray:
     # the integrand has Lorentzian-like peaks at u1 and u2 of half-width
-    # |a|/|u1-u2| (or |a|^{1/2} when the peaks merge); seed the panel
-    # edges geometrically out from each peak so adaptive refinement never
-    # has to discover a spike much narrower than its panel
-    aa = abs(a)
-    width = aa / max(abs(u1 - u2), math.sqrt(aa))
-    seeds = [u1, u2]
-    if width < 0.5:
-        for u in (u1, u2):
-            w = width
-            while w < 2.0:
-                seeds.append(u - w)
-                seeds.append(u + w)
-                w *= 4.0
-    return seeds
+    # |a|/|u1-u2| (or |a|^{1/2} when the peaks merge); seed the panel edges
+    # geometrically out from each peak narrower than 1/2
+    aa = np.abs(a)
+    width = aa / np.maximum(np.abs(u1 - u2), np.sqrt(aa))
+    return peak_seeds(np.stack([u1, u2], axis=1), np.where(width < 0.5, width, 2.0))
+
+
+def _h2_route(a, u1, u2, config) -> QuadratureBatch:
+    # the defining integral of H2 at arrays of points, in one batched call
+    pref = a / math.pi
+    aa = a * a
+
+    def f(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        p = (u1[k] - t) * (u2[k] - t)
+        return pref[k] * np.exp(-t * t) / (p * p + aa[k])
+
+    return integrate_real_line_batch(f, a.size, config, seeds=_peak_seeds(a, u1, u2))
+
+
+def _i2_route(a, u1, u2, config) -> QuadratureBatch:
+    # the defining integral of I2 at arrays of points; it decays like 1/t^4,
+    # so the real line is compactified rather than truncated
+    pref = a / math.pi
+    aa = a * a
+
+    def f(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        p = (u1[k] - t) * (u2[k] - t)
+        return pref[k] / (p * p + aa[k])
+
+    return integrate_real_line_compactified_batch(
+        f, a.size, config, seeds=_peak_seeds(a, u1, u2)
+    )
+
+
+def _route_point(route, a: float, u1: float, u2: float, config) -> EvalResult:
+    a = require_finite("a", a)
+    u1 = require_finite("u1", u1)
+    u2 = require_finite("u2", u2)
+    if a == 0.0:
+        raise DomainError("direct quadrature requires a != 0")
+    r = route(np.array([a]), np.array([u1]), np.array([u2]), config)[0]
+    if not r.converged:
+        raise IntegrationError(
+            f"quadrature did not converge at (a, u1, u2)=({a!r}, {u1!r}, {u2!r}); "
+            f"error estimate {r.error_estimate:.3e}"
+        )
+    return EvalResult(float(r.value), r.error_estimate, "quadrature")
+
+
+def _route_grid(route, a, u1, u2, config) -> GridResult:
+    a, u1, u2 = grid_arrays(a, u1, u2)
+    fails = GridFailures(a.shape)
+    fails.flag(~(np.isfinite(a) & np.isfinite(u1) & np.isfinite(u2)), DomainError)
+    fails.flag(a == 0.0, DomainError)
+    return quadrature_grid(lambda *p: route(*p, config), fails, a, u1, u2)
 
 
 def h2_quadrature(
@@ -311,32 +357,24 @@ def h2_quadrature(
     a (the integrand is odd in a), but not at a = 0 where the integral is
     identically zero by convention rather than value.
     """
-    a = _finite("a", a)
-    u1 = _finite("u1", u1)
-    u2 = _finite("u2", u2)
-    if a == 0.0:
-        raise DomainError("direct quadrature requires a != 0")
+    return _route_point(_h2_route, a, u1, u2, config)
 
-    pref = a / math.pi
 
-    def f(t: np.ndarray) -> np.ndarray:
-        p = (u1 - t) * (u2 - t)
-        return pref * np.exp(-t * t) / (p * p + a * a)
+def h2_quadrature_grid(a, u1, u2, config: QuadratureConfig | None = None) -> GridResult:
+    """h2_quadrature over broadcast arrays of points, by batched quadrature.
 
-    r = integrate_real_line(f, config, seeds=_peak_seeds(a, u1, u2))
-    if not r.converged:
-        raise IntegrationError(
-            f"quadrature did not converge at (a, u1, u2)=({a!r}, {u1!r}, {u2!r}); "
-            f"error estimate {r.error_estimate:.3e}"
-        )
-    return EvalResult(float(r.value), r.error_estimate, "quadrature")
+    A point fails with the exception name h2_quadrature raises there
+    (IntegrationError where it does not converge); the others agree with
+    h2_quadrature within the sum of both error estimates.
+    """
+    return _route_grid(_h2_route, a, u1, u2, config)
 
 
 def h2_limit_a0(u1: float, u2: float, side: int) -> float:
     """One-sided limit of H2 as a -> 0: +-(e^{-u1^2} + e^{-u2^2})/|u1-u2|."""
-    u1 = _finite("u1", u1)
-    u2 = _finite("u2", u2)
-    side = _check_side(side)
+    u1 = require_finite("u1", u1)
+    u2 = require_finite("u2", u2)
+    side = check_side(side)
     if u1 == u2:
         raise DomainError("limit divergent on degenerate manifold")
     return side * (math.exp(-u1 * u1) + math.exp(-u2 * u2)) / abs(u1 - u2)
@@ -349,8 +387,8 @@ def h2_degenerate_series(a: float, u: float) -> EvalResult:
     valid for small a > 0; the error estimate is the next-order scale
     e^{-u^2} a.
     """
-    a = _finite("a", a)
-    u = _finite("u", u)
+    a = require_finite("a", a)
+    u = require_finite("u", u)
     if a <= 0.0:
         raise DomainError(f"series requires a > 0, got {a!r}")
     g = math.exp(-u * u)
@@ -367,10 +405,10 @@ def h2_large_u_asymptotic(
     expanded quartic and is dominated by (3/2)(1/u1 + 1/u2)^2; the error
     estimate reports that scale.
     """
-    a = _finite("a", a)
-    u1 = _finite("u1", u1)
-    u2 = _finite("u2", u2)
-    threshold = _finite("threshold", threshold)
+    a = require_finite("a", a)
+    u1 = require_finite("u1", u1)
+    u2 = require_finite("u2", u2)
+    threshold = require_finite("threshold", threshold)
     if a == 0.0:
         raise DomainError("asymptotic form requires a != 0")
     m = min(abs(u1), abs(u2))
@@ -404,9 +442,9 @@ def h2_rectangle(
     route: as a -> 0 the line term vanishes and the residues alone
     reproduce the limit values.
     """
-    a = _finite("a", a)
-    u1 = _finite("u1", u1)
-    u2 = _finite("u2", u2)
+    a = require_finite("a", a)
+    u1 = require_finite("u1", u1)
+    u2 = require_finite("u2", u2)
     if a <= 0.0:
         raise DomainError(f"contour form requires a > 0, got {a!r}")
     ps = pole_set(a, u1, u2)
@@ -414,7 +452,7 @@ def h2_rectangle(
     if offset is None:
         offset = 1.0 + im_max
     else:
-        offset = _finite("offset", offset)
+        offset = require_finite("offset", offset)
     if offset <= im_max:
         raise DomainError("contour must enclose both poles")
     cfg = config if config is not None else QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
@@ -447,46 +485,47 @@ def _rep_double(a, u1, u2, cfg: QuadratureConfig) -> EvalResult:
     # H2 = (1/pi) Int dt e^{-t^2} Int_0^inf e^{-ax} cos(x (t-u1)(t-u2)) dx,
     # evaluated by honest nested quadrature.  The inner integral of an
     # exponentially damped cosine is a geometric sum over whole periods,
-    # which the semi-infinite integrator closes analytically, so the hot
-    # path is the per-abscissa Python loop, not the x integration.
+    # which the semi-infinite integrator closes analytically.  The inner
+    # x-integrals of each outer round go through one batched call, so the
+    # cost is the x integration itself, not a Python loop over abscissas.
     inner_cfg = QuadratureConfig(
         abs_tol=min(1e-9, cfg.abs_tol), rel_tol=1e-10, max_subdivisions=400
     )
 
-    def inner(c: float) -> float:
-        hint = None
-        if abs(c) >= 0.4:
-            # block on a whole number of periods with total width about 1:
-            # consecutive block integrals then form an exact geometric
-            # sequence whose ratio is far enough from 1 for the closure
-            # test to survive quadrature noise even at high frequency
-            period = 2.0 * math.pi / abs(c)
-            hint = period * max(1.0, round(1.0 / period))
-
-        def g(x: np.ndarray) -> np.ndarray:
-            return np.exp(-a * x) * np.cos(c * x)
-
-        r = integrate_semi_infinite(g, inner_cfg, period_hint=hint)
-        if not r.converged:
-            raise IntegrationError(
-                f"inner x-quadrature did not converge at frequency {c!r}"
-            )
-        return float(r.value)
-
     # the inner integral is bounded by 1/a, so points whose Gaussian
     # envelope falls below this floor cannot move the total past the
-    # tolerance; skipping them avoids the most oscillatory inner calls
+    # tolerance; skipping them avoids the most oscillatory inner integrals
     env_floor = 1e-13 * a
 
     def outer(t: np.ndarray) -> np.ndarray:
         env = np.exp(-t * t)
         out = np.zeros_like(env)
-        for i, ti in enumerate(t):
-            if env[i] >= env_floor:
-                out[i] = inner((ti - u1) * (ti - u2))
+        live = env >= env_floor
+        c = (t[live] - u1) * (t[live] - u2)
+        # for |c| >= 0.4, block on a whole number of periods with total
+        # width about 1: consecutive block integrals then form an exact
+        # geometric sequence whose ratio is far enough from 1 for the
+        # closure test to survive quadrature noise even at high frequency
+        with np.errstate(divide="ignore"):
+            period = 2.0 * math.pi / np.abs(c)
+        hint = np.where(
+            np.abs(c) >= 0.4, period * np.maximum(1.0, np.round(1.0 / period)), np.nan
+        )
+
+        def g(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+            return np.exp(-a * x) * np.cos(c[k] * x)
+
+        r = integrate_semi_infinite_batch(g, c.size, inner_cfg, period_hint=hint)
+        if not r.converged.all():
+            raise IntegrationError(
+                f"inner x-quadrature did not converge at frequency "
+                f"{float(c[~r.converged][0])!r}"
+            )
+        out[live] = r.value
         return env * out / math.pi
 
-    r = integrate_real_line(outer, cfg, seeds=_peak_seeds(a, u1, u2))
+    seeds = _peak_seeds(np.array([a]), np.array([u1]), np.array([u2]))[0]
+    r = integrate_real_line(outer, cfg, seeds=seeds)
     if not r.converged:
         raise IntegrationError(
             f"outer t-quadrature did not converge at (a, u1, u2)="
@@ -543,9 +582,9 @@ def h2_integral_rep(
     oscillatory integral.  Both are verification routes with looser
     accuracy than the closed form and both require a > 0.
     """
-    a = _finite("a", a)
-    u1 = _finite("u1", u1)
-    u2 = _finite("u2", u2)
+    a = require_finite("a", a)
+    u1 = require_finite("u1", u1)
+    u2 = require_finite("u2", u2)
     if a <= 0.0:
         raise DomainError(f"integral representations require a > 0, got {a!r}")
     cfg = config if config is not None else QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8)
@@ -565,9 +604,9 @@ def i2_closed(a: float, u1: float, u2: float) -> float:
     |u1 - u2|).  At a = 0 on the degenerate manifold the kernel has a real
     double pole and no finite value exists.
     """
-    a = _finite("a", a)
-    u1 = _finite("u1", u1)
-    u2 = _finite("u2", u2)
+    a = require_finite("a", a)
+    u1 = require_finite("u1", u1)
+    u2 = require_finite("u2", u2)
     if a < 0.0:
         return -i2_closed(-a, u1, u2)
     # 1/w2 is conj(1/w1) bit for bit, so Re(1/w1 + 1/w2) = 2 Re(1/w1)
@@ -605,25 +644,12 @@ def i2_quadrature(
     The integrand decays like 1/t^4, so the real line is compactified
     rather than truncated.
     """
-    a = _finite("a", a)
-    u1 = _finite("u1", u1)
-    u2 = _finite("u2", u2)
-    if a == 0.0:
-        raise DomainError("direct quadrature requires a != 0")
+    return _route_point(_i2_route, a, u1, u2, config)
 
-    pref = a / math.pi
 
-    def f(t: np.ndarray) -> np.ndarray:
-        p = (u1 - t) * (u2 - t)
-        return pref / (p * p + a * a)
-
-    r = integrate_real_line_compactified(f, config, seeds=_peak_seeds(a, u1, u2))
-    if not r.converged:
-        raise IntegrationError(
-            f"quadrature did not converge at (a, u1, u2)=({a!r}, {u1!r}, {u2!r}); "
-            f"error estimate {r.error_estimate:.3e}"
-        )
-    return EvalResult(float(r.value), r.error_estimate, "quadrature")
+def i2_quadrature_grid(a, u1, u2, config: QuadratureConfig | None = None) -> GridResult:
+    """i2_quadrature over broadcast arrays of points, like h2_quadrature_grid."""
+    return _route_grid(_i2_route, a, u1, u2, config)
 
 
 def v2(e: float, params: ProfileParams) -> float:
@@ -634,7 +660,10 @@ def v2(e: float, params: ProfileParams) -> float:
         raise ParameterError(f"gamma must be > 0, got {params.gamma!r}")
     rc = reduce_rel(e, params)
     sigma = params.sigma
-    return h2(rc.a, rc.u1, rc.u2).value / (2.0 * _SQRT_PI * sigma * sigma)
+    value = h2(rc.a, rc.u1, rc.u2).value / (2.0 * _SQRT_PI * sigma * sigma)
+    if not math.isfinite(value):
+        raise DomainError(f"v2 leaves double range at e={e!r}, {params!r}: {value!r}")
+    return value
 
 
 def v2_grid(e, mu, gamma, sigma) -> GridResult:
@@ -652,6 +681,7 @@ def v2_grid(e, mu, gamma, sigma) -> GridResult:
     s = sigma[live]
     with np.errstate(all="ignore"):
         value[live] = h.value / (2.0 * _SQRT_PI * s * s)
+    fails.flag(~np.isfinite(value), DomainError)
     return fails.result(value)
 
 
@@ -660,10 +690,10 @@ def v2_gamma0_limit(e: float, mu: float, sigma: float, side: int) -> float:
 
     +-(1/(2 sigma mu sqrt(2 pi))) (e^{-(E-mu)^2/2 sigma^2} + e^{-(E+mu)^2/2 sigma^2}).
     """
-    e = _finite("e", e)
-    mu = _finite("mu", mu)
-    sigma = _finite("sigma", sigma)
-    side = _check_side(side)
+    e = require_finite("e", e)
+    mu = require_finite("mu", mu)
+    sigma = require_finite("sigma", sigma)
+    side = check_side(side)
     if mu == 0.0:
         raise DomainError("limit divergent on degenerate manifold mu = 0")
     if sigma <= 0.0:
@@ -674,9 +704,9 @@ def v2_gamma0_limit(e: float, mu: float, sigma: float, side: int) -> float:
 
 
 def _check_ratio_params(sigma: float, gamma: float, mu: float):
-    sigma = _finite("sigma", sigma)
-    gamma = _finite("gamma", gamma)
-    mu = _finite("mu", mu)
+    sigma = require_finite("sigma", sigma)
+    gamma = require_finite("gamma", gamma)
+    mu = require_finite("mu", mu)
     if gamma <= 0.0:
         raise ParameterError(f"gamma must be > 0, got {gamma!r}")
     if mu <= 0.0:
@@ -694,7 +724,10 @@ def d0(sigma: float, gamma: float, mu: float) -> float:
     if sigma == 0.0:
         return 1.0
     params = ProfileParams(mu=mu, gamma=gamma, sigma=sigma)
-    return v0(mu, params) / _peak_density(bw_nonrel(mu, params), params)
+    value = v0(mu, params) / _peak_density(bw_nonrel(mu, params), params)
+    if not math.isfinite(value):
+        raise DomainError(f"d0 leaves double range at {params!r}: {value!r}")
+    return value
 
 
 def d2(sigma: float, gamma: float, mu: float) -> float:
@@ -703,7 +736,10 @@ def d2(sigma: float, gamma: float, mu: float) -> float:
     if sigma == 0.0:
         return 1.0
     params = ProfileParams(mu=mu, gamma=gamma, sigma=sigma)
-    return v2(mu, params) / _peak_density(bw_rel(mu, params), params)
+    value = v2(mu, params) / _peak_density(bw_rel(mu, params), params)
+    if not math.isfinite(value):
+        raise DomainError(f"d2 leaves double range at {params!r}: {value!r}")
+    return value
 
 
 def _peak_density(bw: float, params: ProfileParams) -> float:
@@ -730,6 +766,7 @@ def _ratio_grid(sigma, gamma, mu, profile_grid, bw_grid) -> GridResult:
     fails.codes[live] = sub.codes
     with np.errstate(all="ignore"):
         value[live] = peak.value / bw
+    fails.flag(~np.isfinite(value), DomainError)
     return fails.result(value)
 
 

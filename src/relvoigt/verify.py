@@ -11,8 +11,10 @@ Four suites, each a list of named checks summarized as VerifyReports:
   direction of approach (a -> 0 captions, large-u asymptotics, damping
   normalization, gamma -> 0, singular degenerate growth).
 
-The suites are library code rather than test-only helpers so the CLI can
-run them in the field; the test suite drives the same entry points.
+The quadrature references of a suite are computed in batches, all grid
+points of a check through one batched route, so a full run takes about a
+second.  The suites are library code rather than test-only helpers so the
+CLI can run them in the field; the test suite drives the same entry points.
 """
 
 from __future__ import annotations
@@ -22,25 +24,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError, IntegrationError
 from .profiles import ProfileParams
-from .errors import DomainError
-from .quadrature import QuadratureConfig, integrate_real_line
+from .quadrature import (
+    QuadratureBatch,
+    integrate_real_line_batch,
+    peak_seeds,
+    quadrature_grid,
+)
 from .rel_voigt import (
     d0,
     d2,
     h2,
     h2_degenerate_series,
+    h2_grid,
     h2_integral_rep,
     h2_large_u_asymptotic,
     h2_limit_a0,
     h2_quadrature,
+    h2_quadrature_grid,
     h2_rectangle,
     i2_closed,
-    i2_quadrature,
+    i2_grid,
+    i2_quadrature_grid,
     v2,
     v2_gamma0_limit,
 )
-from .voigt import h0, h0_laplace_rep, h0_limit_a0
+from .result import GridFailures, GridResult
+from .voigt import h0, h0_grid, h0_laplace_rep, h0_limit_a0
 
 __all__ = [
     "VerifyReport",
@@ -104,27 +115,31 @@ def _structural(name, figure, grid_size, tol) -> VerifyReport:
     return VerifyReport(name, grid_size, figure, figure, tol, figure <= tol)
 
 
-def _cluster(center: float, width: float) -> list[float]:
-    # panel-edge seeds walking geometrically out of a peak of given width
-    seeds = [center]
-    w = width
-    while w < 2.0:
-        seeds.append(center - w)
-        seeds.append(center + w)
-        w *= 4.0
-    return seeds
+def _h0_quadrature_grid(a: np.ndarray, u: np.ndarray) -> GridResult:
+    # independent route for H0: direct e^{-t^2}-weighted Lorentzians, with
+    # panel seeds walking out of each peak
+    def route(a: np.ndarray, u: np.ndarray) -> QuadratureBatch:
+        pref = a / math.pi
+        aa = a * a
+
+        def f(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+            d = u[k] - t
+            return pref[k] * np.exp(-t * t) / (d * d + aa[k])
+
+        seeds = peak_seeds(u[:, None], np.minimum(np.abs(a), 0.5))
+        return integrate_real_line_batch(f, a.size, seeds=seeds)
+
+    return quadrature_grid(route, GridFailures(a.shape), a, u)
 
 
-def _h0_quadrature(a: float, u: float, config: QuadratureConfig | None = None) -> float:
-    # independent route for H0: direct e^{-t^2}-weighted Lorentzian
-    pref = a / math.pi
-
-    def f(t: np.ndarray) -> np.ndarray:
-        d = u - t
-        return pref * np.exp(-t * t) / (d * d + a * a)
-
-    r = integrate_real_line(f, config, seeds=_cluster(u, min(abs(a), 0.5)))
-    return float(r.value)
+def _reference(res: GridResult, route: str, *coords: np.ndarray) -> np.ndarray:
+    # the route's values, or the failure the scalar route raises at its
+    # first failed point
+    bad = np.flatnonzero(res.codes)
+    if bad.size:
+        at = tuple(float(c.flat[bad[0]]) for c in coords)
+        raise IntegrationError(f"{route} failed with {res.error.flat[bad[0]]} at {at!r}")
+    return res.value
 
 
 def _override(default: float, tolerance: float | None) -> float:
@@ -161,49 +176,38 @@ def verify_oracle(tolerance: float | None = None) -> list[VerifyReport]:
 
     # h0 over its full grid
     tol = _override(1e-9, tolerance)
-    devs, refs = [], []
-    for a in (1e-3, 1e-2, 0.1, 1.0, 10.0):
-        for u in np.linspace(-8.0, 8.0, 65):
-            want = _h0_quadrature(a, float(u))
-            devs.append(abs(h0(a, float(u)) - want))
-            refs.append(want)
-    reports.append(_pointwise("h0 closed form vs quadrature", devs, refs, tol))
+    a, u = np.meshgrid([1e-3, 1e-2, 0.1, 1.0, 10.0], np.linspace(-8.0, 8.0, 65), indexing="ij")
+    want = _reference(_h0_quadrature_grid(a, u), "h0 quadrature", a, u)
+    devs = np.abs(h0_grid(a, u).value - want)
+    reports.append(_pointwise("h0 closed form vs quadrature", devs.ravel(), want.ravel(), tol))
 
     # h2 over its full grid; the degenerate-series dispatch box gets its
     # own relative check below, so skip any grid point inside it
     tol = _override(1e-8, tolerance)
-    devs, refs = [], []
     u_grid = np.linspace(-10.0, 10.0, 41)
-    for a in (1e-3, 1e-2, 0.1, 1.0, 10.0):
-        for x in u_grid:
-            for y in u_grid:
-                if abs(x - y) < 1e-3 and a < 1e-3:
-                    continue
-                want = h2_quadrature(a, float(x), float(y)).value
-                devs.append(abs(h2(a, float(x), float(y)).value - want))
-                refs.append(want)
-    reports.append(_pointwise("h2 closed form vs quadrature", devs, refs, tol))
+    a, x, y = np.meshgrid([1e-3, 1e-2, 0.1, 1.0, 10.0], u_grid, u_grid, indexing="ij")
+    keep = ~((np.abs(x - y) < 1e-3) & (a < 1e-3))
+    a, x, y = a[keep], x[keep], y[keep]
+    want = _reference(h2_quadrature_grid(a, x, y), "h2 quadrature", a, x, y)
+    devs = np.abs(h2_grid(a, x, y).value - want)
+    reports.append(_pointwise("h2 closed form vs quadrature", devs, want, tol))
 
     # i2 closed form
     tol = _override(1e-9, tolerance)
-    devs, refs = [], []
-    for a in (0.1, 1.0):
-        for x in (-2.0, 0.0, 1.0, 3.0):
-            for y in (-2.0, 0.0, 1.0, 3.0):
-                want = i2_quadrature(a, x, y).value
-                devs.append(abs(i2_closed(a, x, y) - want))
-                refs.append(want)
-    reports.append(_pointwise("i2 closed form vs quadrature", devs, refs, tol))
+    spots = (-2.0, 0.0, 1.0, 3.0)
+    a, x, y = np.meshgrid([0.1, 1.0], spots, spots, indexing="ij")
+    want = _reference(i2_quadrature_grid(a, x, y), "i2 quadrature", a, x, y)
+    devs = np.abs(i2_grid(a, x, y).value - want)
+    reports.append(_pointwise("i2 closed form vs quadrature", devs.ravel(), want.ravel(), tol))
 
     # degenerate Laurent series against quadrature, relative accuracy
     tol = _override(1e-3, tolerance)
-    devs, refs = [], []
-    for a in (1e-4, 1e-5):
-        for u in (0.0, 1.0):
-            want = h2_quadrature(a, u, u).value
-            devs.append(abs(h2_degenerate_series(a, u).value - want))
-            refs.append(want)
-    reports.append(_relative("h2 degenerate series vs quadrature", devs, refs, tol))
+    a, u = np.meshgrid([1e-4, 1e-5], [0.0, 1.0], indexing="ij")
+    want = _reference(h2_quadrature_grid(a, u, u), "h2 quadrature", a, u).ravel()
+    series = [h2_degenerate_series(ai, ui).value for ai, ui in zip(a.flat, u.flat)]
+    reports.append(
+        _relative("h2 degenerate series vs quadrature", np.abs(series - want), want, tol)
+    )
 
     return reports
 

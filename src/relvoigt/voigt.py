@@ -24,7 +24,13 @@ import math
 import numpy as np
 
 from .complex_fn import faddeeva_w, faddeeva_w_grid
-from .errors import DomainError, IntegrationError, ParameterError
+from .errors import (
+    DomainError,
+    IntegrationError,
+    ParameterError,
+    check_side,
+    require_finite,
+)
 from .profiles import ProfileParams, reduce_nonrel, reduce_nonrel_grid
 from .quadrature import QuadratureConfig, integrate_semi_infinite
 from .result import EvalResult, GridFailures, GridResult, grid_arrays
@@ -35,23 +41,10 @@ _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _finite(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
-
-
-def _check_side(side: int) -> int:
-    if side not in (1, -1):
-        raise DomainError(f"side must be +1 or -1, got {side!r}")
-    return side
-
-
 def h0(a: float, u: float) -> float:
     """Classical line-broadening function; Re w(u + ia) for a > 0, odd in a."""
-    a = _finite("a", a)
-    u = _finite("u", u)
+    a = require_finite("a", a)
+    u = require_finite("u", u)
     if a == 0.0:
         return 0.0
     if a < 0.0:
@@ -75,8 +68,8 @@ def h0_grid(a, u) -> GridResult:
 
 def h0_limit_a0(u: float, side: int) -> float:
     """One-sided limit of H0 as a -> 0 from the given side: side * e^{-u^2}."""
-    u = _finite("u", u)
-    side = _check_side(side)
+    u = require_finite("u", u)
+    side = check_side(side)
     return side * math.exp(-u * u)
 
 
@@ -88,8 +81,8 @@ def h0_laplace_rep(
     H0(a, u) = Re (1/sqrt(pi)) Int_0^inf e^{-a x + i u x - x^2/4} dx,
     valid for a > 0; evaluated by semi-infinite quadrature.
     """
-    a = _finite("a", a)
-    u = _finite("u", u)
+    a = require_finite("a", a)
+    u = require_finite("u", u)
     if a <= 0.0:
         raise DomainError(f"representation requires a > 0, got a={a!r}")
 
@@ -109,7 +102,10 @@ def v0(e: float, params: ProfileParams) -> float:
     if not params.gamma > 0.0:
         raise ParameterError(f"gamma must be > 0, got {params.gamma!r}")
     rc = reduce_nonrel(e, params)
-    return h0(rc.a, rc.u) / (_SQRT_2PI * params.sigma)
+    value = h0(rc.a, rc.u) / (_SQRT_2PI * params.sigma)
+    if not math.isfinite(value):
+        raise DomainError(f"v0 leaves double range at e={e!r}, {params!r}: {value!r}")
+    return value
 
 
 def v0_grid(e, mu, gamma, sigma) -> GridResult:
@@ -121,4 +117,5 @@ def v0_grid(e, mu, gamma, sigma) -> GridResult:
     a, u = reduce_nonrel_grid(e, mu, gamma, sigma, fails)
     with np.errstate(all="ignore"):
         value = _h0_values(a, u, fails) / (_SQRT_2PI * sigma)
+    fails.flag(~np.isfinite(value), DomainError)
     return fails.result(value)

@@ -12,8 +12,12 @@ from relvoigt.quadrature import (
     QuadratureConfig,
     integrate_interval,
     integrate_real_line,
+    integrate_real_line_batch,
     integrate_real_line_compactified,
+    integrate_real_line_compactified_batch,
     integrate_semi_infinite,
+    integrate_semi_infinite_batch,
+    peak_seeds,
 )
 
 from oracles import erfc_real
@@ -131,3 +135,130 @@ def test_config_validation():
         integrate_real_line(lambda t: np.exp(-t * t), scale=0.0)
     with pytest.raises(DomainError):
         integrate_semi_infinite(lambda x: np.exp(-x), period_hint=-1.0)
+
+
+# ------------------------------------------------------- batched integration
+#
+# The batched integrators run many integrals through one refinement loop;
+# each member must come out as the scalar integrator computes it alone.
+
+
+def _agree(batch, k, single):
+    assert bool(batch.converged[k]) == single.converged
+    assert abs(batch.value[k] - single.value) <= batch.error_estimate[k] + single.error_estimate
+
+
+def test_real_line_batch_matches_scalar_members():
+    rng = np.random.default_rng(11)
+    n = 40
+    c = rng.uniform(-4.0, 4.0, n)
+    w = 10.0 ** rng.uniform(-4.0, 0.5, n)
+    seeds = np.stack([c, c - w, c + w], axis=1)
+
+    def f(t, k):
+        return np.exp(-t * t) / ((t - c[k]) ** 2 + w[k] ** 2)
+
+    batch = integrate_real_line_batch(f, n, seeds=seeds)
+    assert batch.converged.all()
+    for k in range(n):
+        single = integrate_real_line(lambda t: f(t, k), seeds=seeds[k])
+        _agree(batch, k, single)
+        assert single.evaluations > 0 and batch.evaluations[k] > 0
+
+
+def test_compactified_batch_matches_scalar_members():
+    rng = np.random.default_rng(12)
+    n = 12
+    c = rng.uniform(-3.0, 3.0, n)
+    w = 10.0 ** rng.uniform(-2.0, 0.5, n)
+
+    def f(t, k):
+        return w[k] / ((t - c[k]) ** 2 + w[k] ** 2) ** 2
+
+    batch = integrate_real_line_compactified_batch(f, n, seeds=c[:, None])
+    for k in range(n):
+        single = integrate_real_line_compactified(lambda t: f(t, k), seeds=[c[k]])
+        _agree(batch, k, single)
+        # Int w/((t-c)^2+w^2)^2 dt = pi/(2 w^2)
+        assert abs(batch.value[k] - math.pi / (2.0 * w[k] ** 2)) <= 1e-9 * batch.value[k]
+
+
+def _inner_hint(c):
+    # the period hint of the nested H2 representation: whole periods with
+    # total block width about 1 for |c| >= 0.4, doubling blocks below
+    period = 2.0 * math.pi / np.abs(c)
+    return np.where(np.abs(c) >= 0.4, period * np.maximum(1.0, np.round(1.0 / period)), np.nan)
+
+
+def test_semi_infinite_batch_matches_scalar_on_both_block_paths():
+    rng = np.random.default_rng(13)
+    a = rng.uniform(0.1, 5.0, 24)
+    # doubling path (|c| < 0.4), periodic path, and high frequency
+    c = np.concatenate([rng.uniform(-0.39, 0.39, 8), rng.uniform(0.4, 5.0, 8),
+                        rng.choice([-1.0, 1.0], 8) * rng.uniform(20.0, 70.0, 8)])
+    hint = _inner_hint(c)
+    cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-10, max_subdivisions=400)
+
+    def g(x, k):
+        return np.exp(-a[k] * x) * np.cos(c[k] * x)
+
+    batch = integrate_semi_infinite_batch(g, a.size, cfg, period_hint=hint)
+    assert batch.converged.all()
+    for k in range(a.size):
+        h = None if np.isnan(hint[k]) else float(hint[k])
+        single = integrate_semi_infinite(lambda x: g(x, k), cfg, period_hint=h)
+        _agree(batch, k, single)
+        exact = a[k] / (a[k] ** 2 + c[k] ** 2)
+        assert abs(batch.value[k] - exact) <= batch.error_estimate[k] + 1e-12
+
+
+@pytest.mark.parametrize("budget, widths", [(1, [1e-4, 2.0, 4.0]), (8, [1e-4, 0.3, 2.0])])
+def test_exhausted_budget_stops_only_its_member(budget, widths):
+    # member 0 has a peak four decades narrower than its seeded panels and
+    # needs more splits than the budget allows; every member has a budget
+    # of its own, so the others still converge (the 0.3 peak takes 5 splits)
+    w = np.array(widths)
+
+    def f(t, k):
+        return np.exp(-t * t) / (t * t + w[k] ** 2)
+
+    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=budget)
+    batch = integrate_real_line_batch(f, 3, cfg, seeds=np.zeros((3, 1)))
+    assert batch.converged.tolist() == [False, True, True]
+    for k in range(3):
+        _agree(batch, k, integrate_real_line(lambda t: f(t, k), cfg, seeds=[0.0]))
+
+
+def test_nan_from_one_batch_member_is_an_error():
+    def f(t, k):
+        out = np.exp(-t * t)
+        out[(k == 2) & (np.abs(t) < 0.5)] = np.nan
+        return out
+
+    with pytest.raises(IntegrationError):
+        integrate_real_line_batch(f, 4)
+
+
+def test_peak_seeds_walk_matches_the_loop():
+    def walk(centers, width):
+        # the reference: each center, then -+ width * 4^k below 2
+        seeds = list(centers)
+        for c in centers:
+            w = width
+            while w < 2.0:
+                seeds += [c - w, c + w]
+                w *= 4.0
+        return seeds
+
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        centers = rng.uniform(-5.0, 5.0, rng.integers(1, 3))
+        width = 10.0 ** rng.uniform(-12.0, 0.5)
+        assert peak_seeds(centers[None, :], [width])[0].tolist() == walk(centers, width)
+    # rows of a batch are padded by repeating their centers
+    rows = peak_seeds([[0.0], [1.0]], [0.01, 1.0])
+    assert set(rows[0]) == set(walk([0.0], 0.01))
+    assert set(rows[1]) == set(walk([1.0], 1.0))
+    assert peak_seeds([[1.0, 2.0]], [2.0]).tolist() == [[1.0, 2.0]]
+    # a width that underflowed to 0 can never grow past 2: no walk, no hang
+    assert peak_seeds([[1.0, 2.0]], [0.0]).tolist() == [[1.0, 2.0]]

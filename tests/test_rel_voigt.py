@@ -17,6 +17,7 @@ from relvoigt import (
     bw_rel,
     d0,
     d2,
+    d2_grid,
     gaussian,
     h2,
     h2_degenerate_series,
@@ -24,15 +25,25 @@ from relvoigt import (
     h2_large_u_asymptotic,
     h2_limit_a0,
     h2_quadrature,
+    h2_quadrature_grid,
     h2_rectangle,
     i2_closed,
     i2_quadrature,
+    i2_quadrature_grid,
     faddeeva_w,
     pole_set,
+    v0,
+    v0_grid,
     v2,
     v2_gamma0_limit,
 )
-from relvoigt.quadrature import QuadratureConfig, integrate_real_line
+from relvoigt.quadrature import (
+    QuadratureConfig,
+    integrate_real_line,
+    integrate_real_line_batch,
+    quadrature_grid,
+)
+from relvoigt.result import GridFailures
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -270,6 +281,55 @@ def test_rectangle_requires_enclosing_offset():
         h2_rectangle(1.0, 1.0, 0.0, offset=low)
     with pytest.raises(DomainError):
         h2_rectangle(0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "scalar, grid", [(h2_quadrature, h2_quadrature_grid), (i2_quadrature, i2_quadrature_grid)]
+)
+def test_quadrature_grids_match_scalar_routes(scalar, grid):
+    # valid points agree within both error estimates; invalid ones and,
+    # under a one-split budget, unconverged ones fail as the scalar raises
+    rng = np.random.default_rng(15)
+    a = np.concatenate([10.0 ** rng.uniform(-4.0, 1.0, 40) * rng.choice([-1, 1], 40),
+                        [0.0, np.inf, 1.0]])
+    u1 = np.concatenate([rng.uniform(-5.0, 5.0, 40), [1.0, 1.0, np.nan]])
+    u2 = np.concatenate([rng.uniform(-5.0, 5.0, 40), [0.0, 0.0, 0.0]])
+    for cfg in (None, QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=1)):
+        res = grid(a, u1, u2, cfg)
+        for k in range(a.size):
+            try:
+                want = scalar(a[k], u1[k], u2[k], cfg)
+            except (DomainError, IntegrationError) as exc:
+                assert res.error[k] == type(exc).__name__
+                continue
+            assert res.error[k] == ""
+            assert abs(res.value[k] - want.value) <= res.error_estimate[k] + want.error_estimate
+        assert set(res.error[:40]) == ({""} if cfg is None else {"", "IntegrationError"})
+        assert res.error[40:].tolist() == ["DomainError"] * 3
+
+
+def test_quadrature_with_underflowing_peak_width_terminates():
+    # the peak width a/|u1-u2| underflows to 0 here; the seed walk out of
+    # the peaks used to multiply 0 by 4 forever
+    r = h2_quadrature(5e-324, 0.0, 1e10)
+    assert r.value == 0.0 and r.error_estimate <= 1e-10
+
+
+def test_quadrature_grid_localises_an_aborted_batch():
+    # a non-finite integrand value aborts the whole batch; the points are
+    # then rerun alone and only the one it came from fails
+    x = np.array([0.5, 1.0, 0.0, 2.0])
+
+    def route(x):
+        def f(t, k):
+            return np.where(x[k] == 0.0, np.nan, np.exp(-x[k] * t * t))
+
+        return integrate_real_line_batch(f, x.size)
+
+    res = quadrature_grid(route, GridFailures(x.shape), x)
+    assert res.error.tolist() == ["", "", "IntegrationError", ""]
+    ok = res.error == ""
+    assert np.allclose(res.value[ok], np.sqrt(math.pi / x[ok]), rtol=1e-12, atol=0.0)
 
 
 # ------------------------------------------------- integral representations
@@ -534,6 +594,17 @@ def test_damping_small_sigma_near_one():
 def test_damping_underflowing_peak_is_domain_error(fn, args):
     with pytest.raises(DomainError):
         fn(*args)
+
+
+def test_non_finite_profile_values_are_domain_errors():
+    # V0 = H0 / (sqrt(2 pi) sigma) overflows at a denormal sigma, and the
+    # relativistic peak density is inf - inf = NaN once mu^2 overflows
+    with pytest.raises(DomainError):
+        v0(1.0, ProfileParams(mu=1.0, gamma=1e-310, sigma=1e-322))
+    with pytest.raises(DomainError):
+        d2(1e150, 1.0, 1e200)
+    assert v0_grid(1.0, 1.0, 1e-310, 1e-322).error == "DomainError"
+    assert d2_grid(1e150, 1.0, 1e200).error == "DomainError"
 
 
 def test_damping_parameter_errors():

@@ -194,6 +194,12 @@ def _parity_specs(seed):
              start=1e-200, stop=1e200, steps=41, scale="log"),
         dict(function="d2", fixed={"sigma": u(0.1, 2), "mu": u(0.5, 2)}, axis="gamma",
              start=-1.0, stop=1e200, steps=41),
+        # values leaving double range: V0 overflows at sigma = 1e-322, and
+        # d2(1e150, 1, 1e200) meets a NaN peak density (mu^2 - mu^2 = inf - inf)
+        dict(function="v0", fixed={"e": 1.0, "mu": 1.0, "gamma": 1e-310}, axis="sigma",
+             start=1e-322, stop=1e-300, steps=12, scale="log"),
+        dict(function="d2", fixed={"sigma": 1e150, "gamma": 1.0}, axis="mu",
+             start=1e100, stop=1e200, steps=11, scale="log"),
     ]
 
 

@@ -1,0 +1,59 @@
+"""The verify suites, run in process at their default tolerances."""
+
+from __future__ import annotations
+
+from relvoigt import run_suite
+
+# every check of `verify all`, in order, with its grid size: a faster suite
+# must still check exactly these points
+CHECKS = {
+    "symmetry": [
+        ("h2 symmetric under u1 <-> u2", 500),
+        ("h2 even under (u1,u2) sign flip", 500),
+        ("h2 odd in a", 500),
+        ("h2 mixed sign exchange", 500),
+    ],
+    "oracle": [
+        ("h0 closed form vs quadrature", 325),
+        ("h2 closed form vs quadrature", 8405),
+        ("i2 closed form vs quadrature", 32),
+        ("h2 degenerate series vs quadrature", 4),
+    ],
+    "representations": [
+        ("h2 four-route pairwise agreement", 50),
+        ("h0 Laplace representation vs closed form", 10),
+    ],
+    "limits": [
+        ("h2 caption value at (1, 0)", 1),
+        ("h2 caption value at (1, -1)", 1),
+        ("h2 caption deviation decade shrink", 6),
+        ("h0 a -> 0 limit values", 3),
+        ("h0 limit approach monotone", 9),
+        ("h2 limit approach monotone", 8),
+        ("i2 a -> 0 limit", 1),
+        ("h2 large-u asymptotic at (20, 30)", 1),
+        ("h2 large-u asymptotic at (40, 60)", 1),
+        ("h2 large-u deviation shrinks 4x per u doubling", 2),
+        ("damping functions exactly 1 at sigma = 0", 1),
+        ("v2 peak approaches bare peak as sigma -> 0", 1),
+        ("v2 gamma -> 0 limit approach monotone", 3),
+        ("h2 degenerate growth ratio a -> a/4", 4),
+    ],
+}
+
+
+def test_verify_all_passes_every_pinned_check():
+    reports = run_suite("all")
+    expected = [check for checks in CHECKS.values() for check in checks]
+    assert [(r.name, r.grid_size) for r in reports] == expected
+    assert len(reports) == 24
+    assert {s: sum(size for _, size in c) for s, c in CHECKS.items()} == {
+        "symmetry": 2000,
+        "oracle": 8766,
+        "representations": 60,
+        "limits": 42,
+    }
+    assert sum(r.grid_size for r in reports) == 10868
+    failed = [(r.name, r.max_abs_deviation, r.tolerance) for r in reports if not r.passed]
+    assert failed == []
+
