@@ -18,7 +18,7 @@ build can re-certify itself numerically at any time; the ``relvoigt`` CLI
 exposes point evaluation, grid sweeps to CSV/JSON, and those suites.
 """
 
-from .complex_fn import erfc_complex, faddeeva_w
+from .complex_fn import faddeeva_w
 from .errors import (
     DomainError,
     IntegrationError,
@@ -83,7 +83,6 @@ __all__ = [
     "EvalResult",
     "GridResult",
     "faddeeva_w",
-    "erfc_complex",
     "ProfileParams",
     "ReducedCoordsNonRel",
     "ReducedCoordsRel",

@@ -1,16 +1,16 @@
-"""Complex error functions: the Faddeeva function w(z) and complex erfc.
+"""The Faddeeva function w(z), on one point and over arrays.
 
 w(z) = e^{-z^2} erfc(-iz).  For Im z > 0 it also equals the Hilbert-type
 integral (1/(i pi)) Int e^{-t^2}/(t-z) dt, which is the shape every
 line-broadening integral in this package reduces to after partial fractions.
 Python's built-in ``complex`` is the substrate type throughout.
 
-The numerical kernel is scipy.special's wofz/erfc (the MIT Faddeeva
-package), accurate to roughly 1e-13 relative over the double range, well
-inside the 1e-12 budget the closed forms downstream rely on.  The wrappers
-here add strict domain checks and a clear overflow contract: a DomainError
-is raised exactly where the mathematical value exceeds double range (deep
-lower half-plane for w, |Im z| >> |Re z| for erfc), never before.
+The numerical kernel is scipy.special's wofz (the MIT Faddeeva package),
+accurate to roughly 1e-13 relative over the double range, well inside the
+1e-12 budget the closed forms downstream rely on.  The wrappers here add
+strict domain checks and a clear overflow contract: a DomainError is raised
+exactly where the mathematical value exceeds double range (deep in the
+lower half-plane), never before.
 
 All functions are pure; safe to call from any number of threads.
 """
@@ -24,7 +24,7 @@ from scipy import special as _special
 
 from .errors import DomainError
 
-__all__ = ["faddeeva_w", "faddeeva_w_grid", "erfc_complex"]
+__all__ = ["faddeeva_w", "faddeeva_w_grid"]
 
 
 def _as_finite_complex(name: str, z: complex) -> complex:
@@ -42,9 +42,10 @@ def faddeeva_w(z: complex) -> complex:
     raised once that exceeds double range, since the value is then not
     representable.
     """
+    # scalar wofz raises no floating-point warning, even where it overflows,
+    # so this hot path needs no np.errstate block
     z = _as_finite_complex("z", z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = complex(_special.wofz(z))
+    v = complex(_special.wofz(z))
     if not (math.isfinite(v.real) and math.isfinite(v.imag)):
         raise DomainError(f"w(z) overflows double precision at z={z!r}")
     return v
@@ -68,17 +69,3 @@ def faddeeva_w_grid(
     ok = np.isfinite(x) & np.isfinite(y) & np.isfinite(wr) & np.isfinite(wi)
     return wr, wi, ok
 
-
-def erfc_complex(z: complex) -> complex:
-    """Complementary error function erfc(z) for complex z.
-
-    Satisfies erfc(z) + erfc(-z) = 2 and erfc(conj(z)) = conj(erfc(z)).
-    Raises DomainError where |erfc(z)| overflows double range (it grows
-    like e^{|Im z|^2} away from the real axis).
-    """
-    z = _as_finite_complex("z", z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = complex(_special.erfc(z))
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-        raise DomainError(f"erfc(z) overflows double precision at z={z!r}")
-    return v

@@ -96,12 +96,21 @@ def bw_nonrel(e: float, params: ProfileParams) -> float:
 
     Unit-normalized Cauchy density centered at mu; maximum 2/(pi Gamma).
     """
+    return _bw_nonrel(e, params.mu, params.gamma, params.sigma)
+
+
+def _bw_nonrel(e, mu, gamma, sigma) -> float:
+    # bw_nonrel on the fields of a ProfileParams; sigma only names the
+    # parameters in the error message, which is built on failure only
     e = require_finite("e", e)
-    gamma = _require_positive("gamma", params.gamma)
-    d = e - params.mu
+    gamma = _require_positive("gamma", gamma)
+    d = e - mu
     den = d * d + 0.25 * gamma * gamma
     if den == 0.0:
-        raise DomainError(f"Breit-Wigner denominator underflows at e={e!r}, {params!r}")
+        raise DomainError(
+            f"Breit-Wigner denominator underflows at e={e!r}, "
+            f"{ProfileParams(mu, gamma, sigma)!r}"
+        )
     return (gamma / (2.0 * math.pi)) / den
 
 
@@ -109,16 +118,33 @@ def bw_rel(e: float, params: ProfileParams) -> float:
     """Relativistic Breit-Wigner density (mu Gamma/pi)/((E^2-mu^2)^2+(mu Gamma)^2).
 
     Even in E with maxima at E = +-mu where it reaches 1/(pi mu Gamma).
+    DomainError where the density is not representable: its denominator
+    underflows to 0, or E^2 and mu^2 (or mu Gamma and the denominator) both
+    overflow, which leaves inf - inf (or inf / inf).
     """
+    return _bw_rel(e, params.mu, params.gamma, params.sigma)
+
+
+def _bw_rel(e, mu, gamma, sigma) -> float:
+    # bw_rel on the fields of a ProfileParams, like _bw_nonrel
     e = require_finite("e", e)
-    mu = _require_positive("mu", params.mu)
-    gamma = _require_positive("gamma", params.gamma)
+    mu = _require_positive("mu", mu)
+    gamma = _require_positive("gamma", gamma)
     q = e * e - mu * mu
     mg = mu * gamma
     den = q * q + mg * mg
     if den == 0.0:
-        raise DomainError(f"Breit-Wigner denominator underflows at e={e!r}, {params!r}")
-    return (mg / math.pi) / den
+        raise DomainError(
+            f"Breit-Wigner denominator underflows at e={e!r}, "
+            f"{ProfileParams(mu, gamma, sigma)!r}"
+        )
+    value = (mg / math.pi) / den
+    if not math.isfinite(value):
+        raise DomainError(
+            f"Breit-Wigner density leaves double range at e={e!r}, "
+            f"{ProfileParams(mu, gamma, sigma)!r}: {value!r}"
+        )
+    return value
 
 
 def gaussian(x: float, sigma: float) -> float:
@@ -132,12 +158,15 @@ def gaussian(x: float, sigma: float) -> float:
 
 def reduce_nonrel(e: float, params: ProfileParams) -> ReducedCoordsNonRel:
     """Map (E; mu, gamma, sigma) to the classical reduced coordinates (a, u)."""
+    return ReducedCoordsNonRel(*_reduce_nonrel(e, params.mu, params.gamma, params.sigma))
+
+
+def _reduce_nonrel(e, mu, gamma, sigma) -> tuple[float, float]:
+    # reduce_nonrel as a bare (a, u); either may be inf, which the caller
+    # has to reject, as h0 does
     e = require_finite("e", e)
-    sigma = _require_positive("sigma", params.sigma)
-    return ReducedCoordsNonRel(
-        a=params.gamma / (2.0 * _SQRT2 * sigma),
-        u=(e - params.mu) / (_SQRT2 * sigma),
-    )
+    sigma = _require_positive("sigma", sigma)
+    return gamma / (2.0 * _SQRT2 * sigma), (e - mu) / (_SQRT2 * sigma)
 
 
 def reduce_rel(e: float, params: ProfileParams) -> ReducedCoordsRel:
@@ -147,17 +176,19 @@ def reduce_rel(e: float, params: ProfileParams) -> ReducedCoordsRel:
     (the reduced functions know what to do with it), only sigma must be
     positive.
     """
+    return ReducedCoordsRel(*_reduce_rel(e, params.mu, params.gamma, params.sigma))
+
+
+def _reduce_rel(e, mu, gamma, sigma) -> tuple[float, float, float]:
+    # reduce_rel as a bare (a, u1, u2); any of them may be inf, which the
+    # caller has to reject, as h2 does
     e = require_finite("e", e)
-    sigma = _require_positive("sigma", params.sigma)
+    sigma = _require_positive("sigma", sigma)
     den = 2.0 * sigma * sigma
     if den == 0.0:
         raise DomainError(f"sigma={sigma!r} is too small: sigma^2 underflows")
     s = _SQRT2 * sigma
-    return ReducedCoordsRel(
-        a=params.gamma * params.mu / den,
-        u1=(e - params.mu) / s,
-        u2=(e + params.mu) / s,
-    )
+    return gamma * mu / den, (e - mu) / s, (e + mu) / s
 
 
 # Elementwise forms of the scalar maps above, for the grid evaluators.  Each
@@ -194,7 +225,9 @@ def bw_rel_grid(e, mu, gamma, fails: GridFailures) -> np.ndarray:
         mg = mu * gamma
         den = q * q + mg * mg
         fails.flag(den == 0.0, DomainError)
-        return (mg / math.pi) / den
+        value = (mg / math.pi) / den
+    fails.flag(~np.isfinite(value), DomainError)
+    return value
 
 
 def reduce_nonrel_grid(e, mu, gamma, sigma, fails: GridFailures):

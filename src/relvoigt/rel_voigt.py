@@ -60,11 +60,11 @@ from .errors import (
 )
 from .profiles import (
     ProfileParams,
-    bw_nonrel,
+    _bw_nonrel,
+    _bw_rel,
+    _reduce_rel,
     bw_nonrel_grid,
-    bw_rel,
     bw_rel_grid,
-    reduce_rel,
     reduce_rel_grid,
 )
 from .quadrature import (
@@ -79,7 +79,7 @@ from .quadrature import (
     quadrature_grid,
 )
 from .result import EvalResult, GridFailures, GridResult, grid_arrays
-from .voigt import v0, v0_grid
+from .voigt import _v0, v0_grid
 
 __all__ = [
     "PoleSet",
@@ -141,6 +141,15 @@ class PoleSet:
     t2_minus: complex
 
 
+def _pole_group(a: float, u1: float, u2: float) -> tuple[complex, complex, complex]:
+    # w1, t1_plus and t1_minus of PoleSet from finite floats, unchecked;
+    # the second group (w2, t2_plus, t2_minus) is this one at -a
+    d = u1 - u2
+    s = u1 + u2
+    w1 = cmath.sqrt(complex(d * d, 4.0 * a))
+    return w1, 0.5 * (s + w1), 0.5 * (s - w1)
+
+
 def pole_set(a: float, u1: float, u2: float) -> PoleSet:
     """Factor the H2 denominator; exact under the H2 symmetries.
 
@@ -151,29 +160,20 @@ def pole_set(a: float, u1: float, u2: float) -> PoleSet:
     a = require_finite("a", a)
     u1 = require_finite("u1", u1)
     u2 = require_finite("u2", u2)
-    d = u1 - u2
-    dd = d * d
-    s = u1 + u2
-    w1 = cmath.sqrt(complex(dd, 4.0 * a))
-    w2 = cmath.sqrt(complex(dd, -4.0 * a))
-    return PoleSet(
-        w1=w1,
-        w2=w2,
-        t1_plus=0.5 * (s + w1),
-        t1_minus=0.5 * (s - w1),
-        t2_plus=0.5 * (s + w2),
-        t2_minus=0.5 * (s - w2),
-    )
+    w1, t1_plus, t1_minus = _pole_group(a, u1, u2)
+    w2, t2_plus, t2_minus = _pole_group(-a, u1, u2)
+    return PoleSet(w1, w2, t1_plus, t1_minus, t2_plus, t2_minus)
 
 
 def _h2_closed_form(a: float, u1: float, u2: float) -> EvalResult:
-    # requires a > 0 so that both w arguments lie in the upper half-plane,
-    # where the Faddeeva function is bounded.  The second pole group
-    # g2 = (w(-t2+) + w(t2-)) / (2 w2) is conj(g1) bit for bit (cmath.sqrt,
-    # w and complex division all commute with conjugation exactly), so
-    # g1 + g2 = 2 Re g1 with no imaginary residue and |g1| + |g2| = 2 |g1|.
-    ps = pole_set(a, u1, u2)
-    g1 = (faddeeva_w(ps.t1_plus) + faddeeva_w(-ps.t1_minus)) / (2.0 * ps.w1)
+    # requires finite a > 0 so that both w arguments lie in the upper
+    # half-plane, where the Faddeeva function is bounded.  The second pole
+    # group g2 = (w(-t2+) + w(t2-)) / (2 w2) is conj(g1) bit for bit
+    # (cmath.sqrt, w and complex division all commute with conjugation
+    # exactly), so g1 + g2 = 2 Re g1 with no imaginary residue and
+    # |g1| + |g2| = 2 |g1|.
+    w1, t1_plus, t1_minus = _pole_group(a, u1, u2)
+    g1 = (faddeeva_w(t1_plus) + faddeeva_w(-t1_minus)) / (2.0 * w1)
     return EvalResult(2.0 * g1.real, 1e-13 * (2.0 * abs(g1)), "closed_form")
 
 
@@ -218,7 +218,7 @@ def _csqrt(x, y):
 
 def _h2_closed_form_grid(a, u1, u2):
     """_h2_closed_form over arrays with a > 0: value, estimate, finite mask."""
-    # pole_set's w1 and t1+-, then -t1-, in CPython's complex arithmetic
+    # _pole_group's w1 and t1+-, then -t1-, in CPython's complex arithmetic
     d = u1 - u2
     s = u1 + u2
     w1r, w1i = _csqrt(d * d, 4.0 * a)
@@ -610,11 +610,11 @@ def i2_closed(a: float, u1: float, u2: float) -> float:
     if a < 0.0:
         return -i2_closed(-a, u1, u2)
     # 1/w2 is conj(1/w1) bit for bit, so Re(1/w1 + 1/w2) = 2 Re(1/w1)
-    ps = pole_set(a, u1, u2)
-    if ps.w1 == 0.0:
+    w1 = _pole_group(a, u1, u2)[0]
+    if w1 == 0.0:
         # a = 0 and (u1 - u2)^2 = 0, also when the gap squared underflows
         raise DomainError("double pole on the real axis")
-    value = 2.0 * (1.0 / ps.w1).real
+    value = 2.0 * (1.0 / w1).real
     if not math.isfinite(value):
         raise DomainError(f"I2 overflows at (a, u1, u2)=({a!r}, {u1!r}, {u2!r})")
     return value
@@ -654,15 +654,22 @@ def i2_quadrature_grid(a, u1, u2, config: QuadratureConfig | None = None) -> Gri
 
 def v2(e: float, params: ProfileParams) -> float:
     """Relativistic Voigt profile: Gaussian-smeared relativistic Breit-Wigner."""
-    if not params.mu > 0.0:
-        raise ParameterError(f"mu must be > 0, got {params.mu!r}")
-    if not params.gamma > 0.0:
-        raise ParameterError(f"gamma must be > 0, got {params.gamma!r}")
-    rc = reduce_rel(e, params)
-    sigma = params.sigma
-    value = h2(rc.a, rc.u1, rc.u2).value / (2.0 * _SQRT_PI * sigma * sigma)
+    return _v2(e, params.mu, params.gamma, params.sigma)
+
+
+def _v2(e, mu, gamma, sigma) -> float:
+    # v2 on the fields of a ProfileParams; h2 rejects a non-finite a, u1 or
+    # u2 with the message reduce_rel would give
+    if not mu > 0.0:
+        raise ParameterError(f"mu must be > 0, got {mu!r}")
+    if not gamma > 0.0:
+        raise ParameterError(f"gamma must be > 0, got {gamma!r}")
+    a, u1, u2 = _reduce_rel(e, mu, gamma, sigma)
+    value = h2(a, u1, u2).value / (2.0 * _SQRT_PI * sigma * sigma)
     if not math.isfinite(value):
-        raise DomainError(f"v2 leaves double range at e={e!r}, {params!r}: {value!r}")
+        raise DomainError(
+            f"v2 leaves double range at e={e!r}, {ProfileParams(mu, gamma, sigma)!r}: {value!r}"
+        )
     return value
 
 
@@ -720,32 +727,34 @@ def d0(sigma: float, gamma: float, mu: float) -> float:
     """Peak damping of the classical profile: V0 at the peak over the bare
     Breit-Wigner there; exactly 1 at sigma = 0 and decaying from 1 as the
     Gaussian smearing widens."""
-    sigma, gamma, mu = _check_ratio_params(sigma, gamma, mu)
-    if sigma == 0.0:
-        return 1.0
-    params = ProfileParams(mu=mu, gamma=gamma, sigma=sigma)
-    value = v0(mu, params) / _peak_density(bw_nonrel(mu, params), params)
-    if not math.isfinite(value):
-        raise DomainError(f"d0 leaves double range at {params!r}: {value!r}")
-    return value
+    return _ratio("d0", _v0, _bw_nonrel, sigma, gamma, mu)
 
 
 def d2(sigma: float, gamma: float, mu: float) -> float:
     """Peak damping of the relativistic profile, normalized like d0."""
+    return _ratio("d2", _v2, _bw_rel, sigma, gamma, mu)
+
+
+def _ratio(name, profile, bw, sigma, gamma, mu) -> float:
+    # d0/d2: the profile at its peak E = mu over the bare Breit-Wigner
+    # there; _check_ratio_params leaves finite floats, so no ProfileParams
+    # is built unless an error message names one
     sigma, gamma, mu = _check_ratio_params(sigma, gamma, mu)
     if sigma == 0.0:
         return 1.0
-    params = ProfileParams(mu=mu, gamma=gamma, sigma=sigma)
-    value = v2(mu, params) / _peak_density(bw_rel(mu, params), params)
+    peak = profile(mu, mu, gamma, sigma)
+    density = bw(mu, mu, gamma, sigma)
+    if density == 0.0:
+        raise DomainError(
+            f"Breit-Wigner peak density underflows to 0 at "
+            f"{ProfileParams(mu, gamma, sigma)!r}"
+        )
+    value = peak / density
     if not math.isfinite(value):
-        raise DomainError(f"d2 leaves double range at {params!r}: {value!r}")
+        raise DomainError(
+            f"{name} leaves double range at {ProfileParams(mu, gamma, sigma)!r}: {value!r}"
+        )
     return value
-
-
-def _peak_density(bw: float, params: ProfileParams) -> float:
-    if bw == 0.0:
-        raise DomainError(f"Breit-Wigner peak density underflows to 0 at {params!r}")
-    return bw
 
 
 def _ratio_grid(sigma, gamma, mu, profile_grid, bw_grid) -> GridResult:

@@ -35,7 +35,7 @@ _GRID_NAMES = np.array(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalResult:
     """A real function value with an absolute error estimate and method tag."""
 
@@ -44,6 +44,14 @@ class EvalResult:
     method: str
 
     def __post_init__(self) -> None:
+        # one combined test on the common path; the checks below name the
+        # first one that fails, in this order
+        if (
+            math.isfinite(self.value)
+            and 0.0 <= self.error_estimate < math.inf
+            and self.method in METHODS
+        ):
+            return
         if not math.isfinite(self.value):
             raise DomainError(f"EvalResult value must be finite, got {self.value!r}")
         if not (math.isfinite(self.error_estimate) and self.error_estimate >= 0.0):

@@ -31,7 +31,7 @@ from .errors import (
     check_side,
     require_finite,
 )
-from .profiles import ProfileParams, reduce_nonrel, reduce_nonrel_grid
+from .profiles import ProfileParams, _reduce_nonrel, reduce_nonrel_grid
 from .quadrature import QuadratureConfig, integrate_semi_infinite
 from .result import EvalResult, GridFailures, GridResult, grid_arrays
 
@@ -99,12 +99,20 @@ def h0_laplace_rep(
 
 def v0(e: float, params: ProfileParams) -> float:
     """Classical Voigt profile: Gaussian-smeared nonrelativistic Breit-Wigner."""
-    if not params.gamma > 0.0:
-        raise ParameterError(f"gamma must be > 0, got {params.gamma!r}")
-    rc = reduce_nonrel(e, params)
-    value = h0(rc.a, rc.u) / (_SQRT_2PI * params.sigma)
+    return _v0(e, params.mu, params.gamma, params.sigma)
+
+
+def _v0(e, mu, gamma, sigma) -> float:
+    # v0 on the fields of a ProfileParams; h0 rejects a non-finite a or u
+    # with the message reduce_nonrel would give
+    if not gamma > 0.0:
+        raise ParameterError(f"gamma must be > 0, got {gamma!r}")
+    a, u = _reduce_nonrel(e, mu, gamma, sigma)
+    value = h0(a, u) / (_SQRT_2PI * sigma)
     if not math.isfinite(value):
-        raise DomainError(f"v0 leaves double range at e={e!r}, {params!r}: {value!r}")
+        raise DomainError(
+            f"v0 leaves double range at e={e!r}, {ProfileParams(mu, gamma, sigma)!r}: {value!r}"
+        )
     return value
 
 

@@ -3,12 +3,19 @@
 Everything here is deliberately written from scratch against textbook
 formulas (power series, Lentz continued fraction, defining integrals)
 so that agreement with the package is a genuine two-route check and not
-the same library talking to itself.
+the same library talking to itself.  The one exception is erfc_complex,
+a thin wrapper of scipy.special.erfc: the tests use it only in identities
+between functions (the two-erfc form of H0, erfc(z) + erfc(-z) = 2), and
+check it against the real-line values here.
 """
 
 from __future__ import annotations
 
 import math
+
+from scipy import special
+
+from relvoigt import DomainError
 
 _SQRT_PI = math.sqrt(math.pi)
 _TINY = 1e-300
@@ -95,3 +102,19 @@ def erfcx_real(x: float) -> float:
         if abs(delta - 1.0) < 1e-17:
             return f / _SQRT_PI
     raise RuntimeError("erfcx continued fraction failed to converge")
+
+
+def erfc_complex(z: complex) -> complex:
+    """Complementary error function erfc(z) for complex z.
+
+    Satisfies erfc(z) + erfc(-z) = 2 and erfc(conj(z)) = conj(erfc(z)).
+    Raises DomainError for a non-finite z and where |erfc(z)| overflows
+    double range (it grows like e^{|Im z|^2} away from the real axis).
+    """
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"z must be finite, got {z!r}")
+    v = complex(special.erfc(z))
+    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        raise DomainError(f"erfc(z) overflows double precision at z={z!r}")
+    return v

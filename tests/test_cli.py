@@ -9,7 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args: str, **kw):
@@ -156,3 +159,27 @@ def test_sweep_json_flag():
 
 def test_no_arguments_is_usage_error():
     assert run_cli().returncode == 1
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("eval_h2_caption.json", ["eval", "h2", "--a", "1e-6", "--u1", "1", "--u2", "0", "--json"]),
+        (
+            "sweep_h2_log_a.csv",
+            ["sweep", "h2", "--axis", "a", "--start", "1e-3", "--stop", "3",
+             "--steps", "12", "--scale", "log", "--u1", "1", "--u2", "0"],
+        ),
+        (
+            "sweep_v2_sigma_errors.csv",
+            ["sweep", "v2", "--axis", "sigma", "--start", "-0.1", "--stop", "0.3",
+             "--steps", "5", "--e", "1", "--mu", "1", "--gamma", "0.5"],
+        ),
+    ],
+)
+def test_output_matches_golden_file(name, argv, capsys):
+    # in process: the printed bytes, not the child start-up, are under test
+    from relvoigt.cli import main
+
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()

@@ -12,11 +12,11 @@ import math
 import numpy as np
 import pytest
 
-from relvoigt import DomainError, erfc_complex, faddeeva_w
+from relvoigt import DomainError, faddeeva_w
 from relvoigt.complex_fn import faddeeva_w_grid
 from relvoigt.quadrature import QuadratureConfig, integrate_real_line
 
-from oracles import erfc_real, erfcx_real
+from oracles import erfc_complex, erfc_real, erfcx_real
 
 # e * erfc(1) and erfc(1), frozen from the continued-fraction oracle
 E_ERFC_1 = 0.4275835761558069

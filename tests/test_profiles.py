@@ -18,10 +18,12 @@ from relvoigt import (
     reduce_nonrel,
     reduce_rel,
 )
+from relvoigt.profiles import bw_rel_grid
 from relvoigt.quadrature import (
     QuadratureConfig,
     integrate_real_line_compactified,
 )
+from relvoigt.result import GridFailures
 
 SQRT2 = math.sqrt(2.0)
 
@@ -166,3 +168,35 @@ def test_parameter_validation():
     with pytest.raises(DomainError):
         bw_rel(1.0, ProfileParams(mu=1.0, gamma=1e-170, sigma=0.3))
     assert bw_nonrel(0.0, good) > 0.0
+
+
+def test_bw_rel_out_of_range_is_domain_error():
+    """A density that is not representable raises; the grid flags the same points."""
+    # (e, mu, gamma): E^2 and mu^2 overflow (q = inf - inf); mu gamma and
+    # the denominator overflow (inf / inf); E^2 alone overflows, which is a
+    # true underflow to 0; a typical point; an underflowing denominator
+    pts = [
+        (1e200, 1e200, 1.0),
+        (1.0, 1e200, 1e200),
+        (1e200, 1.0, 1.0),
+        (1.0, 1.0, 0.5),
+        (1.0, 1.0, 1e-170),
+    ]
+    with pytest.raises(DomainError, match="leaves double range"):
+        bw_rel(1e200, ProfileParams(mu=1e200, gamma=1.0, sigma=1e150))
+    with pytest.raises(DomainError, match="leaves double range"):
+        bw_rel(1.0, ProfileParams(mu=1e200, gamma=1e200, sigma=1.0))
+    assert bw_rel(1e200, ProfileParams(mu=1.0, gamma=1.0, sigma=1.0)) == 0.0
+
+    e, mu, gamma = (np.array(c) for c in zip(*pts))
+    fails = GridFailures(e.shape)
+    value = bw_rel_grid(e, mu, gamma, fails)
+    for i, (x, m, g) in enumerate(pts):
+        try:
+            want = bw_rel(x, ProfileParams(mu=m, gamma=g, sigma=1.0))
+        except DomainError:
+            assert fails.codes[i] != 0
+            continue
+        assert fails.codes[i] == 0
+        assert value[i] == want
+    assert fails.codes.tolist() == [1, 1, 0, 0, 1]

@@ -13,7 +13,6 @@ from relvoigt import (
     ParameterError,
     ProfileParams,
     bw_nonrel,
-    erfc_complex,
     gaussian,
     h0,
     h0_laplace_rep,
@@ -26,7 +25,7 @@ from relvoigt.quadrature import (
     integrate_real_line_compactified,
 )
 
-from oracles import erfc_real
+from oracles import erfc_complex, erfc_real
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
