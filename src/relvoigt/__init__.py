@@ -68,7 +68,7 @@ from .rel_voigt import (
     v2_grid,
 )
 from .result import EvalResult, GridResult
-from .sweep import SweepSpec, SweepRow, run_sweep
+from .sweep import SweepRow, SweepRows, SweepSpec, run_sweep
 from .verify import VerifyReport, run_suite
 from .voigt import h0, h0_grid, h0_laplace_rep, h0_limit_a0, v0, v0_grid
 
@@ -127,6 +127,7 @@ __all__ = [
     "d2_grid",
     "SweepSpec",
     "SweepRow",
+    "SweepRows",
     "run_sweep",
     "VerifyReport",
     "run_suite",

@@ -5,15 +5,20 @@ which ranges over a linear or logarithmic grid.  run_sweep evaluates the
 whole grid in one call of the function's grid evaluator (``h2_grid`` and
 friends), whose rows match the scalar evaluator bit for bit, and never
 aborts the grid: a point that violates a precondition produces a row
-carrying the error name instead of a value.  Serializers emit CSV (fixed
-17-significant-digit scientific notation, so output is byte-stable across
-runs) or JSON (shortest round-trip floats).
+carrying the error name instead of a value.  The rows come back as a
+SweepRows, which keeps the evaluator's arrays as columns and builds a
+SweepRow only when a row is read.  Serializers read the columns directly
+and emit CSV (fixed 17-significant-digit scientific notation, so output
+is byte-stable across runs) or JSON (shortest round-trip floats).
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Callable, Mapping, TextIO
 
 import numpy as np
@@ -21,8 +26,11 @@ import numpy as np
 from . import rel_voigt, voigt
 from .errors import DomainError
 from .profiles import ProfileParams
+from .result import _GRID_NAMES, GridResult
 
-__all__ = ["FUNCTIONS", "SweepSpec", "SweepRow", "run_sweep", "write_csv", "json_payload"]
+__all__ = [
+    "FUNCTIONS", "SweepSpec", "SweepRow", "SweepRows", "run_sweep", "write_csv", "json_payload",
+]
 
 
 def _profile(p: Mapping[str, float]) -> ProfileParams:
@@ -111,7 +119,7 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One grid point: value and error estimate, or an error marker.
 
@@ -126,40 +134,91 @@ class SweepRow:
     error: str
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+class SweepRows(Sequence[SweepRow]):
+    """The rows of one sweep, held as the grid evaluator's columns.
+
+    A read-only sequence of SweepRow: len, indexing (negative indices and
+    slices too) and iteration work as on a list, but a SweepRow is built
+    only when a row is indexed or iterated; write_csv and json_payload read
+    the columns and build none.  Rows carry Python floats.  There is no
+    append, + or comparison with a list: ``list(rows)`` gives one.
+    """
+
+    __slots__ = ("_x", "_result")
+
+    def __init__(self, axis_values: np.ndarray, result: GridResult) -> None:
+        self._x = axis_values
+        self._result = result
+
+    def __len__(self) -> int:
+        return len(self._x)
+
+    def __getitem__(self, index):
+        r = self._result
+        if isinstance(index, slice):
+            est = None if r.error_estimate is None else r.error_estimate[index]
+            return SweepRows(self._x[index], GridResult(r.value[index], est, r.codes[index]))
+        i = operator.index(index)
+        if i < 0:
+            i += len(self._x)
+        if not 0 <= i < len(self._x):
+            raise IndexError(f"sweep row index {index} out of range for {len(self._x)} rows")
+        x = float(self._x[i])
+        if r.codes[i]:
+            return SweepRow(x, None, None, _GRID_NAMES[r.codes[i]])
+        est = None if r.error_estimate is None else float(r.error_estimate[i])
+        return SweepRow(x, float(r.value[i]), est, "")
+
+    def __iter__(self) -> Iterator[SweepRow]:
+        return starmap(SweepRow, self._fields())
+
+    def _fields(self) -> Iterator[tuple]:
+        """(axis_value, value, error_estimate, error) per row, as Python objects."""
+        r = self._result
+        ok = r.codes == 0
+        if r.error_estimate is None:
+            estimates = [None] * len(self._x)
+        else:
+            estimates = np.where(ok, r.error_estimate, None).tolist()
+        values = np.where(ok, r.value, None).tolist()
+        return zip(self._x.tolist(), values, estimates, r.error.tolist())
+
+
+# CSV line templates indexed by failure code, keyed by whether the function
+# gives an error estimate
+_CSV_LINES = {
+    has_estimate: np.array(
+        [ok_line] + [f"%.16e,,,{name}\n" for name in _GRID_NAMES[1:]], dtype=object
+    )
+    for has_estimate, ok_line in ((True, "%.16e,%.16e,%.16e,\n"), (False, "%.16e,%.16e,,\n"))
+}
+
+
+def run_sweep(spec: SweepSpec) -> SweepRows:
     """Evaluate the spec's function over its grid, one row per point."""
     grid = spec.grid()
-    res = FUNCTIONS[spec.function][2](**spec.fixed, **{spec.axis: grid})
-    values = res.value.tolist()
-    if res.error_estimate is None:
-        estimates = [None] * len(values)
-    else:
-        estimates = res.error_estimate.tolist()
-    return [
-        SweepRow(x, None, None, err) if err else SweepRow(x, value, est, "")
-        for x, value, est, err in zip(grid.tolist(), values, estimates, res.error.tolist())
-    ]
+    return SweepRows(grid, FUNCTIONS[spec.function][2](**spec.fixed, **{spec.axis: grid}))
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else f"{x:.16e}"
-
-
-def write_csv(spec: SweepSpec, rows: list[SweepRow], stream: TextIO) -> None:
+def write_csv(spec: SweepSpec, rows: SweepRows, stream: TextIO) -> None:
     """Write rows as CSV with a header naming the axis column.
 
     No field can hold a comma, quote or newline (parameter names, numbers
-    and exception names), so lines are formatted directly, unquoted.
+    and exception names), so lines are formatted directly, unquoted.  The
+    whole table is one %-format: each row's line template, filled with the
+    numbers of every row in row order.
     """
-    lines = [f"{spec.axis},value,error_estimate,error\n"]
-    lines += [
-        f"{_fmt(r.axis_value)},{_fmt(r.value)},{_fmt(r.error_estimate)},{r.error}\n"
-        for r in rows
-    ]
-    stream.write("".join(lines))
+    r = rows._result
+    cols = [rows._x, r.value] if r.error_estimate is None else [rows._x, r.value, r.error_estimate]
+    ok = r.codes == 0
+    template = "".join(_CSV_LINES[r.error_estimate is not None][r.codes].tolist())
+    # an error row keeps its axis value alone
+    keep = np.column_stack([np.ones_like(ok)] + [ok] * (len(cols) - 1))
+    numbers = np.column_stack(cols)[keep].tolist()
+    stream.write(f"{spec.axis},value,error_estimate,error\n" + template % tuple(numbers))
 
 
-def json_payload(spec: SweepSpec, rows: list[SweepRow]) -> dict:
+def json_payload(spec: SweepSpec, rows: SweepRows) -> dict:
     """JSON-ready dict mirroring the CSV content plus the spec itself."""
     return {
         "function": spec.function,
@@ -167,12 +226,7 @@ def json_payload(spec: SweepSpec, rows: list[SweepRow]) -> dict:
         "fixed": {k: spec.fixed[k] for k in sorted(spec.fixed)},
         "scale": spec.scale,
         "rows": [
-            {
-                spec.axis: r.axis_value,
-                "value": r.value,
-                "error_estimate": r.error_estimate,
-                "error": r.error,
-            }
-            for r in rows
+            {spec.axis: x, "value": value, "error_estimate": est, "error": err}
+            for x, value, est, err in rows._fields()
         ],
     }

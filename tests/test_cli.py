@@ -175,6 +175,11 @@ def test_no_arguments_is_usage_error():
             ["sweep", "v2", "--axis", "sigma", "--start", "-0.1", "--stop", "0.3",
              "--steps", "5", "--e", "1", "--mu", "1", "--gamma", "0.5"],
         ),
+        (
+            "sweep_v2_sigma_errors.json",
+            ["sweep", "v2", "--axis", "sigma", "--start", "-0.1", "--stop", "0.3",
+             "--steps", "5", "--e", "1", "--mu", "1", "--gamma", "0.5", "--json"],
+        ),
     ],
 )
 def test_output_matches_golden_file(name, argv, capsys):

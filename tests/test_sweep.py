@@ -5,12 +5,21 @@ from __future__ import annotations
 import io
 import json
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
 from relvoigt import DomainError, EvalResult, RelVoigtError, h2
-from relvoigt.sweep import FUNCTIONS, SweepSpec, json_payload, run_sweep, write_csv
+from relvoigt.sweep import (
+    FUNCTIONS,
+    SweepRow,
+    SweepRows,
+    SweepSpec,
+    json_payload,
+    run_sweep,
+    write_csv,
+)
 
 
 def spec_h0(**kw):
@@ -209,13 +218,143 @@ def test_run_sweep_rows_match_scalar_evaluator_bitwise(seed):
     assert {s.function for s in specs} == set(FUNCTIONS)
     errors = set()
     for spec in specs:
-        for row in run_sweep(spec):
+        rows = run_sweep(spec)
+        for i, row in enumerate(rows):
             params = dict(spec.fixed)
             params[spec.axis] = row.axis_value
-            got = (_bits(row.value), _bits(row.error_estimate), row.error)
-            assert got == _scalar_row(spec.function, params), (spec.function, params)
+            want = _scalar_row(spec.function, params)
+            for got in (row, rows[i]):  # iterated and indexed rows alike
+                assert got.axis_value == params[spec.axis]
+                assert (_bits(got.value), _bits(got.error_estimate), got.error) == want, (
+                    spec.function, params)
             errors.add(row.error)
     assert errors == {"", "DomainError", "ParameterError"}
+
+
+# The row-by-row serializers that write_csv and json_payload replaced, kept
+# as the reference their columnar output must match byte for byte.
+
+
+def _reference_rows(spec):
+    """The rows built one SweepRow per point from the grid evaluator."""
+    grid = spec.grid()
+    res = FUNCTIONS[spec.function][2](**spec.fixed, **{spec.axis: grid})
+    values = res.value.tolist()
+    if res.error_estimate is None:
+        estimates = [None] * len(values)
+    else:
+        estimates = res.error_estimate.tolist()
+    return [
+        SweepRow(x, None, None, err) if err else SweepRow(x, value, est, "")
+        for x, value, est, err in zip(grid.tolist(), values, estimates, res.error.tolist())
+    ]
+
+
+def _reference_fmt(x):
+    return "" if x is None else f"{x:.16e}"
+
+
+def _reference_csv(spec, rows):
+    lines = [f"{spec.axis},value,error_estimate,error\n"]
+    lines += [
+        f"{_reference_fmt(r.axis_value)},{_reference_fmt(r.value)},"
+        f"{_reference_fmt(r.error_estimate)},{r.error}\n"
+        for r in rows
+    ]
+    return "".join(lines)
+
+
+def _reference_json(spec, rows):
+    return {
+        "function": spec.function,
+        "axis": spec.axis,
+        "fixed": {k: spec.fixed[k] for k in sorted(spec.fixed)},
+        "scale": spec.scale,
+        "rows": [
+            {spec.axis: r.axis_value, "value": r.value,
+             "error_estimate": r.error_estimate, "error": r.error}
+            for r in rows
+        ],
+    }
+
+
+def _row_key(row):
+    """A row's fields with their exact types and bits: -0.0 differs from 0.0."""
+    return (type(row),) + tuple(
+        None if v is None else (type(v), v.hex())
+        for v in (row.axis_value, row.value, row.error_estimate)
+    ) + (row.error,)
+
+
+_EDGE_SWEEPS = [
+    # every row fails
+    dict(function="v2", fixed={"e": 1.0, "mu": 1.0, "gamma": 0.5}, axis="sigma",
+         start=-2.0, stop=-1.0, steps=7),
+    # no row fails, estimates present
+    dict(function="h2", fixed={"u1": 1.0, "u2": 0.0}, axis="a", start=0.5, stop=3.0, steps=9),
+    # a bare-float function: the estimate column is empty
+    dict(function="d0", fixed={"gamma": 0.5, "mu": 1.0}, axis="sigma", start=0.0, stop=2.0, steps=9),
+    # the grid ends at -0.0, and the values far out are subnormal
+    dict(function="h0", fixed={"a": 1e-300}, axis="u", start=-1e5, stop=-0.0, steps=11),
+    # values near 1e+300
+    dict(function="v0", fixed={"e": 1.0, "mu": 1.0, "gamma": 1e-300}, axis="sigma",
+         start=1e-305, stop=1e-295, steps=11, scale="log"),
+    # values near 1e-300, subnormal estimates and DomainError rows
+    dict(function="h2", fixed={"u1": 0.5, "u2": -0.5}, axis="a",
+         start=1e290, stop=1.7e308, steps=31, scale="log"),
+]
+
+
+def test_edge_sweeps_cover_their_cases():
+    rows = [list(run_sweep(SweepSpec(**kw))) for kw in _EDGE_SWEEPS]
+    assert all(r.error == "ParameterError" for r in rows[0])
+    assert all(r.error == "" and r.error_estimate is not None for r in rows[1])
+    assert all(r.error == "" and r.error_estimate is None for r in rows[2])
+    assert math.copysign(1.0, rows[3][-1].axis_value) == -1.0
+    flat = [r for group in rows for r in group]
+    numbers = [abs(v) for r in flat for v in (r.value, r.error_estimate) if v]
+    assert any(v < 2.2250738585072014e-308 for v in numbers)  # subnormal
+    assert any(1e-310 < v < 1e-299 for v in numbers)
+    assert any(v > 1e299 for v in numbers)
+    assert {r.error for r in flat} == {"", "DomainError", "ParameterError"}
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_serializers_match_row_by_row_reference(seed):
+    kwargs = _EDGE_SWEEPS if seed is None else _parity_specs(seed)
+    for kw in kwargs:
+        spec = SweepSpec(**kw)
+        rows = run_sweep(spec)
+        reference = _reference_rows(spec)
+        buf = io.StringIO()
+        write_csv(spec, rows, buf)
+        assert buf.getvalue() == _reference_csv(spec, reference), spec
+        payload = json_payload(spec, rows)
+        assert json.dumps(payload) == json.dumps(_reference_json(spec, reference)), spec
+        for row in payload["rows"]:
+            assert all(type(v) in (float, type(None)) for k, v in row.items() if k != "error")
+
+
+@pytest.mark.parametrize("kw", _EDGE_SWEEPS[:3] + [
+    # error rows and estimates together: a < 0 is a ParameterError
+    dict(function="h2", fixed={"u1": 1.0, "u2": 0.0}, axis="a", start=-1.0, stop=1.0, steps=9),
+])
+def test_sweep_rows_sequence_protocol(kw):
+    spec = SweepSpec(**kw)
+    rows = run_sweep(spec)
+    reference = [_row_key(r) for r in _reference_rows(spec)]
+    n = spec.steps
+    assert isinstance(rows, SweepRows) and isinstance(rows, Sequence)
+    assert len(rows) == n
+    assert [_row_key(r) for r in rows] == reference
+    assert [_row_key(rows[i]) for i in range(n)] == reference
+    assert [_row_key(rows[i]) for i in range(-n, 0)] == reference
+    assert [_row_key(r) for r in rows[1:-1:2]] == reference[1:-1:2]
+    assert _row_key(rows[np.int64(2)]) == reference[2]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            rows[i]
+    assert list(rows) == _reference_rows(spec)
 
 
 def test_csv_shape_and_stability():
