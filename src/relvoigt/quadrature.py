@@ -12,9 +12,11 @@ integrals in lock-step: every round evaluates all new panels of all live
 integrals in a single integrand call, then each integral applies its own
 stop test, error-share split and subdivision budget, finishes on its own
 and has its panels dropped.  The ``*_batch`` integrators run it over many
-integrals, at most a fixed group of them live at a time so a round's
-abscissas stay small; the scalar integrators are the one-integral case of
-the same code, so both follow every rule identically.
+integrals, one group of them live at a time: 64 integrals, or as many as
+fit in 1,024 initial panels, whichever is more, so a round's abscissas stay
+bounded however many integrals a call carries.  The scalar integrators are
+the one-integral case of the same code, so both follow every rule
+identically.
 
 Integrand contract.  A scalar integrand receives a 1-D numpy array of
 abscissas and returns an array of the same length.  A batched integrand
@@ -108,10 +110,15 @@ _WG = np.array(
     ]
 )
 
-# integrals live at once in one refinement loop: a round's abscissas and
-# panel arrays scale with it, and 64 keeps the verify suites' peak memory
-# within a few MB while still amortising the per-round overhead
+# A group is the integrals live at once in one refinement loop.  A round's
+# abscissas and panel arrays scale with the group's initial panels, so a
+# group holds _GROUP integrals, or as many as fit in _GROUP_PANELS initial
+# panels, whichever is more.  Integrals of ~45 panels (the h2 oracle's) go
+# 64 at a time, which keeps the verify suites' peak memory within a few MB;
+# one-panel integrals (semi-infinite blocks) go 1,024 at a time, so a
+# round's fixed overhead is spread over ~15k abscissas rather than 960
 _GROUP = 64
+_GROUP_PANELS = 1024
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -300,30 +307,50 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, cfg: QuadratureConfig):
         wide = np.concatenate([wide[keep], _wide(new_lo, new_hi)])
 
 
+def _group_bounds(panels: np.ndarray) -> list[int]:
+    """Start and end indices of the groups for integrals of the given panel counts.
+
+    Each group takes the next _GROUP integrals, or more while their initial
+    panels total at most _GROUP_PANELS.
+    """
+    cum = np.cumsum(panels)
+    bounds = [0]
+    while bounds[-1] < panels.size:
+        k0 = bounds[-1]
+        base = cum[k0 - 1] if k0 else 0
+        fit = int(np.searchsorted(cum, base + _GROUP_PANELS, side="right"))
+        bounds.append(min(max(k0 + _GROUP, fit), panels.size))
+    return bounds
+
+
 def _integrate_groups(
     f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, cfg: QuadratureConfig, breaks=None
 ):
-    """Integrate f over [lo[k], hi[k]] for every k, _GROUP integrals at a time.
+    """Integrate f over [lo[k], hi[k]] for every k, one group of integrals at a time.
 
     Every lo[k] < hi[k].  breaks, an (n, m) array, adds initial panel edges
     per integral; they are clipped onto [lo, hi] and duplicates are dropped.
-    Returns per-integral (value, error, converged, evaluations).
+    Groups follow _group_bounds.  Returns per-integral (value, error,
+    converged, evaluations).
     """
+    if breaks is None:
+        plo, phi, own = lo, hi, np.arange(lo.size)
+    else:
+        l, h = lo[:, None], hi[:, None]
+        edges = np.sort(np.concatenate([l, h, np.clip(breaks, l, h)], axis=1), axis=1)
+        keep = edges[:, 1:] > edges[:, :-1]
+        plo, phi, own = edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
+    # own is sorted, so each group's initial panels are one contiguous run
+    first = np.searchsorted(own, np.arange(lo.size + 1))
     parts = []
-    for k0 in range(0, lo.size, _GROUP):
-        k1 = min(k0 + _GROUP, lo.size)
-        if breaks is None:
-            plo, phi, own = lo[k0:k1], hi[k0:k1], np.arange(k1 - k0)
-        else:
-            l, h = lo[k0:k1, None], hi[k0:k1, None]
-            edges = np.sort(np.concatenate([l, h, np.clip(breaks[k0:k1], l, h)], axis=1), axis=1)
-            keep = edges[:, 1:] > edges[:, :-1]
-            plo, phi, own = edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
+    bounds = _group_bounds(np.diff(first))
+    for k0, k1 in zip(bounds, bounds[1:]):
+        p0, p1 = first[k0], first[k1]
 
         def g(x, o, k0=k0):
             return f(x, o + k0)
 
-        parts.append(_refine(g, plo, phi, own, k1 - k0, cfg))
+        parts.append(_refine(g, plo[p0:p1], phi[p0:p1], own[p0:p1] - k0, k1 - k0, cfg))
     if not parts:
         return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
     return tuple(np.concatenate(col) for col in zip(*parts))

@@ -71,7 +71,6 @@ from .quadrature import (
     QuadratureBatch,
     QuadratureConfig,
     integrate_interval,
-    integrate_real_line,
     integrate_real_line_batch,
     integrate_real_line_compactified_batch,
     integrate_semi_infinite_batch,
@@ -143,7 +142,8 @@ class PoleSet:
 
 def _pole_group(a: float, u1: float, u2: float) -> tuple[complex, complex, complex]:
     # w1, t1_plus and t1_minus of PoleSet from finite floats, unchecked;
-    # the second group (w2, t2_plus, t2_minus) is this one at -a
+    # the second group (w2, t2_plus, t2_minus) is this one at -a, and
+    # pole_set builds it from this one's w1
     d = u1 - u2
     s = u1 + u2
     w1 = cmath.sqrt(complex(d * d, 4.0 * a))
@@ -161,8 +161,14 @@ def pole_set(a: float, u1: float, u2: float) -> PoleSet:
     u1 = require_finite("u1", u1)
     u2 = require_finite("u2", u2)
     w1, t1_plus, t1_minus = _pole_group(a, u1, u2)
-    w2, t2_plus, t2_minus = _pole_group(-a, u1, u2)
-    return PoleSet(w1, w2, t1_plus, t1_minus, t2_plus, t2_minus)
+    # _pole_group(-a, u1, u2) without a second square root: cmath.sqrt
+    # commutes with conjugation exactly (signed zeros and infinities too),
+    # so w2 = conj(w1).  The roots are rebuilt from w2 with _pole_group's
+    # own arithmetic rather than conjugated, because at a = 0 that
+    # arithmetic gives t2 an imaginary part of +0.0, not conj's -0.0.
+    w2 = w1.conjugate()
+    s = u1 + u2
+    return PoleSet(w1, w2, t1_plus, t1_minus, 0.5 * (s + w2), 0.5 * (s - w2))
 
 
 def _h2_closed_form(a: float, u1: float, u2: float) -> EvalResult:
@@ -422,6 +428,41 @@ def h2_large_u_asymptotic(
     return EvalResult(value, abs(value) * rel_next, "large_u_asymptotic")
 
 
+def _rectangle_route(a, u1, u2, config=None, offset=None) -> QuadratureBatch:
+    # h2_rectangle at arrays of points with a > 0: the line integrals of all
+    # points in one batched call, the residues per point in complex scalars.
+    # offset None puts each point's line 1 above its higher enclosed pole.
+    cfg = config if config is not None else QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+    poles = [pole_set(*p) for p in zip(a.tolist(), u1.tolist(), u2.tolist())]
+    im_max = np.array([max(ps.t1_plus.imag, ps.t2_minus.imag) for ps in poles])
+    if offset is None:
+        offset = 1.0 + im_max
+    if not (offset > im_max).all():
+        raise DomainError("contour must enclose both poles")
+
+    shift = 1j * offset
+    aa = a * a
+
+    def f(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        t = x + shift[k]
+        p = (t - u1[k]) * (t - u2[k])
+        return np.exp(-t * t) / (p * p + aa[k])
+
+    seeds = np.array([[ps.t1_plus.real, ps.t1_minus.real] for ps in poles])
+    line = integrate_real_line_batch(f, a.size, cfg, seeds=seeds)
+    value = np.empty(a.size)
+    err = np.empty(a.size)
+    for k, (ps, ak) in enumerate(zip(poles, a.tolist())):
+        residues = (
+            cmath.exp(-ps.t1_plus * ps.t1_plus) / ps.w1
+            + cmath.exp(-ps.t2_minus * ps.t2_minus) / ps.w2
+        )
+        total = (ak / math.pi) * complex(line.value[k]) + residues
+        value[k] = total.real
+        err[k] = (ak / math.pi) * float(line.error_estimate[k]) + abs(total.imag)
+    return QuadratureBatch(value, err, line.converged, line.evaluations)
+
+
 def h2_rectangle(
     a: float,
     u1: float,
@@ -447,61 +488,46 @@ def h2_rectangle(
     u2 = require_finite("u2", u2)
     if a <= 0.0:
         raise DomainError(f"contour form requires a > 0, got {a!r}")
-    ps = pole_set(a, u1, u2)
-    im_max = max(ps.t1_plus.imag, ps.t2_minus.imag)
-    if offset is None:
-        offset = 1.0 + im_max
-    else:
-        offset = require_finite("offset", offset)
-    if offset <= im_max:
-        raise DomainError("contour must enclose both poles")
-    cfg = config if config is not None else QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+    if offset is not None:
+        offset = np.array([require_finite("offset", offset)])
 
-    shift = 1j * offset
+    def route(a, u1, u2, config):
+        return _rectangle_route(a, u1, u2, config, offset)
 
-    def f(x: np.ndarray) -> np.ndarray:
-        t = x + shift
-        p = (t - u1) * (t - u2)
-        return np.exp(-t * t) / (p * p + a * a)
-
-    line = integrate_real_line(
-        f, cfg, seeds=[ps.t1_plus.real, ps.t1_minus.real]
-    )
-    if not line.converged:
-        raise IntegrationError(
-            f"contour quadrature did not converge at offset {offset!r}; "
-            f"error estimate {line.error_estimate:.3e}"
-        )
-    residues = (
-        cmath.exp(-ps.t1_plus * ps.t1_plus) / ps.w1
-        + cmath.exp(-ps.t2_minus * ps.t2_minus) / ps.w2
-    )
-    total = (a / math.pi) * line.value + residues
-    err = (a / math.pi) * line.error_estimate + abs(total.imag)
-    return EvalResult(total.real, err, "quadrature")
+    return _route_point(route, a, u1, u2, config)
 
 
-def _rep_double(a, u1, u2, cfg: QuadratureConfig) -> EvalResult:
-    # H2 = (1/pi) Int dt e^{-t^2} Int_0^inf e^{-ax} cos(x (t-u1)(t-u2)) dx,
-    # evaluated by honest nested quadrature.  The inner integral of an
-    # exponentially damped cosine is a geometric sum over whole periods,
-    # which the semi-infinite integrator closes analytically.  The inner
-    # x-integrals of each outer round go through one batched call, so the
-    # cost is the x integration itself, not a Python loop over abscissas.
+# the integral representations' default tolerances
+_REP_CONFIG = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8)
+
+
+def _rep_double(a, u1, u2, config=None) -> QuadratureBatch:
+    # H2 = (1/pi) Int dt e^{-t^2} Int_0^inf e^{-ax} cos(x (t-u1)(t-u2)) dx
+    # at arrays of points with a > 0, by honest nested quadrature.  One
+    # batched call carries the outer t-integrals of all points, and each of
+    # its rounds sends the inner x-integrals of every live abscissa of every
+    # point through one batched call, so the cost is the x integration
+    # itself, not a Python loop over abscissas or points.  The inner
+    # integral of an exponentially damped cosine is a geometric sum over
+    # whole periods, which the semi-infinite integrator closes analytically.
+    cfg = config if config is not None else _REP_CONFIG
     inner_cfg = QuadratureConfig(
-        abs_tol=min(1e-9, cfg.abs_tol), rel_tol=1e-10, max_subdivisions=400
+        abs_tol=min(1e-9, cfg.abs_tol),
+        rel_tol=1e-10,
+        max_subdivisions=min(400, cfg.max_subdivisions),
     )
 
-    # the inner integral is bounded by 1/a, so points whose Gaussian
+    # the inner integral is bounded by 1/a, so abscissas whose Gaussian
     # envelope falls below this floor cannot move the total past the
     # tolerance; skipping them avoids the most oscillatory inner integrals
     env_floor = 1e-13 * a
 
-    def outer(t: np.ndarray) -> np.ndarray:
+    def outer(t: np.ndarray, k: np.ndarray) -> np.ndarray:
         env = np.exp(-t * t)
         out = np.zeros_like(env)
-        live = env >= env_floor
-        c = (t[live] - u1) * (t[live] - u2)
+        live = env >= env_floor[k]
+        own = k[live]
+        c = (t[live] - u1[own]) * (t[live] - u2[own])
         # for |c| >= 0.4, block on a whole number of periods with total
         # width about 1: consecutive block integrals then form an exact
         # geometric sequence whose ratio is far enough from 1 for the
@@ -511,27 +537,23 @@ def _rep_double(a, u1, u2, cfg: QuadratureConfig) -> EvalResult:
         hint = np.where(
             np.abs(c) >= 0.4, period * np.maximum(1.0, np.round(1.0 / period)), np.nan
         )
+        damping = a[own]
 
-        def g(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-            return np.exp(-a * x) * np.cos(c[k] * x)
+        def g(x: np.ndarray, j: np.ndarray) -> np.ndarray:
+            return np.exp(-damping[j] * x) * np.cos(c[j] * x)
 
         r = integrate_semi_infinite_batch(g, c.size, inner_cfg, period_hint=hint)
         if not r.converged.all():
+            j = int(np.argmin(r.converged))
+            at = (float(a[own[j]]), float(u1[own[j]]), float(u2[own[j]]))
             raise IntegrationError(
-                f"inner x-quadrature did not converge at frequency "
-                f"{float(c[~r.converged][0])!r}"
+                f"inner x-quadrature did not converge at (a, u1, u2)={at!r}, "
+                f"frequency {float(c[j])!r}"
             )
         out[live] = r.value
         return env * out / math.pi
 
-    seeds = _peak_seeds(np.array([a]), np.array([u1]), np.array([u2]))[0]
-    r = integrate_real_line(outer, cfg, seeds=seeds)
-    if not r.converged:
-        raise IntegrationError(
-            f"outer t-quadrature did not converge at (a, u1, u2)="
-            f"({a!r}, {u1!r}, {u2!r})"
-        )
-    return EvalResult(float(r.value), r.error_estimate, "quadrature")
+    return integrate_real_line_batch(outer, a.size, cfg, seeds=_peak_seeds(a, u1, u2))
 
 
 def _rep_single_complex(a, u1, u2, cfg: QuadratureConfig) -> EvalResult:
@@ -580,18 +602,19 @@ def h2_integral_rep(
     variant "double" is the nested Gaussian-times-damped-cosine form;
     variant "single_complex" is its analytically collapsed single
     oscillatory integral.  Both are verification routes with looser
-    accuracy than the closed form and both require a > 0.
+    accuracy than the closed form and both require a > 0.  In "double"
+    the config governs the outer t-integral; each inner x-integral gets at
+    most min(400, max_subdivisions) splits.
     """
     a = require_finite("a", a)
     u1 = require_finite("u1", u1)
     u2 = require_finite("u2", u2)
     if a <= 0.0:
         raise DomainError(f"integral representations require a > 0, got {a!r}")
-    cfg = config if config is not None else QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8)
     if variant == "double":
-        return _rep_double(a, u1, u2, cfg)
+        return _route_point(_rep_double, a, u1, u2, config)
     if variant == "single_complex":
-        return _rep_single_complex(a, u1, u2, cfg)
+        return _rep_single_complex(a, u1, u2, config if config is not None else _REP_CONFIG)
     raise DomainError(f"unknown variant {variant!r}, expected 'double' or 'single_complex'")
 
 

@@ -12,9 +12,9 @@ Four suites, each a list of named checks summarized as VerifyReports:
   normalization, gamma -> 0, singular degenerate growth).
 
 The quadrature references of a suite are computed in batches, all grid
-points of a check through one batched route, so a full run takes about a
-second.  The suites are library code rather than test-only helpers so the
-CLI can run them in the field; the test suite drives the same entry points.
+points of a check through one batched route.  The suites are library code
+rather than test-only helpers so the CLI can run them in the field; the
+test suite drives the same entry points.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .quadrature import (
     quadrature_grid,
 )
 from .rel_voigt import (
+    _rectangle_route,
+    _rep_double,
     d0,
     d2,
     h2,
@@ -43,7 +45,6 @@ from .rel_voigt import (
     h2_limit_a0,
     h2_quadrature,
     h2_quadrature_grid,
-    h2_rectangle,
     i2_closed,
     i2_grid,
     i2_quadrature_grid,
@@ -51,7 +52,7 @@ from .rel_voigt import (
     v2_gamma0_limit,
 )
 from .result import GridFailures, GridResult
-from .voigt import h0, h0_grid, h0_laplace_rep, h0_limit_a0
+from .voigt import _laplace_route, h0, h0_grid, h0_limit_a0
 
 __all__ = [
     "VerifyReport",
@@ -222,17 +223,24 @@ def verify_representations(tolerance: float | None = None) -> list[VerifyReport]
     a = rng.uniform(0.1, 5.0, n)
     u1 = rng.uniform(-3.0, 3.0, n)
     u2 = rng.uniform(-3.0, 3.0, n)
-    devs, refs = [], []
-    for ai, x, y in zip(a, u1, u2):
-        routes = [
-            h2(ai, x, y).value,
-            h2_rectangle(ai, x, y).value,
-            h2_integral_rep(ai, x, y, "double").value,
-            h2_integral_rep(ai, x, y, "single_complex").value,
+
+    def batched(route, name):
+        res = quadrature_grid(route, GridFailures(a.shape), a, u1, u2)
+        return _reference(res, name, a, u1, u2)
+
+    # the rectangle and double routes take all 50 points in one batched
+    # call; single_complex goes point by point, as its thousands of
+    # breakpoints already fill a refinement round
+    routes = np.stack(
+        [
+            h2_grid(a, u1, u2).value,
+            batched(_rectangle_route, "h2 rectangle"),
+            batched(_rep_double, "h2 double representation"),
+            [h2_integral_rep(ai, x, y, "single_complex").value for ai, x, y in zip(a, u1, u2)],
         ]
-        devs.append(max(routes) - min(routes))
-        refs.append(routes[0])
-    reports.append(_pointwise("h2 four-route pairwise agreement", devs, refs, tol))
+    )
+    devs = routes.max(axis=0) - routes.min(axis=0)
+    reports.append(_pointwise("h2 four-route pairwise agreement", devs, routes[0], tol))
 
     tol = _override(1e-9, tolerance)
     spots = [
@@ -247,12 +255,11 @@ def verify_representations(tolerance: float | None = None) -> list[VerifyReport]
         (2.5, -2.0),
         (0.3, 0.4),
     ]
-    devs, refs = [], []
-    for ai, u in spots:
-        want = h0(ai, u)
-        devs.append(abs(h0_laplace_rep(ai, u).value - want))
-        refs.append(want)
-    reports.append(_pointwise("h0 Laplace representation vs closed form", devs, refs, tol))
+    a, u = np.array(spots).T
+    want = h0_grid(a, u).value
+    res = quadrature_grid(_laplace_route, GridFailures(a.shape), a, u)
+    devs = np.abs(_reference(res, "h0 Laplace representation", a, u) - want)
+    reports.append(_pointwise("h0 Laplace representation vs closed form", devs, want, tol))
 
     return reports
 

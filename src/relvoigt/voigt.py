@@ -32,7 +32,7 @@ from .errors import (
     require_finite,
 )
 from .profiles import ProfileParams, _reduce_nonrel, reduce_nonrel_grid
-from .quadrature import QuadratureConfig, integrate_semi_infinite
+from .quadrature import QuadratureBatch, QuadratureConfig, integrate_semi_infinite_batch
 from .result import EvalResult, GridFailures, GridResult, grid_arrays
 
 __all__ = ["h0", "h0_grid", "h0_limit_a0", "h0_laplace_rep", "v0", "v0_grid"]
@@ -73,6 +73,17 @@ def h0_limit_a0(u: float, side: int) -> float:
     return side * math.exp(-u * u)
 
 
+def _laplace_route(a, u, config=None) -> QuadratureBatch:
+    # h0_laplace_rep at arrays of points with a > 0, in one batched call
+    z = -a + 1j * u
+
+    def f(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return np.exp(z[k] * x - 0.25 * x * x) / _SQRT_PI
+
+    r = integrate_semi_infinite_batch(f, a.size, config)
+    return QuadratureBatch(r.value.real, r.error_estimate, r.converged, r.evaluations)
+
+
 def h0_laplace_rep(
     a: float, u: float, config: QuadratureConfig | None = None
 ) -> EvalResult:
@@ -85,16 +96,12 @@ def h0_laplace_rep(
     u = require_finite("u", u)
     if a <= 0.0:
         raise DomainError(f"representation requires a > 0, got a={a!r}")
-
-    def f(x: np.ndarray) -> np.ndarray:
-        return np.exp((-a + 1j * u) * x - 0.25 * x * x) / _SQRT_PI
-
-    r = integrate_semi_infinite(f, config)
+    r = _laplace_route(np.array([a]), np.array([u]), config)[0]
     if not r.converged:
         raise IntegrationError(
             f"semi-infinite quadrature did not converge at (a, u)=({a!r}, {u!r})"
         )
-    return EvalResult(float(r.value.real), r.error_estimate, "quadrature")
+    return EvalResult(r.value, r.error_estimate, "quadrature")
 
 
 def v0(e: float, params: ProfileParams) -> float:

@@ -19,6 +19,7 @@ from relvoigt.quadrature import (
     integrate_semi_infinite_batch,
     peak_seeds,
 )
+from relvoigt import quadrature
 
 from oracles import erfc_real
 
@@ -262,3 +263,47 @@ def test_peak_seeds_walk_matches_the_loop():
     assert peak_seeds([[1.0, 2.0]], [2.0]).tolist() == [[1.0, 2.0]]
     # a width that underflowed to 0 can never grow past 2: no walk, no hang
     assert peak_seeds([[1.0, 2.0]], [0.0]).tolist() == [[1.0, 2.0]]
+
+
+# ------------------------------------------------------------ group sizing
+#
+# A refinement group holds 64 integrals, or as many as fit in 1,024 initial
+# panels, whichever is more; a round's abscissas scale with its panels.
+
+
+def _group_calls(n, breaks=None):
+    # integrand calls of one _integrate_groups run whose integrals all
+    # converge on their initial panels: one call per group
+    calls = []
+
+    def f(x, k):
+        calls.append(np.unique(k))
+        return x * x
+
+    lo, hi = np.zeros(n), np.ones(n)
+    value, _, converged, _ = quadrature._integrate_groups(
+        f, lo, hi, QuadratureConfig(), breaks
+    )
+    assert converged.all()
+    assert np.allclose(value, 1.0 / 3.0, rtol=1e-14, atol=0.0)
+    return calls
+
+
+def test_one_panel_integrals_share_a_group_up_to_the_panel_budget():
+    calls = _group_calls(1500)
+    assert [(c[0], c[-1], c.size) for c in calls] == [(0, 1023, 1024), (1024, 1499, 476)]
+
+
+def test_many_panel_integrals_still_group_64_at_a_time():
+    # 44 interior edges: 45 initial panels each, as in the h2 oracle
+    breaks = np.broadcast_to(np.linspace(0.0, 1.0, 46)[1:-1], (130, 44))
+    calls = _group_calls(130, breaks)
+    assert [(c[0], c[-1], c.size) for c in calls] == [(0, 63, 64), (64, 127, 64), (128, 129, 2)]
+
+
+def test_group_bounds_take_whichever_rule_holds_more():
+    assert quadrature._group_bounds(np.full(250, 10)) == [0, 102, 204, 250]
+    assert quadrature._group_bounds(np.full(130, 45)) == [0, 64, 128, 130]
+    # an integral over the panel budget still groups 64 at a time
+    assert quadrature._group_bounds(np.array([2000, 1, 1])) == [0, 3]
+    assert quadrature._group_bounds(np.zeros(0, dtype=int)) == [0]

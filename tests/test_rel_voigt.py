@@ -4,6 +4,7 @@ integral representations, profile and damping layers."""
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -43,6 +44,8 @@ from relvoigt.quadrature import (
     integrate_real_line_batch,
     quadrature_grid,
 )
+from relvoigt import rel_voigt
+from relvoigt.rel_voigt import _pole_group, _rectangle_route, _rep_double
 from relvoigt.result import GridFailures
 
 SQRT_PI = math.sqrt(math.pi)
@@ -355,6 +358,73 @@ def test_integral_rep_validation():
         h2_integral_rep(1.0, 1.0, 0.0, "nope")
 
 
+# The batched routes integrate many points in one call; each point must come
+# out as its one-point (scalar) call computes it, within both estimates.
+
+REP_POINTS = np.array(
+    [(1.0, 1.0, 0.0), (0.3, 0.2, 0.25), (2.0, -1.0, 2.5), (0.15, 2.0, -2.0), (4.0, 0.0, 0.0)]
+)
+
+
+def _agree_with_one_point_calls(batch, points, one_point):
+    for k, p in enumerate(points.tolist()):
+        single = one_point(*p)
+        assert bool(batch.converged[k]) == single.converged
+        assert abs(batch.value[k] - single.value) <= batch.error_estimate[k] + single.error_estimate
+
+
+def test_double_rep_batch_matches_one_point_calls(monkeypatch):
+    hints = []
+    semi_infinite = rel_voigt.integrate_semi_infinite_batch
+
+    def recording(f, n, config=None, *, period_hint=None):
+        hints.append(np.asarray(period_hint))
+        return semi_infinite(f, n, config, period_hint=period_hint)
+
+    monkeypatch.setattr(rel_voigt, "integrate_semi_infinite_batch", recording)
+    a, u1, u2 = REP_POINTS.T
+    batch = _rep_double(a, u1, u2)
+    assert batch.converged.all()
+    # the inner integrals take both block paths: doubling for |c| < 0.4,
+    # whole periods (a finite hint) above
+    hint = np.concatenate(hints)
+    assert np.isnan(hint).any() and np.isfinite(hint).any()
+    _agree_with_one_point_calls(batch, REP_POINTS, lambda *p: _rep_double(*map(np.atleast_1d, p))[0])
+    for k, p in enumerate(REP_POINTS.tolist()):
+        assert abs(batch.value[k] - h2(*p).value) <= 1e-6
+
+
+def test_rectangle_batch_matches_one_point_calls():
+    a, u1, u2 = REP_POINTS.T
+    batch = _rectangle_route(a, u1, u2)
+    assert batch.converged.all()
+    _agree_with_one_point_calls(
+        batch, REP_POINTS, lambda *p: _rectangle_route(*map(np.atleast_1d, p))[0]
+    )
+    for k, p in enumerate(REP_POINTS.tolist()):
+        r = h2_rectangle(*p)
+        assert abs(batch.value[k] - r.value) <= batch.error_estimate[k] + r.error_estimate
+
+
+def test_double_rep_nonconvergence_names_the_point():
+    # a tiny budget starves the inner x-integrals first; a tight tolerance
+    # with a small budget leaves the inner ones converged and the outer not
+    with pytest.raises(IntegrationError, match=r"inner x-quadrature .* \(a, u1, u2\)=\(1\.0, 1\.0, 0\.0\)"):
+        h2_integral_rep(1.0, 1.0, 0.0, "double", QuadratureConfig(max_subdivisions=2))
+    cfg = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=8)
+    with pytest.raises(IntegrationError, match=r"did not converge at \(a, u1, u2\)=\(0\.2, 1\.0, -1\.0\)"):
+        h2_integral_rep(0.2, 1.0, -1.0, "double", cfg)
+    # a failure inside a batch names a point of that batch
+    a, u1, u2 = np.array([[1.0, 1.0, 0.0], [0.5, 2.0, -2.5]]).T
+    with pytest.raises(IntegrationError, match=r"\(a, u1, u2\)=\((1\.0, 1\.0, 0\.0|0\.5, 2\.0, -2\.5)\)"):
+        _rep_double(a, u1, u2, QuadratureConfig(max_subdivisions=2))
+
+
+def test_rectangle_nonconvergence_names_the_point():
+    with pytest.raises(IntegrationError, match=r"\(a, u1, u2\)=\(0\.5, 2\.0, -1\.0\)"):
+        h2_rectangle(0.5, 2.0, -1.0, config=QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=1))
+
+
 def test_inner_laplace_cosine_identity():
     # Int_0^inf e^{-ax} cos(cx) dx = a/(a^2+c^2), the analytic value of the
     # double representation's inner integral
@@ -400,11 +470,19 @@ def test_i2_a0_values():
         i2_closed(1e308, 0.0, 1.0)
 
 
+def _bits(z: complex) -> bytes:
+    # every bit of both parts, so signed zeros and NaN signs count too
+    return struct.pack("<dd", z.real, z.imag)
+
+
 def test_second_pole_group_is_conjugate_bitwise():
     """g2 == conj(g1) and 1/w2 == conj(1/w1) bit for bit.
 
     This is what lets h2 evaluate H2 = 2 Re g1 from two Faddeeva calls and
-    i2_closed evaluate 2 Re(1/w1), with no realness check.
+    i2_closed evaluate 2 Re(1/w1), with no realness check.  pole_set builds
+    its second group from the first, and that group must be
+    _pole_group(-a, u1, u2) bit for bit, at a = 0 and where (u1-u2)^2 or
+    4a overflows as well.
     """
     rng = np.random.default_rng(20261017)
     n = 20_000
@@ -420,6 +498,25 @@ def test_second_pole_group_is_conjugate_bitwise():
         r1 = (1.0 / ps.w1).conjugate()
         r2 = 1.0 / ps.w2
         assert (r2.real.hex(), r2.imag.hex()) == (r1.real.hex(), r1.imag.hex())
+        second = _pole_group(-ai, x, y)
+        assert [_bits(z) for z in (ps.w2, ps.t2_plus, ps.t2_minus)] == [_bits(z) for z in second]
+
+    edges = [
+        (z, x, y)
+        for z in (0.0, -0.0)
+        for x, y in ((0.0, 0.0), (-0.0, -0.0), (1.0, 0.0), (-1.0, -2.0), (1.0, 1.0), (-3.0, 3.0))
+    ]
+    edges += [
+        (1.0, 1e200, -1e200),  # (u1-u2)^2 overflows
+        (1e308, 0.0, 1.0),  # 4a overflows
+        (-1e308, 0.0, 1.0),
+        (1e308, 1e200, -1e200),  # both
+        (5e-324, 1.0, 1.0),
+    ]
+    for ai, x, y in edges:
+        ps = pole_set(ai, x, y)
+        second = _pole_group(-ai, x, y)
+        assert [_bits(z) for z in (ps.w2, ps.t2_plus, ps.t2_minus)] == [_bits(z) for z in second]
 
 
 def test_i2_matches_quadrature_grid():

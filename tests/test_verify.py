@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from relvoigt import run_suite
+from relvoigt import quadrature, run_suite
 
 # every check of `verify all`, in order, with its grid size: a faster suite
 # must still check exactly these points
@@ -57,3 +57,20 @@ def test_verify_all_passes_every_pinned_check():
     failed = [(r.name, r.max_abs_deviation, r.tolerance) for r in reports if not r.passed]
     assert failed == []
 
+
+
+def test_no_refinement_round_grows_past_the_oracle_group(monkeypatch):
+    # the largest round is the first one of a 64-integral h2 oracle group,
+    # 45,840 abscissas; batching the representation routes must stay below
+    # it, so peak memory does not grow with the batches
+    largest = [0]
+    eval_panels = quadrature._eval_panels
+
+    def recording(f, lo, hi, owner):
+        largest[0] = max(largest[0], lo.size * quadrature._XK.size)
+        return eval_panels(f, lo, hi, owner)
+
+    monkeypatch.setattr(quadrature, "_eval_panels", recording)
+    reports = run_suite("all")
+    assert all(r.passed for r in reports)
+    assert largest[0] <= 45_840

@@ -10,6 +10,7 @@ import pytest
 
 from relvoigt import (
     DomainError,
+    IntegrationError,
     ParameterError,
     ProfileParams,
     bw_nonrel,
@@ -24,6 +25,7 @@ from relvoigt.quadrature import (
     integrate_real_line,
     integrate_real_line_compactified,
 )
+from relvoigt.voigt import _laplace_route
 
 from oracles import erfc_complex, erfc_real
 
@@ -121,6 +123,23 @@ def test_h0_laplace_rep_matches():
         r = h0_laplace_rep(a, u)
         assert r.method == "quadrature"
         assert abs(r.value - h0(a, u)) <= 1e-9
+
+
+def test_h0_laplace_rep_batch_matches_one_point_calls():
+    a = np.array([0.5, 1.0, 0.2, 3.0, 0.7, 2.5, 0.3])
+    u = np.array([0.0, 1.5, 1.0, 2.0, -1.3, -2.0, 0.4])
+    batch = _laplace_route(a, u)
+    assert batch.converged.all()
+    for k in range(a.size):
+        single = h0_laplace_rep(a[k], u[k])
+        assert abs(batch.value[k] - single.value) <= batch.error_estimate[k] + single.error_estimate
+        assert abs(batch.value[k] - h0(a[k], u[k])) <= 1e-9
+
+
+def test_h0_laplace_rep_nonconvergence_names_the_point():
+    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1)
+    with pytest.raises(IntegrationError, match=r"\(a, u\)=\(0\.05, 3\.0\)"):
+        h0_laplace_rep(0.05, 3.0, cfg)
 
 
 def test_h0_laplace_rep_requires_positive_a():
