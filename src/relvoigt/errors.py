@@ -24,7 +24,17 @@ __all__ = [
 
 
 class RelVoigtError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    RelVoigtError(template, *values) holds its values and formats
+    template % values only when the message is read, so a caller that
+    catches the error and goes on never pays for their repr.
+    """
+
+    def __str__(self) -> str:
+        if len(self.args) > 1:
+            return self.args[0] % self.args[1:]
+        return super().__str__()
 
 
 class DomainError(RelVoigtError, ValueError):

@@ -14,20 +14,24 @@ bit for bit in floating point, so the production path evaluates one group
 g1 = (w(t1+) + w(-t1-)) / (2 w1) with two Faddeeva calls and returns
 H2 = 2 Re g1.
 
-The closed form degrades in two regimes, both covered explicitly: near the
-degenerate manifold u1 = u2 with small a the two pole groups cancel
-catastrophically and a Laurent series in sqrt(a) takes over, while for
-min(|u1|, |u2|) large a leading-order asymptotic is available as a
-cross-check.  Independent routes (direct quadrature, a shifted-contour
-form, and two integral representations obtained by Gaussianizing the
-denominator) exist solely to verify the closed form against each other.
+This closed form is the one production route for a != 0.  Its terms are
+accurate to about 1e-13 relative (the Faddeeva kernel's accuracy), but
+near the diagonal u1 = u2 at large |u| and small a the two terms of g1
+cancel, and the result keeps only the accuracy left after that
+cancellation.  The error estimate is therefore taken on the terms before
+they cancel, 1e-13 (|w(t1+)| + |w(-t1-)|) / |w1|, and grows with the loss.
+A Laurent series on the diagonal (h2_degenerate_series) and a
+leading-order form for min(|u1|, |u2|) large (h2_large_u_asymptotic) are
+kept as cross-checks.  Independent routes (direct quadrature, a
+shifted-contour form, and two integral representations obtained by
+Gaussianizing the denominator) exist solely to verify the closed form
+against each other.
 
 Every function used by the sweeps also has a grid form (``h2_grid``,
 ``v2_grid``, ...) that evaluates whole arrays of points in one call.  The
 grid forms repeat the scalar arithmetic operation for operation, with
-CPython's complex division and square root written out in real arithmetic,
-so each point matches the scalar evaluator bit for bit; the rare points in
-the degenerate corner go through the scalar h2 itself.
+CPython's complex division, square root and absolute value written out in
+real arithmetic, so each point matches the scalar evaluator bit for bit.
 
 The direct-quadrature oracles have grid forms as well (``h2_quadrature_grid``,
 ``i2_quadrature_grid``).  They integrate all points through the batched
@@ -54,7 +58,6 @@ from .errors import (
     DomainError,
     IntegrationError,
     ParameterError,
-    RelVoigtError,
     check_side,
     require_finite,
 )
@@ -106,12 +109,6 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-
-# The closed form loses accuracy to cancellation between the two pole
-# groups as w1, w2 -> 0, i.e. jointly small gap |u1-u2| and small a; the
-# two-term Laurent series has relative error O(a) there and takes over.
-_DEGENERATE_GAP = 1e-3
-_DEGENERATE_A = 1e-3
 
 # CPython's cmath.sqrt scales arguments whose parts are both below
 # DBL_MIN by 2^53 before taking the square root, and the result by 2^-27.
@@ -171,18 +168,6 @@ def pole_set(a: float, u1: float, u2: float) -> PoleSet:
     return PoleSet(w1, w2, t1_plus, t1_minus, 0.5 * (s + w2), 0.5 * (s - w2))
 
 
-def _h2_closed_form(a: float, u1: float, u2: float) -> EvalResult:
-    # requires finite a > 0 so that both w arguments lie in the upper
-    # half-plane, where the Faddeeva function is bounded.  The second pole
-    # group g2 = (w(-t2+) + w(t2-)) / (2 w2) is conj(g1) bit for bit
-    # (cmath.sqrt, w and complex division all commute with conjugation
-    # exactly), so g1 + g2 = 2 Re g1 with no imaginary residue and
-    # |g1| + |g2| = 2 |g1|.
-    w1, t1_plus, t1_minus = _pole_group(a, u1, u2)
-    g1 = (faddeeva_w(t1_plus) + faddeeva_w(-t1_minus)) / (2.0 * w1)
-    return EvalResult(2.0 * g1.real, 1e-13 * (2.0 * abs(g1)), "closed_form")
-
-
 # CPython complex arithmetic written out on real arrays: the grid forms use
 # these so that every operation rounds exactly as in the scalar evaluators
 # (numpy's own complex division and abs differ in the last ulp).
@@ -223,7 +208,7 @@ def _csqrt(x, y):
 
 
 def _h2_closed_form_grid(a, u1, u2):
-    """_h2_closed_form over arrays with a > 0: value, estimate, finite mask."""
+    """h2's closed form over arrays with a > 0: value, estimate, finite mask."""
     # _pole_group's w1 and t1+-, then -t1-, in CPython's complex arithmetic
     d = u1 - u2
     s = u1 + u2
@@ -232,9 +217,9 @@ def _h2_closed_form_grid(a, u1, u2):
     t1m_r, t1m_i = _cmul_real(0.5, s - w1r, 0.0 - w1i)
     fr, fi, f_ok = faddeeva_w_grid(t1p_r, t1p_i)
     gr, gi, g_ok = faddeeva_w_grid(-t1m_r, -t1m_i)
-    g1r, g1i = _cquot(fr + gr, fi + gi, *_cmul_real(2.0, w1r, w1i))
+    g1r, _ = _cquot(fr + gr, fi + gi, *_cmul_real(2.0, w1r, w1i))
     value = 2.0 * g1r
-    err = 1e-13 * (2.0 * np.hypot(g1r, g1i))
+    err = 1e-13 * (np.hypot(fr, fi) + np.hypot(gr, gi)) / np.hypot(w1r, w1i)
     ok = f_ok & g_ok & np.isfinite(value) & np.isfinite(err)
     return value, err, ok
 
@@ -242,56 +227,56 @@ def _h2_closed_form_grid(a, u1, u2):
 def h2(a: float, u1: float, u2: float) -> EvalResult:
     """Relativistic line-broadening function.
 
-    Dispatches on the regime: exactly a = 0 returns 0 (odd-function
-    convention, matching h0; the one-sided limits live in h2_limit_a0),
-    a < 0 is the negated a > 0 value, the degenerate corner goes through
-    the Laurent series, and everything else takes the four-term closed
-    form.  The method field of the result records the path.
+    Exactly a = 0 returns 0 (odd-function convention, matching h0; the
+    one-sided limits live in h2_limit_a0), a < 0 is the negated a > 0
+    value, and every other point takes the four-term closed form.  Its
+    error estimate is 1e-13 times the size of the two Faddeeva terms before
+    they cancel, so it grows where cancellation near u1 = u2 costs
+    accuracy.  A DomainError names the point where the poles of the
+    quartic leave double range.
     """
     a = require_finite("a", a)
     u1 = require_finite("u1", u1)
     u2 = require_finite("u2", u2)
     if a == 0.0:
         return EvalResult(0.0, 0.0, "closed_form")
-    if a < 0.0:
-        r = h2(-a, u1, u2)
-        return EvalResult(-r.value, r.error_estimate, r.method)
-    if abs(u1 - u2) < _DEGENERATE_GAP and a < _DEGENERATE_A:
-        return h2_degenerate_series(a, 0.5 * (u1 + u2))
-    return _h2_closed_form(a, u1, u2)
+    # at |a| > 0 both w arguments lie in the upper half-plane, where the
+    # Faddeeva function is bounded.  The second pole group
+    # g2 = (w(-t2+) + w(t2-)) / (2 w2) is conj(g1) bit for bit (cmath.sqrt,
+    # w and complex division all commute with conjugation exactly), so
+    # g1 + g2 = 2 Re g1 with no imaginary residue.
+    w1, t1_plus, t1_minus = _pole_group(abs(a), u1, u2)
+    if not (cmath.isfinite(t1_plus) and cmath.isfinite(t1_minus)):
+        raise DomainError(
+            "h2 at (a, u1, u2)=(%r, %r, %r) is outside double range: its poles overflow",
+            a, u1, u2,
+        )
+    f = faddeeva_w(t1_plus)
+    g = faddeeva_w(-t1_minus)
+    value = 2.0 * ((f + g) / (2.0 * w1)).real
+    estimate = 1e-13 * (abs(f) + abs(g)) / abs(w1)
+    return EvalResult(value if a > 0.0 else -value, estimate, "closed_form")
 
 
 def h2_grid(a, u1, u2) -> GridResult:
     """h2 over broadcast arrays of points, bit for bit with the scalar h2.
 
-    Points in the degenerate corner (gap and a both below 1e-3) go through
-    the scalar h2 one at a time, which keeps the bits of its libm exp and
-    sqrt; everything else takes the closed form in one vectorised pass.
+    Every point with a != 0 takes the closed form in one vectorised pass; a
+    point fails with DomainError where h2 raises it.
     """
     a, u1, u2 = grid_arrays(a, u1, u2)
     fails = GridFailures(a.shape)
     fails.flag(~(np.isfinite(a) & np.isfinite(u1) & np.isfinite(u2)), DomainError)
     value = np.zeros(a.shape)
     err = np.zeros(a.shape)
+    live = fails.ok & (a != 0.0)
     with np.errstate(all="ignore"):
-        aa = np.abs(a)
-        live = fails.ok & (a != 0.0)
-        corner = live & (np.abs(u1 - u2) < _DEGENERATE_GAP) & (aa < _DEGENERATE_A)
-        closed = live & ~corner
-        v, e, ok = _h2_closed_form_grid(aa[closed], u1[closed], u2[closed])
-    value[closed] = np.where(a[closed] < 0.0, -v, v)
-    err[closed] = e
+        v, e, ok = _h2_closed_form_grid(np.abs(a[live]), u1[live], u2[live])
+    value[live] = np.where(a[live] < 0.0, -v, v)
+    err[live] = e
     broken = np.zeros(a.shape, dtype=bool)
-    broken[closed] = ~ok
+    broken[live] = ~ok
     fails.flag(broken, DomainError)
-    for i in np.flatnonzero(corner):
-        try:
-            r = h2(float(a.flat[i]), float(u1.flat[i]), float(u2.flat[i]))
-        except RelVoigtError as exc:
-            fails.flag_at(i, type(exc))
-            continue
-        value.flat[i] = r.value
-        err.flat[i] = r.error_estimate
     return fails.result(value, err)
 
 
@@ -402,26 +387,27 @@ def h2_degenerate_series(a: float, u: float) -> EvalResult:
     return EvalResult(value, g * a, "degenerate_series")
 
 
-def h2_large_u_asymptotic(
-    a: float, u1: float, u2: float, threshold: float = 15.0
-) -> EvalResult:
+# h2_large_u_asymptotic needs min(|u1|, |u2|) at least this large
+_LARGE_U_THRESHOLD = 15.0
+
+
+def h2_large_u_asymptotic(a: float, u1: float, u2: float) -> EvalResult:
     """Leading-order H2 for both |u1| and |u2| large: a/(sqrt(pi)(u1^2 u2^2 + a^2)).
 
-    The next-order relative error comes from the Gaussian moments of the
-    expanded quartic and is dominated by (3/2)(1/u1 + 1/u2)^2; the error
-    estimate reports that scale.
+    Requires min(|u1|, |u2|) >= 15.  The next-order relative error comes
+    from the Gaussian moments of the expanded quartic and is dominated by
+    (3/2)(1/u1 + 1/u2)^2; the error estimate reports that scale.
     """
     a = require_finite("a", a)
     u1 = require_finite("u1", u1)
     u2 = require_finite("u2", u2)
-    threshold = require_finite("threshold", threshold)
     if a == 0.0:
         raise DomainError("asymptotic form requires a != 0")
     m = min(abs(u1), abs(u2))
-    if m < threshold:
+    if m < _LARGE_U_THRESHOLD:
         raise DomainError(
             f"asymptotic regime not reached: min(|u1|, |u2|)={m!r} below "
-            f"threshold {threshold!r}"
+            f"threshold {_LARGE_U_THRESHOLD!r}"
         )
     value = a / (_SQRT_PI * (u1 * u1 * u2 * u2 + a * a))
     rel_next = 1.5 * (1.0 / abs(u1) + 1.0 / abs(u2)) ** 2
@@ -681,13 +667,18 @@ def v2(e: float, params: ProfileParams) -> float:
 
 
 def _v2(e, mu, gamma, sigma) -> float:
-    # v2 on the fields of a ProfileParams; h2 rejects a non-finite a, u1 or
-    # u2 with the message reduce_rel would give
+    # v2 on the fields of a ProfileParams
     if not mu > 0.0:
         raise ParameterError(f"mu must be > 0, got {mu!r}")
     if not gamma > 0.0:
         raise ParameterError(f"gamma must be > 0, got {gamma!r}")
     a, u1, u2 = _reduce_rel(e, mu, gamma, sigma)
+    if not (math.isfinite(a) and math.isfinite(u1) and math.isfinite(u2)):
+        raise DomainError(
+            "v2 at e=%r, ProfileParams(mu=%r, gamma=%r, sigma=%r) is outside double "
+            "range: reduced coordinates (a, u1, u2)=(%r, %r, %r)",
+            e, mu, gamma, sigma, a, u1, u2,
+        )
     value = h2(a, u1, u2).value / (2.0 * _SQRT_PI * sigma * sigma)
     if not math.isfinite(value):
         raise DomainError(

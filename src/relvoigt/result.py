@@ -1,9 +1,9 @@
 """Evaluation result records shared by the line-broadening functions.
 
-The relativistic broadening function has several computational regimes with
-different accuracy characteristics (closed form, small-width series, large-u
-asymptotic, direct quadrature), so every evaluator returns the value together
-with an error estimate and a tag naming the path actually taken.
+The broadening functions have several routes with different accuracy
+characteristics (closed form, small-width series, large-u asymptotic, direct
+quadrature), so every evaluator returns the value together with an error
+estimate and a tag naming the route that produced it.
 
 The grid evaluators (``h0_grid``, ``h2_grid``, ...) return a GridResult: one
 call over whole arrays of points, with the failure a scalar evaluator would
@@ -101,10 +101,6 @@ class GridFailures:
 
     def flag(self, mask: np.ndarray, exc: type[Exception]) -> None:
         self.codes[(self.codes == 0) & mask] = _GRID_CODES[exc]
-
-    def flag_at(self, index: int, exc: type[Exception]) -> None:
-        if self.codes.flat[index] == 0:
-            self.codes.flat[index] = _GRID_CODES[exc]
 
     def result(self, value: np.ndarray, estimate: np.ndarray | None = None) -> GridResult:
         ok = self.ok

@@ -3,8 +3,10 @@ integral representations, profile and damping layers."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from relvoigt import (
     gaussian,
     h2,
     h2_degenerate_series,
+    h2_grid,
     h2_integral_rep,
     h2_large_u_asymptotic,
     h2_limit_a0,
@@ -50,6 +53,19 @@ from relvoigt.result import GridFailures
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _load_reference():
+    # the benchmark's 40-digit mpmath references, loaded by path so the
+    # tests share them rather than keep a second copy
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "ref.py"
+    spec = importlib.util.spec_from_file_location("perfbench_ref", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REF = _load_reference()
 
 
 def quartic_at(t: complex, a: float, u1: float, u2: float) -> complex:
@@ -111,10 +127,51 @@ def test_h2_at_zero_a():
 
 def test_h2_method_tags():
     assert h2(1.0, 1.0, 0.0).method == "closed_form"
-    assert h2(1e-4, 2.0, 2.0).method == "degenerate_series"
-    assert h2(-1e-4, 2.0, 2.0).method == "degenerate_series"
+    # on the diagonal at small a, too, the closed form is the route, and
+    # it is accurate there (see test_h2_accuracy_map_against_mpmath)
+    for a in (1e-4, -1e-4):
+        r = h2(a, 2.0, 2.0)
+        ref = float(REF.h2_mp(a, 2.0, 2.0))
+        assert r.method == "closed_form"
+        assert abs(r.value - ref) <= r.error_estimate
+        assert abs(r.value - ref) <= 1e-11 * abs(ref)
     assert h2_quadrature(1.0, 1.0, 0.0).method == "quadrature"
     assert h2_large_u_asymptotic(1.0, 20.0, 30.0).method == "large_u_asymptotic"
+
+
+# a from 1e-30 to 1e8, on and near the diagonal u1 = u2 (where the two
+# Faddeeva terms cancel) and on the anti-diagonal u1 = -u2
+_MAP_A = (1e-30, 1e-15, 1e-9, 1e-4, 1e-1, 1e2, 1e8)
+_MAP_GAPS = (0.0, 1e-7, 1e-4, 1e-3, 1e-2)
+_MAP_U = (0.0, 1.0, 2.0, 3.0, -3.0, 6.0, 9.0)
+
+
+def _accuracy_map() -> list[tuple[float, float, float]]:
+    pts = [(a, u, u + gap) for a in _MAP_A for gap in _MAP_GAPS for u in _MAP_U]
+    pts += [(a, u, -u) for a in _MAP_A for u in _MAP_U if u > 0.0]
+    return pts
+
+
+def test_h2_accuracy_map_against_mpmath():
+    """h2 and h2_grid against 40-digit references on 280 points.
+
+    The error estimate must bound the true error everywhere, including
+    near the diagonal at large |u| and small a, where the closed form
+    loses accuracy to cancellation; for max(|u1|, |u2|) <= 3 the relative
+    error must also be at most 1e-11.
+    """
+    pts = _accuracy_map()
+    a, u1, u2 = (np.array(c) for c in zip(*pts))
+    grid = h2_grid(a, u1, u2)
+    assert not grid.codes.any()
+    for k, p in enumerate(pts):
+        r = h2(*p)
+        assert (r.value, r.error_estimate) == (grid.value[k], grid.error_estimate[k]), p
+        ref = float(REF.h2_mp(*p))
+        dev = abs(r.value - ref)
+        assert dev <= r.error_estimate, (p, r, ref)
+        if max(abs(p[1]), abs(p[2])) <= 3.0:
+            assert dev <= 1e-11 * abs(ref), (p, r, ref)
 
 
 def test_h2_matches_quadrature_spots():
@@ -206,7 +263,8 @@ def test_degenerate_series_domain():
 
 
 def test_near_degenerate_closed_form_agrees_with_series():
-    # just outside the dispatch box the closed form must still be healthy
+    # on the diagonal at small a the closed form and the series are two
+    # routes to the same value; they agree to the series' O(a) accuracy
     a, u = 2e-3, 0.5
     cf = h2(a, u, u)
     assert cf.method == "closed_form"
@@ -244,12 +302,15 @@ def test_large_u_linear_in_a():
 
 
 def test_large_u_threshold():
+    t = rel_voigt._LARGE_U_THRESHOLD
+    assert t == 15.0
+    with pytest.raises(DomainError, match="below threshold 15.0"):
+        h2_large_u_asymptotic(1.0, math.nextafter(t, 0.0), 30.0)
     with pytest.raises(DomainError):
-        h2_large_u_asymptotic(1.0, 10.0, 30.0)
+        h2_large_u_asymptotic(1.0, 30.0, -math.nextafter(t, 0.0))
     with pytest.raises(DomainError):
         h2_large_u_asymptotic(0.0, 20.0, 30.0)
-    r = h2_large_u_asymptotic(1.0, 12.0, 15.0, threshold=10.0)
-    assert r.value > 0.0
+    assert h2_large_u_asymptotic(1.0, t, -t).value > 0.0
 
 
 # ------------------------------------------------------- rectangle contour
@@ -732,3 +793,23 @@ def test_h2_rejects_non_finite():
         h2_quadrature(1.0, float("inf"), 0.0)
     with pytest.raises(DomainError):
         h2_quadrature(0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: h2(1.0, 1e200, -1e200), "h2 at (a, u1, u2)=(1.0, 1e+200, -1e+200)"),
+        (lambda: h2(1e308, 0.0, 0.0), "h2 at (a, u1, u2)=(1e+308, 0.0, 0.0)"),
+        (lambda: h2(-1e308, 0.0, 0.0), "h2 at (a, u1, u2)=(-1e+308, 0.0, 0.0)"),
+        (
+            lambda: v2(1.0, ProfileParams(mu=1.0, gamma=0.5, sigma=1e-160)),
+            "v2 at e=1.0, ProfileParams(mu=1.0, gamma=0.5, sigma=1e-160)",
+        ),
+    ],
+)
+def test_range_edges_raise_domain_error_naming_the_input(call, named):
+    with pytest.raises(DomainError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(named)
+    assert "outside double range" in message

@@ -1,7 +1,7 @@
 """Bit-level golden of the scalar evaluators.
 
 About sixty fixed and seeded points of h0, h2, i2_closed, v0, v2, d0 and
-d2 cover typical inputs, a < 0, a = 0, the degenerate corner, the
+d2 cover typical inputs, a < 0, a = 0, the diagonal at small a, the
 near-diagonal large-|u| regime and inputs whose poles or sigma leave
 double range.  For each point the golden pins float.hex of the value and
 of the error estimate, the method tag, or the exception type and message.
@@ -80,7 +80,7 @@ def golden_points() -> list[tuple[str, tuple[float, ...]]]:
         ("i2", (0.0, 1.0, -1.0)),
         ("i2", (0.0, 2.0, 2.0)),
         ("i2", (0.0, 1e-200, 0.0)),
-        # the degenerate corner: gap and a both below 1e-3
+        # near the diagonal at small a: gap and a both below 1e-3
         ("h2", (1e-10, 2.0, 2.0001)),
         ("h2", (5e-4, -1.0, -1.0)),
         ("h2", (1e-12, 0.5, 0.5000001)),

@@ -155,7 +155,7 @@ def _parity_specs(seed):
         dict(function="h2", fixed={"u1": u(-3, 3), "u2": u(-3, 3)}, axis="a",
              start=-2.0, stop=2.0, steps=41),
         dict(function="h2", fixed={"a": 0.0, "u2": u(-3, 3)}, axis="u1", start=-4.0, stop=4.0, steps=17),
-        # the degenerate-series corner: gap below 1e-3 with a from 1e-14 up
+        # near the diagonal at small a: gap below 1e-3 with a from 1e-14 up
         dict(function="h2", fixed={"u1": x, "u2": x + u(-1e-3, 1e-3)}, axis="a",
              start=lu(-14, -10), stop=lu(-2, 0), steps=101, scale="log"),
         dict(function="h2", fixed={"a": lu(-8, -4), "u2": x}, axis="u1",
