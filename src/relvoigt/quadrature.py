@@ -19,12 +19,17 @@ the one-integral case of the same code, so both follow every rule
 identically.
 
 Integrand contract.  A scalar integrand receives a 1-D numpy array of
-abscissas and returns an array of the same length.  A batched integrand
-receives the abscissas and an int array of the same length giving, for
-each abscissa, the index of the integral it belongs to, and returns one
-value per abscissa.  Complex-valued integrands are allowed (real and
-imaginary parts are integrated in one pass).  A non-finite value raises
-IntegrationError for the whole call.
+abscissas and returns an array of the same length.  A batched integrand is
+called panel-major: it receives a 2-D array of abscissas, one row per
+panel holding that panel's 15 nodes, and an int column of shape (rows, 1)
+giving the index of the integral each row belongs to, so per-integral
+parameters are gathered once per row and broadcast along it.  It returns
+an array of the abscissas' shape.  (integrate_real_line_batch's tail bound
+makes one more call, with a row of the two truncation points per
+integral.)  Neither kind may write into its abscissa argument.  A return
+of the wrong shape raises IntegrationError, and so does a non-finite
+value, for the whole call.  Complex-valued integrands are allowed (real
+and imaginary parts are integrated in one pass).
 
 Everything here is pure and writes no module state after import, so
 concurrent calls from multiple threads are safe; the integrand callable
@@ -193,28 +198,43 @@ class QuadratureBatch:
         )
 
 
+def _call(f: BatchIntegrand, x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    # f at a 2-D block of abscissas, one row per owner entry; the values come
+    # back as float64 or complex128, so their |f| is a float64 buffer the
+    # kernel can reuse whatever dtype f returned
+    fv = np.asarray(f(x, owner))
+    if fv.shape != x.shape:
+        raise IntegrationError("integrand must return one value per abscissa")
+    return fv.astype(np.result_type(fv, np.float64), copy=False)
+
+
 def _eval_panels(f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     """Apply the G7/K15 pair to a batch of panels in one integrand call.
 
-    Returns the Kronrod values and error estimates per panel.
+    The integrand sees one row of 15 nodes per panel and the panels'
+    owners as a column.  Returns the Kronrod values and error estimates
+    per panel.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    nodes = (mid[:, None] + half[:, None] * _XK).ravel()
-    fv = np.asarray(f(nodes, np.repeat(owner, _XK.size)))
-    if fv.shape != nodes.shape:
-        raise IntegrationError("integrand must return one value per abscissa")
-    finite = np.isfinite(fv)
-    if not finite.all():
-        where = nodes[int(np.argmin(finite))]
-        raise IntegrationError(f"integrand returned a non-finite value at t={where!r}")
-    fv = fv.reshape(len(lo), _XK.size)
+    nodes = np.multiply.outer(half, _XK)
+    nodes += mid[:, None]
+    fv = _call(f, nodes, owner[:, None])
+
+    # a NaN or infinite value makes its panel's weighted |f| sum non-finite,
+    # so the full scan runs only when a sum is (or a finite sum overflowed)
+    buf = np.abs(fv)
+    resabs = (buf @ _WK) * half
+    if not np.isfinite(resabs).all():
+        finite = np.isfinite(fv)
+        if not finite.all():
+            where = nodes.flat[int(np.argmin(finite))]
+            raise IntegrationError(f"integrand returned a non-finite value at t={where!r}")
 
     resk = (fv @ _WK) * half
     resg = (fv[:, 1:14:2] @ _WG) * half
-    resabs = (np.abs(fv) @ _WK) * half
     mean = resk / (hi - lo)
-    resasc = (np.abs(fv - mean[:, None]) @ _WK) * half
+    resasc = (np.abs(fv - mean[:, None], out=buf) @ _WK) * half
 
     # QUADPACK-style sharpened estimate for the Kronrod value
     raw = np.abs(resk - resg)
@@ -253,7 +273,10 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, cfg: QuadratureConfig):
     """
     val, err = _eval_panels(f, plo, phi, own)
     wide = _wide(plo, phi)
-    evaluations = _XK.size * np.bincount(own, minlength=n)
+    # a split turns one panel into two, so an integral holds its initial
+    # panels plus its splits
+    panels = np.bincount(own, minlength=n)
+    evaluations = _XK.size * panels
     splits = np.zeros(n, dtype=np.int64)
     live = np.ones(n, dtype=bool)
     value = np.zeros(n, dtype=val.dtype)
@@ -266,10 +289,11 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, cfg: QuadratureConfig):
         done = total_err <= cfg.target(total)
 
         # split every panel above its error share, worst first under budget
-        share = total_err / (2.0 * np.maximum(np.bincount(own, minlength=n), 1))
+        share = total_err / (2.0 * np.maximum(panels + splits, 1))
         mask = (err > share[own]) & wide
         budget = int(cfg.max_subdivisions) - splits
-        stop = live & (done | (budget <= 0) | (np.bincount(own[mask], minlength=n) == 0))
+        wanted = np.bincount(own[mask], minlength=n)
+        stop = live & (done | (budget <= 0) | (wanted == 0))
         if stop.any():
             value[stop] = total[stop]
             error[stop] = total_err[stop]
@@ -277,17 +301,22 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, cfg: QuadratureConfig):
             live &= ~stop
             if not live.any():
                 return value, error, converged, evaluations
-            mask &= live[own]
+        keep = live[own]
+        mask &= keep
 
         idx = np.flatnonzero(mask)
         o = own[idx]
-        if (np.bincount(o, minlength=n) > budget).any():
+        # each live integral splits min(wanted, budget) of its panels,
+        # worst first when its budget runs short
+        wanted *= live
+        taken = np.minimum(wanted, budget)
+        if (taken < wanted).any():
             order = np.lexsort((-err[idx], o))
             idx, o = idx[order], o[order]
             rank = np.arange(idx.size) - np.searchsorted(o, o)
             first = rank < budget[o]
             idx, o = idx[first], o[first]
-        splits += np.bincount(o, minlength=n)
+        splits += taken
 
         a, b = plo[idx], phi[idx]
         m = 0.5 * (a + b)
@@ -295,9 +324,8 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, cfg: QuadratureConfig):
         new_hi = np.concatenate([m, b])
         new_own = np.concatenate([o, o])
         new_val, new_err = _eval_panels(f, new_lo, new_hi, new_own)
-        evaluations += _XK.size * np.bincount(new_own, minlength=n)
+        evaluations += 2 * _XK.size * taken
 
-        keep = live[own]
         keep[idx] = False
         plo = np.concatenate([plo[keep], new_lo])
         phi = np.concatenate([phi[keep], new_hi])
@@ -430,7 +458,13 @@ def peak_seeds(centers, width) -> np.ndarray:
 
 
 def _lone(f: Integrand) -> BatchIntegrand:
-    return lambda x, owner: f(x)
+    # a scalar integrand as a batched one: it sees the abscissas as one 1-D
+    # array, and a return of the wrong length is left for _call to reject
+    def g(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        fv = np.asarray(f(x.ravel()))
+        return fv.reshape(x.shape) if fv.shape == (x.size,) else fv
+
+    return g
 
 
 def integrate_interval(
@@ -495,9 +529,8 @@ def integrate_real_line_batch(
 
     value, error, converged, evaluations = _integrate_groups(f, lo, hi, cfg, pts)
     # Gaussian tail bound from the integrand at the truncation points
-    owner = np.arange(n)
-    edge = np.abs(np.asarray(f(np.concatenate([lo, hi]), np.concatenate([owner, owner]))))
-    error = error + (edge[:n] + edge[n:]) * scale / (2.0 * radius)
+    edge = np.abs(_call(f, np.stack([lo, hi], axis=1), np.arange(n)[:, None]))
+    error = error + (edge[:, 0] + edge[:, 1]) * scale / (2.0 * radius)
     converged = converged & (error <= cfg.target(value))
     return QuadratureBatch(value, error, converged, evaluations + 2)
 
@@ -540,7 +573,7 @@ def integrate_real_line_compactified_batch(
 
     def g(theta: np.ndarray, owner: np.ndarray) -> np.ndarray:
         t = np.tan(theta)
-        return np.asarray(f(t, owner)) * (1.0 + t * t)
+        return _call(f, t, owner) * (1.0 + t * t)
 
     half_pi = 0.5 * math.pi
     pts = np.broadcast_to(np.linspace(-half_pi, half_pi, 33), (n, 33))

@@ -295,8 +295,16 @@ def _h2_route(a, u1, u2, config) -> QuadratureBatch:
     aa = a * a
 
     def f(t: np.ndarray, k: np.ndarray) -> np.ndarray:
-        p = (u1[k] - t) * (u2[k] - t)
-        return pref[k] * np.exp(-t * t) / (p * p + aa[k])
+        p = u1[k] - t
+        p *= u2[k] - t
+        p *= p
+        p += aa[k]
+        out = t * t
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        out *= pref[k]
+        out /= p
+        return out
 
     return integrate_real_line_batch(f, a.size, config, seeds=_peak_seeds(a, u1, u2))
 
@@ -308,8 +316,11 @@ def _i2_route(a, u1, u2, config) -> QuadratureBatch:
     aa = a * a
 
     def f(t: np.ndarray, k: np.ndarray) -> np.ndarray:
-        p = (u1[k] - t) * (u2[k] - t)
-        return pref[k] / (p * p + aa[k])
+        p = u1[k] - t
+        p *= u2[k] - t
+        p *= p
+        p += aa[k]
+        return np.divide(pref[k], p, out=p)
 
     return integrate_real_line_compactified_batch(
         f, a.size, config, seeds=_peak_seeds(a, u1, u2)
@@ -431,8 +442,15 @@ def _rectangle_route(a, u1, u2, config=None, offset=None) -> QuadratureBatch:
 
     def f(x: np.ndarray, k: np.ndarray) -> np.ndarray:
         t = x + shift[k]
-        p = (t - u1[k]) * (t - u2[k])
-        return np.exp(-t * t) / (p * p + aa[k])
+        p = t - u1[k]
+        p *= t - u2[k]
+        p *= p
+        p += aa[k]
+        t *= t
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        t /= p
+        return t
 
     seeds = np.array([[ps.t1_plus.real, ps.t1_minus.real] for ps in poles])
     line = integrate_real_line_batch(f, a.size, cfg, seeds=seeds)
@@ -509,11 +527,15 @@ def _rep_double(a, u1, u2, config=None) -> QuadratureBatch:
     env_floor = 1e-13 * a
 
     def outer(t: np.ndarray, k: np.ndarray) -> np.ndarray:
-        env = np.exp(-t * t)
+        env = t * t
+        np.negative(env, out=env)
+        np.exp(env, out=env)
         out = np.zeros_like(env)
         live = env >= env_floor[k]
-        own = k[live]
-        c = (t[live] - u1[own]) * (t[live] - u2[own])
+        own = np.broadcast_to(k, t.shape)[live]
+        tl = t[live]
+        c = tl - u1[own]
+        c *= tl - u2[own]
         # for |c| >= 0.4, block on a whole number of periods with total
         # width about 1: consecutive block integrals then form an exact
         # geometric sequence whose ratio is far enough from 1 for the
@@ -526,7 +548,12 @@ def _rep_double(a, u1, u2, config=None) -> QuadratureBatch:
         damping = a[own]
 
         def g(x: np.ndarray, j: np.ndarray) -> np.ndarray:
-            return np.exp(-damping[j] * x) * np.cos(c[j] * x)
+            out = -damping[j] * x
+            np.exp(out, out=out)
+            wave = c[j] * x
+            np.cos(wave, out=wave)
+            out *= wave
+            return out
 
         r = integrate_semi_infinite_batch(g, c.size, inner_cfg, period_hint=hint)
         if not r.converged.all():
@@ -537,7 +564,9 @@ def _rep_double(a, u1, u2, config=None) -> QuadratureBatch:
                 f"frequency {float(c[j])!r}"
             )
         out[live] = r.value
-        return env * out / math.pi
+        out *= env
+        out /= math.pi
+        return out
 
     return integrate_real_line_batch(outer, a.size, cfg, seeds=_peak_seeds(a, u1, u2))
 

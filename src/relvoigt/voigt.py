@@ -78,7 +78,11 @@ def _laplace_route(a, u, config=None) -> QuadratureBatch:
     z = -a + 1j * u
 
     def f(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-        return np.exp(z[k] * x - 0.25 * x * x) / _SQRT_PI
+        out = z[k] * x
+        out -= 0.25 * x * x
+        np.exp(out, out=out)
+        out /= _SQRT_PI
+        return out
 
     r = integrate_semi_infinite_batch(f, a.size, config)
     return QuadratureBatch(r.value.real, r.error_estimate, r.converged, r.evaluations)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,9 @@ def test_interval_polynomials():
     assert abs(r.value - 1.0) < 1e-14
     r = integrate_interval(lambda t: t, 0.0, 1.0)
     assert abs(r.value - 0.5) < 1e-14
+    # an integer-valued integrand is integrated as float64
+    r = integrate_interval(lambda t: np.ones(t.shape, dtype=int), 0.0, 1.0)
+    assert abs(r.value - 1.0) < 1e-14
 
 
 def test_semi_infinite_exponential():
@@ -307,3 +311,154 @@ def test_group_bounds_take_whichever_rule_holds_more():
     # an integral over the panel budget still groups 64 at a time
     assert quadrature._group_bounds(np.array([2000, 1, 1])) == [0, 3]
     assert quadrature._group_bounds(np.zeros(0, dtype=int)) == [0]
+
+
+# -------------------------------------------------------- integrand contract
+#
+# A batched integrand sees one row of 15 Kronrod nodes per panel and the
+# panels' owners as a column; a scalar integrand sees a 1-D array.  The
+# kernel checks what comes back the same way for both.
+
+
+def _peaked(t, k, c, w):
+    return np.exp(-t * t) / ((t - c[k]) ** 2 + w[k] ** 2)
+
+
+@pytest.mark.parametrize("kind", ["real_line", "compactified", "semi_infinite"])
+def test_batched_integrand_sees_panel_rows_and_an_owner_column(kind):
+    c = np.array([0.5, -1.0, 2.0])
+    w = np.array([1e-3, 0.1, 1.0])
+    calls = []
+
+    def f(t, k):
+        calls.append((t.shape, k.shape, k.dtype.kind))
+        return _peaked(t, k, c, w)
+
+    if kind == "real_line":
+        batch = integrate_real_line_batch(f, 3, seeds=c[:, None])
+    elif kind == "compactified":
+        batch = integrate_real_line_compactified_batch(f, 3, seeds=c[:, None])
+    else:
+        batch = integrate_semi_infinite_batch(f, 3, period_hint=np.full(3, 4.0))
+    assert batch.converged.all()
+    rounds = calls[:-1] if kind == "real_line" else calls
+    assert len(rounds) > 1
+    for t_shape, k_shape, k_kind in rounds:
+        assert len(t_shape) == 2 and t_shape[1] == 15
+        assert k_shape == (t_shape[0], 1) and k_kind == "i"
+    if kind == "real_line":
+        # the Gaussian tail bound: each integral's two truncation points
+        assert calls[-1] == ((3, 2), (3, 1), "i")
+
+
+def test_owner_column_matches_each_row_of_abscissas():
+    # each row of abscissas lies inside its owner's own window
+    center = np.array([0.0, 40.0, -40.0])
+    rows = []
+
+    def f(t, k):
+        rows.append(np.abs(t - center[k]).max(axis=1))
+        return np.exp(-((t - center[k]) ** 2))
+
+    integrate_real_line_batch(f, 3, center=center)
+    assert max(r.max() for r in rows) <= 12.0
+
+
+@pytest.mark.parametrize("kind", ["interval", "real_line", "compactified", "semi_infinite"])
+def test_scalar_integrand_still_sees_one_dimensional_abscissas(kind):
+    shapes = []
+
+    def f(t):
+        shapes.append(t.shape)
+        return np.exp(-t * t) / (t * t + 1e-4)
+
+    if kind == "interval":
+        r = integrate_interval(f, -1.0, 2.0, breakpoints=[0.0])
+    elif kind == "real_line":
+        r = integrate_real_line(f, seeds=[0.0])
+    elif kind == "compactified":
+        r = integrate_real_line_compactified(f, seeds=[0.0])
+    else:
+        r = integrate_semi_infinite(f)
+    assert r.converged
+    assert len(shapes) > 1
+    assert all(len(s) == 1 for s in shapes)
+    assert sum(s[0] for s in shapes) == r.evaluations
+
+
+_WRONG_LENGTH = "^integrand must return one value per abscissa$"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integrate_interval(lambda t: t[:-1], 0.0, 1.0),
+        lambda: integrate_real_line(lambda t: np.exp(-t * t)[:, None]),
+        lambda: integrate_real_line_compactified(lambda t: np.zeros(3)),
+        lambda: integrate_semi_infinite(lambda x: np.exp(-x)[1:]),
+        lambda: integrate_real_line_batch(lambda t, k: np.exp(-t * t).ravel(), 2),
+        lambda: integrate_real_line_batch(lambda t, k: np.exp(-t * t)[:, :-1], 2),
+        lambda: integrate_real_line_compactified_batch(lambda t, k: np.ones(t.shape[0]), 2),
+        lambda: integrate_semi_infinite_batch(lambda x, k: np.exp(-x)[:-1], 2),
+    ],
+    ids=["interval", "real_line", "compactified", "semi_infinite", "batch_flat",
+         "batch_short_rows", "compactified_batch", "semi_infinite_batch"],
+)
+def test_wrong_length_return_is_an_integration_error(call):
+    # a scalar return of the wrong length must not surface as numpy's
+    # reshape ValueError
+    with pytest.raises(IntegrationError, match=_WRONG_LENGTH):
+        call()
+
+
+def _named_abscissa(err) -> float:
+    # the t of "non-finite value at t=...", with or without numpy 2's
+    # np.float64(...) repr
+    m = re.search(r"non-finite value at t=(?:np\.float64\()?([-+0-9.eE]+)\)?$", str(err.value))
+    assert m is not None, str(err.value)
+    return float(m.group(1))
+
+
+def _first_node_in(center, lo, hi):
+    # the first of the opening round's nodes, in panel order, inside (lo, hi):
+    # integrate_real_line's 16 initial panels on center +- 12, 15 nodes each
+    edges = center + np.linspace(-12.0, 12.0, 17)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * quadrature._XK).ravel()
+    return float(nodes[(nodes > lo) & (nodes < hi)][0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_names_its_abscissa(bad):
+    def f(t):
+        return np.where(np.abs(t - 0.3) < 0.5, bad, np.exp(-t * t))
+
+    with pytest.raises(IntegrationError, match="^integrand returned a non-finite value") as err:
+        integrate_real_line(f)
+    assert _named_abscissa(err) == _first_node_in(0.0, -0.2, 0.8) == -0.1938516108004542
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_batch_value_names_its_abscissa(bad):
+    # only integral 1 (window 5 +- 12) goes bad; the named abscissa is its
+    # first bad node, not a node of the integrals around it
+    center = np.array([0.0, 5.0, -5.0])
+
+    def f(t, k):
+        bad_here = (k == 1) & (np.abs(t - 5.3) < 0.5)
+        return np.where(bad_here, bad, np.exp(-((t - center[k]) ** 2)))
+
+    with pytest.raises(IntegrationError, match="^integrand returned a non-finite value") as err:
+        integrate_real_line_batch(f, 3, center=center)
+    assert _named_abscissa(err) == _first_node_in(5.0, 4.8, 5.8) == 4.806148389199546
+
+
+def test_overflowing_finite_values_are_not_an_error():
+    # every value is finite but the weighted |f| sum of the panel overflows:
+    # that is numpy's overflow, not a non-finite integrand value
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = integrate_interval(lambda t: np.full_like(t, 1e308), 0.0, 10.0)
+    assert r.value == math.inf
+    assert math.isnan(r.error_estimate)
+    assert not r.converged
+    assert r.evaluations == 15

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 from relvoigt import quadrature, run_suite
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_all.json"
 
 # every check of `verify all`, in order, with its grid size: a faster suite
 # must still check exactly these points
@@ -74,3 +79,29 @@ def test_no_refinement_round_grows_past_the_oracle_group(monkeypatch):
     reports = run_suite("all")
     assert all(r.passed for r in reports)
     assert largest[0] <= 45_840
+
+
+def _same_deviation(got: float, want: float) -> bool:
+    return abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_verify_all_json_matches_golden(capsys):
+    # `relvoigt verify all --json` as recorded before the panel-major
+    # quadrature kernel.  Names, grid sizes, tolerances and pass flags must
+    # match exactly and deviations within 1e-9 relative.  A row whose
+    # absolute deviation is at most 1e-15 on both sides is ulp-level: its
+    # last bits follow the BLAS gemv kernel of the CPU (the Laplace row), so
+    # both of its deviation columns are accepted there.
+    from relvoigt.cli import main
+
+    assert main(["verify", "all", "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads(GOLDEN.read_text())
+    exact = ("name", "grid_size", "tolerance", "passed")
+    assert [sorted(r) for r in got] == [sorted(r) for r in want]
+    assert [[r[k] for k in exact] for r in got] == [[r[k] for k in exact] for r in want]
+    for g, w in zip(got, want):
+        if max(g["max_abs_deviation"], w["max_abs_deviation"]) <= 1e-15:
+            continue
+        for key in ("max_abs_deviation", "max_rel_deviation"):
+            assert _same_deviation(g[key], w[key]), (w["name"], key, g[key], w[key])
