@@ -121,7 +121,9 @@ _WG = np.array(
 # panels, whichever is more.  Integrals of ~45 panels (the h2 oracle's) go
 # 64 at a time, which keeps the verify suites' peak memory within a few MB;
 # one-panel integrals (semi-infinite blocks) go 1,024 at a time, so a
-# round's fixed overhead is spread over ~15k abscissas rather than 960
+# round's fixed overhead is spread over ~15k abscissas rather than 960.
+# quadrature_grid hands a route _GROUP_PANELS points per call, so the
+# route's setup is paid once per 1,024 points while groups stay this size
 _GROUP = 64
 _GROUP_PANELS = 1024
 
@@ -222,29 +224,34 @@ def _eval_panels(f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, owner: np.nd
     fv = _call(f, nodes, owner[:, None])
 
     # a NaN or infinite value makes its panel's weighted |f| sum non-finite,
-    # so the full scan runs only when a sum is (or a finite sum overflowed)
-    buf = np.abs(fv)
-    resabs = (buf @ _WK) * half
-    if not np.isfinite(resabs).all():
-        finite = np.isfinite(fv)
-        if not finite.all():
-            where = nodes.flat[int(np.argmin(finite))]
-            raise IntegrationError(f"integrand returned a non-finite value at t={where!r}")
+    # so the full scan runs only when a sum is.  A sum of finite values can
+    # overflow as well; that panel's estimate is then inf, and the numpy
+    # warnings its arithmetic raises on the way say nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        buf = np.abs(fv)
+        resabs = (buf @ _WK) * half
+        overflow = ~np.isfinite(resabs)
+        if overflow.any():
+            finite = np.isfinite(fv)
+            if not finite.all():
+                where = nodes.flat[int(np.argmin(finite))]
+                raise IntegrationError(f"integrand returned a non-finite value at t={where!r}")
 
-    resk = (fv @ _WK) * half
-    resg = (fv[:, 1:14:2] @ _WG) * half
-    mean = resk / (hi - lo)
-    resasc = (np.abs(fv - mean[:, None], out=buf) @ _WK) * half
+        resk = (fv @ _WK) * half
+        resg = (fv[:, 1:14:2] @ _WG) * half
+        mean = resk / (hi - lo)
+        resasc = (np.abs(fv - mean[:, None], out=buf) @ _WK) * half
 
-    # QUADPACK-style sharpened estimate for the Kronrod value
-    raw = np.abs(resk - resg)
-    safe = np.where(resasc > 0.0, resasc, 1.0)
-    err = np.where(
-        resasc > 0.0,
-        resasc * np.minimum(1.0, (200.0 * raw / safe) ** 1.5),
-        raw,
-    )
+        # QUADPACK-style sharpened estimate for the Kronrod value
+        raw = np.abs(resk - resg)
+        safe = np.where(resasc > 0.0, resasc, 1.0)
+        err = np.where(
+            resasc > 0.0,
+            resasc * np.minimum(1.0, (200.0 * raw / safe) ** 1.5),
+            raw,
+        )
     err = np.maximum(err, 50.0 * _EPS * resabs)
+    err[overflow] = np.inf
     return resk, err
 
 
@@ -286,7 +293,9 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, cfg: QuadratureConfig):
     while True:
         total = _sum_by(own, val, n)
         total_err = np.bincount(own, err, n)
-        done = total_err <= cfg.target(total)
+        # an inf error sum meets the inf target of an inf total, but it
+        # bounds nothing
+        done = np.isfinite(total_err) & (total_err <= cfg.target(total))
 
         # split every panel above its error share, worst first under budget
         share = total_err / (2.0 * np.maximum(panels + splits, 1))
@@ -388,34 +397,36 @@ def quadrature_grid(route, fails: GridFailures, *coords: np.ndarray) -> GridResu
     """A batched quadrature route over the grid points fails still holds ok.
 
     route(*coords) integrates the points whose coordinates it is given and
-    returns a QuadratureBatch; it is called on _GROUP points at a time, so
-    whatever it builds per point stays small.  A point that does not
-    converge fails with IntegrationError, as the scalar route raises there.
-    A non-finite integrand value aborts a whole batch, so after one the
-    points of that batch are rerun one at a time to find its source.
+    returns a QuadratureBatch.  It is called on up to _GROUP_PANELS points
+    at a time, so its per-call setup (seeds, panel edges, tail bound) is
+    paid once per chunk, and its refinement still runs one group at a time.
+    A point that does not converge fails with IntegrationError, as the
+    scalar route raises there.  A non-finite integrand value aborts a whole
+    call, so after one the chunk is bisected: each half is rerun, and only
+    a half that raises again is split further, down to the single points
+    that raise themselves.
     """
-    live = np.flatnonzero(fails.ok)
     value = np.zeros(fails.codes.shape)
     estimate = np.zeros(fails.codes.shape)
     failed = np.zeros(fails.codes.shape, dtype=bool)
-    for k0 in range(0, live.size, _GROUP):
-        idx = live[k0 : k0 + _GROUP]
-        pts = [c.flat[idx] for c in coords]
+
+    def run(idx: np.ndarray) -> None:
         try:
-            r = route(*pts)
-            got, est, ok = r.value, r.error_estimate, r.converged
+            r = route(*(c.flat[idx] for c in coords))
         except IntegrationError:
-            got, est = np.zeros(idx.size), np.zeros(idx.size)
-            ok = np.zeros(idx.size, dtype=bool)
-            for j in range(idx.size):
-                try:
-                    r = route(*(p[j : j + 1] for p in pts))
-                except IntegrationError:
-                    continue
-                got[j], est[j], ok[j] = r.value[0], r.error_estimate[0], r.converged[0]
-        value.flat[idx] = got
-        estimate.flat[idx] = est
-        failed.flat[idx] = ~ok
+            if idx.size == 1:
+                failed.flat[idx] = True
+            else:
+                run(idx[: idx.size // 2])
+                run(idx[idx.size // 2 :])
+            return
+        value.flat[idx] = r.value
+        estimate.flat[idx] = r.error_estimate
+        failed.flat[idx] = ~r.converged
+
+    live = np.flatnonzero(fails.ok)
+    for k0 in range(0, live.size, _GROUP_PANELS):
+        run(live[k0 : k0 + _GROUP_PANELS])
     fails.flag(failed, IntegrationError)
     return fails.result(value, estimate)
 
@@ -524,7 +535,7 @@ def integrate_real_line_batch(
     if seeds is not None:
         seeds = np.asarray(seeds, dtype=float).reshape(n, -1)
         if not np.isfinite(seeds).all():
-            raise DomainError("breakpoints must be finite")
+            raise DomainError("seeds must be finite")
         pts = np.concatenate([pts, seeds], axis=1)
 
     value, error, converged, evaluations = _integrate_groups(f, lo, hi, cfg, pts)

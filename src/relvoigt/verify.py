@@ -12,9 +12,14 @@ Four suites, each a list of named checks summarized as VerifyReports:
   normalization, gamma -> 0, singular degenerate growth).
 
 The quadrature references of a suite are computed in batches, all grid
-points of a check through one batched route.  The suites are library code
-rather than test-only helpers so the CLI can run them in the field; the
-test suite drives the same entry points.
+points of a check through one batched route.  H2 and I2 depend on u1 and
+u2 only through (u1 - t)(u2 - t), and their quadrature routes are
+symmetric in u1 <-> u2 bit for bit, so the oracle integrates its square
+u grids on the triangle u1 <= u2 and mirrors the result; the closed form
+is still checked at every point.  (The mirror u -> -u is left alone: the
+routes keep it only to within 1e-15 relative, not bit for bit.)  The
+suites are library code rather than test-only helpers so the CLI can run
+them in the field; the test suite drives the same entry points.
 """
 
 from __future__ import annotations
@@ -150,6 +155,20 @@ def _reference(res: GridResult, route: str, *coords: np.ndarray) -> np.ndarray:
     return res.value
 
 
+def _twin_reference(quadrature_grid_fn, route: str, a, x, y) -> np.ndarray:
+    # the route's values on a grid whose u1 and u2 axes are the same list,
+    # from its upper triangle u1 <= u2 only: both routes are symmetric in
+    # u1 <-> u2 bit for bit (the integrand takes the product
+    # (u1 - t)(u2 - t), and the sorted panel edges lose the seed order), so
+    # each twin point is a copy of the one integrated
+    i, j = np.triu_indices(a.shape[-1])
+    pts = (a[..., i, j], x[..., i, j], y[..., i, j])
+    want = np.empty(a.shape)
+    want[..., i, j] = _reference(quadrature_grid_fn(*pts), route, *pts)
+    want[..., j, i] = want[..., i, j]
+    return want
+
+
 def _override(default: float, tolerance: float | None) -> float:
     return default if tolerance is None else float(tolerance)
 
@@ -193,11 +212,11 @@ def verify_oracle(tolerance: float | None = None) -> list[VerifyReport]:
     devs = np.abs(h0_grid(a, u).value - want)
     reports.append(_pointwise("h0 closed form vs quadrature", devs.ravel(), want.ravel(), tol))
 
-    # h2 over its full grid
+    # h2 over its full grid, integrated on the triangle u1 <= u2
     tol = _override(1e-8, tolerance)
     u_grid = np.linspace(-10.0, 10.0, 41)
     a, x, y = np.meshgrid([1e-3, 1e-2, 0.1, 1.0, 10.0], u_grid, u_grid, indexing="ij")
-    want = _reference(h2_quadrature_grid(a, x, y), "h2 quadrature", a, x, y)
+    want = _twin_reference(h2_quadrature_grid, "h2 quadrature", a, x, y)
     devs = np.abs(h2_grid(a, x, y).value - want)
     reports.append(_pointwise("h2 closed form vs quadrature", devs, want, tol))
 
@@ -205,7 +224,7 @@ def verify_oracle(tolerance: float | None = None) -> list[VerifyReport]:
     tol = _override(1e-9, tolerance)
     spots = (-2.0, 0.0, 1.0, 3.0)
     a, x, y = np.meshgrid([0.1, 1.0], spots, spots, indexing="ij")
-    want = _reference(i2_quadrature_grid(a, x, y), "i2 quadrature", a, x, y)
+    want = _twin_reference(i2_quadrature_grid, "i2 quadrature", a, x, y)
     devs = np.abs(i2_grid(a, x, y).value - want)
     reports.append(_pointwise("i2 closed form vs quadrature", devs.ravel(), want.ravel(), tol))
 

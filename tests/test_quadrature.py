@@ -455,10 +455,29 @@ def test_non_finite_batch_value_names_its_abscissa(bad):
 
 def test_overflowing_finite_values_are_not_an_error():
     # every value is finite but the weighted |f| sum of the panel overflows:
-    # that is numpy's overflow, not a non-finite integrand value
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = integrate_interval(lambda t: np.full_like(t, 1e308), 0.0, 10.0)
+    # that is numpy's overflow, not a non-finite integrand value.  The run
+    # warns nothing (warnings are errors here) and bounds nothing: its
+    # estimate is inf, and an inf total does not count as converged
+    r = integrate_interval(lambda t: np.full_like(t, 1e308), 0.0, 10.0)
     assert r.value == math.inf
-    assert math.isnan(r.error_estimate)
+    assert r.error_estimate == math.inf
     assert not r.converged
     assert r.evaluations == 15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: integrate_real_line(lambda t: np.exp(-t * t), seeds=[0.0, s]),
+        lambda s: integrate_real_line_batch(lambda t, k: np.exp(-t * t), 1, seeds=[[0.0, s]]),
+        lambda s: integrate_real_line_compactified(lambda t: 1.0 / (1.0 + t**4), seeds=[s]),
+        lambda s: integrate_real_line_compactified_batch(
+            lambda t, k: 1.0 / (1.0 + t**4), 1, seeds=[[s]]
+        ),
+    ],
+    ids=["real_line", "real_line_batch", "compactified", "compactified_batch"],
+)
+def test_non_finite_seed_names_the_seeds(call, bad):
+    with pytest.raises(DomainError, match="^seeds must be finite$"):
+        call(bad)

@@ -380,8 +380,8 @@ def test_quadrature_with_underflowing_peak_width_terminates():
 
 
 def test_quadrature_grid_localises_an_aborted_batch():
-    # a non-finite integrand value aborts the whole batch; the points are
-    # then rerun alone and only the one it came from fails
+    # a non-finite integrand value aborts the whole batch; the batch is then
+    # bisected down to that point, and only the one it came from fails
     x = np.array([0.5, 1.0, 0.0, 2.0])
 
     def route(x):
@@ -394,6 +394,55 @@ def test_quadrature_grid_localises_an_aborted_batch():
     assert res.error.tolist() == ["", "", "IntegrationError", ""]
     ok = res.error == ""
     assert np.allclose(res.value[ok], np.sqrt(math.pi / x[ok]), rtol=1e-12, atol=0.0)
+
+
+def test_quadrature_grid_bisects_to_a_poisoned_point_in_chunks_of_1024():
+    # one of 1,500 points poisons every route call it is in: the first
+    # 1,024-point chunk is bisected down to it in 2 route calls per level,
+    # and every other point converges
+    x = np.linspace(0.5, 2.0, 1500)
+    x[700] = 0.0
+    sizes = []
+
+    def route(x):
+        sizes.append(x.size)
+
+        def f(t, k):
+            return np.where(x[k] == 0.0, np.nan, np.exp(-x[k] * t * t))
+
+        return integrate_real_line_batch(f, x.size)
+
+    res = quadrature_grid(route, GridFailures(x.shape), x)
+    assert max(sizes) == 1024 and sizes[:2] == [1024, 512]
+    assert len(sizes) <= 25
+    assert np.flatnonzero(res.error != "").tolist() == [700]
+    ok = res.error == ""
+    assert np.allclose(res.value[ok], np.sqrt(math.pi / x[ok]), rtol=1e-12, atol=0.0)
+
+
+def _twin_batch():
+    # the oracle's a values at random u1, u2, on the diagonal and at +-0.0
+    rng = np.random.default_rng(33)
+    a = np.repeat([1e-3, 1e-2, 0.1, 1.0, 10.0], 120)
+    u1 = rng.uniform(-10.0, 10.0, a.size)
+    u2 = rng.uniform(-10.0, 10.0, a.size)
+    u2[::4] = u1[::4]
+    u1[1::10], u2[1::10] = 0.0, -0.0
+    u1[2::10], u2[2::10] = -0.0, -0.0
+    u1[3::10] = -0.0
+    return a, u1, u2
+
+
+@pytest.mark.parametrize("route", [rel_voigt._h2_route, rel_voigt._i2_route])
+def test_quadrature_routes_are_symmetric_in_u1_u2_bit_for_bit(route):
+    # the oracle integrates only u1 <= u2 and mirrors the result, which is
+    # exact only while the routes are: the integrand takes the product
+    # (u1 - t)(u2 - t), and the peaks of both u1 and u2 are seeded
+    a, u1, u2 = _twin_batch()
+    got, swapped = route(a, u1, u2, None), route(a, u2, u1, None)
+    for name in ("value", "error_estimate", "converged", "evaluations"):
+        assert getattr(got, name).tobytes() == getattr(swapped, name).tobytes(), name
+    assert got.converged.all()
 
 
 # ------------------------------------------------- integral representations

@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from relvoigt import quadrature, run_suite
+from relvoigt import quadrature, rel_voigt, run_suite
+from relvoigt.verify import verify_oracle
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_all.json"
 
@@ -79,6 +80,27 @@ def test_no_refinement_round_grows_past_the_oracle_group(monkeypatch):
     reports = run_suite("all")
     assert all(r.passed for r in reports)
     assert largest[0] <= 45_840
+
+
+def test_oracle_integrates_each_twin_pair_once(monkeypatch):
+    # the h2 and i2 grids are integrated on u1 <= u2 only: 5 x 861 h2
+    # points plus the 4 degenerate-series points, and 2 x 10 i2 points,
+    # while every point of the 8,405 and 32 is still checked
+    sizes = {"h2": [], "i2": []}
+    for name in sizes:
+        route = getattr(rel_voigt, f"_{name}_route")
+
+        def counting(a, u1, u2, config, route=route, seen=sizes[name]):
+            seen.append(a.size)
+            return route(a, u1, u2, config)
+
+        monkeypatch.setattr(rel_voigt, f"_{name}_route", counting)
+    reports = verify_oracle()
+    assert sum(sizes["h2"]) == 4305 + 4
+    assert sum(sizes["i2"]) == 20
+    assert max(sizes["h2"]) <= 1024
+    assert [(r.name, r.grid_size) for r in reports] == CHECKS["oracle"]
+    assert all(r.passed for r in reports)
 
 
 def _same_deviation(got: float, want: float) -> bool:
