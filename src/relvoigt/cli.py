@@ -40,12 +40,6 @@ class _UsageError(Exception):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text/CSV")
     parser.add_argument("--output", metavar="PATH", help="write to PATH instead of stdout")
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        metavar="TOL",
-        help="override the tolerance of every verification check (verify only)",
-    )
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -77,6 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a cross-validation suite")
     p_verify.add_argument("suite", choices=SUITE_NAMES)
+    p_verify.add_argument(
+        "--tolerance",
+        type=float,
+        metavar="TOL",
+        help="override the tolerance of every verification check",
+    )
     _add_common(p_verify)
 
     return parser

@@ -42,6 +42,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_DBL_MIN = 2.2250738585072014e-308
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,16 @@ def _reduce_rel(e, mu, gamma, sigma) -> tuple[float, float, float]:
     if den == 0.0:
         raise DomainError(f"sigma={sigma!r} is too small: sigma^2 underflows")
     s = _SQRT2 * sigma
-    return gamma * mu / den, (e - mu) / s, (e + mu) / s
+    gm = gamma * mu
+    a = gm / den if abs(gm) >= _DBL_MIN else float(_product_quotient(gamma, mu, den))
+    return a, (e - mu) / s, (e + mu) / s
+
+
+def _product_quotient(x, y, z):
+    # x * y / z for a product below DBL_MIN, which loses digits or is 0:
+    # the frexp significands round as x * y / z does in normal range
+    (mx, ex), (my, ey), (mz, ez) = np.frexp(x), np.frexp(y), np.frexp(z)
+    return np.ldexp(mx * my / mz, ex + ey - ez)
 
 
 # Elementwise forms of the scalar maps above, for the grid evaluators.  Each
@@ -249,7 +259,11 @@ def reduce_rel_grid(e, mu, gamma, sigma, fails: GridFailures):
         den = 2.0 * sigma * sigma
         fails.flag(den == 0.0, DomainError)
         s = _SQRT2 * sigma
-        a = gamma * mu / den
+        gm = gamma * mu
+        a = gm / den
+        tiny = np.abs(gm) < _DBL_MIN
+        if tiny.any():
+            a = np.where(tiny, _product_quotient(gamma, mu, den), a)
         u1 = (e - mu) / s
         u2 = (e + mu) / s
     _flag_nonfinite(fails, a, u1, u2)

@@ -16,7 +16,13 @@ integrals, one group of them live at a time: 64 integrals, or as many as
 fit in 1,024 initial panels, whichever is more, so a round's abscissas stay
 bounded however many integrals a call carries.  The scalar integrators are
 the one-integral case of the same code, so both follow every rule
-identically.
+identically, and the batched integrators alone check the arguments.
+
+There is one stop rule, QuadratureConfig.met: an error estimate is met when
+it is finite and at most max(abs_tol, rel_tol * |value|).  The refinement
+loop, the real-line tail bound and both semi-infinite block tests apply it,
+so an estimate that overflowed never converges, not even against the
+infinite target of an infinite value.
 
 Integrand contract.  A scalar integrand receives a 1-D numpy array of
 abscissas and returns an array of the same length.  A batched integrand is
@@ -45,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, IntegrationError, require_finite
-from .result import GridFailures, GridResult
+from .result import EvalResult, GridFailures, GridResult
 
 __all__ = [
     "QuadratureBatch",
@@ -122,8 +128,6 @@ _WG = np.array(
 # 64 at a time, which keeps the verify suites' peak memory within a few MB;
 # one-panel integrals (semi-infinite blocks) go 1,024 at a time, so a
 # round's fixed overhead is spread over ~15k abscissas rather than 960.
-# quadrature_grid hands a route _GROUP_PANELS points per call, so the
-# route's setup is paid once per 1,024 points while groups stay this size
 _GROUP = 64
 _GROUP_PANELS = 1024
 
@@ -135,7 +139,7 @@ BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 class QuadratureConfig:
     """Tolerances and budget for one integration call.
 
-    The run aims for total error <= max(abs_tol, rel_tol * |value|).
+    The run aims for an error estimate that meets its target (see met).
     max_subdivisions caps the number of panel splits; exhausting it yields
     converged=False rather than an exception.  truncation_radius is the
     real-line half-width R, in units of the integrand's Gaussian envelope
@@ -162,13 +166,17 @@ class QuadratureConfig:
         """max(abs_tol, rel_tol * |value|), elementwise for arrays."""
         return np.maximum(self.abs_tol, self.rel_tol * np.abs(value))
 
+    def met(self, error, value):
+        """The one stop test: error is finite and <= target(value), elementwise."""
+        return np.isfinite(error) & (error <= self.target(value))
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
     """Integral value with an absolute error estimate.
 
-    converged=True guarantees error_estimate <= max(abs_tol, rel_tol*|value|)
-    for the config the run used; evaluations counts integrand abscissas.
+    converged=True guarantees config.met(error_estimate, value) for the
+    config the run used; evaluations counts integrand abscissas.
     """
 
     value: float | complex
@@ -272,7 +280,7 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, cfg: QuadratureConfig):
 
     plo, phi and own list every initial panel with the index (0..n-1) of
     its integral.  Each integral follows the rule of a lone integral: stop
-    converged once its error sum meets cfg.target(value); otherwise split
+    converged once cfg.met(error sum, value); otherwise split
     every panel holding more than its share of the error and wider than 64
     ulps, worst first when fewer splits remain in the max_subdivisions
     budget; stop unconverged when the budget is spent or nothing can be
@@ -293,9 +301,7 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, cfg: QuadratureConfig):
     while True:
         total = _sum_by(own, val, n)
         total_err = np.bincount(own, err, n)
-        # an inf error sum meets the inf target of an inf total, but it
-        # bounds nothing
-        done = np.isfinite(total_err) & (total_err <= cfg.target(total))
+        done = cfg.met(total_err, total)
 
         # split every panel above its error share, worst first under budget
         share = total_err / (2.0 * np.maximum(panels + splits, 1))
@@ -434,7 +440,15 @@ def quadrature_grid(route, fails: GridFailures, *coords: np.ndarray) -> GridResu
 def _per_integral(name: str, x, n: int) -> np.ndarray:
     x = np.broadcast_to(np.asarray(x, dtype=float), (n,))
     if not np.isfinite(x).all():
-        raise DomainError(f"{name} must be finite, got {x[~np.isfinite(x)][0]!r}")
+        raise DomainError(f"{name} must be finite, got {float(x[~np.isfinite(x)][0])!r}")
+    return x
+
+
+def _edges(name: str, x, n: int) -> np.ndarray:
+    # seeds or breakpoints as a finite (n, m) array, row k for integral k
+    x = np.asarray(x, dtype=float).reshape(n, -1)
+    if not np.isfinite(x).all():
+        raise DomainError(f"{name} must be finite")
     return x
 
 
@@ -498,11 +512,7 @@ def integrate_interval(
     hi = require_finite("hi", hi)
     if not hi > lo:
         raise DomainError(f"need hi > lo, got [{lo!r}, {hi!r}]")
-    breaks = None
-    if breakpoints is not None:
-        breaks = np.asarray(breakpoints, dtype=float).reshape(1, -1)
-        if not np.isfinite(breaks).all():
-            raise DomainError("breakpoints must be finite")
+    breaks = None if breakpoints is None else _edges("breakpoints", breakpoints, 1)
     out = _integrate_groups(_lone(f), np.array([lo]), np.array([hi]), cfg, breaks)
     return QuadratureBatch(*out)[0]
 
@@ -526,23 +536,21 @@ def integrate_real_line_batch(
     center = _per_integral("center", center, n)
     scale = _per_integral("scale", scale, n)
     if not (scale > 0.0).all():
-        raise DomainError(f"scale must be > 0, got {scale[~(scale > 0.0)][0]!r}")
+        raise DomainError(f"scale must be > 0, got {float(scale[~(scale > 0.0)][0])!r}")
 
     radius = cfg.truncation_radius
     lo = center - scale * radius
     hi = center + scale * radius
     pts = center[:, None] + scale[:, None] * np.linspace(-radius, radius, 17)
     if seeds is not None:
-        seeds = np.asarray(seeds, dtype=float).reshape(n, -1)
-        if not np.isfinite(seeds).all():
-            raise DomainError("seeds must be finite")
-        pts = np.concatenate([pts, seeds], axis=1)
+        pts = np.concatenate([pts, _edges("seeds", seeds, n)], axis=1)
 
     value, error, converged, evaluations = _integrate_groups(f, lo, hi, cfg, pts)
-    # Gaussian tail bound from the integrand at the truncation points
+    # Gaussian tail bound at the truncation points; it may overflow like a panel sum
     edge = np.abs(_call(f, np.stack([lo, hi], axis=1), np.arange(n)[:, None]))
-    error = error + (edge[:, 0] + edge[:, 1]) * scale / (2.0 * radius)
-    converged = converged & (error <= cfg.target(value))
+    with np.errstate(over="ignore"):
+        error = error + (edge[:, 0] + edge[:, 1]) * scale / (2.0 * radius)
+    converged = converged & cfg.met(error, value)
     return QuadratureBatch(value, error, converged, evaluations + 2)
 
 
@@ -562,13 +570,8 @@ def integrate_real_line(
     (|f(lo)| + |f(hi)|) * scale / (2 R) is folded into the error estimate.
     seeds (in f's own coordinate) become initial panel boundaries.
     """
-    center = require_finite("center", center)
-    scale = require_finite("scale", scale)
-    if scale <= 0.0:
-        raise DomainError(f"scale must be > 0, got {scale!r}")
-    s = None if seeds is None else np.asarray(seeds, dtype=float).reshape(1, -1)
     return integrate_real_line_batch(
-        _lone(f), 1, config, seeds=s, center=center, scale=scale
+        _lone(f), 1, config, seeds=seeds, center=center, scale=scale
     )[0]
 
 
@@ -589,10 +592,7 @@ def integrate_real_line_compactified_batch(
     half_pi = 0.5 * math.pi
     pts = np.broadcast_to(np.linspace(-half_pi, half_pi, 33), (n, 33))
     if seeds is not None:
-        s = np.asarray(seeds, dtype=float).reshape(n, -1)
-        if not np.isfinite(s).all():
-            raise DomainError("seeds must be finite")
-        pts = np.concatenate([pts, np.arctan(s)], axis=1)
+        pts = np.concatenate([pts, np.arctan(_edges("seeds", seeds, n))], axis=1)
     edge = np.full(n, half_pi)
     return QuadratureBatch(*_integrate_groups(g, -edge, edge, cfg, pts))
 
@@ -611,8 +611,7 @@ def integrate_real_line_compactified(
     covers integrands the Gaussian-envelope truncation of
     integrate_real_line would bias, such as pure rational densities.
     """
-    s = None if seeds is None else np.asarray(seeds, dtype=float).reshape(1, -1)
-    return integrate_real_line_compactified_batch(_lone(f), 1, config, seeds=s)[0]
+    return integrate_real_line_compactified_batch(_lone(f), 1, config, seeds=seeds)[0]
 
 
 def integrate_semi_infinite_batch(
@@ -623,14 +622,15 @@ def integrate_semi_infinite_batch(
     f(x, owner) as for the other batched integrators.  period_hint is None
     or a length-n array whose NaN entries mean "no hint" for that integral.
     Every live integral advances by one block per round, and the blocks of
-    a round are integrated together.
+    a round are integrated together.  An integral whose error sum is no
+    longer finite stops unconverged at once.
     """
     cfg = config if config is not None else QuadratureConfig()
     hint = np.full(n, np.nan) if period_hint is None else np.asarray(period_hint, float)
     hint = np.broadcast_to(hint, (n,))
     bad = ~np.isnan(hint) & ~(np.isfinite(hint) & (hint > 0.0))
     if bad.any():
-        raise DomainError(f"period_hint must be finite and > 0, got {hint[bad][0]!r}")
+        raise DomainError(f"period_hint must be finite and > 0, got {float(hint[bad][0])!r}")
 
     block_cfg = QuadratureConfig(
         abs_tol=cfg.abs_tol / 32.0,
@@ -661,28 +661,29 @@ def integrate_semi_infinite_batch(
             total = np.zeros(n, dtype=v.dtype)
             value = np.zeros(n, dtype=v.dtype)
             hist = np.zeros((3, n), dtype=v.dtype)
-        # the last three block values of each integral, oldest first
-        hist[:, live] = np.stack([hist[1, live], hist[2, live], v])
-        total[live] += v
-        err_sum[live] += er
         evaluations[live] += ev
         edge[live] = nxt
         block += 1
 
-        finished = block >= max_blocks[live]
-        tot, es = total[live], err_sum[live]
-        val = tot.copy()
-        out_err = es + np.abs(v)
-        ok = np.zeros(live.size, dtype=bool)
-        if block >= 3:
-            v0, v1, v2 = hist[:, live]
-            mag, mag1 = np.abs(v2), np.abs(v1)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # block sums may overflow like panel sums; an inf error meets no target
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # the last three block values of each integral, oldest first
+            hist[:, live] = np.stack([hist[1, live], hist[2, live], v])
+            total[live] += v
+            err_sum[live] += er
+            tot, es = total[live], err_sum[live]
+            finished = (block >= max_blocks[live]) | ~np.isfinite(es)
+            val = tot.copy()
+            out_err = es + np.abs(v)
+            ok = np.zeros(live.size, dtype=bool)
+            if block >= 3:
+                v0, v1, v2 = hist[:, live]
+                mag, mag1 = np.abs(v2), np.abs(v1)
                 rho = np.where(mag1 > 0.0, mag / mag1, 0.0)
 
                 # plain stop: remaining tail bounded by measured geometric decay
                 tail_bound = np.where(rho > 0.0, mag * rho / (1.0 - rho), 0.0)
-                plain = (rho < 0.95) & (es + tail_bound + mag * _EPS <= cfg.target(tot))
+                plain = (rho < 0.95) & cfg.met(es + tail_bound + mag * _EPS, tot)
 
                 # geometric closure for exponential-envelope periodic blocks
                 r1 = v2 / v1
@@ -699,11 +700,11 @@ def integrate_semi_infinite_batch(
                     & (ar1 < 1.0)
                     & (np.abs(r2) < 1.0)
                     & (drift <= 0.05 * (1.0 - ar1))
-                    & (closed_err <= cfg.target(closed))
+                    & cfg.met(closed_err, closed)
                 )
-            val = np.where(close, closed, val)
-            out_err = np.where(plain, es + tail_bound, np.where(close, closed_err, out_err))
-            ok = plain | close
+                val = np.where(close, closed, val)
+                out_err = np.where(plain, es + tail_bound, np.where(close, closed_err, out_err))
+                ok = plain | close
         finished |= ok
         k = live[finished]
         value[k] = val[finished]
@@ -738,9 +739,30 @@ def integrate_semi_infinite(
     by 1/(1-rho)^2) is folded into the error estimate.  Within each block
     the adaptive rule subdivides down to the oscillation scale.
     """
-    hint = None
-    if period_hint is not None:
-        hint = require_finite("period_hint", period_hint)
-        if hint <= 0.0:
-            raise DomainError(f"period_hint must be > 0, got {hint!r}")
-    return integrate_semi_infinite_batch(_lone(f), 1, config, period_hint=hint)[0]
+    # the batched form reads a NaN hint as "no hint"; here it is an error
+    if period_hint is not None and math.isnan(period_hint):
+        raise DomainError("period_hint must be finite and > 0, got nan")
+    return integrate_semi_infinite_batch(_lone(f), 1, config, period_hint=period_hint)[0]
+
+
+def _route_point(route, config, positive: bool, **point) -> EvalResult:
+    """A public scalar entry: one point, a first, through route(*coords, config).
+
+    Every coordinate must be finite and a > 0 if positive, else nonzero;
+    IntegrationError names a point that does not converge and its estimate.
+    """
+    for name, x in point.items():
+        point[name] = require_finite(name, x)
+    a = point["a"]
+    if positive and not a > 0.0:
+        raise DomainError(f"a must be > 0 on this route, got {a!r}")
+    if a == 0.0:
+        raise DomainError(f"a must be nonzero on this route, got {a!r}")
+    r = route(*(np.array([x]) for x in point.values()), config)[0]
+    if not r.converged:
+        raise IntegrationError(
+            f"quadrature did not converge at ({', '.join(point)})="
+            f"({', '.join(map(repr, point.values()))}); "
+            f"error estimate {r.error_estimate:.3e}"
+        )
+    return EvalResult(r.value, r.error_estimate, "quadrature")

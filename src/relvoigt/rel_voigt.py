@@ -48,6 +48,7 @@ commutative addition do the rest.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,6 +63,7 @@ from .errors import (
     require_finite,
 )
 from .profiles import (
+    _DBL_MIN,
     ProfileParams,
     _bw_nonrel,
     _bw_rel,
@@ -79,6 +81,7 @@ from .quadrature import (
     integrate_semi_infinite_batch,
     peak_seeds,
     quadrature_grid,
+    _route_point,
 )
 from .result import EvalResult, GridFailures, GridResult, grid_arrays
 from .voigt import _v0, v0_grid
@@ -112,7 +115,6 @@ _SQRT_PI = math.sqrt(math.pi)
 
 # CPython's cmath.sqrt scales arguments whose parts are both below
 # DBL_MIN by 2^53 before taking the square root, and the result by 2^-27.
-_DBL_MIN = 2.2250738585072014e-308
 _SQRT_SCALE_UP = 53
 _SQRT_SCALE_DOWN = -27
 
@@ -327,21 +329,6 @@ def _i2_route(a, u1, u2, config) -> QuadratureBatch:
     )
 
 
-def _route_point(route, a: float, u1: float, u2: float, config) -> EvalResult:
-    a = require_finite("a", a)
-    u1 = require_finite("u1", u1)
-    u2 = require_finite("u2", u2)
-    if a == 0.0:
-        raise DomainError("direct quadrature requires a != 0")
-    r = route(np.array([a]), np.array([u1]), np.array([u2]), config)[0]
-    if not r.converged:
-        raise IntegrationError(
-            f"quadrature did not converge at (a, u1, u2)=({a!r}, {u1!r}, {u2!r}); "
-            f"error estimate {r.error_estimate:.3e}"
-        )
-    return EvalResult(float(r.value), r.error_estimate, "quadrature")
-
-
 def _route_grid(route, a, u1, u2, config) -> GridResult:
     a, u1, u2 = grid_arrays(a, u1, u2)
     fails = GridFailures(a.shape)
@@ -359,7 +346,7 @@ def h2_quadrature(
     a (the integrand is odd in a), but not at a = 0 where the integral is
     identically zero by convention rather than value.
     """
-    return _route_point(_h2_route, a, u1, u2, config)
+    return _route_point(_h2_route, config, False, a=a, u1=u1, u2=u2)
 
 
 def h2_quadrature_grid(a, u1, u2, config: QuadratureConfig | None = None) -> GridResult:
@@ -428,12 +415,14 @@ def h2_large_u_asymptotic(a: float, u1: float, u2: float) -> EvalResult:
 def _rectangle_route(a, u1, u2, config=None, offset=None) -> QuadratureBatch:
     # h2_rectangle at arrays of points with a > 0: the line integrals of all
     # points in one batched call, the residues per point in complex scalars.
-    # offset None puts each point's line 1 above its higher enclosed pole.
+    # Every line is at Im t = offset, or 1 above its point's higher pole.
     cfg = config if config is not None else QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
     poles = [pole_set(*p) for p in zip(a.tolist(), u1.tolist(), u2.tolist())]
     im_max = np.array([max(ps.t1_plus.imag, ps.t2_minus.imag) for ps in poles])
     if offset is None:
         offset = 1.0 + im_max
+    else:
+        offset = np.full(a.size, require_finite("offset", offset))
     if not (offset > im_max).all():
         raise DomainError("contour must enclose both poles")
 
@@ -487,18 +476,8 @@ def h2_rectangle(
     route: as a -> 0 the line term vanishes and the residues alone
     reproduce the limit values.
     """
-    a = require_finite("a", a)
-    u1 = require_finite("u1", u1)
-    u2 = require_finite("u2", u2)
-    if a <= 0.0:
-        raise DomainError(f"contour form requires a > 0, got {a!r}")
-    if offset is not None:
-        offset = np.array([require_finite("offset", offset)])
-
-    def route(a, u1, u2, config):
-        return _rectangle_route(a, u1, u2, config, offset)
-
-    return _route_point(route, a, u1, u2, config)
+    route = functools.partial(_rectangle_route, offset=offset)
+    return _route_point(route, config, True, a=a, u1=u1, u2=u2)
 
 
 # the integral representations' default tolerances
@@ -571,17 +550,26 @@ def _rep_double(a, u1, u2, config=None) -> QuadratureBatch:
     return integrate_real_line_batch(outer, a.size, cfg, seeds=_peak_seeds(a, u1, u2))
 
 
-def _rep_single_complex(a, u1, u2, cfg: QuadratureConfig) -> EvalResult:
+def _rep_single_complex(a, u1, u2, config=None) -> QuadratureBatch:
     # Collapsing the t integral of the double form through the Gaussian
     # integral Int dt e^{-(1-ix)t^2 - ixst} = sqrt(pi/(1-ix)) e^{-x^2 s^2
     # / (4(1-ix))} leaves
     #   H2 = (1/sqrt(pi)) Re Int_0^inf
     #            e^{-ax + (ix/4)(4 u1 u2 - (u1+u2)^2 x/(i+x))} / sqrt(1-ix) dx
-    # with the principal branch of sqrt(1-ix).  The modulus of the
-    # exponential is bounded by e^{-ax}, so truncation at x_max leaves a
-    # tail below e^{-a x_max}/a; the phase oscillates at frequency about
-    # |u1 u2| near 0 and (u1-u2)^2/4 asymptotically, and panel edges are
-    # pre-seeded on that scale so no oscillation hides inside one panel.
+    # with the principal branch of sqrt(1-ix), here at arrays of points with
+    # a > 0.  Each point's thousands of breakpoints already fill a
+    # refinement round, so the points are integrated one call each.
+    cfg = config if config is not None else _REP_CONFIG
+    out = [_single_complex_point(*p, cfg) for p in zip(a.tolist(), u1.tolist(), u2.tolist())]
+    return QuadratureBatch(*(np.array(col) for col in zip(*out)))
+
+
+def _single_complex_point(a: float, u1: float, u2: float, cfg: QuadratureConfig):
+    # The modulus of the exponential is bounded by e^{-ax}, so truncation
+    # at x_max leaves a tail below e^{-a x_max}/a; the phase oscillates at
+    # frequency about |u1 u2| near 0 and (u1-u2)^2/4 asymptotically, and
+    # panel edges are pre-seeded on that scale so no oscillation hides
+    # inside one panel.  Returns value, estimate, converged, evaluations.
     s = u1 + u2
     p = u1 * u2
     x_max = max(50.0 / a, 200.0)
@@ -597,12 +585,8 @@ def _rep_single_complex(a, u1, u2, cfg: QuadratureConfig) -> EvalResult:
     breaks = np.linspace(0.0, x_max, count)
 
     r = integrate_interval(f, 0.0, x_max, cfg, breakpoints=breaks)
-    if not r.converged:
-        raise IntegrationError(
-            f"x-quadrature did not converge at (a, u1, u2)=({a!r}, {u1!r}, {u2!r})"
-        )
     tail = math.exp(-a * x_max) / a
-    return EvalResult(float(r.value), r.error_estimate + tail, "quadrature")
+    return r.value, r.error_estimate + tail, r.converged, r.evaluations
 
 
 def h2_integral_rep(
@@ -621,16 +605,10 @@ def h2_integral_rep(
     the config governs the outer t-integral; each inner x-integral gets at
     most min(400, max_subdivisions) splits.
     """
-    a = require_finite("a", a)
-    u1 = require_finite("u1", u1)
-    u2 = require_finite("u2", u2)
-    if a <= 0.0:
-        raise DomainError(f"integral representations require a > 0, got {a!r}")
-    if variant == "double":
-        return _route_point(_rep_double, a, u1, u2, config)
-    if variant == "single_complex":
-        return _rep_single_complex(a, u1, u2, config if config is not None else _REP_CONFIG)
-    raise DomainError(f"unknown variant {variant!r}, expected 'double' or 'single_complex'")
+    route = {"double": _rep_double, "single_complex": _rep_single_complex}.get(variant)
+    if route is None:
+        raise DomainError(f"unknown variant {variant!r}, expected 'double' or 'single_complex'")
+    return _route_point(route, config, True, a=a, u1=u1, u2=u2)
 
 
 def i2_closed(a: float, u1: float, u2: float) -> float:
@@ -682,7 +660,7 @@ def i2_quadrature(
     The integrand decays like 1/t^4, so the real line is compactified
     rather than truncated.
     """
-    return _route_point(_i2_route, a, u1, u2, config)
+    return _route_point(_i2_route, config, False, a=a, u1=u1, u2=u2)
 
 
 def i2_quadrature_grid(a, u1, u2, config: QuadratureConfig | None = None) -> GridResult:

@@ -11,8 +11,9 @@ Four suites, each a list of named checks summarized as VerifyReports:
   direction of approach (a -> 0 captions, large-u asymptotics, damping
   normalization, gamma -> 0, singular degenerate growth).
 
-The quadrature references of a suite are computed in batches, all grid
-points of a check through one batched route.  H2 and I2 depend on u1 and
+Every quadrature reference comes from a batched route run over all grid
+points of its check, up to 1,024 points a call; a point that fails raises
+the IntegrationError naming it.  H2 and I2 depend on u1 and
 u2 only through (u1 - t)(u2 - t), and their quadrature routes are
 symmetric in u1 <-> u2 bit for bit, so the oracle integrates its square
 u grids on the triangle u1 <= u2 and mirrors the result; the closed form
@@ -40,12 +41,12 @@ from .quadrature import (
 from .rel_voigt import (
     _rectangle_route,
     _rep_double,
+    _rep_single_complex,
     d0,
     d2,
     h2,
     h2_degenerate_series,
     h2_grid,
-    h2_integral_rep,
     h2_large_u_asymptotic,
     h2_limit_a0,
     h2_quadrature,
@@ -121,28 +122,25 @@ def _structural(name, figure, grid_size, tol) -> VerifyReport:
     return VerifyReport(name, grid_size, figure, figure, tol, figure <= tol)
 
 
-def _h0_quadrature_grid(a: np.ndarray, u: np.ndarray) -> GridResult:
+def _h0_route(a: np.ndarray, u: np.ndarray) -> QuadratureBatch:
     # independent route for H0: direct e^{-t^2}-weighted Lorentzians, with
     # panel seeds walking out of each peak
-    def route(a: np.ndarray, u: np.ndarray) -> QuadratureBatch:
-        pref = a / math.pi
-        aa = a * a
+    pref = a / math.pi
+    aa = a * a
 
-        def f(t: np.ndarray, k: np.ndarray) -> np.ndarray:
-            d = u[k] - t
-            d *= d
-            d += aa[k]
-            out = t * t
-            np.negative(out, out=out)
-            np.exp(out, out=out)
-            out *= pref[k]
-            out /= d
-            return out
+    def f(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        d = u[k] - t
+        d *= d
+        d += aa[k]
+        out = t * t
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        out *= pref[k]
+        out /= d
+        return out
 
-        seeds = peak_seeds(u[:, None], np.minimum(np.abs(a), 0.5))
-        return integrate_real_line_batch(f, a.size, seeds=seeds)
-
-    return quadrature_grid(route, GridFailures(a.shape), a, u)
+    seeds = peak_seeds(u[:, None], np.minimum(np.abs(a), 0.5))
+    return integrate_real_line_batch(f, a.size, seeds=seeds)
 
 
 def _reference(res: GridResult, route: str, *coords: np.ndarray) -> np.ndarray:
@@ -153,6 +151,13 @@ def _reference(res: GridResult, route: str, *coords: np.ndarray) -> np.ndarray:
         at = tuple(float(c.flat[bad[0]]) for c in coords)
         raise IntegrationError(f"{route} failed with {res.error.flat[bad[0]]} at {at!r}")
     return res.value
+
+
+def _route_values(route, name: str, *coords: np.ndarray) -> np.ndarray:
+    # a batched route's values at the points, in route calls of up to 1,024
+    # points; IntegrationError naming the first point that fails
+    res = quadrature_grid(route, GridFailures(coords[0].shape), *coords)
+    return _reference(res, name, *coords)
 
 
 def _twin_reference(quadrature_grid_fn, route: str, a, x, y) -> np.ndarray:
@@ -208,7 +213,7 @@ def verify_oracle(tolerance: float | None = None) -> list[VerifyReport]:
     # h0 over its full grid
     tol = _override(1e-9, tolerance)
     a, u = np.meshgrid([1e-3, 1e-2, 0.1, 1.0, 10.0], np.linspace(-8.0, 8.0, 65), indexing="ij")
-    want = _reference(_h0_quadrature_grid(a, u), "h0 quadrature", a, u)
+    want = _route_values(_h0_route, "h0 quadrature", a, u)
     devs = np.abs(h0_grid(a, u).value - want)
     reports.append(_pointwise("h0 closed form vs quadrature", devs.ravel(), want.ravel(), tol))
 
@@ -251,19 +256,12 @@ def verify_representations(tolerance: float | None = None) -> list[VerifyReport]
     u1 = rng.uniform(-3.0, 3.0, n)
     u2 = rng.uniform(-3.0, 3.0, n)
 
-    def batched(route, name):
-        res = quadrature_grid(route, GridFailures(a.shape), a, u1, u2)
-        return _reference(res, name, a, u1, u2)
-
-    # the rectangle and double routes take all 50 points in one batched
-    # call; single_complex goes point by point, as its thousands of
-    # breakpoints already fill a refinement round
     routes = np.stack(
         [
             h2_grid(a, u1, u2).value,
-            batched(_rectangle_route, "h2 rectangle"),
-            batched(_rep_double, "h2 double representation"),
-            [h2_integral_rep(ai, x, y, "single_complex").value for ai, x, y in zip(a, u1, u2)],
+            _route_values(_rectangle_route, "h2 rectangle", a, u1, u2),
+            _route_values(_rep_double, "h2 double representation", a, u1, u2),
+            _route_values(_rep_single_complex, "h2 single_complex representation", a, u1, u2),
         ]
     )
     devs = routes.max(axis=0) - routes.min(axis=0)
@@ -284,8 +282,7 @@ def verify_representations(tolerance: float | None = None) -> list[VerifyReport]
     ]
     a, u = np.array(spots).T
     want = h0_grid(a, u).value
-    res = quadrature_grid(_laplace_route, GridFailures(a.shape), a, u)
-    devs = np.abs(_reference(res, "h0 Laplace representation", a, u) - want)
+    devs = np.abs(_route_values(_laplace_route, "h0 Laplace representation", a, u) - want)
     reports.append(_pointwise("h0 Laplace representation vs closed form", devs, want, tol))
 
     return reports

@@ -24,15 +24,9 @@ import math
 import numpy as np
 
 from .complex_fn import faddeeva_w, faddeeva_w_grid
-from .errors import (
-    DomainError,
-    IntegrationError,
-    ParameterError,
-    check_side,
-    require_finite,
-)
+from .errors import DomainError, ParameterError, check_side, require_finite
 from .profiles import ProfileParams, _reduce_nonrel, reduce_nonrel_grid
-from .quadrature import QuadratureBatch, QuadratureConfig, integrate_semi_infinite_batch
+from .quadrature import QuadratureBatch, QuadratureConfig, _route_point, integrate_semi_infinite_batch
 from .result import EvalResult, GridFailures, GridResult, grid_arrays
 
 __all__ = ["h0", "h0_grid", "h0_limit_a0", "h0_laplace_rep", "v0", "v0_grid"]
@@ -96,16 +90,7 @@ def h0_laplace_rep(
     H0(a, u) = Re (1/sqrt(pi)) Int_0^inf e^{-a x + i u x - x^2/4} dx,
     valid for a > 0; evaluated by semi-infinite quadrature.
     """
-    a = require_finite("a", a)
-    u = require_finite("u", u)
-    if a <= 0.0:
-        raise DomainError(f"representation requires a > 0, got a={a!r}")
-    r = _laplace_route(np.array([a]), np.array([u]), config)[0]
-    if not r.converged:
-        raise IntegrationError(
-            f"semi-infinite quadrature did not converge at (a, u)=({a!r}, {u!r})"
-        )
-    return EvalResult(r.value, r.error_estimate, "quadrature")
+    return _route_point(_laplace_route, config, True, a=a, u=u)
 
 
 def v0(e: float, params: ProfileParams) -> float:

@@ -64,6 +64,14 @@ def test_usage_errors_exit_1():
     assert run_cli("eval", "h2", "--a", "1", "--u1", "1").returncode == 1
     assert run_cli("eval", "nosuch", "--a", "1").returncode == 1
     assert run_cli("sweep", "h0", "--axis", "u", "--steps", "3").returncode == 1
+    # --tolerance belongs to verify alone
+    assert run_cli("eval", "h0", "--a", "1", "--u", "0", "--tolerance", "5").returncode == 1
+    r = run_cli(
+        "sweep", "h0", "--axis", "u", "--start", "0", "--stop", "1", "--steps", "3",
+        "--a", "1", "--tolerance", "5",
+    )
+    assert r.returncode == 1
+    assert "--tolerance" in r.stderr
 
 
 def test_domain_errors_exit_2():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -481,3 +482,175 @@ def test_overflowing_finite_values_are_not_an_error():
 def test_non_finite_seed_names_the_seeds(call, bad):
     with pytest.raises(DomainError, match="^seeds must be finite$"):
         call(bad)
+
+
+# ---------------------------------------------------------- one stop rule
+#
+# QuadratureConfig.met is the stop test of every integrator: an error meets
+# its target only when it is finite, even against the inf target of an inf
+# value.
+
+
+def test_met_needs_a_finite_error_within_target():
+    cfg = QuadratureConfig(abs_tol=1e-3, rel_tol=1e-2)
+    error = np.array([1e-3, 2e-3, 0.5, 2.0, math.inf, math.inf, math.nan])
+    value = np.array([0.0, 0.0, 100.0, 100.0, 100.0, math.inf, 1.0])
+    assert cfg.met(error, value).tolist() == [True, False, True, False, False, False, False]
+    assert cfg.met(1e-3, -0.05) and not cfg.met(math.inf, math.inf)
+
+
+def _no_warning(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return call()
+
+
+def test_semi_infinite_overflowing_block_stops_unconverged_at_once():
+    # the first block's weighted |f| sum overflows: its error is inf, and the
+    # integral stops there instead of running on to its 64-block budget
+    r = _no_warning(
+        lambda: integrate_semi_infinite(lambda x: np.where(x < 1, 1.7e308, np.exp(-x)))
+    )
+    assert r.value == math.inf
+    assert r.error_estimate == math.inf
+    assert not r.converged
+    assert r.evaluations == 15
+
+
+def test_semi_infinite_batch_overflow_stops_only_its_member():
+    def f(x, k):
+        return np.where((k == 1) & (x < 1), 1.7e308, np.exp(-x))
+
+    r = _no_warning(lambda: integrate_semi_infinite_batch(f, 3))
+    assert r.converged.tolist() == [True, False, True]
+    assert r.error_estimate[1] == math.inf and r.evaluations[1] == 15
+    assert np.allclose(r.value[[0, 2]], 1.0, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda t: np.full_like(t, 1e308), lambda t: np.where(np.abs(t) > 11.9, 1e308, 0.0)],
+    ids=["everywhere", "beyond_11.9"],
+)
+def test_real_line_overflowing_tail_bound_is_an_inf_estimate(f):
+    # the tail bound adds |f| at both truncation points, which overflows
+    r = _no_warning(lambda: integrate_real_line(f))
+    assert r.error_estimate == math.inf
+    assert not r.converged
+
+
+def test_overflowing_block_tail_bound_is_never_met():
+    # every block value is finite, but their sum and, after the third
+    # block, the geometric tail bound overflow: an inf bound converges nothing
+    def f(x):
+        return np.select([x < 1, x < 2, x < 4], [0.5e308, 0.889e308, 0.4e308], 0.0)
+
+    r = _no_warning(lambda: integrate_semi_infinite(f))
+    assert math.isfinite(r.error_estimate) or not r.converged
+
+
+# ------------------------------------------------------- argument checks
+#
+# The batched integrators check center, scale, seeds and period_hint; the
+# scalar ones pass their arguments through, so both raise the same message,
+# with Python floats in it.
+
+
+def _gauss(t, k=None):
+    return np.exp(-t * t)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"center": [0.0, math.inf]}, "^center must be finite, got inf$"),
+        ({"center": math.nan}, "^center must be finite, got nan$"),
+        ({"scale": [1.0, -math.inf]}, "^scale must be finite, got -inf$"),
+        ({"scale": [1.0, 0.0]}, r"^scale must be > 0, got 0\.0$"),
+        ({"scale": -2.0}, r"^scale must be > 0, got -2\.0$"),
+    ],
+)
+def test_real_line_center_and_scale_checks(kwargs, message):
+    with pytest.raises(DomainError, match=message):
+        integrate_real_line_batch(_gauss, 2, **kwargs)
+    scalar = {k: v[-1] if isinstance(v, list) else v for k, v in kwargs.items()}
+    with pytest.raises(DomainError, match=message):
+        integrate_real_line(_gauss, **scalar)
+
+
+@pytest.mark.parametrize(
+    "hint, message",
+    [(-2.0, r"-2\.0"), (0.0, r"0\.0"), (math.inf, "inf"), (-math.inf, "-inf")],
+)
+def test_period_hint_checks(hint, message):
+    message = f"^period_hint must be finite and > 0, got {message}$"
+    with pytest.raises(DomainError, match=message):
+        integrate_semi_infinite_batch(lambda x, k: np.exp(-x), 2, period_hint=[1.0, hint])
+    with pytest.raises(DomainError, match=message):
+        integrate_semi_infinite(lambda x: np.exp(-x), period_hint=hint)
+
+
+def test_scalar_nan_period_hint_is_rejected():
+    # the batched form reads NaN as "no hint"; a scalar hint of NaN is an error
+    batch = integrate_semi_infinite_batch(lambda x, k: np.exp(-x), 1, period_hint=[math.nan])
+    assert batch.converged.all()
+    with pytest.raises(DomainError, match="^period_hint must be finite and > 0, got nan$"):
+        integrate_semi_infinite(lambda x: np.exp(-x), period_hint=math.nan)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_breakpoint_names_the_breakpoints(bad):
+    with pytest.raises(DomainError, match="^breakpoints must be finite$"):
+        integrate_interval(lambda t: t, 0.0, 1.0, breakpoints=[0.5, bad])
+
+
+# ---------------------------------------------------- one scalar route shell
+
+
+def _fake_route(converged):
+    calls = []
+
+    def route(a, u, config):
+        calls.append((a.tolist(), u.tolist(), config))
+        return quadrature.QuadratureBatch(
+            a + u, np.array([0.25]), np.array([converged]), np.array([15])
+        )
+
+    return route, calls
+
+
+def test_route_point_makes_one_one_point_call():
+    route, calls = _fake_route(True)
+    cfg = QuadratureConfig()
+    r = quadrature._route_point(route, cfg, True, a=1.5, u=np.float64(-0.5))
+    assert (r.value, r.error_estimate, r.method) == (1.0, 0.25, "quadrature")
+    assert type(r.value) is float
+    assert calls == [([1.5], [-0.5], cfg)]
+    # a direct route takes either sign of a
+    assert quadrature._route_point(route, None, False, a=-1.5, u=0.5).value == -1.0
+
+
+@pytest.mark.parametrize(
+    "positive, point, message",
+    [
+        (True, {"a": math.nan, "u": 0.0}, "^a must be finite, got nan$"),
+        (True, {"a": 1.0, "u": -math.inf}, "^u must be finite, got -inf$"),
+        (True, {"a": 0.0, "u": 0.0}, r"^a must be > 0 on this route, got 0\.0$"),
+        (True, {"a": -1.0, "u": 0.0}, r"^a must be > 0 on this route, got -1\.0$"),
+        (False, {"a": -0.0, "u": 0.0}, r"^a must be nonzero on this route, got -0\.0$"),
+    ],
+)
+def test_route_point_checks_the_point_before_the_call(positive, point, message):
+    route, calls = _fake_route(True)
+    with pytest.raises(DomainError, match=message):
+        quadrature._route_point(route, None, positive, **point)
+    assert calls == []
+
+
+def test_route_point_names_an_unconverged_point_and_its_estimate():
+    route, _ = _fake_route(False)
+    with pytest.raises(
+        IntegrationError,
+        match=r"^quadrature did not converge at \(a, u\)=\(2\.0, 0\.5\); error estimate 2\.500e-01$",
+    ):
+        quadrature._route_point(route, None, True, a=2.0, u=0.5)

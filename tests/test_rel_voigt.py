@@ -40,6 +40,7 @@ from relvoigt import (
     v0_grid,
     v2,
     v2_gamma0_limit,
+    v2_grid,
 )
 from relvoigt.quadrature import (
     QuadratureConfig,
@@ -48,7 +49,7 @@ from relvoigt.quadrature import (
     quadrature_grid,
 )
 from relvoigt import rel_voigt
-from relvoigt.rel_voigt import _pole_group, _rectangle_route, _rep_double
+from relvoigt.rel_voigt import _pole_group, _rectangle_route, _rep_double, _rep_single_complex
 from relvoigt.result import GridFailures
 
 SQRT_PI = math.sqrt(math.pi)
@@ -535,6 +536,35 @@ def test_rectangle_nonconvergence_names_the_point():
         h2_rectangle(0.5, 2.0, -1.0, config=QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=1))
 
 
+def test_single_complex_nonconvergence_names_the_point():
+    cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=1)
+    with pytest.raises(
+        IntegrationError,
+        match=r"^quadrature did not converge at \(a, u1, u2\)=\(2\.0, 1\.0, 0\.5\); error estimate",
+    ):
+        h2_integral_rep(2.0, 1.0, 0.5, "single_complex", cfg)
+
+
+def test_single_complex_batch_matches_one_point_calls_bit_for_bit():
+    # the route integrates each of its points in a call of its own, so a
+    # batch entry is exactly the scalar call's value and estimate
+    a, u1, u2 = REP_POINTS.T
+    batch = _rep_single_complex(a, u1, u2)
+    assert batch.converged.all() and (batch.evaluations > 0).all()
+    for k, p in enumerate(REP_POINTS.tolist()):
+        r = h2_integral_rep(*p, "single_complex")
+        assert (batch.value[k], batch.error_estimate[k]) == (r.value, r.error_estimate)
+        assert abs(r.value - h2(*p).value) <= 1e-6
+
+
+def test_representations_reject_a_point_before_the_variant_runs():
+    for variant in ("double", "single_complex"):
+        with pytest.raises(DomainError, match=r"^a must be > 0 on this route, got 0\.0$"):
+            h2_integral_rep(0.0, 1.0, 0.0, variant)
+        with pytest.raises(DomainError, match="^u2 must be finite, got nan$"):
+            h2_integral_rep(1.0, 1.0, math.nan, variant)
+
+
 def test_inner_laplace_cosine_identity():
     # Int_0^inf e^{-ax} cos(cx) dx = a/(a^2+c^2), the analytic value of the
     # double representation's inner integral
@@ -751,6 +781,17 @@ def test_v2_gamma0_limit_domain():
         v2_gamma0_limit(1.0, 1.0, 0.0, 1)
     with pytest.raises(DomainError):
         v2_gamma0_limit(1.0, 1.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("x", [1e-170, 1e-160])
+def test_v2_where_gamma_mu_underflows(x):
+    # gamma * mu is 1e-340 (0 in double) or 1e-320 (a subnormal with four
+    # digits); a = gamma mu / (2 sigma^2) must not be formed through it
+    params = ProfileParams(mu=x, gamma=x, sigma=1e-100)
+    got = v2(x, params)
+    want = float(REF.v2_mp(x, x, x, 1e-100))
+    assert abs(got - want) <= 1e-14 * want
+    assert v2_grid(x, x, x, 1e-100).value == got
 
 
 def test_v2_parameter_errors():

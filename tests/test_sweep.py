@@ -74,6 +74,12 @@ def test_spec_validation():
         spec_h0(start=float("nan"))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_spec_rejects_non_finite_fixed_parameter(bad):
+    with pytest.raises(DomainError, match=f"^fixed parameter a must be finite, got {bad!r}$"):
+        spec_h0(fixed={"a": bad})
+
+
 def test_run_sweep_values():
     rows = run_sweep(spec_h0())
     assert len(rows) == 5

@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from relvoigt import quadrature, rel_voigt, run_suite
-from relvoigt.verify import verify_oracle
+import numpy as np
+import pytest
+
+from relvoigt import IntegrationError, quadrature, rel_voigt, run_suite, verify
+from relvoigt.verify import verify_oracle, verify_representations
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_all.json"
 
@@ -101,6 +104,25 @@ def test_oracle_integrates_each_twin_pair_once(monkeypatch):
     assert max(sizes["h2"]) <= 1024
     assert [(r.name, r.grid_size) for r in reports] == CHECKS["oracle"]
     assert all(r.passed for r in reports)
+
+
+def test_failed_reference_point_is_named(monkeypatch):
+    # a route that leaves one point unconverged fails its check with the
+    # IntegrationError the scalar route raises, naming that point
+    laplace = verify._laplace_route
+
+    def one_unconverged(a, u, config=None):
+        r = laplace(a, u, config)
+        return quadrature.QuadratureBatch(
+            r.value, r.error_estimate, r.converged & ~((a == 1.0) & (u == 1.5)), r.evaluations
+        )
+
+    monkeypatch.setattr(verify, "_laplace_route", one_unconverged)
+    with pytest.raises(
+        IntegrationError,
+        match=r"^h0 Laplace representation failed with IntegrationError at \(1\.0, 1\.5\)$",
+    ):
+        verify_representations()
 
 
 def _same_deviation(got: float, want: float) -> bool:
