@@ -19,10 +19,10 @@ the one-integral case of the same code, so both follow every rule
 identically, and the batched integrators alone check the arguments.
 
 There is one stop rule, QuadratureConfig.met: an error estimate is met when
-it is finite and at most max(abs_tol, rel_tol * |value|).  The refinement
-loop, the real-line tail bound and both semi-infinite block tests apply it,
-so an estimate that overflowed never converges, not even against the
-infinite target of an infinite value.
+it and the value are finite and the estimate is at most
+max(abs_tol, rel_tol * |value|).  The refinement loop, the real-line tail
+bound and the semi-infinite block test apply it, so neither an estimate
+that overflowed nor a total that did ever converges.
 
 Integrand contract.  A scalar integrand receives a 1-D numpy array of
 abscissas and returns an array of the same length.  A batched integrand is
@@ -131,6 +131,9 @@ _WG = np.array(
 _GROUP = 64
 _GROUP_PANELS = 1024
 
+# a semi-infinite integral stops unconverged after this many blocks, at x = 2^63
+_MAX_BLOCKS = 64
+
 Integrand = Callable[[np.ndarray], np.ndarray]
 BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -167,8 +170,8 @@ class QuadratureConfig:
         return np.maximum(self.abs_tol, self.rel_tol * np.abs(value))
 
     def met(self, error, value):
-        """The one stop test: error is finite and <= target(value), elementwise."""
-        return np.isfinite(error) & (error <= self.target(value))
+        """The one stop test: error and value are finite and error <= target(value)."""
+        return np.isfinite(error) & np.isfinite(value) & (error <= self.target(value))
 
 
 @dataclass(frozen=True)
@@ -218,6 +221,14 @@ def _call(f: BatchIntegrand, x: np.ndarray, owner: np.ndarray) -> np.ndarray:
     return fv.astype(np.result_type(fv, np.float64), copy=False)
 
 
+def _require_finite_values(fv: np.ndarray, x: np.ndarray) -> None:
+    # IntegrationError naming the first abscissa whose value is NaN or infinite
+    finite = np.isfinite(fv)
+    if not finite.all():
+        where = x.flat[int(np.argmin(finite))]
+        raise IntegrationError(f"integrand returned a non-finite value at t={where!r}")
+
+
 def _eval_panels(f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     """Apply the G7/K15 pair to a batch of panels in one integrand call.
 
@@ -240,10 +251,7 @@ def _eval_panels(f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, owner: np.nd
         resabs = (buf @ _WK) * half
         overflow = ~np.isfinite(resabs)
         if overflow.any():
-            finite = np.isfinite(fv)
-            if not finite.all():
-                where = nodes.flat[int(np.argmin(finite))]
-                raise IntegrationError(f"integrand returned a non-finite value at t={where!r}")
+            _require_finite_values(fv, nodes)
 
         resk = (fv @ _WK) * half
         resg = (fv[:, 1:14:2] @ _WG) * half
@@ -547,7 +555,10 @@ def integrate_real_line_batch(
 
     value, error, converged, evaluations = _integrate_groups(f, lo, hi, cfg, pts)
     # Gaussian tail bound at the truncation points; it may overflow like a panel sum
-    edge = np.abs(_call(f, np.stack([lo, hi], axis=1), np.arange(n)[:, None]))
+    ends = np.stack([lo, hi], axis=1)
+    edge = _call(f, ends, np.arange(n)[:, None])
+    _require_finite_values(edge, ends)
+    edge = np.abs(edge)
     with np.errstate(over="ignore"):
         error = error + (edge[:, 0] + edge[:, 1]) * scale / (2.0 * radius)
     converged = converged & cfg.met(error, value)
@@ -615,43 +626,34 @@ def integrate_real_line_compactified(
 
 
 def integrate_semi_infinite_batch(
-    f: BatchIntegrand, n: int, config: QuadratureConfig | None = None, *, period_hint=None
+    f: BatchIntegrand, n: int, config: QuadratureConfig | None = None
 ) -> QuadratureBatch:
     """integrate_semi_infinite for n integrals at once.
 
-    f(x, owner) as for the other batched integrators.  period_hint is None
-    or a length-n array whose NaN entries mean "no hint" for that integral.
-    Every live integral advances by one block per round, and the blocks of
-    a round are integrated together.  An integral whose error sum is no
-    longer finite stops unconverged at once.
+    f(x, owner) as for the other batched integrators.  Every live integral
+    advances by one block per round, and the blocks of a round are
+    integrated together.  An integral whose error sum is no longer finite
+    stops unconverged at once.
     """
     cfg = config if config is not None else QuadratureConfig()
-    hint = np.full(n, np.nan) if period_hint is None else np.asarray(period_hint, float)
-    hint = np.broadcast_to(hint, (n,))
-    bad = ~np.isnan(hint) & ~(np.isfinite(hint) & (hint > 0.0))
-    if bad.any():
-        raise DomainError(f"period_hint must be finite and > 0, got {float(hint[bad][0])!r}")
-
     block_cfg = QuadratureConfig(
         abs_tol=cfg.abs_tol / 32.0,
         rel_tol=min(cfg.rel_tol, 1e-12),
         max_subdivisions=cfg.max_subdivisions,
         truncation_radius=cfg.truncation_radius,
     )
-    periodic = hint <= 16.0
-    max_blocks = np.where(periodic, 4096, 64)
 
     edge = np.zeros(n)
     err_sum = np.zeros(n)
     evaluations = np.zeros(n, dtype=np.int64)
     error = np.zeros(n)
     converged = np.zeros(n, dtype=bool)
-    total = value = hist = None
+    total = value = last = None
     live = np.arange(n)
     block = 0
     while live.size:
         e = edge[live]
-        nxt = np.where(periodic[live], e + hint[live], np.where(e == 0.0, 1.0, 2.0 * e))
+        nxt = np.where(e == 0.0, 1.0, 2.0 * e)
 
         def g(x, o, live=live):
             return f(x, live[o])
@@ -660,54 +662,30 @@ def integrate_semi_infinite_batch(
         if total is None:
             total = np.zeros(n, dtype=v.dtype)
             value = np.zeros(n, dtype=v.dtype)
-            hist = np.zeros((3, n), dtype=v.dtype)
+            last = np.zeros(n, dtype=v.dtype)
         evaluations[live] += ev
         edge[live] = nxt
         block += 1
 
         # block sums may overflow like panel sums; an inf error meets no target
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # the last three block values of each integral, oldest first
-            hist[:, live] = np.stack([hist[1, live], hist[2, live], v])
+            mag, mag1 = np.abs(v), np.abs(last[live])
+            last[live] = v
             total[live] += v
             err_sum[live] += er
             tot, es = total[live], err_sum[live]
-            finished = (block >= max_blocks[live]) | ~np.isfinite(es)
-            val = tot.copy()
-            out_err = es + np.abs(v)
+            out_err = es + mag
             ok = np.zeros(live.size, dtype=bool)
             if block >= 3:
-                v0, v1, v2 = hist[:, live]
-                mag, mag1 = np.abs(v2), np.abs(v1)
+                # remaining tail bounded by the measured geometric decay of
+                # the last two block values
                 rho = np.where(mag1 > 0.0, mag / mag1, 0.0)
-
-                # plain stop: remaining tail bounded by measured geometric decay
                 tail_bound = np.where(rho > 0.0, mag * rho / (1.0 - rho), 0.0)
-                plain = (rho < 0.95) & cfg.met(es + tail_bound + mag * _EPS, tot)
-
-                # geometric closure for exponential-envelope periodic blocks
-                r1 = v2 / v1
-                r2 = v1 / v0
-                ar1 = np.abs(r1)
-                drift = np.abs(r1 - r2)
-                closed = tot + v2 * r1 / (1.0 - r1)
-                closed_err = es + mag * drift / (1.0 - ar1) ** 2
-                close = (
-                    ~plain
-                    & periodic[live]
-                    & (mag1 > 0.0)
-                    & (np.abs(v0) > 0.0)
-                    & (ar1 < 1.0)
-                    & (np.abs(r2) < 1.0)
-                    & (drift <= 0.05 * (1.0 - ar1))
-                    & cfg.met(closed_err, closed)
-                )
-                val = np.where(close, closed, val)
-                out_err = np.where(plain, es + tail_bound, np.where(close, closed_err, out_err))
-                ok = plain | close
-        finished |= ok
+                ok = (rho < 0.95) & cfg.met(es + tail_bound + mag * _EPS, tot)
+                out_err = np.where(ok, es + tail_bound, out_err)
+        finished = ok | (block >= _MAX_BLOCKS) | ~np.isfinite(es)
         k = live[finished]
-        value[k] = val[finished]
+        value[k] = tot[finished]
         error[k] = out_err[finished]
         converged[k] = ok[finished]
         live = live[~finished]
@@ -718,31 +696,16 @@ def integrate_semi_infinite_batch(
 
 
 def integrate_semi_infinite(
-    f: Integrand,
-    config: QuadratureConfig | None = None,
-    *,
-    period_hint: float | None = None,
+    f: Integrand, config: QuadratureConfig | None = None
 ) -> QuadratureResult:
     """Integrate f over [0, inf) for exponentially enveloped integrands.
 
-    Without a hint, the interval is covered by geometrically growing blocks
-    [0,1], [1,2], [2,4], ... until block contributions fall below tolerance;
-    the remaining tail is bounded by the measured geometric decay of the
-    block values and folded into the error estimate.
-
-    For oscillatory integrands whose envelope decays too slowly for block
-    doubling (e^{-a x} with small a), pass the oscillation period as
-    period_hint: blocks then cover whole periods, so consecutive block
-    integrals of an exponential-envelope periodic integrand form an exact
-    geometric sequence.  Once the measured block ratio stabilizes, the tail
-    is summed geometrically and the closure residual (ratio drift amplified
-    by 1/(1-rho)^2) is folded into the error estimate.  Within each block
-    the adaptive rule subdivides down to the oscillation scale.
+    The interval is covered by geometrically growing blocks [0,1], [1,2],
+    [2,4], ... until block contributions fall below tolerance, at most
+    64 blocks; the remaining tail is bounded by the measured geometric
+    decay of the block values and folded into the error estimate.
     """
-    # the batched form reads a NaN hint as "no hint"; here it is an error
-    if period_hint is not None and math.isnan(period_hint):
-        raise DomainError("period_hint must be finite and > 0, got nan")
-    return integrate_semi_infinite_batch(_lone(f), 1, config, period_hint=period_hint)[0]
+    return integrate_semi_infinite_batch(_lone(f), 1, config)[0]
 
 
 def _route_point(route, config, positive: bool, **point) -> EvalResult:

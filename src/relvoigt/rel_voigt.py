@@ -23,9 +23,9 @@ they cancel, 1e-13 (|w(t1+)| + |w(-t1-)|) / |w1|, and grows with the loss.
 A Laurent series on the diagonal (h2_degenerate_series) and a
 leading-order form for min(|u1|, |u2|) large (h2_large_u_asymptotic) are
 kept as cross-checks.  Independent routes (direct quadrature, a
-shifted-contour form, and two integral representations obtained by
-Gaussianizing the denominator) exist solely to verify the closed form
-against each other.
+shifted-contour form, and a single oscillatory integral representation
+obtained by Gaussianizing the denominator) exist solely to verify the
+closed form against each other.
 
 Every function used by the sweeps also has a grid form (``h2_grid``,
 ``v2_grid``, ...) that evaluates whole arrays of points in one call.  The
@@ -57,7 +57,6 @@ import numpy as np
 from .complex_fn import faddeeva_w, faddeeva_w_grid
 from .errors import (
     DomainError,
-    IntegrationError,
     ParameterError,
     check_side,
     require_finite,
@@ -78,7 +77,6 @@ from .quadrature import (
     integrate_interval,
     integrate_real_line_batch,
     integrate_real_line_compactified_batch,
-    integrate_semi_infinite_batch,
     peak_seeds,
     quadrature_grid,
     _route_point,
@@ -480,78 +478,12 @@ def h2_rectangle(
     return _route_point(route, config, True, a=a, u1=u1, u2=u2)
 
 
-# the integral representations' default tolerances
+# the single_complex representation's default tolerances
 _REP_CONFIG = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8)
 
 
-def _rep_double(a, u1, u2, config=None) -> QuadratureBatch:
-    # H2 = (1/pi) Int dt e^{-t^2} Int_0^inf e^{-ax} cos(x (t-u1)(t-u2)) dx
-    # at arrays of points with a > 0, by honest nested quadrature.  One
-    # batched call carries the outer t-integrals of all points, and each of
-    # its rounds sends the inner x-integrals of every live abscissa of every
-    # point through one batched call, so the cost is the x integration
-    # itself, not a Python loop over abscissas or points.  The inner
-    # integral of an exponentially damped cosine is a geometric sum over
-    # whole periods, which the semi-infinite integrator closes analytically.
-    cfg = config if config is not None else _REP_CONFIG
-    inner_cfg = QuadratureConfig(
-        abs_tol=min(1e-9, cfg.abs_tol),
-        rel_tol=1e-10,
-        max_subdivisions=min(400, cfg.max_subdivisions),
-    )
-
-    # the inner integral is bounded by 1/a, so abscissas whose Gaussian
-    # envelope falls below this floor cannot move the total past the
-    # tolerance; skipping them avoids the most oscillatory inner integrals
-    env_floor = 1e-13 * a
-
-    def outer(t: np.ndarray, k: np.ndarray) -> np.ndarray:
-        env = t * t
-        np.negative(env, out=env)
-        np.exp(env, out=env)
-        out = np.zeros_like(env)
-        live = env >= env_floor[k]
-        own = np.broadcast_to(k, t.shape)[live]
-        tl = t[live]
-        c = tl - u1[own]
-        c *= tl - u2[own]
-        # for |c| >= 0.4, block on a whole number of periods with total
-        # width about 1: consecutive block integrals then form an exact
-        # geometric sequence whose ratio is far enough from 1 for the
-        # closure test to survive quadrature noise even at high frequency
-        with np.errstate(divide="ignore"):
-            period = 2.0 * math.pi / np.abs(c)
-        hint = np.where(
-            np.abs(c) >= 0.4, period * np.maximum(1.0, np.round(1.0 / period)), np.nan
-        )
-        damping = a[own]
-
-        def g(x: np.ndarray, j: np.ndarray) -> np.ndarray:
-            out = -damping[j] * x
-            np.exp(out, out=out)
-            wave = c[j] * x
-            np.cos(wave, out=wave)
-            out *= wave
-            return out
-
-        r = integrate_semi_infinite_batch(g, c.size, inner_cfg, period_hint=hint)
-        if not r.converged.all():
-            j = int(np.argmin(r.converged))
-            at = (float(a[own[j]]), float(u1[own[j]]), float(u2[own[j]]))
-            raise IntegrationError(
-                f"inner x-quadrature did not converge at (a, u1, u2)={at!r}, "
-                f"frequency {float(c[j])!r}"
-            )
-        out[live] = r.value
-        out *= env
-        out /= math.pi
-        return out
-
-    return integrate_real_line_batch(outer, a.size, cfg, seeds=_peak_seeds(a, u1, u2))
-
-
 def _rep_single_complex(a, u1, u2, config=None) -> QuadratureBatch:
-    # Collapsing the t integral of the double form through the Gaussian
+    # Collapsing the t integral of the nested form through the Gaussian
     # integral Int dt e^{-(1-ix)t^2 - ixst} = sqrt(pi/(1-ix)) e^{-x^2 s^2
     # / (4(1-ix))} leaves
     #   H2 = (1/sqrt(pi)) Re Int_0^inf
@@ -596,16 +528,22 @@ def h2_integral_rep(
     variant: str,
     config: QuadratureConfig | None = None,
 ) -> EvalResult:
-    """H2 through one of two independent integral representations.
+    """H2 through one of its integral representations; both require a > 0.
 
-    variant "double" is the nested Gaussian-times-damped-cosine form;
-    variant "single_complex" is its analytically collapsed single
-    oscillatory integral.  Both are verification routes with looser
-    accuracy than the closed form and both require a > 0.  In "double"
-    the config governs the outer t-integral; each inner x-integral gets at
-    most min(400, max_subdivisions) splits.
+    Writing the Lorentzian factor of the defining integral as a Laplace
+    integral gives the nested form
+
+        H2 = (1/pi) Int dt e^{-t^2} Int_0^inf e^{-ax} cos(x (t-u1)(t-u2)) dx.
+
+    variant "single_complex" collapses its t integral instead, leaving one
+    oscillatory x integral: the analogue of the classical
+    H(a, u) = (1/sqrt(pi)) Int_0^inf e^{-ax - x^2/4} cos(ux) dx, and the
+    independent verification route, looser than the closed form.  variant
+    "double" is the nested form with its inner integral taken in closed
+    form, a/(a^2 + (t-u1)^2 (t-u2)^2), which is the defining integral
+    itself: it runs h2_quadrature's route and returns its result.
     """
-    route = {"double": _rep_double, "single_complex": _rep_single_complex}.get(variant)
+    route = {"double": _h2_route, "single_complex": _rep_single_complex}.get(variant)
     if route is None:
         raise DomainError(f"unknown variant {variant!r}, expected 'double' or 'single_complex'")
     return _route_point(route, config, True, a=a, u1=u1, u2=u2)

@@ -40,7 +40,6 @@ from .quadrature import (
 )
 from .rel_voigt import (
     _rectangle_route,
-    _rep_double,
     _rep_single_complex,
     d0,
     d2,
@@ -260,12 +259,11 @@ def verify_representations(tolerance: float | None = None) -> list[VerifyReport]
         [
             h2_grid(a, u1, u2).value,
             _route_values(_rectangle_route, "h2 rectangle", a, u1, u2),
-            _route_values(_rep_double, "h2 double representation", a, u1, u2),
             _route_values(_rep_single_complex, "h2 single_complex representation", a, u1, u2),
         ]
     )
     devs = routes.max(axis=0) - routes.min(axis=0)
-    reports.append(_pointwise("h2 four-route pairwise agreement", devs, routes[0], tol))
+    reports.append(_pointwise("h2 three-route pairwise agreement", devs, routes[0], tol))
 
     tol = _override(1e-9, tolerance)
     spots = [

@@ -67,9 +67,7 @@ def test_semi_infinite_exponential():
 
 def test_semi_infinite_damped_oscillation():
     # Int_0^inf e^{-3x} sin(2x) dx = 2/13
-    r = integrate_semi_infinite(
-        lambda x: np.exp(-3.0 * x) * np.sin(2.0 * x), period_hint=math.pi
-    )
+    r = integrate_semi_infinite(lambda x: np.exp(-3.0 * x) * np.sin(2.0 * x))
     assert r.converged
     assert abs(r.value - 2.0 / 13.0) < 1e-12
 
@@ -139,8 +137,6 @@ def test_config_validation():
         integrate_interval(lambda t: t, 1.0, 0.0)
     with pytest.raises(DomainError):
         integrate_real_line(lambda t: np.exp(-t * t), scale=0.0)
-    with pytest.raises(DomainError):
-        integrate_semi_infinite(lambda x: np.exp(-x), period_hint=-1.0)
 
 
 # ------------------------------------------------------- batched integration
@@ -189,33 +185,32 @@ def test_compactified_batch_matches_scalar_members():
         assert abs(batch.value[k] - math.pi / (2.0 * w[k] ** 2)) <= 1e-9 * batch.value[k]
 
 
-def _inner_hint(c):
-    # the period hint of the nested H2 representation: whole periods with
-    # total block width about 1 for |c| >= 0.4, doubling blocks below
-    period = 2.0 * math.pi / np.abs(c)
-    return np.where(np.abs(c) >= 0.4, period * np.maximum(1.0, np.round(1.0 / period)), np.nan)
-
-
-def test_semi_infinite_batch_matches_scalar_on_both_block_paths():
+def test_semi_infinite_damped_cosine_is_its_laplace_transform():
+    # Int_0^inf e^{-ax} cos(cx) dx = a/(a^2+c^2): slow, fast and very fast
+    # oscillation under the doubling blocks, batched and one integral a call
     rng = np.random.default_rng(13)
     a = rng.uniform(0.1, 5.0, 24)
-    # doubling path (|c| < 0.4), periodic path, and high frequency
     c = np.concatenate([rng.uniform(-0.39, 0.39, 8), rng.uniform(0.4, 5.0, 8),
                         rng.choice([-1.0, 1.0], 8) * rng.uniform(20.0, 70.0, 8)])
-    hint = _inner_hint(c)
     cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-10, max_subdivisions=400)
 
     def g(x, k):
         return np.exp(-a[k] * x) * np.cos(c[k] * x)
 
-    batch = integrate_semi_infinite_batch(g, a.size, cfg, period_hint=hint)
+    batch = integrate_semi_infinite_batch(g, a.size, cfg)
     assert batch.converged.all()
     for k in range(a.size):
-        h = None if np.isnan(hint[k]) else float(hint[k])
-        single = integrate_semi_infinite(lambda x: g(x, k), cfg, period_hint=h)
+        single = integrate_semi_infinite(lambda x: g(x, k), cfg)
         _agree(batch, k, single)
         exact = a[k] / (a[k] ** 2 + c[k] ** 2)
         assert abs(batch.value[k] - exact) <= batch.error_estimate[k] + 1e-12
+
+    # and to 1e-11 under a 1e-12 tolerance
+    r = integrate_semi_infinite(
+        lambda x: np.exp(-0.5 * x) * np.cos(3.0 * x), QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
+    )
+    assert r.converged
+    assert abs(r.value - 0.5 / (0.25 + 9.0)) < 1e-11
 
 
 @pytest.mark.parametrize("budget, widths", [(1, [1e-4, 2.0, 4.0]), (8, [1e-4, 0.3, 2.0])])
@@ -340,7 +335,7 @@ def test_batched_integrand_sees_panel_rows_and_an_owner_column(kind):
     elif kind == "compactified":
         batch = integrate_real_line_compactified_batch(f, 3, seeds=c[:, None])
     else:
-        batch = integrate_semi_infinite_batch(f, 3, period_hint=np.full(3, 4.0))
+        batch = integrate_semi_infinite_batch(f, 3)
     assert batch.converged.all()
     rounds = calls[:-1] if kind == "real_line" else calls
     assert len(rounds) > 1
@@ -540,20 +535,45 @@ def test_real_line_overflowing_tail_bound_is_an_inf_estimate(f):
 
 
 def test_overflowing_block_tail_bound_is_never_met():
-    # every block value is finite, but their sum and, after the third
-    # block, the geometric tail bound overflow: an inf bound converges nothing
+    # every block value is finite, but their sum overflows; the estimate
+    # stays finite, and the infinite total meets no target
     def f(x):
         return np.select([x < 1, x < 2, x < 4], [0.5e308, 0.889e308, 0.4e308], 0.0)
 
     r = _no_warning(lambda: integrate_semi_infinite(f))
-    assert math.isfinite(r.error_estimate) or not r.converged
+    assert r.value == math.inf
+    assert not r.converged
+
+
+def test_overflowed_interval_total_is_not_converged():
+    # finite panel values whose sum passes DBL_MAX: the estimate is finite,
+    # but an infinite total meets no target
+    r = _no_warning(
+        lambda: integrate_interval(lambda t: np.full_like(t, 0.8e308), 0.0, 3.0, breakpoints=[1.0, 2.0])
+    )
+    assert r.value == math.inf and math.isfinite(r.error_estimate)
+    assert not r.converged
+
+
+def test_non_finite_tail_bound_value_names_its_abscissa():
+    # every panel node lies inside (-12, 12); only the tail bound's call at
+    # the truncation points sees the NaN
+    def f(t):
+        return np.where(np.abs(t) >= 12, np.nan, np.exp(-t * t))
+
+    with pytest.raises(IntegrationError, match="^integrand returned a non-finite value") as err:
+        integrate_real_line(f)
+    assert _named_abscissa(err) == -12.0
+    with pytest.raises(IntegrationError, match="^integrand returned a non-finite value") as err:
+        integrate_real_line_batch(lambda t, k: np.where(k == 1, f(t), _gauss(t)), 2)
+    assert _named_abscissa(err) == -12.0
 
 
 # ------------------------------------------------------- argument checks
 #
-# The batched integrators check center, scale, seeds and period_hint; the
-# scalar ones pass their arguments through, so both raise the same message,
-# with Python floats in it.
+# The batched integrators check center, scale and seeds; the scalar ones
+# pass their arguments through, so both raise the same message, with Python
+# floats in it.
 
 
 def _gauss(t, k=None):
@@ -576,26 +596,6 @@ def test_real_line_center_and_scale_checks(kwargs, message):
     scalar = {k: v[-1] if isinstance(v, list) else v for k, v in kwargs.items()}
     with pytest.raises(DomainError, match=message):
         integrate_real_line(_gauss, **scalar)
-
-
-@pytest.mark.parametrize(
-    "hint, message",
-    [(-2.0, r"-2\.0"), (0.0, r"0\.0"), (math.inf, "inf"), (-math.inf, "-inf")],
-)
-def test_period_hint_checks(hint, message):
-    message = f"^period_hint must be finite and > 0, got {message}$"
-    with pytest.raises(DomainError, match=message):
-        integrate_semi_infinite_batch(lambda x, k: np.exp(-x), 2, period_hint=[1.0, hint])
-    with pytest.raises(DomainError, match=message):
-        integrate_semi_infinite(lambda x: np.exp(-x), period_hint=hint)
-
-
-def test_scalar_nan_period_hint_is_rejected():
-    # the batched form reads NaN as "no hint"; a scalar hint of NaN is an error
-    batch = integrate_semi_infinite_batch(lambda x, k: np.exp(-x), 1, period_hint=[math.nan])
-    assert batch.converged.all()
-    with pytest.raises(DomainError, match="^period_hint must be finite and > 0, got nan$"):
-        integrate_semi_infinite(lambda x: np.exp(-x), period_hint=math.nan)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

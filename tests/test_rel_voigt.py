@@ -49,7 +49,7 @@ from relvoigt.quadrature import (
     quadrature_grid,
 )
 from relvoigt import rel_voigt
-from relvoigt.rel_voigt import _pole_group, _rectangle_route, _rep_double, _rep_single_complex
+from relvoigt.rel_voigt import _pole_group, _rectangle_route, _rep_single_complex
 from relvoigt.result import GridFailures
 
 SQRT_PI = math.sqrt(math.pi)
@@ -484,25 +484,13 @@ def _agree_with_one_point_calls(batch, points, one_point):
         assert abs(batch.value[k] - single.value) <= batch.error_estimate[k] + single.error_estimate
 
 
-def test_double_rep_batch_matches_one_point_calls(monkeypatch):
-    hints = []
-    semi_infinite = rel_voigt.integrate_semi_infinite_batch
-
-    def recording(f, n, config=None, *, period_hint=None):
-        hints.append(np.asarray(period_hint))
-        return semi_infinite(f, n, config, period_hint=period_hint)
-
-    monkeypatch.setattr(rel_voigt, "integrate_semi_infinite_batch", recording)
-    a, u1, u2 = REP_POINTS.T
-    batch = _rep_double(a, u1, u2)
-    assert batch.converged.all()
-    # the inner integrals take both block paths: doubling for |c| < 0.4,
-    # whole periods (a finite hint) above
-    hint = np.concatenate(hints)
-    assert np.isnan(hint).any() and np.isfinite(hint).any()
-    _agree_with_one_point_calls(batch, REP_POINTS, lambda *p: _rep_double(*map(np.atleast_1d, p))[0])
-    for k, p in enumerate(REP_POINTS.tolist()):
-        assert abs(batch.value[k] - h2(*p).value) <= 1e-6
+def test_double_rep_is_the_defining_integral():
+    # the nested form with its inner Laplace integral in closed form is the
+    # defining integral, so "double" returns h2_quadrature's result
+    for p in REP_POINTS.tolist():
+        got = h2_integral_rep(*p, "double")
+        assert got == h2_quadrature(*p)
+        assert abs(got.value - h2(*p).value) <= 1e-6
 
 
 def test_rectangle_batch_matches_one_point_calls():
@@ -518,17 +506,9 @@ def test_rectangle_batch_matches_one_point_calls():
 
 
 def test_double_rep_nonconvergence_names_the_point():
-    # a tiny budget starves the inner x-integrals first; a tight tolerance
-    # with a small budget leaves the inner ones converged and the outer not
-    with pytest.raises(IntegrationError, match=r"inner x-quadrature .* \(a, u1, u2\)=\(1\.0, 1\.0, 0\.0\)"):
-        h2_integral_rep(1.0, 1.0, 0.0, "double", QuadratureConfig(max_subdivisions=2))
     cfg = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=8)
     with pytest.raises(IntegrationError, match=r"did not converge at \(a, u1, u2\)=\(0\.2, 1\.0, -1\.0\)"):
         h2_integral_rep(0.2, 1.0, -1.0, "double", cfg)
-    # a failure inside a batch names a point of that batch
-    a, u1, u2 = np.array([[1.0, 1.0, 0.0], [0.5, 2.0, -2.5]]).T
-    with pytest.raises(IntegrationError, match=r"\(a, u1, u2\)=\((1\.0, 1\.0, 0\.0|0\.5, 2\.0, -2\.5)\)"):
-        _rep_double(a, u1, u2, QuadratureConfig(max_subdivisions=2))
 
 
 def test_rectangle_nonconvergence_names_the_point():
@@ -563,21 +543,6 @@ def test_representations_reject_a_point_before_the_variant_runs():
             h2_integral_rep(0.0, 1.0, 0.0, variant)
         with pytest.raises(DomainError, match="^u2 must be finite, got nan$"):
             h2_integral_rep(1.0, 1.0, math.nan, variant)
-
-
-def test_inner_laplace_cosine_identity():
-    # Int_0^inf e^{-ax} cos(cx) dx = a/(a^2+c^2), the analytic value of the
-    # double representation's inner integral
-    from relvoigt.quadrature import integrate_semi_infinite
-
-    a, c = 0.5, 3.0
-    r = integrate_semi_infinite(
-        lambda x: np.exp(-a * x) * np.cos(c * x),
-        QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12),
-        period_hint=2.0 * math.pi / c,
-    )
-    assert r.converged
-    assert abs(r.value - a / (a * a + c * c)) < 1e-11
 
 
 # ----------------------------------------------------------------------- i2

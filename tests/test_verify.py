@@ -29,7 +29,7 @@ CHECKS = {
         ("h2 degenerate series vs quadrature", 4),
     ],
     "representations": [
-        ("h2 four-route pairwise agreement", 50),
+        ("h2 three-route pairwise agreement", 50),
         ("h0 Laplace representation vs closed form", 10),
     ],
     "limits": [
