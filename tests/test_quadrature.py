@@ -185,9 +185,10 @@ def test_compactified_batch_matches_scalar_members():
         assert abs(batch.value[k] - math.pi / (2.0 * w[k] ** 2)) <= 1e-9 * batch.value[k]
 
 
-def test_semi_infinite_damped_cosine_is_its_laplace_transform():
-    # Int_0^inf e^{-ax} cos(cx) dx = a/(a^2+c^2): slow, fast and very fast
-    # oscillation under the doubling blocks, batched and one integral a call
+def test_semi_infinite_batch_matches_scalar_on_both_block_paths():
+    # Int_0^inf e^{-ax} cos(cx) dx = a/(a^2+c^2): slow (|c| < 0.4), fast and
+    # very fast oscillation, the regimes that once took separate block paths,
+    # now all under the doubling blocks, batched and one integral a call
     rng = np.random.default_rng(13)
     a = rng.uniform(0.1, 5.0, 24)
     c = np.concatenate([rng.uniform(-0.39, 0.39, 8), rng.uniform(0.4, 5.0, 8),
@@ -204,13 +205,6 @@ def test_semi_infinite_damped_cosine_is_its_laplace_transform():
         _agree(batch, k, single)
         exact = a[k] / (a[k] ** 2 + c[k] ** 2)
         assert abs(batch.value[k] - exact) <= batch.error_estimate[k] + 1e-12
-
-    # and to 1e-11 under a 1e-12 tolerance
-    r = integrate_semi_infinite(
-        lambda x: np.exp(-0.5 * x) * np.cos(3.0 * x), QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
-    )
-    assert r.converged
-    assert abs(r.value - 0.5 / (0.25 + 9.0)) < 1e-11
 
 
 @pytest.mark.parametrize("budget, widths", [(1, [1e-4, 2.0, 4.0]), (8, [1e-4, 0.3, 2.0])])

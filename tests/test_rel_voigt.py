@@ -545,6 +545,20 @@ def test_representations_reject_a_point_before_the_variant_runs():
             h2_integral_rep(1.0, 1.0, math.nan, variant)
 
 
+def test_inner_laplace_cosine_identity():
+    # Int_0^inf e^{-ax} cos(cx) dx = a/(a^2+c^2), the closed form the double
+    # representation takes for its inner integral, checked by quadrature
+    from relvoigt.quadrature import integrate_semi_infinite
+
+    a, c = 0.5, 3.0
+    r = integrate_semi_infinite(
+        lambda x: np.exp(-a * x) * np.cos(c * x),
+        QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12),
+    )
+    assert r.converged
+    assert abs(r.value - a / (a * a + c * c)) < 1e-11
+
+
 # ----------------------------------------------------------------------- i2
 
 
