@@ -22,7 +22,8 @@ There is one stop rule, QuadratureConfig.met: an error estimate is met when
 it and the value are finite and the estimate is at most
 max(abs_tol, rel_tol * |value|).  The refinement loop, the real-line tail
 bound and the semi-infinite block test apply it, so neither an estimate
-that overflowed nor a total that did ever converges.
+that overflowed nor a total that did ever converges, and an integral whose
+total is no longer finite stops unconverged at once.
 
 Integrand contract.  A scalar integrand receives a 1-D numpy array of
 abscissas and returns an array of the same length.  A batched integrand is
@@ -32,10 +33,12 @@ giving the index of the integral each row belongs to, so per-integral
 parameters are gathered once per row and broadcast along it.  It returns
 an array of the abscissas' shape.  (integrate_real_line_batch's tail bound
 makes one more call, with a row of the two truncation points per
-integral.)  Neither kind may write into its abscissa argument.  A return
-of the wrong shape raises IntegrationError, and so does a non-finite
-value, for the whole call.  Complex-valued integrands are allowed (real
-and imaginary parts are integrated in one pass).
+integral.)  The kernel builds its nodes node-major, one row per Kronrod
+node, and hands the integrand that block's transpose, so the abscissas
+may be a non-C-contiguous view.  Neither kind may write into its abscissa
+argument.  A return of the wrong shape raises IntegrationError, and so
+does a non-finite value, for the whole call.  Complex-valued integrands
+are allowed (real and imaginary parts are integrated in one pass).
 
 Everything here is pure and writes no module state after import, so
 concurrent calls from multiple threads are safe; the integrand callable
@@ -232,15 +235,18 @@ def _require_finite_values(fv: np.ndarray, x: np.ndarray) -> None:
 def _eval_panels(f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     """Apply the G7/K15 pair to a batch of panels in one integrand call.
 
-    The integrand sees one row of 15 nodes per panel and the panels'
-    owners as a column.  Returns the Kronrod values and error estimates
-    per panel.
+    The nodes are built node-major, one contiguous row of panels per
+    Kronrod node, and every weighted sum below is a weight vector times
+    those rows; numpy ufuncs give values in the layout of their
+    abscissas, so the rows stay contiguous.  The integrand sees the
+    transpose, one row of 15 nodes per panel, and the panels' owners as a
+    column.  Returns the Kronrod values and error estimates per panel.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    nodes = np.multiply.outer(half, _XK)
-    nodes += mid[:, None]
-    fv = _call(f, nodes, owner[:, None])
+    nodes = np.multiply.outer(_XK, half)
+    nodes += mid
+    fv = _call(f, nodes.T, owner[:, None]).T
 
     # a NaN or infinite value makes its panel's weighted |f| sum non-finite,
     # so the full scan runs only when a sum is.  A sum of finite values can
@@ -248,15 +254,17 @@ def _eval_panels(f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, owner: np.nd
     # warnings its arithmetic raises on the way say nothing more
     with np.errstate(over="ignore", invalid="ignore"):
         buf = np.abs(fv)
-        resabs = (buf @ _WK) * half
+        resabs = (_WK @ buf) * half
         overflow = ~np.isfinite(resabs)
         if overflow.any():
-            _require_finite_values(fv, nodes)
+            _require_finite_values(fv.T, nodes.T)
 
-        resk = (fv @ _WK) * half
-        resg = (fv[:, 1:14:2] @ _WG) * half
+        resk = (_WK @ fv) * half
+        resg = (_WG @ fv[1:14:2]) * half
         mean = resk / (hi - lo)
-        resasc = (np.abs(fv - mean[:, None], out=buf) @ _WK) * half
+        # |f - mean| reuses the |f| buffer, in place when f is real
+        dev = fv - mean if np.iscomplexobj(fv) else np.subtract(fv, mean, out=buf)
+        resasc = (_WK @ np.abs(dev, out=buf)) * half
 
         # QUADPACK-style sharpened estimate for the Kronrod value
         raw = np.abs(resk - resg)
@@ -291,8 +299,9 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, cfg: QuadratureConfig):
     converged once cfg.met(error sum, value); otherwise split
     every panel holding more than its share of the error and wider than 64
     ulps, worst first when fewer splits remain in the max_subdivisions
-    budget; stop unconverged when the budget is spent or nothing can be
-    split.  Returns per-integral (value, error, converged, evaluations).
+    budget; stop unconverged when the budget is spent, nothing can be
+    split or the value is no longer finite.  Returns per-integral (value,
+    error, converged, evaluations).
     """
     val, err = _eval_panels(f, plo, phi, own)
     wide = _wide(plo, phi)
@@ -316,7 +325,7 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, cfg: QuadratureConfig):
         mask = (err > share[own]) & wide
         budget = int(cfg.max_subdivisions) - splits
         wanted = np.bincount(own[mask], minlength=n)
-        stop = live & (done | (budget <= 0) | (wanted == 0))
+        stop = live & (done | (budget <= 0) | (wanted == 0) | ~np.isfinite(total))
         if stop.any():
             value[stop] = total[stop]
             error[stop] = total_err[stop]
@@ -632,8 +641,8 @@ def integrate_semi_infinite_batch(
 
     f(x, owner) as for the other batched integrators.  Every live integral
     advances by one block per round, and the blocks of a round are
-    integrated together.  An integral whose error sum is no longer finite
-    stops unconverged at once.
+    integrated together.  An integral whose error sum or total is no longer
+    finite stops unconverged at once.
     """
     cfg = config if config is not None else QuadratureConfig()
     block_cfg = QuadratureConfig(
@@ -683,7 +692,7 @@ def integrate_semi_infinite_batch(
                 tail_bound = np.where(rho > 0.0, mag * rho / (1.0 - rho), 0.0)
                 ok = (rho < 0.95) & cfg.met(es + tail_bound + mag * _EPS, tot)
                 out_err = np.where(ok, es + tail_bound, out_err)
-        finished = ok | (block >= _MAX_BLOCKS) | ~np.isfinite(es)
+        finished = ok | (block >= _MAX_BLOCKS) | ~np.isfinite(es) | ~np.isfinite(tot)
         k = live[finished]
         value[k] = tot[finished]
         error[k] = out_err[finished]

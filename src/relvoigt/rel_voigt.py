@@ -489,22 +489,24 @@ def _rep_single_complex(a, u1, u2, config=None) -> QuadratureBatch:
     #   H2 = (1/sqrt(pi)) Re Int_0^inf
     #            e^{-ax + (ix/4)(4 u1 u2 - (u1+u2)^2 x/(i+x))} / sqrt(1-ix) dx
     # with the principal branch of sqrt(1-ix), here at arrays of points with
-    # a > 0.  Each point's thousands of breakpoints already fill a
-    # refinement round, so the points are integrated one call each.
+    # a > 0.  The points are integrated one call each: a batched call's
+    # weighted sums round by the batch's composition, so its entries would
+    # not be the one-point call's value bit for bit.
     cfg = config if config is not None else _REP_CONFIG
     out = [_single_complex_point(*p, cfg) for p in zip(a.tolist(), u1.tolist(), u2.tolist())]
     return QuadratureBatch(*(np.array(col) for col in zip(*out)))
 
 
 def _single_complex_point(a: float, u1: float, u2: float, cfg: QuadratureConfig):
-    # The modulus of the exponential is bounded by e^{-ax}, so truncation
-    # at x_max leaves a tail below e^{-a x_max}/a; the phase oscillates at
+    # The modulus of the integrand is at most e^{-ax}, so truncation at
+    # x_max = 50/a leaves a tail below e^{-50}/a, which the estimate adds;
+    # the window ends there, however small x_max is.  The phase oscillates at
     # frequency about |u1 u2| near 0 and (u1-u2)^2/4 asymptotically, and
     # panel edges are pre-seeded on that scale so no oscillation hides
     # inside one panel.  Returns value, estimate, converged, evaluations.
     s = u1 + u2
     p = u1 * u2
-    x_max = max(50.0 / a, 200.0)
+    x_max = 50.0 / a
 
     def f(x: np.ndarray) -> np.ndarray:
         z = -a * x + 0.25j * x * (4.0 * p - s * s * x / (1j + x))

@@ -401,6 +401,102 @@ def test_wrong_length_return_is_an_integration_error(call):
         call()
 
 
+# ---------------------------------------------------------- the K15 kernel
+#
+# The kernel builds its nodes node-major and sums contiguous rows; the
+# integrand still sees one row per panel.  Each panel's value and estimate
+# are checked against exactly rounded sums (math.fsum) of the same values.
+
+
+def _kernel_panels(n):
+    rng = np.random.default_rng(7 + n)
+    lo = rng.uniform(-4.0, 4.0, n)
+    hi = lo + rng.uniform(1e-3, 2.0, n)
+    return lo, hi, rng.integers(0, 5, n), rng.uniform(-2.0, 2.0, 5), rng.uniform(0.05, 1.0, 5)
+
+
+def _fsum_weighted(w, v):
+    if np.iscomplexobj(v):
+        return complex(math.fsum((w * v).real), math.fsum((w * v).imag))
+    return math.fsum(w * v)
+
+
+def _qk15_estimate(raw, resasc, resabs):
+    # QUADPACK's sharpened estimate from exact ingredients
+    err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5) if resasc > 0.0 else raw
+    return max(err, 50.0 * quadrature._EPS * resabs)
+
+
+def test_batched_integrand_sees_the_panel_major_nodes_bit_for_bit():
+    lo, hi, own, _, _ = _kernel_panels(3000)
+    seen = []
+
+    def f(t, k):
+        seen.append(t.copy())
+        return np.exp(-t * t)
+
+    quadrature._eval_panels(f, lo, hi, own)
+    half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    want = np.multiply.outer(half, quadrature._XK) + mid[:, None]
+    assert len(seen) == 1 and seen[0].shape == (3000, 15)
+    assert np.array_equal(seen[0], want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 3000])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_kernel_sums_match_exact_sums_within_a_few_ulp(kind, n):
+    lo, hi, own, c, w = _kernel_panels(n)
+    if kind == "real":
+        def f(t, k):
+            return np.exp(-t * t) / ((t - c[k]) ** 2 + w[k] ** 2)
+    else:
+        def f(t, k):
+            return np.exp((1j * c[k] - 0.25) * t * t + 1j * w[k] * t)
+
+    value, estimate = quadrature._eval_panels(f, lo, hi, own)
+    wk, wg = quadrature._WK, quadrature._WG
+    for p in range(n):
+        half, mid = 0.5 * (hi[p] - lo[p]), 0.5 * (lo[p] + hi[p])
+        fv = f((half * quadrature._XK + mid)[None, :], own[p : p + 1, None])[0]
+        resk = _fsum_weighted(wk, fv) * half
+        resg = _fsum_weighted(wg, fv[1:14:2]) * half
+        resabs = _fsum_weighted(wk, np.abs(fv)) * half
+        resasc = _fsum_weighted(wk, np.abs(fv - resk / (hi[p] - lo[p]))) * half
+        # a few ulp of the panel's sum of |w f|
+        slack = 8.0 * quadrature._EPS * resabs
+        assert abs(value[p] - resk) <= slack, (p, value[p], resk)
+        # the estimate is QUADPACK's formula, rounded, at ingredients within
+        # that slack of the exact ones; it is monotone in each, so the
+        # corners of the slack box bound it
+        raw = abs(resk - resg)
+        corners = [
+            _qk15_estimate(max(raw + dr, 0.0), max(resasc + da, 0.0), resabs + ds)
+            for dr in (-2.0 * slack, 2.0 * slack)
+            for da in (-slack, slack)
+            for ds in (-slack, slack)
+        ]
+        ulps = 1.0 + 8.0 * quadrature._EPS
+        assert min(corners) / ulps <= estimate[p] <= max(corners) * ulps, (p, estimate[p], corners)
+
+
+def test_kernel_names_the_first_bad_abscissa_in_panel_order():
+    # panel 0 goes bad at node 10 and panel 1 at node 2: in (panel, node)
+    # row-major order panel 0's node comes first, although node 2's row of
+    # the node-major block is scanned before node 10's
+    lo, hi = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+    bad = {(0, 10), (1, 2)}
+
+    def f(t, k):
+        out = np.exp(-t * t)
+        for p, j in bad:
+            out[p, j] = np.nan
+        return out
+
+    with pytest.raises(IntegrationError, match="^integrand returned a non-finite value") as err:
+        quadrature._eval_panels(f, lo, hi, np.zeros(3, dtype=int))
+    assert _named_abscissa(err) == 0.5 + 0.5 * quadrature._XK[10]
+
+
 def _named_abscissa(err) -> float:
     # the t of "non-finite value at t=...", with or without numpy 2's
     # np.float64(...) repr
@@ -529,24 +625,28 @@ def test_real_line_overflowing_tail_bound_is_an_inf_estimate(f):
 
 
 def test_overflowing_block_tail_bound_is_never_met():
-    # every block value is finite, but their sum overflows; the estimate
-    # stays finite, and the infinite total meets no target
+    # every block value is finite, but their sum overflows at the third
+    # block; the infinite total meets no target, and the integral stops
+    # there rather than running on to its 64-block budget
     def f(x):
         return np.select([x < 1, x < 2, x < 4], [0.5e308, 0.889e308, 0.4e308], 0.0)
 
     r = _no_warning(lambda: integrate_semi_infinite(f))
     assert r.value == math.inf
     assert not r.converged
+    assert r.evaluations == 45
 
 
 def test_overflowed_interval_total_is_not_converged():
     # finite panel values whose sum passes DBL_MAX: the estimate is finite,
-    # but an infinite total meets no target
+    # but an infinite total meets no target, and the integral stops after
+    # its three initial panels rather than spending its split budget
     r = _no_warning(
         lambda: integrate_interval(lambda t: np.full_like(t, 0.8e308), 0.0, 3.0, breakpoints=[1.0, 2.0])
     )
     assert r.value == math.inf and math.isfinite(r.error_estimate)
     assert not r.converged
+    assert r.evaluations == 45
 
 
 def test_non_finite_tail_bound_value_names_its_abscissa():

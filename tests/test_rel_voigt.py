@@ -48,7 +48,7 @@ from relvoigt.quadrature import (
     integrate_real_line_batch,
     quadrature_grid,
 )
-from relvoigt import rel_voigt
+from relvoigt import rel_voigt, verify
 from relvoigt.rel_voigt import _pole_group, _rectangle_route, _rep_single_complex
 from relvoigt.result import GridFailures
 
@@ -517,7 +517,7 @@ def test_rectangle_nonconvergence_names_the_point():
 
 
 def test_single_complex_nonconvergence_names_the_point():
-    cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=1)
+    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1)
     with pytest.raises(
         IntegrationError,
         match=r"^quadrature did not converge at \(a, u1, u2\)=\(2\.0, 1\.0, 0\.5\); error estimate",
@@ -535,6 +535,38 @@ def test_single_complex_batch_matches_one_point_calls_bit_for_bit():
         r = h2_integral_rep(*p, "single_complex")
         assert (batch.value[k], batch.error_estimate[k]) == (r.value, r.error_estimate)
         assert abs(r.value - h2(*p).value) <= 1e-6
+
+
+def test_single_complex_agrees_with_the_reference_within_its_estimate():
+    # the window ends at x = 50/a, where the e^{-ax} envelope leaves a tail
+    # below e^{-50}/a; the estimate, which adds that tail, still bounds the
+    # true error
+    rng = np.random.default_rng(20)
+    seeded = np.stack(
+        [rng.uniform(0.1, 5.0, 20), rng.uniform(-3.0, 3.0, 20), rng.uniform(-3.0, 3.0, 20)], axis=1
+    )
+    points = np.concatenate([REP_POINTS, seeded])
+    batch = _rep_single_complex(*points.T)
+    assert batch.converged.all()
+    for k, p in enumerate(points.tolist()):
+        ref = float(REF.h2_mp(*p))
+        assert abs(batch.value[k] - ref) <= batch.error_estimate[k], (p, batch[k], ref)
+
+
+def test_single_complex_window_costs_what_its_tail_bound_needs(monkeypatch):
+    # verify representations' 50 points: a window of at least [0, 200]
+    # took 220,470 evaluations, most of them where the integrand is below
+    # e^{-50}
+    evaluations = []
+
+    def counting(a, u1, u2, config=None):
+        r = _rep_single_complex(a, u1, u2, config)
+        evaluations.append(int(r.evaluations.sum()))
+        return r
+
+    monkeypatch.setattr(verify, "_rep_single_complex", counting)
+    verify.verify_representations()
+    assert 0 < sum(evaluations) <= 60_000
 
 
 def test_representations_reject_a_point_before_the_variant_runs():

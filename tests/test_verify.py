@@ -130,7 +130,7 @@ def _same_deviation(got: float, want: float) -> bool:
 
 
 def test_verify_all_json_matches_golden(capsys):
-    # `relvoigt verify all --json` as recorded before the panel-major
+    # `relvoigt verify all --json` as recorded with the node-major
     # quadrature kernel.  Names, grid sizes, tolerances and pass flags must
     # match exactly and deviations within 1e-9 relative.  A row whose
     # absolute deviation is at most 1e-15 on both sides is ulp-level: its
