@@ -8,7 +8,7 @@ Subcommands:
   grid sweep to CSV (default) or JSON, with the remaining parameters
   fixed via the same flags as eval.
 * ``verify <suite>``: run a cross-validation suite and print a report
-  table; ``--tolerance`` overrides every check's tolerance.
+  table; each check applies the tolerance its own rule states.
 
 Exit codes: 0 success, 1 usage error, 2 domain/parameter error from the
 library, 3 verification failure.  All output goes to stdout unless
@@ -30,7 +30,8 @@ from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main", "build_parser"]
 
-_PARAM_FLAGS = ("a", "u", "u1", "u2", "e", "mu", "gamma", "sigma")
+# every parameter name of FUNCTIONS, in order of first appearance
+_PARAM_FLAGS = tuple(dict.fromkeys(n for names, _, _ in FUNCTIONS.values() for n in names))
 
 
 class _UsageError(Exception):
@@ -71,12 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a cross-validation suite")
     p_verify.add_argument("suite", choices=SUITE_NAMES)
-    p_verify.add_argument(
-        "--tolerance",
-        type=float,
-        metavar="TOL",
-        help="override the tolerance of every verification check",
-    )
     _add_common(p_verify)
 
     return parser
@@ -187,7 +182,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    reports = run_suite(args.suite, tolerance=args.tolerance)
+    reports = run_suite(args.suite)
     if args.json:
         text = json.dumps([asdict(r) for r in reports], indent=2) + "\n"
     else:

@@ -6,12 +6,14 @@ ParameterError is the physical-parameter flavor (mu, gamma, sigma out of
 range).  IntegrationError signals quadrature breakdown: a non-finite
 integrand value or a scheme that cannot reach its tolerance.
 
-require_finite and check_side are the argument checks every module shares.
+require_finite, require_int and check_side are the argument checks every
+module shares.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 __all__ = [
     "RelVoigtError",
@@ -19,6 +21,7 @@ __all__ = [
     "ParameterError",
     "IntegrationError",
     "require_finite",
+    "require_int",
     "check_side",
 ]
 
@@ -55,6 +58,14 @@ def require_finite(name: str, x: float) -> float:
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x!r}")
     return x
+
+
+def require_int(name: str, x) -> int:
+    """x as an int; DomainError naming the argument unless it is an integer."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {x!r}") from None
 
 
 def check_side(side: int) -> int:

@@ -49,10 +49,11 @@ _DBL_MIN = 2.2250738585072014e-308
 class ProfileParams:
     """Resonance mass mu, width gamma and Gaussian dispersion sigma.
 
-    Finiteness is checked at construction; positivity is enforced by each
-    operation for the fields it actually uses (sigma = 0 is meaningful only
-    where an explicit sigma -> 0 limit is requested, e.g. the damping
-    functions).
+    Finiteness is checked at construction, and each field is stored as a
+    Python float, a numpy scalar argument included; positivity is enforced
+    by each operation for the fields it actually uses (sigma = 0 is
+    meaningful only where an explicit sigma -> 0 limit is requested, e.g.
+    the damping functions).
     """
 
     mu: float
@@ -60,8 +61,7 @@ class ProfileParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        for name in ("mu", "gamma", "sigma"):
-            require_finite(name, getattr(self, name))
+        _store_finite(self, ("mu", "gamma", "sigma"))
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ class ReducedCoordsNonRel:
     u: float
 
     def __post_init__(self) -> None:
-        require_finite("a", self.a)
-        require_finite("u", self.u)
+        _store_finite(self, ("a", "u"))
 
 
 @dataclass(frozen=True)
@@ -81,9 +80,14 @@ class ReducedCoordsRel:
     u2: float
 
     def __post_init__(self) -> None:
-        require_finite("a", self.a)
-        require_finite("u1", self.u1)
-        require_finite("u2", self.u2)
+        _store_finite(self, ("a", "u1", "u2"))
+
+
+def _store_finite(record, names: tuple[str, ...]) -> None:
+    # each named field checked finite and stored as a Python float, so a
+    # numpy scalar argument computes and prints as a float downstream
+    for name in names:
+        object.__setattr__(record, name, require_finite(name, getattr(record, name)))
 
 
 def _require_positive(name: str, x: float) -> float:

@@ -229,9 +229,10 @@ def h2(a: float, u1: float, u2: float) -> EvalResult:
 
     Exactly a = 0 returns 0 (odd-function convention, matching h0; the
     one-sided limits live in h2_limit_a0), a < 0 is the negated a > 0
-    value, and every other point takes the four-term closed form.  Its
-    error estimate is 1e-13 times the size of the two Faddeeva terms before
-    they cancel, so it grows where cancellation near u1 = u2 costs
+    value, and every other point takes the closed form.  Its four Faddeeva
+    terms are two complex-conjugate pairs, so it evaluates the two terms
+    of one pair and doubles the real part.  Its error estimate is 1e-13
+    times the size of those two terms before they cancel, so it grows where cancellation near u1 = u2 costs
     accuracy.  A DomainError names the point where the poles of the
     quartic leave double range.
     """

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, TextIO
 import numpy as np
 
 from . import rel_voigt, voigt
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .profiles import ProfileParams
 from .result import _GRID_NAMES, GridResult
 
@@ -105,9 +105,10 @@ class SweepSpec:
             object.__setattr__(self, name, v)
         if not self.start < self.stop:
             raise DomainError(f"need start < stop, got [{self.start!r}, {self.stop!r}]")
-        if int(self.steps) < 2:
-            raise DomainError(f"steps must be >= 2, got {self.steps!r}")
-        object.__setattr__(self, "steps", int(self.steps))
+        steps = require_int("steps", self.steps)
+        if steps < 2:
+            raise DomainError(f"steps must be >= 2, got {steps!r}")
+        object.__setattr__(self, "steps", steps)
         if self.scale not in ("linear", "log"):
             raise DomainError(f"scale must be 'linear' or 'log', got {self.scale!r}")
         if self.scale == "log" and self.start <= 0.0:

@@ -173,13 +173,9 @@ def _twin_reference(quadrature_grid_fn, route: str, a, x, y) -> np.ndarray:
     return want
 
 
-def _override(default: float, tolerance: float | None) -> float:
-    return default if tolerance is None else float(tolerance)
-
-
-def verify_symmetry(tolerance: float | None = None) -> list[VerifyReport]:
+def verify_symmetry() -> list[VerifyReport]:
     """The four H2 symmetry identities on a 500-point random grid."""
-    tol = _override(1e-12, tolerance)
+    tol = 1e-12
     rng = np.random.default_rng(_SEED)
     n = 500
     a = 10.0 ** rng.uniform(-3.0, 1.0, n)
@@ -205,50 +201,45 @@ def verify_symmetry(tolerance: float | None = None) -> list[VerifyReport]:
     ]
 
 
-def verify_oracle(tolerance: float | None = None) -> list[VerifyReport]:
+def verify_oracle() -> list[VerifyReport]:
     """Closed forms against direct quadrature of the defining integrals."""
     reports = []
 
     # h0 over its full grid
-    tol = _override(1e-9, tolerance)
     a, u = np.meshgrid([1e-3, 1e-2, 0.1, 1.0, 10.0], np.linspace(-8.0, 8.0, 65), indexing="ij")
     want = _route_values(_h0_route, "h0 quadrature", a, u)
     devs = np.abs(h0_grid(a, u).value - want)
-    reports.append(_pointwise("h0 closed form vs quadrature", devs.ravel(), want.ravel(), tol))
+    reports.append(_pointwise("h0 closed form vs quadrature", devs.ravel(), want.ravel(), 1e-9))
 
     # h2 over its full grid, integrated on the triangle u1 <= u2
-    tol = _override(1e-8, tolerance)
     u_grid = np.linspace(-10.0, 10.0, 41)
     a, x, y = np.meshgrid([1e-3, 1e-2, 0.1, 1.0, 10.0], u_grid, u_grid, indexing="ij")
     want = _twin_reference(h2_quadrature_grid, "h2 quadrature", a, x, y)
     devs = np.abs(h2_grid(a, x, y).value - want)
-    reports.append(_pointwise("h2 closed form vs quadrature", devs, want, tol))
+    reports.append(_pointwise("h2 closed form vs quadrature", devs, want, 1e-8))
 
     # i2 closed form
-    tol = _override(1e-9, tolerance)
     spots = (-2.0, 0.0, 1.0, 3.0)
     a, x, y = np.meshgrid([0.1, 1.0], spots, spots, indexing="ij")
     want = _twin_reference(i2_quadrature_grid, "i2 quadrature", a, x, y)
     devs = np.abs(i2_grid(a, x, y).value - want)
-    reports.append(_pointwise("i2 closed form vs quadrature", devs.ravel(), want.ravel(), tol))
+    reports.append(_pointwise("i2 closed form vs quadrature", devs.ravel(), want.ravel(), 1e-9))
 
     # degenerate Laurent series against quadrature, relative accuracy
-    tol = _override(1e-3, tolerance)
     a, u = np.meshgrid([1e-4, 1e-5], [0.0, 1.0], indexing="ij")
     want = _reference(h2_quadrature_grid(a, u, u), "h2 quadrature", a, u).ravel()
     series = [h2_degenerate_series(ai, ui).value for ai, ui in zip(a.flat, u.flat)]
     reports.append(
-        _relative("h2 degenerate series vs quadrature", np.abs(series - want), want, tol)
+        _relative("h2 degenerate series vs quadrature", np.abs(series - want), want, 1e-3)
     )
 
     return reports
 
 
-def verify_representations(tolerance: float | None = None) -> list[VerifyReport]:
+def verify_representations() -> list[VerifyReport]:
     """Alternative H2 routes against the closed form, plus the H0 Laplace route."""
     reports = []
 
-    tol = _override(1e-6, tolerance)
     rng = np.random.default_rng(_SEED + 1)
     n = 50
     a = rng.uniform(0.1, 5.0, n)
@@ -263,9 +254,8 @@ def verify_representations(tolerance: float | None = None) -> list[VerifyReport]
         ]
     )
     devs = routes.max(axis=0) - routes.min(axis=0)
-    reports.append(_pointwise("h2 three-route pairwise agreement", devs, routes[0], tol))
+    reports.append(_pointwise("h2 three-route pairwise agreement", devs, routes[0], 1e-6))
 
-    tol = _override(1e-9, tolerance)
     spots = [
         (0.5, 0.0),
         (1.0, 0.0),
@@ -281,7 +271,7 @@ def verify_representations(tolerance: float | None = None) -> list[VerifyReport]
     a, u = np.array(spots).T
     want = h0_grid(a, u).value
     devs = np.abs(_route_values(_laplace_route, "h0 Laplace representation", a, u) - want)
-    reports.append(_pointwise("h0 Laplace representation vs closed form", devs, want, tol))
+    reports.append(_pointwise("h0 Laplace representation vs closed form", devs, want, 1e-9))
 
     return reports
 
@@ -299,19 +289,25 @@ def _shrink_figure(devs: list[float], decades_per_step: float) -> float:
     return worst
 
 
-def verify_limits(tolerance: float | None = None) -> list[VerifyReport]:
+def _monotone_figure(devs: list[float]) -> float:
+    # deviations along a sequence approaching a limit must not grow; the
+    # figure of merit is the worst ratio of one to the one before (<= 1
+    # means monotone)
+    return max(b / c for c, b in zip(devs, devs[1:]))
+
+
+def verify_limits() -> list[VerifyReport]:
     """Limiting constants and directions of approach."""
     reports = []
     cap0 = 1.0 + math.exp(-1.0)
     cap1 = math.exp(-1.0)
 
-    tol = _override(5e-3, tolerance)
     reports.append(
         _pointwise(
             "h2 caption value at (1, 0)",
             [abs(h2(1e-6, 1.0, 0.0).value - cap0)],
             [cap0],
-            tol,
+            5e-3,
         )
     )
     reports.append(
@@ -319,40 +315,35 @@ def verify_limits(tolerance: float | None = None) -> list[VerifyReport]:
             "h2 caption value at (1, -1)",
             [abs(h2(1e-6, 1.0, -1.0).value - cap1)],
             [cap1],
-            tol,
+            5e-3,
         )
     )
 
-    tol = _override(1.0, tolerance)
     figure = 0.0
     for (x, y), limit in (((1.0, 0.0), cap0), ((1.0, -1.0), cap1)):
         devs = [abs(h2(ai, x, y).value - limit) for ai in (1e-4, 1e-6, 1e-8)]
         figure = max(figure, _shrink_figure(devs, 2.0))
-    reports.append(_structural("h2 caption deviation decade shrink", figure, 6, tol))
+    reports.append(_structural("h2 caption deviation decade shrink", figure, 6, 1.0))
 
-    tol = _override(5e-3, tolerance)
     devs = [abs(h0(1e-6, u) - h0_limit_a0(u, 1)) for u in (0.0, 1.0, 2.0)]
     refs = [h0_limit_a0(u, 1) for u in (0.0, 1.0, 2.0)]
-    reports.append(_pointwise("h0 a -> 0 limit values", devs, refs, tol))
+    reports.append(_pointwise("h0 a -> 0 limit values", devs, refs, 5e-3))
 
-    tol = _override(1.0, tolerance)
     figure = 0.0
     for u in (0.0, 1.0, 2.0):
         devs = [abs(h0(ai, u) - h0_limit_a0(u, 1)) for ai in (0.1, 0.01, 0.001)]
-        figure = max(figure, max(b / c for c, b in zip(devs, devs[1:])))
-    reports.append(_structural("h0 limit approach monotone", figure, 9, tol))
+        figure = max(figure, _monotone_figure(devs))
+    reports.append(_structural("h0 limit approach monotone", figure, 9, 1.0))
 
-    tol = _override(1.0, tolerance)
     figure = 0.0
     for x, y in ((1.0, 0.0), (2.0, -1.0)):
         limit = h2_limit_a0(x, y, 1)
         devs = [abs(h2(ai, x, y).value - limit) for ai in (0.1, 0.01, 1e-3, 1e-4)]
-        figure = max(figure, max(b / c for c, b in zip(devs, devs[1:])))
-    reports.append(_structural("h2 limit approach monotone", figure, 8, tol))
+        figure = max(figure, _monotone_figure(devs))
+    reports.append(_structural("h2 limit approach monotone", figure, 8, 1.0))
 
-    tol = _override(1e-6, tolerance)
     reports.append(
-        _pointwise("i2 a -> 0 limit", [abs(i2_closed(1e-8, 1.0, 0.0) - 2.0)], [2.0], tol)
+        _pointwise("i2 a -> 0 limit", [abs(i2_closed(1e-8, 1.0, 0.0) - 2.0)], [2.0], 1e-6)
     )
 
     # The next-order term of the large-u expansion is (3/2)(1/u1+1/u2)^2
@@ -360,54 +351,47 @@ def verify_limits(tolerance: float | None = None) -> list[VerifyReport]:
     # deviation a bit below each.  Tolerances bound the true values with
     # margin; the ratio check pins the 1/u^2 decay itself.
     rel_devs = []
-    for (x, y), t in (((20.0, 30.0), 1e-2), ((40.0, 60.0), 3e-3)):
-        tol = _override(t, tolerance)
+    for (x, y), tol in (((20.0, 30.0), 1e-2), ((40.0, 60.0), 3e-3)):
         ref = h2(1.0, x, y).value
         dev = abs(ref - h2_large_u_asymptotic(1.0, x, y).value)
         rel_devs.append(dev / abs(ref))
         reports.append(
             _relative(f"h2 large-u asymptotic at ({x:g}, {y:g})", [dev], [ref], tol)
         )
-    tol = _override(1.0, tolerance)
     figure = abs(4.0 * rel_devs[1] / rel_devs[0] - 1.0) / 0.25
     reports.append(
-        _structural("h2 large-u deviation shrinks 4x per u doubling", figure, 2, tol)
+        _structural("h2 large-u deviation shrinks 4x per u doubling", figure, 2, 1.0)
     )
 
-    tol = _override(0.0, tolerance)
     dev = max(abs(d0(0.0, 0.5, 1.0) - 1.0), abs(d2(0.0, 0.5, 1.0) - 1.0))
-    reports.append(_pointwise("damping functions exactly 1 at sigma = 0", [dev], [1.0], tol))
+    reports.append(_pointwise("damping functions exactly 1 at sigma = 0", [dev], [1.0], 0.0))
 
-    tol = _override(1e-2, tolerance)
     gamma, mu = 0.5, 1.0
     sigma = gamma / 100.0
     peak = v2(mu, ProfileParams(mu=mu, gamma=gamma, sigma=sigma))
     bare = 1.0 / (math.pi * mu * gamma)
     reports.append(_relative("v2 peak approaches bare peak as sigma -> 0",
-                             [abs(peak - bare)], [bare], tol))
+                             [abs(peak - bare)], [bare], 1e-2))
 
-    tol = _override(1.0, tolerance)
     e, mu, sigma = 1.2, 1.0, 0.5
     limit = v2_gamma0_limit(e, mu, sigma, 1)
     devs = [
         abs(v2(e, ProfileParams(mu=mu, gamma=g, sigma=sigma)) - limit)
         for g in (1e-2, 1e-3, 1e-4)
     ]
-    figure = max(b / c for c, b in zip(devs, devs[1:]))
-    reports.append(_structural("v2 gamma -> 0 limit approach monotone", figure, 3, tol))
+    reports.append(
+        _structural("v2 gamma -> 0 limit approach monotone", _monotone_figure(devs), 3, 1.0)
+    )
 
-    tol = _override(1e-2, tolerance)
     figure = 0.0
     for u in (0.0, 1.0):
         lo = h2_quadrature(1e-4, u, u).value
         hi = h2_quadrature(2.5e-5, u, u).value
         figure = max(figure, abs(hi / lo / 2.0 - 1.0))
-    reports.append(_structural("h2 degenerate growth ratio a -> a/4", figure, 4, tol))
+    reports.append(_structural("h2 degenerate growth ratio a -> a/4", figure, 4, 1e-2))
 
     return reports
 
-
-SUITE_NAMES = ("symmetry", "oracle", "representations", "limits", "all")
 
 _SUITES = {
     "symmetry": verify_symmetry,
@@ -416,14 +400,13 @@ _SUITES = {
     "limits": verify_limits,
 }
 
+SUITE_NAMES = (*_SUITES, "all")
 
-def run_suite(suite: str, tolerance: float | None = None) -> list[VerifyReport]:
+
+def run_suite(suite: str) -> list[VerifyReport]:
     """Run one named verification suite ('all' chains the four in order)."""
     if suite == "all":
-        reports = []
-        for name in ("symmetry", "oracle", "representations", "limits"):
-            reports.extend(_SUITES[name](tolerance))
-        return reports
+        return [r for run in _SUITES.values() for r in run()]
     if suite not in _SUITES:
         raise DomainError(f"unknown suite {suite!r}, expected one of {SUITE_NAMES}")
-    return _SUITES[suite](tolerance)
+    return _SUITES[suite]()

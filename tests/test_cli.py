@@ -1,4 +1,4 @@
-"""End-to-end command-line checks through real subprocesses."""
+"""End-to-end command-line checks, through real subprocesses unless noted."""
 
 from __future__ import annotations
 
@@ -10,6 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from relvoigt import verify
+from relvoigt.cli import main
+from relvoigt.verify import VerifyReport
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -72,6 +76,10 @@ def test_usage_errors_exit_1():
     )
     assert r.returncode == 1
     assert "--tolerance" in r.stderr
+    # and verify has no global override: each check states its own
+    r = run_cli("verify", "symmetry", "--tolerance", "5")
+    assert r.returncode == 1
+    assert "--tolerance" in r.stderr
 
 
 def test_domain_errors_exit_2():
@@ -86,10 +94,12 @@ def test_domain_errors_exit_2():
     assert r.returncode == 2
 
 
-def test_verify_failure_exits_3():
-    r = run_cli("verify", "limits", "--tolerance", "1e-30")
-    assert r.returncode == 3
-    assert "FAIL" in r.stdout
+def test_verify_failure_exits_3(monkeypatch, capsys):
+    # in process, so one suite can be swapped for a failing one
+    failing = VerifyReport("forced failure", 1, 1.0, 1.0, 0.5, False)
+    monkeypatch.setitem(verify._SUITES, "limits", lambda: [failing])
+    assert main(["verify", "limits"]) == 3
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_verify_symmetry_passes():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from relvoigt import (
     i2_closed,
     reduce_nonrel,
     reduce_rel,
+    v0,
+    v2,
 )
 from relvoigt.profiles import bw_rel_grid
 from relvoigt.quadrature import (
@@ -168,6 +171,27 @@ def test_parameter_validation():
     with pytest.raises(DomainError):
         bw_rel(1.0, ProfileParams(mu=1.0, gamma=1e-170, sigma=0.3))
     assert bw_nonrel(0.0, good) > 0.0
+
+
+def test_numpy_scalar_params_act_as_floats():
+    """ProfileParams stores Python floats, so numpy scalar fields change nothing."""
+    # a typical point, and one whose reduced a overflows: with the numpy
+    # scalars kept, v2 there warned "overflow encountered in scalar multiply"
+    # instead of raising the DomainError it raises for floats
+    for e, mu, gamma, sigma in ((1.2, 1.0, 0.5, 0.3), (1.0, 1e300, 1e300, 1.0)):
+        p = ProfileParams(np.float64(mu), np.float64(gamma), np.float64(sigma))
+        assert [type(x) for x in (p.mu, p.gamma, p.sigma)] == [float] * 3
+        assert repr(p) == repr(ProfileParams(mu, gamma, sigma))
+        for fn in (bw_nonrel, bw_rel, v0, v2):
+            try:
+                want = fn(e, ProfileParams(mu, gamma, sigma))
+            except DomainError as exc:
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    fn(e, p)
+            else:
+                got = fn(e, p)
+                assert type(got) is float
+                assert got == want
 
 
 def test_bw_rel_out_of_range_is_domain_error():

@@ -131,8 +131,13 @@ def test_config_validation():
         QuadratureConfig(rel_tol=-1e-9)
     with pytest.raises(DomainError):
         QuadratureConfig(max_subdivisions=0)
-    with pytest.raises(DomainError):
+    with pytest.raises(TypeError):
         QuadratureConfig(truncation_radius=float("inf"))
+    # the subdivision budget is a count: only integers, stored as int
+    for bad in (2.5, float("nan"), float("inf"), "3"):
+        with pytest.raises(DomainError, match="^max_subdivisions must be an integer"):
+            QuadratureConfig(max_subdivisions=bad)
+    assert type(QuadratureConfig(max_subdivisions=np.int64(7)).max_subdivisions) is int
     with pytest.raises(DomainError):
         integrate_interval(lambda t: t, 1.0, 0.0)
     with pytest.raises(DomainError):

@@ -72,6 +72,11 @@ def test_spec_validation():
         spec_h0(start=-1.0, stop=1.0, scale="log")
     with pytest.raises(DomainError):
         spec_h0(start=float("nan"))
+    # steps is a count: a fraction is not truncated to one
+    for bad in (3.9, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="^steps must be an integer"):
+            spec_h0(steps=bad)
+    assert spec_h0(steps=np.int64(3)).grid().size == 3
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -1,4 +1,4 @@
-"""The verify suites, run in process at their default tolerances."""
+"""The verify suites, run in process, each check at the tolerance its rule states."""
 
 from __future__ import annotations
 
