@@ -53,8 +53,15 @@ class IntegrationError(RelVoigtError, RuntimeError):
 
 
 def require_finite(name: str, x: float) -> float:
-    """x as a float; DomainError naming the argument unless it is finite."""
-    x = float(x)
+    """x as a float; DomainError naming the argument unless it is finite.
+
+    x is converted by float(), so anything float() rejects, such as None,
+    is a DomainError too.
+    """
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number, got {x!r}") from None
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x!r}")
     return x

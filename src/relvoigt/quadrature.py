@@ -161,9 +161,10 @@ class QuadratureConfig:
 
     def __post_init__(self) -> None:
         for name in ("abs_tol", "rel_tol"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
+            v = require_finite(name, getattr(self, name))
+            if not v > 0.0:
                 raise DomainError(f"{name} must be finite and > 0, got {v!r}")
+            object.__setattr__(self, name, v)
         n = require_int("max_subdivisions", self.max_subdivisions)
         if n < 1:
             raise DomainError(f"max_subdivisions must be >= 1, got {n!r}")

@@ -241,7 +241,12 @@ def h2(a: float, u1: float, u2: float) -> EvalResult:
     u2 = require_finite("u2", u2)
     if a == 0.0:
         return EvalResult(0.0, 0.0, "closed_form")
-    # at |a| > 0 both w arguments lie in the upper half-plane, where the
+    return EvalResult(*_h2_closed(a, u1, u2), "closed_form")
+
+
+def _h2_closed(a: float, u1: float, u2: float) -> tuple[float, float]:
+    # h2's closed form at finite floats with a != 0: value and estimate.
+    # At |a| > 0 both w arguments lie in the upper half-plane, where the
     # Faddeeva function is bounded.  The second pole group
     # g2 = (w(-t2+) + w(t2-)) / (2 w2) is conj(g1) bit for bit (cmath.sqrt,
     # w and complex division all commute with conjugation exactly), so
@@ -255,8 +260,7 @@ def h2(a: float, u1: float, u2: float) -> EvalResult:
     f = faddeeva_w(t1_plus)
     g = faddeeva_w(-t1_minus)
     value = 2.0 * ((f + g) / (2.0 * w1)).real
-    estimate = 1e-13 * (abs(f) + abs(g)) / abs(w1)
-    return EvalResult(value if a > 0.0 else -value, estimate, "closed_form")
+    return value if a > 0.0 else -value, 1e-13 * (abs(f) + abs(g)) / abs(w1)
 
 
 def h2_grid(a, u1, u2) -> GridResult:
@@ -627,7 +631,9 @@ def _v2(e, mu, gamma, sigma) -> float:
             "range: reduced coordinates (a, u1, u2)=(%r, %r, %r)",
             e, mu, gamma, sigma, a, u1, u2,
         )
-    value = h2(a, u1, u2).value / (2.0 * _SQRT_PI * sigma * sigma)
+    # h2 at finite (a, u1, u2), with its a = 0 -> 0 convention
+    h = _h2_closed(a, u1, u2)[0] if a != 0.0 else 0.0
+    value = h / (2.0 * _SQRT_PI * sigma * sigma)
     if not math.isfinite(value):
         raise DomainError(
             f"v2 leaves double range at e={e!r}, {ProfileParams(mu, gamma, sigma)!r}: {value!r}"

@@ -158,3 +158,35 @@ def test_w_grid_matches_scalar_bitwise():
         assert ok[i]
         assert (wr[i].hex(), wi[i].hex()) == (w.real.hex(), w.imag.hex())
     assert not ok[-3:].any()  # non-finite argument, non-finite argument, overflow
+
+
+def test_w_is_the_ufunc_kernel_bit_for_bit():
+    """faddeeva_w equals complex(scipy.special.wofz(z)) wherever that is finite.
+
+    The one-point path calls the same Faddeeva routine without the ufunc;
+    where the ufunc overflows, faddeeva_w raises DomainError instead.
+    """
+    from scipy.special import wofz
+
+    rng = np.random.default_rng(20261020)
+    x = rng.uniform(-50.0, 50.0, 6000)
+    y = np.concatenate([rng.uniform(0.0, 50.0, 3000), rng.uniform(-30.0, 0.0, 3000)])
+    zs = [complex(re, im) for re, im in zip(x, y)]
+    big = 10.0 ** rng.uniform(-323.0, 308.0, 2000) * np.exp(1j * rng.uniform(-np.pi, np.pi, 2000))
+    zs += [complex(z) for z in big]
+    edges = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308)
+    zs += [complex(re, im) for re in edges for im in edges]
+    zs += [-26.6j, -30j, 3 - 27j]
+    finite = overflow = 0
+    for z in zs:
+        want = complex(wofz(z))
+        if math.isfinite(want.real) and math.isfinite(want.imag):
+            got = faddeeva_w(z)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), z
+            finite += 1
+        else:
+            with pytest.raises(DomainError, match="^w\\(z\\) overflows double precision"):
+                faddeeva_w(z)
+            overflow += 1
+    # both branches are exercised, the overflow one by the lower half-plane
+    assert finite > 7000 and overflow > 200

@@ -144,6 +144,24 @@ def test_config_validation():
         integrate_real_line(lambda t: np.exp(-t * t), scale=0.0)
 
 
+@pytest.mark.parametrize("name", ["abs_tol", "rel_tol"])
+def test_config_tolerances_are_checked_floats(name):
+    # a value float() rejects is a DomainError naming the field, like every
+    # other argument check, not a bare TypeError or ValueError
+    for bad, shown in ((None, "None"), ("tight", "'tight'"), (1j, "1j")):
+        with pytest.raises(DomainError, match=f"^{name} must be a real number, got {shown}$"):
+            QuadratureConfig(**{name: bad})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got {bad!r}$"):
+            QuadratureConfig(**{name: bad})
+    with pytest.raises(DomainError, match=f"^{name} must be finite and > 0, got -0.0$"):
+        QuadratureConfig(**{name: -0.0})
+    # what float() accepts is stored as a Python float
+    for given in (np.float32(0.25), np.float64(1e-9), 3, "1e-9"):
+        stored = getattr(QuadratureConfig(**{name: given}), name)
+        assert type(stored) is float and stored == float(given)
+
+
 # ------------------------------------------------------- batched integration
 #
 # The batched integrators run many integrals through one refinement loop;

@@ -193,6 +193,75 @@ def test_scalar_calls_raise_no_warning():
                     pass
 
 
+def _outcome(f, *args):
+    # value bits, or the exception type and message
+    try:
+        return f(*args).hex()
+    except RelVoigtError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_v2_and_d2_share_h2s_closed_form():
+    """v2 is h2's value over 2 sqrt(pi) sigma^2, and d2 its peak over bw_rel.
+
+    Both bit for bit on seeded parameters (also where a underflows to 0,
+    which h2 maps to 0), and with h2's own exception where the poles of
+    the quartic overflow.
+    """
+    rng = np.random.default_rng(20261021)
+    cases = []
+    for _ in range(300):
+        mu = 10.0 ** rng.uniform(-3, 3)
+        gamma = mu * 10.0 ** rng.uniform(-12, 1)
+        sigma = mu * 10.0 ** rng.uniform(-4, 1)
+        cases.append((mu + sigma * rng.uniform(-20, 20), ProfileParams(mu, gamma, sigma)))
+    cases.append((1.0, ProfileParams(1e-200, 1e-200, 1.0)))  # a = 0
+    cases.append((1e300, ProfileParams(1.0, 0.5, 1e-8 / np.sqrt(2.0))))  # poles overflow
+    cases.append((1.0, ProfileParams(1.0, 1e-200, 1e-155)))  # poles overflow
+    raised = 0
+    for e, p in cases:
+        r = reduce_rel(e, p)
+        try:
+            h = h2(r.a, r.u1, r.u2).value
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                v2(e, p)
+            assert str(got.value) == str(exc)
+            raised += 1
+            continue
+        assert v2(e, p).hex() == (h / (2.0 * np.sqrt(np.pi) * p.sigma * p.sigma)).hex()
+        try:
+            density = bw_rel(p.mu, p)
+        except DomainError:
+            continue  # the a = 0 case: gamma * mu underflows here too
+        assert _outcome(d2, p.sigma, p.gamma, p.mu) == (v2(p.mu, p) / density).hex()
+    assert raised == 2
+    assert _outcome(v2, 1.0, ProfileParams(1e-200, 1e-200, 1.0)) == "0x0.0p+0"
+
+
+def test_v2_and_d2_edge_outcomes():
+    # where the poles overflow, at the gamma * mu underflow point of
+    # v2 (mu = gamma = E = 1e-170, sigma = 1e-100) and next to it
+    poles = "h2 at (a, u1, u2)=(%s) is outside double range: its poles overflow"
+    cases = [
+        (v2, (1e300, ProfileParams(1.0, 0.5, 1e-8 / np.sqrt(2.0))),
+         "DomainError: " + poles % "5000000000000000.0, 1e+308, 1e+308"),
+        (v2, (1.0, ProfileParams(1.0, 1e-200, 1e-155)),
+         "DomainError: " + poles % "5.000000000000015e+109, 0.0, 1.414213562373095e+155"),
+        (d2, (1e-155, 1e-200, 1.0),
+         "DomainError: " + poles % "5.000000000000015e+109, 0.0, 1.414213562373095e+155"),
+        (v2, (1e-170, ProfileParams(1e-170, 1e-170, 1e-100)), "0x1.2c5fa437221bdp+895"),
+        (d2, (1e-100, 1e-170, 1e-170),
+         "DomainError: Breit-Wigner denominator underflows at e=1e-170, "
+         "ProfileParams(mu=1e-170, gamma=1e-170, sigma=1e-100)"),
+        (v2, (1.0, ProfileParams(1.0, 0.5, 1e-160)),
+         "DomainError: v2 at e=1.0, ProfileParams(mu=1.0, gamma=0.5, sigma=1e-160) is "
+         "outside double range: reduced coordinates (a, u1, u2)=(inf, 0.0, 1.4142135623730948e+160)"),
+    ]
+    for f, args, want in cases:
+        assert _outcome(f, *args) == want
+
+
 if __name__ == "__main__":
     records = [record(fn, args) for fn, args in golden_points()]
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
