@@ -18,10 +18,12 @@ library, 3 verification failure.  All output goes to stdout unless
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict
+from typing import TextIO
 
 from .errors import RelVoigtError
 from .result import EvalResult
@@ -102,12 +104,19 @@ def _collect_params(args: argparse.Namespace, names: tuple[str, ...]) -> dict[st
     return {n: float(given[n]) for n in names}
 
 
-def _emit(text: str, path: str | None) -> None:
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """stdout, or the file at path opened for writing."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _emit(text: str, path: str | None) -> None:
+    with _output(path) as out:
+        out.write(text)
 
 
 def _eval_note(function: str, params: dict[str, float]) -> str | None:
@@ -172,12 +181,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     rows = run_sweep(spec)
     if args.json:
-        text = json.dumps(json_payload(spec, rows), indent=2) + "\n"
+        _emit(json.dumps(json_payload(spec, rows), indent=2) + "\n", args.output)
     else:
-        buf = io.StringIO()
-        write_csv(spec, rows, buf)
-        text = buf.getvalue()
-    _emit(text, args.output)
+        with _output(args.output) as out:
+            write_csv(spec, rows, out)
     return 0
 
 

@@ -10,12 +10,22 @@ SweepRows, which keeps the evaluator's arrays as columns and builds a
 SweepRow only when a row is read.  Serializers read the columns directly
 and emit CSV (fixed 17-significant-digit scientific notation, so output
 is byte-stable across runs) or JSON (shortest round-trip floats).
+
+CSV numbers read exactly as ``"%.16e" % x`` prints them, byte for byte,
+but come from one vectorised pass rather than a string per number.  Each
+finite normal nonzero x is scaled by an error-free double-double product
+with 2**e * 10**k, which fixes its 17 digits to within 1e-13 of a unit in
+the last one.  ``"%.16e"`` itself runs, number by number, on what that
+bound leaves open: numbers within 1e-6 of a rounding tie (every exact
+decimal tie among them), zeros, subnormals and non-finite numbers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import starmap
@@ -185,14 +195,166 @@ class SweepRows(Sequence[SweepRow]):
         return zip(self._x.tolist(), values, estimates, r.error.tolist())
 
 
-# CSV line templates indexed by failure code, keyed by whether the function
-# gives an error estimate
-_CSV_LINES = {
-    has_estimate: np.array(
-        [ok_line] + [f"%.16e,,,{name}\n" for name in _GRID_NAMES[1:]], dtype=object
-    )
-    for has_estimate, ok_line in ((True, "%.16e,%.16e,%.16e,\n"), (False, "%.16e,%.16e,,\n"))
-}
+# ---------------------------------------------------------------- "%.16e"
+#
+# A finite normal nonzero double v = m * 2**e (frexp, 0.5 <= m < 1) prints
+# as the 17-digit integer D = round(|v| * 10**(16 - E)) and the exponent E.
+# With E0 = floor((e - 1) * log10(2)), 10**E0 <= 2**(e - 1) <= |v|, so
+# P = m * (2**e * 10**(16 - E0)) lies in [1e16, 2e17).  The scale is a
+# double-double hi + lo, and m * hi is split error-free into p + err
+# (Dekker's TwoProduct on Veltkamp halves, no FMA).  p >= 1e16 > 2**53 is an
+# integer, so int64(p) is exact, and err + m * lo carries the fraction.
+# The computed P is off by less than 1e-13, so rounding at the fraction
+# gives D exactly unless the fraction is within _TIE of 1/2; those numbers
+# (every exact decimal tie among them) take the exact fallback "%.16e" % v,
+# as do zeros, subnormals and non-finite numbers.  Where P >= 1e17 the last
+# digit moves into the fraction (the scale for E0 + 1), and a D rounded up
+# to 1e17 carries into the next decade.
+
+_E_MIN, _E_MAX = -1021, 1024  # frexp exponents of the normal doubles
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting factor for binary64
+_TIE = 1e-6
+# an exact decimal tie at 17 digits: put in place of a number the fast path
+# cannot take, it sends that number to the fallback
+_TIED = 123456789012345.625
+_WIDTH = 24  # the longest "%.16e" field, such as -1.2345678901234567e-308
+_BLOCK = 1024  # CSV rows formatted together: their temporaries stay in cache
+
+
+def _scale(e: int) -> tuple[float, float, float, float, float]:
+    """(hi, hi's Veltkamp halves, lo, E0) for frexp exponent e, from exact ints.
+
+    (e - 1) * log10(2) stays at least 4.5e-4 from every nonzero integer for
+    |e| < 1100, far beyond the float product's error, so the floor is exact.
+    """
+    e0 = math.floor((e - 1) * math.log10(2))
+    k = 16 - e0
+    num = (1 << max(e, 0)) * 10 ** max(k, 0)
+    den = (1 << max(-e, 0)) * 10 ** max(-k, 0)
+    hi = num / den  # int / int is correctly rounded
+    p, q = hi.as_integer_ratio()
+    lo = (num * q - p * den) / (den * q)
+    t = hi * _SPLIT
+    hh = t - (t - hi)
+    return hi, hh, hi - hh, lo, float(e0)
+
+
+class _Scales:
+    """_scale of every normal frexp exponent, one column each, filled on first use.
+
+    The content is a constant: filling a column early or twice changes no
+    output.  Row 0 (hi) is written last, and a zero hi marks an unfilled
+    column, so a reader never sees half a column.
+    """
+
+    def __init__(self) -> None:
+        self.table = np.zeros((5, _E_MAX - _E_MIN + 1))
+
+    def take(self, e: np.ndarray) -> np.ndarray:
+        idx = e - _E_MIN
+        cols = self.table.take(idx, axis=1)
+        missing = cols[0] == 0.0
+        if missing.any():
+            new = np.unique(idx[missing])
+            block = np.array([_scale(int(i) + _E_MIN) for i in new]).T
+            self.table[1:, new] = block[1:]
+            self.table[0, new] = block[0]
+            cols = self.table.take(idx, axis=1)
+        return cols
+
+
+_SCALES = _Scales()
+
+
+@functools.cache
+def _digits4() -> np.ndarray:
+    """ASCII digits of 0000..9999, each entry's four bytes read as one uint32."""
+    n = np.arange(10000)
+    table = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1) + ord("0")
+    table = table.astype(np.uint8).view(np.uint32).ravel()
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
+def _exponents() -> np.ndarray:
+    """The bytes after "e" of "%.16e" for exponents -324..308, NUL-padded to a uint32."""
+    return np.frombuffer(b"".join((b"%+03d" % k).ljust(4, b"\0") for k in range(-324, 309)),
+                         np.uint32)
+
+
+def _format_e16(v: np.ndarray) -> np.ndarray:
+    """The bytes of "%.16e" % x for each double x of v, one NUL-padded row each.
+
+    Returns a (len(v), _WIDTH) uint8 array; dropping its NUL bytes leaves
+    exactly the text CPython's correctly rounded "%.16e" prints.
+    """
+    a = np.abs(v)
+    m, e = np.frexp(np.where((a >= sys.float_info.min) & (a <= sys.float_info.max), a, _TIED))
+    hi, hh, hl, lo, e0 = _SCALES.take(e)
+    t = m * _SPLIT
+    mh = t - (t - m)
+    ml = m - mh
+    p = m * hi
+    low = (((mh * hh - p) + mh * hl + ml * hh) + ml * hl) + m * lo
+    floor = np.floor(low)
+    whole = p.astype(np.int64) + floor.astype(np.int64)
+    frac = low - floor
+    big = whole >= 10**17
+    tens = whole // 10
+    frac = np.where(big, (whole - 10 * tens + frac) / 10.0, frac)
+    digits = np.where(big, tens, whole) + (frac > 0.5)
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    exp10 = e0.astype(np.int64) + big + carry
+
+    n = len(v)
+    table = _digits4()
+    out = np.empty((n, _WIDTH), np.uint8)
+    out[:, 0] = np.where(v < 0.0, np.uint8(ord("-")), np.uint8(0))
+    lead = digits // 10**16
+    out[:, 1] = lead + ord("0")
+    out[:, 2] = ord(".")
+    rest = digits - lead * 10**16
+    upper = rest // 10**8
+    lower = rest - upper * 10**8
+    quads = np.empty((n, 4), np.int64)
+    quads[:, 0] = upper // 10**4
+    quads[:, 1] = upper - quads[:, 0] * 10**4
+    quads[:, 2] = lower // 10**4
+    quads[:, 3] = lower - quads[:, 2] * 10**4
+    out[:, 3:19] = table.take(quads).view(np.uint8)
+    out[:, 19] = ord("e")
+    out[:, 20:] = _exponents().take(exp10 + 324).view(np.uint8).reshape(n, 4)
+
+    for i in np.flatnonzero(np.abs(frac - 0.5) < _TIE).tolist():
+        text = b"%.16e" % float(v[i])
+        out[i] = 0
+        out[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return out
+
+
+# a CSV line's last field, the error name, and its newline, by failure code
+_CSV_TAILS = np.array(
+    [list(f"{name}\n".encode("ascii").ljust(1 + max(map(len, _GRID_NAMES)), b"\0"))
+     for name in _GRID_NAMES],
+    dtype=np.uint8,
+)
+
+
+def _csv_lines(numbers: np.ndarray, codes: np.ndarray) -> bytes:
+    """CSV lines of rows with these numbers (axis, value[, estimate]) and failure codes."""
+    n, width = numbers.shape
+    slot = _WIDTH + 1
+    lines = np.empty((n, 3 * slot + _CSV_TAILS.shape[1]), np.uint8)
+    slots = lines[:, : 3 * slot].reshape(n, 3, slot)
+    slots[:, :width, :_WIDTH] = _format_e16(numbers.ravel()).reshape(n, width, _WIDTH)
+    slots[:, width:, :_WIDTH] = 0
+    slots[:, :, _WIDTH] = ord(",")
+    slots[codes != 0, 1:, :_WIDTH] = 0  # an error row keeps its axis value alone
+    lines[:, 3 * slot :] = _CSV_TAILS.take(codes, axis=0)
+    flat = lines.ravel()
+    return flat[flat != 0].tobytes()
 
 
 def run_sweep(spec: SweepSpec) -> SweepRows:
@@ -205,18 +367,25 @@ def write_csv(spec: SweepSpec, rows: SweepRows, stream: TextIO) -> None:
     """Write rows as CSV with a header naming the axis column.
 
     No field can hold a comma, quote or newline (parameter names, numbers
-    and exception names), so lines are formatted directly, unquoted.  The
-    whole table is one %-format: each row's line template, filled with the
-    numbers of every row in row order.
+    and exception names), so lines are formatted directly, unquoted.  Each
+    number is printed byte for byte as "%.16e" prints it, but by a
+    vectorised pass: an error-free double-double scaling fixes the 17 digits
+    of a finite normal nonzero number to within 1e-13 of a unit in the last
+    one, and "%.16e" itself runs, number by number, only on numbers within
+    1e-6 of a rounding tie, zeros, subnormals and non-finite numbers.  Lines
+    are assembled as NUL-padded bytes, one array row each, and the NULs
+    dropped.
     """
     r = rows._result
     cols = [rows._x, r.value] if r.error_estimate is None else [rows._x, r.value, r.error_estimate]
-    ok = r.codes == 0
-    template = "".join(_CSV_LINES[r.error_estimate is not None][r.codes].tolist())
-    # an error row keeps its axis value alone
-    keep = np.column_stack([np.ones_like(ok)] + [ok] * (len(cols) - 1))
-    numbers = np.column_stack(cols)[keep].tolist()
-    stream.write(f"{spec.axis},value,error_estimate,error\n" + template % tuple(numbers))
+    numbers = np.column_stack(cols)
+    # error rows hold NaN, which only the fallback formats; their value and
+    # estimate slots are blanked anyway
+    numbers[r.codes != 0, 1:] = 1.0
+    text = [f"{spec.axis},value,error_estimate,error\n".encode("ascii")]
+    for start in range(0, len(numbers), _BLOCK):
+        text.append(_csv_lines(numbers[start : start + _BLOCK], r.codes[start : start + _BLOCK]))
+    stream.write(b"".join(text).decode("ascii"))
 
 
 def json_payload(spec: SweepSpec, rows: SweepRows) -> dict:

@@ -1,4 +1,4 @@
-"""Sweep plumbing: spec validation, grids, rows, CSV/JSON stability."""
+"""Sweep plumbing: spec validation, grids, rows, CSV/JSON stability, CSV number format."""
 
 from __future__ import annotations
 
@@ -6,9 +6,12 @@ import io
 import json
 import math
 from collections.abc import Sequence
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from relvoigt import DomainError, EvalResult, RelVoigtError, h2
 from relvoigt.sweep import (
@@ -16,6 +19,7 @@ from relvoigt.sweep import (
     SweepRow,
     SweepRows,
     SweepSpec,
+    _format_e16,
     json_payload,
     run_sweep,
     write_csv,
@@ -313,6 +317,10 @@ _EDGE_SWEEPS = [
     # values near 1e-300, subnormal estimates and DomainError rows
     dict(function="h2", fixed={"u1": 0.5, "u2": -0.5}, axis="a",
          start=1e290, stop=1.7e308, steps=31, scale="log"),
+    # axis values in steps of 1/8 with 15 integer digits: the odd multiples
+    # of 1/8 sit exactly halfway between two 17-digit decimals
+    dict(function="h0", fixed={"a": 1.0}, axis="u",
+         start=123456789012345.5, stop=123456789012346.5, steps=9),
 ]
 
 
@@ -328,6 +336,8 @@ def test_edge_sweeps_cover_their_cases():
     assert any(1e-310 < v < 1e-299 for v in numbers)
     assert any(v > 1e299 for v in numbers)
     assert {r.error for r in flat} == {"", "DomainError", "ParameterError"}
+    ties = [r.axis_value for r in rows[6] if (r.axis_value * 8) % 2 == 1]
+    assert len(ties) == 4 and all(r.error == "" for r in rows[6])
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
@@ -429,3 +439,62 @@ def test_all_functions_sweepable():
         assert len(rows) == 3
         assert all(r.error == "" for r in rows), fn
         assert all(math.isfinite(r.value) for r in rows), fn
+
+
+# The vectorised "%.16e" formatter behind write_csv, against "%.16e" itself.
+
+
+def _formatted(values):
+    """The formatter's fields for values, as str, NUL bytes dropped."""
+    out = _format_e16(np.asarray(values, dtype=np.float64))
+    lines = np.column_stack([out, np.full(len(out), ord("\n"), np.uint8)]).ravel()
+    return lines[lines != 0].tobytes().decode("ascii").split("\n")[:-1]
+
+
+def _assert_formats_like_printf(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = _formatted(values)
+    want = ["%.16e" % x for x in values.tolist()]
+    if got != want:
+        bad = [(x.hex(), g, w) for x, g, w in zip(values.tolist(), got, want) if g != w]
+        pytest.fail(f"{len(got)} fields for {len(want)} numbers; first mismatches {bad[:10]}")
+
+
+def test_format_e16_random_bit_patterns():
+    # every exponent and both signs, NaN and inf patterns included
+    rng = np.random.default_rng(20261018)
+    for _ in range(10):
+        _assert_formats_like_printf(rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64))
+
+
+def test_format_e16_exponent_and_decade_edges():
+    two = np.ldexp(1.0, np.arange(-1074, 1024))  # subnormals included
+    ten = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    ten = np.concatenate([ten, np.nextafter(ten, 0.0), np.nextafter(ten, np.inf)])
+    special = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               123456789012345.625, 2.0**-25, 9.9999999999999995e-08, math.inf, math.nan]
+    values = np.concatenate([two, ten, special])
+    _assert_formats_like_printf(np.concatenate([values, -values]))
+    # ties: x * 10**(16 - E) is exactly halfway between integers, and
+    # CPython rounds it half-even
+    for x in (123456789012345.625, 2.0**-25):
+        scaled = Fraction(x) * Fraction(10) ** (16 - math.floor(math.log10(x)))
+        assert scaled % 1 == Fraction(1, 2)
+    assert "%.16e" % 123456789012345.625 == "1.2345678901234562e+14"
+    # the set holds doubles below 10**k whose 17 digits round up into the
+    # next decade, printing as 1e(k)
+    carries = 0
+    for x in ten[ten > 0.0].tolist():
+        k = round(math.log10(x))
+        carries += Fraction(x) < Fraction(10) ** k and "%.16e" % x == f"1.0000000000000000e{k:+03d}"
+    assert carries >= 10
+
+
+def test_format_e16_empty_input():
+    assert _format_e16(np.array([])).shape == (0, 24)
+    assert _formatted([]) == []
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_format_e16_matches_printf_property(values):
+    _assert_formats_like_printf(values)
