@@ -13,6 +13,24 @@ the ufunc, bit for bit, but takes and returns a Python complex: that skips
 the ufunc dispatch and the numpy-scalar round trip, about two thirds of
 what a one-point ufunc call costs.  The array form keeps the ufunc.
 
+How the kernels are loaded: scipy/special/__init__.py imports an
+array-API layer that costs about half of a CLI process's start-up, and
+this module needs none of it.  So when scipy.special is not yet imported,
+a bare module named "scipy.special", whose __path__ is the real package
+directory, stands in for the package in sys.modules.  Under it the
+extension modules scipy.special._ufuncs and scipy.special.cython_special
+are imported, and the stand-in is removed before this module finishes
+importing.  A later ``import scipy.special`` runs the real package, which
+reuses those extension modules: scipy.special.wofz is the ufunc held here.
+When scipy.special is already imported, or the bare load raises any
+exception, the plain import is used.
+
+Caveats: a first ``import scipy.special`` in another thread while this
+module is being imported is unsupported, since it may get the stand-in.
+And the private extension modules loaded under the stand-in other than
+_ufuncs (_ufuncs_cxx, _gufuncs and the like) do not become attributes of
+the real package; they stay importable by name.
+
 The wrappers add strict domain checks and a clear overflow contract: a
 DomainError is raised exactly where the mathematical value exceeds double
 range (deep in the lower half-plane), never before.
@@ -23,14 +41,56 @@ All functions are pure; safe to call from any number of threads.
 from __future__ import annotations
 
 import cmath
+import importlib
+import os
+import sys
+import types
 
 import numpy as np
-from scipy import special as _special
-from scipy.special.cython_special import wofz as _wofz
 
 from .errors import DomainError
 
 __all__ = ["faddeeva_w", "faddeeva_w_grid"]
+
+
+def _load_kernels():
+    """The wofz ufunc and cython_special's scalar wofz (see the module doc)."""
+    if "scipy.special" not in sys.modules:
+        try:
+            return _load_kernels_bare()
+        except Exception:
+            # the bare load leans on scipy's private layout; whatever breaks
+            # it, the plain import below is still correct
+            pass
+    from scipy import special
+    from scipy.special.cython_special import wofz
+
+    return special.wofz, wofz
+
+
+def _load_kernels_bare():
+    import scipy
+
+    stub = types.ModuleType("scipy.special")
+    stub.__path__ = [os.path.join(scipy.__path__[0], "special")]
+    # cython_special imports the scipy.special package itself, so loading
+    # the extension files one by one without a package does not work
+    sys.modules["scipy.special"] = stub
+    try:
+        ufuncs = importlib.import_module("scipy.special._ufuncs")
+        cython_special = importlib.import_module("scipy.special.cython_special")
+    finally:
+        if sys.modules.get("scipy.special") is stub:
+            del sys.modules["scipy.special"]
+    # the real package never imports cython_special, so a later
+    # ``import scipy.special.cython_special`` would find it in sys.modules
+    # and not bind it as the package's attribute; dropped from sys.modules,
+    # it is re-imported then, and Cython hands back the same module object
+    del sys.modules["scipy.special.cython_special"]
+    return ufuncs.wofz, cython_special.wofz
+
+
+_wofz_ufunc, _wofz = _load_kernels()
 
 
 def faddeeva_w(z: complex) -> complex:
@@ -65,7 +125,7 @@ def faddeeva_w_grid(
     z.real = x
     z.imag = y
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _special.wofz(z)
+        w = _wofz_ufunc(z)
     wr, wi = w.real, w.imag
     ok = np.isfinite(x) & np.isfinite(y) & np.isfinite(wr) & np.isfinite(wi)
     return wr, wi, ok

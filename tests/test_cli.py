@@ -19,18 +19,22 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def run_cli(*args: str, **kw):
+def run_python(*argv: str, **kw):
     # the children import relvoigt from this checkout's src, installed or not
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": SRC if not path else SRC + os.pathsep + path}
     return subprocess.run(
-        [sys.executable, "-m", "relvoigt", *args],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         timeout=120,
         env=env,
         **kw,
     )
+
+
+def run_cli(*args: str, **kw):
+    return run_python("-m", "relvoigt", *args, **kw)
 
 
 def test_eval_h2_caption_value():
@@ -206,3 +210,37 @@ def test_output_matches_golden_file(name, argv, capsys):
 
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+# ``python -m relvoigt`` in a child that imports scipy.special first, so
+# complex_fn takes the plain scipy import rather than its bare kernel load
+PLAIN_SCIPY_MAIN = (
+    "import runpy, scipy.special; "
+    "runpy.run_module('relvoigt', run_name='__main__', alter_sys=True)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "h0", "--a", "0.3", "--u", "1.5"],
+        ["eval", "h2", "--a", "1e-6", "--u1", "1", "--u2", "0", "--json"],
+        ["eval", "v0", "--e", "1.1", "--mu", "1", "--gamma", "0.2", "--sigma", "0.1"],
+        ["eval", "v2", "--e", "1.1", "--mu", "1", "--gamma", "0.2", "--sigma", "0.1"],
+        ["eval", "d0", "--sigma", "0.3", "--gamma", "0.5", "--mu", "1"],
+        ["eval", "d2", "--sigma", "0.3", "--gamma", "0.5", "--mu", "1"],
+        ["eval", "i2", "--a", "0.7", "--u1", "-1", "--u2", "2"],
+        ["sweep", "v2", "--axis", "sigma", "--start", "-0.1", "--stop", "0.3",
+         "--steps", "5", "--e", "1", "--mu", "1", "--gamma", "0.5"],
+        ["sweep", "h2", "--axis", "a", "--start", "1e-3", "--stop", "3",
+         "--steps", "12", "--scale", "log", "--u1", "1", "--u2", "0", "--json"],
+        ["verify", "symmetry"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]) + ("-json" if "--json" in argv else ""),
+)
+def test_plain_scipy_import_prints_the_same_bytes(argv):
+    fast = run_cli(*argv)
+    plain = run_python("-c", PLAIN_SCIPY_MAIN, *argv)
+    assert fast.returncode == plain.returncode == 0, plain.stderr
+    assert fast.stdout == plain.stdout
+    assert fast.stdout and fast.stderr == plain.stderr == ""

@@ -12,11 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from relvoigt import DomainError, faddeeva_w
+from relvoigt import DomainError, faddeeva_w, h2
 from relvoigt.complex_fn import faddeeva_w_grid
 from relvoigt.quadrature import QuadratureConfig, integrate_real_line
 
 from oracles import erfc_complex, erfc_real, erfcx_real
+from test_cli import run_python
 
 # e * erfc(1) and erfc(1), frozen from the continued-fraction oracle
 E_ERFC_1 = 0.4275835761558069
@@ -190,3 +191,63 @@ def test_w_is_the_ufunc_kernel_bit_for_bit():
             overflow += 1
     # both branches are exercised, the overflow one by the lower half-plane
     assert finite > 7000 and overflow > 200
+
+
+# A child whose meta-path finder refuses cython_special while the bare
+# stand-in for scipy.special (a module with no __file__) is in place.
+_REFUSING_CHILD = """
+import sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        special = sys.modules.get("scipy.special")
+        if name == "scipy.special.cython_special" and not hasattr(special, "__file__"):
+            raise ImportError("refused while the stand-in is in place")
+        return None
+
+sys.meta_path.insert(0, Refuse())
+import scipy
+import relvoigt
+from relvoigt import complex_fn
+
+special = sys.modules.get("scipy.special")
+assert special is None or hasattr(special, "__file__"), special
+attr = vars(scipy).get("special")
+assert attr is None or hasattr(attr, "__file__"), attr
+# the plain import ran and supplied both kernels
+assert complex_fn._wofz is sys.modules["scipy.special.cython_special"].wofz
+assert complex_fn._wofz_ufunc is special.wofz
+print(relvoigt.h2(0.5, 1.0, -1.0).value.hex())
+"""
+
+
+def test_kernel_load_falls_back_to_the_plain_import():
+    r = run_python("-c", _REFUSING_CHILD)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == h2(0.5, 1.0, -1.0).value.hex()
+
+
+_FRESH_CHILD = """
+import sys
+import relvoigt
+
+# pins that the bare kernel load is taken on the installed scipy
+assert "scipy.special" not in sys.modules, "complex_fn fell back to the plain import"
+import scipy.special
+import scipy.special.cython_special
+from relvoigt import complex_fn
+
+assert scipy.special.wofz is complex_fn._wofz_ufunc
+assert scipy.special.cython_special.wofz is complex_fn._wofz
+print(scipy.special.erf(0.5).hex(), scipy.special.voigt_profile(0.1, 1.0, 1.0).hex())
+"""
+
+
+def test_bare_kernel_load_leaves_scipy_special_importable():
+    r = run_python("-c", _FRESH_CHILD)
+    assert r.returncode == 0, r.stderr
+    erf, voigt = (float.fromhex(v) for v in r.stdout.split())
+    assert abs(erf - math.erf(0.5)) <= 2e-16
+    # V(x; sigma, gamma) = Re w((x + i gamma) / (sigma sqrt 2)) / (sigma sqrt(2 pi))
+    want = faddeeva_w(complex(0.1, 1.0) / math.sqrt(2.0)).real / math.sqrt(2.0 * math.pi)
+    assert abs(voigt - want) <= 1e-15 * want
