@@ -11,7 +11,8 @@ Subcommands:
   table; each check applies the tolerance its own rule states.
 
 Exit codes: 0 success, 1 usage error, 2 domain/parameter error from the
-library, 3 verification failure.  All output goes to stdout unless
+library (a sweep with more steps than memory holds is one), 3 verification
+failure.  All output goes to stdout unless
 ``--output PATH`` is given; configuration is flags-only.
 """
 
@@ -25,7 +26,7 @@ from collections.abc import Iterator
 from dataclasses import asdict
 from typing import TextIO
 
-from .errors import RelVoigtError
+from .errors import DomainError, RelVoigtError
 from .result import EvalResult
 from .sweep import FUNCTIONS, SweepSpec, json_payload, run_sweep, write_csv
 from .verify import SUITE_NAMES, run_suite
@@ -179,7 +180,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         steps=args.steps,
         scale=args.scale,
     )
-    rows = run_sweep(spec)
+    try:
+        rows = run_sweep(spec)
+    except MemoryError as exc:
+        raise DomainError(f"steps={spec.steps!r} is too many for memory: {exc}") from None
     if args.json:
         _emit(json.dumps(json_payload(spec, rows), indent=2) + "\n", args.output)
     else:

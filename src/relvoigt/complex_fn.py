@@ -117,16 +117,15 @@ def faddeeva_w_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """w(x + iy) over arrays: real part, imaginary part and a finite mask.
 
-    The elementwise form of faddeeva_w, bit for bit: the mask is False
-    exactly where faddeeva_w raises DomainError, for a non-finite argument
-    or a value beyond double range, and the parts there are meaningless.
+    The elementwise form of faddeeva_w over x and y broadcast together, bit
+    for bit: the mask is False exactly where faddeeva_w raises DomainError,
+    for a non-finite argument or a value beyond double range, and the parts
+    there are meaningless.
     """
-    z = np.empty(np.shape(x), dtype=np.complex128)
+    z = np.empty(np.broadcast(x, y).shape, dtype=np.complex128)
     z.real = x
     z.imag = y
     with np.errstate(over="ignore", invalid="ignore"):
         w = _wofz_ufunc(z)
-    wr, wi = w.real, w.imag
-    ok = np.isfinite(x) & np.isfinite(y) & np.isfinite(wr) & np.isfinite(wi)
-    return wr, wi, ok
+    return w.real, w.imag, np.isfinite(z) & np.isfinite(w)
 

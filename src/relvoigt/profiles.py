@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError, require_finite
-from .result import GridFailures
 
 __all__ = [
     "ProfileParams",
@@ -205,70 +204,61 @@ def _product_quotient(x, y, z):
     return np.ldexp(mx * my / mz, ex + ey - ez)
 
 
+def profile_rules(e, mu, gamma, sigma, invalid, bad) -> list:
+    """The failure rules of v0 or v2 over arrays, in the scalar evaluator's order.
+
+    invalid marks the points where the profile rejects mu or gamma, and bad
+    is the DomainError mask of its arithmetic (reduction, line-broadening
+    function and value) at the points that pass every check before it.
+    """
+    return [
+        (~(np.isfinite(mu) & np.isfinite(gamma) & np.isfinite(sigma)), DomainError),
+        (invalid, ParameterError),
+        (~np.isfinite(e), DomainError),
+        (~(sigma > 0.0), ParameterError),
+        (bad, DomainError),
+    ]
+
+
 # Elementwise forms of the scalar maps above, for the grid evaluators.  Each
-# takes broadcast float arrays and flags in `fails`, in the scalar order,
-# every point where the scalar map raises; the arithmetic is the scalar's,
-# operation for operation, so successful points agree bit for bit.
+# is the arithmetic of its scalar map, operation for operation, so points
+# agree bit for bit; it assumes the argument checks of the scalar map, which
+# its caller states as failure rules, and it runs under the caller's
+# np.errstate.
 
 
-def _flag_nonfinite(fails: GridFailures, *xs: np.ndarray) -> None:
-    bad = np.zeros(fails.codes.shape, dtype=bool)
-    for x in xs:
-        bad |= ~np.isfinite(x)
-    fails.flag(bad, DomainError)
+def bw_nonrel_grid(e, mu, gamma):
+    """bw_nonrel over arrays at finite e and gamma > 0: densities, DomainError mask."""
+    d = e - mu
+    den = d * d + 0.25 * gamma * gamma
+    return (gamma / (2.0 * math.pi)) / den, den == 0.0
 
 
-def bw_nonrel_grid(e, mu, gamma, fails: GridFailures) -> np.ndarray:
-    """bw_nonrel over arrays."""
-    _flag_nonfinite(fails, e)
-    fails.flag(~(gamma > 0.0), ParameterError)
-    with np.errstate(all="ignore"):
-        d = e - mu
-        den = d * d + 0.25 * gamma * gamma
-        fails.flag(den == 0.0, DomainError)
-        return (gamma / (2.0 * math.pi)) / den
+def bw_rel_grid(e, mu, gamma):
+    """bw_rel over arrays at finite e and mu, gamma > 0: densities, DomainError mask."""
+    q = e * e - mu * mu
+    mg = mu * gamma
+    den = q * q + mg * mg
+    value = (mg / math.pi) / den
+    # a zero denominator leaves the density inf, or NaN where mg is 0 too
+    return value, ~np.isfinite(value)
 
 
-def bw_rel_grid(e, mu, gamma, fails: GridFailures) -> np.ndarray:
-    """bw_rel over arrays."""
-    _flag_nonfinite(fails, e)
-    fails.flag(~(mu > 0.0), ParameterError)
-    fails.flag(~(gamma > 0.0), ParameterError)
-    with np.errstate(all="ignore"):
-        q = e * e - mu * mu
-        mg = mu * gamma
-        den = q * q + mg * mg
-        fails.flag(den == 0.0, DomainError)
-        value = (mg / math.pi) / den
-    fails.flag(~np.isfinite(value), DomainError)
-    return value
+def reduce_nonrel_grid(e, mu, gamma, sigma):
+    """reduce_nonrel over arrays at finite e and sigma > 0: the coordinates (a, u)."""
+    return gamma / (2.0 * _SQRT2 * sigma), (e - mu) / (_SQRT2 * sigma)
 
 
-def reduce_nonrel_grid(e, mu, gamma, sigma, fails: GridFailures):
-    """reduce_nonrel over arrays: the coordinates (a, u)."""
-    _flag_nonfinite(fails, e)
-    fails.flag(~(sigma > 0.0), ParameterError)
-    with np.errstate(all="ignore"):
-        a = gamma / (2.0 * _SQRT2 * sigma)
-        u = (e - mu) / (_SQRT2 * sigma)
-    _flag_nonfinite(fails, a, u)
-    return a, u
+def reduce_rel_grid(e, mu, gamma, sigma):
+    """reduce_rel over arrays at finite e and sigma > 0: the coordinates (a, u1, u2).
 
-
-def reduce_rel_grid(e, mu, gamma, sigma, fails: GridFailures):
-    """reduce_rel over arrays: the coordinates (a, u1, u2)."""
-    _flag_nonfinite(fails, e)
-    fails.flag(~(sigma > 0.0), ParameterError)
-    with np.errstate(all="ignore"):
-        den = 2.0 * sigma * sigma
-        fails.flag(den == 0.0, DomainError)
-        s = _SQRT2 * sigma
-        gm = gamma * mu
-        a = gm / den
-        tiny = np.abs(gm) < _DBL_MIN
-        if tiny.any():
-            a = np.where(tiny, _product_quotient(gamma, mu, den), a)
-        u1 = (e - mu) / s
-        u2 = (e + mu) / s
-    _flag_nonfinite(fails, a, u1, u2)
-    return a, u1, u2
+    Where sigma^2 underflows, which reduce_rel rejects, a is inf or NaN.
+    """
+    den = 2.0 * sigma * sigma
+    s = _SQRT2 * sigma
+    gm = gamma * mu
+    a = gm / den
+    tiny = np.abs(gm) < _DBL_MIN
+    if tiny.any():
+        a = np.where(tiny, _product_quotient(gamma, mu, den), a)
+    return a, (e - mu) / s, (e + mu) / s

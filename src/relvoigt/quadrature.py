@@ -47,14 +47,16 @@ itself is only ever invoked from the calling thread.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, IntegrationError, require_finite, require_int
-from .result import EvalResult, GridFailures, GridResult
+from .result import EvalResult, GridResult, grid_result
 
 __all__ = [
     "QuadratureBatch",
@@ -418,9 +420,11 @@ def _integrate_groups(
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def quadrature_grid(route, fails: GridFailures, *coords: np.ndarray) -> GridResult:
-    """A batched quadrature route over the grid points fails still holds ok.
+def quadrature_grid(route, rules, *coords: np.ndarray) -> GridResult:
+    """A batched quadrature route over the grid points that no rule fails.
 
+    coords are arrays of one shape, and rules the (mask, exception) failure
+    rules of the checks before the route, as grid_result takes them.
     route(*coords) integrates the points whose coordinates it is given and
     returns a QuadratureBatch.  It is called on up to _GROUP_PANELS points
     at a time to bound memory: a route builds its seeds, initial panel
@@ -434,9 +438,10 @@ def quadrature_grid(route, fails: GridFailures, *coords: np.ndarray) -> GridResu
     a half that raises again is split further, down to the single points
     that raise themselves.
     """
-    value = np.zeros(fails.codes.shape)
-    estimate = np.zeros(fails.codes.shape)
-    failed = np.zeros(fails.codes.shape, dtype=bool)
+    shape = coords[0].shape
+    value = np.zeros(shape)
+    estimate = np.zeros(shape)
+    failed = np.zeros(shape, dtype=bool)
 
     def run(idx: np.ndarray) -> None:
         try:
@@ -452,11 +457,11 @@ def quadrature_grid(route, fails: GridFailures, *coords: np.ndarray) -> GridResu
         estimate.flat[idx] = r.error_estimate
         failed.flat[idx] = ~r.converged
 
-    live = np.flatnonzero(fails.ok)
+    checked = functools.reduce(operator.or_, [mask for mask, _ in rules], np.zeros(shape, bool))
+    live = np.flatnonzero(~checked)
     for k0 in range(0, live.size, _GROUP_PANELS):
         run(live[k0 : k0 + _GROUP_PANELS])
-    fails.flag(failed, IntegrationError)
-    return fails.result(value, estimate)
+    return grid_result(shape, [*rules, (failed, IntegrationError)], value, estimate)
 
 
 def _per_integral(name: str, x, n: int) -> np.ndarray:

@@ -69,6 +69,7 @@ from .profiles import (
     _reduce_rel,
     bw_nonrel_grid,
     bw_rel_grid,
+    profile_rules,
     reduce_rel_grid,
 )
 from .quadrature import (
@@ -81,8 +82,8 @@ from .quadrature import (
     quadrature_grid,
     _route_point,
 )
-from .result import EvalResult, GridFailures, GridResult, grid_arrays
-from .voigt import _v0, v0_grid
+from .result import EvalResult, GridResult, grid_arrays, grid_floats, grid_result
+from .voigt import _v0, _v0_grid
 
 __all__ = [
     "PoleSet",
@@ -178,50 +179,49 @@ def _cmul_real(k: float, zr, zi):
     return k * zr - 0.0 * zi, k * zi + 0.0 * zr
 
 
-def _cquot(ar, ai, br, bi):
-    """a / b by CPython's _Py_c_quot (Smith's algorithm); b must be nonzero."""
+def _cquot_real(ar, ai, br, bi):
+    """(a / b).real by CPython's _Py_c_quot (Smith's algorithm); b must be nonzero."""
     real_big = np.abs(br) >= np.abs(bi)
     ratio = np.where(real_big, bi / br, br / bi)
     denom = np.where(real_big, br + bi * ratio, br * ratio + bi)
-    re = np.where(real_big, ar + ai * ratio, ar * ratio + ai) / denom
-    im = np.where(real_big, ai - ar * ratio, ai * ratio - ar) / denom
-    return re, im
+    return np.where(real_big, ar + ai * ratio, ar * ratio + ai) / denom
 
 
 def _csqrt(x, y):
     """cmath.sqrt(complex(x, y)) for x >= 0, (x, y) != 0, as CPython computes it."""
     ax, ay = np.abs(x), np.abs(y)
-    tiny = (ax < _DBL_MIN) & (ay < _DBL_MIN)
     big_ax = ax / 8.0
-    s = np.where(
-        tiny,
-        np.ldexp(
-            np.sqrt(
-                np.ldexp(ax, _SQRT_SCALE_UP)
-                + np.hypot(np.ldexp(ax, _SQRT_SCALE_UP), np.ldexp(ay, _SQRT_SCALE_UP))
-            ),
-            _SQRT_SCALE_DOWN,
-        ),
-        2.0 * np.sqrt(big_ax + np.hypot(big_ax, ay / 8.0)),
-    )
+    s = 2.0 * np.sqrt(big_ax + np.hypot(big_ax, ay / 8.0))
+    tiny = (ax < _DBL_MIN) & (ay < _DBL_MIN)
+    if tiny.any():
+        up_x = np.ldexp(ax, _SQRT_SCALE_UP)
+        scaled = np.sqrt(up_x + np.hypot(up_x, np.ldexp(ay, _SQRT_SCALE_UP)))
+        s = np.where(tiny, np.ldexp(scaled, _SQRT_SCALE_DOWN), s)
     return s, np.copysign(ay / (2.0 * s), y)
 
 
 def _h2_closed_form_grid(a, u1, u2):
-    """h2's closed form over arrays with a > 0: value, estimate, finite mask."""
+    """h2 over arrays of points: value, estimate and DomainError mask.
+
+    Every point with a != 0 takes the closed form.  At finite coordinates
+    the mask holds where h2 raises, as its poles or its value leave double
+    range; a non-finite coordinate is the caller's check.
+    """
     # _pole_group's w1 and t1+-, then -t1-, in CPython's complex arithmetic
     d = u1 - u2
     s = u1 + u2
-    w1r, w1i = _csqrt(d * d, 4.0 * a)
+    w1r, w1i = _csqrt(d * d, 4.0 * np.abs(a))
     t1p_r, t1p_i = _cmul_real(0.5, s + w1r, 0.0 + w1i)
     t1m_r, t1m_i = _cmul_real(0.5, s - w1r, 0.0 - w1i)
     fr, fi, f_ok = faddeeva_w_grid(t1p_r, t1p_i)
     gr, gi, g_ok = faddeeva_w_grid(-t1m_r, -t1m_i)
-    g1r, _ = _cquot(fr + gr, fi + gi, *_cmul_real(2.0, w1r, w1i))
+    g1r = _cquot_real(fr + gr, fi + gi, *_cmul_real(2.0, w1r, w1i))
     value = 2.0 * g1r
     err = 1e-13 * (np.hypot(fr, fi) + np.hypot(gr, gi)) / np.hypot(w1r, w1i)
-    ok = f_ok & g_ok & np.isfinite(value) & np.isfinite(err)
-    return value, err, ok
+    zero = a == 0.0
+    bad = ~(f_ok & g_ok & np.isfinite(value) & np.isfinite(err) | zero)
+    value = np.where(zero, 0.0, np.where(a < 0.0, -value, value))
+    return value, np.where(zero, 0.0, err), bad
 
 
 def h2(a: float, u1: float, u2: float) -> EvalResult:
@@ -269,20 +269,11 @@ def h2_grid(a, u1, u2) -> GridResult:
     Every point with a != 0 takes the closed form in one vectorised pass; a
     point fails with DomainError where h2 raises it.
     """
-    a, u1, u2 = grid_arrays(a, u1, u2)
-    fails = GridFailures(a.shape)
-    fails.flag(~(np.isfinite(a) & np.isfinite(u1) & np.isfinite(u2)), DomainError)
-    value = np.zeros(a.shape)
-    err = np.zeros(a.shape)
-    live = fails.ok & (a != 0.0)
+    shape, (a, u1, u2) = grid_floats(a, u1, u2)
     with np.errstate(all="ignore"):
-        v, e, ok = _h2_closed_form_grid(np.abs(a[live]), u1[live], u2[live])
-    value[live] = np.where(a[live] < 0.0, -v, v)
-    err[live] = e
-    broken = np.zeros(a.shape, dtype=bool)
-    broken[live] = ~ok
-    fails.flag(broken, DomainError)
-    return fails.result(value, err)
+        value, err, bad = _h2_closed_form_grid(a, u1, u2)
+        bad |= ~(np.isfinite(a) & np.isfinite(u1) & np.isfinite(u2))
+    return grid_result(shape, [(bad, DomainError)], value, err)
 
 
 def _peak_seeds(a, u1, u2) -> np.ndarray:
@@ -334,10 +325,8 @@ def _i2_route(a, u1, u2, config) -> QuadratureBatch:
 
 def _route_grid(route, a, u1, u2, config) -> GridResult:
     a, u1, u2 = grid_arrays(a, u1, u2)
-    fails = GridFailures(a.shape)
-    fails.flag(~(np.isfinite(a) & np.isfinite(u1) & np.isfinite(u2)), DomainError)
-    fails.flag(a == 0.0, DomainError)
-    return quadrature_grid(lambda *p: route(*p, config), fails, a, u1, u2)
+    bad = ~(np.isfinite(a) & np.isfinite(u1) & np.isfinite(u2)) | (a == 0.0)
+    return quadrature_grid(lambda *p: route(*p, config), [(bad, DomainError)], a, u1, u2)
 
 
 def h2_quadrature(
@@ -583,18 +572,16 @@ def i2_closed(a: float, u1: float, u2: float) -> float:
 
 def i2_grid(a, u1, u2) -> GridResult:
     """i2_closed over broadcast arrays of points, bit for bit; no estimate."""
-    a, u1, u2 = grid_arrays(a, u1, u2)
-    fails = GridFailures(a.shape)
-    fails.flag(~(np.isfinite(a) & np.isfinite(u1) & np.isfinite(u2)), DomainError)
+    shape, (a, u1, u2) = grid_floats(a, u1, u2)
     with np.errstate(all="ignore"):
         d = u1 - u2
-        dd = d * d
-        fails.flag((a == 0.0) & (dd == 0.0), DomainError)
-        w1r, w1i = _csqrt(dd, 4.0 * np.abs(a))
-        inv_r, _ = _cquot(1.0, 0.0, w1r, w1i)
+        w1r, w1i = _csqrt(d * d, 4.0 * np.abs(a))
+        inv_r = _cquot_real(1.0, 0.0, w1r, w1i)
         value = 2.0 * inv_r
-    fails.flag(~np.isfinite(value), DomainError)
-    return fails.result(np.where(a < 0.0, -value, value))
+        # w1 = 0 (a = 0 on the diagonal) has the imaginary part 0 / 0, so
+        # the double pole leaves the value NaN
+        bad = ~(np.isfinite(a) & np.isfinite(u1) & np.isfinite(u2) & np.isfinite(value))
+    return grid_result(shape, [(bad, DomainError)], np.where(a < 0.0, -value, value))
 
 
 def i2_quadrature(
@@ -641,23 +628,24 @@ def _v2(e, mu, gamma, sigma) -> float:
     return value
 
 
+def _v2_grid(e, mu, gamma, sigma):
+    # v2 over arrays at finite e and mu, gamma, sigma > 0: values and the
+    # DomainError mask.  Where sigma^2 underflows a is not finite, so the
+    # mask holds there as reduce_rel raises.
+    a, u1, u2 = reduce_rel_grid(e, mu, gamma, sigma)
+    h, _, bad = _h2_closed_form_grid(a, u1, u2)
+    value = h / (2.0 * _SQRT_PI * sigma * sigma)
+    bad |= ~(np.isfinite(a) & np.isfinite(u1) & np.isfinite(u2) & np.isfinite(value))
+    return value, bad
+
+
 def v2_grid(e, mu, gamma, sigma) -> GridResult:
     """v2 over broadcast arrays of (e, mu, gamma, sigma), bit for bit."""
-    e, mu, gamma, sigma = grid_arrays(e, mu, gamma, sigma)
-    fails = GridFailures(e.shape)
-    fails.flag(~(np.isfinite(mu) & np.isfinite(gamma) & np.isfinite(sigma)), DomainError)
-    fails.flag(~(mu > 0.0), ParameterError)
-    fails.flag(~(gamma > 0.0), ParameterError)
-    a, u1, u2 = reduce_rel_grid(e, mu, gamma, sigma, fails)
-    live = fails.ok
-    h = h2_grid(a[live], u1[live], u2[live])
-    fails.codes[live] = h.codes
-    value = np.zeros(e.shape)
-    s = sigma[live]
+    shape, (e, mu, gamma, sigma) = grid_floats(e, mu, gamma, sigma)
     with np.errstate(all="ignore"):
-        value[live] = h.value / (2.0 * _SQRT_PI * s * s)
-    fails.flag(~np.isfinite(value), DomainError)
-    return fails.result(value)
+        value, bad = _v2_grid(e, mu, gamma, sigma)
+    invalid = ~(mu > 0.0) | ~(gamma > 0.0)
+    return grid_result(shape, profile_rules(e, mu, gamma, sigma, invalid, bad), value)
 
 
 def v2_gamma0_limit(e: float, mu: float, sigma: float, side: int) -> float:
@@ -727,31 +715,29 @@ def _ratio(name, profile, bw, sigma, gamma, mu) -> float:
 
 def _ratio_grid(sigma, gamma, mu, profile_grid, bw_grid) -> GridResult:
     # d0/d2 over arrays: the profile at its peak E = mu over the bare
-    # Breit-Wigner there, with the checks of _check_ratio_params first
-    sigma, gamma, mu = grid_arrays(sigma, gamma, mu)
-    fails = GridFailures(sigma.shape)
-    fails.flag(~(np.isfinite(sigma) & np.isfinite(gamma) & np.isfinite(mu)), DomainError)
-    fails.flag((gamma <= 0.0) | (mu <= 0.0) | (sigma < 0.0), ParameterError)
-    value = np.ones(sigma.shape)
-    live = fails.ok & (sigma != 0.0)
-    s, g, m = sigma[live], gamma[live], mu[live]
-    peak = profile_grid(m, m, g, s)
-    sub = GridFailures(s.shape)
-    sub.codes[...] = peak.codes
-    bw = bw_grid(m, m, g, sub)
-    sub.flag(bw == 0.0, DomainError)
-    fails.codes[live] = sub.codes
+    # Breit-Wigner there, with the checks of _check_ratio_params first and
+    # 1 at sigma = 0
+    shape, (sigma, gamma, mu) = grid_floats(sigma, gamma, mu)
     with np.errstate(all="ignore"):
-        value[live] = peak.value / bw
-    fails.flag(~np.isfinite(value), DomainError)
-    return fails.result(value)
+        peak, bad = profile_grid(mu, mu, gamma, sigma)
+        density, bw_bad = bw_grid(mu, mu, gamma)
+        value = peak / density
+        # a zero density leaves the ratio of a finite peak inf or NaN
+        bad |= bw_bad | ~np.isfinite(value)
+    zero = sigma == 0.0
+    rules = [
+        (~(np.isfinite(sigma) & np.isfinite(gamma) & np.isfinite(mu)), DomainError),
+        ((gamma <= 0.0) | (mu <= 0.0) | (sigma < 0.0), ParameterError),
+        (bad & ~zero, DomainError),
+    ]
+    return grid_result(shape, rules, np.where(zero, 1.0, value))
 
 
 def d0_grid(sigma, gamma, mu) -> GridResult:
     """d0 over broadcast arrays of (sigma, gamma, mu), bit for bit."""
-    return _ratio_grid(sigma, gamma, mu, v0_grid, bw_nonrel_grid)
+    return _ratio_grid(sigma, gamma, mu, _v0_grid, bw_nonrel_grid)
 
 
 def d2_grid(sigma, gamma, mu) -> GridResult:
     """d2 over broadcast arrays of (sigma, gamma, mu), bit for bit."""
-    return _ratio_grid(sigma, gamma, mu, v2_grid, bw_rel_grid)
+    return _ratio_grid(sigma, gamma, mu, _v2_grid, bw_rel_grid)

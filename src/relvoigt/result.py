@@ -10,12 +10,19 @@ d0, d2 and i2_closed) return a bare float.
 The grid evaluators (``h0_grid``, ``h2_grid``, ...) return a GridResult: one
 call over whole arrays of points, with the failure a scalar evaluator would
 raise at a point recorded as that point's error name instead of aborting the
-grid.
+grid.  Each evaluator computes on all points at once and states its failures
+as an ordered list of (mask, exception) rules, one per check of the scalar
+evaluator in the scalar's order; grid_result folds them into the codes.  A
+point fails with the exception of the first rule whose mask holds there, as
+the first check that raises decides the scalar evaluator's outcome.  When no
+mask holds anywhere, which one OR of the masks shows, the fold writes no code.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,32 +93,32 @@ class GridResult:
         return _GRID_NAMES[self.codes]
 
 
-class GridFailures:
-    """Per-point failure codes collected while a grid evaluator runs.
+def grid_result(shape, rules, value, estimate=None) -> GridResult:
+    """The GridResult of values over a grid of this shape and their failure rules.
 
-    The first failure flagged at a point wins, just as the first check that
-    raises decides the outcome of the scalar evaluator, so grid evaluators
-    flag their checks in the scalar evaluator's order.
+    rules is a list of (mask, exception) pairs whose masks broadcast to
+    shape; value and estimate are NaN where a point fails.
     """
-
-    def __init__(self, shape: tuple[int, ...]) -> None:
-        self.codes = np.zeros(shape, dtype=np.int8)
-
-    @property
-    def ok(self) -> np.ndarray:
-        return self.codes == 0
-
-    def flag(self, mask: np.ndarray, exc: type[Exception]) -> None:
-        self.codes[(self.codes == 0) & mask] = _GRID_CODES[exc]
-
-    def result(self, value: np.ndarray, estimate: np.ndarray | None = None) -> GridResult:
-        ok = self.ok
-        value = np.where(ok, value, np.nan)
+    codes = np.zeros(shape, dtype=np.int8)
+    failed = functools.reduce(operator.or_, [mask for mask, _ in rules])
+    if failed.any():
+        # the first rule that holds wins, so the rules are written last first
+        for mask, exc in reversed(rules):
+            np.copyto(codes, _GRID_CODES[exc], where=mask)
+        value = np.where(failed, np.nan, value)
         if estimate is not None:
-            estimate = np.where(ok, estimate, np.nan)
-        return GridResult(value, estimate, self.codes)
+            estimate = np.where(failed, np.nan, estimate)
+    if estimate is not None:
+        estimate = np.asarray(estimate)
+    return GridResult(np.asarray(value), estimate, codes)
 
 
 def grid_arrays(*xs) -> list[np.ndarray]:
     """The arguments as float64 arrays broadcast to one shape."""
     return np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in xs))
+
+
+def grid_floats(*xs) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """The shape the arguments broadcast to, and each as a float64 array."""
+    xs = [np.asarray(x, dtype=np.float64) for x in xs]
+    return np.broadcast(*xs).shape, xs

@@ -56,7 +56,7 @@ from .rel_voigt import (
     v2,
     v2_gamma0_limit,
 )
-from .result import GridFailures, GridResult
+from .result import GridResult
 from .voigt import _laplace_route, h0, h0_grid, h0_limit_a0
 
 __all__ = [
@@ -155,7 +155,7 @@ def _reference(res: GridResult, route: str, *coords: np.ndarray) -> np.ndarray:
 def _route_values(route, name: str, *coords: np.ndarray) -> np.ndarray:
     # a batched route's values at the points, in route calls of up to 1,024
     # points; IntegrationError naming the first point that fails
-    res = quadrature_grid(route, GridFailures(coords[0].shape), *coords)
+    res = quadrature_grid(route, [], *coords)
     return _reference(res, name, *coords)
 
 

@@ -25,9 +25,9 @@ import numpy as np
 
 from .complex_fn import faddeeva_w, faddeeva_w_grid
 from .errors import DomainError, ParameterError, check_side, require_finite
-from .profiles import ProfileParams, _reduce_nonrel, reduce_nonrel_grid
+from .profiles import ProfileParams, _reduce_nonrel, profile_rules, reduce_nonrel_grid
 from .quadrature import QuadratureBatch, QuadratureConfig, _route_point, integrate_semi_infinite_batch
-from .result import EvalResult, GridFailures, GridResult, grid_arrays
+from .result import EvalResult, GridResult, grid_floats, grid_result
 
 __all__ = ["h0", "h0_grid", "h0_limit_a0", "h0_laplace_rep", "v0", "v0_grid"]
 
@@ -46,18 +46,19 @@ def h0(a: float, u: float) -> float:
     return faddeeva_w(complex(u, a)).real
 
 
-def _h0_values(a: np.ndarray, u: np.ndarray, fails: GridFailures) -> np.ndarray:
-    fails.flag(~(np.isfinite(a) & np.isfinite(u)), DomainError)
+def _h0_grid(a, u):
+    # h0 over arrays: values, and the DomainError mask, which holds where a
+    # or u is not finite or the Faddeeva value leaves double range (at
+    # a = 0 the argument is real and w is finite)
     wr, _, ok = faddeeva_w_grid(u, np.abs(a))
-    fails.flag(~ok & (a != 0.0), DomainError)
-    return np.where(a == 0.0, 0.0, np.where(a < 0.0, -wr, wr))
+    return np.where(a == 0.0, 0.0, np.where(a < 0.0, -wr, wr)), ~ok
 
 
 def h0_grid(a, u) -> GridResult:
     """h0 over broadcast arrays of points, bit for bit; no error estimate."""
-    a, u = grid_arrays(a, u)
-    fails = GridFailures(a.shape)
-    return fails.result(_h0_values(a, u, fails))
+    shape, (a, u) = grid_floats(a, u)
+    value, bad = _h0_grid(a, u)
+    return grid_result(shape, [(bad, DomainError)], value)
 
 
 def h0_limit_a0(u: float, side: int) -> float:
@@ -112,14 +113,17 @@ def _v0(e, mu, gamma, sigma) -> float:
     return value
 
 
+def _v0_grid(e, mu, gamma, sigma):
+    # v0 over arrays at finite e and mu and gamma, sigma > 0: values and the
+    # DomainError mask
+    h, bad = _h0_grid(*reduce_nonrel_grid(e, mu, gamma, sigma))
+    value = h / (_SQRT_2PI * sigma)
+    return value, bad | ~np.isfinite(value)
+
+
 def v0_grid(e, mu, gamma, sigma) -> GridResult:
     """v0 over broadcast arrays of (e, mu, gamma, sigma), bit for bit."""
-    e, mu, gamma, sigma = grid_arrays(e, mu, gamma, sigma)
-    fails = GridFailures(e.shape)
-    fails.flag(~(np.isfinite(mu) & np.isfinite(gamma) & np.isfinite(sigma)), DomainError)
-    fails.flag(~(gamma > 0.0), ParameterError)
-    a, u = reduce_nonrel_grid(e, mu, gamma, sigma, fails)
+    shape, (e, mu, gamma, sigma) = grid_floats(e, mu, gamma, sigma)
     with np.errstate(all="ignore"):
-        value = _h0_values(a, u, fails) / (_SQRT_2PI * sigma)
-    fails.flag(~np.isfinite(value), DomainError)
-    return fails.result(value)
+        value, bad = _v0_grid(e, mu, gamma, sigma)
+    return grid_result(shape, profile_rules(e, mu, gamma, sigma, ~(gamma > 0.0), bad), value)

@@ -166,6 +166,19 @@ def test_underflowing_sigma_is_a_domain_error_not_a_traceback():
     assert lines[4].count(",") == 3 and "Error" not in lines[4]
 
 
+def test_sweep_too_large_for_memory_is_a_domain_error_not_a_traceback():
+    # 10^15 steps is 8 PB of grid, beyond the address space, so the
+    # allocation is refused at once and nothing is allocated
+    r = run_cli(
+        "sweep", "h2", "--axis", "a", "--start", "0", "--stop", "1",
+        "--steps", "1000000000000000", "--u1", "0", "--u2", "0",
+    )
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: steps=1000000000000000 ")
+    assert "Traceback" not in r.stderr and r.stderr.count("\n") == 1
+    assert r.stdout == ""
+
+
 def test_sweep_json_flag():
     r = run_cli(
         "sweep", "h2", "--axis", "a", "--start", "0.001", "--stop", "3",

@@ -48,6 +48,11 @@ def test_grid_matches_scalar_bitwise_with_every_argument_an_array(function):
     rng = np.random.default_rng([17, sorted(FUNCTIONS).index(function)])
     n = 4000
     cols = {name: _column(rng, n) for name in names}
+    # a quarter of the points repeat the first argument's value in another
+    # position, which puts them on the diagonal u1 = u2 or at the peak e = mu
+    for name in names[1:]:
+        tie = rng.random(n) < 0.25
+        cols[name][tie] = cols[names[0]][tie]
     res = grid(**cols)
     errors = res.error.tolist()
     for i in range(n):

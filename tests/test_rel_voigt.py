@@ -50,7 +50,6 @@ from relvoigt.quadrature import (
 )
 from relvoigt import rel_voigt, verify
 from relvoigt.rel_voigt import _pole_group, _rectangle_route, _rep_single_complex
-from relvoigt.result import GridFailures
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -391,7 +390,7 @@ def test_quadrature_grid_localises_an_aborted_batch():
 
         return integrate_real_line_batch(f, x.size)
 
-    res = quadrature_grid(route, GridFailures(x.shape), x)
+    res = quadrature_grid(route, [], x)
     assert res.error.tolist() == ["", "", "IntegrationError", ""]
     ok = res.error == ""
     assert np.allclose(res.value[ok], np.sqrt(math.pi / x[ok]), rtol=1e-12, atol=0.0)
@@ -413,7 +412,7 @@ def test_quadrature_grid_bisects_to_a_poisoned_point_in_chunks_of_1024():
 
         return integrate_real_line_batch(f, x.size)
 
-    res = quadrature_grid(route, GridFailures(x.shape), x)
+    res = quadrature_grid(route, [], x)
     assert max(sizes) == 1024 and sizes[:2] == [1024, 512]
     assert len(sizes) <= 25
     assert np.flatnonzero(res.error != "").tolist() == [700]
