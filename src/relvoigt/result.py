@@ -108,9 +108,7 @@ def grid_result(shape, rules, value, estimate=None) -> GridResult:
         value = np.where(failed, np.nan, value)
         if estimate is not None:
             estimate = np.where(failed, np.nan, estimate)
-    if estimate is not None:
-        estimate = np.asarray(estimate)
-    return GridResult(np.asarray(value), estimate, codes)
+    return GridResult(np.asarray(value), None if estimate is None else np.asarray(estimate), codes)
 
 
 def grid_arrays(*xs) -> list[np.ndarray]:
