@@ -16,119 +16,97 @@ Every closed form ships with at least one independent evaluation route
 form, integral representations) wired into the ``verify`` suites, so a
 build can re-certify itself numerically at any time; the ``relvoigt`` CLI
 exposes point evaluation, grid sweeps to CSV/JSON, and those suites.
+
+The namespace is lazy (PEP 562): ``import relvoigt`` loads no submodule,
+and so neither numpy nor scipy.  A public name is imported on first access
+from the submodule ``_HOMES`` names for it, a submodule by its own name,
+and either is then kept in the package globals.  So ``from relvoigt import
+h2`` loads the closed forms but not the quadrature layer, the routes, the
+sweeps, the verify suites or the CLI.
 """
 
-from .complex_fn import faddeeva_w
-from .errors import (
-    DomainError,
-    IntegrationError,
-    ParameterError,
-    RelVoigtError,
-)
-from .profiles import (
-    ProfileParams,
-    ReducedCoordsNonRel,
-    ReducedCoordsRel,
-    bw_nonrel,
-    bw_rel,
-    gaussian,
-    reduce_nonrel,
-    reduce_rel,
-)
-from .quadrature import (
-    QuadratureConfig,
-    QuadratureResult,
-    integrate_interval,
-    integrate_real_line,
-    integrate_real_line_compactified,
-    integrate_semi_infinite,
-)
-from .rel_voigt import (
-    PoleSet,
-    d0,
-    d0_grid,
-    d2,
-    d2_grid,
-    h2,
-    h2_degenerate_series,
-    h2_grid,
-    h2_integral_rep,
-    h2_large_u_asymptotic,
-    h2_limit_a0,
-    h2_quadrature,
-    h2_quadrature_grid,
-    h2_rectangle,
-    i2_closed,
-    i2_grid,
-    i2_quadrature,
-    i2_quadrature_grid,
-    pole_set,
-    v2,
-    v2_gamma0_limit,
-    v2_grid,
-)
-from .result import EvalResult, GridResult
-from .sweep import SweepRow, SweepRows, SweepSpec, run_sweep
-from .verify import VerifyReport, run_suite
-from .voigt import h0, h0_grid, h0_laplace_rep, h0_limit_a0, v0, v0_grid
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "RelVoigtError",
-    "DomainError",
-    "ParameterError",
-    "IntegrationError",
-    "EvalResult",
-    "GridResult",
-    "faddeeva_w",
-    "ProfileParams",
-    "ReducedCoordsNonRel",
-    "ReducedCoordsRel",
-    "bw_nonrel",
-    "bw_rel",
-    "gaussian",
-    "reduce_nonrel",
-    "reduce_rel",
-    "QuadratureConfig",
-    "QuadratureResult",
-    "integrate_interval",
-    "integrate_real_line",
-    "integrate_real_line_compactified",
-    "integrate_semi_infinite",
-    "h0",
-    "h0_grid",
-    "h0_limit_a0",
-    "h0_laplace_rep",
-    "v0",
-    "v0_grid",
-    "PoleSet",
-    "pole_set",
-    "h2",
-    "h2_grid",
-    "h2_quadrature",
-    "h2_quadrature_grid",
-    "h2_limit_a0",
-    "h2_degenerate_series",
-    "h2_large_u_asymptotic",
-    "h2_rectangle",
-    "h2_integral_rep",
-    "i2_closed",
-    "i2_grid",
-    "i2_quadrature",
-    "i2_quadrature_grid",
-    "v2",
-    "v2_grid",
-    "v2_gamma0_limit",
-    "d0",
-    "d0_grid",
-    "d2",
-    "d2_grid",
-    "SweepSpec",
-    "SweepRow",
-    "SweepRows",
-    "run_sweep",
-    "VerifyReport",
-    "run_suite",
-]
+# public name -> the submodule that defines it, in the order of __all__
+_HOMES = {
+    "RelVoigtError": "errors",
+    "DomainError": "errors",
+    "ParameterError": "errors",
+    "IntegrationError": "errors",
+    "EvalResult": "result",
+    "GridResult": "result",
+    "faddeeva_w": "complex_fn",
+    "ProfileParams": "profiles",
+    "ReducedCoordsNonRel": "profiles",
+    "ReducedCoordsRel": "profiles",
+    "bw_nonrel": "profiles",
+    "bw_rel": "profiles",
+    "gaussian": "profiles",
+    "reduce_nonrel": "profiles",
+    "reduce_rel": "profiles",
+    "QuadratureConfig": "quadrature",
+    "QuadratureResult": "quadrature",
+    "integrate_interval": "quadrature",
+    "integrate_real_line": "quadrature",
+    "integrate_real_line_compactified": "quadrature",
+    "integrate_semi_infinite": "quadrature",
+    "h0": "voigt",
+    "h0_grid": "voigt",
+    "h0_limit_a0": "voigt",
+    "h0_laplace_rep": "routes",
+    "v0": "voigt",
+    "v0_grid": "voigt",
+    "PoleSet": "rel_voigt",
+    "pole_set": "rel_voigt",
+    "h2": "rel_voigt",
+    "h2_grid": "rel_voigt",
+    "h2_quadrature": "routes",
+    "h2_quadrature_grid": "routes",
+    "h2_limit_a0": "rel_voigt",
+    "h2_degenerate_series": "rel_voigt",
+    "h2_large_u_asymptotic": "rel_voigt",
+    "h2_rectangle": "routes",
+    "h2_integral_rep": "routes",
+    "i2_closed": "rel_voigt",
+    "i2_grid": "rel_voigt",
+    "i2_quadrature": "routes",
+    "i2_quadrature_grid": "routes",
+    "v2": "rel_voigt",
+    "v2_grid": "rel_voigt",
+    "v2_gamma0_limit": "rel_voigt",
+    "d0": "rel_voigt",
+    "d0_grid": "rel_voigt",
+    "d2": "rel_voigt",
+    "d2_grid": "rel_voigt",
+    "SweepSpec": "sweep",
+    "SweepRow": "sweep",
+    "SweepRows": "sweep",
+    "run_sweep": "sweep",
+    "VerifyReport": "verify",
+    "run_suite": "verify",
+}
+
+_SUBMODULES = frozenset({
+    "catalog", "cli", "complex_fn", "errors", "profiles", "quadrature",
+    "rel_voigt", "result", "routes", "sweep", "verify", "voigt",
+})
+
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name: str):
+    # runs only for a name not yet in the globals, which then keep it
+    if name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    elif name in _HOMES:
+        value = getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

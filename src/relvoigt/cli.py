@@ -14,6 +14,11 @@ Exit codes: 0 success, 1 usage error, 2 domain/parameter error from the
 library (a sweep with more steps than memory holds is one), 3 verification
 failure.  All output goes to stdout unless
 ``--output PATH`` is given; configuration is flags-only.
+
+The arguments, and an eval's parameter set, are checked against ``catalog``
+before numpy is imported, so ``--help`` and usage errors load neither numpy
+nor scipy.  Then eval and sweep import ``sweep``, whose FUNCTIONS holds the
+evaluators, and verify imports ``verify``, which alone loads quadrature.
 """
 
 from __future__ import annotations
@@ -23,18 +28,15 @@ import contextlib
 import json
 import sys
 from collections.abc import Iterator
-from dataclasses import asdict
 from typing import TextIO
 
+from .catalog import PARAMETERS, SUITE_NAMES
 from .errors import DomainError, RelVoigtError
-from .result import EvalResult
-from .sweep import FUNCTIONS, SweepSpec, json_payload, run_sweep, write_csv
-from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main", "build_parser"]
 
-# every parameter name of FUNCTIONS, in order of first appearance
-_PARAM_FLAGS = tuple(dict.fromkeys(n for names, _, _ in FUNCTIONS.values() for n in names))
+# every parameter name of PARAMETERS, in order of first appearance
+_PARAM_FLAGS = tuple(dict.fromkeys(n for names in PARAMETERS.values() for n in names))
 
 
 class _UsageError(Exception):
@@ -59,12 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one function at one point")
-    p_eval.add_argument("function", choices=sorted(FUNCTIONS))
+    p_eval.add_argument("function", choices=sorted(PARAMETERS))
     _add_param_flags(p_eval)
     _add_common(p_eval)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter over a grid")
-    p_sweep.add_argument("function", choices=sorted(FUNCTIONS))
+    p_sweep.add_argument("function", choices=sorted(PARAMETERS))
     p_sweep.add_argument("--axis", required=True, metavar="NAME", help="parameter to sweep")
     p_sweep.add_argument("--start", required=True, type=float)
     p_sweep.add_argument("--stop", required=True, type=float)
@@ -135,9 +137,12 @@ def _eval_note(function: str, params: dict[str, float]) -> str | None:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    names, evaluate, _ = FUNCTIONS[args.function]
+    names = PARAMETERS[args.function]
     params = _collect_params(args, names)
-    result = evaluate(params)
+    from .result import EvalResult
+    from .sweep import FUNCTIONS
+
+    result = FUNCTIONS[args.function][1](params)
     note = _eval_note(args.function, params)
 
     if isinstance(result, EvalResult):
@@ -170,6 +175,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweep import SweepSpec, json_payload, run_sweep, write_csv
+
     given = _given_params(args)
     spec = SweepSpec(
         function=args.function,
@@ -193,6 +200,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
+    from .verify import run_suite
+
     reports = run_suite(args.suite)
     if args.json:
         text = json.dumps([asdict(r) for r in reports], indent=2) + "\n"

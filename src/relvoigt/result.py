@@ -90,7 +90,8 @@ class GridResult:
     @property
     def error(self) -> np.ndarray:
         """Per-point exception class names, "" where the point succeeded."""
-        return _GRID_NAMES[self.codes]
+        # a 0-d index picks the bare str out of _GRID_NAMES; keep it an array
+        return np.asarray(_GRID_NAMES[self.codes], dtype=object)
 
 
 def grid_result(shape, rules, value, estimate=None) -> GridResult:

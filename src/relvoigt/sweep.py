@@ -34,6 +34,7 @@ from typing import Callable, Mapping, TextIO
 import numpy as np
 
 from . import rel_voigt, voigt
+from .catalog import PARAMETERS
 from .errors import DomainError, require_int
 from .profiles import ProfileParams
 from .result import _GRID_NAMES, GridResult
@@ -47,22 +48,21 @@ def _profile(p: Mapping[str, float]) -> ProfileParams:
     return ProfileParams(mu=p["mu"], gamma=p["gamma"], sigma=p["sigma"])
 
 
-# name -> (ordered parameter names, evaluator over a parameter dict,
-#          grid evaluator taking the parameters as keyword arrays)
+# name -> (evaluator over a parameter dict, grid evaluator taking the
+#          parameters as keyword arrays)
+_EVALUATORS = {
+    "h0": (lambda p: voigt.h0(p["a"], p["u"]), voigt.h0_grid),
+    "h2": (lambda p: rel_voigt.h2(p["a"], p["u1"], p["u2"]), rel_voigt.h2_grid),
+    "v0": (lambda p: voigt.v0(p["e"], _profile(p)), voigt.v0_grid),
+    "v2": (lambda p: rel_voigt.v2(p["e"], _profile(p)), rel_voigt.v2_grid),
+    "d0": (lambda p: rel_voigt.d0(p["sigma"], p["gamma"], p["mu"]), rel_voigt.d0_grid),
+    "d2": (lambda p: rel_voigt.d2(p["sigma"], p["gamma"], p["mu"]), rel_voigt.d2_grid),
+    "i2": (lambda p: rel_voigt.i2_closed(p["a"], p["u1"], p["u2"]), rel_voigt.i2_grid),
+}
+
+# name -> (ordered parameter names, evaluator, grid evaluator)
 FUNCTIONS: dict[str, tuple[tuple[str, ...], Callable, Callable]] = {
-    "h0": (("a", "u"), lambda p: voigt.h0(p["a"], p["u"]), voigt.h0_grid),
-    "h2": (("a", "u1", "u2"), lambda p: rel_voigt.h2(p["a"], p["u1"], p["u2"]),
-           rel_voigt.h2_grid),
-    "v0": (("e", "mu", "gamma", "sigma"), lambda p: voigt.v0(p["e"], _profile(p)),
-           voigt.v0_grid),
-    "v2": (("e", "mu", "gamma", "sigma"), lambda p: rel_voigt.v2(p["e"], _profile(p)),
-           rel_voigt.v2_grid),
-    "d0": (("sigma", "gamma", "mu"), lambda p: rel_voigt.d0(p["sigma"], p["gamma"], p["mu"]),
-           rel_voigt.d0_grid),
-    "d2": (("sigma", "gamma", "mu"), lambda p: rel_voigt.d2(p["sigma"], p["gamma"], p["mu"]),
-           rel_voigt.d2_grid),
-    "i2": (("a", "u1", "u2"), lambda p: rel_voigt.i2_closed(p["a"], p["u1"], p["u2"]),
-           rel_voigt.i2_grid),
+    name: (names, *_EVALUATORS[name]) for name, names in PARAMETERS.items()
 }
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import SUITE_NAMES
 from .errors import DomainError, IntegrationError
 from .profiles import ProfileParams
 from .quadrature import (
@@ -39,8 +40,6 @@ from .quadrature import (
     quadrature_grid,
 )
 from .rel_voigt import (
-    _rectangle_route,
-    _rep_single_complex,
     d0,
     d2,
     h2,
@@ -48,16 +47,21 @@ from .rel_voigt import (
     h2_grid,
     h2_large_u_asymptotic,
     h2_limit_a0,
-    h2_quadrature,
-    h2_quadrature_grid,
     i2_closed,
     i2_grid,
-    i2_quadrature_grid,
     v2,
     v2_gamma0_limit,
 )
 from .result import GridResult
-from .voigt import _laplace_route, h0, h0_grid, h0_limit_a0
+from .routes import (
+    _laplace_route,
+    _rectangle_route,
+    _rep_single_complex,
+    h2_quadrature,
+    h2_quadrature_grid,
+    i2_quadrature_grid,
+)
+from .voigt import h0, h0_grid, h0_limit_a0
 
 __all__ = [
     "VerifyReport",
@@ -393,14 +397,12 @@ def verify_limits() -> list[VerifyReport]:
     return reports
 
 
-_SUITES = {
-    "symmetry": verify_symmetry,
-    "oracle": verify_oracle,
-    "representations": verify_representations,
-    "limits": verify_limits,
-}
-
-SUITE_NAMES = (*_SUITES, "all")
+# the suites of SUITE_NAMES before "all", which chains them in this order
+_SUITES = dict(zip(
+    SUITE_NAMES[:-1],
+    (verify_symmetry, verify_oracle, verify_representations, verify_limits),
+    strict=True,
+))
 
 
 def run_suite(suite: str) -> list[VerifyReport]:

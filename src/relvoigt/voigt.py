@@ -14,7 +14,8 @@ for large |u|.
 
 H0 is odd in a.  At exactly a = 0 the defining integral has a zero
 prefactor, so h0 returns 0 there; the one-sided limits +-e^{-u^2}, which do
-not agree, are exposed separately as h0_limit_a0.
+not agree, are exposed separately as h0_limit_a0.  The Laplace-type
+representation that verifies H0 by quadrature is ``routes.h0_laplace_rep``.
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ import numpy as np
 from .complex_fn import faddeeva_w, faddeeva_w_grid
 from .errors import DomainError, ParameterError, check_side, require_finite
 from .profiles import ProfileParams, _reduce_nonrel, profile_rules, reduce_nonrel_grid
-from .quadrature import QuadratureBatch, QuadratureConfig, _route_point, integrate_semi_infinite_batch
-from .result import EvalResult, GridResult, grid_floats, grid_result
+from .result import GridResult, grid_floats, grid_result
 
-__all__ = ["h0", "h0_grid", "h0_limit_a0", "h0_laplace_rep", "v0", "v0_grid"]
+__all__ = ["h0", "h0_grid", "h0_limit_a0", "v0", "v0_grid"]
 
-_SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -66,32 +65,6 @@ def h0_limit_a0(u: float, side: int) -> float:
     u = require_finite("u", u)
     side = check_side(side)
     return side * math.exp(-u * u)
-
-
-def _laplace_route(a, u, config=None) -> QuadratureBatch:
-    # h0_laplace_rep at arrays of points with a > 0, in one batched call
-    z = -a + 1j * u
-
-    def f(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-        out = z[k] * x
-        out -= 0.25 * x * x
-        np.exp(out, out=out)
-        out /= _SQRT_PI
-        return out
-
-    r = integrate_semi_infinite_batch(f, a.size, config)
-    return QuadratureBatch(r.value.real, r.error_estimate, r.converged, r.evaluations)
-
-
-def h0_laplace_rep(
-    a: float, u: float, config: QuadratureConfig | None = None
-) -> EvalResult:
-    """H0 via its Laplace-type representation, a diagnostic cross-route.
-
-    H0(a, u) = Re (1/sqrt(pi)) Int_0^inf e^{-a x + i u x - x^2/4} dx,
-    valid for a > 0; evaluated by semi-infinite quadrature.
-    """
-    return _route_point(_laplace_route, config, True, a=a, u=u)
 
 
 def v0(e: float, params: ProfileParams) -> float:

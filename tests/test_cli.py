@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from relvoigt import verify
+from relvoigt.catalog import PARAMETERS, SUITE_NAMES
 from relvoigt.cli import main
+from relvoigt.sweep import FUNCTIONS
 from relvoigt.verify import VerifyReport
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -233,16 +235,22 @@ PLAIN_SCIPY_MAIN = (
 )
 
 
+# one eval of each of the seven functions
+EVALS = [
+    ["eval", "h0", "--a", "0.3", "--u", "1.5"],
+    ["eval", "h2", "--a", "1e-6", "--u1", "1", "--u2", "0", "--json"],
+    ["eval", "v0", "--e", "1.1", "--mu", "1", "--gamma", "0.2", "--sigma", "0.1"],
+    ["eval", "v2", "--e", "1.1", "--mu", "1", "--gamma", "0.2", "--sigma", "0.1"],
+    ["eval", "d0", "--sigma", "0.3", "--gamma", "0.5", "--mu", "1"],
+    ["eval", "d2", "--sigma", "0.3", "--gamma", "0.5", "--mu", "1"],
+    ["eval", "i2", "--a", "0.7", "--u1", "-1", "--u2", "2"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["eval", "h0", "--a", "0.3", "--u", "1.5"],
-        ["eval", "h2", "--a", "1e-6", "--u1", "1", "--u2", "0", "--json"],
-        ["eval", "v0", "--e", "1.1", "--mu", "1", "--gamma", "0.2", "--sigma", "0.1"],
-        ["eval", "v2", "--e", "1.1", "--mu", "1", "--gamma", "0.2", "--sigma", "0.1"],
-        ["eval", "d0", "--sigma", "0.3", "--gamma", "0.5", "--mu", "1"],
-        ["eval", "d2", "--sigma", "0.3", "--gamma", "0.5", "--mu", "1"],
-        ["eval", "i2", "--a", "0.7", "--u1", "-1", "--u2", "2"],
+        *EVALS,
         ["sweep", "v2", "--axis", "sigma", "--start", "-0.1", "--stop", "0.3",
          "--steps", "5", "--e", "1", "--mu", "1", "--gamma", "0.5"],
         ["sweep", "h2", "--axis", "a", "--start", "1e-3", "--stop", "3",
@@ -257,3 +265,104 @@ def test_plain_scipy_import_prints_the_same_bytes(argv):
     assert fast.returncode == plain.returncode == 0, plain.stderr
     assert fast.stdout == plain.stdout
     assert fast.stdout and fast.stderr == plain.stderr == ""
+
+
+# ``python -m relvoigt`` with this child's arguments; the names of every
+# loaded module go to stderr as its last line, also when the command exits
+LIST_MODULES_MAIN = """
+import runpy, sys
+try:
+    runpy.run_module("relvoigt", run_name="__main__", alter_sys=True)
+finally:
+    print(" ".join(sys.modules), file=sys.stderr)
+"""
+
+
+def loaded_by_command(*argv: str) -> tuple[int, set[str]]:
+    r = run_python("-c", LIST_MODULES_MAIN, *argv)
+    return r.returncode, set(r.stderr.splitlines()[-1].split())
+
+
+def loaded_by_code(code: str) -> set[str]:
+    r = run_python("-c", code + "\nimport sys; print(' '.join(sys.modules))")
+    assert r.returncode == 0, r.stderr
+    return set(r.stdout.splitlines()[-1].split())
+
+
+NUMERIC = {"numpy", "scipy"}
+ROUTES = {"relvoigt.quadrature", "relvoigt.routes"}
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = loaded_by_code("import relvoigt")
+    assert "relvoigt" in loaded and not NUMERIC & loaded
+    assert not [m for m in loaded if m.startswith("relvoigt.")]
+
+
+def test_closed_form_import_loads_no_route_sweep_verify_or_cli():
+    loaded = loaded_by_code("from relvoigt import h2")
+    assert "relvoigt.rel_voigt" in loaded
+    assert not (ROUTES | {"relvoigt.sweep", "relvoigt.verify", "relvoigt.cli"}) & loaded
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        *((argv, 0) for argv in EVALS),
+        (["eval", "v2", "--e", "1", "--mu", "1", "--gamma", "-0.5", "--sigma", "0.5"], 2),
+    ],
+    ids=lambda p: "-".join(p[:2]) if isinstance(p, list) else None,
+)
+def test_eval_loads_no_quadrature_or_verify(argv, code):
+    status, loaded = loaded_by_command(*argv)
+    assert status == code
+    assert "relvoigt.voigt" in loaded
+    assert not (ROUTES | {"relvoigt.verify"}) & loaded
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["eval", "h2", "--a", "1", "--u1", "0"], 1)],
+    ids=["help", "usage-error"],
+)
+def test_help_and_usage_error_load_no_numpy_or_scipy(argv, code):
+    status, loaded = loaded_by_command(*argv)
+    assert status == code
+    assert "relvoigt.cli" in loaded and not NUMERIC & loaded
+
+
+# from a fresh interpreter: every public name is listed, star-imported and
+# resolved to the object its home module defines, and submodules resolve too
+NAMESPACE_CHILD = """
+import sys
+import relvoigt
+
+assert set(relvoigt.__all__) <= set(dir(relvoigt))
+assert not hasattr(relvoigt, "nosuch")
+star = {}
+exec("from relvoigt import *", star)
+for name in relvoigt.__all__:
+    obj = getattr(relvoigt, name)
+    assert star[name] is obj, name
+    if name != "__version__":
+        home = sys.modules[obj.__module__]
+        assert home is not relvoigt and name in home.__all__, name
+        assert getattr(home, name) is obj, name
+assert relvoigt.routes is sys.modules["relvoigt.routes"]
+from relvoigt import sweep, verify
+assert (sweep, verify) == (relvoigt.sweep, relvoigt.verify)
+print(len(relvoigt.__all__))
+"""
+
+
+def test_every_public_name_resolves_to_its_home_object():
+    r = run_python("-c", NAMESPACE_CHILD)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["56"]
+
+
+def test_cli_names_come_from_the_catalog():
+    assert {f: names for f, (names, _, _) in FUNCTIONS.items()} == PARAMETERS
+    assert all(FUNCTIONS[f][0] is PARAMETERS[f] for f in PARAMETERS)
+    assert verify.SUITE_NAMES is SUITE_NAMES
+    assert (*verify._SUITES, "all") == SUITE_NAMES

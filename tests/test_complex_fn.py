@@ -231,7 +231,10 @@ _FRESH_CHILD = """
 import sys
 import relvoigt
 
-# pins that the bare kernel load is taken on the installed scipy
+# the namespace is lazy, so an h2 call is what loads the kernels; this pins
+# that the bare kernel load is taken on the installed scipy
+relvoigt.h2(0.5, 1.0, -1.0)
+assert "relvoigt.complex_fn" in sys.modules
 assert "scipy.special" not in sys.modules, "complex_fn fell back to the plain import"
 import scipy.special
 import scipy.special.cython_special

@@ -80,6 +80,8 @@ def test_grid_result_shape_contract(function):
         assert isinstance(res.value, np.ndarray) and res.value.shape == shape
         assert isinstance(res.codes, np.ndarray) and res.codes.shape == shape
         assert res.codes.dtype == np.int8
+        assert isinstance(res.error, np.ndarray) and res.error.shape == shape
+        assert res.error.dtype == object
         if function == "h2":
             assert isinstance(res.error_estimate, np.ndarray)
             assert res.error_estimate.shape == shape
@@ -88,7 +90,7 @@ def test_grid_result_shape_contract(function):
 
     scalar = grid(**args)
     check(scalar, ())
-    assert scalar.codes == 0
+    assert scalar.codes == 0 and scalar.error[()] == ""
     check(grid(**{k: np.float64(v) for k, v in args.items()}), ())
     check(grid(**{**args, first: np.zeros(0)}), (0,))
     check(grid(**{**args, first: np.zeros((0, 3))}), (0, 3))
@@ -97,6 +99,7 @@ def test_grid_result_shape_contract(function):
     full = grid(**{k: np.full((2, 3), v) for k, v in args.items()})
     check(full, (2, 3))
     assert (full.value == scalar.value).all() and (full.codes == 0).all()
+    assert (full.error == "").all()
     first_row = np.full((1, 3), args[first])
     last_col = np.full((2, 1), args[names[-1]])
     check(grid(**{**args, first: first_row, names[-1]: last_col}), (2, 3))

@@ -48,8 +48,9 @@ from relvoigt.quadrature import (
     integrate_real_line_batch,
     quadrature_grid,
 )
-from relvoigt import rel_voigt, verify
-from relvoigt.rel_voigt import _pole_group, _rectangle_route, _rep_single_complex
+from relvoigt import rel_voigt, routes, verify
+from relvoigt.rel_voigt import _pole_group
+from relvoigt.routes import _rectangle_route, _rep_single_complex
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -433,7 +434,7 @@ def _twin_batch():
     return a, u1, u2
 
 
-@pytest.mark.parametrize("route", [rel_voigt._h2_route, rel_voigt._i2_route])
+@pytest.mark.parametrize("route", [routes._h2_route, routes._i2_route])
 def test_quadrature_routes_are_symmetric_in_u1_u2_bit_for_bit(route):
     # the oracle integrates only u1 <= u2 and mirrors the result, which is
     # exact only while the routes are: the integrand takes the product

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relvoigt import IntegrationError, quadrature, rel_voigt, run_suite, verify
+from relvoigt import IntegrationError, quadrature, routes, run_suite, verify
 from relvoigt.verify import verify_oracle, verify_representations
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_all.json"
@@ -91,13 +91,13 @@ def test_oracle_integrates_each_twin_pair_once(monkeypatch):
     # while every point of the 8,405 and 32 is still checked
     sizes = {"h2": [], "i2": []}
     for name in sizes:
-        route = getattr(rel_voigt, f"_{name}_route")
+        route = getattr(routes, f"_{name}_route")
 
         def counting(a, u1, u2, config, route=route, seen=sizes[name]):
             seen.append(a.size)
             return route(a, u1, u2, config)
 
-        monkeypatch.setattr(rel_voigt, f"_{name}_route", counting)
+        monkeypatch.setattr(routes, f"_{name}_route", counting)
     reports = verify_oracle()
     assert sum(sizes["h2"]) == 4305 + 4
     assert sum(sizes["i2"]) == 20

@@ -25,7 +25,7 @@ from relvoigt.quadrature import (
     integrate_real_line,
     integrate_real_line_compactified,
 )
-from relvoigt.voigt import _laplace_route
+from relvoigt.routes import _laplace_route
 
 from oracles import erfc_complex, erfc_real
 
