@@ -25,7 +25,7 @@ h2`` loads the closed forms but not the quadrature layer, the routes, the
 sweeps, the verify suites or the CLI.
 """
 
-from importlib import import_module
+import sys
 
 __version__ = "0.1.0"
 
@@ -97,13 +97,16 @@ __all__ = ["__version__", *_HOMES]
 
 
 def __getattr__(name: str):
-    # runs only for a name not yet in the globals, which then keep it
-    if name in _SUBMODULES:
-        value = import_module(f"{__name__}.{name}")
-    elif name in _HOMES:
-        value = getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
-    else:
+    # runs only for a name not yet in the globals, which then keep it; it
+    # loads through __import__, which -X importtime reports (import_module
+    # is not)
+    home = name if name in _SUBMODULES else _HOMES.get(name)
+    if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.{home}")
+    value = sys.modules[f"{__name__}.{home}"]
+    if name in _HOMES:
+        value = getattr(value, name)
     globals()[name] = value
     return value
 

@@ -210,9 +210,9 @@ def h2(a: float, u1: float, u2: float) -> EvalResult:
     value, and every other point takes the closed form.  Its four Faddeeva
     terms are two complex-conjugate pairs, so it evaluates the two terms
     of one pair and doubles the real part.  Its error estimate is 1e-13
-    times the size of those two terms before they cancel, so it grows where cancellation near u1 = u2 costs
-    accuracy.  A DomainError names the point where the poles of the
-    quartic leave double range.
+    times the size of those two terms before they cancel, so it grows where
+    cancellation near u1 = u2 costs accuracy.  A DomainError names the
+    point where the poles of the quartic leave double range.
     """
     a = require_finite("a", a)
     u1 = require_finite("u1", u1)

@@ -112,11 +112,6 @@ def grid_result(shape, rules, value, estimate=None) -> GridResult:
     return GridResult(np.asarray(value), None if estimate is None else np.asarray(estimate), codes)
 
 
-def grid_arrays(*xs) -> list[np.ndarray]:
-    """The arguments as float64 arrays broadcast to one shape."""
-    return np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in xs))
-
-
 def grid_floats(*xs) -> tuple[tuple[int, ...], list[np.ndarray]]:
     """The shape the arguments broadcast to, and each as a float64 array."""
     xs = [np.asarray(x, dtype=np.float64) for x in xs]

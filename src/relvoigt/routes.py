@@ -2,12 +2,15 @@
 
 Each route evaluates a function by a path independent of its closed form:
 direct adaptive quadrature of the defining integral (``h2_quadrature``,
-``i2_quadrature``), a contour shifted off the real axis plus its residues
-(``h2_rectangle``), or an integral representation (``h2_integral_rep`` and
-the Laplace form ``h0_laplace_rep``).  They exist solely to check the closed
-forms of ``rel_voigt`` and ``voigt`` against each other in the ``verify``
-suites, and they are the only evaluators that need ``quadrature``, so the
-closed forms load without it.
+``i2_quadrature``, and verify's H0 oracle), a contour shifted off the real
+axis plus its residues (``h2_rectangle``), or an integral representation
+(``h2_integral_rep`` and the Laplace form ``h0_laplace_rep``).  They exist
+solely to check the closed forms of ``rel_voigt`` and ``voigt`` against each
+other in the ``verify`` suites, and they are the only evaluators that need
+``quadrature``, so the closed forms load without it; this module loads
+neither them nor scipy.  Each route is one computation on arrays of points:
+one batched quadrature call, with its poles, residues, windows and tail
+terms computed on the same arrays.
 
 The direct-quadrature oracles have grid forms as well (``h2_quadrature_grid``,
 ``i2_quadrature_grid``).  They integrate all points through the batched
@@ -17,7 +20,6 @@ the error estimates rather than bit for bit.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 
@@ -25,18 +27,18 @@ import numpy as np
 
 from .errors import DomainError, require_finite
 from .quadrature import (
+    _EPS,
     QuadratureBatch,
     QuadratureConfig,
-    integrate_interval,
+    _integrate_groups,
+    _route_point,
     integrate_real_line_batch,
     integrate_real_line_compactified_batch,
     integrate_semi_infinite_batch,
     peak_seeds,
     quadrature_grid,
-    _route_point,
 )
-from .rel_voigt import pole_set
-from .result import EvalResult, GridResult, grid_arrays
+from .result import EvalResult, GridResult
 
 __all__ = [
     "h0_laplace_rep", "h2_quadrature", "h2_quadrature_grid", "h2_rectangle", "h2_integral_rep",
@@ -75,6 +77,27 @@ def _h2_route(a, u1, u2, config) -> QuadratureBatch:
     return integrate_real_line_batch(f, a.size, config, seeds=_peak_seeds(a, u1, u2))
 
 
+def _h0_route(a, u, config=None) -> QuadratureBatch:
+    # the defining integral of H0 at arrays of points, e^{-t^2}-weighted
+    # Lorentzians, with panel seeds walking out of each peak; verify's oracle
+    pref = a / math.pi
+    aa = a * a
+
+    def f(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        d = u[k] - t
+        d *= d
+        d += aa[k]
+        out = t * t
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        out *= pref[k]
+        out /= d
+        return out
+
+    seeds = peak_seeds(u[:, None], np.minimum(np.abs(a), 0.5))
+    return integrate_real_line_batch(f, a.size, config, seeds=seeds)
+
+
 def _i2_route(a, u1, u2, config) -> QuadratureBatch:
     # the defining integral of I2 at arrays of points; it decays like 1/t^4,
     # so the real line is compactified rather than truncated
@@ -94,7 +117,7 @@ def _i2_route(a, u1, u2, config) -> QuadratureBatch:
 
 
 def _route_grid(route, a, u1, u2, config) -> GridResult:
-    a, u1, u2 = grid_arrays(a, u1, u2)
+    a, u1, u2 = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in (a, u1, u2)))
     bad = ~(np.isfinite(a) & np.isfinite(u1) & np.isfinite(u2)) | (a == 0.0)
     return quadrature_grid(lambda *p: route(*p, config), [(bad, DomainError)], a, u1, u2)
 
@@ -121,18 +144,25 @@ def h2_quadrature_grid(a, u1, u2, config: QuadratureConfig | None = None) -> Gri
     return _route_grid(_h2_route, a, u1, u2, config)
 
 
+def _enclosed_poles(a, u1, u2):
+    # w1 = sqrt((u1-u2)^2 + 4ia), t1+ = (s + w1)/2 and t2- = (s - conj(w1))/2
+    # with s = u1 + u2, at arrays with a > 0; not finite where s or d^2 overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = u1 + u2
+        w1 = np.sqrt((u1 - u2) ** 2 + 4j * a)
+        return w1, 0.5 * (s + w1), 0.5 * (s - w1.conj())
+
+
 def _rectangle_route(a, u1, u2, config=None, offset=None) -> QuadratureBatch:
-    # h2_rectangle at arrays of points with a > 0: the line integrals of all
-    # points in one batched call, the residues per point in complex scalars.
-    # Every line is at Im t = offset, or 1 above its point's higher pole.
+    # h2_rectangle at arrays of points with a > 0.  Every line is at
+    # Im t = offset, or 1 above its point's higher enclosed pole; the lines
+    # of all points go in one batched call, and the residues are computed on
+    # the same arrays.  Non-finite poles are enclosed by no contour.
     cfg = config if config is not None else QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
-    poles = [pole_set(*p) for p in zip(a.tolist(), u1.tolist(), u2.tolist())]
-    im_max = np.array([max(ps.t1_plus.imag, ps.t2_minus.imag) for ps in poles])
-    if offset is None:
-        offset = 1.0 + im_max
-    else:
-        offset = np.full(a.size, require_finite("offset", offset))
-    if not (offset > im_max).all():
+    w1, t1p, t2m = _enclosed_poles(a, u1, u2)
+    top = np.maximum(t1p.imag, t2m.imag)
+    offset = 1.0 + top if offset is None else np.full(a.size, require_finite("offset", offset))
+    if not (np.isfinite(t1p) & np.isfinite(t2m) & (offset > top)).all():
         raise DomainError("contour must enclose both poles")
 
     shift = 1j * offset
@@ -150,19 +180,15 @@ def _rectangle_route(a, u1, u2, config=None, offset=None) -> QuadratureBatch:
         t /= p
         return t
 
-    seeds = np.array([[ps.t1_plus.real, ps.t1_minus.real] for ps in poles])
-    line = integrate_real_line_batch(f, a.size, cfg, seeds=seeds)
-    value = np.empty(a.size)
-    err = np.empty(a.size)
-    for k, (ps, ak) in enumerate(zip(poles, a.tolist())):
-        residues = (
-            cmath.exp(-ps.t1_plus * ps.t1_plus) / ps.w1
-            + cmath.exp(-ps.t2_minus * ps.t2_minus) / ps.w2
-        )
-        total = (ak / math.pi) * complex(line.value[k]) + residues
-        value[k] = total.real
-        err[k] = (ak / math.pi) * float(line.error_estimate[k]) + abs(total.imag)
-    return QuadratureBatch(value, err, line.converged, line.evaluations)
+    line = integrate_real_line_batch(f, a.size, cfg, seeds=np.stack([t1p.real, t2m.real], 1))
+    res1 = np.exp(-t1p * t1p) / w1
+    res2 = np.exp(-t2m * t2m) / w1.conj()
+    total = (a / math.pi) * line.value + (res1 + res2)
+    # e^{-t^2} has condition number 2|t|^2, so each residue carries a
+    # rounding error of a few eps (1 + 2|t|^2) times its size
+    rounding = sum((1.0 + 2.0 * np.abs(t) ** 2) * np.abs(r) for t, r in ((t1p, res1), (t2m, res2)))
+    err = (a / math.pi) * line.error_estimate + np.abs(total.imag) + 4.0 * _EPS * rounding
+    return QuadratureBatch(total.real, err, line.converged, line.evaluations)
 
 
 def h2_rectangle(
@@ -200,38 +226,37 @@ def _rep_single_complex(a, u1, u2, config=None) -> QuadratureBatch:
     #   H2 = (1/sqrt(pi)) Re Int_0^inf
     #            e^{-ax + (ix/4)(4 u1 u2 - (u1+u2)^2 x/(i+x))} / sqrt(1-ix) dx
     # with the principal branch of sqrt(1-ix), here at arrays of points with
-    # a > 0.  The points are integrated one call each: a batched call's
-    # weighted sums round by the batch's composition, so its entries would
-    # not be the one-point call's value bit for bit.
+    # a > 0, in one batched call.  The modulus of the integrand is at most
+    # e^{-ax}, so truncation at x_max = 50/a leaves a tail below e^{-50}/a,
+    # which each point's estimate adds; the window ends there, however small
+    # x_max is.  The phase oscillates at frequency about |u1 u2| near 0 and
+    # (u1-u2)^2/4 asymptotically, and each point's panel edges are
+    # pre-seeded on its own scale so no oscillation hides inside one panel.
     cfg = config if config is not None else _REP_CONFIG
-    out = [_single_complex_point(*p, cfg) for p in zip(a.tolist(), u1.tolist(), u2.tolist())]
-    return QuadratureBatch(*(np.array(col) for col in zip(*out)))
+    with np.errstate(over="ignore", divide="ignore"):
+        s = u1 + u2
+        p = u1 * u2
+        x_max = 50.0 / a
+        p4, ss, dd = 4.0 * p, s * s, (u1 - u2) ** 2
+        freq = np.maximum(np.maximum(np.abs(p), 0.25 * dd), 1e-3)
+        step = np.minimum(1.0, 0.5 * math.pi / freq)
+        # int(x_max / step) + 2 breakpoints, at most 8,000
+        count = np.minimum(x_max / step, 7998.0).astype(np.int64) + 2
+    finite = np.isfinite(np.stack([x_max, p4, ss, dd])).all(axis=0)
+    if not finite.all():
+        at = tuple(float(c[np.argmin(finite)]) for c in (a, u1, u2))
+        raise DomainError(f"single_complex window or phase overflows at (a, u1, u2)={at!r}")
 
-
-def _single_complex_point(a: float, u1: float, u2: float, cfg: QuadratureConfig):
-    # The modulus of the integrand is at most e^{-ax}, so truncation at
-    # x_max = 50/a leaves a tail below e^{-50}/a, which the estimate adds;
-    # the window ends there, however small x_max is.  The phase oscillates at
-    # frequency about |u1 u2| near 0 and (u1-u2)^2/4 asymptotically, and
-    # panel edges are pre-seeded on that scale so no oscillation hides
-    # inside one panel.  Returns value, estimate, converged, evaluations.
-    s = u1 + u2
-    p = u1 * u2
-    x_max = 50.0 / a
-
-    def f(x: np.ndarray) -> np.ndarray:
-        z = -a * x + 0.25j * x * (4.0 * p - s * s * x / (1j + x))
+    def f(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        z = -a[k] * x + 0.25j * x * (p4[k] - ss[k] * x / (1j + x))
         val = np.exp(z) / np.sqrt(1.0 - 1j * x)
         return val.real / _SQRT_PI
 
-    freq = max(abs(p), 0.25 * (u1 - u2) ** 2, 1e-3)
-    step = min(1.0, 0.5 * math.pi / freq)
-    count = min(int(x_max / step) + 2, 8000)
-    breaks = np.linspace(0.0, x_max, count)
-
-    r = integrate_interval(f, 0.0, x_max, cfg, breakpoints=breaks)
-    tail = math.exp(-a * x_max) / a
-    return r.value, r.error_estimate + tail, r.converged, r.evaluations
+    # each row is np.linspace(0, x_max, count), padded by repeating x_max
+    j = np.arange(count.max())
+    breaks = np.where(j < count[:, None] - 1, j * (x_max / (count - 1))[:, None], x_max[:, None])
+    value, err, converged, evaluations = _integrate_groups(f, np.zeros(a.size), x_max, cfg, breaks)
+    return QuadratureBatch(value, err + np.exp(-a * x_max) / a, converged, evaluations)
 
 
 def h2_integral_rep(

@@ -33,12 +33,7 @@ import numpy as np
 from .catalog import SUITE_NAMES
 from .errors import DomainError, IntegrationError
 from .profiles import ProfileParams
-from .quadrature import (
-    QuadratureBatch,
-    integrate_real_line_batch,
-    peak_seeds,
-    quadrature_grid,
-)
+from .quadrature import quadrature_grid
 from .rel_voigt import (
     d0,
     d2,
@@ -54,6 +49,7 @@ from .rel_voigt import (
 )
 from .result import GridResult
 from .routes import (
+    _h0_route,
     _laplace_route,
     _rectangle_route,
     _rep_single_complex,
@@ -123,27 +119,6 @@ def _relative(name, devs, refs, tol) -> VerifyReport:
 def _structural(name, figure, grid_size, tol) -> VerifyReport:
     figure = float(figure)
     return VerifyReport(name, grid_size, figure, figure, tol, figure <= tol)
-
-
-def _h0_route(a: np.ndarray, u: np.ndarray) -> QuadratureBatch:
-    # independent route for H0: direct e^{-t^2}-weighted Lorentzians, with
-    # panel seeds walking out of each peak
-    pref = a / math.pi
-    aa = a * a
-
-    def f(t: np.ndarray, k: np.ndarray) -> np.ndarray:
-        d = u[k] - t
-        d *= d
-        d += aa[k]
-        out = t * t
-        np.negative(out, out=out)
-        np.exp(out, out=out)
-        out *= pref[k]
-        out /= d
-        return out
-
-    seeds = peak_seeds(u[:, None], np.minimum(np.abs(a), 0.5))
-    return integrate_real_line_batch(f, a.size, seeds=seeds)
 
 
 def _reference(res: GridResult, route: str, *coords: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -303,6 +304,28 @@ def test_closed_form_import_loads_no_route_sweep_verify_or_cli():
     loaded = loaded_by_code("from relvoigt import h2")
     assert "relvoigt.rel_voigt" in loaded
     assert not (ROUTES | {"relvoigt.sweep", "relvoigt.verify", "relvoigt.cli"}) & loaded
+
+
+def test_routes_load_neither_the_closed_forms_nor_scipy():
+    loaded = loaded_by_code("import relvoigt.routes")
+    assert ROUTES <= loaded
+    assert not {"relvoigt.rel_voigt", "scipy"} & loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-c", "from relvoigt import h2"],
+        ["-m", "relvoigt", "eval", "h2", "--a", "1", "--u1", "0", "--u2", "0"],
+    ],
+    ids=["from-import", "eval-h2"],
+)
+def test_importtime_reports_the_lazily_loaded_closed_forms(argv):
+    # the lazy namespace loads through __import__, which -X importtime
+    # reports; importlib.import_module bypasses it
+    r = run_python("-X", "importtime", *argv)
+    assert r.returncode == 0, r.stderr
+    assert re.search(r"\| +relvoigt\.rel_voigt$", r.stderr, re.MULTILINE), r.stderr
 
 
 @pytest.mark.parametrize(

@@ -348,6 +348,48 @@ def test_rectangle_requires_enclosing_offset():
         h2_rectangle(0.0, 1.0, 0.0)
 
 
+def test_rectangle_rejects_poles_outside_double_range_without_warnings():
+    # the square (u1-u2)^2 overflows; the tests turn a RuntimeWarning into
+    # an error, so one leaking from the pole arithmetic would fail here
+    with pytest.raises(DomainError, match="^contour must enclose both poles$"):
+        h2_rectangle(1.0, 1e200, -1e200)
+
+
+def test_enclosed_poles_match_pole_set():
+    # the rectangle route's array poles t1+ and t2- agree with the scalar
+    # PoleSet to an ulp or so, at the smallest a and at random points
+    rng = np.random.default_rng(41)
+    n = 200
+    points = [(5e-324, 1.0, 0.0), (5e-324, 2.0, 2.0), (1e-300, 1.0, 0.0), (1e-300, 3.0, 3.0)]
+    drawn = [10.0 ** rng.uniform(-14.0, 3.0, n), rng.uniform(-20, 20, n), rng.uniform(-20, 20, n)]
+    points = np.concatenate([points, np.stack(drawn, axis=1)])
+    _, t1p, t2m = routes._enclosed_poles(*points.T)
+    for k, p in enumerate(points.tolist()):
+        ps = pole_set(*p)
+        for got, want in ((t1p[k], ps.t1_plus), (t2m[k], ps.t2_minus)):
+            for g, w in ((got.real, want.real), (got.imag, want.imag)):
+                assert abs(g - w) <= 4.0 * np.spacing(abs(w)), (p, got, want)
+
+
+def test_rectangle_estimate_bounds_its_error():
+    # Against the 40-digit reference.  The line term's estimate alone left
+    # out the rounding of the residues, e^{-t^2} conditioned like 2|t|^2,
+    # and missed the error at (1e-8, 3, 3) by ~20x.
+    rng = np.random.default_rng(43)
+    n = 120
+    a = 10.0 ** rng.uniform(-14.0, np.log10(5.0), n)
+    u1 = rng.uniform(-8.0, 8.0, n)
+    # half on the diagonal, half 1e-6 to 1 off it
+    gap = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 0.0, n)
+    gap[::2] = 0.0
+    points = np.concatenate([[(1e-8, 3.0, 3.0)], np.stack([a, u1, np.clip(u1 + gap, -8, 8)], 1)])
+    batch = _rectangle_route(*points.T)
+    assert batch.converged.all()
+    for k, p in enumerate(points.tolist()):
+        ref = float(REF.h2_mp(*p))
+        assert abs(batch.value[k] - ref) <= batch.error_estimate[k], (p, batch[k], ref)
+
+
 @pytest.mark.parametrize(
     "scalar, grid", [(h2_quadrature, h2_quadrature_grid), (i2_quadrature, i2_quadrature_grid)]
 )
@@ -525,16 +567,42 @@ def test_single_complex_nonconvergence_names_the_point():
         h2_integral_rep(2.0, 1.0, 0.5, "single_complex", cfg)
 
 
-def test_single_complex_batch_matches_one_point_calls_bit_for_bit():
-    # the route integrates each of its points in a call of its own, so a
-    # batch entry is exactly the scalar call's value and estimate
-    a, u1, u2 = REP_POINTS.T
-    batch = _rep_single_complex(a, u1, u2)
-    assert batch.converged.all() and (batch.evaluations > 0).all()
-    for k, p in enumerate(REP_POINTS.tolist()):
-        r = h2_integral_rep(*p, "single_complex")
-        assert (batch.value[k], batch.error_estimate[k]) == (r.value, r.error_estimate)
+def test_single_complex_edges_raise_without_warnings():
+    # a window of 5e301 caps the breakpoint count before its int cast and
+    # does not converge; a window or phase beyond double range is refused
+    unconverged = r"^quadrature did not converge at \(a, u1, u2\)=\(1e-300, 1\.0, 0\.0\);"
+    with pytest.raises(IntegrationError, match=unconverged):
+        h2_integral_rep(1e-300, 1.0, 0.0, "single_complex")
+    for p in ((5e-324, 1.0, 0.0), (1.0, 1e300, 1e300), (1e-3, 1e200, -1e200)):
+        with pytest.raises(DomainError, match=r"^single_complex window or phase overflows at"):
+            h2_integral_rep(*p, "single_complex")
+
+
+def _representation_points():
+    # the 50 points of verify representations, drawn as the suite draws them
+    rng = np.random.default_rng(verify._SEED + 1)
+    a = rng.uniform(0.1, 5.0, 50)
+    u1 = rng.uniform(-3.0, 3.0, 50)
+    u2 = rng.uniform(-3.0, 3.0, 50)
+    return np.stack([a, u1, u2], axis=1)
+
+
+def test_single_complex_batch_matches_one_point_calls():
+    # A one-point batch is the scalar call, bit for bit.  A larger batch
+    # integrates all its points in one call, whose K15 sums round by how
+    # many panels share a round, so its entries agree with the one-point
+    # calls within both estimates rather than bit for bit.
+    def one_point(*p):
+        return _rep_single_complex(*map(np.atleast_1d, p))[0]
+
+    for p in REP_POINTS.tolist():
+        single, r = one_point(*p), h2_integral_rep(*p, "single_complex")
+        assert (single.value, single.error_estimate) == (r.value, r.error_estimate)
         assert abs(r.value - h2(*p).value) <= 1e-6
+    for points in (REP_POINTS, _representation_points()):
+        batch = _rep_single_complex(*points.T)
+        assert batch.converged.all() and (batch.evaluations > 0).all()
+        _agree_with_one_point_calls(batch, points, one_point)
 
 
 def test_single_complex_agrees_with_the_reference_within_its_estimate():
