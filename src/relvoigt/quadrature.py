@@ -128,11 +128,11 @@ _WG = np.array(
 
 # A group is the integrals live at once in one refinement loop.  A round's
 # abscissas and panel arrays scale with the group's initial panels, so a
-# group holds _GROUP integrals, or as many as fit in _GROUP_PANELS initial
-# panels, whichever is more.  Integrals of ~45 panels (the h2 oracle's) go
-# 64 at a time, which keeps the verify suites' peak memory within a few MB;
-# one-panel integrals (semi-infinite blocks) go 1,024 at a time, so a
-# round's fixed overhead is spread over ~15k abscissas rather than 960.
+# group holds up to _GROUP integrals within 4 * _GROUP_PANELS initial panels
+# (at least one), or as many as fit in _GROUP_PANELS, whichever is more.
+# Integrals of ~45 panels (the h2 oracle's) go 64 at a time, which keeps the
+# verify suites' peak memory within a few MB; one-panel integrals (semi-
+# infinite blocks) go 1,024 at a time, spreading a round's fixed overhead.
 _GROUP = 64
 _GROUP_PANELS = 1024
 
@@ -374,16 +374,17 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, cfg: QuadratureConfig):
 def _group_bounds(panels: np.ndarray) -> list[int]:
     """Start and end indices of the groups for integrals of the given panel counts.
 
-    Each group takes the next _GROUP integrals, or more while their initial
-    panels total at most _GROUP_PANELS.
+    Each group takes the next _GROUP integrals while their initial panels
+    total at most 4 * _GROUP_PANELS (but at least one integral), or more
+    while they total at most _GROUP_PANELS.
     """
     cum = np.cumsum(panels)
     bounds = [0]
     while bounds[-1] < panels.size:
         k0 = bounds[-1]
         base = cum[k0 - 1] if k0 else 0
-        fit = int(np.searchsorted(cum, base + _GROUP_PANELS, side="right"))
-        bounds.append(min(max(k0 + _GROUP, fit), panels.size))
+        fit, cap = np.searchsorted(cum, base + _GROUP_PANELS * np.array([1, 4]), side="right")
+        bounds.append(int(max(k0 + 1, min(k0 + _GROUP, cap), fit)))
     return bounds
 
 

@@ -77,7 +77,7 @@ def _h2_route(a, u1, u2, config) -> QuadratureBatch:
     return integrate_real_line_batch(f, a.size, config, seeds=_peak_seeds(a, u1, u2))
 
 
-def _h0_route(a, u, config=None) -> QuadratureBatch:
+def _h0_route(a, u) -> QuadratureBatch:
     # the defining integral of H0 at arrays of points, e^{-t^2}-weighted
     # Lorentzians, with panel seeds walking out of each peak; verify's oracle
     pref = a / math.pi
@@ -95,7 +95,7 @@ def _h0_route(a, u, config=None) -> QuadratureBatch:
         return out
 
     seeds = peak_seeds(u[:, None], np.minimum(np.abs(a), 0.5))
-    return integrate_real_line_batch(f, a.size, config, seeds=seeds)
+    return integrate_real_line_batch(f, a.size, seeds=seeds)
 
 
 def _i2_route(a, u1, u2, config) -> QuadratureBatch:
@@ -160,9 +160,9 @@ def _rectangle_route(a, u1, u2, config=None, offset=None) -> QuadratureBatch:
     # the same arrays.  Non-finite poles are enclosed by no contour.
     cfg = config if config is not None else QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
     w1, t1p, t2m = _enclosed_poles(a, u1, u2)
-    top = np.maximum(t1p.imag, t2m.imag)
+    top = 0.5 * w1.imag  # the height of both poles, bit for bit
     offset = 1.0 + top if offset is None else np.full(a.size, require_finite("offset", offset))
-    if not (np.isfinite(t1p) & np.isfinite(t2m) & (offset > top)).all():
+    if not (np.isfinite(t1p) & (offset > top)).all():
         raise DomainError("contour must enclose both poles")
 
     shift = 1j * offset
@@ -240,7 +240,7 @@ def _rep_single_complex(a, u1, u2, config=None) -> QuadratureBatch:
         p4, ss, dd = 4.0 * p, s * s, (u1 - u2) ** 2
         freq = np.maximum(np.maximum(np.abs(p), 0.25 * dd), 1e-3)
         step = np.minimum(1.0, 0.5 * math.pi / freq)
-        # int(x_max / step) + 2 breakpoints, at most 8,000
+        # int(x_max / step) + 2 breakpoints, at most 8,000 (step is 0 where u1 u2 overflows)
         count = np.minimum(x_max / step, 7998.0).astype(np.int64) + 2
     finite = np.isfinite(np.stack([x_max, p4, ss, dd])).all(axis=0)
     if not finite.all():

@@ -284,8 +284,9 @@ def test_peak_seeds_walk_matches_the_loop():
 
 # ------------------------------------------------------------ group sizing
 #
-# A refinement group holds 64 integrals, or as many as fit in 1,024 initial
-# panels, whichever is more; a round's abscissas scale with its panels.
+# A refinement group holds up to 64 integrals within 4,096 initial panels
+# (at least one), or as many as fit in 1,024 initial panels, whichever is
+# more; a round's abscissas scale with its panels.
 
 
 def _group_calls(n, breaks=None):
@@ -323,6 +324,10 @@ def test_group_bounds_take_whichever_rule_holds_more():
     assert quadrature._group_bounds(np.full(130, 45)) == [0, 64, 128, 130]
     # an integral over the panel budget still groups 64 at a time
     assert quadrature._group_bounds(np.array([2000, 1, 1])) == [0, 3]
+    # but 64 at a time only within 4,096 panels: long windows go alone
+    assert quadrature._group_bounds(np.full(200, 100)) == [0, 40, 80, 120, 160, 200]
+    assert quadrature._group_bounds(np.full(3, 8000)) == [0, 1, 2, 3]
+    assert quadrature._group_bounds(np.array([8000, 3000, 3000, 1])) == [0, 1, 2, 4]
     assert quadrature._group_bounds(np.zeros(0, dtype=int)) == [0]
 
 
