@@ -33,7 +33,14 @@ the real package; they stay importable by name.
 
 The wrappers add strict domain checks and a clear overflow contract: a
 DomainError is raised exactly where the mathematical value exceeds double
-range (deep in the lower half-plane), never before.
+range (deep in the lower half-plane), never before.  faddeeva_w is the
+public, checked entry point.  Two per-point closed forms call the scalar
+kernel _wofz directly instead: voigt.h0 at u + i|a| and rel_voigt's H2
+closed form at t1+ and -t1-.  That is safe because each has already
+checked its argument finite and it lies in the closed upper half-plane,
+where |w| <= 1; each still tests the kernel's output and raises
+faddeeva_w's DomainError message, so the contract holds, and each call
+saves the wrapper's Python frame, complex() conversion and argument test.
 
 All functions are pure; safe to call from any number of threads.
 """

@@ -100,14 +100,15 @@ def bw_nonrel(e: float, params: ProfileParams) -> float:
 
     Unit-normalized Cauchy density centered at mu; maximum 2/(pi Gamma).
     """
+    e = require_finite("e", e)
+    _require_positive("gamma", params.gamma)
     return _bw_nonrel(e, params.mu, params.gamma, params.sigma)
 
 
 def _bw_nonrel(e, mu, gamma, sigma) -> float:
-    # bw_nonrel on the fields of a ProfileParams; sigma only names the
-    # parameters in the error message, which is built on failure only
-    e = require_finite("e", e)
-    gamma = _require_positive("gamma", gamma)
+    # bw_nonrel on the fields of a ProfileParams at finite e and gamma > 0,
+    # which the callers check; sigma only names the parameters in the error
+    # message, which is built on failure only
     d = e - mu
     den = d * d + 0.25 * gamma * gamma
     if den == 0.0:
@@ -126,14 +127,14 @@ def bw_rel(e: float, params: ProfileParams) -> float:
     underflows to 0, or E^2 and mu^2 (or mu Gamma and the denominator) both
     overflow, which leaves inf - inf (or inf / inf).
     """
+    e = require_finite("e", e)
+    _require_positive("mu", params.mu)
+    _require_positive("gamma", params.gamma)
     return _bw_rel(e, params.mu, params.gamma, params.sigma)
 
 
 def _bw_rel(e, mu, gamma, sigma) -> float:
-    # bw_rel on the fields of a ProfileParams, like _bw_nonrel
-    e = require_finite("e", e)
-    mu = _require_positive("mu", mu)
-    gamma = _require_positive("gamma", gamma)
+    # bw_rel at finite e and mu, gamma > 0, like _bw_nonrel
     q = e * e - mu * mu
     mg = mu * gamma
     den = q * q + mg * mg
@@ -162,14 +163,15 @@ def gaussian(x: float, sigma: float) -> float:
 
 def reduce_nonrel(e: float, params: ProfileParams) -> ReducedCoordsNonRel:
     """Map (E; mu, gamma, sigma) to the classical reduced coordinates (a, u)."""
+    e = require_finite("e", e)
+    _require_positive("sigma", params.sigma)
     return ReducedCoordsNonRel(*_reduce_nonrel(e, params.mu, params.gamma, params.sigma))
 
 
 def _reduce_nonrel(e, mu, gamma, sigma) -> tuple[float, float]:
-    # reduce_nonrel as a bare (a, u); either may be inf, which the caller
-    # has to reject, as h0 does
-    e = require_finite("e", e)
-    sigma = _require_positive("sigma", sigma)
+    # reduce_nonrel as a bare (a, u) at finite e and sigma > 0, which the
+    # callers check; either may be inf, which the caller has to reject, as
+    # h0 does
     return gamma / (2.0 * _SQRT2 * sigma), (e - mu) / (_SQRT2 * sigma)
 
 
@@ -180,14 +182,15 @@ def reduce_rel(e: float, params: ProfileParams) -> ReducedCoordsRel:
     (the reduced functions know what to do with it), only sigma must be
     positive.
     """
+    e = require_finite("e", e)
+    _require_positive("sigma", params.sigma)
     return ReducedCoordsRel(*_reduce_rel(e, params.mu, params.gamma, params.sigma))
 
 
 def _reduce_rel(e, mu, gamma, sigma) -> tuple[float, float, float]:
-    # reduce_rel as a bare (a, u1, u2); any of them may be inf, which the
-    # caller has to reject, as h2 does
-    e = require_finite("e", e)
-    sigma = _require_positive("sigma", sigma)
+    # reduce_rel as a bare (a, u1, u2) at finite e and sigma > 0, like
+    # _reduce_nonrel; any of them may be inf, which the caller has to
+    # reject, as h2 does
     den = 2.0 * sigma * sigma
     if den == 0.0:
         raise DomainError(f"sigma={sigma!r} is too small: sigma^2 underflows")

@@ -512,10 +512,13 @@ def peak_seeds(centers, width) -> np.ndarray:
 
 def _lone(f: Integrand) -> BatchIntegrand:
     # a scalar integrand as a batched one: it sees the abscissas as one 1-D
-    # array, and a return of the wrong length is left for _call to reject
+    # array, node-major as the kernel builds them, so flattening the
+    # transpose it is handed is a free view and the values come back in
+    # the kernel's layout; a return of the wrong length is left for _call
+    # to reject
     def g(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        fv = np.asarray(f(x.ravel()))
-        return fv.reshape(x.shape) if fv.shape == (x.size,) else fv
+        fv = np.asarray(f(x.T.ravel()))
+        return fv.reshape(x.T.shape).T if fv.shape == (x.size,) else fv
 
     return g
 

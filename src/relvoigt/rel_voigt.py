@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_fn import faddeeva_w, faddeeva_w_grid
+from .complex_fn import _wofz, faddeeva_w_grid
 from .errors import (
     DomainError,
     ParameterError,
@@ -61,6 +61,7 @@ from .profiles import (
     _bw_nonrel,
     _bw_rel,
     _reduce_rel,
+    _require_positive,
     bw_nonrel_grid,
     bw_rel_grid,
     profile_rules,
@@ -235,10 +236,16 @@ def _h2_closed(a: float, u1: float, u2: float) -> tuple[float, float]:
             "h2 at (a, u1, u2)=(%r, %r, %r) is outside double range: its poles overflow",
             a, u1, u2,
         )
-    f = faddeeva_w(t1_plus)
-    g = faddeeva_w(-t1_minus)
+    # the kernel without faddeeva_w's argument test, as the poles are
+    # finite; the one output test, on |w(t1+)| + |w(-t1-)|, stays
+    f = _wofz(t1_plus)
+    g = _wofz(-t1_minus)
+    size = abs(f) + abs(g)
+    if not size < math.inf:
+        z = t1_plus if not cmath.isfinite(f) else -t1_minus
+        raise DomainError(f"w(z) overflows double precision at z={z!r}")
     value = 2.0 * ((f + g) / (2.0 * w1)).real
-    return value if a > 0.0 else -value, 1e-13 * (abs(f) + abs(g)) / abs(w1)
+    return value if a > 0.0 else -value, 1e-13 * size / abs(w1)
 
 
 def h2_grid(a, u1, u2) -> GridResult:
@@ -319,17 +326,17 @@ def i2_closed(a: float, u1: float, u2: float) -> float:
     a = require_finite("a", a)
     u1 = require_finite("u1", u1)
     u2 = require_finite("u2", u2)
-    if a < 0.0:
-        return -i2_closed(-a, u1, u2)
-    # 1/w2 is conj(1/w1) bit for bit, so Re(1/w1 + 1/w2) = 2 Re(1/w1)
-    w1 = _pole_group(a, u1, u2)[0]
+    # the value at |a|, negated for a < 0; 1/w2 is conj(1/w1) bit for bit,
+    # so Re(1/w1 + 1/w2) = 2 Re(1/w1)
+    b = -a if a < 0.0 else a
+    w1 = _pole_group(b, u1, u2)[0]
     if w1 == 0.0:
         # a = 0 and (u1 - u2)^2 = 0, also when the gap squared underflows
         raise DomainError("double pole on the real axis")
     value = 2.0 * (1.0 / w1).real
     if not math.isfinite(value):
-        raise DomainError(f"I2 overflows at (a, u1, u2)=({a!r}, {u1!r}, {u2!r})")
-    return value
+        raise DomainError(f"I2 overflows at (a, u1, u2)=({b!r}, {u1!r}, {u2!r})")
+    return value if a >= 0.0 else -value
 
 
 def i2_grid(a, u1, u2) -> GridResult:
@@ -348,16 +355,20 @@ def i2_grid(a, u1, u2) -> GridResult:
 
 def v2(e: float, params: ProfileParams) -> float:
     """Relativistic Voigt profile: Gaussian-smeared relativistic Breit-Wigner."""
-    return _v2(e, params.mu, params.gamma, params.sigma)
-
-
-def _v2(e, mu, gamma, sigma) -> float:
-    # v2 on the fields of a ProfileParams
+    mu, gamma, sigma = params.mu, params.gamma, params.sigma
     if not mu > 0.0:
         raise ParameterError(f"mu must be > 0, got {mu!r}")
     if not gamma > 0.0:
         raise ParameterError(f"gamma must be > 0, got {gamma!r}")
-    a, u1, u2 = _reduce_rel(e, mu, gamma, sigma)
+    require_finite("e", e)
+    _require_positive("sigma", sigma)
+    return _v2(e, mu, gamma, sigma)
+
+
+def _v2(e, mu, gamma, sigma) -> float:
+    # v2 on the fields of a ProfileParams at mu, gamma, sigma > 0 and a
+    # finite e, like _v0
+    a, u1, u2 = _reduce_rel(float(e), mu, gamma, sigma)
     if not (math.isfinite(a) and math.isfinite(u1) and math.isfinite(u2)):
         raise DomainError(
             "v2 at e=%r, ProfileParams(mu=%r, gamma=%r, sigma=%r) is outside double "
@@ -439,8 +450,10 @@ def d2(sigma: float, gamma: float, mu: float) -> float:
 
 def _ratio(name, profile, bw, sigma, gamma, mu) -> float:
     # d0/d2: the profile at its peak E = mu over the bare Breit-Wigner
-    # there; _check_ratio_params leaves finite floats, so no ProfileParams
-    # is built unless an error message names one
+    # there.  _check_ratio_params leaves finite floats with gamma, mu > 0,
+    # and sigma > 0 past the sigma = 0 return: all the profile and density
+    # cores assume, so they check nothing again, and no ProfileParams is
+    # built unless an error message names one
     sigma, gamma, mu = _check_ratio_params(sigma, gamma, mu)
     if sigma == 0.0:
         return 1.0

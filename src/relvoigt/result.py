@@ -44,32 +44,45 @@ _GRID_NAMES = np.array(
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EvalResult:
-    """A real function value with an absolute error estimate and method tag."""
+    """A real function value with an absolute error estimate and method tag.
+
+    Every scalar h2 call builds one, so __init__ is written by hand: one
+    combined validity test, then each field set through its slot
+    descriptor, which the frozen __setattr__ does not guard.  Eq, hash,
+    repr and pickling are the dataclass's, and dataclasses.replace
+    validates through __init__.
+    """
 
     value: float
     error_estimate: float
     method: str
 
-    def __post_init__(self) -> None:
-        # one combined test on the common path; the checks below name the
-        # first one that fails, in this order
-        if (
-            math.isfinite(self.value)
-            and 0.0 <= self.error_estimate < math.inf
-            and self.method in METHODS
+    def __init__(self, value: float, error_estimate: float, method: str) -> None:
+        if not (
+            math.isfinite(value) and 0.0 <= error_estimate < math.inf and method in METHODS
         ):
-            return
-        if not math.isfinite(self.value):
-            raise DomainError(f"EvalResult value must be finite, got {self.value!r}")
-        if not (math.isfinite(self.error_estimate) and self.error_estimate >= 0.0):
-            raise DomainError(
-                f"EvalResult error_estimate must be finite and >= 0, "
-                f"got {self.error_estimate!r}"
-            )
-        if self.method not in METHODS:
-            raise DomainError(f"unknown method tag {self.method!r}")
+            raise _invalid(value, error_estimate, method)
+        _set_value(self, value)
+        _set_error_estimate(self, error_estimate)
+        _set_method(self, method)
+
+
+_set_value = EvalResult.value.__set__
+_set_error_estimate = EvalResult.error_estimate.__set__
+_set_method = EvalResult.method.__set__
+
+
+def _invalid(value, error_estimate, method) -> DomainError:
+    # the error of the first EvalResult check that fails, in field order
+    if not math.isfinite(value):
+        return DomainError(f"EvalResult value must be finite, got {value!r}")
+    if not (math.isfinite(error_estimate) and error_estimate >= 0.0):
+        return DomainError(
+            f"EvalResult error_estimate must be finite and >= 0, got {error_estimate!r}"
+        )
+    return DomainError(f"unknown method tag {method!r}")
 
 
 @dataclass(frozen=True, eq=False)

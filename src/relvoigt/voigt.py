@@ -20,13 +20,20 @@ representation that verifies H0 by quadrature is ``routes.h0_laplace_rep``.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from .complex_fn import faddeeva_w, faddeeva_w_grid
+from .complex_fn import _wofz, faddeeva_w_grid
 from .errors import DomainError, ParameterError, check_side, require_finite
-from .profiles import ProfileParams, _reduce_nonrel, profile_rules, reduce_nonrel_grid
+from .profiles import (
+    ProfileParams,
+    _reduce_nonrel,
+    _require_positive,
+    profile_rules,
+    reduce_nonrel_grid,
+)
 from .result import GridResult, grid_floats, grid_result
 
 __all__ = ["h0", "h0_grid", "h0_limit_a0", "v0", "v0_grid"]
@@ -40,9 +47,13 @@ def h0(a: float, u: float) -> float:
     u = require_finite("u", u)
     if a == 0.0:
         return 0.0
-    if a < 0.0:
-        return -h0(-a, u)
-    return faddeeva_w(complex(u, a)).real
+    # the kernel without faddeeva_w's argument test: z is finite, and its
+    # output test stays, though |w| <= 1 on the upper half-plane
+    z = complex(u, abs(a))
+    w = _wofz(z)
+    if not cmath.isfinite(w):
+        raise DomainError(f"w(z) overflows double precision at z={z!r}")
+    return w.real if a > 0.0 else -w.real
 
 
 def _h0_grid(a, u):
@@ -69,15 +80,20 @@ def h0_limit_a0(u: float, side: int) -> float:
 
 def v0(e: float, params: ProfileParams) -> float:
     """Classical Voigt profile: Gaussian-smeared nonrelativistic Breit-Wigner."""
-    return _v0(e, params.mu, params.gamma, params.sigma)
+    gamma, sigma = params.gamma, params.sigma
+    if not gamma > 0.0:
+        raise ParameterError(f"gamma must be > 0, got {gamma!r}")
+    require_finite("e", e)
+    _require_positive("sigma", sigma)
+    return _v0(e, params.mu, gamma, sigma)
 
 
 def _v0(e, mu, gamma, sigma) -> float:
-    # v0 on the fields of a ProfileParams; h0 rejects a non-finite a or u
-    # with the message reduce_nonrel would give
-    if not gamma > 0.0:
-        raise ParameterError(f"gamma must be > 0, got {gamma!r}")
-    a, u = _reduce_nonrel(e, mu, gamma, sigma)
+    # v0 on the fields of a ProfileParams at gamma, sigma > 0 and an e that
+    # float() takes to a finite value, as the callers check; the error
+    # message shows e as given.  h0 rejects a non-finite a or u with the
+    # message reduce_nonrel would give
+    a, u = _reduce_nonrel(float(e), mu, gamma, sigma)
     value = h0(a, u) / (_SQRT_2PI * sigma)
     if not math.isfinite(value):
         raise DomainError(

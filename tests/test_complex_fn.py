@@ -8,11 +8,14 @@ share no code path for these numbers.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relvoigt import DomainError, faddeeva_w, h2
+from relvoigt import DomainError, complex_fn, faddeeva_w, h0, h2, rel_voigt, voigt
 from relvoigt.complex_fn import faddeeva_w_grid
 from relvoigt.quadrature import QuadratureConfig, integrate_real_line
 
@@ -159,6 +162,69 @@ def test_w_grid_matches_scalar_bitwise():
         assert ok[i]
         assert (wr[i].hex(), wi[i].hex()) == (w.real.hex(), w.imag.hex())
     assert not ok[-3:].any()  # non-finite argument, non-finite argument, overflow
+
+
+def _patch_closed_form_kernel(mp, kernel):
+    # h0 and h2 call the kernel under the name _wofz of their own modules;
+    # returns the (z, w) pairs of every call
+    calls = []
+
+    def traced(z):
+        w = kernel(z)
+        calls.append((z, w))
+        return w
+
+    for module in (voigt, rel_voigt):
+        mp.setattr(module, "_wofz", traced)
+    return calls
+
+
+@pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(math.nan, math.nan)])
+def test_closed_forms_raise_the_wrapper_message_on_a_non_finite_kernel_value(monkeypatch, bad):
+    # h0 and h2 call the kernel without faddeeva_w, whose output check they
+    # keep: a non-finite w raises faddeeva_w's message, naming the argument
+    real = complex_fn._wofz
+    monkeypatch.setattr(complex_fn, "_wofz", lambda z: bad)
+
+    def wrapper_message(z):
+        with pytest.raises(DomainError) as info:
+            faddeeva_w(z)
+        return f"^{re.escape(str(info.value))}$"
+
+    _, t1_plus, t1_minus = rel_voigt._pole_group(0.5, 1.0, -1.0)
+    cases = [
+        (lambda z: bad, lambda: h0(0.5, 1.5), complex(1.5, 0.5)),
+        (lambda z: bad, lambda: h0(-0.5, 1.5), complex(1.5, 0.5)),
+        (lambda z: bad, lambda: h2(0.5, 1.0, -1.0), t1_plus),
+        (lambda z: bad, lambda: h2(-0.5, 1.0, -1.0), t1_plus),
+        # only the second term w(-t1-) fails
+        (lambda z: bad if z == -t1_minus else real(z), lambda: h2(0.5, 1.0, -1.0), -t1_minus),
+    ]
+    for kernel, call, z in cases:
+        _patch_closed_form_kernel(monkeypatch, kernel)
+        with pytest.raises(DomainError, match=wrapper_message(z)):
+            call()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_FINITE.filter(bool), u1=_FINITE, u2=_FINITE)
+def test_closed_form_kernel_arguments_lie_in_the_upper_half_plane(a, u1, u2):
+    # what lets h0 and h2 skip faddeeva_w's argument test: they pass the
+    # kernel finite points of the closed upper half-plane, where |w| <= 1
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _patch_closed_form_kernel(mp, complex_fn._wofz)
+        h0(a, u1)
+        try:
+            h2(a, u1, u2)
+        except DomainError:
+            pass  # the poles leave double range before any kernel call
+    assert calls
+    for z, w in calls:
+        assert math.isfinite(z.real) and z.imag >= 0.0 and math.isfinite(z.imag)
+        assert abs(w) <= 1.0
 
 
 def test_w_is_the_ufunc_kernel_bit_for_bit():

@@ -404,6 +404,48 @@ def test_scalar_integrand_still_sees_one_dimensional_abscissas(kind):
     assert sum(s[0] for s in shapes) == r.evaluations
 
 
+def test_scalar_integrand_gets_the_node_major_block_without_a_copy():
+    # the kernel builds its nodes node-major, one row per Kronrod node, and
+    # hands a batched integrand the transpose; a scalar integrand sees the
+    # nodes' own memory flattened, and its values return in that layout
+    nodes = np.arange(30.0).reshape(15, 2)
+    seen = []
+    g = quadrature._lone(lambda t: seen.append(t) or 2.0 * t)
+    fv = g(nodes.T, np.zeros((2, 1), dtype=np.intp))
+    assert np.shares_memory(seen[0], nodes)
+    assert np.array_equal(fv, 2.0 * nodes.T)
+    assert fv.T.flags.c_contiguous
+
+
+# (value, error estimate, evaluations) of the scalar entries when the
+# scalar integrand was handed a panel-major copy of the abscissas; a sum
+# over the other layout may round differently in the last bits
+_PANEL_MAJOR_RESULTS = {
+    "interval": (3.899215201640467e-06, 5.3044623761938537e-11, 1470),
+    "real_line": (1.772453850905516, 2.790419937341101e-11, 242),
+    "compactified": (314.1592653589795, 1.4641225925534355e-09, 690),
+    "semi_infinite": (complex(0.8146524974527013, 2.888165310414595), 1.58805736262374e-12, 690),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PANEL_MAJOR_RESULTS))
+def test_scalar_entries_agree_with_their_panel_major_results(kind):
+    if kind == "interval":
+        r = integrate_interval(lambda t: np.cos(30.0 * t) * np.exp(-t * t), -3.0, 5.0,
+                               breakpoints=[0.3])
+    elif kind == "real_line":
+        r = integrate_real_line(lambda t: np.exp(-t * t))
+    elif kind == "compactified":
+        r = integrate_real_line_compactified(lambda t: 1.0 / (1e-4 + (t - 0.3) ** 2))
+    else:
+        r = integrate_semi_infinite(
+            lambda t: np.exp(-t * t) / (t - (0.2 + 0.01j)) * np.exp(-0.1 * t)
+        )
+    value, estimate, evaluations = _PANEL_MAJOR_RESULTS[kind]
+    assert r.converged and r.evaluations == evaluations
+    assert abs(r.value - value) <= r.error_estimate + estimate
+
+
 _WRONG_LENGTH = "^integrand must return one value per abscissa$"
 
 

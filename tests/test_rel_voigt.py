@@ -3,8 +3,10 @@ integral representations, profile and damping layers."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import math
+import pickle
 import struct
 from pathlib import Path
 
@@ -353,6 +355,14 @@ def test_rectangle_rejects_poles_outside_double_range_without_warnings():
     # an error, so one leaking from the pole arithmetic would fail here
     with pytest.raises(DomainError, match="^contour must enclose both poles$"):
         h2_rectangle(1.0, 1e200, -1e200)
+
+
+def test_rectangle_at_large_a_fails_without_warnings():
+    # the line sits above poles at height ~sqrt(a/2), where |e^{-t^2}| =
+    # e^{y^2} leaves double range; the tests turn a RuntimeWarning into an
+    # error, so the overflow and the inf / inf on the way would fail here
+    with pytest.raises(IntegrationError, match="^integrand returned a non-finite value at t="):
+        h2_rectangle(2000.0, 0.0, 0.5)
 
 
 def test_enclosed_poles_match_pole_set():
@@ -947,12 +957,53 @@ def test_damping_parameter_errors():
 
 
 def test_eval_result_validation():
-    with pytest.raises(DomainError):
-        EvalResult(1.0, -1.0, "closed_form")
-    with pytest.raises(DomainError):
-        EvalResult(1.0, 0.0, "mystery")
-    with pytest.raises(DomainError):
-        EvalResult(float("nan"), 0.0, "closed_form")
+    # the checks run value, estimate, method: each row fails every check
+    # from the one it names on, so the message shows which runs first
+    value = "^EvalResult value must be finite, got "
+    estimate = "^EvalResult error_estimate must be finite and >= 0, got "
+    cases = [
+        ((math.nan, -1.0, "mystery"), value + "nan$"),
+        ((-math.inf, 0.0, "closed_form"), value + "-inf$"),
+        ((1.0, -1.0, "mystery"), estimate + "-1.0$"),
+        ((1.0, math.nan, "mystery"), estimate + "nan$"),
+        ((1.0, math.inf, "closed_form"), estimate + "inf$"),
+        ((1.0, 0.0, "mystery"), "^unknown method tag 'mystery'$"),
+    ]
+    for args, message in cases:
+        with pytest.raises(DomainError, match=message):
+            EvalResult(*args)
+
+
+def test_eval_result_is_a_frozen_slotted_value_record():
+    r = EvalResult(0.25, 1e-13, "closed_form")
+    assert EvalResult(value=0.25, error_estimate=1e-13, method="closed_form") == r
+    assert [f.name for f in dataclasses.fields(r)] == ["value", "error_estimate", "method"]
+    assert not hasattr(r, "__dict__")
+    for name in ("value", "error_estimate", "method"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, name, getattr(r, name))
+    assert (r.value, r.error_estimate, r.method) == (0.25, 1e-13, "closed_form")
+
+    # eq and hash compare the fields as a tuple; repr names them
+    assert r == EvalResult(0.25, 1e-13, "closed_form")
+    assert r != EvalResult(0.25, 1e-13, "quadrature")
+    assert r != (0.25, 1e-13, "closed_form")
+    assert hash(r) == hash((0.25, 1e-13, "closed_form"))
+    assert repr(r) == "EvalResult(value=0.25, error_estimate=1e-13, method='closed_form')"
+
+    # replace builds through the same checks
+    assert dataclasses.replace(r, method="quadrature") == EvalResult(0.25, 1e-13, "quadrature")
+    with pytest.raises(DomainError, match="^EvalResult value must be finite, got inf$"):
+        dataclasses.replace(r, value=math.inf)
+    with pytest.raises(DomainError, match="^unknown method tag 'mystery'$"):
+        dataclasses.replace(r, method="mystery")
+
+    fields = {"value": 0.25, "error_estimate": 1e-13, "method": "closed_form"}
+    assert dataclasses.asdict(r) == fields
+    back = pickle.loads(pickle.dumps(r))
+    assert type(back) is EvalResult and back == r and hash(back) == hash(r)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        back.value = 1.0
 
 
 def test_h2_rejects_non_finite():
