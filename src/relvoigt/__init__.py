@@ -48,10 +48,7 @@ _HOMES = {
     "reduce_rel": "profiles",
     "QuadratureConfig": "quadrature",
     "QuadratureResult": "quadrature",
-    "integrate_interval": "quadrature",
     "integrate_real_line": "quadrature",
-    "integrate_real_line_compactified": "quadrature",
-    "integrate_semi_infinite": "quadrature",
     "h0": "voigt",
     "h0_grid": "voigt",
     "h0_limit_a0": "voigt",

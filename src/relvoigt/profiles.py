@@ -34,7 +34,6 @@ __all__ = [
     "bw_rel_grid",
     "gaussian",
     "reduce_nonrel",
-    "reduce_nonrel_grid",
     "reduce_rel",
     "reduce_rel_grid",
 ]
@@ -171,7 +170,7 @@ def reduce_nonrel(e: float, params: ProfileParams) -> ReducedCoordsNonRel:
 def _reduce_nonrel(e, mu, gamma, sigma) -> tuple[float, float]:
     # reduce_nonrel as a bare (a, u) at finite e and sigma > 0, which the
     # callers check; either may be inf, which the caller has to reject, as
-    # h0 does
+    # h0 does.  Its operations are elementwise, so v0_grid runs it on arrays
     return gamma / (2.0 * _SQRT2 * sigma), (e - mu) / (_SQRT2 * sigma)
 
 
@@ -245,11 +244,6 @@ def bw_rel_grid(e, mu, gamma):
     value = (mg / math.pi) / den
     # a zero denominator leaves the density inf, or NaN where mg is 0 too
     return value, ~np.isfinite(value)
-
-
-def reduce_nonrel_grid(e, mu, gamma, sigma):
-    """reduce_nonrel over arrays at finite e and sigma > 0: the coordinates (a, u)."""
-    return gamma / (2.0 * _SQRT2 * sigma), (e - mu) / (_SQRT2 * sigma)
 
 
 def reduce_rel_grid(e, mu, gamma, sigma):

@@ -14,9 +14,10 @@ stop test, error-share split and subdivision budget, finishes on its own
 and has its panels dropped.  The ``*_batch`` integrators run it over many
 integrals, one group of them live at a time: 64 integrals, or as many as
 fit in 1,024 initial panels, whichever is more, so a round's abscissas stay
-bounded however many integrals a call carries.  The scalar integrators are
-the one-integral case of the same code, so both follow every rule
-identically, and the batched integrators alone check the arguments.
+bounded however many integrals a call carries.  They are the layer's one
+interface: every route makes one batched call, and a single integral is a
+batch of one.  The one scalar entry, integrate_real_line, is a batch of one
+as well; it stays only because the benchmark's per-layer probe calls it.
 
 There is one stop rule, QuadratureConfig.met: an error estimate is met when
 it and the value are finite and the estimate is at most
@@ -25,20 +26,19 @@ bound and the semi-infinite block test apply it, so neither an estimate
 that overflowed nor a total that did ever converges, and an integral whose
 total is no longer finite stops unconverged at once.
 
-Integrand contract.  A scalar integrand receives a 1-D numpy array of
-abscissas and returns an array of the same length.  A batched integrand is
-called panel-major: it receives a 2-D array of abscissas, one row per
-panel holding that panel's 15 nodes, and an int column of shape (rows, 1)
-giving the index of the integral each row belongs to, so per-integral
-parameters are gathered once per row and broadcast along it.  It returns
-an array of the abscissas' shape.  (integrate_real_line_batch's tail bound
-makes one more call, with a row of the two truncation points per
-integral.)  The kernel builds its nodes node-major, one row per Kronrod
-node, and hands the integrand that block's transpose, so the abscissas
-may be a non-C-contiguous view.  Neither kind may write into its abscissa
-argument.  A return of the wrong shape raises IntegrationError, and so
-does a non-finite value, for the whole call.  Complex-valued integrands
-are allowed (real and imaginary parts are integrated in one pass).
+Integrand contract.  A batched integrand is called panel-major: it
+receives a 2-D array of abscissas, one row per panel holding that panel's
+15 nodes, and an int column of shape (rows, 1) giving the index of the
+integral each row belongs to, so per-integral parameters are gathered once
+per row and broadcast along it.  It returns an array of the abscissas'
+shape.  (integrate_real_line_batch's tail bound makes one more call, with a
+row of the two truncation points per integral.)  The kernel builds its
+nodes node-major, one row per Kronrod node, and hands the integrand that
+block's transpose, so the abscissas may be a non-C-contiguous view.  It may
+not write into them.  A return of the wrong shape raises IntegrationError,
+and so does a non-finite value, for the whole call.  Complex-valued
+integrands are allowed (real and imaginary parts are integrated in one
+pass).
 
 Everything here is pure and writes no module state after import, so
 concurrent calls from multiple threads are safe; the integrand callable
@@ -62,12 +62,9 @@ __all__ = [
     "QuadratureBatch",
     "QuadratureConfig",
     "QuadratureResult",
-    "integrate_interval",
     "integrate_real_line",
     "integrate_real_line_batch",
-    "integrate_real_line_compactified",
     "integrate_real_line_compactified_batch",
-    "integrate_semi_infinite",
     "integrate_semi_infinite_batch",
     "peak_seeds",
 ]
@@ -199,23 +196,14 @@ class QuadratureResult:
 class QuadratureBatch:
     """Results of a batched call: arrays indexed like its integrals.
 
-    Entry k holds what a scalar integrator returns for integral k alone;
-    batch[k] gives it as a QuadratureResult.
+    Entry k holds integral k's value, absolute error estimate, converged
+    flag and evaluation count, with the meaning QuadratureResult gives them.
     """
 
     value: np.ndarray
     error_estimate: np.ndarray
     converged: np.ndarray
     evaluations: np.ndarray
-
-    def __getitem__(self, k: int) -> QuadratureResult:
-        v = self.value[k]
-        return QuadratureResult(
-            complex(v) if np.iscomplexobj(v) else float(v),
-            float(self.error_estimate[k]),
-            bool(self.converged[k]),
-            int(self.evaluations[k]),
-        )
 
 
 def _call(f: BatchIntegrand, x: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -465,18 +453,11 @@ def quadrature_grid(route, rules, *coords: np.ndarray) -> GridResult:
     return grid_result(shape, [*rules, (failed, IntegrationError)], value, estimate)
 
 
-def _per_integral(name: str, x, n: int) -> np.ndarray:
-    x = np.broadcast_to(np.asarray(x, dtype=float), (n,))
-    if not np.isfinite(x).all():
-        raise DomainError(f"{name} must be finite, got {float(x[~np.isfinite(x)][0])!r}")
-    return x
-
-
-def _edges(name: str, x, n: int) -> np.ndarray:
-    # seeds or breakpoints as a finite (n, m) array, row k for integral k
+def _seeds(x, n: int) -> np.ndarray:
+    # panel seeds as a finite (n, m) array, row k for integral k
     x = np.asarray(x, dtype=float).reshape(n, -1)
     if not np.isfinite(x).all():
-        raise DomainError(f"{name} must be finite")
+        raise DomainError("seeds must be finite")
     return x
 
 
@@ -523,57 +504,25 @@ def _lone(f: Integrand) -> BatchIntegrand:
     return g
 
 
-def integrate_interval(
-    f: Integrand,
-    lo: float,
-    hi: float,
-    config: QuadratureConfig | None = None,
-    *,
-    breakpoints: Sequence[float] | None = None,
-) -> QuadratureResult:
-    """Adaptively integrate f over the finite interval [lo, hi].
-
-    Optional breakpoints become initial panel boundaries, which is how
-    callers seed the subdivision at known narrow features.  Panels are
-    split in batches (every panel holding more than its share of the error
-    budget) so each refinement round costs one vectorized integrand call.
-    """
-    cfg = config if config is not None else QuadratureConfig()
-    lo = require_finite("lo", lo)
-    hi = require_finite("hi", hi)
-    if not hi > lo:
-        raise DomainError(f"need hi > lo, got [{lo!r}, {hi!r}]")
-    breaks = None if breakpoints is None else _edges("breakpoints", breakpoints, 1)
-    out = _integrate_groups(_lone(f), np.array([lo]), np.array([hi]), cfg, breaks)
-    return QuadratureBatch(*out)[0]
-
-
 def integrate_real_line_batch(
-    f: BatchIntegrand,
-    n: int,
-    config: QuadratureConfig | None = None,
-    *,
-    seeds=None,
-    center=0.0,
-    scale=1.0,
+    f: BatchIntegrand, n: int, config: QuadratureConfig | None = None, *, seeds=None
 ) -> QuadratureBatch:
-    """integrate_real_line for n integrals at once; f(t, owner) as above.
+    """Integrate n Gaussian-envelope integrands over the real line at once.
 
-    seeds is an (n, m) array of panel seeds, row k for integral k (repeat
-    a value to pad a short row); center and scale are scalars or length-n
-    arrays.
+    Each integrand must decay like C e^{-t^2} beyond the window: the
+    integrals are truncated to [-R, R] with R = 12, and the Gaussian tail
+    bound (|f(-R)| + |f(R)|) / (2 R) is folded into each error estimate.
+    A problem centred elsewhere or of another width substitutes
+    t = c + s x itself.  seeds is an (n, m) array of panel seeds, row k
+    for integral k (repeat a value to pad a short row); they become
+    initial panel boundaries.
     """
     cfg = config if config is not None else QuadratureConfig()
-    center = _per_integral("center", center, n)
-    scale = _per_integral("scale", scale, n)
-    if not (scale > 0.0).all():
-        raise DomainError(f"scale must be > 0, got {float(scale[~(scale > 0.0)][0])!r}")
-
-    lo = center - scale * _RADIUS
-    hi = center + scale * _RADIUS
-    pts = center[:, None] + scale[:, None] * np.linspace(-_RADIUS, _RADIUS, 17)
+    lo = np.full(n, -_RADIUS)
+    hi = np.full(n, _RADIUS)
+    pts = np.broadcast_to(np.linspace(-_RADIUS, _RADIUS, 17), (n, 17))
     if seeds is not None:
-        pts = np.concatenate([pts, _edges("seeds", seeds, n)], axis=1)
+        pts = np.concatenate([pts, _seeds(seeds, n)], axis=1)
 
     value, error, converged, evaluations = _integrate_groups(f, lo, hi, cfg, pts)
     # Gaussian tail bound at the truncation points; it may overflow like a panel sum
@@ -582,39 +531,38 @@ def integrate_real_line_batch(
     _require_finite_values(edge, ends)
     edge = np.abs(edge)
     with np.errstate(over="ignore"):
-        error = error + (edge[:, 0] + edge[:, 1]) * scale / (2.0 * _RADIUS)
+        error = error + (edge[:, 0] + edge[:, 1]) / (2.0 * _RADIUS)
     converged = converged & cfg.met(error, value)
     return QuadratureBatch(value, error, converged, evaluations + 2)
 
 
+# Kept only for the benchmark: perfbench/layers.py times it with a scalar
+# integrand on every traced run.  It, _lone and QuadratureResult go with
+# that probe.
 def integrate_real_line(
     f: Integrand,
     config: QuadratureConfig | None = None,
     *,
     seeds: Sequence[float] | None = None,
-    center: float = 0.0,
-    scale: float = 1.0,
 ) -> QuadratureResult:
-    """Integrate f over the real line for Gaussian-envelope integrands.
-
-    Requires f(center + scale*t) ~ C e^{-t^2} for |t| beyond the window;
-    the integral is truncated to center +- scale*R with R = 12, and the
-    Gaussian tail bound (|f(lo)| + |f(hi)|) * scale / (2 R) is folded into
-    the error estimate.
-    seeds (in f's own coordinate) become initial panel boundaries.
-    """
-    return integrate_real_line_batch(
-        _lone(f), 1, config, seeds=seeds, center=center, scale=scale
-    )[0]
+    """integrate_real_line_batch for one scalar integrand f(t), t a 1-D array."""
+    r = integrate_real_line_batch(_lone(f), 1, config, seeds=seeds)
+    return QuadratureResult(
+        r.value.item(), r.error_estimate.item(), r.converged.item(), r.evaluations.item()
+    )
 
 
 def integrate_real_line_compactified_batch(
     f: BatchIntegrand, n: int, config: QuadratureConfig | None = None, *, seeds=None
 ) -> QuadratureBatch:
-    """integrate_real_line_compactified for n integrals at once.
+    """Integrate n algebraically decaying integrands over the real line at once.
 
-    f(t, owner) as for the other batched integrators; seeds is an (n, m)
-    array, row k for integral k.
+    Substitutes t = tan(theta) and integrates over (-pi/2, pi/2); valid
+    whenever (1 + t^2) f(t) -> 0 as |t| -> inf (decay faster than 1/t^2).
+    All abscissas are interior, so the endpoints are never evaluated.  This
+    covers integrands the Gaussian-envelope truncation of
+    integrate_real_line_batch would bias, such as pure rational densities.
+    seeds is an (n, m) array, row k for integral k.
     """
     cfg = config if config is not None else QuadratureConfig()
 
@@ -625,35 +573,21 @@ def integrate_real_line_compactified_batch(
     half_pi = 0.5 * math.pi
     pts = np.broadcast_to(np.linspace(-half_pi, half_pi, 33), (n, 33))
     if seeds is not None:
-        pts = np.concatenate([pts, np.arctan(_edges("seeds", seeds, n))], axis=1)
+        pts = np.concatenate([pts, np.arctan(_seeds(seeds, n))], axis=1)
     edge = np.full(n, half_pi)
     return QuadratureBatch(*_integrate_groups(g, -edge, edge, cfg, pts))
-
-
-def integrate_real_line_compactified(
-    f: Integrand,
-    config: QuadratureConfig | None = None,
-    *,
-    seeds: Sequence[float] | None = None,
-) -> QuadratureResult:
-    """Integrate f over the real line for algebraically decaying integrands.
-
-    Substitutes t = tan(theta) and integrates over (-pi/2, pi/2); valid
-    whenever (1 + t^2) f(t) -> 0 as |t| -> inf (decay faster than 1/t^2).
-    All abscissas are interior, so the endpoints are never evaluated.  This
-    covers integrands the Gaussian-envelope truncation of
-    integrate_real_line would bias, such as pure rational densities.
-    """
-    return integrate_real_line_compactified_batch(_lone(f), 1, config, seeds=seeds)[0]
 
 
 def integrate_semi_infinite_batch(
     f: BatchIntegrand, n: int, config: QuadratureConfig | None = None
 ) -> QuadratureBatch:
-    """integrate_semi_infinite for n integrals at once.
+    """Integrate n exponentially enveloped integrands over [0, inf) at once.
 
-    f(x, owner) as for the other batched integrators.  Every live integral
-    advances by one block per round, and the blocks of a round are
+    Each interval is covered by geometrically growing blocks [0,1], [1,2],
+    [2,4], ... until block contributions fall below tolerance, at most 64
+    blocks; the remaining tail is bounded by the measured geometric decay
+    of the block values and folded into the error estimate.  Every live
+    integral advances by one block per round, and the blocks of a round are
     integrated together.  An integral whose error sum or total is no longer
     finite stops unconverged at once.
     """
@@ -716,19 +650,6 @@ def integrate_semi_infinite_batch(
     return QuadratureBatch(value, error, converged, evaluations)
 
 
-def integrate_semi_infinite(
-    f: Integrand, config: QuadratureConfig | None = None
-) -> QuadratureResult:
-    """Integrate f over [0, inf) for exponentially enveloped integrands.
-
-    The interval is covered by geometrically growing blocks [0,1], [1,2],
-    [2,4], ... until block contributions fall below tolerance, at most
-    64 blocks; the remaining tail is bounded by the measured geometric
-    decay of the block values and folded into the error estimate.
-    """
-    return integrate_semi_infinite_batch(_lone(f), 1, config)[0]
-
-
 def _route_point(route, config, positive: bool, **point) -> EvalResult:
     """A public scalar entry: one point, a first, through route(*coords, config).
 
@@ -742,11 +663,12 @@ def _route_point(route, config, positive: bool, **point) -> EvalResult:
         raise DomainError(f"a must be > 0 on this route, got {a!r}")
     if a == 0.0:
         raise DomainError(f"a must be nonzero on this route, got {a!r}")
-    r = route(*(np.array([x]) for x in point.values()), config)[0]
-    if not r.converged:
+    r = route(*(np.array([x]) for x in point.values()), config)
+    value, estimate = float(r.value[0]), float(r.error_estimate[0])
+    if not r.converged[0]:
         raise IntegrationError(
             f"quadrature did not converge at ({', '.join(point)})="
             f"({', '.join(map(repr, point.values()))}); "
-            f"error estimate {r.error_estimate:.3e}"
+            f"error estimate {estimate:.3e}"
         )
-    return EvalResult(r.value, r.error_estimate, "quadrature")
+    return EvalResult(value, estimate, "quadrature")

@@ -254,7 +254,7 @@ def h2_grid(a, u1, u2) -> GridResult:
     Every point with a != 0 takes the closed form in one vectorised pass; a
     point fails with DomainError where h2 raises it.
     """
-    shape, (a, u1, u2) = grid_floats(a, u1, u2)
+    shape, (a, u1, u2) = grid_floats(a=a, u1=u1, u2=u2)
     with np.errstate(all="ignore"):
         value, err, bad = _h2_closed_form_grid(a, u1, u2)
         bad |= ~(np.isfinite(a) & np.isfinite(u1) & np.isfinite(u2))
@@ -341,7 +341,7 @@ def i2_closed(a: float, u1: float, u2: float) -> float:
 
 def i2_grid(a, u1, u2) -> GridResult:
     """i2_closed over broadcast arrays of points, bit for bit; no estimate."""
-    shape, (a, u1, u2) = grid_floats(a, u1, u2)
+    shape, (a, u1, u2) = grid_floats(a=a, u1=u1, u2=u2)
     with np.errstate(all="ignore"):
         d = u1 - u2
         w1r, w1i = _csqrt(d * d, 4.0 * np.abs(a))
@@ -398,7 +398,7 @@ def _v2_grid(e, mu, gamma, sigma):
 
 def v2_grid(e, mu, gamma, sigma) -> GridResult:
     """v2 over broadcast arrays of (e, mu, gamma, sigma), bit for bit."""
-    shape, (e, mu, gamma, sigma) = grid_floats(e, mu, gamma, sigma)
+    shape, (e, mu, gamma, sigma) = grid_floats(e=e, mu=mu, gamma=gamma, sigma=sigma)
     with np.errstate(all="ignore"):
         value, bad = _v2_grid(e, mu, gamma, sigma)
     invalid = ~(mu > 0.0) | ~(gamma > 0.0)
@@ -476,7 +476,7 @@ def _ratio_grid(sigma, gamma, mu, profile_grid, bw_grid) -> GridResult:
     # d0/d2 over arrays: the profile at its peak E = mu over the bare
     # Breit-Wigner there, with the checks of _check_ratio_params first and
     # 1 at sigma = 0
-    shape, (sigma, gamma, mu) = grid_floats(sigma, gamma, mu)
+    shape, (sigma, gamma, mu) = grid_floats(sigma=sigma, gamma=gamma, mu=mu)
     with np.errstate(all="ignore"):
         peak, bad = profile_grid(mu, mu, gamma, sigma)
         density, bw_bad = bw_grid(mu, mu, gamma)

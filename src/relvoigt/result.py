@@ -125,7 +125,25 @@ def grid_result(shape, rules, value, estimate=None) -> GridResult:
     return GridResult(np.asarray(value), None if estimate is None else np.asarray(estimate), codes)
 
 
-def grid_floats(*xs) -> tuple[tuple[int, ...], list[np.ndarray]]:
-    """The shape the arguments broadcast to, and each as a float64 array."""
-    xs = [np.asarray(x, dtype=np.float64) for x in xs]
-    return np.broadcast(*xs).shape, xs
+def grid_floats(**named) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """The shape the named arguments broadcast to, and each as a float64 array.
+
+    The grid evaluators' one conversion: DomainError names an argument that
+    is not real, as the scalar evaluators do, and refuses complex arrays and
+    arguments that do not broadcast.
+    """
+    xs = []
+    for name, x in named.items():
+        try:
+            v = np.asarray(x)
+            if v.dtype.kind == "c":
+                raise TypeError
+            xs.append(v.astype(np.float64, copy=False))
+        except (TypeError, ValueError):
+            raise DomainError(f"{name} must be a real number, got {x!r}") from None
+    try:
+        shape = np.broadcast(*xs).shape
+    except ValueError:
+        shapes = ", ".join(f"{name} {v.shape}" for name, v in zip(named, xs))
+        raise DomainError(f"arguments do not broadcast together: {shapes}") from None
+    return shape, xs

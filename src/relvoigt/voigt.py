@@ -32,7 +32,6 @@ from .profiles import (
     _reduce_nonrel,
     _require_positive,
     profile_rules,
-    reduce_nonrel_grid,
 )
 from .result import GridResult, grid_floats, grid_result
 
@@ -66,7 +65,7 @@ def _h0_grid(a, u):
 
 def h0_grid(a, u) -> GridResult:
     """h0 over broadcast arrays of points, bit for bit; no error estimate."""
-    shape, (a, u) = grid_floats(a, u)
+    shape, (a, u) = grid_floats(a=a, u=u)
     value, bad = _h0_grid(a, u)
     return grid_result(shape, [(bad, DomainError)], value)
 
@@ -105,14 +104,14 @@ def _v0(e, mu, gamma, sigma) -> float:
 def _v0_grid(e, mu, gamma, sigma):
     # v0 over arrays at finite e and mu and gamma, sigma > 0: values and the
     # DomainError mask
-    h, bad = _h0_grid(*reduce_nonrel_grid(e, mu, gamma, sigma))
+    h, bad = _h0_grid(*_reduce_nonrel(e, mu, gamma, sigma))
     value = h / (_SQRT_2PI * sigma)
     return value, bad | ~np.isfinite(value)
 
 
 def v0_grid(e, mu, gamma, sigma) -> GridResult:
     """v0 over broadcast arrays of (e, mu, gamma, sigma), bit for bit."""
-    shape, (e, mu, gamma, sigma) = grid_floats(e, mu, gamma, sigma)
+    shape, (e, mu, gamma, sigma) = grid_floats(e=e, mu=mu, gamma=gamma, sigma=sigma)
     with np.errstate(all="ignore"):
         value, bad = _v0_grid(e, mu, gamma, sigma)
     return grid_result(shape, profile_rules(e, mu, gamma, sigma, ~(gamma > 0.0), bad), value)

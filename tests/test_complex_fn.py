@@ -110,14 +110,14 @@ def test_erfc_at_zero_and_one():
 def test_erfc_one_matches_defining_integral():
     # erfc(x) = (2/sqrt(pi)) Int_x^inf e^{-t^2} dt, pushed through our own
     # quadrature so the value does not come from the wrapped library
-    from relvoigt.quadrature import integrate_semi_infinite
+    from relvoigt.quadrature import integrate_semi_infinite_batch
 
-    def f(s: np.ndarray) -> np.ndarray:
+    def f(s: np.ndarray, k: np.ndarray) -> np.ndarray:
         return np.exp(-((1.0 + s) ** 2))
 
-    r = integrate_semi_infinite(f, QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13))
-    assert r.converged
-    val = 2.0 / math.sqrt(math.pi) * r.value
+    r = integrate_semi_infinite_batch(f, 1, QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13))
+    assert r.converged[0]
+    val = 2.0 / math.sqrt(math.pi) * r.value[0]
     assert abs(val - erfc_complex(1.0).real) < 1e-12
 
 

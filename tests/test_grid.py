@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from relvoigt import EvalResult, RelVoigtError
+from relvoigt import DomainError, EvalResult, RelVoigtError, routes
 from relvoigt.sweep import FUNCTIONS
 
 # values that reach every edge of the scalar evaluators: non-finite, signed
@@ -107,3 +109,52 @@ def test_grid_result_shape_contract(function):
     listed = grid(**{**args, first: [args[first], args[first]], names[-1]: 1})
     check(listed, (2,))
     assert listed.value[0] == listed.value[1] == grid(**{**args, names[-1]: 1.0}).value
+
+
+# every grid evaluator, with its parameter names and scalar evaluator over a
+# parameter dict, the two quadrature grids included
+_EVERY_GRID = {
+    **FUNCTIONS,
+    "h2_quadrature": (
+        ("a", "u1", "u2"),
+        lambda p: routes.h2_quadrature(p["a"], p["u1"], p["u2"]),
+        routes.h2_quadrature_grid,
+    ),
+    "i2_quadrature": (
+        ("a", "u1", "u2"),
+        lambda p: routes.i2_quadrature(p["a"], p["u1"], p["u2"]),
+        routes.i2_quadrature_grid,
+    ),
+}
+_POINT = {"a": 0.5, "u": 0.3, "u1": 0.4, "u2": -0.7, "e": 0.9, "mu": 1.1, "gamma": 0.2,
+          "sigma": 0.3}
+
+
+@pytest.mark.parametrize("function", sorted(_EVERY_GRID))
+def test_grid_names_an_argument_that_is_not_real(function):
+    # the DomainError the scalar evaluator raises, naming the argument, for
+    # a complex or non-numeric value; DomainError is a ValueError as well
+    names, scalar, grid = _EVERY_GRID[function]
+    args = {name: _POINT[name] for name in names}
+    for name in names:
+        for bad, shown in ((1j, "1j"), ("x", "'x'")):
+            message = f"^{name} must be a real number, got {shown}$"
+            with pytest.raises(DomainError, match=message):
+                scalar({**args, name: bad})
+            with pytest.raises(DomainError, match=message):
+                grid(**{**args, name: bad})
+        # a complex array is refused too, rather than cast to its real part
+        with pytest.raises(DomainError, match=f"^{name} must be a real number, got array"):
+            grid(**{**args, name: np.array([1.0, 0.5 + 0.0j])})
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            grid(**{**args, name: [[1.0], [1.0, 2.0]]})
+
+
+@pytest.mark.parametrize("function", sorted(_EVERY_GRID))
+def test_grid_arguments_that_do_not_broadcast_are_a_domain_error(function):
+    names, _, grid = _EVERY_GRID[function]
+    args = {name: _POINT[name] for name in names}
+    first, last = names[0], names[-1]
+    shapes = ", ".join(f"{n} {(2,) if n == first else (3,) if n == last else ()}" for n in names)
+    with pytest.raises(DomainError, match=f"^arguments do not broadcast together: {re.escape(shapes)}$"):
+        grid(**{**args, first: np.full(2, args[first]), last: np.full(3, args[last])})

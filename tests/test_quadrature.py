@@ -8,24 +8,31 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relvoigt import DomainError, IntegrationError
 from relvoigt.quadrature import (
+    QuadratureBatch,
     QuadratureConfig,
-    integrate_interval,
     integrate_real_line,
     integrate_real_line_batch,
-    integrate_real_line_compactified,
     integrate_real_line_compactified_batch,
-    integrate_semi_infinite,
     integrate_semi_infinite_batch,
     peak_seeds,
 )
-from relvoigt import quadrature
+from relvoigt import quadrature, routes
 
 from oracles import erfc_real
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def _interval(f, lo, hi, breaks=None):
+    # one integral of the batched integrand f over [lo, hi], breaks a (1, m)
+    # array of initial panel edges, through the refinement loop
+    out = quadrature._integrate_groups(f, np.array([lo]), np.array([hi]), QuadratureConfig(), breaks)
+    return QuadratureBatch(*out)
 
 
 def test_gaussian_integral():
@@ -50,33 +57,33 @@ def test_odd_integrand_vanishes():
 
 
 def test_interval_polynomials():
-    r = integrate_interval(lambda t: np.ones_like(t), 0.0, 1.0)
-    assert abs(r.value - 1.0) < 1e-14
-    r = integrate_interval(lambda t: t, 0.0, 1.0)
-    assert abs(r.value - 0.5) < 1e-14
+    r = _interval(lambda t, k: np.ones_like(t), 0.0, 1.0)
+    assert abs(r.value[0] - 1.0) < 1e-14
+    r = _interval(lambda t, k: t, 0.0, 1.0)
+    assert abs(r.value[0] - 0.5) < 1e-14
     # an integer-valued integrand is integrated as float64
-    r = integrate_interval(lambda t: np.ones(t.shape, dtype=int), 0.0, 1.0)
-    assert abs(r.value - 1.0) < 1e-14
+    r = _interval(lambda t, k: np.ones(t.shape, dtype=int), 0.0, 1.0)
+    assert abs(r.value[0] - 1.0) < 1e-14
 
 
 def test_semi_infinite_exponential():
-    r = integrate_semi_infinite(lambda x: np.exp(-x))
-    assert r.converged
-    assert abs(r.value - 1.0) < 1e-12
+    r = integrate_semi_infinite_batch(lambda x, k: np.exp(-x), 1)
+    assert r.converged[0]
+    assert abs(r.value[0] - 1.0) < 1e-12
 
 
 def test_semi_infinite_damped_oscillation():
     # Int_0^inf e^{-3x} sin(2x) dx = 2/13
-    r = integrate_semi_infinite(lambda x: np.exp(-3.0 * x) * np.sin(2.0 * x))
-    assert r.converged
-    assert abs(r.value - 2.0 / 13.0) < 1e-12
+    r = integrate_semi_infinite_batch(lambda x, k: np.exp(-3.0 * x) * np.sin(2.0 * x), 1)
+    assert r.converged[0]
+    assert abs(r.value[0] - 2.0 / 13.0) < 1e-12
 
 
 def test_compactified_algebraic_decay():
     # Int dt/(1+t^4) = pi/sqrt(2); decays too slowly for plain truncation
-    r = integrate_real_line_compactified(lambda t: 1.0 / (1.0 + t**4))
-    assert r.converged
-    assert abs(r.value - math.pi / math.sqrt(2.0)) < 1e-11
+    r = integrate_real_line_compactified_batch(lambda t, k: 1.0 / (1.0 + t**4), 1)
+    assert r.converged[0]
+    assert abs(r.value[0] - math.pi / math.sqrt(2.0)) < 1e-11
 
 
 def test_linearity():
@@ -138,10 +145,6 @@ def test_config_validation():
         with pytest.raises(DomainError, match="^max_subdivisions must be an integer"):
             QuadratureConfig(max_subdivisions=bad)
     assert type(QuadratureConfig(max_subdivisions=np.int64(7)).max_subdivisions) is int
-    with pytest.raises(DomainError):
-        integrate_interval(lambda t: t, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        integrate_real_line(lambda t: np.exp(-t * t), scale=0.0)
 
 
 @pytest.mark.parametrize("name", ["abs_tol", "rel_tol"])
@@ -165,12 +168,17 @@ def test_config_tolerances_are_checked_floats(name):
 # ------------------------------------------------------- batched integration
 #
 # The batched integrators run many integrals through one refinement loop;
-# each member must come out as the scalar integrator computes it alone.
+# each member must come out as a call for it alone computes it.
 
 
-def _agree(batch, k, single):
-    assert bool(batch.converged[k]) == single.converged
-    assert abs(batch.value[k] - single.value) <= batch.error_estimate[k] + single.error_estimate
+def _agree(batch, k, alone):
+    # alone is integral k computed on its own: by integrate_real_line, or as
+    # a batch of one
+    value, estimate, converged = (
+        np.ravel(getattr(alone, name))[0] for name in ("value", "error_estimate", "converged")
+    )
+    assert bool(batch.converged[k]) == bool(converged)
+    assert abs(batch.value[k] - value) <= batch.error_estimate[k] + estimate
 
 
 def test_real_line_batch_matches_scalar_members():
@@ -202,7 +210,7 @@ def test_compactified_batch_matches_scalar_members():
 
     batch = integrate_real_line_compactified_batch(f, n, seeds=c[:, None])
     for k in range(n):
-        single = integrate_real_line_compactified(lambda t: f(t, k), seeds=[c[k]])
+        single = integrate_real_line_compactified_batch(lambda t, j: f(t, k), 1, seeds=[[c[k]]])
         _agree(batch, k, single)
         # Int w/((t-c)^2+w^2)^2 dt = pi/(2 w^2)
         assert abs(batch.value[k] - math.pi / (2.0 * w[k] ** 2)) <= 1e-9 * batch.value[k]
@@ -224,7 +232,7 @@ def test_semi_infinite_batch_matches_scalar_on_both_block_paths():
     batch = integrate_semi_infinite_batch(g, a.size, cfg)
     assert batch.converged.all()
     for k in range(a.size):
-        single = integrate_semi_infinite(lambda x: g(x, k), cfg)
+        single = integrate_semi_infinite_batch(lambda x, j: g(x, k), 1, cfg)
         _agree(batch, k, single)
         exact = a[k] / (a[k] ** 2 + c[k] ** 2)
         assert abs(batch.value[k] - exact) <= batch.error_estimate[k] + 1e-12
@@ -369,6 +377,12 @@ def test_batched_integrand_sees_panel_rows_and_an_owner_column(kind):
         assert calls[-1] == ((3, 2), (3, 1), "i")
 
 
+def _own_windows(f, center):
+    # integral k over its own window center[k] +- 12, in 16 initial panels
+    edges = center[:, None] + np.linspace(-12.0, 12.0, 17)
+    return quadrature._integrate_groups(f, edges[:, 0], edges[:, -1], QuadratureConfig(), edges)
+
+
 def test_owner_column_matches_each_row_of_abscissas():
     # each row of abscissas lies inside its owner's own window
     center = np.array([0.0, 40.0, -40.0])
@@ -378,30 +392,35 @@ def test_owner_column_matches_each_row_of_abscissas():
         rows.append(np.abs(t - center[k]).max(axis=1))
         return np.exp(-((t - center[k]) ** 2))
 
-    integrate_real_line_batch(f, 3, center=center)
+    _, _, converged, _ = _own_windows(f, center)
+    assert converged.all()
     assert max(r.max() for r in rows) <= 12.0
 
 
 @pytest.mark.parametrize("kind", ["interval", "real_line", "compactified", "semi_infinite"])
 def test_scalar_integrand_still_sees_one_dimensional_abscissas(kind):
+    # integrate_real_line's adapter, _lone, hands its integrand 1-D
+    # abscissas whatever block the refinement loop makes: the nodes
+    # themselves, tan-mapped nodes or a semi-infinite block's
     shapes = []
 
     def f(t):
         shapes.append(t.shape)
         return np.exp(-t * t) / (t * t + 1e-4)
 
+    g = quadrature._lone(f)
     if kind == "interval":
-        r = integrate_interval(f, -1.0, 2.0, breakpoints=[0.0])
+        r = _interval(g, -1.0, 2.0, np.array([[0.0]]))
     elif kind == "real_line":
         r = integrate_real_line(f, seeds=[0.0])
     elif kind == "compactified":
-        r = integrate_real_line_compactified(f, seeds=[0.0])
+        r = integrate_real_line_compactified_batch(g, 1, seeds=[0.0])
     else:
-        r = integrate_semi_infinite(f)
-    assert r.converged
+        r = integrate_semi_infinite_batch(g, 1)
+    assert np.all(r.converged)
     assert len(shapes) > 1
     assert all(len(s) == 1 for s in shapes)
-    assert sum(s[0] for s in shapes) == r.evaluations
+    assert sum(s[0] for s in shapes) == np.sum(r.evaluations)
 
 
 def test_scalar_integrand_gets_the_node_major_block_without_a_copy():
@@ -417,9 +436,10 @@ def test_scalar_integrand_gets_the_node_major_block_without_a_copy():
     assert fv.T.flags.c_contiguous
 
 
-# (value, error estimate, evaluations) of the scalar entries when the
-# scalar integrand was handed a panel-major copy of the abscissas; a sum
-# over the other layout may round differently in the last bits
+# (value, error estimate, evaluations) of one integral on each path, as the
+# scalar entries computed it when their integrand was handed a panel-major
+# copy of the abscissas; a sum over the other layout may round differently
+# in the last bits
 _PANEL_MAJOR_RESULTS = {
     "interval": (3.899215201640467e-06, 5.3044623761938537e-11, 1470),
     "real_line": (1.772453850905516, 2.790419937341101e-11, 242),
@@ -431,19 +451,20 @@ _PANEL_MAJOR_RESULTS = {
 @pytest.mark.parametrize("kind", sorted(_PANEL_MAJOR_RESULTS))
 def test_scalar_entries_agree_with_their_panel_major_results(kind):
     if kind == "interval":
-        r = integrate_interval(lambda t: np.cos(30.0 * t) * np.exp(-t * t), -3.0, 5.0,
-                               breakpoints=[0.3])
+        r = _interval(lambda t, k: np.cos(30.0 * t) * np.exp(-t * t), -3.0, 5.0,
+                      np.array([[0.3]]))
     elif kind == "real_line":
         r = integrate_real_line(lambda t: np.exp(-t * t))
     elif kind == "compactified":
-        r = integrate_real_line_compactified(lambda t: 1.0 / (1e-4 + (t - 0.3) ** 2))
+        r = integrate_real_line_compactified_batch(lambda t, k: 1.0 / (1e-4 + (t - 0.3) ** 2), 1)
     else:
-        r = integrate_semi_infinite(
-            lambda t: np.exp(-t * t) / (t - (0.2 + 0.01j)) * np.exp(-0.1 * t)
+        r = integrate_semi_infinite_batch(
+            lambda t, k: np.exp(-t * t) / (t - (0.2 + 0.01j)) * np.exp(-0.1 * t), 1
         )
     value, estimate, evaluations = _PANEL_MAJOR_RESULTS[kind]
-    assert r.converged and r.evaluations == evaluations
-    assert abs(r.value - value) <= r.error_estimate + estimate
+    r_value, r_estimate = np.ravel(r.value)[0], np.ravel(r.error_estimate)[0]
+    assert np.all(r.converged) and np.all(r.evaluations == evaluations)
+    assert abs(r_value - value) <= r_estimate + estimate
 
 
 _WRONG_LENGTH = "^integrand must return one value per abscissa$"
@@ -452,10 +473,10 @@ _WRONG_LENGTH = "^integrand must return one value per abscissa$"
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: integrate_interval(lambda t: t[:-1], 0.0, 1.0),
+        lambda: _interval(lambda t, k: t[:-1], 0.0, 1.0),
         lambda: integrate_real_line(lambda t: np.exp(-t * t)[:, None]),
-        lambda: integrate_real_line_compactified(lambda t: np.zeros(3)),
-        lambda: integrate_semi_infinite(lambda x: np.exp(-x)[1:]),
+        lambda: integrate_real_line_compactified_batch(lambda t, k: np.zeros(3), 1),
+        lambda: integrate_semi_infinite_batch(lambda x, k: np.exp(-x)[1:], 1),
         lambda: integrate_real_line_batch(lambda t, k: np.exp(-t * t).ravel(), 2),
         lambda: integrate_real_line_batch(lambda t, k: np.exp(-t * t)[:, :-1], 2),
         lambda: integrate_real_line_compactified_batch(lambda t, k: np.ones(t.shape[0]), 2),
@@ -465,8 +486,8 @@ _WRONG_LENGTH = "^integrand must return one value per abscissa$"
          "batch_short_rows", "compactified_batch", "semi_infinite_batch"],
 )
 def test_wrong_length_return_is_an_integration_error(call):
-    # a scalar return of the wrong length must not surface as numpy's
-    # reshape ValueError
+    # a return of the wrong length, through integrate_real_line's 1-D
+    # adapter as well, must not surface as numpy's reshape ValueError
     with pytest.raises(IntegrationError, match=_WRONG_LENGTH):
         call()
 
@@ -577,7 +598,8 @@ def _named_abscissa(err) -> float:
 
 def _first_node_in(center, lo, hi):
     # the first of the opening round's nodes, in panel order, inside (lo, hi):
-    # integrate_real_line's 16 initial panels on center +- 12, 15 nodes each
+    # 16 initial panels on center +- 12, as integrate_real_line's on 0 +- 12
+    # and _own_windows', 15 nodes each
     edges = center + np.linspace(-12.0, 12.0, 17)
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * quadrature._XK).ravel()
@@ -605,7 +627,7 @@ def test_non_finite_batch_value_names_its_abscissa(bad):
         return np.where(bad_here, bad, np.exp(-((t - center[k]) ** 2)))
 
     with pytest.raises(IntegrationError, match="^integrand returned a non-finite value") as err:
-        integrate_real_line_batch(f, 3, center=center)
+        _own_windows(f, center)
     assert _named_abscissa(err) == _first_node_in(5.0, 4.8, 5.8) == 4.806148389199546
 
 
@@ -614,11 +636,11 @@ def test_overflowing_finite_values_are_not_an_error():
     # that is numpy's overflow, not a non-finite integrand value.  The run
     # warns nothing (warnings are errors here) and bounds nothing: its
     # estimate is inf, and an inf total does not count as converged
-    r = integrate_interval(lambda t: np.full_like(t, 1e308), 0.0, 10.0)
-    assert r.value == math.inf
-    assert r.error_estimate == math.inf
-    assert not r.converged
-    assert r.evaluations == 15
+    r = _interval(lambda t, k: np.full_like(t, 1e308), 0.0, 10.0)
+    assert r.value[0] == math.inf
+    assert r.error_estimate[0] == math.inf
+    assert not r.converged[0]
+    assert r.evaluations[0] == 15
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -627,7 +649,10 @@ def test_overflowing_finite_values_are_not_an_error():
     [
         lambda s: integrate_real_line(lambda t: np.exp(-t * t), seeds=[0.0, s]),
         lambda s: integrate_real_line_batch(lambda t, k: np.exp(-t * t), 1, seeds=[[0.0, s]]),
-        lambda s: integrate_real_line_compactified(lambda t: 1.0 / (1.0 + t**4), seeds=[s]),
+        # one integral's seeds may come as a flat list
+        lambda s: integrate_real_line_compactified_batch(
+            lambda t, k: 1.0 / (1.0 + t**4), 1, seeds=[s]
+        ),
         lambda s: integrate_real_line_compactified_batch(
             lambda t, k: 1.0 / (1.0 + t**4), 1, seeds=[[s]]
         ),
@@ -664,12 +689,14 @@ def test_semi_infinite_overflowing_block_stops_unconverged_at_once():
     # the first block's weighted |f| sum overflows: its error is inf, and the
     # integral stops there instead of running on to its 64-block budget
     r = _no_warning(
-        lambda: integrate_semi_infinite(lambda x: np.where(x < 1, 1.7e308, np.exp(-x)))
+        lambda: integrate_semi_infinite_batch(
+            lambda x, k: np.where(x < 1, 1.7e308, np.exp(-x)), 1
+        )
     )
-    assert r.value == math.inf
-    assert r.error_estimate == math.inf
-    assert not r.converged
-    assert r.evaluations == 15
+    assert r.value[0] == math.inf
+    assert r.error_estimate[0] == math.inf
+    assert not r.converged[0]
+    assert r.evaluations[0] == 15
 
 
 def test_semi_infinite_batch_overflow_stops_only_its_member():
@@ -698,13 +725,13 @@ def test_overflowing_block_tail_bound_is_never_met():
     # every block value is finite, but their sum overflows at the third
     # block; the infinite total meets no target, and the integral stops
     # there rather than running on to its 64-block budget
-    def f(x):
+    def f(x, k):
         return np.select([x < 1, x < 2, x < 4], [0.5e308, 0.889e308, 0.4e308], 0.0)
 
-    r = _no_warning(lambda: integrate_semi_infinite(f))
-    assert r.value == math.inf
-    assert not r.converged
-    assert r.evaluations == 45
+    r = _no_warning(lambda: integrate_semi_infinite_batch(f, 1))
+    assert r.value[0] == math.inf
+    assert not r.converged[0]
+    assert r.evaluations[0] == 45
 
 
 def test_overflowed_interval_total_is_not_converged():
@@ -712,11 +739,11 @@ def test_overflowed_interval_total_is_not_converged():
     # but an infinite total meets no target, and the integral stops after
     # its three initial panels rather than spending its split budget
     r = _no_warning(
-        lambda: integrate_interval(lambda t: np.full_like(t, 0.8e308), 0.0, 3.0, breakpoints=[1.0, 2.0])
+        lambda: _interval(lambda t, k: np.full_like(t, 0.8e308), 0.0, 3.0, np.array([[1.0, 2.0]]))
     )
-    assert r.value == math.inf and math.isfinite(r.error_estimate)
-    assert not r.converged
-    assert r.evaluations == 45
+    assert r.value[0] == math.inf and math.isfinite(r.error_estimate[0])
+    assert not r.converged[0]
+    assert r.evaluations[0] == 45
 
 
 def test_non_finite_tail_bound_value_names_its_abscissa():
@@ -729,43 +756,8 @@ def test_non_finite_tail_bound_value_names_its_abscissa():
         integrate_real_line(f)
     assert _named_abscissa(err) == -12.0
     with pytest.raises(IntegrationError, match="^integrand returned a non-finite value") as err:
-        integrate_real_line_batch(lambda t, k: np.where(k == 1, f(t), _gauss(t)), 2)
+        integrate_real_line_batch(lambda t, k: np.where(k == 1, f(t), np.exp(-t * t)), 2)
     assert _named_abscissa(err) == -12.0
-
-
-# ------------------------------------------------------- argument checks
-#
-# The batched integrators check center, scale and seeds; the scalar ones
-# pass their arguments through, so both raise the same message, with Python
-# floats in it.
-
-
-def _gauss(t, k=None):
-    return np.exp(-t * t)
-
-
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        ({"center": [0.0, math.inf]}, "^center must be finite, got inf$"),
-        ({"center": math.nan}, "^center must be finite, got nan$"),
-        ({"scale": [1.0, -math.inf]}, "^scale must be finite, got -inf$"),
-        ({"scale": [1.0, 0.0]}, r"^scale must be > 0, got 0\.0$"),
-        ({"scale": -2.0}, r"^scale must be > 0, got -2\.0$"),
-    ],
-)
-def test_real_line_center_and_scale_checks(kwargs, message):
-    with pytest.raises(DomainError, match=message):
-        integrate_real_line_batch(_gauss, 2, **kwargs)
-    scalar = {k: v[-1] if isinstance(v, list) else v for k, v in kwargs.items()}
-    with pytest.raises(DomainError, match=message):
-        integrate_real_line(_gauss, **scalar)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_breakpoint_names_the_breakpoints(bad):
-    with pytest.raises(DomainError, match="^breakpoints must be finite$"):
-        integrate_interval(lambda t: t, 0.0, 1.0, breakpoints=[0.5, bad])
 
 
 # ---------------------------------------------------- one scalar route shell
@@ -818,3 +810,64 @@ def test_route_point_names_an_unconverged_point_and_its_estimate():
         match=r"^quadrature did not converge at \(a, u\)=\(2\.0, 0\.5\); error estimate 2\.500e-01$",
     ):
         quadrature._route_point(route, None, True, a=2.0, u=0.5)
+
+
+# each public scalar route and the batched route it makes its one-point call to
+_SHELLS = {
+    "h2_quadrature": (routes.h2_quadrature, routes._h2_route),
+    "i2_quadrature": (routes.i2_quadrature, routes._i2_route),
+    "h2_rectangle": (
+        lambda a, u1, u2, cfg: routes.h2_rectangle(a, u1, u2, config=cfg), routes._rectangle_route
+    ),
+    "double": (
+        lambda a, u1, u2, cfg: routes.h2_integral_rep(a, u1, u2, "double", cfg), routes._h2_route
+    ),
+    "single_complex": (
+        lambda a, u1, u2, cfg: routes.h2_integral_rep(a, u1, u2, "single_complex", cfg),
+        routes._rep_single_complex,
+    ),
+    "h0_laplace_rep": (
+        lambda a, u, _, cfg: routes.h0_laplace_rep(a, u, cfg),
+        lambda a, u, _, cfg: routes._laplace_route(a, u, cfg),
+    ),
+}
+
+# a one-split budget leaves some points unconverged, the tight one most
+_SHELL_CONFIGS = [
+    None,
+    QuadratureConfig(max_subdivisions=1),
+    QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=1),
+]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(_SHELLS)),
+    a=st.floats(0.1, 5.0),
+    u1=st.floats(-3.0, 3.0),
+    u2=st.floats(-3.0, 3.0),
+    cfg=st.sampled_from(_SHELL_CONFIGS),
+)
+def test_scalar_route_returns_its_one_point_batch(name, a, u1, u2, cfg):
+    # the scalar call is the one-point batch: its value and estimate bit for
+    # bit as Python floats where the batch converged, IntegrationError where
+    # it did not
+    scalar, route = _SHELLS[name]
+    batch = route(np.array([a]), np.array([u1]), np.array([u2]), cfg)
+    if not batch.converged[0]:
+        with pytest.raises(IntegrationError, match="^quadrature did not converge at"):
+            scalar(a, u1, u2, cfg)
+        return
+    r = scalar(a, u1, u2, cfg)
+    assert type(r.value) is float and type(r.error_estimate) is float
+    assert r.value.hex() == float(batch.value[0]).hex()
+    assert r.error_estimate.hex() == float(batch.error_estimate[0]).hex()
+    assert r.method == "quadrature"
+
+
+def test_scalar_route_shell_reaches_both_outcomes():
+    # the property above sees converged and unconverged batches alike
+    a, u1, u2 = np.array([0.1]), np.array([2.0]), np.array([-2.0])
+    for _, route in _SHELLS.values():
+        assert route(a, u1, u2, None).converged[0]
+        assert not route(a, u1, u2, _SHELL_CONFIGS[2]).converged[0]

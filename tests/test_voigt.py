@@ -23,7 +23,7 @@ from relvoigt import (
 from relvoigt.quadrature import (
     QuadratureConfig,
     integrate_real_line,
-    integrate_real_line_compactified,
+    integrate_real_line_compactified_batch,
 )
 from relvoigt.routes import _laplace_route
 
@@ -151,13 +151,14 @@ def test_h0_laplace_rep_requires_positive_a():
 
 def test_v0_normalized():
     p = ProfileParams(mu=1.0, gamma=0.2, sigma=0.3)
-    r = integrate_real_line_compactified(
-        lambda e: np.vectorize(lambda x: v0(x, p))(e),
+    r = integrate_real_line_compactified_batch(
+        lambda e, k: np.vectorize(lambda x: v0(x, p))(e),
+        1,
         QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10),
-        seeds=[1.0],
+        seeds=[[1.0]],
     )
-    assert r.converged
-    assert abs(r.value - 1.0) < 1e-9
+    assert r.converged[0]
+    assert abs(r.value[0] - 1.0) < 1e-9
 
 
 def test_v0_symmetric_about_mu():
@@ -170,19 +171,20 @@ def test_v0_symmetric_about_mu():
 def test_v0_is_the_convolution():
     """Direct numerical convolution of the two densities reproduces v0."""
     p = ProfileParams(mu=1.0, gamma=0.5, sigma=0.3)
+    # E' = e + s x puts the Gaussian factor at e^{-x^2}
+    s = p.sigma * math.sqrt(2.0)
     for e in (0.4, 1.0, 1.9):
 
-        def f(ep: np.ndarray) -> np.ndarray:
+        def f(x: np.ndarray) -> np.ndarray:
+            ep = e + s * x
             lor = (p.gamma / (2.0 * math.pi)) / ((ep - p.mu) ** 2 + (p.gamma / 2.0) ** 2)
             gau = np.exp(-((e - ep) ** 2) / (2.0 * p.sigma**2)) / (p.sigma * SQRT_2PI)
-            return lor * gau
+            return s * lor * gau
 
         r = integrate_real_line(
             f,
             QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12),
-            seeds=[p.mu, e],
-            center=e,
-            scale=p.sigma * math.sqrt(2.0),
+            seeds=[(p.mu - e) / s, 0.0],
         )
         assert r.converged
         assert abs(r.value - v0(e, p)) < 1e-10
