@@ -56,12 +56,16 @@ def require_finite(name: str, x: float) -> float:
     """x as a float; DomainError naming the argument unless it is finite.
 
     x is converted by float(), so anything float() rejects, such as None,
-    is a DomainError too.
+    is a DomainError too, and so is a numpy complex value.
     """
-    try:
-        x = float(x)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a real number, got {x!r}") from None
+    if type(x) is not float:
+        try:
+            # float() would take a numpy complex value's real part
+            if not isinstance(x, float) and getattr(getattr(x, "dtype", None), "kind", "") == "c":
+                raise TypeError
+            x = float(x)
+        except (TypeError, ValueError):
+            raise DomainError(f"{name} must be a real number, got {x!r}") from None
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x!r}")
     return x

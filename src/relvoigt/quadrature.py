@@ -7,17 +7,17 @@ integrators are built from scratch on the embedded 7/15 Gauss-Kronrod pair
 free, giving per-panel error estimates) plus interval bookkeeping, with no
 third-party integration backend.
 
-There is one refinement loop.  It carries any number of independent
-integrals in lock-step: every round evaluates all new panels of all live
-integrals in a single integrand call, then each integral applies its own
-stop test, error-share split and subdivision budget, finishes on its own
-and has its panels dropped.  The ``*_batch`` integrators run it over many
-integrals, one group of them live at a time: 64 integrals, or as many as
-fit in 1,024 initial panels, whichever is more, so a round's abscissas stay
-bounded however many integrals a call carries.  They are the layer's one
-interface: every route makes one batched call, and a single integral is a
-batch of one.  The one scalar entry, integrate_real_line, is a batch of one
-as well; it stays only because the benchmark's per-layer probe calls it.
+There is one refinement loop.  It carries all the integrals of a call in
+lock-step: every round evaluates the new panels of all live integrals,
+handing the integrand consecutive runs of at most 2,048 panels, then each
+integral applies its own stop test, error-share split and subdivision
+budget, finishes on its own and has its panels dropped.  So one integrand
+call's abscissas stay bounded however many integrals a call carries, while
+the loop's per-panel bookkeeping grows with the call's initial panels.  The
+``*_batch`` integrators are the layer's one interface: every route makes
+one batched call, and a single integral is a batch of one.  The one scalar
+entry, integrate_real_line, is a batch of one as well; it stays only
+because the benchmark's per-layer probe calls it.
 
 There is one stop rule, QuadratureConfig.met: an error estimate is met when
 it and the value are finite and the estimate is at most
@@ -123,15 +123,13 @@ _WG = np.array(
     ]
 )
 
-# A group is the integrals live at once in one refinement loop.  A round's
-# abscissas and panel arrays scale with the group's initial panels, so a
-# group holds up to _GROUP integrals within 4 * _GROUP_PANELS initial panels
-# (at least one), or as many as fit in _GROUP_PANELS, whichever is more.
-# Integrals of ~45 panels (the h2 oracle's) go 64 at a time, which keeps the
-# verify suites' peak memory within a few MB; one-panel integrals (semi-
-# infinite blocks) go 1,024 at a time, spreading a round's fixed overhead.
-_GROUP = 64
-_GROUP_PANELS = 1024
+# A round's panels go to the integrand in consecutive runs of at most
+# _CHUNK, so its abscissas stay bounded however many integrals a call
+# carries.  Smaller runs pay each integrand call's fixed overhead more often.
+_CHUNK = 2048
+
+# the grid forms hand their route at most this many points per call
+_ROUTE_POINTS = 1024
 
 # a semi-infinite integral stops unconverged after this many blocks, at x = 2^63
 _MAX_BLOCKS = 64
@@ -283,19 +281,31 @@ def _wide(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return (hi - lo) > 64.0 * _EPS * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
 
 
+def _eval_chunks(f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
+    # _eval_panels on consecutive runs of at most _CHUNK panels
+    parts = [
+        _eval_panels(f, lo[i : i + _CHUNK], hi[i : i + _CHUNK], owner[i : i + _CHUNK])
+        for i in range(0, lo.size, _CHUNK)
+    ]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
 def _refine(f: BatchIntegrand, plo, phi, own, n: int, cfg: QuadratureConfig):
     """Adaptively integrate n integrals from their initial panels, in lock-step.
 
     plo, phi and own list every initial panel with the index (0..n-1) of
-    its integral.  Each integral follows the rule of a lone integral: stop
-    converged once cfg.met(error sum, value); otherwise split
-    every panel holding more than its share of the error and wider than 64
-    ulps, worst first when fewer splits remain in the max_subdivisions
-    budget; stop unconverged when the budget is spent, nothing can be
-    split or the value is no longer finite.  Returns per-integral (value,
-    error, converged, evaluations).
+    its integral; n >= 1.  Each round evaluates the new panels of every
+    live integral, at most _CHUNK panels per integrand call.  Each integral
+    follows the rule of a lone integral: stop converged once
+    cfg.met(error sum, value); otherwise split every panel holding more
+    than its share of the error and wider than 64 ulps, worst first when
+    fewer splits remain in the max_subdivisions budget; stop unconverged
+    when the budget is spent, nothing can be split or the value is no
+    longer finite.  An integral's panels keep their order whatever shares
+    the loop, so its sums add in the same order.  Returns per-integral
+    (value, error, converged, evaluations).
     """
-    val, err = _eval_panels(f, plo, phi, own)
+    val, err = _eval_chunks(f, plo, phi, own)
     wide = _wide(plo, phi)
     # a split turns one panel into two, so an integral holds its initial
     # panels plus its splits
@@ -347,7 +357,7 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, cfg: QuadratureConfig):
         new_lo = np.concatenate([a, m])
         new_hi = np.concatenate([m, b])
         new_own = np.concatenate([o, o])
-        new_val, new_err = _eval_panels(f, new_lo, new_hi, new_own)
+        new_val, new_err = _eval_chunks(f, new_lo, new_hi, new_own)
         evaluations += 2 * _XK.size * taken
 
         keep[idx] = False
@@ -359,33 +369,19 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, cfg: QuadratureConfig):
         wide = np.concatenate([wide[keep], _wide(new_lo, new_hi)])
 
 
-def _group_bounds(panels: np.ndarray) -> list[int]:
-    """Start and end indices of the groups for integrals of the given panel counts.
-
-    Each group takes the next _GROUP integrals while their initial panels
-    total at most 4 * _GROUP_PANELS (but at least one integral), or more
-    while they total at most _GROUP_PANELS.
-    """
-    cum = np.cumsum(panels)
-    bounds = [0]
-    while bounds[-1] < panels.size:
-        k0 = bounds[-1]
-        base = cum[k0 - 1] if k0 else 0
-        fit, cap = np.searchsorted(cum, base + _GROUP_PANELS * np.array([1, 4]), side="right")
-        bounds.append(int(max(k0 + 1, min(k0 + _GROUP, cap), fit)))
-    return bounds
-
-
-def _integrate_groups(
+def _integrate_intervals(
     f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, cfg: QuadratureConfig, breaks=None
 ):
-    """Integrate f over [lo[k], hi[k]] for every k, one group of integrals at a time.
+    """Integrate f over [lo[k], hi[k]] for every k, all in one refinement loop.
 
     Every lo[k] < hi[k].  breaks, an (n, m) array, adds initial panel edges
     per integral; they are clipped onto [lo, hi] and duplicates are dropped.
-    Groups follow _group_bounds.  Returns per-integral (value, error,
-    converged, evaluations).
+    The loop's bookkeeping holds every live panel of every integral, so it
+    grows with the call's initial panels; the integrand calls do not.
+    Returns per-integral (value, error, converged, evaluations).
     """
+    if lo.size == 0:
+        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
     if breaks is None:
         plo, phi, own = lo, hi, np.arange(lo.size)
     else:
@@ -393,20 +389,7 @@ def _integrate_groups(
         edges = np.sort(np.concatenate([l, h, np.clip(breaks, l, h)], axis=1), axis=1)
         keep = edges[:, 1:] > edges[:, :-1]
         plo, phi, own = edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
-    # own is sorted, so each group's initial panels are one contiguous run
-    first = np.searchsorted(own, np.arange(lo.size + 1))
-    parts = []
-    bounds = _group_bounds(np.diff(first))
-    for k0, k1 in zip(bounds, bounds[1:]):
-        p0, p1 = first[k0], first[k1]
-
-        def g(x, o, k0=k0):
-            return f(x, o + k0)
-
-        parts.append(_refine(g, plo[p0:p1], phi[p0:p1], own[p0:p1] - k0, k1 - k0, cfg))
-    if not parts:
-        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    return _refine(f, plo, phi, own, lo.size, cfg)
 
 
 def quadrature_grid(route, rules, *coords: np.ndarray) -> GridResult:
@@ -415,12 +398,10 @@ def quadrature_grid(route, rules, *coords: np.ndarray) -> GridResult:
     coords are arrays of one shape, and rules the (mask, exception) failure
     rules of the checks before the route, as grid_result takes them.
     route(*coords) integrates the points whose coordinates it is given and
-    returns a QuadratureBatch.  It is called on up to _GROUP_PANELS points
+    returns a QuadratureBatch.  It is called on up to _ROUTE_POINTS points
     at a time to bound memory: a route builds its seeds, initial panel
-    edges and tail-bound rows for every point of a call at once, and
-    handing each grid to its route in one call raised the peak traced
-    memory of run_suite("all") from 4.6 to 11.5 MB (maxrss 60.1 to
-    66.7 MB).  Its refinement still runs one group at a time.
+    edges and tail-bound rows for every point of a call at once, and its
+    refinement loop holds every live panel of them.
     A point that does not converge fails with IntegrationError, as the
     scalar route raises there.  A non-finite integrand value aborts a whole
     call, so after one the chunk is bisected: each half is rerun, and only
@@ -448,8 +429,8 @@ def quadrature_grid(route, rules, *coords: np.ndarray) -> GridResult:
 
     checked = functools.reduce(operator.or_, [mask for mask, _ in rules], np.zeros(shape, bool))
     live = np.flatnonzero(~checked)
-    for k0 in range(0, live.size, _GROUP_PANELS):
-        run(live[k0 : k0 + _GROUP_PANELS])
+    for k0 in range(0, live.size, _ROUTE_POINTS):
+        run(live[k0 : k0 + _ROUTE_POINTS])
     return grid_result(shape, [*rules, (failed, IntegrationError)], value, estimate)
 
 
@@ -515,7 +496,8 @@ def integrate_real_line_batch(
     A problem centred elsewhere or of another width substitutes
     t = c + s x itself.  seeds is an (n, m) array of panel seeds, row k
     for integral k (repeat a value to pad a short row); they become
-    initial panel boundaries.
+    initial panel boundaries.  The call's memory grows with its up to
+    n * (16 + m) initial panels, as its seeds do.
     """
     cfg = config if config is not None else QuadratureConfig()
     lo = np.full(n, -_RADIUS)
@@ -524,7 +506,7 @@ def integrate_real_line_batch(
     if seeds is not None:
         pts = np.concatenate([pts, _seeds(seeds, n)], axis=1)
 
-    value, error, converged, evaluations = _integrate_groups(f, lo, hi, cfg, pts)
+    value, error, converged, evaluations = _integrate_intervals(f, lo, hi, cfg, pts)
     # Gaussian tail bound at the truncation points; it may overflow like a panel sum
     ends = np.stack([lo, hi], axis=1)
     edge = _call(f, ends, np.arange(n)[:, None])
@@ -562,7 +544,8 @@ def integrate_real_line_compactified_batch(
     All abscissas are interior, so the endpoints are never evaluated.  This
     covers integrands the Gaussian-envelope truncation of
     integrate_real_line_batch would bias, such as pure rational densities.
-    seeds is an (n, m) array, row k for integral k.
+    seeds is an (n, m) array, row k for integral k.  The call's memory grows
+    with its up to n * (32 + m) initial panels, as its seeds do.
     """
     cfg = config if config is not None else QuadratureConfig()
 
@@ -575,7 +558,7 @@ def integrate_real_line_compactified_batch(
     if seeds is not None:
         pts = np.concatenate([pts, np.arctan(_seeds(seeds, n))], axis=1)
     edge = np.full(n, half_pi)
-    return QuadratureBatch(*_integrate_groups(g, -edge, edge, cfg, pts))
+    return QuadratureBatch(*_integrate_intervals(g, -edge, edge, cfg, pts))
 
 
 def integrate_semi_infinite_batch(
@@ -589,7 +572,8 @@ def integrate_semi_infinite_batch(
     of the block values and folded into the error estimate.  Every live
     integral advances by one block per round, and the blocks of a round are
     integrated together.  An integral whose error sum or total is no longer
-    finite stops unconverged at once.
+    finite stops unconverged at once.  The call's memory grows with n: each
+    round starts from one panel per live integral.
     """
     cfg = config if config is not None else QuadratureConfig()
     block_cfg = QuadratureConfig(
@@ -613,7 +597,7 @@ def integrate_semi_infinite_batch(
         def g(x, o, live=live):
             return f(x, live[o])
 
-        v, er, _, ev = _integrate_groups(g, e, nxt, block_cfg)
+        v, er, _, ev = _integrate_intervals(g, e, nxt, block_cfg)
         if total is None:
             total = np.zeros(n, dtype=v.dtype)
             value = np.zeros(n, dtype=v.dtype)

@@ -30,7 +30,7 @@ from .quadrature import (
     _EPS,
     QuadratureBatch,
     QuadratureConfig,
-    _integrate_groups,
+    _integrate_intervals,
     _route_point,
     integrate_real_line_batch,
     integrate_real_line_compactified_batch,
@@ -265,7 +265,9 @@ def _rep_single_complex(a, u1, u2, config=None) -> QuadratureBatch:
     # each row is np.linspace(0, x_max, count), padded by repeating x_max
     j = np.arange(count.max())
     breaks = np.where(j < count[:, None] - 1, j * (x_max / (count - 1))[:, None], x_max[:, None])
-    value, err, converged, evaluations = _integrate_groups(f, np.zeros(a.size), x_max, cfg, breaks)
+    value, err, converged, evaluations = _integrate_intervals(
+        f, np.zeros(a.size), x_max, cfg, breaks
+    )
     return QuadratureBatch(value, err + np.exp(-a * x_max) / a, converged, evaluations)
 
 

@@ -133,11 +133,13 @@ _POINT = {"a": 0.5, "u": 0.3, "u1": 0.4, "u2": -0.7, "e": 0.9, "mu": 1.1, "gamma
 @pytest.mark.parametrize("function", sorted(_EVERY_GRID))
 def test_grid_names_an_argument_that_is_not_real(function):
     # the DomainError the scalar evaluator raises, naming the argument, for
-    # a complex or non-numeric value; DomainError is a ValueError as well
+    # a complex or non-numeric value; DomainError is a ValueError as well.
+    # A numpy complex scalar is refused too, rather than cast to its real part
     names, scalar, grid = _EVERY_GRID[function]
     args = {name: _POINT[name] for name in names}
+    numpy_complex = np.complex128(0.5 + 1j), re.escape("np.complex128(0.5+1j)")
     for name in names:
-        for bad, shown in ((1j, "1j"), ("x", "'x'")):
+        for bad, shown in ((1j, "1j"), ("x", "'x'"), numpy_complex):
             message = f"^{name} must be a real number, got {shown}$"
             with pytest.raises(DomainError, match=message):
                 scalar({**args, name: bad})

@@ -196,6 +196,15 @@ def test_numpy_scalar_params_act_as_floats():
                 assert got == want
 
 
+def test_numpy_complex_params_are_refused():
+    # float() would keep a numpy complex field's real part, with a warning
+    for name in ("mu", "gamma", "sigma"):
+        fields = {"mu": 1.0, "gamma": 0.5, "sigma": 0.3, name: np.complex128(0.5 + 1j)}
+        message = f"^{name} must be a real number, got {re.escape('np.complex128(0.5+1j)')}$"
+        with pytest.raises(DomainError, match=message):
+            ProfileParams(**fields)
+
+
 def test_bw_rel_out_of_range_is_domain_error():
     """A density that is not representable raises; the grid flags the same points."""
     # (e, mu, gamma): E^2 and mu^2 overflow (q = inf - inf); mu gamma and

@@ -31,7 +31,8 @@ SQRT_PI = math.sqrt(math.pi)
 def _interval(f, lo, hi, breaks=None):
     # one integral of the batched integrand f over [lo, hi], breaks a (1, m)
     # array of initial panel edges, through the refinement loop
-    out = quadrature._integrate_groups(f, np.array([lo]), np.array([hi]), QuadratureConfig(), breaks)
+    lo, hi = np.array([lo]), np.array([hi])
+    out = quadrature._integrate_intervals(f, lo, hi, QuadratureConfig(), breaks)
     return QuadratureBatch(*out)
 
 
@@ -151,7 +152,12 @@ def test_config_validation():
 def test_config_tolerances_are_checked_floats(name):
     # a value float() rejects is a DomainError naming the field, like every
     # other argument check, not a bare TypeError or ValueError
-    for bad, shown in ((None, "None"), ("tight", "'tight'"), (1j, "1j")):
+    for bad, shown in (
+        (None, "None"),
+        ("tight", "'tight'"),
+        (1j, "1j"),
+        (np.complex64(0.5), re.escape("np.complex64(0.5+0j)")),
+    ):
         with pytest.raises(DomainError, match=f"^{name} must be a real number, got {shown}$"):
             QuadratureConfig(**{name: bad})
     for bad in (math.nan, math.inf):
@@ -290,53 +296,81 @@ def test_peak_seeds_walk_matches_the_loop():
     assert peak_seeds([[1.0, 2.0]], [0.0]).tolist() == [[1.0, 2.0]]
 
 
-# ------------------------------------------------------------ group sizing
+# ------------------------------------------------------ one loop per call
 #
-# A refinement group holds up to 64 integrals within 4,096 initial panels
-# (at least one), or as many as fit in 1,024 initial panels, whichever is
-# more; a round's abscissas scale with its panels.
+# All the integrals of a call refine in one loop, and each round hands the
+# integrand consecutive runs of at most _CHUNK panels; an integral refines
+# as it would alone.
 
 
-def _group_calls(n, breaks=None):
-    # integrand calls of one _integrate_groups run whose integrals all
-    # converge on their initial panels: one call per group
-    calls = []
+def _chunk_rows(n, breaks=None):
+    # panel rows of each integrand call of one _integrate_intervals run
+    # whose integrals all converge on their initial panels
+    rows = []
 
     def f(x, k):
-        calls.append(np.unique(k))
+        rows.append(x.shape[0])
         return x * x
 
     lo, hi = np.zeros(n), np.ones(n)
-    value, _, converged, _ = quadrature._integrate_groups(
+    value, _, converged, _ = quadrature._integrate_intervals(
         f, lo, hi, QuadratureConfig(), breaks
     )
     assert converged.all()
     assert np.allclose(value, 1.0 / 3.0, rtol=1e-14, atol=0.0)
-    return calls
+    return rows
 
 
-def test_one_panel_integrals_share_a_group_up_to_the_panel_budget():
-    calls = _group_calls(1500)
-    assert [(c[0], c[-1], c.size) for c in calls] == [(0, 1023, 1024), (1024, 1499, 476)]
+def test_no_integrand_call_carries_more_than_a_chunk_of_panels():
+    def runs(panels):
+        chunk = quadrature._CHUNK
+        return [min(chunk, panels - k) for k in range(0, panels, chunk)]
 
-
-def test_many_panel_integrals_still_group_64_at_a_time():
+    assert _chunk_rows(1500) == runs(1500)
     # 44 interior edges: 45 initial panels each, as in the h2 oracle
     breaks = np.broadcast_to(np.linspace(0.0, 1.0, 46)[1:-1], (130, 44))
-    calls = _group_calls(130, breaks)
-    assert [(c[0], c[-1], c.size) for c in calls] == [(0, 63, 64), (64, 127, 64), (128, 129, 2)]
+    assert _chunk_rows(130, breaks) == runs(130 * 45)
 
 
-def test_group_bounds_take_whichever_rule_holds_more():
-    assert quadrature._group_bounds(np.full(250, 10)) == [0, 102, 204, 250]
-    assert quadrature._group_bounds(np.full(130, 45)) == [0, 64, 128, 130]
-    # an integral over the panel budget still groups 64 at a time
-    assert quadrature._group_bounds(np.array([2000, 1, 1])) == [0, 3]
-    # but 64 at a time only within 4,096 panels: long windows go alone
-    assert quadrature._group_bounds(np.full(200, 100)) == [0, 40, 80, 120, 160, 200]
-    assert quadrature._group_bounds(np.full(3, 8000)) == [0, 1, 2, 3]
-    assert quadrature._group_bounds(np.array([8000, 3000, 3000, 1])) == [0, 1, 2, 4]
-    assert quadrature._group_bounds(np.zeros(0, dtype=int)) == [0]
+@pytest.mark.parametrize("kind", ["real_line", "compactified", "semi_infinite"])
+def test_a_batch_of_no_integrals_is_empty(kind):
+    integrate = {
+        "real_line": integrate_real_line_batch,
+        "compactified": integrate_real_line_compactified_batch,
+        "semi_infinite": integrate_semi_infinite_batch,
+    }[kind]
+    batch = integrate(lambda t, k: np.exp(-t * t), 0)
+    for field in (batch.value, batch.error_estimate, batch.converged, batch.evaluations):
+        assert field.shape == (0,)
+
+
+def _spikes(c, w, cfg):
+    # integral k of w[k] / ((t - c[k])^2 + w[k]^2) over [-1, 1] from 9
+    # initial panels: refinement has to find each spike, in fewer rounds the
+    # wider it is, and 500 integrals' first round spans several chunks
+    def f(t, k):
+        return w[k] / ((t - c[k]) ** 2 + w[k] ** 2)
+
+    n = c.size
+    breaks = np.broadcast_to(np.linspace(-1.0, 1.0, 10)[1:-1], (n, 8))
+    return quadrature._integrate_intervals(f, np.full(n, -1.0), np.ones(n), cfg, breaks)
+
+
+@pytest.mark.parametrize("subdivisions", [4000, 30])
+def test_an_integral_refines_alike_alone_and_among_500_companions(subdivisions):
+    rng = np.random.default_rng(22)
+    c = rng.uniform(-0.9, 0.9, 500)
+    w = 10.0 ** rng.uniform(-6.0, 0.0, 500)
+    cfg = QuadratureConfig(max_subdivisions=subdivisions)
+    value, error, converged, evaluations = _spikes(c, w, cfg)
+    assert 0 < converged.sum() < 500 if subdivisions == 30 else converged.all()
+    for k in np.argsort(w)[::50]:
+        v, e, ok, ev = _spikes(c[k : k + 1], w[k : k + 1], cfg)
+        assert (ev[0], ok[0]) == (evaluations[k], converged[k])
+        # only the rounding of the weighted panel sums depends on a panel's
+        # place in the integrand call
+        assert abs(v[0] - value[k]) <= 4 * np.spacing(value[k])
+        assert abs(e[0] - error[k]) <= 1e-3 * error[k]
 
 
 # -------------------------------------------------------- integrand contract
@@ -380,7 +414,7 @@ def test_batched_integrand_sees_panel_rows_and_an_owner_column(kind):
 def _own_windows(f, center):
     # integral k over its own window center[k] +- 12, in 16 initial panels
     edges = center[:, None] + np.linspace(-12.0, 12.0, 17)
-    return quadrature._integrate_groups(f, edges[:, 0], edges[:, -1], QuadratureConfig(), edges)
+    return quadrature._integrate_intervals(f, edges[:, 0], edges[:, -1], QuadratureConfig(), edges)
 
 
 def test_owner_column_matches_each_row_of_abscissas():

@@ -492,6 +492,35 @@ def test_quadrature_grid_bisects_to_a_poisoned_point_in_chunks_of_1024():
     assert np.allclose(res.value[ok], np.sqrt(math.pi / x[ok]), rtol=1e-12, atol=0.0)
 
 
+def test_quadrature_grid_fails_a_point_that_turns_non_finite_in_a_later_round():
+    # point 0.3's integrand is NaN only on panels narrower than 0.05, which
+    # refinement reaches rounds after the first: that aborts the whole
+    # refinement loop of a route call, and the bisection still fails that
+    # point alone and keeps every other value
+    x = np.array([0.5, 1.0, 0.3, 2.0, 1.5])
+    first_round = []
+
+    def route(x, poison=0.3):
+        def f(t, k):
+            v = np.exp(-t * t) / ((t - x[k]) ** 2 + 1e-4)
+            narrow = t[:, -1:] - t[:, :1] < 0.05
+            v = np.where(narrow & (x[k] == poison), np.nan, v)
+            first_round.append(np.isfinite(v).all())
+            return v
+
+        return integrate_real_line_batch(f, x.size, seeds=x[:, None])
+
+    res = quadrature_grid(route, [], x)
+    assert first_round[0] and not all(first_round)
+    assert res.error.tolist() == ["", "", "IntegrationError", "", ""]
+    clean = route(x, poison=None)
+    assert clean.converged.all()
+    ok = res.error == ""
+    assert np.isnan(res.value[~ok]).all()
+    assert np.allclose(res.value[ok], clean.value[ok], rtol=1e-12, atol=0.0)
+    assert (np.abs(res.value - clean.value)[ok] <= clean.error_estimate[ok]).all()
+
+
 def _twin_batch():
     # the oracle's a values at random u1, u2, on the diagonal and at +-0.0
     rng = np.random.default_rng(33)

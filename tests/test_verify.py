@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -69,9 +70,10 @@ def test_verify_all_passes_every_pinned_check():
 
 
 def test_no_refinement_round_grows_past_the_oracle_group(monkeypatch):
-    # the largest round is the first one of a 64-integral h2 oracle group,
-    # 45,840 abscissas; batching the representation routes must stay below
-    # it, so peak memory does not grow with the batches
+    # a refinement round reaches the integrand in runs of at most _CHUNK
+    # panels, however many integrals a route call refines together, so
+    # peak memory does not grow with the batches; 45,840 abscissas, the
+    # first round of 64 h2 oracle integrals of 45 panels each, bounds them
     largest = [0]
     eval_panels = quadrature._eval_panels
 
@@ -83,6 +85,19 @@ def test_no_refinement_round_grows_past_the_oracle_group(monkeypatch):
     reports = run_suite("all")
     assert all(r.passed for r in reports)
     assert largest[0] <= 45_840
+
+
+def test_verify_all_traced_memory_stays_bounded():
+    # the refinement loop's bookkeeping grows with a route call's initial
+    # panels, and the grid forms cap a call at 1,024 points
+    tracemalloc.start()
+    try:
+        reports = run_suite("all")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak <= 8e6
 
 
 def test_oracle_integrates_each_twin_pair_once(monkeypatch):
