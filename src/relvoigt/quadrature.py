@@ -13,18 +13,20 @@ handing the integrand consecutive runs of at most 2,048 panels, then each
 integral applies its own stop test, error-share split and subdivision
 budget, finishes on its own and has its panels dropped.  So one integrand
 call's abscissas stay bounded however many integrals a call carries, while
-the loop's per-panel bookkeeping grows with the call's initial panels.  The
-``*_batch`` integrators are the layer's one interface: every route makes
-one batched call, and a single integral is a batch of one.  The one scalar
-entry, integrate_real_line, is a batch of one as well; it stays only
-because the benchmark's per-layer probe calls it.
+the loop's per-panel bookkeeping grows with the call's initial panels.
+Every route makes one batched call, and a single integral is a batch of
+one: the ``*_batch`` integrators cover the real line, and _integrate_intervals
+covers finite windows, such as the truncated half-lines of the H0 Laplace
+and H2 single_complex routes, which add their analytic tail bounds
+themselves.  The one scalar entry, integrate_real_line, is a batch of one
+as well; it stays only because the benchmark's per-layer probe calls it.
 
 There is one stop rule, QuadratureConfig.met: an error estimate is met when
 it and the value are finite and the estimate is at most
-max(abs_tol, rel_tol * |value|).  The refinement loop, the real-line tail
-bound and the semi-infinite block test apply it, so neither an estimate
-that overflowed nor a total that did ever converges, and an integral whose
-total is no longer finite stops unconverged at once.
+max(abs_tol, rel_tol * |value|).  The refinement loop and the real-line
+tail bound apply it, so neither an estimate that overflowed nor a total
+that did ever converges, and an integral whose total is no longer finite
+stops unconverged at once.
 
 Integrand contract.  A batched integrand is called panel-major: it
 receives a 2-D array of abscissas, one row per panel holding that panel's
@@ -65,7 +67,6 @@ __all__ = [
     "integrate_real_line",
     "integrate_real_line_batch",
     "integrate_real_line_compactified_batch",
-    "integrate_semi_infinite_batch",
     "peak_seeds",
 ]
 
@@ -130,9 +131,6 @@ _CHUNK = 2048
 
 # the grid forms hand their route at most this many points per call
 _ROUTE_POINTS = 1024
-
-# a semi-infinite integral stops unconverged after this many blocks, at x = 2^63
-_MAX_BLOCKS = 64
 
 # the real-line half-width R, in units of the integrand's Gaussian envelope:
 # the e^{-t^2} tail beyond it is below 1e-62
@@ -406,7 +404,9 @@ def quadrature_grid(route, rules, *coords: np.ndarray) -> GridResult:
     scalar route raises there.  A non-finite integrand value aborts a whole
     call, so after one the chunk is bisected: each half is rerun, and only
     a half that raises again is split further, down to the single points
-    that raise themselves.
+    that raise themselves.  The route runs with numpy's floating-point
+    warnings off, as inside _route_point: a value that leaves double range
+    surfaces as a failed point or a value within its target, not a warning.
     """
     shape = coords[0].shape
     value = np.zeros(shape)
@@ -429,8 +429,9 @@ def quadrature_grid(route, rules, *coords: np.ndarray) -> GridResult:
 
     checked = functools.reduce(operator.or_, [mask for mask, _ in rules], np.zeros(shape, bool))
     live = np.flatnonzero(~checked)
-    for k0 in range(0, live.size, _ROUTE_POINTS):
-        run(live[k0 : k0 + _ROUTE_POINTS])
+    with np.errstate(all="ignore"):
+        for k0 in range(0, live.size, _ROUTE_POINTS):
+            run(live[k0 : k0 + _ROUTE_POINTS])
     return grid_result(shape, [*rules, (failed, IntegrationError)], value, estimate)
 
 
@@ -561,84 +562,14 @@ def integrate_real_line_compactified_batch(
     return QuadratureBatch(*_integrate_intervals(g, -edge, edge, cfg, pts))
 
 
-def integrate_semi_infinite_batch(
-    f: BatchIntegrand, n: int, config: QuadratureConfig | None = None
-) -> QuadratureBatch:
-    """Integrate n exponentially enveloped integrands over [0, inf) at once.
-
-    Each interval is covered by geometrically growing blocks [0,1], [1,2],
-    [2,4], ... until block contributions fall below tolerance, at most 64
-    blocks; the remaining tail is bounded by the measured geometric decay
-    of the block values and folded into the error estimate.  Every live
-    integral advances by one block per round, and the blocks of a round are
-    integrated together.  An integral whose error sum or total is no longer
-    finite stops unconverged at once.  The call's memory grows with n: each
-    round starts from one panel per live integral.
-    """
-    cfg = config if config is not None else QuadratureConfig()
-    block_cfg = QuadratureConfig(
-        abs_tol=cfg.abs_tol / 32.0,
-        rel_tol=min(cfg.rel_tol, 1e-12),
-        max_subdivisions=cfg.max_subdivisions,
-    )
-
-    edge = np.zeros(n)
-    err_sum = np.zeros(n)
-    evaluations = np.zeros(n, dtype=np.int64)
-    error = np.zeros(n)
-    converged = np.zeros(n, dtype=bool)
-    total = value = last = None
-    live = np.arange(n)
-    block = 0
-    while live.size:
-        e = edge[live]
-        nxt = np.where(e == 0.0, 1.0, 2.0 * e)
-
-        def g(x, o, live=live):
-            return f(x, live[o])
-
-        v, er, _, ev = _integrate_intervals(g, e, nxt, block_cfg)
-        if total is None:
-            total = np.zeros(n, dtype=v.dtype)
-            value = np.zeros(n, dtype=v.dtype)
-            last = np.zeros(n, dtype=v.dtype)
-        evaluations[live] += ev
-        edge[live] = nxt
-        block += 1
-
-        # block sums may overflow like panel sums; an inf error meets no target
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            mag, mag1 = np.abs(v), np.abs(last[live])
-            last[live] = v
-            total[live] += v
-            err_sum[live] += er
-            tot, es = total[live], err_sum[live]
-            out_err = es + mag
-            ok = np.zeros(live.size, dtype=bool)
-            if block >= 3:
-                # remaining tail bounded by the measured geometric decay of
-                # the last two block values
-                rho = np.where(mag1 > 0.0, mag / mag1, 0.0)
-                tail_bound = np.where(rho > 0.0, mag * rho / (1.0 - rho), 0.0)
-                ok = (rho < 0.95) & cfg.met(es + tail_bound + mag * _EPS, tot)
-                out_err = np.where(ok, es + tail_bound, out_err)
-        finished = ok | (block >= _MAX_BLOCKS) | ~np.isfinite(es) | ~np.isfinite(tot)
-        k = live[finished]
-        value[k] = tot[finished]
-        error[k] = out_err[finished]
-        converged[k] = ok[finished]
-        live = live[~finished]
-
-    if value is None:
-        value = np.zeros(n)
-    return QuadratureBatch(value, error, converged, evaluations)
-
-
 def _route_point(route, config, positive: bool, **point) -> EvalResult:
     """A public scalar entry: one point, a first, through route(*coords, config).
 
     Every coordinate must be finite and a > 0 if positive, else nonzero;
     IntegrationError names a point that does not converge and its estimate.
+    The route runs with numpy's floating-point warnings off, so a value
+    that leaves double range surfaces as IntegrationError or a value within
+    its target, never as a RuntimeWarning.
     """
     for name, x in point.items():
         point[name] = require_finite(name, x)
@@ -647,7 +578,8 @@ def _route_point(route, config, positive: bool, **point) -> EvalResult:
         raise DomainError(f"a must be > 0 on this route, got {a!r}")
     if a == 0.0:
         raise DomainError(f"a must be nonzero on this route, got {a!r}")
-    r = route(*(np.array([x]) for x in point.values()), config)
+    with np.errstate(all="ignore"):
+        r = route(*(np.array([x]) for x in point.values()), config)
     value, estimate = float(r.value[0]), float(r.error_estimate[0])
     if not r.converged[0]:
         raise IntegrationError(

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import rel_voigt, voigt
 from .catalog import PARAMETERS
-from .errors import DomainError, require_int
+from .errors import DomainError, require_finite, require_int
 from .profiles import ProfileParams
 from .result import _GRID_NAMES, GridResult
 
@@ -84,7 +84,7 @@ class SweepSpec:
     scale: str = "linear"
 
     def __post_init__(self) -> None:
-        if self.function not in FUNCTIONS:
+        if self.function not in tuple(FUNCTIONS):
             raise DomainError(
                 f"unknown function {self.function!r}, expected one of "
                 f"{sorted(FUNCTIONS)}"
@@ -95,8 +95,7 @@ class SweepSpec:
                 f"axis {self.axis!r} is not a parameter of {self.function} "
                 f"(parameters: {', '.join(names)})"
             )
-        fixed = {str(k): float(v) for k, v in dict(self.fixed).items()}
-        object.__setattr__(self, "fixed", fixed)
+        fixed = {str(k): v for k, v in dict(self.fixed).items()}
         if self.axis in fixed:
             raise DomainError(f"axis {self.axis!r} must not also be fixed")
         expected = set(names) - {self.axis}
@@ -105,14 +104,10 @@ class SweepSpec:
                 f"fixed parameters for {self.function} must be exactly "
                 f"{sorted(expected)}, got {sorted(fixed)}"
             )
-        for k, v in fixed.items():
-            if not math.isfinite(v):
-                raise DomainError(f"fixed parameter {k} must be finite, got {v!r}")
+        fixed = {k: require_finite(f"fixed parameter {k}", v) for k, v in fixed.items()}
+        object.__setattr__(self, "fixed", fixed)
         for name in ("start", "stop"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
         if not self.start < self.stop:
             raise DomainError(f"need start < stop, got [{self.start!r}, {self.stop!r}]")
         steps = require_int("steps", self.steps)

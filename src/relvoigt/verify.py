@@ -382,8 +382,8 @@ _SUITES = dict(zip(
 
 def run_suite(suite: str) -> list[VerifyReport]:
     """Run one named verification suite ('all' chains the four in order)."""
+    if suite not in SUITE_NAMES:
+        raise DomainError(f"unknown suite {suite!r}, expected one of {SUITE_NAMES}")
     if suite == "all":
         return [r for run in _SUITES.values() for r in run()]
-    if suite not in _SUITES:
-        raise DomainError(f"unknown suite {suite!r}, expected one of {SUITE_NAMES}")
     return _SUITES[suite]()

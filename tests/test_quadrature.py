@@ -18,7 +18,6 @@ from relvoigt.quadrature import (
     integrate_real_line,
     integrate_real_line_batch,
     integrate_real_line_compactified_batch,
-    integrate_semi_infinite_batch,
     peak_seeds,
 )
 from relvoigt import quadrature, routes
@@ -65,19 +64,6 @@ def test_interval_polynomials():
     # an integer-valued integrand is integrated as float64
     r = _interval(lambda t, k: np.ones(t.shape, dtype=int), 0.0, 1.0)
     assert abs(r.value[0] - 1.0) < 1e-14
-
-
-def test_semi_infinite_exponential():
-    r = integrate_semi_infinite_batch(lambda x, k: np.exp(-x), 1)
-    assert r.converged[0]
-    assert abs(r.value[0] - 1.0) < 1e-12
-
-
-def test_semi_infinite_damped_oscillation():
-    # Int_0^inf e^{-3x} sin(2x) dx = 2/13
-    r = integrate_semi_infinite_batch(lambda x, k: np.exp(-3.0 * x) * np.sin(2.0 * x), 1)
-    assert r.converged[0]
-    assert abs(r.value[0] - 2.0 / 13.0) < 1e-12
 
 
 def test_compactified_algebraic_decay():
@@ -222,28 +208,6 @@ def test_compactified_batch_matches_scalar_members():
         assert abs(batch.value[k] - math.pi / (2.0 * w[k] ** 2)) <= 1e-9 * batch.value[k]
 
 
-def test_semi_infinite_batch_matches_scalar_on_both_block_paths():
-    # Int_0^inf e^{-ax} cos(cx) dx = a/(a^2+c^2): slow (|c| < 0.4), fast and
-    # very fast oscillation, the regimes that once took separate block paths,
-    # now all under the doubling blocks, batched and one integral a call
-    rng = np.random.default_rng(13)
-    a = rng.uniform(0.1, 5.0, 24)
-    c = np.concatenate([rng.uniform(-0.39, 0.39, 8), rng.uniform(0.4, 5.0, 8),
-                        rng.choice([-1.0, 1.0], 8) * rng.uniform(20.0, 70.0, 8)])
-    cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-10, max_subdivisions=400)
-
-    def g(x, k):
-        return np.exp(-a[k] * x) * np.cos(c[k] * x)
-
-    batch = integrate_semi_infinite_batch(g, a.size, cfg)
-    assert batch.converged.all()
-    for k in range(a.size):
-        single = integrate_semi_infinite_batch(lambda x, j: g(x, k), 1, cfg)
-        _agree(batch, k, single)
-        exact = a[k] / (a[k] ** 2 + c[k] ** 2)
-        assert abs(batch.value[k] - exact) <= batch.error_estimate[k] + 1e-12
-
-
 @pytest.mark.parametrize("budget, widths", [(1, [1e-4, 2.0, 4.0]), (8, [1e-4, 0.3, 2.0])])
 def test_exhausted_budget_stops_only_its_member(budget, widths):
     # member 0 has a peak four decades narrower than its seeded panels and
@@ -332,12 +296,11 @@ def test_no_integrand_call_carries_more_than_a_chunk_of_panels():
     assert _chunk_rows(130, breaks) == runs(130 * 45)
 
 
-@pytest.mark.parametrize("kind", ["real_line", "compactified", "semi_infinite"])
+@pytest.mark.parametrize("kind", ["real_line", "compactified"])
 def test_a_batch_of_no_integrals_is_empty(kind):
     integrate = {
         "real_line": integrate_real_line_batch,
         "compactified": integrate_real_line_compactified_batch,
-        "semi_infinite": integrate_semi_infinite_batch,
     }[kind]
     batch = integrate(lambda t, k: np.exp(-t * t), 0)
     for field in (batch.value, batch.error_estimate, batch.converged, batch.evaluations):
@@ -384,7 +347,7 @@ def _peaked(t, k, c, w):
     return np.exp(-t * t) / ((t - c[k]) ** 2 + w[k] ** 2)
 
 
-@pytest.mark.parametrize("kind", ["real_line", "compactified", "semi_infinite"])
+@pytest.mark.parametrize("kind", ["real_line", "compactified"])
 def test_batched_integrand_sees_panel_rows_and_an_owner_column(kind):
     c = np.array([0.5, -1.0, 2.0])
     w = np.array([1e-3, 0.1, 1.0])
@@ -396,10 +359,8 @@ def test_batched_integrand_sees_panel_rows_and_an_owner_column(kind):
 
     if kind == "real_line":
         batch = integrate_real_line_batch(f, 3, seeds=c[:, None])
-    elif kind == "compactified":
-        batch = integrate_real_line_compactified_batch(f, 3, seeds=c[:, None])
     else:
-        batch = integrate_semi_infinite_batch(f, 3)
+        batch = integrate_real_line_compactified_batch(f, 3, seeds=c[:, None])
     assert batch.converged.all()
     rounds = calls[:-1] if kind == "real_line" else calls
     assert len(rounds) > 1
@@ -431,11 +392,11 @@ def test_owner_column_matches_each_row_of_abscissas():
     assert max(r.max() for r in rows) <= 12.0
 
 
-@pytest.mark.parametrize("kind", ["interval", "real_line", "compactified", "semi_infinite"])
+@pytest.mark.parametrize("kind", ["interval", "real_line", "compactified"])
 def test_scalar_integrand_still_sees_one_dimensional_abscissas(kind):
     # integrate_real_line's adapter, _lone, hands its integrand 1-D
     # abscissas whatever block the refinement loop makes: the nodes
-    # themselves, tan-mapped nodes or a semi-infinite block's
+    # themselves or tan-mapped nodes
     shapes = []
 
     def f(t):
@@ -447,10 +408,8 @@ def test_scalar_integrand_still_sees_one_dimensional_abscissas(kind):
         r = _interval(g, -1.0, 2.0, np.array([[0.0]]))
     elif kind == "real_line":
         r = integrate_real_line(f, seeds=[0.0])
-    elif kind == "compactified":
-        r = integrate_real_line_compactified_batch(g, 1, seeds=[0.0])
     else:
-        r = integrate_semi_infinite_batch(g, 1)
+        r = integrate_real_line_compactified_batch(g, 1, seeds=[0.0])
     assert np.all(r.converged)
     assert len(shapes) > 1
     assert all(len(s) == 1 for s in shapes)
@@ -473,12 +432,15 @@ def test_scalar_integrand_gets_the_node_major_block_without_a_copy():
 # (value, error estimate, evaluations) of one integral on each path, as the
 # scalar entries computed it when their integrand was handed a panel-major
 # copy of the abscissas; a sum over the other layout may round differently
-# in the last bits
+# in the last bits.  The complex-valued integrand, whose real and imaginary
+# parts are integrated in one pass, runs over the half-line window [0, 24]
 _PANEL_MAJOR_RESULTS = {
     "interval": (3.899215201640467e-06, 5.3044623761938537e-11, 1470),
     "real_line": (1.772453850905516, 2.790419937341101e-11, 242),
     "compactified": (314.1592653589795, 1.4641225925534355e-09, 690),
-    "semi_infinite": (complex(0.8146524974527013, 2.888165310414595), 1.58805736262374e-12, 690),
+    "complex_interval": (
+        complex(0.8146524974527017, 2.8881653104145943), 2.0298557115740347e-11, 675
+    ),
 }
 
 
@@ -492,9 +454,8 @@ def test_scalar_entries_agree_with_their_panel_major_results(kind):
     elif kind == "compactified":
         r = integrate_real_line_compactified_batch(lambda t, k: 1.0 / (1e-4 + (t - 0.3) ** 2), 1)
     else:
-        r = integrate_semi_infinite_batch(
-            lambda t, k: np.exp(-t * t) / (t - (0.2 + 0.01j)) * np.exp(-0.1 * t), 1
-        )
+        r = _interval(lambda t, k: np.exp(-t * t) / (t - (0.2 + 0.01j)) * np.exp(-0.1 * t),
+                      0.0, 24.0)
     value, estimate, evaluations = _PANEL_MAJOR_RESULTS[kind]
     r_value, r_estimate = np.ravel(r.value)[0], np.ravel(r.error_estimate)[0]
     assert np.all(r.converged) and np.all(r.evaluations == evaluations)
@@ -510,14 +471,12 @@ _WRONG_LENGTH = "^integrand must return one value per abscissa$"
         lambda: _interval(lambda t, k: t[:-1], 0.0, 1.0),
         lambda: integrate_real_line(lambda t: np.exp(-t * t)[:, None]),
         lambda: integrate_real_line_compactified_batch(lambda t, k: np.zeros(3), 1),
-        lambda: integrate_semi_infinite_batch(lambda x, k: np.exp(-x)[1:], 1),
         lambda: integrate_real_line_batch(lambda t, k: np.exp(-t * t).ravel(), 2),
         lambda: integrate_real_line_batch(lambda t, k: np.exp(-t * t)[:, :-1], 2),
         lambda: integrate_real_line_compactified_batch(lambda t, k: np.ones(t.shape[0]), 2),
-        lambda: integrate_semi_infinite_batch(lambda x, k: np.exp(-x)[:-1], 2),
     ],
-    ids=["interval", "real_line", "compactified", "semi_infinite", "batch_flat",
-         "batch_short_rows", "compactified_batch", "semi_infinite_batch"],
+    ids=["interval", "real_line", "compactified", "batch_flat", "batch_short_rows",
+         "compactified_batch"],
 )
 def test_wrong_length_return_is_an_integration_error(call):
     # a return of the wrong length, through integrate_real_line's 1-D
@@ -719,30 +678,6 @@ def _no_warning(call):
         return call()
 
 
-def test_semi_infinite_overflowing_block_stops_unconverged_at_once():
-    # the first block's weighted |f| sum overflows: its error is inf, and the
-    # integral stops there instead of running on to its 64-block budget
-    r = _no_warning(
-        lambda: integrate_semi_infinite_batch(
-            lambda x, k: np.where(x < 1, 1.7e308, np.exp(-x)), 1
-        )
-    )
-    assert r.value[0] == math.inf
-    assert r.error_estimate[0] == math.inf
-    assert not r.converged[0]
-    assert r.evaluations[0] == 15
-
-
-def test_semi_infinite_batch_overflow_stops_only_its_member():
-    def f(x, k):
-        return np.where((k == 1) & (x < 1), 1.7e308, np.exp(-x))
-
-    r = _no_warning(lambda: integrate_semi_infinite_batch(f, 3))
-    assert r.converged.tolist() == [True, False, True]
-    assert r.error_estimate[1] == math.inf and r.evaluations[1] == 15
-    assert np.allclose(r.value[[0, 2]], 1.0, rtol=1e-12, atol=0.0)
-
-
 @pytest.mark.parametrize(
     "f",
     [lambda t: np.full_like(t, 1e308), lambda t: np.where(np.abs(t) > 11.9, 1e308, 0.0)],
@@ -753,19 +688,6 @@ def test_real_line_overflowing_tail_bound_is_an_inf_estimate(f):
     r = _no_warning(lambda: integrate_real_line(f))
     assert r.error_estimate == math.inf
     assert not r.converged
-
-
-def test_overflowing_block_tail_bound_is_never_met():
-    # every block value is finite, but their sum overflows at the third
-    # block; the infinite total meets no target, and the integral stops
-    # there rather than running on to its 64-block budget
-    def f(x, k):
-        return np.select([x < 1, x < 2, x < 4], [0.5e308, 0.889e308, 0.4e308], 0.0)
-
-    r = _no_warning(lambda: integrate_semi_infinite_batch(f, 1))
-    assert r.value[0] == math.inf
-    assert not r.converged[0]
-    assert r.evaluations[0] == 45
 
 
 def test_overflowed_interval_total_is_not_converged():

@@ -451,6 +451,52 @@ def test_quadrature_with_underflowing_peak_width_terminates():
     assert r.value == 0.0 and r.error_estimate <= 1e-10
 
 
+# Points where a * a, the seed widths or the integrand leave double range.
+# Each entry lists every point's reference value, or IntegrationError: H2 and
+# I2 fall like 1/a and 1/sqrt(a) for large a, both are 1e-200 when the
+# peaks sit 1e200 apart, and with a * a = 0 the integrand divides by zero
+# at a node next to a pole.
+_RANGE_EDGES = {
+    "h2_large_a": (lambda: h2_quadrature(1e300, 0.0, 1.0), [0.0]),
+    "h2_tiny_a": (lambda: h2_quadrature(1e-300, 0.0, 0.5), [IntegrationError]),
+    "i2_tiny_a": (lambda: i2_quadrature(1e-300, 0.0, 1.0), [IntegrationError]),
+    "h2_grid_tiny_a": (
+        lambda: h2_quadrature_grid([1.0, 1e-300], 0.0, 0.5),
+        [h2(1.0, 0.0, 0.5).value, IntegrationError],
+    ),
+    "i2_large_a": (lambda: i2_quadrature(1e300, 0.0, 1.0), [0.0]),
+    "h2_far_peak": (lambda: h2_quadrature(1.0, 1e200, 0.0), [1e-200]),
+    "i2_far_peak": (lambda: i2_quadrature(1.0, 1e200, 0.0), [1e-200]),
+    "i2_grid_large_a": (
+        lambda: i2_quadrature_grid([1.0, 1e300], 0.0, 1.0), [i2_closed(1.0, 0.0, 1.0), 0.0]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RANGE_EDGES))
+def test_quadrature_routes_at_range_edges_warn_nothing(case):
+    # the route's arithmetic overflows or divides by zero on the way; that
+    # shows as a failed point or a value within its target, not a warning
+    call, want = _RANGE_EDGES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            r = call()
+        except IntegrationError:
+            got = [IntegrationError]
+        else:
+            if isinstance(r, EvalResult):
+                got = [r.value]
+            else:
+                got = [IntegrationError if e else v for v, e in zip(r.value, r.error)]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is IntegrationError:
+            assert g is IntegrationError
+        else:
+            assert g is not IntegrationError and abs(g - w) <= max(1e-10, 1e-10 * abs(w))
+
+
 def test_quadrature_grid_localises_an_aborted_batch():
     # a non-finite integrand value aborts the whole batch; the batch is then
     # bisected down to that point, and only the one it came from fails
@@ -699,19 +745,25 @@ def test_representations_reject_a_point_before_the_variant_runs():
             h2_integral_rep(1.0, 1.0, math.nan, variant)
 
 
-def test_inner_laplace_cosine_identity():
-    # Int_0^inf e^{-ax} cos(cx) dx = a/(a^2+c^2), the closed form the double
-    # representation takes for its inner integral, checked by quadrature
-    from relvoigt.quadrature import integrate_semi_infinite_batch
-
-    a, c = 0.5, 3.0
-    r = integrate_semi_infinite_batch(
-        lambda x, k: np.exp(-a * x) * np.cos(c * x),
-        1,
-        QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12),
-    )
-    assert r.converged[0]
-    assert abs(r.value[0] - a / (a * a + c * c)) < 1e-11
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda v: h2_integral_rep(1.0, 0.0, 0.5, v),
+         "unknown variant {!r}, expected 'double' or 'single_complex'"),
+        (lambda v: verify.run_suite(v),
+         "unknown suite {!r}, expected one of ('symmetry', 'oracle', 'representations', "
+         "'limits', 'all')"),
+    ],
+    ids=["variant", "suite"],
+)
+@pytest.mark.parametrize(
+    "name", ["triple", ["double"], ["all"], {"all": 1}], ids=["str", "list", "list_all", "dict"]
+)
+def test_an_unknown_name_is_a_domain_error_naming_the_accepted_ones(call, message, name):
+    # an unhashable name must not reach a dict lookup, which raises TypeError
+    with pytest.raises(DomainError) as err:
+        call(name)
+    assert str(err.value) == message.format(name)
 
 
 # ----------------------------------------------------------------------- i2

@@ -89,6 +89,26 @@ def test_spec_rejects_non_finite_fixed_parameter(bad):
         spec_h0(fixed={"a": bad})
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(fixed={"a": None}), "fixed parameter a must be a real number, got None"),
+        (dict(fixed={"a": np.complex128(1 + 1j)}), "fixed parameter a must be a real number"),
+        (dict(start="x"), "start must be a real number, got 'x'"),
+        (dict(stop=[2.0]), "stop must be a real number, got [2.0]"),
+        (dict(start=-math.inf), "start must be finite, got -inf"),
+        (dict(function=["h0"]), "unknown function ['h0'], expected one of"),
+    ],
+    ids=["fixed_none", "fixed_complex", "start_str", "stop_list", "start_inf", "function_list"],
+)
+def test_spec_names_an_argument_that_is_not_a_finite_real(kw, message):
+    # not a raw TypeError or ValueError from float(), nor a complex value
+    # cut to its real part (the tests turn that ComplexWarning into an error)
+    with pytest.raises(DomainError) as err:
+        spec_h0(**kw)
+    assert str(err.value).startswith(message)
+
+
 def test_run_sweep_values():
     rows = run_sweep(spec_h0())
     assert len(rows) == 5

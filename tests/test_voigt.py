@@ -136,6 +136,22 @@ def test_h0_laplace_rep_batch_matches_one_point_calls():
         assert abs(batch.value[k] - h0(a[k], u[k])) <= 1e-9
 
 
+def test_h0_laplace_rep_estimate_bounds_its_error():
+    # against 30-digit values of Re w(u + ia), w(z) = e^{-z^2} erfc(-iz), on
+    # 300 seeded points with a log-uniform in [1e-2, 10] and |u| <= 8
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(23)
+    a = 10.0 ** rng.uniform(-2.0, 1.0, 300)
+    u = rng.uniform(-8.0, 8.0, 300)
+    batch = _laplace_route(a, u)
+    assert batch.converged.all()
+    with mp.workdps(30):
+        for k in range(a.size):
+            z = mp.mpc(u[k], a[k])
+            ref = float((mp.exp(-z * z) * mp.erfc(-1j * z)).real)
+            assert abs(batch.value[k] - ref) <= batch.error_estimate[k], (a[k], u[k])
+
+
 def test_h0_laplace_rep_nonconvergence_names_the_point():
     cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1)
     with pytest.raises(IntegrationError, match=r"\(a, u\)=\(0\.05, 3\.0\)"):
