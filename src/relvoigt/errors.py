@@ -3,8 +3,8 @@
 DomainError marks inputs outside an operation's mathematical domain
 (non-finite values, evaluation in a regime a formula is not valid for).
 ParameterError is the physical-parameter flavor (mu, gamma, sigma out of
-range).  IntegrationError signals quadrature breakdown: a non-finite
-integrand value or a scheme that cannot reach its tolerance.
+range).  IntegrationError signals quadrature breakdown: a point whose
+integral does not converge, or an integrand that returns the wrong shape.
 
 require_finite, require_int and check_side are the argument checks every
 module shares.
@@ -49,7 +49,7 @@ class ParameterError(DomainError):
 
 
 class IntegrationError(RelVoigtError, RuntimeError):
-    """Numerical integration failed or met a non-finite integrand value."""
+    """Quadrature did not converge at a point, or an integrand returned the wrong shape."""
 
 
 def require_finite(name: str, x: float) -> float:

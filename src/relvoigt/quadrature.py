@@ -37,10 +37,12 @@ shape.  (integrate_real_line_batch's tail bound makes one more call, with a
 row of the two truncation points per integral.)  The kernel builds its
 nodes node-major, one row per Kronrod node, and hands the integrand that
 block's transpose, so the abscissas may be a non-C-contiguous view.  It may
-not write into them.  A return of the wrong shape raises IntegrationError,
-and so does a non-finite value, for the whole call.  Complex-valued
-integrands are allowed (real and imaginary parts are integrated in one
-pass).
+not write into them.  A return of the wrong shape raises IntegrationError
+for the whole call.  A NaN or infinite value raises nothing: it leaves
+its own integral's total or estimate non-finite, so that integral alone
+stops unconverged, as QUADPACK reports a failed integral through its ier
+status, and the call's other integrals run on.  Complex-valued integrands
+are allowed (real and imaginary parts are integrated in one pass).
 
 Everything here is pure and writes no module state after import, so
 concurrent calls from multiple threads are safe; the integrand callable
@@ -212,14 +214,6 @@ def _call(f: BatchIntegrand, x: np.ndarray, owner: np.ndarray) -> np.ndarray:
     return fv.astype(np.result_type(fv, np.float64), copy=False)
 
 
-def _require_finite_values(fv: np.ndarray, x: np.ndarray) -> None:
-    # IntegrationError naming the first abscissa whose value is NaN or infinite
-    finite = np.isfinite(fv)
-    if not finite.all():
-        where = x.flat[int(np.argmin(finite))]
-        raise IntegrationError(f"integrand returned a non-finite value at t={where!r}")
-
-
 def _eval_panels(f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     """Apply the G7/K15 pair to a batch of panels in one integrand call.
 
@@ -236,16 +230,14 @@ def _eval_panels(f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, owner: np.nd
     nodes += mid
     fv = _call(f, nodes.T, owner[:, None]).T
 
-    # a NaN or infinite value makes its panel's weighted |f| sum non-finite,
-    # so the full scan runs only when a sum is.  A sum of finite values can
-    # overflow as well; that panel's estimate is then inf, and the numpy
-    # warnings its arithmetic raises on the way say nothing more
+    # a NaN or infinite value, and finite values whose weighted |f| sum
+    # overflows, make that sum non-finite; the panel's estimate is then inf,
+    # so its integral stops unconverged while the others run on, and the
+    # numpy warnings the arithmetic raises on the way say nothing more
     with np.errstate(over="ignore", invalid="ignore"):
         buf = np.abs(fv)
         resabs = (_WK @ buf) * half
         overflow = ~np.isfinite(resabs)
-        if overflow.any():
-            _require_finite_values(fv.T, nodes.T)
 
         resk = (_WK @ fv) * half
         resg = (_WG @ fv[1:14:2]) * half
@@ -262,7 +254,7 @@ def _eval_panels(f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, owner: np.nd
             resasc * np.minimum(1.0, (200.0 * raw / safe) ** 1.5),
             raw,
         )
-    err = np.maximum(err, 50.0 * _EPS * resabs)
+        err = np.maximum(err, 50.0 * _EPS * resabs)
     err[overflow] = np.inf
     return resk, err
 
@@ -401,37 +393,25 @@ def quadrature_grid(route, rules, *coords: np.ndarray) -> GridResult:
     edges and tail-bound rows for every point of a call at once, and its
     refinement loop holds every live panel of them.
     A point that does not converge fails with IntegrationError, as the
-    scalar route raises there.  A non-finite integrand value aborts a whole
-    call, so after one the chunk is bisected: each half is rerun, and only
-    a half that raises again is split further, down to the single points
-    that raise themselves.  The route runs with numpy's floating-point
-    warnings off, as inside _route_point: a value that leaves double range
-    surfaces as a failed point or a value within its target, not a warning.
+    scalar route raises there; a non-finite integrand value stops only its
+    own point's integral, so each chunk is one route call.  The route runs
+    with numpy's floating-point warnings off, as inside _route_point: a
+    value that leaves double range surfaces as a failed point or a value
+    within its target, not a warning.
     """
     shape = coords[0].shape
     value = np.zeros(shape)
     estimate = np.zeros(shape)
     failed = np.zeros(shape, dtype=bool)
-
-    def run(idx: np.ndarray) -> None:
-        try:
-            r = route(*(c.flat[idx] for c in coords))
-        except IntegrationError:
-            if idx.size == 1:
-                failed.flat[idx] = True
-            else:
-                run(idx[: idx.size // 2])
-                run(idx[idx.size // 2 :])
-            return
-        value.flat[idx] = r.value
-        estimate.flat[idx] = r.error_estimate
-        failed.flat[idx] = ~r.converged
-
     checked = functools.reduce(operator.or_, [mask for mask, _ in rules], np.zeros(shape, bool))
     live = np.flatnonzero(~checked)
     with np.errstate(all="ignore"):
         for k0 in range(0, live.size, _ROUTE_POINTS):
-            run(live[k0 : k0 + _ROUTE_POINTS])
+            idx = live[k0 : k0 + _ROUTE_POINTS]
+            r = route(*(c.flat[idx] for c in coords))
+            value.flat[idx] = r.value
+            estimate.flat[idx] = r.error_estimate
+            failed.flat[idx] = ~r.converged
     return grid_result(shape, [*rules, (failed, IntegrationError)], value, estimate)
 
 
@@ -498,7 +478,8 @@ def integrate_real_line_batch(
     t = c + s x itself.  seeds is an (n, m) array of panel seeds, row k
     for integral k (repeat a value to pad a short row); they become
     initial panel boundaries.  The call's memory grows with its up to
-    n * (16 + m) initial panels, as its seeds do.
+    n * (16 + m) initial panels, as its seeds do.  A NaN or infinite value at
+    a node or truncation point leaves just its integral unconverged.
     """
     cfg = config if config is not None else QuadratureConfig()
     lo = np.full(n, -_RADIUS)
@@ -508,11 +489,9 @@ def integrate_real_line_batch(
         pts = np.concatenate([pts, _seeds(seeds, n)], axis=1)
 
     value, error, converged, evaluations = _integrate_intervals(f, lo, hi, cfg, pts)
-    # Gaussian tail bound at the truncation points; it may overflow like a panel sum
-    ends = np.stack([lo, hi], axis=1)
-    edge = _call(f, ends, np.arange(n)[:, None])
-    _require_finite_values(edge, ends)
-    edge = np.abs(edge)
+    # Gaussian tail bound at the truncation points; it may overflow like a
+    # panel sum, and a non-finite value there leaves a non-finite estimate
+    edge = np.abs(_call(f, np.stack([lo, hi], axis=1), np.arange(n)[:, None]))
     with np.errstate(over="ignore"):
         error = error + (edge[:, 0] + edge[:, 1]) / (2.0 * _RADIUS)
     converged = converged & cfg.met(error, value)
@@ -528,7 +507,10 @@ def integrate_real_line(
     *,
     seeds: Sequence[float] | None = None,
 ) -> QuadratureResult:
-    """integrate_real_line_batch for one scalar integrand f(t), t a 1-D array."""
+    """integrate_real_line_batch for one scalar integrand f(t), t a 1-D array.
+
+    A NaN or infinite value of f gives converged=False, not an exception.
+    """
     r = integrate_real_line_batch(_lone(f), 1, config, seeds=seeds)
     return QuadratureResult(
         r.value.item(), r.error_estimate.item(), r.converged.item(), r.evaluations.item()
@@ -546,7 +528,8 @@ def integrate_real_line_compactified_batch(
     covers integrands the Gaussian-envelope truncation of
     integrate_real_line_batch would bias, such as pure rational densities.
     seeds is an (n, m) array, row k for integral k.  The call's memory grows
-    with its up to n * (32 + m) initial panels, as its seeds do.
+    with its up to n * (32 + m) initial panels, as its seeds do.  A NaN or
+    infinite value at a node leaves just its integral unconverged.
     """
     cfg = config if config is not None else QuadratureConfig()
 

@@ -57,6 +57,16 @@ def _peak_seeds(a, u1, u2) -> np.ndarray:
     return peak_seeds(np.stack([u1, u2], axis=1), np.where(width < 0.5, width, 2.0))
 
 
+def _bound_lost_points(r: QuadratureBatch, a, aa, bound, config) -> QuadratureBatch:
+    # where a * a overflows the integrand and value are exactly 0; bound(|a|)
+    # joins just those points' estimates, so every other point keeps its bits
+    lost = np.isinf(aa)
+    err = r.error_estimate.copy()
+    err[lost] += bound(np.abs(a[lost]))
+    cfg = config if config is not None else QuadratureConfig()
+    return QuadratureBatch(r.value, err, r.converged & cfg.met(err, r.value), r.evaluations)
+
+
 def _h2_route(a, u1, u2, config) -> QuadratureBatch:
     # the defining integral of H2 at arrays of points, in one batched call
     pref = a / math.pi
@@ -74,7 +84,9 @@ def _h2_route(a, u1, u2, config) -> QuadratureBatch:
         out /= p
         return out
 
-    return integrate_real_line_batch(f, a.size, config, seeds=_peak_seeds(a, u1, u2))
+    r = integrate_real_line_batch(f, a.size, config, seeds=_peak_seeds(a, u1, u2))
+    # |H2| <= (|a|/pi) Int e^{-t^2}/a^2 dt = 1/(|a| sqrt(pi))
+    return _bound_lost_points(r, a, aa, lambda b: 1.0 / (_SQRT_PI * b), config)
 
 
 def _h0_route(a, u) -> QuadratureBatch:
@@ -111,9 +123,9 @@ def _i2_route(a, u1, u2, config) -> QuadratureBatch:
         p += aa[k]
         return np.divide(pref[k], p, out=p)
 
-    return integrate_real_line_compactified_batch(
-        f, a.size, config, seeds=_peak_seeds(a, u1, u2)
-    )
+    r = integrate_real_line_compactified_batch(f, a.size, config, seeds=_peak_seeds(a, u1, u2))
+    # |I2| = |2 Re(1/w1)| <= 2/|w1| and |w1|^2 = |(u1-u2)^2 + 4ia| >= 4|a|
+    return _bound_lost_points(r, a, aa, lambda b: 1.0 / np.sqrt(b), config)
 
 
 def _route_grid(route, a, u1, u2, config) -> GridResult:
@@ -181,8 +193,8 @@ def _rectangle_route(a, u1, u2, config=None, offset=None) -> QuadratureBatch:
         return t
 
     # |e^{-t^2}| = e^{y^2} on the line Im t = y, which leaves double range
-    # once y passes ~26.6; the integrator then raises IntegrationError at
-    # the non-finite values
+    # once y passes ~26.6; the non-finite values there stop that point's
+    # line integral unconverged, and the other points' lines run on
     line = integrate_real_line_batch(f, a.size, cfg, seeds=np.stack([t1p.real, t2m.real], 1))
     res1 = np.exp(-t1p * t1p) / w1
     res2 = np.exp(-t2m * t2m) / w1.conj()

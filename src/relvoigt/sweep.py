@@ -95,7 +95,11 @@ class SweepSpec:
                 f"axis {self.axis!r} is not a parameter of {self.function} "
                 f"(parameters: {', '.join(names)})"
             )
-        fixed = {str(k): v for k, v in dict(self.fixed).items()}
+        try:
+            fixed = {str(k): v for k, v in dict(self.fixed).items()}
+        except (TypeError, ValueError):
+            msg = f"fixed must map parameter names to values, got {self.fixed!r}"
+            raise DomainError(msg) from None
         if self.axis in fixed:
             raise DomainError(f"axis {self.axis!r} must not also be fixed")
         expected = set(names) - {self.axis}

@@ -81,6 +81,8 @@ def test_spec_validation():
         with pytest.raises(DomainError, match="^steps must be an integer"):
             spec_h0(steps=bad)
     assert spec_h0(steps=np.int64(3)).grid().size == 3
+    # fixed may be any mapping, or a list of (name, value) pairs
+    assert spec_h0(fixed=[("a", 0.5)]).fixed == {"a": 0.5}
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -98,8 +100,15 @@ def test_spec_rejects_non_finite_fixed_parameter(bad):
         (dict(stop=[2.0]), "stop must be a real number, got [2.0]"),
         (dict(start=-math.inf), "start must be finite, got -inf"),
         (dict(function=["h0"]), "unknown function ['h0'], expected one of"),
+        (dict(fixed=5), "fixed must map parameter names to values, got 5"),
+        (dict(fixed=None), "fixed must map parameter names to values, got None"),
+        (dict(fixed="ab"), "fixed must map parameter names to values, got 'ab'"),
+        (dict(fixed=[1, 2]), "fixed must map parameter names to values, got [1, 2]"),
     ],
-    ids=["fixed_none", "fixed_complex", "start_str", "stop_list", "start_inf", "function_list"],
+    ids=[
+        "fixed_none", "fixed_complex", "start_str", "stop_list", "start_inf", "function_list",
+        "fixed_is_int", "fixed_is_none", "fixed_is_str", "fixed_is_flat_list",
+    ],
 )
 def test_spec_names_an_argument_that_is_not_a_finite_real(kw, message):
     # not a raw TypeError or ValueError from float(), nor a complex value
