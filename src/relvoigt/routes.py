@@ -203,6 +203,9 @@ def _rectangle_route(a, u1, u2, config=None, offset=None) -> QuadratureBatch:
     # rounding error of a few eps (1 + 2|t|^2) times its size
     rounding = sum((1.0 + 2.0 * np.abs(t) ** 2) * np.abs(r) for t, r in ((t1p, res1), (t2m, res2)))
     err = (a / math.pi) * line.error_estimate + np.abs(total.imag) + 4.0 * _EPS * rounding
+    # a total that left double range has no known bound, and its |imag|
+    # would make the estimate NaN; inf, as for an overflowed panel sum
+    err[~np.isfinite(total)] = np.inf
     return QuadratureBatch(total.real, err, line.converged, line.evaluations)
 
 

@@ -14,11 +14,14 @@ Four suites, each a list of named checks summarized as VerifyReports:
 Every quadrature reference comes from a batched route run over all grid
 points of its check, up to 1,024 points a call; a point that fails raises
 the IntegrationError naming it.  H2 and I2 depend on u1 and
-u2 only through (u1 - t)(u2 - t), and their quadrature routes are
-symmetric in u1 <-> u2 bit for bit, so the oracle integrates its square
-u grids on the triangle u1 <= u2 and mirrors the result; the closed form
-is still checked at every point.  (The mirror u -> -u is left alone: the
-routes keep it only to within 1e-15 relative, not bit for bit.)  The
+u2 only through (u1 - t)(u2 - t), so the defining integral is unchanged
+under u1 <-> u2 and, by t -> -t, under (u1, u2) -> (-u2, -u1).  The
+oracle integrates one point per orbit of both on a square u grid whose
+u axis is its own mirror (the h2 grid: 2,205 of 8,405 points), and on
+the triangle u1 <= u2 elsewhere (the i2 grid: 20 of 32), and copies each
+value to the rest of its orbit; the closed form is still checked at every
+point.  The routes keep the swap bit for bit and the mirror to within
+~1e-15 relative, so each copy is an honest quadrature of its point.  The
 suites are library code rather than test-only helpers so the CLI can run
 them in the field; the test suite drives the same entry points.
 """
@@ -53,7 +56,6 @@ from .routes import (
     _laplace_route,
     _rectangle_route,
     _rep_single_complex,
-    h2_quadrature,
     h2_quadrature_grid,
     i2_quadrature_grid,
 )
@@ -139,16 +141,31 @@ def _route_values(route, name: str, *coords: np.ndarray) -> np.ndarray:
 
 
 def _twin_reference(quadrature_grid_fn, route: str, a, x, y) -> np.ndarray:
-    # the route's values on a grid whose u1 and u2 axes are the same list,
-    # from its upper triangle u1 <= u2 only: both routes are symmetric in
-    # u1 <-> u2 bit for bit (the integrand takes the product
-    # (u1 - t)(u2 - t), and the sorted panel edges lose the seed order), so
-    # each twin point is a copy of the one integrated
-    i, j = np.triu_indices(a.shape[-1])
+    # the route's values on a grid whose u1 and u2 axes are the same list u,
+    # from one point (i, j) per orbit of the integral's exact symmetries.
+    # Both routes are symmetric in u1 <-> u2 bit for bit (the integrand
+    # takes the product (u1 - t)(u2 - t), and the sorted panel edges lose
+    # the seed order), so the upper triangle i <= j holds every orbit.
+    # Where u is its own mirror, u[m-1-k] == -u[k], t -> -t maps (u1, u2)
+    # to (-u2, -u1) as well, and only the half i + j <= m - 1 (u1 + u2 <= 0)
+    # is integrated.  The routes keep that mirror only to within ~1e-15
+    # relative, as their sums add in reverse order, so a mirrored value is
+    # an honest quadrature of its point within its estimate.
+    m = a.shape[-1]
+    u = y.reshape(-1, m)[0]
+    mirror = bool(np.all(u[::-1] == -u))
+    i, j = np.triu_indices(m)
+    if mirror:
+        half = i + j <= m - 1
+        i, j = i[half], j[half]
     pts = (a[..., i, j], x[..., i, j], y[..., i, j])
+    value = _reference(quadrature_grid_fn(*pts), route, *pts)
     want = np.empty(a.shape)
-    want[..., i, j] = _reference(quadrature_grid_fn(*pts), route, *pts)
-    want[..., j, i] = want[..., i, j]
+    want[..., i, j] = value
+    want[..., j, i] = value
+    if mirror:
+        want[..., m - 1 - j, m - 1 - i] = value
+        want[..., m - 1 - i, m - 1 - j] = value
     return want
 
 
@@ -190,7 +207,8 @@ def verify_oracle() -> list[VerifyReport]:
     devs = np.abs(h0_grid(a, u).value - want)
     reports.append(_pointwise("h0 closed form vs quadrature", devs.ravel(), want.ravel(), 1e-9))
 
-    # h2 over its full grid, integrated on the triangle u1 <= u2
+    # h2 over its full grid, integrated on one point per orbit of the swap
+    # and the mirror
     u_grid = np.linspace(-10.0, 10.0, 41)
     a, x, y = np.meshgrid([1e-3, 1e-2, 0.1, 1.0, 10.0], u_grid, u_grid, indexing="ij")
     want = _twin_reference(h2_quadrature_grid, "h2 quadrature", a, x, y)
@@ -362,11 +380,10 @@ def verify_limits() -> list[VerifyReport]:
         _structural("v2 gamma -> 0 limit approach monotone", _monotone_figure(devs), 3, 1.0)
     )
 
-    figure = 0.0
-    for u in (0.0, 1.0):
-        lo = h2_quadrature(1e-4, u, u).value
-        hi = h2_quadrature(2.5e-5, u, u).value
-        figure = max(figure, abs(hi / lo / 2.0 - 1.0))
+    # H2 grows like a^{-1/2} on the diagonal, so a -> a/4 doubles it
+    a, u = np.meshgrid([1e-4, 2.5e-5], [0.0, 1.0], indexing="ij")
+    lo, hi = _reference(h2_quadrature_grid(a, u, u), "h2 quadrature", a, u)
+    figure = np.max(np.abs(hi / lo / 2.0 - 1.0))
     reports.append(_structural("h2 degenerate growth ratio a -> a/4", figure, 4, 1e-2))
 
     return reports

@@ -368,6 +368,25 @@ def test_rectangle_at_large_a_fails_without_warnings():
         h2_rectangle(2000.0, 0.0, 0.5)
 
 
+def test_rectangle_estimate_is_inf_where_the_line_overflows():
+    # from about a = 1,300 e^{y^2} leaves double range on the line, so the
+    # total is NaN; no bound is known there, and the estimate says so with
+    # inf, not the NaN its |total.imag| term gives, while the other points
+    # of the call keep theirs; no warning leaks from the scalar route
+    a = np.array([2000.0, 1.0, 1400.0])
+    with np.errstate(all="ignore"):
+        batch = _rectangle_route(a, np.zeros(3), np.full(3, 0.5))
+    assert batch.converged.tolist() == [False, True, False]
+    assert np.isinf(batch.error_estimate[[0, 2]]).all()
+    ref = h2(1.0, 0.0, 0.5)
+    assert abs(batch.value[1] - ref.value) <= batch.error_estimate[1] + ref.error_estimate
+    at = re.escape("(a, u1, u2)=(2000.0, 0.0, 0.5); error estimate inf")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match=f"^quadrature did not converge at {at}$"):
+            h2_rectangle(2000.0, 0.0, 0.5)
+
+
 def test_rectangle_working_range():
     # up to a = 20 the route agrees with the closed form within its
     # estimate; the e^{y^2} growth on the line, at a height ~sqrt(a/2),
@@ -610,14 +629,26 @@ def _twin_batch():
 
 @pytest.mark.parametrize("route", [routes._h2_route, routes._i2_route])
 def test_quadrature_routes_are_symmetric_in_u1_u2_bit_for_bit(route):
-    # the oracle integrates only u1 <= u2 and mirrors the result, which is
-    # exact only while the routes are: the integrand takes the product
+    # the oracle copies each value to its u1 <-> u2 twin, which is exact
+    # only while the routes are: the integrand takes the product
     # (u1 - t)(u2 - t), and the peaks of both u1 and u2 are seeded
     a, u1, u2 = _twin_batch()
     got, swapped = route(a, u1, u2, None), route(a, u2, u1, None)
     for name in ("value", "error_estimate", "converged", "evaluations"):
         assert getattr(got, name).tobytes() == getattr(swapped, name).tobytes(), name
     assert got.converged.all()
+
+
+def test_h2_route_keeps_the_mirror_within_its_estimates():
+    # t -> -t maps H2(a, u1, u2) to H2(a, -u2, -u1); the oracle integrates
+    # one point of each mirror pair, which holds only while the route's
+    # values at the two agree within both estimates (their sums add in
+    # reverse order, so not bit for bit)
+    a, u1, u2 = _twin_batch()
+    got, mirrored = routes._h2_route(a, u1, u2, None), routes._h2_route(a, -u2, -u1, None)
+    assert got.converged.all() and mirrored.converged.all()
+    dev = np.abs(got.value - mirrored.value)
+    assert (dev <= got.error_estimate + mirrored.error_estimate).all()
 
 
 # ------------------------------------------------- integral representations

@@ -100,10 +100,12 @@ def test_verify_all_traced_memory_stays_bounded():
     assert peak <= 8e6
 
 
-def test_oracle_integrates_each_twin_pair_once(monkeypatch):
-    # the h2 and i2 grids are integrated on u1 <= u2 only: 5 x 861 h2
-    # points plus the 4 degenerate-series points, and 2 x 10 i2 points,
-    # while every point of the 8,405 and 32 is still checked
+def test_oracle_integrates_each_orbit_once(monkeypatch):
+    # the h2 grid's u axis is its own mirror, so it is integrated on one
+    # point per orbit of u1 <-> u2 and (u1, u2) -> (-u2, -u1): 5 x 441 h2
+    # points, plus the 4 degenerate-series points; the i2 spots are not, so
+    # it keeps the triangle u1 <= u2, 2 x 10 points; every point of the
+    # 8,405 and 32 is still checked
     sizes = {"h2": [], "i2": []}
     for name in sizes:
         route = getattr(routes, f"_{name}_route")
@@ -114,11 +116,32 @@ def test_oracle_integrates_each_twin_pair_once(monkeypatch):
 
         monkeypatch.setattr(routes, f"_{name}_route", counting)
     reports = verify_oracle()
-    assert sum(sizes["h2"]) == 4305 + 4
+    assert sum(sizes["h2"]) == 2205 + 4
     assert sum(sizes["i2"]) == 20
     assert max(sizes["h2"]) <= 1024
     assert [(r.name, r.grid_size) for r in reports] == CHECKS["oracle"]
     assert all(r.passed for r in reports)
+
+
+def test_verify_all_work_stays_bounded(monkeypatch):
+    # the quadrature work of one `verify all` pass, counted rather than
+    # timed so it holds on any host: 10 refinement loops and 1,442,460
+    # integrand evaluations, with room for a little more but not for a
+    # doubling of the oracle's integrals
+    loops, evaluations = [0], [0]
+    refine = quadrature._refine
+
+    def counting(*args):
+        out = refine(*args)
+        loops[0] += 1
+        evaluations[0] += int(out[3].sum())
+        return out
+
+    monkeypatch.setattr(quadrature, "_refine", counting)
+    reports = run_suite("all")
+    assert all(r.passed for r in reports)
+    assert loops[0] <= 10
+    assert evaluations[0] <= 1_500_000
 
 
 def test_failed_reference_point_is_named(monkeypatch):
