@@ -8,9 +8,11 @@ axis plus its residues (``h2_rectangle``), or an integral representation
 solely to check the closed forms of ``rel_voigt`` and ``voigt`` against each
 other in the ``verify`` suites, and they are the only evaluators that need
 ``quadrature``, so the closed forms load without it; this module loads
-neither them nor scipy.  Each route is one computation on arrays of points:
-one batched quadrature call, with its poles, residues, windows and tail
-terms computed on the same arrays.
+neither them nor scipy.  Each route is one computation on arrays of points,
+with its poles, residues, windows and tail terms computed on the same
+arrays: one batched adaptive quadrature call, except ``h2_rectangle``,
+whose line integral is one fixed trapezoidal sum per point over a padded
+array of node rows.
 
 The direct-quadrature oracles have grid forms as well (``h2_quadrature_grid``,
 ``i2_quadrature_grid``).  They integrate all points through the batched
@@ -20,7 +22,6 @@ the error estimates rather than bit for bit.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -165,57 +166,101 @@ def _enclosed_poles(a, u1, u2):
     return w1, 0.5 * (s + w1), 0.5 * (s - w1.conj())
 
 
-def _rectangle_route(a, u1, u2, config=None, offset=None) -> QuadratureBatch:
+# h2_rectangle's trapezoid step on its line, whose integrand is analytic
+# within ~1 of the line: the discretisation error falls like e^{-2 pi/h}
+_STEP = 0.125
+
+# h2_rectangle converges where its estimate is at most this, or this
+# times |H2| where |H2| > 1
+_RECTANGLE_TARGET = 1e-8
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    # each row summed left to right, so its bits depend neither on the other
+    # rows nor on its zero padding; a pairwise np.sum groups a row's terms
+    # by the row length, which the batch sets
+    return np.cumsum(x, axis=1)[:, -1]
+
+
+def _strip_term(s, d, q):
+    # M / (e^{2 pi d/h} - 1) for M = sqrt(pi) e^{s^2} / q, formed so that
+    # e^{s^2} alone cannot overflow
+    k = 2.0 * math.pi / _STEP
+    return _SQRT_PI * np.exp(s * s - k * d) / (q * -np.expm1(-k * d))
+
+
+def _rectangle_route(a, u1, u2, offset=None) -> QuadratureBatch:
     # h2_rectangle at arrays of points with a > 0.  Every line is at
-    # Im t = offset, or 1 above its point's higher enclosed pole; the lines
-    # of all points go in one batched call, and the residues are computed on
-    # the same arrays.  Non-finite poles are enclosed by no contour.
-    cfg = config if config is not None else QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9)
+    # Im t = y = offset, or 1 above its point's higher enclosed pole, and its
+    # integral is the trapezoidal sum over the nodes x = j h with
+    # |x| <= R + min(y, R).  The node rows of all points form one padded
+    # array, and the residues are computed on the same arrays.
     w1, t1p, t2m = _enclosed_poles(a, u1, u2)
+    finite = np.isfinite(t1p) & np.isfinite(t2m)
+    if not finite.all():
+        at = tuple(float(c[np.argmin(finite)]) for c in (a, u1, u2))
+        raise DomainError(
+            f"h2_rectangle at (a, u1, u2)={at!r} is outside double range: its poles overflow"
+        )
     top = 0.5 * w1.imag  # the height of both poles, bit for bit
-    offset = 1.0 + top if offset is None else np.full(a.size, require_finite("offset", offset))
-    if not (np.isfinite(t1p) & (offset > top)).all():
+    y = 1.0 + top if offset is None else np.full(a.size, require_finite("offset", offset))
+    if not (y > top).all():
         raise DomainError("contour must enclose both poles")
 
-    shift = 1j * offset
-    aa = a * a
-
-    def f(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-        t = x + shift[k]
-        p = t - u1[k]
-        p *= t - u2[k]
-        p *= p
-        p += aa[k]
-        t *= t
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        t /= p
-        return t
-
-    # |e^{-t^2}| = e^{y^2} on the line Im t = y, which leaves double range
-    # once y passes ~26.6; the non-finite values there stop that point's
-    # line integral unconverged, and the other points' lines run on
-    line = integrate_real_line_batch(f, a.size, cfg, seeds=np.stack([t1p.real, t2m.real], 1))
+    # |e^{-t^2}| = e^{y^2 - x^2} on the line, so beyond |x| = R + y the
+    # integrand is below e^{-R^2}.  Past y = R the rounding of e^{y^2} is
+    # far beyond any target, so the rows stop growing there and the tail
+    # term below bounds what they leave out.
+    half = np.floor((_RADIUS + np.minimum(y, _RADIUS)) / _STEP)
+    j = np.arange(-half.max(), half.max() + 1)
+    t = _STEP * j + 1j * y[:, None]
+    p = t - u1[:, None]
+    p *= t - u2[:, None]
+    p *= p
+    p += (a * a)[:, None]
+    tt = t * t
+    f = np.exp(-tt)
+    f /= p
+    f[np.abs(j) > half[:, None]] = 0.0
+    line = _STEP * _row_sums(f)
     res1 = np.exp(-t1p * t1p) / w1
     res2 = np.exp(-t2m * t2m) / w1.conj()
-    total = (a / math.pi) * line.value + (res1 + res2)
-    # e^{-t^2} has condition number 2|t|^2, so each residue carries a
-    # rounding error of a few eps (1 + 2|t|^2) times its size
+    total = (a / math.pi) * line + (res1 + res2)
+
+    # Rounding.  e^{-t^2} has condition number 2|t|^2, so each node value
+    # carries a few eps (2 + |t|^2) of its size, and each residue a few eps
+    # (1 + 2|t|^2) of its own; where the line's values grow like e^{y^2}
+    # this term dominates the estimate.
+    node_rounding = _row_sums(np.abs(f) * (4.0 + 2.0 * np.abs(tt)))
     rounding = sum((1.0 + 2.0 * np.abs(t) ** 2) * np.abs(r) for t, r in ((t1p, res1), (t2m, res2)))
-    err = (a / math.pi) * line.error_estimate + np.abs(total.imag) + 4.0 * _EPS * rounding
+    # Discretisation: with M bounding Int |f| on lines up to d away, the
+    # frequencies of either sign add M / (e^{2 pi d/h} - 1) (Trefethen &
+    # Weideman, SIAM Review 56, 2014, Thm 5.1, one side at a time).  Below
+    # the line, d stops short of the poles by a margin, so
+    # |f| <= e^{y^2 - x^2} / (margin (2 top + margin))^2.  Above, where
+    # |e^{-t^2}| grows by e^{2yd + d^2} but no pole lies, d = pi/h - y
+    # minimises that growth against e^{-2 pi d/h}.
+    g = y - top
+    margin = np.minimum(_STEP / math.pi, 0.5 * g)
+    down = g - margin
+    up = np.maximum(math.pi / _STEP - y, down)
+    far = (g * (y + top)) ** 2  # a lower bound of |quartic| on and above the line
+    discretisation = _strip_term(y, down, (margin * (2.0 * top + margin)) ** 2)
+    discretisation += _strip_term(y + up, up, far)
+    # Truncation: beyond the last node x_n, |f| <= e^{y^2 - x^2} / far.
+    x_n = _STEP * half
+    tail = np.exp((y - x_n) * (y + x_n)) / (x_n * far)
+    err = (a / math.pi) * (_STEP * _EPS * node_rounding + discretisation + tail)
+    err += np.abs(total.imag) + 4.0 * _EPS * rounding
     # a total that left double range has no known bound, and its |imag|
-    # would make the estimate NaN; inf, as for an overflowed panel sum
+    # would make the estimate NaN; inf
     err[~np.isfinite(total)] = np.inf
-    return QuadratureBatch(total.real, err, line.converged, line.evaluations)
+    value = total.real
+    converged = err <= _RECTANGLE_TARGET * np.maximum(1.0, np.abs(value))
+    return QuadratureBatch(value, err, converged, (2.0 * half + 1.0).astype(np.int64))
 
 
-def h2_rectangle(
-    a: float,
-    u1: float,
-    u2: float,
-    offset: float | None = None,
-    config: QuadratureConfig | None = None,
-) -> EvalResult:
+def h2_rectangle(a: float, u1: float, u2: float, offset: float | None = None) -> EvalResult:
     """H2 from a contour shifted off the real axis plus two residue terms.
 
     Deforming the defining integral upward across the enclosed poles gives
@@ -228,14 +273,30 @@ def h2_rectangle(
     diagnostic route: as a -> 0 the line term vanishes and the residues
     alone reproduce the limit values.
 
+    The line integrand is analytic between L and the poles and decays like
+    e^{-x^2}, so the trapezoidal rule converges geometrically in its step
+    (Trefethen & Weideman, SIAM Review 56, 2014).  L is sampled at step
+    1/8 over |x| <= 12 + min(offset, 12): 209 nodes as a -> 0, ~260 at
+    a = 20, at most 385, set by the line's height alone.  The error
+    estimate bounds the discretisation and truncation of that sum and the
+    rounding of its nodes and residues; the point fails with
+    IntegrationError unless the estimate is at most 1e-8, or 1e-8 |H2|
+    where |H2| > 1.  There is no tolerance to set.
+
     Working range: a up to about 20.  The poles sit ~sqrt(a/2) high and
     |e^{-t^2}| = e^{offset^2} on L, so the line term cancels down to H2
-    from values that grow like e^{a/2}: at (20, 0, 0.5) the route agrees
-    with h2 to ~2e-11 (estimate 6e-9), and from about a = 30 typical points
-    raise IntegrationError (estimates 1e-3 at a = 40, 0.35 at a = 50).
+    from values that grow like e^{a/2}, and the estimate with it: ~1e-13
+    at a = 5, ~5e-9 at (20, 0, 0.5), where the route agrees with h2 to
+    ~4e-12.  From about a = 22 points raise IntegrationError; from about
+    a = 1,300 e^{offset^2} leaves double range on L and the estimate is inf.
+    Poles that overflow raise DomainError.
     """
-    route = functools.partial(_rectangle_route, offset=offset)
-    return _route_point(route, config, True, a=a, u1=u1, u2=u2)
+
+    def route(a, u1, u2, _config):
+        # the shell passes its config, always None here: the sum has none
+        return _rectangle_route(a, u1, u2, offset)
+
+    return _route_point(route, None, True, a=a, u1=u1, u2=u2)
 
 
 # the single_complex representation's default tolerances

@@ -758,9 +758,6 @@ def test_route_point_names_an_unconverged_point_and_its_estimate():
 _SHELLS = {
     "h2_quadrature": (routes.h2_quadrature, routes._h2_route),
     "i2_quadrature": (routes.i2_quadrature, routes._i2_route),
-    "h2_rectangle": (
-        lambda a, u1, u2, cfg: routes.h2_rectangle(a, u1, u2, config=cfg), routes._rectangle_route
-    ),
     "double": (
         lambda a, u1, u2, cfg: routes.h2_integral_rep(a, u1, u2, "double", cfg), routes._h2_route
     ),
@@ -813,3 +810,39 @@ def test_scalar_route_shell_reaches_both_outcomes():
     for _, route in _SHELLS.values():
         assert route(a, u1, u2, None).converged[0]
         assert not route(a, u1, u2, _SHELL_CONFIGS[2]).converged[0]
+
+
+# h2_rectangle's trapezoid takes no config; its points converge in the
+# first range of a and fail in the second, past its working range
+_RECTANGLE_RANGES = [(0.1, 5.0), (100.0, 3000.0)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    a=st.one_of(*(st.floats(lo, hi) for lo, hi in _RECTANGLE_RANGES)),
+    u1=st.floats(-3.0, 3.0),
+    u2=st.floats(-3.0, 3.0),
+)
+def test_rectangle_returns_its_one_point_batch(a, u1, u2):
+    # h2_rectangle is the one-point batch of its route, as the shells above
+    with np.errstate(all="ignore"):
+        batch = routes._rectangle_route(np.array([a]), np.array([u1]), np.array([u2]))
+    if not batch.converged[0]:
+        with pytest.raises(IntegrationError, match="^quadrature did not converge at"):
+            routes.h2_rectangle(a, u1, u2)
+        return
+    r = routes.h2_rectangle(a, u1, u2)
+    assert type(r.value) is float and type(r.error_estimate) is float
+    assert r.value.hex() == float(batch.value[0]).hex()
+    assert r.error_estimate.hex() == float(batch.error_estimate[0]).hex()
+    assert r.method == "quadrature"
+
+
+def test_rectangle_shell_reaches_both_outcomes():
+    # the property above sees converged and unconverged batches alike, at
+    # both ends of each range of a
+    for u1, u2 in ((2.0, -2.0), (-3.0, 3.0), (0.0, 0.0)):
+        for (lo, hi), want in zip(_RECTANGLE_RANGES, (True, False)):
+            a, n1, n2 = np.array([lo, hi]), np.full(2, u1), np.full(2, u2)
+            with np.errstate(all="ignore"):
+                assert routes._rectangle_route(a, n1, n2).converged.tolist() == [want, want]

@@ -353,10 +353,14 @@ def test_rectangle_requires_enclosing_offset():
 
 
 def test_rectangle_rejects_poles_outside_double_range_without_warnings():
-    # the square (u1-u2)^2 overflows; the tests turn a RuntimeWarning into
-    # an error, so one leaking from the pole arithmetic would fail here
-    with pytest.raises(DomainError, match="^contour must enclose both poles$"):
-        h2_rectangle(1.0, 1e200, -1e200)
+    # the square (u1-u2)^2 or 4ia overflows; the point is named as h2 names
+    # it, with or without an offset; the tests turn a RuntimeWarning into an
+    # error, so one leaking from the pole arithmetic would fail here
+    for p in ((1.0, 1e200, -1e200), (1e308, 0.0, 0.0)):
+        at = re.escape(f"h2_rectangle at (a, u1, u2)={p!r} is outside double range")
+        for offset in (None, 5.0):
+            with pytest.raises(DomainError, match=f"^{at}: its poles overflow$"):
+                h2_rectangle(*p, offset=offset)
 
 
 def test_rectangle_at_large_a_fails_without_warnings():
@@ -390,8 +394,8 @@ def test_rectangle_estimate_is_inf_where_the_line_overflows():
 def test_rectangle_working_range():
     # up to a = 20 the route agrees with the closed form within its
     # estimate; the e^{y^2} growth on the line, at a height ~sqrt(a/2),
-    # stops it from converging from about a = 30, and at a = 50 it raises
-    # IntegrationError (estimate ~0.35) before any numpy warning
+    # stops it from converging from about a = 22, and at a = 50 it raises
+    # IntegrationError before any numpy warning
     for a in (1e-3, 0.5, 5.0, 20.0):
         for u in ((0.0, 0.5), (1.0, -1.0), (3.0, 2.0), (-2.0, 4.0), (0.0, 0.0)):
             r, ref = h2_rectangle(a, *u), h2(a, *u)
@@ -421,18 +425,23 @@ def test_enclosed_poles_match_pole_set():
                 assert abs(g - w) <= 4.0 * np.spacing(abs(w)), (p, got, want)
 
 
-def test_rectangle_estimate_bounds_its_error():
-    # Against the 40-digit reference.  The line term's estimate alone left
-    # out the rounding of the residues, e^{-t^2} conditioned like 2|t|^2,
-    # and missed the error at (1e-8, 3, 3) by ~20x.
+def _rectangle_points() -> np.ndarray:
+    # (1e-8, 3, 3) and 120 seeded points, a from 1e-14 to 5, |u| <= 8, half
+    # on the diagonal and half 1e-6 to 1 off it
     rng = np.random.default_rng(43)
     n = 120
     a = 10.0 ** rng.uniform(-14.0, np.log10(5.0), n)
     u1 = rng.uniform(-8.0, 8.0, n)
-    # half on the diagonal, half 1e-6 to 1 off it
     gap = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 0.0, n)
     gap[::2] = 0.0
-    points = np.concatenate([[(1e-8, 3.0, 3.0)], np.stack([a, u1, np.clip(u1 + gap, -8, 8)], 1)])
+    return np.concatenate([[(1e-8, 3.0, 3.0)], np.stack([a, u1, np.clip(u1 + gap, -8, 8)], 1)])
+
+
+def test_rectangle_estimate_bounds_its_error():
+    # Against the 40-digit reference.  The line term's estimate alone left
+    # out the rounding of the residues, e^{-t^2} conditioned like 2|t|^2,
+    # and missed the error at (1e-8, 3, 3) by ~20x.
+    points = _rectangle_points()
     batch = _rectangle_route(*points.T)
     assert batch.converged.all()
     for k, p in enumerate(points.tolist()):
@@ -699,13 +708,15 @@ def test_double_rep_is_the_defining_integral():
 
 
 def test_rectangle_batch_matches_one_point_calls():
-    a, u1, u2 = REP_POINTS.T
-    batch = _rectangle_route(a, u1, u2)
-    assert batch.converged.all()
-    _agree_with_one_point_calls(batch, REP_POINTS, _rectangle_route)
-    for k, p in enumerate(REP_POINTS.tolist()):
-        r = h2_rectangle(*p)
-        assert abs(batch.value[k] - r.value) <= batch.error_estimate[k] + r.error_estimate
+    # every row is summed in the same fixed order whatever its padding, so
+    # each point's value and estimate are the one-point call's bit for bit
+    for points in (REP_POINTS, _rectangle_points()):
+        batch = _rectangle_route(*points.T)
+        assert batch.converged.all()
+        for k, p in enumerate(points.tolist()):
+            r = h2_rectangle(*p)
+            assert r.value.hex() == float(batch.value[k]).hex(), p
+            assert r.error_estimate.hex() == float(batch.error_estimate[k]).hex(), p
 
 
 def test_double_rep_nonconvergence_names_the_point():
@@ -715,8 +726,28 @@ def test_double_rep_nonconvergence_names_the_point():
 
 
 def test_rectangle_nonconvergence_names_the_point():
-    with pytest.raises(IntegrationError, match=r"\(a, u1, u2\)=\(0\.5, 2\.0, -1\.0\)"):
-        h2_rectangle(0.5, 2.0, -1.0, config=QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=1))
+    # a = 50 is past the working range: the line's values grow like e^{a/2}
+    at = re.escape("(a, u1, u2)=(50.0, 2.0, -1.0); error estimate")
+    with pytest.raises(IntegrationError, match=f"^quadrature did not converge at {at}"):
+        h2_rectangle(50.0, 2.0, -1.0)
+
+
+def test_rectangle_fails_past_its_working_range_within_its_node_rows():
+    # Each point's line is one row of 2 floor(8 (12 + min(y, 12))) + 1
+    # nodes, so a point past the working range fails after its few hundred
+    # evaluations (the adaptive line integral took ~120k here before it
+    # gave up); the scalar call names the point, with no numpy warning.
+    a = np.array([100.0, 400.0, 1000.0, 2000.0])
+    with np.errstate(all="ignore"):
+        batch = _rectangle_route(a, np.zeros(4), np.full(4, 0.5))
+    assert not batch.converged.any()
+    assert batch.evaluations.tolist() == [321, 385, 385, 385]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ai in a.tolist():
+            at = re.escape(f"(a, u1, u2)=({ai!r}, 0.0, 0.5); error estimate")
+            with pytest.raises(IntegrationError, match=f"^quadrature did not converge at {at}"):
+                h2_rectangle(ai, 0.0, 0.5)
 
 
 def test_single_complex_nonconvergence_names_the_point():

@@ -125,11 +125,11 @@ def test_oracle_integrates_each_orbit_once(monkeypatch):
 
 def test_verify_all_work_stays_bounded(monkeypatch):
     # the quadrature work of one `verify all` pass, counted rather than
-    # timed so it holds on any host: 10 refinement loops and 1,442,460
-    # integrand evaluations, with room for a little more but not for a
-    # doubling of the oracle's integrals
+    # timed so it holds on any host: 9 refinement loops with 1,423,560
+    # integrand evaluations, and 11,206 trapezoid nodes on the rectangle's
+    # lines, 1,434,766 evaluations in all
     loops, evaluations = [0], [0]
-    refine = quadrature._refine
+    refine, rectangle = quadrature._refine, verify._rectangle_route
 
     def counting(*args):
         out = refine(*args)
@@ -137,11 +137,17 @@ def test_verify_all_work_stays_bounded(monkeypatch):
         evaluations[0] += int(out[3].sum())
         return out
 
+    def counting_nodes(*args):
+        out = rectangle(*args)
+        evaluations[0] += int(out.evaluations.sum())
+        return out
+
     monkeypatch.setattr(quadrature, "_refine", counting)
+    monkeypatch.setattr(verify, "_rectangle_route", counting_nodes)
     reports = run_suite("all")
     assert all(r.passed for r in reports)
-    assert loops[0] <= 10
-    assert evaluations[0] <= 1_500_000
+    assert loops[0] <= 9
+    assert evaluations[0] <= 1_435_000
 
 
 def test_failed_reference_point_is_named(monkeypatch):
