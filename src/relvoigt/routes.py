@@ -232,7 +232,7 @@ def _rectangle_route(a, u1, u2, offset=None) -> QuadratureBatch:
     # (1 + 2|t|^2) of its own; where the line's values grow like e^{y^2}
     # this term dominates the estimate.
     node_rounding = _row_sums(np.abs(f) * (4.0 + 2.0 * np.abs(tt)))
-    rounding = sum((1.0 + 2.0 * np.abs(t) ** 2) * np.abs(r) for t, r in ((t1p, res1), (t2m, res2)))
+    rounding = sum((1.0 + 2.0 * np.abs(z) ** 2) * np.abs(r) for z, r in ((t1p, res1), (t2m, res2)))
     # Discretisation: with M bounding Int |f| on lines up to d away, the
     # frequencies of either sign add M / (e^{2 pi d/h} - 1) (Trefethen &
     # Weideman, SIAM Review 56, 2014, Thm 5.1, one side at a time).  Below
