@@ -14,12 +14,12 @@ integral applies its own stop test, error-share split and subdivision
 budget, finishes on its own and has its panels dropped.  So one integrand
 call's abscissas stay bounded however many integrals a call carries, while
 the loop's per-panel bookkeeping grows with the call's initial panels.
-Every route makes one batched call, and a single integral is a batch of
-one: the ``*_batch`` integrators cover the real line, and _integrate_intervals
-covers finite windows, such as the truncated half-lines of the H0 Laplace
-and H2 single_complex routes, which add their analytic tail bounds
-themselves.  The one scalar entry, integrate_real_line, is a batch of one
-as well; it stays only because the benchmark's per-layer probe calls it.
+Every route but h2_rectangle, a trapezoid sum, makes one batched call, and a
+single integral is a batch of one: the ``*_batch`` integrators cover the real
+line, and _integrate_intervals finite windows, such as the truncated
+half-lines of the H0 Laplace and H2 single_complex routes, which add their
+analytic tail bounds themselves.  The one scalar entry, integrate_real_line,
+is a batch of one too, kept only for the benchmark's per-layer probe.
 
 There is one stop rule, QuadratureConfig.met: an error estimate is met when
 it and the value are finite and the estimate is at most
@@ -545,8 +545,8 @@ def integrate_real_line_compactified_batch(
     return QuadratureBatch(*_integrate_intervals(g, -edge, edge, cfg, pts))
 
 
-def _route_point(route, config, positive: bool, **point) -> EvalResult:
-    """A public scalar entry: one point, a first, through route(*coords, config).
+def _route_point(route, positive: bool, **point) -> EvalResult:
+    """A public scalar entry: one point, a first, through route(*coords).
 
     Every coordinate must be finite and a > 0 if positive, else nonzero;
     IntegrationError names a point that does not converge and its estimate.
@@ -562,7 +562,7 @@ def _route_point(route, config, positive: bool, **point) -> EvalResult:
     if a == 0.0:
         raise DomainError(f"a must be nonzero on this route, got {a!r}")
     with np.errstate(all="ignore"):
-        r = route(*(np.array([x]) for x in point.values()), config)
+        r = route(*(np.array([x]) for x in point.values()))
     value, estimate = float(r.value[0]), float(r.error_estimate[0])
     if not r.converged[0]:
         raise IntegrationError(

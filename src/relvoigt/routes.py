@@ -12,7 +12,7 @@ neither them nor scipy.  Each route is one computation on arrays of points,
 with its poles, residues, windows and tail terms computed on the same
 arrays: one batched adaptive quadrature call, except ``h2_rectangle``,
 whose line integral is one fixed trapezoidal sum per point over a padded
-array of node rows.
+array of node rows.  Each route has one fixed target, and no tolerance.
 
 The direct-quadrature oracles have grid forms as well (``h2_quadrature_grid``,
 ``i2_quadrature_grid``).  They integrate all points through the batched
@@ -22,6 +22,7 @@ the error estimates rather than bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -48,27 +49,36 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 
+# the adaptive routes' targets: an estimate of at most 1e-10, or 1e-10
+# |value|, within 4,000 panel splits; single_complex's is 1e-8
+_CONFIG = QuadratureConfig()
+_REP_CONFIG = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8)
 
-def _peak_seeds(a, u1, u2) -> np.ndarray:
-    # the integrand has Lorentzian-like peaks at u1 and u2 of half-width
-    # |a|/|u1-u2| (or |a|^{1/2} when the peaks merge); seed the panel edges
-    # geometrically out from each peak narrower than 1/2
+
+def _peaks(a, u1, u2):
+    # Lorentzian-like peaks at u1 and u2, of half-width w = |a|/s with
+    # s = max(|u1-u2|, |a|^{1/2}) and mass 1/s as a -> 0 (e^{-u^2}/s in H2).
+    # Returns the seeds walking geometrically out of each peak narrower than
+    # 1/2, s, and the (2, n) mask u + w == u: no double, so no node, is in it.
     aa = np.abs(a)
-    width = aa / np.maximum(np.abs(u1 - u2), np.sqrt(aa))
-    return peak_seeds(np.stack([u1, u2], axis=1), np.where(width < 0.5, width, 2.0))
+    scale = np.maximum(np.abs(u1 - u2), np.sqrt(aa))
+    width = aa / scale
+    u = np.stack([u1, u2])
+    return peak_seeds(u.T, np.where(width < 0.5, width, 2.0)), scale, u + width == u
 
 
-def _bound_lost_points(r: QuadratureBatch, a, aa, bound, config) -> QuadratureBatch:
+def _bound_lost_points(r: QuadratureBatch, a, aa, bound, blind) -> QuadratureBatch:
     # where a * a overflows the integrand and value are exactly 0; bound(|a|)
-    # joins just those points' estimates, so every other point keeps its bits
+    # joins just those points' estimates, so every other point keeps its bits.
+    # A blind point, whose value misses a peak no node can see, fails.
     lost = np.isinf(aa)
     err = r.error_estimate.copy()
     err[lost] += bound(np.abs(a[lost]))
-    cfg = config if config is not None else QuadratureConfig()
-    return QuadratureBatch(r.value, err, r.converged & cfg.met(err, r.value), r.evaluations)
+    converged = r.converged & _CONFIG.met(err, r.value) & ~blind
+    return QuadratureBatch(r.value, err, converged, r.evaluations)
 
 
-def _h2_route(a, u1, u2, config) -> QuadratureBatch:
+def _h2_route(a, u1, u2) -> QuadratureBatch:
     # the defining integral of H2 at arrays of points, in one batched call
     pref = a / math.pi
     aa = a * a
@@ -85,9 +95,12 @@ def _h2_route(a, u1, u2, config) -> QuadratureBatch:
         out /= p
         return out
 
-    r = integrate_real_line_batch(f, a.size, config, seeds=_peak_seeds(a, u1, u2))
+    seeds, _, unseen = _peaks(a, u1, u2)
+    r = integrate_real_line_batch(f, a.size, _CONFIG, seeds=seeds)
+    # an unseen peak matters inside the window |t| <= R the line is cut to
+    blind = (unseen & (np.abs([u1, u2]) <= _RADIUS)).any(axis=0)
     # |H2| <= (|a|/pi) Int e^{-t^2}/a^2 dt = 1/(|a| sqrt(pi))
-    return _bound_lost_points(r, a, aa, lambda b: 1.0 / (_SQRT_PI * b), config)
+    return _bound_lost_points(r, a, aa, lambda b: 1.0 / (_SQRT_PI * b), blind)
 
 
 def _h0_route(a, u) -> QuadratureBatch:
@@ -111,7 +124,7 @@ def _h0_route(a, u) -> QuadratureBatch:
     return integrate_real_line_batch(f, a.size, seeds=seeds)
 
 
-def _i2_route(a, u1, u2, config) -> QuadratureBatch:
+def _i2_route(a, u1, u2) -> QuadratureBatch:
     # the defining integral of I2 at arrays of points; it decays like 1/t^4,
     # so the real line is compactified rather than truncated
     pref = a / math.pi
@@ -124,38 +137,41 @@ def _i2_route(a, u1, u2, config) -> QuadratureBatch:
         p += aa[k]
         return np.divide(pref[k], p, out=p)
 
-    r = integrate_real_line_compactified_batch(f, a.size, config, seeds=_peak_seeds(a, u1, u2))
+    seeds, scale, unseen = _peaks(a, u1, u2)
+    r = integrate_real_line_compactified_batch(f, a.size, _CONFIG, seeds=seeds)
+    # on the whole line, an unseen peak matters where its mass is above target
+    blind = unseen.any(axis=0) & (1.0 / scale > _CONFIG.abs_tol)
     # |I2| = |2 Re(1/w1)| <= 2/|w1| and |w1|^2 = |(u1-u2)^2 + 4ia| >= 4|a|
-    return _bound_lost_points(r, a, aa, lambda b: 1.0 / np.sqrt(b), config)
+    return _bound_lost_points(r, a, aa, lambda b: 1.0 / np.sqrt(b), blind)
 
 
-def _route_grid(route, a, u1, u2, config) -> GridResult:
+def _route_grid(route, a, u1, u2) -> GridResult:
     _, coords = grid_floats(a=a, u1=u1, u2=u2)
     a, u1, u2 = np.broadcast_arrays(*coords)
     bad = ~(np.isfinite(a) & np.isfinite(u1) & np.isfinite(u2)) | (a == 0.0)
-    return quadrature_grid(lambda *p: route(*p, config), [(bad, DomainError)], a, u1, u2)
+    return quadrature_grid(route, [(bad, DomainError)], a, u1, u2)
 
 
-def h2_quadrature(
-    a: float, u1: float, u2: float, config: QuadratureConfig | None = None
-) -> EvalResult:
+def h2_quadrature(a: float, u1: float, u2: float) -> EvalResult:
     """H2 by direct adaptive quadrature of the defining integral.
 
     The independent oracle for the closed form.  Works for either sign of
     a (the integrand is odd in a), but not at a = 0 where the integral is
-    identically zero by convention rather than value.
+    identically zero by convention rather than value.  Its target is an
+    estimate of 1e-10, or 1e-10 |H2|, within 4,000 panel splits; it fails
+    where it cannot, or where a peak in |t| <= 12 is too narrow to see.
     """
-    return _route_point(_h2_route, config, False, a=a, u1=u1, u2=u2)
+    return _route_point(_h2_route, False, a=a, u1=u1, u2=u2)
 
 
-def h2_quadrature_grid(a, u1, u2, config: QuadratureConfig | None = None) -> GridResult:
+def h2_quadrature_grid(a, u1, u2) -> GridResult:
     """h2_quadrature over broadcast arrays of points, by batched quadrature.
 
     A point fails with the exception name h2_quadrature raises there
     (IntegrationError where it does not converge); the others agree with
     h2_quadrature within the sum of both error estimates.
     """
-    return _route_grid(_h2_route, a, u1, u2, config)
+    return _route_grid(_h2_route, a, u1, u2)
 
 
 def _enclosed_poles(a, u1, u2):
@@ -281,7 +297,7 @@ def h2_rectangle(a: float, u1: float, u2: float, offset: float | None = None) ->
     estimate bounds the discretisation and truncation of that sum and the
     rounding of its nodes and residues; the point fails with
     IntegrationError unless the estimate is at most 1e-8, or 1e-8 |H2|
-    where |H2| > 1.  There is no tolerance to set.
+    where |H2| > 1.
 
     Working range: a up to about 20.  The poles sit ~sqrt(a/2) high and
     |e^{-t^2}| = e^{offset^2} on L, so the line term cancels down to H2
@@ -291,19 +307,11 @@ def h2_rectangle(a: float, u1: float, u2: float, offset: float | None = None) ->
     a = 1,300 e^{offset^2} leaves double range on L and the estimate is inf.
     Poles that overflow raise DomainError.
     """
-
-    def route(a, u1, u2, _config):
-        # the shell passes its config, always None here: the sum has none
-        return _rectangle_route(a, u1, u2, offset)
-
-    return _route_point(route, None, True, a=a, u1=u1, u2=u2)
+    route = functools.partial(_rectangle_route, offset=offset)
+    return _route_point(route, True, a=a, u1=u1, u2=u2)
 
 
-# the single_complex representation's default tolerances
-_REP_CONFIG = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8)
-
-
-def _rep_single_complex(a, u1, u2, config=None) -> QuadratureBatch:
+def _rep_single_complex(a, u1, u2) -> QuadratureBatch:
     # Collapsing the t integral of the nested form through the Gaussian
     # integral Int dt e^{-(1-ix)t^2 - ixst} = sqrt(pi/(1-ix)) e^{-x^2 s^2
     # / (4(1-ix))} leaves
@@ -316,7 +324,6 @@ def _rep_single_complex(a, u1, u2, config=None) -> QuadratureBatch:
     # x_max is.  The phase oscillates at frequency about |u1 u2| near 0 and
     # (u1-u2)^2/4 asymptotically, and each point's panel edges are
     # pre-seeded on its own scale so no oscillation hides inside one panel.
-    cfg = config if config is not None else _REP_CONFIG
     s = u1 + u2
     p = u1 * u2
     x_max = 50.0 / a
@@ -339,18 +346,12 @@ def _rep_single_complex(a, u1, u2, config=None) -> QuadratureBatch:
     j = np.arange(count.max())
     breaks = np.where(j < count[:, None] - 1, j * (x_max / (count - 1))[:, None], x_max[:, None])
     value, err, converged, evaluations = _integrate_intervals(
-        f, np.zeros(a.size), x_max, cfg, breaks
+        f, np.zeros(a.size), x_max, _REP_CONFIG, breaks
     )
     return QuadratureBatch(value, err + np.exp(-a * x_max) / a, converged, evaluations)
 
 
-def h2_integral_rep(
-    a: float,
-    u1: float,
-    u2: float,
-    variant: str,
-    config: QuadratureConfig | None = None,
-) -> EvalResult:
+def h2_integral_rep(a: float, u1: float, u2: float, variant: str) -> EvalResult:
     """H2 through one of its integral representations; both require a > 0.
 
     Writing the Lorentzian factor of the defining integral as a Laplace
@@ -361,39 +362,39 @@ def h2_integral_rep(
     variant "single_complex" collapses its t integral instead, leaving one
     oscillatory x integral: the analogue of the classical
     H(a, u) = (1/sqrt(pi)) Int_0^inf e^{-ax - x^2/4} cos(ux) dx, and the
-    independent verification route, looser than the closed form.  variant
-    "double" is the nested form with its inner integral taken in closed
-    form, a/(a^2 + (t-u1)^2 (t-u2)^2), which is the defining integral
-    itself: it runs h2_quadrature's route and returns its result.
+    independent verification route, whose target, 1e-8, is looser than
+    h2_quadrature's.  variant "double" is the nested form with its inner
+    integral taken in closed form, a/(a^2 + (t-u1)^2 (t-u2)^2), which is
+    the defining integral itself: it runs h2_quadrature's route and
+    returns its result.
     """
     if variant not in ("double", "single_complex"):
         raise DomainError(f"unknown variant {variant!r}, expected 'double' or 'single_complex'")
     route = _h2_route if variant == "double" else _rep_single_complex
-    return _route_point(route, config, True, a=a, u1=u1, u2=u2)
+    return _route_point(route, True, a=a, u1=u1, u2=u2)
 
 
-def i2_quadrature(
-    a: float, u1: float, u2: float, config: QuadratureConfig | None = None
-) -> EvalResult:
+def i2_quadrature(a: float, u1: float, u2: float) -> EvalResult:
     """I2 by direct quadrature of its defining integral; oracle for i2_closed.
 
     The integrand decays like 1/t^4, so the real line is compactified
-    rather than truncated.
+    rather than truncated.  Target and failures are h2_quadrature's, but a
+    peak too narrow to see fails a point wherever its a -> 0 mass
+    1/max(|u1 - u2|, |a|^{1/2}) is above that target.
     """
-    return _route_point(_i2_route, config, False, a=a, u1=u1, u2=u2)
+    return _route_point(_i2_route, False, a=a, u1=u1, u2=u2)
 
 
-def i2_quadrature_grid(a, u1, u2, config: QuadratureConfig | None = None) -> GridResult:
+def i2_quadrature_grid(a, u1, u2) -> GridResult:
     """i2_quadrature over broadcast arrays of points, like h2_quadrature_grid."""
-    return _route_grid(_i2_route, a, u1, u2, config)
+    return _route_grid(_i2_route, a, u1, u2)
 
 
-def _laplace_route(a, u, config=None) -> QuadratureBatch:
+def _laplace_route(a, u) -> QuadratureBatch:
     # h0_laplace_rep at arrays of points with a > 0, in one batched call over
     # the window [0, 2R]: the real line's truncation under x = 2t.  The
     # integrand's modulus is at most e^{-x^2/4}, so the tail beyond 2R is
     # below erfc(R) < e^{-R^2}/(R sqrt(pi)), which each estimate adds.
-    cfg = config if config is not None else QuadratureConfig()
     z = -a + 1j * u
 
     def f(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -406,20 +407,18 @@ def _laplace_route(a, u, config=None) -> QuadratureBatch:
     width = 2.0 * _RADIUS
     edges = np.broadcast_to(np.linspace(0.0, width, 17), (a.size, 17))
     value, err, converged, evaluations = _integrate_intervals(
-        f, np.zeros(a.size), np.full(a.size, width), cfg, edges
+        f, np.zeros(a.size), np.full(a.size, width), _CONFIG, edges
     )
     err = err + math.exp(-_RADIUS * _RADIUS) / (_RADIUS * _SQRT_PI)
-    return QuadratureBatch(value.real, err, converged & cfg.met(err, value), evaluations)
+    return QuadratureBatch(value.real, err, converged & _CONFIG.met(err, value), evaluations)
 
 
-def h0_laplace_rep(
-    a: float, u: float, config: QuadratureConfig | None = None
-) -> EvalResult:
+def h0_laplace_rep(a: float, u: float) -> EvalResult:
     """H0 via its Laplace-type representation, a diagnostic cross-route.
 
     H0(a, u) = Re (1/sqrt(pi)) Int_0^inf e^{-a x + i u x - x^2/4} dx,
     valid for a > 0.  The integrand is bounded by e^{-x^2/4}, so the integral
-    is taken over the window [0, 24] by adaptive quadrature, and the tail
+    is taken over the window [0, 24] to h2_quadrature's target, and the tail
     beyond it, below 2e-64, is added to the error estimate.
     """
-    return _route_point(_laplace_route, config, True, a=a, u=u)
+    return _route_point(_laplace_route, True, a=a, u=u)

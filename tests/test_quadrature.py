@@ -708,8 +708,8 @@ def test_non_finite_tail_bound_value_stops_only_its_integral():
 def _fake_route(converged):
     calls = []
 
-    def route(a, u, config):
-        calls.append((a.tolist(), u.tolist(), config))
+    def route(a, u):
+        calls.append((a.tolist(), u.tolist()))
         return quadrature.QuadratureBatch(
             a + u, np.array([0.25]), np.array([converged]), np.array([15])
         )
@@ -719,13 +719,12 @@ def _fake_route(converged):
 
 def test_route_point_makes_one_one_point_call():
     route, calls = _fake_route(True)
-    cfg = QuadratureConfig()
-    r = quadrature._route_point(route, cfg, True, a=1.5, u=np.float64(-0.5))
+    r = quadrature._route_point(route, True, a=1.5, u=np.float64(-0.5))
     assert (r.value, r.error_estimate, r.method) == (1.0, 0.25, "quadrature")
     assert type(r.value) is float
-    assert calls == [([1.5], [-0.5], cfg)]
+    assert calls == [([1.5], [-0.5])]
     # a direct route takes either sign of a
-    assert quadrature._route_point(route, None, False, a=-1.5, u=0.5).value == -1.0
+    assert quadrature._route_point(route, False, a=-1.5, u=0.5).value == -1.0
 
 
 @pytest.mark.parametrize(
@@ -741,7 +740,7 @@ def test_route_point_makes_one_one_point_call():
 def test_route_point_checks_the_point_before_the_call(positive, point, message):
     route, calls = _fake_route(True)
     with pytest.raises(DomainError, match=message):
-        quadrature._route_point(route, None, positive, **point)
+        quadrature._route_point(route, positive, **point)
     assert calls == []
 
 
@@ -751,53 +750,67 @@ def test_route_point_names_an_unconverged_point_and_its_estimate():
         IntegrationError,
         match=r"^quadrature did not converge at \(a, u\)=\(2\.0, 0\.5\); error estimate 2\.500e-01$",
     ):
-        quadrature._route_point(route, None, True, a=2.0, u=0.5)
+        quadrature._route_point(route, True, a=2.0, u=0.5)
 
 
-# each public scalar route and the batched route it makes its one-point call to
+# Each public scalar route, the batched route it makes its one-point call
+# to, and two boxes of points, one (lo, hi) range per coordinate: every
+# route converges on the first box and fails on the second, as measured at
+# both corners.  The direct routes fail on the diagonal at a <= 1e-20,
+# whose merged peak the integral does not resolve, and off it, where no
+# node can land in a peak; single_complex where its window 50/a needs more
+# than 8,000 breakpoints; the Laplace route where u x oscillates faster
+# than its splits resolve; h2_rectangle past its working range.
+_CONVERGING = ((0.1, 5.0), (-3.0, 3.0), (-3.0, 3.0))
+_TINY_A = ((1e-30, 1e-20), (1.0, 3.0), (1.0, 3.0))
 _SHELLS = {
-    "h2_quadrature": (routes.h2_quadrature, routes._h2_route),
-    "i2_quadrature": (routes.i2_quadrature, routes._i2_route),
+    "h2_quadrature": (routes.h2_quadrature, routes._h2_route, _TINY_A),
+    "i2_quadrature": (routes.i2_quadrature, routes._i2_route, _TINY_A),
     "double": (
-        lambda a, u1, u2, cfg: routes.h2_integral_rep(a, u1, u2, "double", cfg), routes._h2_route
+        lambda a, u1, u2: routes.h2_integral_rep(a, u1, u2, "double"), routes._h2_route, _TINY_A
     ),
     "single_complex": (
-        lambda a, u1, u2, cfg: routes.h2_integral_rep(a, u1, u2, "single_complex", cfg),
+        lambda a, u1, u2: routes.h2_integral_rep(a, u1, u2, "single_complex"),
         routes._rep_single_complex,
+        ((1e-7, 1e-6), (1.0, 3.0), (-1.0, 0.0)),
     ),
     "h0_laplace_rep": (
-        lambda a, u, _, cfg: routes.h0_laplace_rep(a, u, cfg),
-        lambda a, u, _, cfg: routes._laplace_route(a, u, cfg),
+        lambda a, u, _: routes.h0_laplace_rep(a, u),
+        lambda a, u, _: routes._laplace_route(a, u),
+        ((1e-4, 1e-3), (1e5, 1e6), (0.0, 0.0)),
+    ),
+    "h2_rectangle": (
+        routes.h2_rectangle, routes._rectangle_route, ((100.0, 3000.0), (-3.0, 3.0), (-3.0, 3.0))
     ),
 }
 
-# a one-split budget leaves some points unconverged, the tight one most
-_SHELL_CONFIGS = [
-    None,
-    QuadratureConfig(max_subdivisions=1),
-    QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=1),
-]
+
+def _shell_boxes(name):
+    return _CONVERGING, _SHELLS[name][2]
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(
-    name=st.sampled_from(sorted(_SHELLS)),
-    a=st.floats(0.1, 5.0),
-    u1=st.floats(-3.0, 3.0),
-    u2=st.floats(-3.0, 3.0),
-    cfg=st.sampled_from(_SHELL_CONFIGS),
-)
-def test_scalar_route_returns_its_one_point_batch(name, a, u1, u2, cfg):
+@st.composite
+def _shell_points(draw):
+    name = draw(st.sampled_from(sorted(_SHELLS)))
+    box = draw(st.sampled_from(_shell_boxes(name)))
+    return name, tuple(draw(st.floats(lo, hi)) for lo, hi in box)
+
+
+@settings(max_examples=180, deadline=None, derandomize=True)
+@given(shell_point=_shell_points())
+def test_scalar_route_returns_its_one_point_batch(shell_point):
     # the scalar call is the one-point batch: its value and estimate bit for
     # bit as Python floats where the batch converged, IntegrationError where
     # it did not
-    scalar, route = _SHELLS[name]
-    batch = route(np.array([a]), np.array([u1]), np.array([u2]), cfg)
+    name, (a, u1, u2) = shell_point
+    scalar, route, _ = _SHELLS[name]
+    with np.errstate(all="ignore"):
+        batch = route(np.array([a]), np.array([u1]), np.array([u2]))
     if not batch.converged[0]:
         with pytest.raises(IntegrationError, match="^quadrature did not converge at"):
-            scalar(a, u1, u2, cfg)
+            scalar(a, u1, u2)
         return
-    r = scalar(a, u1, u2, cfg)
+    r = scalar(a, u1, u2)
     assert type(r.value) is float and type(r.error_estimate) is float
     assert r.value.hex() == float(batch.value[0]).hex()
     assert r.error_estimate.hex() == float(batch.error_estimate[0]).hex()
@@ -805,44 +818,10 @@ def test_scalar_route_returns_its_one_point_batch(name, a, u1, u2, cfg):
 
 
 def test_scalar_route_shell_reaches_both_outcomes():
-    # the property above sees converged and unconverged batches alike
-    a, u1, u2 = np.array([0.1]), np.array([2.0]), np.array([-2.0])
-    for _, route in _SHELLS.values():
-        assert route(a, u1, u2, None).converged[0]
-        assert not route(a, u1, u2, _SHELL_CONFIGS[2]).converged[0]
-
-
-# h2_rectangle's trapezoid takes no config; its points converge in the
-# first range of a and fail in the second, past its working range
-_RECTANGLE_RANGES = [(0.1, 5.0), (100.0, 3000.0)]
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    a=st.one_of(*(st.floats(lo, hi) for lo, hi in _RECTANGLE_RANGES)),
-    u1=st.floats(-3.0, 3.0),
-    u2=st.floats(-3.0, 3.0),
-)
-def test_rectangle_returns_its_one_point_batch(a, u1, u2):
-    # h2_rectangle is the one-point batch of its route, as the shells above
-    with np.errstate(all="ignore"):
-        batch = routes._rectangle_route(np.array([a]), np.array([u1]), np.array([u2]))
-    if not batch.converged[0]:
-        with pytest.raises(IntegrationError, match="^quadrature did not converge at"):
-            routes.h2_rectangle(a, u1, u2)
-        return
-    r = routes.h2_rectangle(a, u1, u2)
-    assert type(r.value) is float and type(r.error_estimate) is float
-    assert r.value.hex() == float(batch.value[0]).hex()
-    assert r.error_estimate.hex() == float(batch.error_estimate[0]).hex()
-    assert r.method == "quadrature"
-
-
-def test_rectangle_shell_reaches_both_outcomes():
-    # the property above sees converged and unconverged batches alike, at
-    # both ends of each range of a
-    for u1, u2 in ((2.0, -2.0), (-3.0, 3.0), (0.0, 0.0)):
-        for (lo, hi), want in zip(_RECTANGLE_RANGES, (True, False)):
-            a, n1, n2 = np.array([lo, hi]), np.full(2, u1), np.full(2, u2)
+    # the property above sees converged and unconverged batches alike: each
+    # route converges at both corners of its first box and fails at both
+    # corners of its second
+    for name, (_, route, _) in _SHELLS.items():
+        for box, want in zip(_shell_boxes(name), (True, False)):
             with np.errstate(all="ignore"):
-                assert routes._rectangle_route(a, n1, n2).converged.tolist() == [want, want]
+                assert route(*np.array(box)).converged.tolist() == [want, want], (name, box)

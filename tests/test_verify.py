@@ -110,9 +110,9 @@ def test_oracle_integrates_each_orbit_once(monkeypatch):
     for name in sizes:
         route = getattr(routes, f"_{name}_route")
 
-        def counting(a, u1, u2, config, route=route, seen=sizes[name]):
+        def counting(a, u1, u2, route=route, seen=sizes[name]):
             seen.append(a.size)
-            return route(a, u1, u2, config)
+            return route(a, u1, u2)
 
         monkeypatch.setattr(routes, f"_{name}_route", counting)
     reports = verify_oracle()
@@ -155,8 +155,8 @@ def test_failed_reference_point_is_named(monkeypatch):
     # IntegrationError the scalar route raises, naming that point
     laplace = verify._laplace_route
 
-    def one_unconverged(a, u, config=None):
-        r = laplace(a, u, config)
+    def one_unconverged(a, u):
+        r = laplace(a, u)
         return quadrature.QuadratureBatch(
             r.value, r.error_estimate, r.converged & ~((a == 1.0) & (u == 1.5)), r.evaluations
         )
