@@ -46,7 +46,6 @@ _HOMES = {
     "gaussian": "profiles",
     "reduce_nonrel": "profiles",
     "reduce_rel": "profiles",
-    "QuadratureConfig": "quadrature",
     "QuadratureResult": "quadrature",
     "integrate_real_line": "quadrature",
     "h0": "voigt",

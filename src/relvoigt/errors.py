@@ -71,12 +71,15 @@ def require_finite(name: str, x: float) -> float:
     return x
 
 
-def require_int(name: str, x) -> int:
-    """x as an int; DomainError naming the argument unless it is an integer."""
+def require_int(name: str, x, least: int) -> int:
+    """x as an int; DomainError naming the argument unless it is an integer >= least."""
     try:
-        return operator.index(x)
+        n = operator.index(x)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {x!r}") from None
+    if n < least:
+        raise DomainError(f"{name} must be >= {least}, got {n!r}")
+    return n
 
 
 def check_side(side: int) -> int:

@@ -10,34 +10,33 @@ third-party integration backend.
 There is one refinement loop.  It carries all the integrals of a call in
 lock-step: every round evaluates the new panels of all live integrals,
 handing the integrand consecutive runs of at most 2,048 panels, then each
-integral applies its own stop test, error-share split and subdivision
-budget, finishes on its own and has its panels dropped.  So one integrand
-call's abscissas stay bounded however many integrals a call carries, while
-the loop's per-panel bookkeeping grows with the call's initial panels.
-Every route but h2_rectangle, a trapezoid sum, makes one batched call, and a
-single integral is a batch of one: the ``*_batch`` integrators cover the real
-line, and _integrate_intervals finite windows, such as the truncated
-half-lines of the H0 Laplace and H2 single_complex routes, which add their
-analytic tail bounds themselves.  The one scalar entry, integrate_real_line,
-is a batch of one too, kept only for the benchmark's per-layer probe.
+integral applies its own stop test, error-share split and budget of
+_MAX_SPLITS = 4,000 splits, finishes on its own and has its panels dropped.
+So one integrand call's abscissas stay bounded however many integrals a
+call carries, while the loop's per-panel bookkeeping grows with the call's
+initial panels.  Every route but h2_rectangle, a trapezoid sum, makes one
+batched call, and a single integral is a batch of one: the ``*_batch``
+integrators cover the real line, and _integrate_intervals finite windows,
+such as the truncated half-lines of the H0 Laplace and H2 single_complex
+routes, with each window's analytic tail bound.  The one scalar entry,
+integrate_real_line, is a batch of one too, kept only for the benchmark.
 
-There is one stop rule, QuadratureConfig.met: an error estimate is met when
-it and the value are finite and the estimate is at most
-max(abs_tol, rel_tol * |value|).  The refinement loop and the real-line
-tail bound apply it, so neither an estimate that overflowed nor a total
-that did ever converges, and an integral whose total is no longer finite
-stops unconverged at once.
+There is one stop rule, _met(error, value, tol): both are finite and error
+<= max(tol, tol * |value|).  Each call takes one tol, 1e-10 by default; the
+refinement loop, the final estimates with their tail bounds and every route
+apply the rule, so neither an estimate nor a total that overflowed ever
+converges, and an integral whose total is no longer finite stops at once.
 
 Integrand contract.  A batched integrand is called panel-major: it
 receives a 2-D array of abscissas, one row per panel holding that panel's
 15 nodes, and an int column of shape (rows, 1) giving the index of the
 integral each row belongs to, so per-integral parameters are gathered once
 per row and broadcast along it.  It returns an array of the abscissas'
-shape.  (integrate_real_line_batch's tail bound makes one more call, with a
-row of the two truncation points per integral.)  The kernel builds its
-nodes node-major, one row per Kronrod node, and hands the integrand that
-block's transpose, so the abscissas may be a non-C-contiguous view.  It may
-not write into them.  A return of the wrong shape raises IntegrationError
+shape.  (integrate_real_line_batch's tail bound makes one more call, the
+first, with a row of the two truncation points per integral.)  The kernel
+builds its nodes node-major, one row per Kronrod node, and hands the
+integrand that block's transpose, so the abscissas may be a
+non-C-contiguous view.  It may not write into them.  A return of the wrong shape raises IntegrationError
 for the whole call.  A NaN or infinite value raises nothing: it leaves
 its own integral's total or estimate non-finite, so that integral alone
 stops unconverged, as QUADPACK reports a failed integral through its ier
@@ -64,7 +63,6 @@ from .result import EvalResult, GridResult, grid_result
 
 __all__ = [
     "QuadratureBatch",
-    "QuadratureConfig",
     "QuadratureResult",
     "integrate_real_line",
     "integrate_real_line_batch",
@@ -134,6 +132,9 @@ _CHUNK = 2048
 # the grid forms hand their route at most this many points per call
 _ROUTE_POINTS = 1024
 
+# an integral splits at most this many panels in all
+_MAX_SPLITS = 4000
+
 # the real-line half-width R, in units of the integrand's Gaussian envelope:
 # the e^{-t^2} tail beyond it is below 1e-62
 _RADIUS = 12.0
@@ -142,46 +143,18 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and budget for one integration call.
-
-    The run aims for an error estimate that meets its target (see met).
-    max_subdivisions caps the number of panel splits; exhausting it yields
-    converged=False rather than an exception.  A batched call applies the
-    config to each of its integrals separately.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 4000
-
-    def __post_init__(self) -> None:
-        for name in ("abs_tol", "rel_tol"):
-            v = require_finite(name, getattr(self, name))
-            if not v > 0.0:
-                raise DomainError(f"{name} must be finite and > 0, got {v!r}")
-            object.__setattr__(self, name, v)
-        n = require_int("max_subdivisions", self.max_subdivisions)
-        if n < 1:
-            raise DomainError(f"max_subdivisions must be >= 1, got {n!r}")
-        object.__setattr__(self, "max_subdivisions", n)
-
-    def target(self, value):
-        """max(abs_tol, rel_tol * |value|), elementwise for arrays."""
-        return np.maximum(self.abs_tol, self.rel_tol * np.abs(value))
-
-    def met(self, error, value):
-        """The one stop test: error and value are finite and error <= target(value)."""
-        return np.isfinite(error) & np.isfinite(value) & (error <= self.target(value))
+def _met(error, value, tol: float):
+    """The one stop rule: error and value are finite and error <= max(tol, tol |value|)."""
+    target = np.maximum(tol, tol * np.abs(value))
+    return np.isfinite(error) & np.isfinite(value) & (error <= target)
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
     """Integral value with an absolute error estimate.
 
-    converged=True guarantees config.met(error_estimate, value) for the
-    config the run used; evaluations counts integrand abscissas.
+    converged=True guarantees _met(error_estimate, value, tol) for the tol
+    the run used; evaluations counts integrand abscissas.
     """
 
     value: float | complex
@@ -280,16 +253,16 @@ def _eval_chunks(f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, owner: np.nd
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _refine(f: BatchIntegrand, plo, phi, own, n: int, cfg: QuadratureConfig):
+def _refine(f: BatchIntegrand, plo, phi, own, n: int, tol: float):
     """Adaptively integrate n integrals from their initial panels, in lock-step.
 
     plo, phi and own list every initial panel with the index (0..n-1) of
     its integral; n >= 1.  Each round evaluates the new panels of every
     live integral, at most _CHUNK panels per integrand call.  Each integral
     follows the rule of a lone integral: stop converged once
-    cfg.met(error sum, value); otherwise split every panel holding more
+    _met(error sum, value, tol); otherwise split every panel holding more
     than its share of the error and wider than 64 ulps, worst first when
-    fewer splits remain in the max_subdivisions budget; stop unconverged
+    fewer remain of its _MAX_SPLITS splits; stop unconverged
     when the budget is spent, nothing can be split or the value is no
     longer finite.  An integral's panels keep their order whatever shares
     the loop, so its sums add in the same order.  Returns per-integral
@@ -310,12 +283,12 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, cfg: QuadratureConfig):
     while True:
         total = _sum_by(own, val, n)
         total_err = np.bincount(own, err, n)
-        done = cfg.met(total_err, total)
+        done = _met(total_err, total, tol)
 
         # split every panel above its error share, worst first under budget
         share = total_err / (2.0 * np.maximum(panels + splits, 1))
         mask = (err > share[own]) & wide
-        budget = cfg.max_subdivisions - splits
+        budget = _MAX_SPLITS - splits
         wanted = np.bincount(own[mask], minlength=n)
         stop = live & (done | (budget <= 0) | (wanted == 0) | ~np.isfinite(total))
         if stop.any():
@@ -360,16 +333,20 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, cfg: QuadratureConfig):
 
 
 def _integrate_intervals(
-    f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, cfg: QuadratureConfig, breaks=None
+    f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, tol: float, breaks=None, tail=0.0
 ):
-    """Integrate f over [lo[k], hi[k]] for every k, all in one refinement loop.
+    """Integrate f over [lo[k], hi[k]] for every k to tol, in one refinement loop.
 
     Every lo[k] < hi[k].  breaks, an (n, m) array, adds initial panel edges
     per integral; they are clipped onto [lo, hi] and duplicates are dropped.
-    The loop's bookkeeping holds every live panel of every integral, so it
-    grows with the call's initial panels; the integrand calls do not.
-    Returns per-integral (value, error, converged, evaluations).
+    tail bounds what the windows leave out and joins each final estimate
+    before its last stop test.  Every call checks tol here, and only here.
+    The loop's bookkeeping grows with the call's initial panels; the
+    integrand calls do not.  Returns (value, error, converged, evaluations).
     """
+    tol = require_finite("tol", tol)
+    if not tol > 0.0:
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     if lo.size == 0:
         return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
     if breaks is None:
@@ -379,7 +356,11 @@ def _integrate_intervals(
         edges = np.sort(np.concatenate([l, h, np.clip(breaks, l, h)], axis=1), axis=1)
         keep = edges[:, 1:] > edges[:, :-1]
         plo, phi, own = edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
-    return _refine(f, plo, phi, own, lo.size, cfg)
+    value, error, converged, evaluations = _refine(f, plo, phi, own, lo.size, tol)
+    # a tail bound may overflow like a panel sum, leaving an inf estimate
+    with np.errstate(over="ignore"):
+        error = error + tail
+    return value, error, converged & _met(error, value, tol), evaluations
 
 
 def quadrature_grid(route, rules, *coords: np.ndarray) -> GridResult:
@@ -416,8 +397,14 @@ def quadrature_grid(route, rules, *coords: np.ndarray) -> GridResult:
 
 
 def _seeds(x, n: int) -> np.ndarray:
-    # panel seeds as a finite (n, m) array, row k for integral k
-    x = np.asarray(x, dtype=float).reshape(n, -1)
+    # panel seeds as a finite (n, m) float array, row k for integral k, and
+    # m = 0 for no integrals; a complex or text seed does not cast to float
+    # under "same_kind"
+    try:
+        x = np.asarray(x).astype(float, casting="same_kind", copy=False)
+        x = x.reshape(n, x.size // max(n, 1))
+    except (TypeError, ValueError):
+        raise DomainError(f"seeds must be real numbers in n={n} rows of one length") from None
     if not np.isfinite(x).all():
         raise DomainError("seeds must be finite")
     return x
@@ -467,7 +454,7 @@ def _lone(f: Integrand) -> BatchIntegrand:
 
 
 def integrate_real_line_batch(
-    f: BatchIntegrand, n: int, config: QuadratureConfig | None = None, *, seeds=None
+    f: BatchIntegrand, n: int, tol: float = 1e-10, *, seeds=None
 ) -> QuadratureBatch:
     """Integrate n Gaussian-envelope integrands over the real line at once.
 
@@ -478,23 +465,23 @@ def integrate_real_line_batch(
     t = c + s x itself.  seeds is an (n, m) array of panel seeds, row k
     for integral k (repeat a value to pad a short row); they become
     initial panel boundaries.  The call's memory grows with its up to
-    n * (16 + m) initial panels, as its seeds do.  A NaN or infinite value at
-    a node or truncation point leaves just its integral unconverged.
+    n * (16 + m) initial panels, as its seeds do.  An integral converges once
+    its estimate, tail bound included, meets tol within 4,000 panel splits;
+    a NaN or infinite value at a node or truncation point leaves it unconverged.
     """
-    cfg = config if config is not None else QuadratureConfig()
+    n = require_int("n", n, 0)
     lo = np.full(n, -_RADIUS)
     hi = np.full(n, _RADIUS)
     pts = np.broadcast_to(np.linspace(-_RADIUS, _RADIUS, 17), (n, 17))
     if seeds is not None:
         pts = np.concatenate([pts, _seeds(seeds, n)], axis=1)
 
-    value, error, converged, evaluations = _integrate_intervals(f, lo, hi, cfg, pts)
     # Gaussian tail bound at the truncation points; it may overflow like a
     # panel sum, and a non-finite value there leaves a non-finite estimate
     edge = np.abs(_call(f, np.stack([lo, hi], axis=1), np.arange(n)[:, None]))
     with np.errstate(over="ignore"):
-        error = error + (edge[:, 0] + edge[:, 1]) / (2.0 * _RADIUS)
-    converged = converged & cfg.met(error, value)
+        tail = (edge[:, 0] + edge[:, 1]) / (2.0 * _RADIUS)
+    value, error, converged, evaluations = _integrate_intervals(f, lo, hi, tol, pts, tail)
     return QuadratureBatch(value, error, converged, evaluations + 2)
 
 
@@ -502,23 +489,20 @@ def integrate_real_line_batch(
 # integrand on every traced run.  It, _lone and QuadratureResult go with
 # that probe.
 def integrate_real_line(
-    f: Integrand,
-    config: QuadratureConfig | None = None,
-    *,
-    seeds: Sequence[float] | None = None,
+    f: Integrand, tol: float = 1e-10, *, seeds: Sequence[float] | None = None
 ) -> QuadratureResult:
     """integrate_real_line_batch for one scalar integrand f(t), t a 1-D array.
 
     A NaN or infinite value of f gives converged=False, not an exception.
     """
-    r = integrate_real_line_batch(_lone(f), 1, config, seeds=seeds)
+    r = integrate_real_line_batch(_lone(f), 1, tol, seeds=seeds)
     return QuadratureResult(
         r.value.item(), r.error_estimate.item(), r.converged.item(), r.evaluations.item()
     )
 
 
 def integrate_real_line_compactified_batch(
-    f: BatchIntegrand, n: int, config: QuadratureConfig | None = None, *, seeds=None
+    f: BatchIntegrand, n: int, tol: float = 1e-10, *, seeds=None
 ) -> QuadratureBatch:
     """Integrate n algebraically decaying integrands over the real line at once.
 
@@ -528,10 +512,11 @@ def integrate_real_line_compactified_batch(
     covers integrands the Gaussian-envelope truncation of
     integrate_real_line_batch would bias, such as pure rational densities.
     seeds is an (n, m) array, row k for integral k.  The call's memory grows
-    with its up to n * (32 + m) initial panels, as its seeds do.  A NaN or
-    infinite value at a node leaves just its integral unconverged.
+    with its up to n * (32 + m) initial panels, as its seeds do.  An integral
+    converges once its estimate meets tol within 4,000 panel splits; a NaN
+    or infinite value at a node leaves it unconverged.
     """
-    cfg = config if config is not None else QuadratureConfig()
+    n = require_int("n", n, 0)
 
     def g(theta: np.ndarray, owner: np.ndarray) -> np.ndarray:
         t = np.tan(theta)
@@ -542,7 +527,7 @@ def integrate_real_line_compactified_batch(
     if seeds is not None:
         pts = np.concatenate([pts, np.arctan(_seeds(seeds, n))], axis=1)
     edge = np.full(n, half_pi)
-    return QuadratureBatch(*_integrate_intervals(g, -edge, edge, cfg, pts))
+    return QuadratureBatch(*_integrate_intervals(g, -edge, edge, tol, pts))
 
 
 def _route_point(route, positive: bool, **point) -> EvalResult:

@@ -262,13 +262,19 @@ def h2_grid(a, u1, u2) -> GridResult:
 
 
 def h2_limit_a0(u1: float, u2: float, side: int) -> float:
-    """One-sided limit of H2 as a -> 0: +-(e^{-u1^2} + e^{-u2^2})/|u1-u2|."""
+    """One-sided limit of H2 as a -> 0: +-(e^{-u1^2} + e^{-u2^2})/|u1-u2|.
+
+    A DomainError names a point where the limit leaves double range.
+    """
     u1 = require_finite("u1", u1)
     u2 = require_finite("u2", u2)
     side = check_side(side)
     if u1 == u2:
         raise DomainError("limit divergent on degenerate manifold")
-    return side * (math.exp(-u1 * u1) + math.exp(-u2 * u2)) / abs(u1 - u2)
+    value = side * (math.exp(-u1 * u1) + math.exp(-u2 * u2)) / abs(u1 - u2)
+    if not math.isfinite(value):
+        raise DomainError(f"h2_limit_a0 leaves double range at (u1, u2)=({u1!r}, {u2!r})")
+    return value
 
 
 def h2_degenerate_series(a: float, u: float) -> EvalResult:
@@ -409,6 +415,8 @@ def v2_gamma0_limit(e: float, mu: float, sigma: float, side: int) -> float:
     """One-sided limit of V2 as gamma -> 0: a two-Gaussian line pair.
 
     +-(1/(2 sigma mu sqrt(2 pi))) (e^{-(E-mu)^2/2 sigma^2} + e^{-(E+mu)^2/2 sigma^2}).
+    A DomainError names a point where sigma^2 or sigma mu underflows, or a
+    square or the limit leaves double range.
     """
     e = require_finite("e", e)
     mu = require_finite("mu", mu)
@@ -418,9 +426,17 @@ def v2_gamma0_limit(e: float, mu: float, sigma: float, side: int) -> float:
         raise DomainError("limit divergent on degenerate manifold mu = 0")
     if sigma <= 0.0:
         raise ParameterError(f"sigma must be > 0, got {sigma!r}")
-    q = 0.5 / (sigma * sigma)
-    pair = math.exp(-q * (e - mu) ** 2) + math.exp(-q * (e + mu) ** 2)
-    return side * pair / (2.0 * sigma * mu * math.sqrt(2.0 * math.pi))
+    try:
+        q = 0.5 / (sigma * sigma)
+        pair = math.exp(-q * (e - mu) ** 2) + math.exp(-q * (e + mu) ** 2)
+        value = side * pair / (2.0 * sigma * mu * math.sqrt(2.0 * math.pi))
+        if math.isfinite(value):
+            return value
+    except (ZeroDivisionError, OverflowError):
+        pass
+    raise DomainError(
+        f"v2_gamma0_limit leaves double range at (e, mu, sigma)=({e!r}, {mu!r}, {sigma!r})"
+    )
 
 
 def _check_ratio_params(sigma: float, gamma: float, mu: float):

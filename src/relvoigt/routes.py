@@ -12,7 +12,8 @@ neither them nor scipy.  Each route is one computation on arrays of points,
 with its poles, residues, windows and tail terms computed on the same
 arrays: one batched adaptive quadrature call, except ``h2_rectangle``,
 whose line integral is one fixed trapezoidal sum per point over a padded
-array of node rows.  Each route has one fixed target, and no tolerance.
+array of node rows.  Each route has one fixed tol, which no caller sets,
+and converges where its finite estimate is at most max(tol, tol |value|).
 
 The direct-quadrature oracles have grid forms as well (``h2_quadrature_grid``,
 ``i2_quadrature_grid``).  They integrate all points through the batched
@@ -32,8 +33,8 @@ from .quadrature import (
     _EPS,
     _RADIUS,
     QuadratureBatch,
-    QuadratureConfig,
     _integrate_intervals,
+    _met,
     _route_point,
     integrate_real_line_batch,
     integrate_real_line_compactified_batch,
@@ -49,10 +50,9 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# the adaptive routes' targets: an estimate of at most 1e-10, or 1e-10
-# |value|, within 4,000 panel splits; single_complex's is 1e-8
-_CONFIG = QuadratureConfig()
-_REP_CONFIG = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8)
+# the routes' tolerances: 1e-10, and 1e-8 for single_complex and h2_rectangle
+_TOL = 1e-10
+_LOOSE_TOL = 1e-8
 
 
 def _peaks(a, u1, u2):
@@ -74,7 +74,7 @@ def _bound_lost_points(r: QuadratureBatch, a, aa, bound, blind) -> QuadratureBat
     lost = np.isinf(aa)
     err = r.error_estimate.copy()
     err[lost] += bound(np.abs(a[lost]))
-    converged = r.converged & _CONFIG.met(err, r.value) & ~blind
+    converged = r.converged & _met(err, r.value, _TOL) & ~blind
     return QuadratureBatch(r.value, err, converged, r.evaluations)
 
 
@@ -96,7 +96,7 @@ def _h2_route(a, u1, u2) -> QuadratureBatch:
         return out
 
     seeds, _, unseen = _peaks(a, u1, u2)
-    r = integrate_real_line_batch(f, a.size, _CONFIG, seeds=seeds)
+    r = integrate_real_line_batch(f, a.size, _TOL, seeds=seeds)
     # an unseen peak matters inside the window |t| <= R the line is cut to
     blind = (unseen & (np.abs([u1, u2]) <= _RADIUS)).any(axis=0)
     # |H2| <= (|a|/pi) Int e^{-t^2}/a^2 dt = 1/(|a| sqrt(pi))
@@ -138,9 +138,9 @@ def _i2_route(a, u1, u2) -> QuadratureBatch:
         return np.divide(pref[k], p, out=p)
 
     seeds, scale, unseen = _peaks(a, u1, u2)
-    r = integrate_real_line_compactified_batch(f, a.size, _CONFIG, seeds=seeds)
-    # on the whole line, an unseen peak matters where its mass is above target
-    blind = unseen.any(axis=0) & (1.0 / scale > _CONFIG.abs_tol)
+    r = integrate_real_line_compactified_batch(f, a.size, _TOL, seeds=seeds)
+    # on the whole line, an unseen peak matters unless its mass alone meets tol
+    blind = unseen.any(axis=0) & ~_met(1.0 / scale, 0.0, _TOL)
     # |I2| = |2 Re(1/w1)| <= 2/|w1| and |w1|^2 = |(u1-u2)^2 + 4ia| >= 4|a|
     return _bound_lost_points(r, a, aa, lambda b: 1.0 / np.sqrt(b), blind)
 
@@ -185,10 +185,6 @@ def _enclosed_poles(a, u1, u2):
 # h2_rectangle's trapezoid step on its line, whose integrand is analytic
 # within ~1 of the line: the discretisation error falls like e^{-2 pi/h}
 _STEP = 0.125
-
-# h2_rectangle converges where its estimate is at most this, or this
-# times |H2| where |H2| > 1
-_RECTANGLE_TARGET = 1e-8
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -272,7 +268,7 @@ def _rectangle_route(a, u1, u2, offset=None) -> QuadratureBatch:
     # would make the estimate NaN; inf
     err[~np.isfinite(total)] = np.inf
     value = total.real
-    converged = err <= _RECTANGLE_TARGET * np.maximum(1.0, np.abs(value))
+    converged = _met(err, value, _LOOSE_TOL)
     return QuadratureBatch(value, err, converged, (2.0 * half + 1.0).astype(np.int64))
 
 
@@ -345,10 +341,10 @@ def _rep_single_complex(a, u1, u2) -> QuadratureBatch:
     # each row is np.linspace(0, x_max, count), padded by repeating x_max
     j = np.arange(count.max())
     breaks = np.where(j < count[:, None] - 1, j * (x_max / (count - 1))[:, None], x_max[:, None])
-    value, err, converged, evaluations = _integrate_intervals(
-        f, np.zeros(a.size), x_max, _REP_CONFIG, breaks
+    tail = np.exp(-a * x_max) / a
+    return QuadratureBatch(
+        *_integrate_intervals(f, np.zeros(a.size), x_max, _LOOSE_TOL, breaks, tail)
     )
-    return QuadratureBatch(value, err + np.exp(-a * x_max) / a, converged, evaluations)
 
 
 def h2_integral_rep(a: float, u1: float, u2: float, variant: str) -> EvalResult:
@@ -363,10 +359,11 @@ def h2_integral_rep(a: float, u1: float, u2: float, variant: str) -> EvalResult:
     oscillatory x integral: the analogue of the classical
     H(a, u) = (1/sqrt(pi)) Int_0^inf e^{-ax - x^2/4} cos(ux) dx, and the
     independent verification route, whose target, 1e-8, is looser than
-    h2_quadrature's.  variant "double" is the nested form with its inner
-    integral taken in closed form, a/(a^2 + (t-u1)^2 (t-u2)^2), which is
-    the defining integral itself: it runs h2_quadrature's route and
-    returns its result.
+    h2_quadrature's: a point fails with IntegrationError unless its
+    estimate, truncation tail included, is at most 1e-8, or 1e-8 |H2|.
+    variant "double" is the nested form with its inner integral taken in
+    closed form, a/(a^2 + (t-u1)^2 (t-u2)^2), which is the defining
+    integral itself: it runs h2_quadrature's route and returns its result.
     """
     if variant not in ("double", "single_complex"):
         raise DomainError(f"unknown variant {variant!r}, expected 'double' or 'single_complex'")
@@ -406,11 +403,11 @@ def _laplace_route(a, u) -> QuadratureBatch:
 
     width = 2.0 * _RADIUS
     edges = np.broadcast_to(np.linspace(0.0, width, 17), (a.size, 17))
-    value, err, converged, evaluations = _integrate_intervals(
-        f, np.zeros(a.size), np.full(a.size, width), _CONFIG, edges
+    tail = math.exp(-_RADIUS * _RADIUS) / (_RADIUS * _SQRT_PI)
+    value, *rest = _integrate_intervals(
+        f, np.zeros(a.size), np.full(a.size, width), _TOL, edges, tail
     )
-    err = err + math.exp(-_RADIUS * _RADIUS) / (_RADIUS * _SQRT_PI)
-    return QuadratureBatch(value.real, err, converged & _CONFIG.met(err, value), evaluations)
+    return QuadratureBatch(value.real, *rest)
 
 
 def h0_laplace_rep(a: float, u: float) -> EvalResult:

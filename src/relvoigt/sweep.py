@@ -114,10 +114,7 @@ class SweepSpec:
             object.__setattr__(self, name, require_finite(name, getattr(self, name)))
         if not self.start < self.stop:
             raise DomainError(f"need start < stop, got [{self.start!r}, {self.stop!r}]")
-        steps = require_int("steps", self.steps)
-        if steps < 2:
-            raise DomainError(f"steps must be >= 2, got {steps!r}")
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "steps", require_int("steps", self.steps, 2))
         if self.scale not in ("linear", "log"):
             raise DomainError(f"scale must be 'linear' or 'log', got {self.scale!r}")
         if self.scale == "log" and self.start <= 0.0:

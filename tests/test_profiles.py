@@ -22,10 +22,7 @@ from relvoigt import (
     v2,
 )
 from relvoigt.profiles import bw_rel_grid
-from relvoigt.quadrature import (
-    QuadratureConfig,
-    integrate_real_line_compactified_batch,
-)
+from relvoigt.quadrature import integrate_real_line_compactified_batch
 
 SQRT2 = math.sqrt(2.0)
 
@@ -47,7 +44,7 @@ def test_bw_nonrel_normalized():
     r = integrate_real_line_compactified_batch(
         lambda e, k: np.vectorize(lambda x: bw_nonrel(x, p))(e),
         1,
-        QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11),
+        1e-11,
         seeds=[[0.5]],
     )
     assert r.converged[0]
@@ -72,7 +69,7 @@ def test_bw_rel_mass_equals_pole_identity():
     r = integrate_real_line_compactified_batch(
         lambda e, k: np.vectorize(lambda x: bw_rel(x, p))(e),
         1,
-        QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11),
+        1e-11,
         seeds=[[-mu, mu]],
     )
     assert r.converged[0]
@@ -93,7 +90,7 @@ def test_gaussian_normalized():
     r = integrate_real_line_compactified_batch(
         lambda x, k: np.vectorize(lambda y: gaussian(y, sigma))(x),
         1,
-        QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11),
+        1e-11,
     )
     assert r.converged[0]
     assert abs(r.value[0] - 1.0) < 1e-10

@@ -47,7 +47,6 @@ from relvoigt import (
     v2_grid,
 )
 from relvoigt.quadrature import (
-    QuadratureConfig,
     integrate_real_line,
     integrate_real_line_batch,
     quadrature_grid,
@@ -217,6 +216,32 @@ def test_h2_limit_a0_values():
     assert h2_limit_a0(1.0, 0.0, -1) == -h2_limit_a0(1.0, 0.0, 1)
     with pytest.raises(DomainError):
         h2_limit_a0(1.0, 1.0, 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: v2_gamma0_limit(1.0, 1.0, 1e-170, 1),
+            r"^v2_gamma0_limit leaves double range at \(e, mu, sigma\)=\(1\.0, 1\.0, 1e-170\)$",
+        ),
+        (
+            lambda: v2_gamma0_limit(1.0, 1.0, 1e-155, 1),
+            r"^v2_gamma0_limit leaves double range at \(e, mu, sigma\)=\(1\.0, 1\.0, 1e-155\)$",
+        ),
+        (
+            lambda: h2_limit_a0(5e-324, 0.0, 1),
+            r"^h2_limit_a0 leaves double range at \(u1, u2\)=\(5e-324, 0\.0\)$",
+        ),
+    ],
+    ids=["sigma_squared_underflows", "sigma_squared_subnormal", "h2_tiny_gap"],
+)
+def test_limits_name_a_point_outside_double_range(call, message):
+    # sigma^2 = 0 divides by zero, a subnormal sigma^2 makes 1/(2 sigma^2)
+    # inf and its product with (e - mu)^2 = 0 NaN, and a gap of 5e-324
+    # overflows the quotient
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 def test_h2_limit_approach():
@@ -782,6 +807,19 @@ def test_single_complex_nonconvergence_names_the_point():
         h2_integral_rep(1e-6, 1.0, 0.0, "single_complex")
 
 
+def test_single_complex_fails_where_its_tail_misses_the_target():
+    # the window 50/a = 5e17 adds the truncation tail e^{-50}/a ~ 1.9e-6 to
+    # the estimate, far above the 1e-8 target, so the point fails: the value
+    # the window reaches, 1.3765e-8, is 16% off H2 = 1.6402e-8
+    at = re.escape("(a, u1, u2)=(1e-16, 6.0, 6.0); error estimate 1.934e-06")
+    with pytest.raises(IntegrationError, match=f"^quadrature did not converge at {at}$"):
+        h2_integral_rep(1e-16, 6.0, 6.0, "single_complex")
+    a, u1, u2 = np.array([1e-16, 1.0]), np.array([6.0, 1.0]), np.array([6.0, 0.5])
+    res = quadrature_grid(_rep_single_complex, [], a, u1, u2)
+    assert res.error.tolist() == ["IntegrationError", ""]
+    assert res.value[1] == h2_integral_rep(1.0, 1.0, 0.5, "single_complex").value
+
+
 def test_single_complex_edges_raise_without_warnings():
     # a window of 5e301 caps the breakpoint count before its int cast and
     # does not converge; a window or phase beyond double range is refused
@@ -990,9 +1028,7 @@ def test_corollary_bounded_analytic_weight():
         phi = 1.0 / (t * t + 25.0)
         return phi / ((t - u1) ** 2 * (t - u2) ** 2 + a * a)
 
-    r = integrate_real_line(
-        f, QuadratureConfig(abs_tol=1e-3, rel_tol=1e-7, max_subdivisions=20000), seeds=seeds
-    )
+    r = integrate_real_line(f, 1e-7, seeds=seeds)
     assert r.converged
     got = a / math.pi * r.value
     want = (1.0 / 26.0 + 1.0 / 26.0) / 2.0
@@ -1026,7 +1062,7 @@ def test_v2_matches_convolution_quadrature():
 
         r = integrate_real_line(
             f,
-            QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11),
+            1e-11,
             seeds=[(-p.mu - e) / s, (p.mu - e) / s, 0.0],
         )
         assert r.converged
@@ -1043,7 +1079,7 @@ def test_v2_mass_matches_bw_rel_mass():
     r = integrate_real_line_compactified_batch(
         lambda e, k: np.vectorize(lambda x: v2(x, p))(e),
         1,
-        QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9),
+        1e-9,
         seeds=[[-mu, mu]],
     )
     assert r.converged[0]

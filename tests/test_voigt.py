@@ -20,11 +20,7 @@ from relvoigt import (
     h0_limit_a0,
     v0,
 )
-from relvoigt.quadrature import (
-    QuadratureConfig,
-    integrate_real_line,
-    integrate_real_line_compactified_batch,
-)
+from relvoigt.quadrature import integrate_real_line, integrate_real_line_compactified_batch
 from relvoigt.routes import _laplace_route
 
 from oracles import erfc_complex, erfc_real
@@ -40,7 +36,7 @@ def h0_quadrature(a: float, u: float, tol: float = 1e-12) -> float:
     def f(t: np.ndarray) -> np.ndarray:
         return np.exp(-t * t) / ((u - t) ** 2 + a * a)
 
-    r = integrate_real_line(f, QuadratureConfig(abs_tol=tol, rel_tol=tol), seeds=seeds)
+    r = integrate_real_line(f, tol, seeds=seeds)
     assert r.converged
     return a / math.pi * r.value
 
@@ -174,7 +170,7 @@ def test_v0_normalized():
     r = integrate_real_line_compactified_batch(
         lambda e, k: np.vectorize(lambda x: v0(x, p))(e),
         1,
-        QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10),
+        1e-10,
         seeds=[[1.0]],
     )
     assert r.converged[0]
@@ -203,7 +199,7 @@ def test_v0_is_the_convolution():
 
         r = integrate_real_line(
             f,
-            QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12),
+            1e-12,
             seeds=[(p.mu - e) / s, 0.0],
         )
         assert r.converged
