@@ -118,27 +118,36 @@ def test_evaluation_count_reported():
     assert r.evaluations > 0
 
 
-# each integrator at a given tol, on an integral that converges at any tol
-# from 1e-9 up
-_INTEGRATORS = (
-    lambda tol: integrate_real_line(lambda t: np.exp(-t * t), tol),
-    lambda tol: integrate_real_line_batch(lambda t, k: np.exp(-t * t), 2, tol),
-    lambda tol: integrate_real_line_compactified_batch(lambda t, k: 1.0 / (1.0 + t**4), 2, tol),
-)
+# each integrator at a given tol, on an integral scaled by `scale` that
+# converges at any tol from 1e-9 up
+def _integrators(scale=1.0):
+    return (
+        lambda tol: integrate_real_line(lambda t: scale * np.exp(-t * t), tol),
+        lambda tol: integrate_real_line_batch(lambda t, k: scale * np.exp(-t * t), 2, tol),
+        lambda tol: integrate_real_line_compactified_batch(
+            lambda t, k: scale / (1.0 + t**4), 2, tol
+        ),
+    )
 
 
 def test_tol_validation():
-    for integrate in _INTEGRATORS:
+    for integrate in _integrators():
         for bad in (0.0, -1e-9):
             with pytest.raises(DomainError, match=f"^tol must be finite and > 0, got {bad!r}$"):
                 integrate(bad)
 
 
-def test_tol_is_a_checked_float():
+# the one tol bounds the error absolutely where |value| < 1 and relative to
+# |value| where |value| > 1; each case scales the integrals into one regime
+_TOL_ROLES = {"abs_tol": 1e-3, "rel_tol": 1e3}
+
+
+@pytest.mark.parametrize("name", sorted(_TOL_ROLES))
+def test_config_tolerances_are_checked_floats(name):
     # a value float() rejects is a DomainError naming tol, like every other
     # argument check, not a bare TypeError or ValueError, through every
     # integrator
-    for integrate in _INTEGRATORS:
+    for integrate in _integrators(_TOL_ROLES[name]):
         for bad, shown in (
             (None, "None"),
             ("tight", "'tight'"),
@@ -152,12 +161,16 @@ def test_tol_is_a_checked_float():
                 integrate(bad)
         with pytest.raises(DomainError, match="^tol must be finite and > 0, got -0.0$"):
             integrate(-0.0)
-        # what float() accepts runs as the float it converts to, bit for bit
+        # what float() accepts runs as the float it converts to, bit for bit,
+        # and bounds the error in this case's regime
         for given in (np.float32(0.25), np.float64(1e-9), 3, "1e-9"):
             r, want = integrate(given), integrate(float(given))
             assert np.all(r.converged)
             for field in ("value", "error_estimate", "converged", "evaluations"):
                 assert np.array_equal(getattr(r, field), getattr(want, field)), (given, field)
+            scale = 1.0 if name == "abs_tol" else np.abs(r.value)
+            assert np.all(np.abs(r.value) < 1) == (name == "abs_tol")
+            assert np.all(r.error_estimate <= float(given) * scale), given
 
 
 # ------------------------------------------------------- batched integration
