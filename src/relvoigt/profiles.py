@@ -157,7 +157,10 @@ def gaussian(x: float, sigma: float) -> float:
     sigma = require_finite("sigma", sigma)
     _require_positive("sigma", sigma)
     z = x / sigma
-    return math.exp(-0.5 * z * z) / (sigma * _SQRT2PI)
+    value = math.exp(-0.5 * z * z) / (sigma * _SQRT2PI)
+    if not math.isfinite(value):
+        raise DomainError(f"gaussian leaves double range at (x, sigma)=({x!r}, {sigma!r})")
+    return value
 
 
 def reduce_nonrel(e: float, params: ProfileParams) -> ReducedCoordsNonRel:

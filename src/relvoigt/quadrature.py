@@ -21,11 +21,11 @@ such as the truncated half-lines of the H0 Laplace and H2 single_complex
 routes, with each window's analytic tail bound.  The one scalar entry,
 integrate_real_line, is a batch of one too, kept only for the benchmark.
 
-There is one stop rule, _met(error, value, tol): both are finite and error
-<= max(tol, tol * |value|).  Each call takes one tol, 1e-10 by default; the
-refinement loop, the final estimates with their tail bounds and every route
-apply the rule, so neither an estimate nor a total that overflowed ever
-converges, and an integral whose total is no longer finite stops at once.
+There is one stop rule, _met(error, value, tol), at _TOL = 1e-10 or a
+route's looser tol, which no caller sets; the loop, the final estimates with
+their tail bounds and every route apply it, so neither an estimate nor a
+total that overflowed ever converges, and an integral whose total is no
+longer finite stops at once.
 
 Integrand contract.  A batched integrand is called panel-major: it
 receives a 2-D array of abscissas, one row per panel holding that panel's
@@ -132,8 +132,10 @@ _CHUNK = 2048
 # the grid forms hand their route at most this many points per call
 _ROUTE_POINTS = 1024
 
-# an integral splits at most this many panels in all
+# an integral splits at most this many panels in all, and its target is
+# _TOL, which every integrator and all routes but two run at
 _MAX_SPLITS = 4000
+_TOL = 1e-10
 
 # the real-line half-width R, in units of the integrand's Gaussian envelope:
 # the e^{-t^2} tail beyond it is below 1e-62
@@ -153,8 +155,8 @@ def _met(error, value, tol: float):
 class QuadratureResult:
     """Integral value with an absolute error estimate.
 
-    converged=True guarantees _met(error_estimate, value, tol) for the tol
-    the run used; evaluations counts integrand abscissas.
+    converged=True guarantees _met(error_estimate, value, _TOL), the one
+    target of every integrator; evaluations counts integrand abscissas.
     """
 
     value: float | complex
@@ -340,13 +342,9 @@ def _integrate_intervals(
     Every lo[k] < hi[k].  breaks, an (n, m) array, adds initial panel edges
     per integral; they are clipped onto [lo, hi] and duplicates are dropped.
     tail bounds what the windows leave out and joins each final estimate
-    before its last stop test.  Every call checks tol here, and only here.
-    The loop's bookkeeping grows with the call's initial panels; the
-    integrand calls do not.  Returns (value, error, converged, evaluations).
+    before its last stop test.  The loop's bookkeeping grows with the call's
+    initial panels; the integrand calls do not.  Returns (value, error, converged, evaluations).
     """
-    tol = require_finite("tol", tol)
-    if not tol > 0.0:
-        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     if lo.size == 0:
         return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
     if breaks is None:
@@ -453,9 +451,7 @@ def _lone(f: Integrand) -> BatchIntegrand:
     return g
 
 
-def integrate_real_line_batch(
-    f: BatchIntegrand, n: int, tol: float = 1e-10, *, seeds=None
-) -> QuadratureBatch:
+def integrate_real_line_batch(f: BatchIntegrand, n: int, *, seeds=None) -> QuadratureBatch:
     """Integrate n Gaussian-envelope integrands over the real line at once.
 
     Each integrand must decay like C e^{-t^2} beyond the window: the
@@ -466,7 +462,7 @@ def integrate_real_line_batch(
     for integral k (repeat a value to pad a short row); they become
     initial panel boundaries.  The call's memory grows with its up to
     n * (16 + m) initial panels, as its seeds do.  An integral converges once
-    its estimate, tail bound included, meets tol within 4,000 panel splits;
+    its estimate, tail bound included, meets _TOL within 4,000 panel splits;
     a NaN or infinite value at a node or truncation point leaves it unconverged.
     """
     n = require_int("n", n, 0)
@@ -481,28 +477,23 @@ def integrate_real_line_batch(
     edge = np.abs(_call(f, np.stack([lo, hi], axis=1), np.arange(n)[:, None]))
     with np.errstate(over="ignore"):
         tail = (edge[:, 0] + edge[:, 1]) / (2.0 * _RADIUS)
-    value, error, converged, evaluations = _integrate_intervals(f, lo, hi, tol, pts, tail)
+    value, error, converged, evaluations = _integrate_intervals(f, lo, hi, _TOL, pts, tail)
     return QuadratureBatch(value, error, converged, evaluations + 2)
 
 
-# Kept only for the benchmark: perfbench/layers.py times it with a scalar
-# integrand on every traced run.  It, _lone and QuadratureResult go with
-# that probe.
-def integrate_real_line(
-    f: Integrand, tol: float = 1e-10, *, seeds: Sequence[float] | None = None
-) -> QuadratureResult:
+def integrate_real_line(f: Integrand, *, seeds: Sequence[float] | None = None) -> QuadratureResult:
     """integrate_real_line_batch for one scalar integrand f(t), t a 1-D array.
 
     A NaN or infinite value of f gives converged=False, not an exception.
     """
-    r = integrate_real_line_batch(_lone(f), 1, tol, seeds=seeds)
+    r = integrate_real_line_batch(_lone(f), 1, seeds=seeds)
     return QuadratureResult(
         r.value.item(), r.error_estimate.item(), r.converged.item(), r.evaluations.item()
     )
 
 
 def integrate_real_line_compactified_batch(
-    f: BatchIntegrand, n: int, tol: float = 1e-10, *, seeds=None
+    f: BatchIntegrand, n: int, *, seeds=None
 ) -> QuadratureBatch:
     """Integrate n algebraically decaying integrands over the real line at once.
 
@@ -513,7 +504,7 @@ def integrate_real_line_compactified_batch(
     integrate_real_line_batch would bias, such as pure rational densities.
     seeds is an (n, m) array, row k for integral k.  The call's memory grows
     with its up to n * (32 + m) initial panels, as its seeds do.  An integral
-    converges once its estimate meets tol within 4,000 panel splits; a NaN
+    converges once its estimate meets _TOL within 4,000 panel splits; a NaN
     or infinite value at a node leaves it unconverged.
     """
     n = require_int("n", n, 0)
@@ -527,7 +518,7 @@ def integrate_real_line_compactified_batch(
     if seeds is not None:
         pts = np.concatenate([pts, np.arctan(_seeds(seeds, n))], axis=1)
     edge = np.full(n, half_pi)
-    return QuadratureBatch(*_integrate_intervals(g, -edge, edge, tol, pts))
+    return QuadratureBatch(*_integrate_intervals(g, -edge, edge, _TOL, pts))
 
 
 def _route_point(route, positive: bool, **point) -> EvalResult:

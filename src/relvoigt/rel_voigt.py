@@ -377,9 +377,8 @@ def _v2(e, mu, gamma, sigma) -> float:
     a, u1, u2 = _reduce_rel(float(e), mu, gamma, sigma)
     if not (math.isfinite(a) and math.isfinite(u1) and math.isfinite(u2)):
         raise DomainError(
-            "v2 at e=%r, ProfileParams(mu=%r, gamma=%r, sigma=%r) is outside double "
-            "range: reduced coordinates (a, u1, u2)=(%r, %r, %r)",
-            e, mu, gamma, sigma, a, u1, u2,
+            "v2 at e=%r, ProfileParams(mu=%r, gamma=%r, sigma=%r) is outside double range: "
+            "reduced coordinates (a, u1, u2)=(%r, %r, %r)", e, mu, gamma, sigma, a, u1, u2,
         )
     # h2 at finite (a, u1, u2), with its a = 0 -> 0 convention
     h = _h2_closed(a, u1, u2)[0] if a != 0.0 else 0.0
@@ -415,8 +414,8 @@ def v2_gamma0_limit(e: float, mu: float, sigma: float, side: int) -> float:
     """One-sided limit of V2 as gamma -> 0: a two-Gaussian line pair.
 
     +-(1/(2 sigma mu sqrt(2 pi))) (e^{-(E-mu)^2/2 sigma^2} + e^{-(E+mu)^2/2 sigma^2}).
-    A DomainError names a point where sigma^2 or sigma mu underflows, or a
-    square or the limit leaves double range.
+    A DomainError names a point where the limit overflows; a sigma^2, a
+    square or a sigma mu outside double range is not one.
     """
     e = require_finite("e", e)
     mu = require_finite("mu", mu)
@@ -426,17 +425,21 @@ def v2_gamma0_limit(e: float, mu: float, sigma: float, side: int) -> float:
         raise DomainError("limit divergent on degenerate manifold mu = 0")
     if sigma <= 0.0:
         raise ParameterError(f"sigma must be > 0, got {sigma!r}")
+    # squares as products, as ** raises on overflow; sigma mu divides out as
+    # mantissas and a power of 2, or in the exponents where the pair underflows
+    z1, z2 = (e - mu) / sigma, (e + mu) / sigma
+    pair = math.exp(-0.5 * (z1 * z1)) + math.exp(-0.5 * (z2 * z2))
+    (fs, es), (fm, em) = math.frexp(sigma), math.frexp(mu)
     try:
-        q = 0.5 / (sigma * sigma)
-        pair = math.exp(-q * (e - mu) ** 2) + math.exp(-q * (e + mu) ** 2)
-        value = side * pair / (2.0 * sigma * mu * math.sqrt(2.0 * math.pi))
-        if math.isfinite(value):
-            return value
-    except (ZeroDivisionError, OverflowError):
-        pass
-    raise DomainError(
-        f"v2_gamma0_limit leaves double range at (e, mu, sigma)=({e!r}, {mu!r}, {sigma!r})"
-    )
+        if pair < _DBL_MIN:
+            pre = math.log(2.0 * math.sqrt(2.0 * math.pi) * sigma) + math.log(abs(mu))
+            pair = math.exp(-0.5 * (z1 * z1) - pre) + math.exp(-0.5 * (z2 * z2) - pre)
+            return math.copysign(pair, side * mu)
+        return math.ldexp(side * pair / (2.0 * math.sqrt(2.0 * math.pi) * fs * fm), -es - em)
+    except OverflowError:
+        raise DomainError(
+            f"v2_gamma0_limit leaves double range at (e, mu, sigma)=({e!r}, {mu!r}, {sigma!r})"
+        ) from None
 
 
 def _check_ratio_params(sigma: float, gamma: float, mu: float):

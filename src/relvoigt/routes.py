@@ -12,8 +12,8 @@ neither them nor scipy.  Each route is one computation on arrays of points,
 with its poles, residues, windows and tail terms computed on the same
 arrays: one batched adaptive quadrature call, except ``h2_rectangle``,
 whose line integral is one fixed trapezoidal sum per point over a padded
-array of node rows.  Each route has one fixed tol, which no caller sets,
-and converges where its finite estimate is at most max(tol, tol |value|).
+array of node rows.  A route converges where its finite estimate is at most
+max(tol, tol |value|) at its one fixed tol; no caller sets a tol or a height.
 
 The direct-quadrature oracles have grid forms as well (``h2_quadrature_grid``,
 ``i2_quadrature_grid``).  They integrate all points through the batched
@@ -23,15 +23,15 @@ the error estimates rather than bit for bit.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import DomainError
 from .quadrature import (
     _EPS,
     _RADIUS,
+    _TOL,
     QuadratureBatch,
     _integrate_intervals,
     _met,
@@ -50,9 +50,7 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# the routes' tolerances: 1e-10, and 1e-8 for single_complex and h2_rectangle
-_TOL = 1e-10
-_LOOSE_TOL = 1e-8
+_LOOSE_TOL = 1e-8  # the target of single_complex and h2_rectangle; the others run at _TOL
 
 
 def _peaks(a, u1, u2):
@@ -96,7 +94,7 @@ def _h2_route(a, u1, u2) -> QuadratureBatch:
         return out
 
     seeds, _, unseen = _peaks(a, u1, u2)
-    r = integrate_real_line_batch(f, a.size, _TOL, seeds=seeds)
+    r = integrate_real_line_batch(f, a.size, seeds=seeds)
     # an unseen peak matters inside the window |t| <= R the line is cut to
     blind = (unseen & (np.abs([u1, u2]) <= _RADIUS)).any(axis=0)
     # |H2| <= (|a|/pi) Int e^{-t^2}/a^2 dt = 1/(|a| sqrt(pi))
@@ -138,7 +136,7 @@ def _i2_route(a, u1, u2) -> QuadratureBatch:
         return np.divide(pref[k], p, out=p)
 
     seeds, scale, unseen = _peaks(a, u1, u2)
-    r = integrate_real_line_compactified_batch(f, a.size, _TOL, seeds=seeds)
+    r = integrate_real_line_compactified_batch(f, a.size, seeds=seeds)
     # on the whole line, an unseen peak matters unless its mass alone meets tol
     blind = unseen.any(axis=0) & ~_met(1.0 / scale, 0.0, _TOL)
     # |I2| = |2 Re(1/w1)| <= 2/|w1| and |w1|^2 = |(u1-u2)^2 + 4ia| >= 4|a|
@@ -201,12 +199,12 @@ def _strip_term(s, d, q):
     return _SQRT_PI * np.exp(s * s - k * d) / (q * -np.expm1(-k * d))
 
 
-def _rectangle_route(a, u1, u2, offset=None) -> QuadratureBatch:
+def _rectangle_route(a, u1, u2) -> QuadratureBatch:
     # h2_rectangle at arrays of points with a > 0.  Every line is at
-    # Im t = y = offset, or 1 above its point's higher enclosed pole, and its
-    # integral is the trapezoidal sum over the nodes x = j h with
-    # |x| <= R + min(y, R).  The node rows of all points form one padded
-    # array, and the residues are computed on the same arrays.
+    # Im t = y, 1 above its point's higher enclosed pole, and its integral
+    # is the trapezoidal sum over the nodes x = j h with |x| <= R + min(y, R).
+    # The node rows of all points form one padded array, and the residues
+    # are computed on the same arrays.
     w1, t1p, t2m = _enclosed_poles(a, u1, u2)
     finite = np.isfinite(t1p) & np.isfinite(t2m)
     if not finite.all():
@@ -215,9 +213,7 @@ def _rectangle_route(a, u1, u2, offset=None) -> QuadratureBatch:
             f"h2_rectangle at (a, u1, u2)={at!r} is outside double range: its poles overflow"
         )
     top = 0.5 * w1.imag  # the height of both poles, bit for bit
-    y = 1.0 + top if offset is None else np.full(a.size, require_finite("offset", offset))
-    if not (y > top).all():
-        raise DomainError("contour must enclose both poles")
+    y = 1.0 + top
 
     # |e^{-t^2}| = e^{y^2 - x^2} on the line, so beyond |x| = R + y the
     # integrand is below e^{-R^2}.  Past y = R the rounding of e^{y^2} is
@@ -272,7 +268,7 @@ def _rectangle_route(a, u1, u2, offset=None) -> QuadratureBatch:
     return QuadratureBatch(value, err, converged, (2.0 * half + 1.0).astype(np.int64))
 
 
-def h2_rectangle(a: float, u1: float, u2: float, offset: float | None = None) -> EvalResult:
+def h2_rectangle(a: float, u1: float, u2: float) -> EvalResult:
     """H2 from a contour shifted off the real axis plus two residue terms.
 
     Deforming the defining integral upward across the enclosed poles gives
@@ -280,31 +276,30 @@ def h2_rectangle(a: float, u1: float, u2: float, offset: float | None = None) ->
         H2 = (a/pi) Int_L e^{-t^2}/((t-u1)^2 (t-u2)^2 + a^2) dt
              + e^{-t1_plus^2}/w1 + e^{-t2_minus^2}/w2
 
-    with L the horizontal line Im t = offset.  The offset must clear both
-    enclosed poles; by default it sits 1 above the higher one.  A
-    diagnostic route: as a -> 0 the line term vanishes and the residues
+    with L the horizontal line Im t = y, 1 above the higher enclosed pole.
+    A diagnostic route: as a -> 0 the line term vanishes and the residues
     alone reproduce the limit values.
 
     The line integrand is analytic between L and the poles and decays like
     e^{-x^2}, so the trapezoidal rule converges geometrically in its step
-    (Trefethen & Weideman, SIAM Review 56, 2014).  L is sampled at step
-    1/8 over |x| <= 12 + min(offset, 12): 209 nodes as a -> 0, ~260 at
-    a = 20, at most 385, set by the line's height alone.  The error
-    estimate bounds the discretisation and truncation of that sum and the
-    rounding of its nodes and residues; the point fails with
-    IntegrationError unless the estimate is at most 1e-8, or 1e-8 |H2|
-    where |H2| > 1.
+    (Trefethen & Weideman, SIAM Review 56, 2014).  Its error e^{-2 pi d/h}
+    falls with L's distance d from the poles while its nodes and e^{y^2}
+    rise with y, so the height is fixed at d = 1, which sizes the step 1/8,
+    the nodes |x| <= 12 + min(y, 12) (209 as a -> 0, ~260 at a = 20, at
+    most 385) and the error estimate.  That bounds the discretisation and
+    truncation of the sum and the rounding of its nodes and residues; the
+    point fails with IntegrationError unless the estimate is at most 1e-8,
+    or 1e-8 |H2| where |H2| > 1.
 
     Working range: a up to about 20.  The poles sit ~sqrt(a/2) high and
-    |e^{-t^2}| = e^{offset^2} on L, so the line term cancels down to H2
-    from values that grow like e^{a/2}, and the estimate with it: ~1e-13
-    at a = 5, ~5e-9 at (20, 0, 0.5), where the route agrees with h2 to
-    ~4e-12.  From about a = 22 points raise IntegrationError; from about
-    a = 1,300 e^{offset^2} leaves double range on L and the estimate is inf.
-    Poles that overflow raise DomainError.
+    |e^{-t^2}| = e^{y^2} on L, so the line term cancels down to H2 from
+    values that grow like e^{a/2}, and the estimate with it: ~1e-13 at
+    a = 5, ~5e-9 at (20, 0, 0.5), where the route agrees with h2 to
+    ~4e-12.  From about a = 22 points raise IntegrationError, with an inf
+    estimate where e^{y^2} overflows (a ~ 1,300) or y rounds to the poles'
+    height (a ~ 1e32).  Poles that overflow raise DomainError.
     """
-    route = functools.partial(_rectangle_route, offset=offset)
-    return _route_point(route, True, a=a, u1=u1, u2=u2)
+    return _route_point(_rectangle_route, True, a=a, u1=u1, u2=u2)
 
 
 def _rep_single_complex(a, u1, u2) -> QuadratureBatch:

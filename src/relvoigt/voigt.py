@@ -88,12 +88,19 @@ def v0(e: float, params: ProfileParams) -> float:
 
 
 def _v0(e, mu, gamma, sigma) -> float:
-    # v0 on the fields of a ProfileParams at gamma, sigma > 0 and an e that
-    # float() takes to a finite value, as the callers check; the error
-    # message shows e as given.  h0 rejects a non-finite a or u with the
-    # message reduce_nonrel would give
+    # v0 at gamma, sigma > 0 and an e float() takes to a finite value, as the
+    # callers check; errors show e as given, and a non-finite a or u is told
+    # apart only once h0 rejects it, so the finite path pays for no test
     a, u = _reduce_nonrel(float(e), mu, gamma, sigma)
-    value = h0(a, u) / (_SQRT_2PI * sigma)
+    try:
+        value = h0(a, u) / (_SQRT_2PI * sigma)
+    except DomainError:
+        if math.isfinite(a) and math.isfinite(u):
+            raise
+        raise DomainError(
+            "v0 at e=%r, ProfileParams(mu=%r, gamma=%r, sigma=%r) is outside double range: "
+            "reduced coordinates (a, u)=(%r, %r)", e, mu, gamma, sigma, a, u,
+        ) from None
     if not math.isfinite(value):
         raise DomainError(
             f"v0 leaves double range at e={e!r}, {ProfileParams(mu, gamma, sigma)!r}: {value!r}"

@@ -80,7 +80,7 @@ def test_w_matches_defining_integral_upper_half_plane():
         def f(t: np.ndarray) -> np.ndarray:
             return np.exp(-t * t) / (t - z)
 
-        r = integrate_real_line(f, 1e-12, seeds=[re - im, re, re + im])
+        r = integrate_real_line(f, seeds=[re - im, re, re + im])
         assert r.converged
         w_quad = r.value / (1j * math.pi)
         ref = faddeeva_w(z)
@@ -114,7 +114,7 @@ def test_erfc_one_matches_defining_integral():
     def f(t: np.ndarray, k: np.ndarray) -> np.ndarray:
         return np.where(t < 1.0, 0.0, np.exp(-t * t))
 
-    r = integrate_real_line_batch(f, 1, 1e-13, seeds=[[1.0]])
+    r = integrate_real_line_batch(f, 1, seeds=[[1.0]])
     assert r.converged[0]
     val = 2.0 / math.sqrt(math.pi) * r.value[0]
     assert abs(val - erfc_complex(1.0).real) < 1e-12

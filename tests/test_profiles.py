@@ -44,7 +44,6 @@ def test_bw_nonrel_normalized():
     r = integrate_real_line_compactified_batch(
         lambda e, k: np.vectorize(lambda x: bw_nonrel(x, p))(e),
         1,
-        1e-11,
         seeds=[[0.5]],
     )
     assert r.converged[0]
@@ -69,7 +68,6 @@ def test_bw_rel_mass_equals_pole_identity():
     r = integrate_real_line_compactified_batch(
         lambda e, k: np.vectorize(lambda x: bw_rel(x, p))(e),
         1,
-        1e-11,
         seeds=[[-mu, mu]],
     )
     assert r.converged[0]
@@ -85,12 +83,21 @@ def test_gaussian_values():
     assert abs(gaussian(sigma, sigma) / gaussian(0.0, sigma) - math.exp(-0.5)) < 1e-15
 
 
+def test_gaussian_names_a_point_outside_double_range():
+    # 1/(sigma sqrt(2 pi)) overflows at a subnormal sigma; the density
+    # raises as bw_rel, v0 and v2 do, with no warning on the way, while a
+    # density that underflows is 0
+    with pytest.raises(
+        DomainError, match=r"^gaussian leaves double range at \(x, sigma\)=\(0\.0, 1e-320\)$"
+    ):
+        gaussian(0.0, 1e-320)
+    assert gaussian(1e300, 1e-300) == 0.0
+
+
 def test_gaussian_normalized():
     sigma = 0.3
     r = integrate_real_line_compactified_batch(
-        lambda x, k: np.vectorize(lambda y: gaussian(y, sigma))(x),
-        1,
-        1e-11,
+        lambda x, k: np.vectorize(lambda y: gaussian(y, sigma))(x), 1
     )
     assert r.converged[0]
     assert abs(r.value[0] - 1.0) < 1e-10

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import re
 import warnings
 
 import numpy as np
@@ -39,6 +38,18 @@ def test_gaussian_integral():
     assert r.converged
     assert abs(r.value - SQRT_PI) < 1e-13
     assert r.error_estimate < 1e-9
+    # every integrator runs at one fixed target: an estimate of at most
+    # 1e-10 where |value| < 1, and 1e-10 |value| where |value| > 1
+    for scale in (0.25, 1e3):
+        for r in (
+            integrate_real_line(lambda t: scale * np.exp(-t * t)),
+            integrate_real_line_batch(lambda t, k: scale * np.exp(-t * t), 2),
+            integrate_real_line_compactified_batch(lambda t, k: scale / (1.0 + t**4), 2),
+        ):
+            value = np.abs(r.value)
+            assert np.all(r.converged)
+            assert np.all(value < 1.0) == (scale < 1.0), scale
+            assert np.all(r.error_estimate <= np.maximum(1e-10, 1e-10 * value)), scale
 
 
 def test_gaussian_over_lorentzian_matches_erfc_oracle():
@@ -80,22 +91,12 @@ def test_linearity():
     assert abs(both.value - single) < 1e-11
 
 
-def test_tighter_tolerance_does_not_worsen_error():
-    f = lambda t: np.exp(-t * t) / (t * t + 0.01)
-    loose = integrate_real_line(f, 1e-6, seeds=[0.0])
-    tight = integrate_real_line(f, 1e-12, seeds=[0.0])
-    assert loose.converged and tight.converged
-    assert tight.error_estimate <= loose.error_estimate
-    ref = math.pi / 0.1 * math.exp(0.01) * erfc_real(0.1)
-    assert abs(tight.value - ref) <= abs(loose.value - ref) + 1e-13
-
-
 def test_subdivision_budget_reports_nonconvergence(monkeypatch):
     # the seed pins panel edges onto a peak four decades narrower than the
     # window; one split round cannot resolve it and the budget stops there
     monkeypatch.setattr(quadrature, "_MAX_SPLITS", 1)
     f = lambda t: np.exp(-t * t) / (t * t + 1e-8)
-    r = integrate_real_line(f, 1e-14, seeds=[0.0])
+    r = integrate_real_line(f, seeds=[0.0])
     assert not r.converged
 
 
@@ -116,61 +117,6 @@ def test_nan_from_integrand_stops_it_unconverged():
 def test_evaluation_count_reported():
     r = integrate_real_line(lambda t: np.exp(-t * t))
     assert r.evaluations > 0
-
-
-# each integrator at a given tol, on an integral scaled by `scale` that
-# converges at any tol from 1e-9 up
-def _integrators(scale=1.0):
-    return (
-        lambda tol: integrate_real_line(lambda t: scale * np.exp(-t * t), tol),
-        lambda tol: integrate_real_line_batch(lambda t, k: scale * np.exp(-t * t), 2, tol),
-        lambda tol: integrate_real_line_compactified_batch(
-            lambda t, k: scale / (1.0 + t**4), 2, tol
-        ),
-    )
-
-
-def test_tol_validation():
-    for integrate in _integrators():
-        for bad in (0.0, -1e-9):
-            with pytest.raises(DomainError, match=f"^tol must be finite and > 0, got {bad!r}$"):
-                integrate(bad)
-
-
-# the one tol bounds the error absolutely where |value| < 1 and relative to
-# |value| where |value| > 1; each case scales the integrals into one regime
-_TOL_ROLES = {"abs_tol": 1e-3, "rel_tol": 1e3}
-
-
-@pytest.mark.parametrize("name", sorted(_TOL_ROLES))
-def test_config_tolerances_are_checked_floats(name):
-    # a value float() rejects is a DomainError naming tol, like every other
-    # argument check, not a bare TypeError or ValueError, through every
-    # integrator
-    for integrate in _integrators(_TOL_ROLES[name]):
-        for bad, shown in (
-            (None, "None"),
-            ("tight", "'tight'"),
-            (1j, "1j"),
-            (np.complex64(0.5), re.escape("np.complex64(0.5+0j)")),
-        ):
-            with pytest.raises(DomainError, match=f"^tol must be a real number, got {shown}$"):
-                integrate(bad)
-        for bad in (math.nan, math.inf):
-            with pytest.raises(DomainError, match=f"^tol must be finite, got {bad!r}$"):
-                integrate(bad)
-        with pytest.raises(DomainError, match="^tol must be finite and > 0, got -0.0$"):
-            integrate(-0.0)
-        # what float() accepts runs as the float it converts to, bit for bit,
-        # and bounds the error in this case's regime
-        for given in (np.float32(0.25), np.float64(1e-9), 3, "1e-9"):
-            r, want = integrate(given), integrate(float(given))
-            assert np.all(r.converged)
-            for field in ("value", "error_estimate", "converged", "evaluations"):
-                assert np.array_equal(getattr(r, field), getattr(want, field)), (given, field)
-            scale = 1.0 if name == "abs_tol" else np.abs(r.value)
-            assert np.all(np.abs(r.value) < 1) == (name == "abs_tol")
-            assert np.all(r.error_estimate <= float(given) * scale), given
 
 
 # ------------------------------------------------------- batched integration
@@ -235,10 +181,10 @@ def test_exhausted_budget_stops_only_its_member(budget, widths, monkeypatch):
     def f(t, k):
         return np.exp(-t * t) / (t * t + w[k] ** 2)
 
-    batch = integrate_real_line_batch(f, 3, 1e-10, seeds=np.zeros((3, 1)))
+    batch = integrate_real_line_batch(f, 3, seeds=np.zeros((3, 1)))
     assert batch.converged.tolist() == [False, True, True]
     for k in range(3):
-        _agree(batch, k, integrate_real_line(lambda t: f(t, k), 1e-10, seeds=[0.0]))
+        _agree(batch, k, integrate_real_line(lambda t: f(t, k), seeds=[0.0]))
 
 
 def test_nan_from_one_batch_member_stops_only_it():

@@ -222,26 +222,56 @@ def test_h2_limit_a0_values():
     "call, message",
     [
         (
-            lambda: v2_gamma0_limit(1.0, 1.0, 1e-170, 1),
-            r"^v2_gamma0_limit leaves double range at \(e, mu, sigma\)=\(1\.0, 1\.0, 1e-170\)$",
+            lambda: v2_gamma0_limit(1e-200, 1e-200, 1e-200, 1),
+            r"^v2_gamma0_limit leaves double range at "
+            r"\(e, mu, sigma\)=\(1e-200, 1e-200, 1e-200\)$",
         ),
         (
-            lambda: v2_gamma0_limit(1.0, 1.0, 1e-155, 1),
-            r"^v2_gamma0_limit leaves double range at \(e, mu, sigma\)=\(1\.0, 1\.0, 1e-155\)$",
+            lambda: v2_gamma0_limit(1e-155, 1e-155, 1e-155, 1),
+            r"^v2_gamma0_limit leaves double range at "
+            r"\(e, mu, sigma\)=\(1e-155, 1e-155, 1e-155\)$",
+        ),
+        (
+            lambda: v2_gamma0_limit(1.0, 1.0, 1e-320, 1),
+            r"^v2_gamma0_limit leaves double range at \(e, mu, sigma\)=\(1\.0, 1\.0, 1e-320\)$",
         ),
         (
             lambda: h2_limit_a0(5e-324, 0.0, 1),
             r"^h2_limit_a0 leaves double range at \(u1, u2\)=\(5e-324, 0\.0\)$",
         ),
     ],
-    ids=["sigma_squared_underflows", "sigma_squared_subnormal", "h2_tiny_gap"],
+    ids=["sigma_squared_underflows", "sigma_squared_subnormal", "limit_overflows", "h2_tiny_gap"],
 )
 def test_limits_name_a_point_outside_double_range(call, message):
-    # sigma^2 = 0 divides by zero, a subnormal sigma^2 makes 1/(2 sigma^2)
-    # inf and its product with (e - mu)^2 = 0 NaN, and a gap of 5e-324
-    # overflows the quotient
+    # the limit itself overflows: ~2.3e399 where sigma^2 = 1e-400 underflows,
+    # ~2.3e309 where sigma^2 = 1e-310 is subnormal and ~2.0e319 at
+    # sigma = 1e-320; and a gap of 5e-324 overflows h2's quotient
     with pytest.raises(DomainError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "point, want, rel",
+    [
+        ((1.0, 1.0, 1e-170), 1.9947114020071633897e169, 1e-14),
+        ((1.0, 1.0, 1e-155), 1.9947114020071633897e154, 1e-14),
+        ((1e200, 1e200, 1.0), 1.9947114020071633897e-201, 1e-14),
+        ((1e308, 1e308, 1.0), 1.9947114020071633897e-309, 1e-14),
+        ((2.6e-199, 1e-200, 1e-200), 3.8269648682096963298e263, 1e-12),
+        ((4.1e-159, 1e-160, 1e-160), 7.3163512541915158937e-29, 1e-12),
+        ((1.0, 1e-200, 1e-200), 0.0, 0.0),
+    ],
+    ids=["sigma_squared_underflows", "sigma_squared_subnormal", "square_overflows",
+         "prefactor_overflows", "sigma_mu_underflows", "pair_underflows", "limit_underflows"],
+)
+def test_v2_gamma0_limit_is_finite_where_its_parts_leave_range(point, want, rel):
+    # sigma^2 underflows to 0 or is subnormal, (e + mu)^2 / sigma^2
+    # overflows, 2 sigma mu sqrt(2 pi) overflows or underflows, or
+    # e^{-z^2/2} underflows, while the limit (a 40-digit reference) is a
+    # double: a subnormal one at (1e308, 1e308, 1).  At z = 25 and 40 the
+    # rounding of z alone costs ~z^2 ulps.  A limit below double range is 0,
+    # as a Breit-Wigner density's is
+    assert abs(v2_gamma0_limit(*point, 1) - want) <= rel * want
 
 
 def test_h2_limit_approach():
@@ -358,43 +388,31 @@ def test_rectangle_residues_dominate_at_small_a():
     # the whole caption value
     r = h2_rectangle(1e-8, 1.0, 0.0)
     assert abs(r.value - (1.0 + 1.0 / math.e)) < 1e-6
-
-
-def test_rectangle_offset_independence():
-    ps = pole_set(1.0, 0.5, -0.5)
-    base = 1.0 + max(ps.t1_plus.imag, ps.t2_minus.imag)
-    one = h2_rectangle(1.0, 0.5, -0.5, offset=base)
-    two = h2_rectangle(1.0, 0.5, -0.5, offset=2.0 * base)
-    assert abs(one.value - two.value) < 1e-8
-
-
-def test_rectangle_requires_enclosing_offset():
-    ps = pole_set(1.0, 1.0, 0.0)
-    low = 0.5 * max(ps.t1_plus.imag, ps.t2_minus.imag)
-    with pytest.raises(DomainError):
-        h2_rectangle(1.0, 1.0, 0.0, offset=low)
+    # at a = 0 itself there are no poles to enclose
     with pytest.raises(DomainError):
         h2_rectangle(0.0, 1.0, 0.0)
 
 
 def test_rectangle_rejects_poles_outside_double_range_without_warnings():
     # the square (u1-u2)^2 or 4ia overflows; the point is named as h2 names
-    # it, with or without an offset; the tests turn a RuntimeWarning into an
-    # error, so one leaking from the pole arithmetic would fail here
+    # it; the tests turn a RuntimeWarning into an error, so one leaking from
+    # the pole arithmetic would fail here
     for p in ((1.0, 1e200, -1e200), (1e308, 0.0, 0.0)):
         at = re.escape(f"h2_rectangle at (a, u1, u2)={p!r} is outside double range")
-        for offset in (None, 5.0):
-            with pytest.raises(DomainError, match=f"^{at}: its poles overflow$"):
-                h2_rectangle(*p, offset=offset)
+        with pytest.raises(DomainError, match=f"^{at}: its poles overflow$"):
+            h2_rectangle(*p)
 
 
 def test_rectangle_at_large_a_fails_without_warnings():
     # the line sits above poles at height ~sqrt(a/2), where |e^{-t^2}| =
     # e^{y^2} leaves double range; the tests turn a RuntimeWarning into an
-    # error, so the overflow and the inf / inf on the way would fail here
-    at = re.escape("(a, u1, u2)=(2000.0, 0.0, 0.5);")
-    with pytest.raises(IntegrationError, match=f"^quadrature did not converge at {at}"):
-        h2_rectangle(2000.0, 0.0, 0.5)
+    # error, so the overflow and the inf / inf on the way would fail here.
+    # From a ~ 1e32 the line's 1 + top rounds to top itself, which fails the
+    # same way, not as a contour that misses the poles
+    for a in (2000.0, 1e33, 1e300):
+        at = re.escape(f"(a, u1, u2)=({a!r}, 0.0, 0.5);")
+        with pytest.raises(IntegrationError, match=f"^quadrature did not converge at {at}"):
+            h2_rectangle(a, 0.0, 0.5)
 
 
 def test_rectangle_estimate_is_inf_where_the_line_overflows():
@@ -1028,7 +1046,7 @@ def test_corollary_bounded_analytic_weight():
         phi = 1.0 / (t * t + 25.0)
         return phi / ((t - u1) ** 2 * (t - u2) ** 2 + a * a)
 
-    r = integrate_real_line(f, 1e-7, seeds=seeds)
+    r = integrate_real_line(f, seeds=seeds)
     assert r.converged
     got = a / math.pi * r.value
     want = (1.0 / 26.0 + 1.0 / 26.0) / 2.0
@@ -1060,11 +1078,7 @@ def test_v2_matches_convolution_quadrature():
             gau = np.exp(-((e - ep) ** 2) / (2.0 * p.sigma**2)) / (p.sigma * SQRT_2PI)
             return s * lor * gau
 
-        r = integrate_real_line(
-            f,
-            1e-11,
-            seeds=[(-p.mu - e) / s, (p.mu - e) / s, 0.0],
-        )
+        r = integrate_real_line(f, seeds=[(-p.mu - e) / s, (p.mu - e) / s, 0.0])
         assert r.converged
         assert abs(r.value - v2(float(e), p)) <= 1e-8
 
@@ -1079,7 +1093,6 @@ def test_v2_mass_matches_bw_rel_mass():
     r = integrate_real_line_compactified_batch(
         lambda e, k: np.vectorize(lambda x: v2(x, p))(e),
         1,
-        1e-9,
         seeds=[[-mu, mu]],
     )
     assert r.converged[0]

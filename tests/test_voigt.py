@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from relvoigt import (
     ParameterError,
     ProfileParams,
     bw_nonrel,
+    d0,
     gaussian,
     h0,
     h0_laplace_rep,
@@ -28,7 +30,7 @@ from oracles import erfc_complex, erfc_real
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def h0_quadrature(a: float, u: float, tol: float = 1e-12) -> float:
+def h0_quadrature(a: float, u: float) -> float:
     """Defining integral (a/pi) Int e^{-t^2}/((u-t)^2+a^2) dt, trusted route."""
     width = min(abs(a), 0.5)
     seeds = [u - width, u, u + width]
@@ -36,7 +38,7 @@ def h0_quadrature(a: float, u: float, tol: float = 1e-12) -> float:
     def f(t: np.ndarray) -> np.ndarray:
         return np.exp(-t * t) / ((u - t) ** 2 + a * a)
 
-    r = integrate_real_line(f, tol, seeds=seeds)
+    r = integrate_real_line(f, seeds=seeds)
     assert r.converged
     return a / math.pi * r.value
 
@@ -170,7 +172,6 @@ def test_v0_normalized():
     r = integrate_real_line_compactified_batch(
         lambda e, k: np.vectorize(lambda x: v0(x, p))(e),
         1,
-        1e-10,
         seeds=[[1.0]],
     )
     assert r.converged[0]
@@ -197,11 +198,7 @@ def test_v0_is_the_convolution():
             gau = np.exp(-((e - ep) ** 2) / (2.0 * p.sigma**2)) / (p.sigma * SQRT_2PI)
             return s * lor * gau
 
-        r = integrate_real_line(
-            f,
-            1e-12,
-            seeds=[(p.mu - e) / s, 0.0],
-        )
+        r = integrate_real_line(f, seeds=[(p.mu - e) / s, 0.0])
         assert r.converged
         assert abs(r.value - v0(e, p)) < 1e-10
 
@@ -219,6 +216,39 @@ def test_v0_parameter_errors():
         v0(0.0, ProfileParams(mu=1.0, gamma=0.0, sigma=0.3))
     with pytest.raises(ParameterError):
         v0(0.0, ProfileParams(mu=1.0, gamma=0.5, sigma=0.0))
+
+
+_V0_AT = "v0 at e={}, ProfileParams({}) is outside double range: reduced coordinates (a, u)=({})"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: v0(1.0, ProfileParams(1.0, 1e300, 1e-300)),
+            _V0_AT.format("1.0", "mu=1.0, gamma=1e+300, sigma=1e-300", "inf, 0.0"),
+            id="v0_a",
+        ),
+        pytest.param(
+            lambda: d0(1e-300, 1e300, 1.0),
+            _V0_AT.format("1.0", "mu=1.0, gamma=1e+300, sigma=1e-300", "inf, 0.0"),
+            id="d0_a",
+        ),
+        pytest.param(
+            lambda: v0(1e308, ProfileParams(-1e308, 1.0, 1e-300)),
+            _V0_AT.format(
+                "1e+308", "mu=-1e+308, gamma=1.0, sigma=1e-300", "3.535533905932737e+299, inf"
+            ),
+            id="v0_u",
+        ),
+    ],
+)
+def test_v0_names_a_point_whose_reduced_coordinates_overflow(call, message):
+    # gamma / sigma or (e - mu) / sigma overflows: the error names the
+    # profile's point and its reduced coordinates, as v2 does, not the
+    # bare a or u that h0 rejects; d0 evaluates v0 at its peak e = mu
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_h0_rejects_non_finite():
