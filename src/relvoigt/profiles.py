@@ -98,6 +98,9 @@ def bw_nonrel(e: float, params: ProfileParams) -> float:
     """Nonrelativistic Breit-Wigner density (Gamma/2pi)/((E-mu)^2+(Gamma/2)^2).
 
     Unit-normalized Cauchy density centered at mu; maximum 2/(pi Gamma).
+    Where the denominator is below DBL_MIN the density is formed at a
+    power-of-2 scale, so it is returned wherever it is a double, and
+    DomainError names a point where it overflows (Gamma below ~4e-309).
     """
     e = require_finite("e", e)
     _require_positive("gamma", params.gamma)
@@ -110,21 +113,23 @@ def _bw_nonrel(e, mu, gamma, sigma) -> float:
     # message, which is built on failure only
     d = e - mu
     den = d * d + 0.25 * gamma * gamma
-    if den == 0.0:
-        raise DomainError(
-            f"Breit-Wigner denominator underflows at e={e!r}, "
-            f"{ProfileParams(mu, gamma, sigma)!r}"
-        )
-    return (gamma / (2.0 * math.pi)) / den
+    if den >= _DBL_MIN:
+        return (gamma / (2.0 * math.pi)) / den
+    fw, xw = math.frexp(gamma)
+    value = float(_small_cauchy(*math.frexp(d), fw, xw - 1))
+    if not math.isfinite(value):
+        raise _out_of_range(value, e, mu, gamma, sigma)
+    return value
 
 
 def bw_rel(e: float, params: ProfileParams) -> float:
     """Relativistic Breit-Wigner density (mu Gamma/pi)/((E^2-mu^2)^2+(mu Gamma)^2).
 
     Even in E with maxima at E = +-mu where it reaches 1/(pi mu Gamma).
-    DomainError where the density is not representable: its denominator
-    underflows to 0, or E^2 and mu^2 (or mu Gamma and the denominator) both
-    overflow, which leaves inf - inf (or inf / inf).
+    A denominator below DBL_MIN is handled as in bw_nonrel.  DomainError
+    where the density is not representable: it overflows, or E^2 and mu^2
+    (or mu Gamma and the denominator) both overflow, which leaves inf - inf
+    (or inf / inf).
     """
     e = require_finite("e", e)
     _require_positive("mu", params.mu)
@@ -137,18 +142,37 @@ def _bw_rel(e, mu, gamma, sigma) -> float:
     q = e * e - mu * mu
     mg = mu * gamma
     den = q * q + mg * mg
-    if den == 0.0:
-        raise DomainError(
-            f"Breit-Wigner denominator underflows at e={e!r}, "
-            f"{ProfileParams(mu, gamma, sigma)!r}"
-        )
-    value = (mg / math.pi) / den
+    if den < _DBL_MIN:
+        # q as (e - mu)(e + mu), whose factors keep the digits that the
+        # subnormal squares of e * e - mu * mu lose
+        (f1, x1), (f2, x2) = math.frexp(e - mu), math.frexp(e + mu)
+        (fm, xm), (fg, xg) = math.frexp(mu), math.frexp(gamma)
+        value = float(_small_cauchy(f1 * f2, x1 + x2, fm * fg, xm + xg))
+    else:
+        value = (mg / math.pi) / den
     if not math.isfinite(value):
-        raise DomainError(
-            f"Breit-Wigner density leaves double range at e={e!r}, "
-            f"{ProfileParams(mu, gamma, sigma)!r}: {value!r}"
-        )
+        raise _out_of_range(value, e, mu, gamma, sigma)
     return value
+
+
+def _small_cauchy(fq, xq, fw, xw):
+    # (w/pi) / (q^2 + w^2) for q = fq 2^xq and w = fw 2^xw, fw in [1/4, 1),
+    # given as significands and exponents where that denominator is below
+    # DBL_MIN.  It is formed at the scale 2^c of the larger of |q| and w,
+    # where neither square underflows, then scaled by 2^(xw - 2c), which
+    # rounds once to a subnormal or overflows to inf.  Elementwise, so the
+    # scalar and grid densities agree bit for bit.
+    c = np.where(fq == 0.0, xw, np.maximum(xw, xq))
+    big_q, big_w = np.ldexp(fq, xq - c), np.ldexp(fw, xw - c)
+    with np.errstate(over="ignore"):
+        return np.ldexp((fw / math.pi) / (big_q * big_q + big_w * big_w), xw - 2 * c)
+
+
+def _out_of_range(value, e, mu, gamma, sigma) -> DomainError:
+    return DomainError(
+        f"Breit-Wigner density leaves double range at e={e!r}, "
+        f"{ProfileParams(mu, gamma, sigma)!r}: {value!r}"
+    )
 
 
 def gaussian(x: float, sigma: float) -> float:
@@ -236,7 +260,12 @@ def bw_nonrel_grid(e, mu, gamma):
     """bw_nonrel over arrays at finite e and gamma > 0: densities, DomainError mask."""
     d = e - mu
     den = d * d + 0.25 * gamma * gamma
-    return (gamma / (2.0 * math.pi)) / den, den == 0.0
+    value = (gamma / (2.0 * math.pi)) / den
+    small = den < _DBL_MIN
+    if small.any():
+        fw, xw = np.frexp(gamma)
+        value = np.where(small, _small_cauchy(*np.frexp(d), fw, xw - 1), value)
+    return value, ~np.isfinite(value)
 
 
 def bw_rel_grid(e, mu, gamma):
@@ -245,7 +274,11 @@ def bw_rel_grid(e, mu, gamma):
     mg = mu * gamma
     den = q * q + mg * mg
     value = (mg / math.pi) / den
-    # a zero denominator leaves the density inf, or NaN where mg is 0 too
+    small = den < _DBL_MIN
+    if small.any():
+        (f1, x1), (f2, x2) = np.frexp(e - mu), np.frexp(e + mu)
+        (fm, xm), (fg, xg) = np.frexp(mu), np.frexp(gamma)
+        value = np.where(small, _small_cauchy(f1 * f2, x1 + x2, fm * fg, xm + xg), value)
     return value, ~np.isfinite(value)
 
 

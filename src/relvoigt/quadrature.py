@@ -16,10 +16,12 @@ So one integrand call's abscissas stay bounded however many integrals a
 call carries, while the loop's per-panel bookkeeping grows with the call's
 initial panels.  Every route but h2_rectangle, a trapezoid sum, makes one
 batched call, and a single integral is a batch of one: the ``*_batch``
-integrators cover the real line, and _integrate_intervals finite windows,
-such as the truncated half-lines of the H0 Laplace and H2 single_complex
-routes, with each window's analytic tail bound.  The one scalar entry,
-integrate_real_line, is a batch of one too, kept only for the benchmark.
+integrators cover the real line, and _integrate_intervals finite windows
+with each window's analytic tail bound.  Those windows are the truncated
+half-lines of the H0 Laplace and H2 single_complex routes and each point's
+own real-line window in the H2 and H0 oracles, so integrate_real_line_batch
+has no route caller; it and its one scalar entry, integrate_real_line, a
+batch of one, are kept for the benchmark.
 
 There is one stop rule, _met(error, value, tol), at _TOL = 1e-10 or a
 route's looser tol, which no caller sets; the loop, the final estimates with
@@ -138,8 +140,10 @@ _MAX_SPLITS = 4000
 _TOL = 1e-10
 
 # the real-line half-width R, in units of the integrand's Gaussian envelope:
-# the e^{-t^2} tail beyond it is below 1e-62
+# the e^{-t^2} tail beyond it is below 1e-62; the line's initial panel edges
+# are 1.5 apart
 _RADIUS = 12.0
+_EDGES = np.linspace(-_RADIUS, _RADIUS, 17)
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -468,7 +472,7 @@ def integrate_real_line_batch(f: BatchIntegrand, n: int, *, seeds=None) -> Quadr
     n = require_int("n", n, 0)
     lo = np.full(n, -_RADIUS)
     hi = np.full(n, _RADIUS)
-    pts = np.broadcast_to(np.linspace(-_RADIUS, _RADIUS, 17), (n, 17))
+    pts = np.broadcast_to(_EDGES, (n, _EDGES.size))
     if seeds is not None:
         pts = np.concatenate([pts, _seeds(seeds, n)], axis=1)
 

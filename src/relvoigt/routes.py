@@ -15,6 +15,14 @@ whose line integral is one fixed trapezoidal sum per point over a padded
 array of node rows.  A route converges where its finite estimate is at most
 max(tol, tol |value|) at its one fixed tol; no caller sets a tol or a height.
 
+Every adaptive route but ``i2_quadrature``, whose line is compactified,
+integrates finite windows through ``_integrate_intervals`` and adds each
+window's analytic tail bound.  The H2 and H0 integrands are e^{-t^2} times
+a weight whose line integral is at most M (2/|w1| for H2, 1 for H0), so
+each point takes its own window [-T, T], T the smallest panel edge of the
+real line with e^{-T^2} M <= 1e-12, and no route calls
+``integrate_real_line_batch``.
+
 The direct-quadrature oracles have grid forms as well (``h2_quadrature_grid``,
 ``i2_quadrature_grid``).  They integrate all points through the batched
 refinement loop of ``quadrature``, and agree with the scalar routes within
@@ -29,6 +37,7 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import (
+    _EDGES,
     _EPS,
     _RADIUS,
     _TOL,
@@ -36,7 +45,6 @@ from .quadrature import (
     _integrate_intervals,
     _met,
     _route_point,
-    integrate_real_line_batch,
     integrate_real_line_compactified_batch,
     peak_seeds,
     quadrature_grid,
@@ -76,6 +84,38 @@ def _bound_lost_points(r: QuadratureBatch, a, aa, bound, blind) -> QuadratureBat
     return QuadratureBatch(r.value, err, converged, r.evaluations)
 
 
+# each point's real-line window [-T, T] ends at one of the line's panel
+# edges, T the smallest whose tail bound e^{-T^2} M is at most 1% of _TOL,
+# or R where none is
+_WINDOW_TAIL = 0.01 * _TOL
+
+
+def _window(mass):
+    # T per point, and its tail bound, where mass M bounds Int |w(t)| dt over
+    # the line for an integrand e^{-t^2} w(t): beyond |t| = T it is at most
+    # e^{-T^2} M, however near T a peak of w sits
+    t = _EDGES[_EDGES > 0.0]
+    bound = np.exp(-t * t) * mass[:, None]
+    ok = bound <= _WINDOW_TAIL
+    k = np.where(ok.any(axis=1), ok.argmax(axis=1), t.size - 1)
+    return t[k], bound[np.arange(mass.size), k]
+
+
+def _windowed(f, seeds, mass):
+    # f, e^{-t^2} times a weight of line mass at most mass, integrated over
+    # each point's window from the uniform edges and seeds inside it, with
+    # the window's tail bound in each estimate; returns T and the batch
+    half, tail = _window(mass)
+    edges = np.concatenate([np.broadcast_to(_EDGES, (half.size, _EDGES.size)), seeds], axis=1)
+    return half, QuadratureBatch(*_integrate_intervals(f, -half, half, _TOL, edges, tail))
+
+
+def _i2_bound(a, u1, u2):
+    # |I2| = |2 Re(1/w1)| <= 2/|w1| with |w1| = ((u1-u2)^4 + 16 a^2)^{1/4}:
+    # the line mass of H2's weight, the integrand over e^{-t^2}
+    return 2.0 / np.sqrt(np.hypot((u1 - u2) ** 2, 4.0 * np.abs(a)))
+
+
 def _h2_route(a, u1, u2) -> QuadratureBatch:
     # the defining integral of H2 at arrays of points, in one batched call
     pref = a / math.pi
@@ -94,16 +134,17 @@ def _h2_route(a, u1, u2) -> QuadratureBatch:
         return out
 
     seeds, _, unseen = _peaks(a, u1, u2)
-    r = integrate_real_line_batch(f, a.size, seeds=seeds)
-    # an unseen peak matters inside the window |t| <= R the line is cut to
-    blind = (unseen & (np.abs([u1, u2]) <= _RADIUS)).any(axis=0)
+    half, r = _windowed(f, seeds, _i2_bound(a, u1, u2))
+    # an unseen peak matters inside the window; beyond it, the bound holds it
+    blind = (unseen & (np.abs([u1, u2]) <= half)).any(axis=0)
     # |H2| <= (|a|/pi) Int e^{-t^2}/a^2 dt = 1/(|a| sqrt(pi))
     return _bound_lost_points(r, a, aa, lambda b: 1.0 / (_SQRT_PI * b), blind)
 
 
 def _h0_route(a, u) -> QuadratureBatch:
     # the defining integral of H0 at arrays of points, e^{-t^2}-weighted
-    # Lorentzians, with panel seeds walking out of each peak; verify's oracle
+    # Lorentzians of line mass 1, with panel seeds walking out of each peak;
+    # verify's oracle
     pref = a / math.pi
     aa = a * a
 
@@ -119,7 +160,7 @@ def _h0_route(a, u) -> QuadratureBatch:
         return out
 
     seeds = peak_seeds(u[:, None], np.minimum(np.abs(a), 0.5))
-    return integrate_real_line_batch(f, a.size, seeds=seeds)
+    return _windowed(f, seeds, np.ones(a.size))[1]
 
 
 def _i2_route(a, u1, u2) -> QuadratureBatch:
@@ -157,7 +198,10 @@ def h2_quadrature(a: float, u1: float, u2: float) -> EvalResult:
     a (the integrand is odd in a), but not at a = 0 where the integral is
     identically zero by convention rather than value.  Its target is an
     estimate of 1e-10, or 1e-10 |H2|, within 4,000 panel splits; it fails
-    where it cannot, or where a peak in |t| <= 12 is too narrow to see.
+    where it cannot, or where a peak inside its window is too narrow to see.
+    The window is [-T, T], T the smallest of 1.5, 3, ..., 12 whose tail
+    bound e^{-T^2} 2/|w1| >= e^{-T^2} |I2| is at most 1e-12, or 12, and that
+    bound joins the estimate, so a peak beyond T is held by it.
     """
     return _route_point(_h2_route, False, a=a, u1=u1, u2=u2)
 

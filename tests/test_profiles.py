@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,7 +22,7 @@ from relvoigt import (
     v0,
     v2,
 )
-from relvoigt.profiles import bw_rel_grid
+from relvoigt.profiles import bw_nonrel_grid, bw_rel_grid
 from relvoigt.quadrature import integrate_real_line_compactified_batch
 
 SQRT2 = math.sqrt(2.0)
@@ -75,6 +76,58 @@ def test_bw_rel_mass_equals_pole_identity():
     assert abs(r.value[0] - ref) < 1e-10
     # the relativistic shape is not unit-normalized
     assert abs(ref - 1.0) > 1e-3
+
+
+def _bw_mp(e, mu, gamma):
+    # both Breit-Wigner densities at 50 digits
+    with mp.workdps(50):
+        e, mu, gamma = mp.mpf(e), mp.mpf(mu), mp.mpf(gamma)
+        nonrel = (gamma / (2 * mp.pi)) / ((e - mu) ** 2 + (gamma / 2) ** 2)
+        mg = mu * gamma
+        rel = (mg / mp.pi) / ((e * e - mu * mu) ** 2 + mg * mg)
+        return float(nonrel), float(rel)
+
+
+@pytest.mark.parametrize(
+    "e, mu, gamma",
+    [
+        (1.0, 1.0, 1e-300),  # the peaks 2/(pi Gamma) and 1/(pi mu Gamma)
+        (1.0, 1.0, 1e-170),
+        (1.0 + 2.0**-52, 1.0, 1e-300),  # one ulp off the peak: ~Gamma/(2 pi d^2)
+        (1e-160, 1e-160, 1e-20),  # mu Gamma = 1e-180, (E^2 - mu^2) = 0
+        (3e-160, 1e-160, 1e-20),  # E^2 - mu^2 subnormal, 8e-320
+        (-1.0, 1.0, 1e-300),  # the relativistic mirror peak at E = -mu
+        (1e-150, 1e-200, 1e-200),  # mu Gamma underflows to 0; rel ~ 3.2e199
+    ],
+)
+def test_bw_densities_where_their_denominator_underflows(e, mu, gamma):
+    # Below Gamma ~ 1e-154 the denominators underflow near the peaks and
+    # both densities raised "denominator underflows" although they are
+    # doubles.  They are now formed at a power-of-2 scale, to a few ulps of
+    # the 50-digit value, and each grid returns the scalar's bits.
+    p = ProfileParams(mu=mu, gamma=gamma, sigma=1.0)
+    want = _bw_mp(e, mu, gamma)
+    got = (bw_nonrel(e, p), bw_rel(e, p))
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-15 * abs(w), (g, w)
+    for grid, g in zip((bw_nonrel_grid, bw_rel_grid), got):
+        with np.errstate(all="ignore"):
+            value, bad = grid(*(np.array([x]) for x in (e, mu, gamma)))
+        assert not bad[0] and value[0] == g
+
+
+def test_bw_densities_that_overflow_name_their_point():
+    # 2/(pi Gamma) and 1/(pi mu Gamma) overflow once Gamma (or mu Gamma) is
+    # below ~4e-309; the scalar names the point and the grid flags it
+    p = ProfileParams(mu=1.0, gamma=1e-320, sigma=1.0)
+    for fn, grid in ((bw_nonrel, bw_nonrel_grid), (bw_rel, bw_rel_grid)):
+        with pytest.raises(
+            DomainError,
+            match=re.escape(f"Breit-Wigner density leaves double range at e=1.0, {p!r}: inf"),
+        ):
+            fn(1.0, p)
+        with np.errstate(all="ignore"):
+            assert grid(np.array([1.0]), np.array([1.0]), np.array([1e-320]))[1][0]
 
 
 def test_gaussian_values():
@@ -169,13 +222,14 @@ def test_parameter_validation():
         reduce_nonrel(0.0, ProfileParams(mu=1.0, gamma=0.5, sigma=0.0))
     with pytest.raises(ParameterError):
         reduce_rel(0.0, ProfileParams(mu=1.0, gamma=0.5, sigma=-0.1))
-    # underflowing denominators raise DomainError, not ZeroDivisionError
+    # an underflowing sigma^2, and peak densities that overflow, raise
+    # DomainError, not ZeroDivisionError
     with pytest.raises(DomainError):
         reduce_rel(0.0, ProfileParams(mu=1.0, gamma=0.5, sigma=1e-170))
     with pytest.raises(DomainError):
-        bw_nonrel(1.0, ProfileParams(mu=1.0, gamma=1e-170, sigma=0.3))
+        bw_nonrel(1.0, ProfileParams(mu=1.0, gamma=1e-320, sigma=0.3))
     with pytest.raises(DomainError):
-        bw_rel(1.0, ProfileParams(mu=1.0, gamma=1e-170, sigma=0.3))
+        bw_rel(1.0, ProfileParams(mu=1.0, gamma=1e-320, sigma=0.3))
     assert bw_nonrel(0.0, good) > 0.0
 
 
@@ -213,7 +267,8 @@ def test_bw_rel_out_of_range_is_domain_error():
     """A density that is not representable raises; the grid flags the same points."""
     # (e, mu, gamma): E^2 and mu^2 overflow (q = inf - inf); mu gamma and
     # the denominator overflow (inf / inf); E^2 alone overflows, which is a
-    # true underflow to 0; a typical point; an underflowing denominator
+    # true underflow to 0; a typical point; a denominator that underflows
+    # but a density that does not
     pts = [
         (1e200, 1e200, 1.0),
         (1.0, 1e200, 1e200),
@@ -238,4 +293,4 @@ def test_bw_rel_out_of_range_is_domain_error():
             continue
         assert not bad[i]
         assert value[i] == want
-    assert bad.tolist() == [True, True, False, False, True]
+    assert bad.tolist() == [True, True, False, False, False]

@@ -23,6 +23,7 @@ from relvoigt import (
     ProfileParams,
     bw_rel,
     d0,
+    d0_grid,
     d2,
     d2_grid,
     gaussian,
@@ -520,7 +521,8 @@ def test_quadrature_with_underflowing_peak_width_terminates():
     # the peak width a/|u1-u2| underflows to 0 here; the seed walk out of
     # the peaks used to multiply 0 by 4 forever.  No node can land in the
     # peak at 0, so the point fails rather than return 0 for H2 ~ 1e-10.
-    at = re.escape("(a, u1, u2)=(5e-324, 0.0, 10000000000.0); error estimate 0.000e+00")
+    # Its estimate is its window's tail bound, e^{-9} 2/|w1| with |w1| = 1e10.
+    at = re.escape("(a, u1, u2)=(5e-324, 0.0, 10000000000.0); error estimate 2.468e-14")
     with pytest.raises(IntegrationError, match=f"^quadrature did not converge at {at}$"):
         h2_quadrature(5e-324, 0.0, 1e10)
 
@@ -721,6 +723,70 @@ def test_h2_route_keeps_the_mirror_within_its_estimates():
     assert got.converged.all() and mirrored.converged.all()
     dev = np.abs(got.value - mirrored.value)
     assert (dev <= got.error_estimate + mirrored.error_estimate).all()
+
+
+def _window_gate_points():
+    # 60 seeded points, a log-uniform in [1e-4, 20], |u| <= 12, half of them
+    # 1e-6 to 0.1 off the diagonal; then peaks on and just beyond a window
+    # edge, u = +-6, 6.1 and 7.5 at a = 1e-3 and 1, on the diagonal and
+    # beside a peak at 0.5
+    rng = np.random.default_rng(30)
+    n = 60
+    a = 10.0 ** rng.uniform(-4.0, np.log10(20.0), n)
+    u1 = rng.uniform(-12.0, 12.0, n)
+    u2 = rng.uniform(-12.0, 12.0, n)
+    gap = rng.choice([-1.0, 1.0], n // 2) * 10.0 ** rng.uniform(-6.0, -1.0, n // 2)
+    u2[::2] = np.clip(u1[::2] + gap, -12.0, 12.0)
+    edge = [(b, u, v) for b in (1e-3, 1.0) for u in (-6.0, 6.0, 6.1, 7.5) for v in (u, 0.5)]
+    return np.concatenate([np.stack([a, u1, u2], 1), edge]).T
+
+
+def test_windowed_oracle_estimates_bound_their_error():
+    # Each h2 and h0 oracle point is integrated over its own window [-T, T],
+    # with the analytic tail bound e^{-T^2} M in its estimate; against the
+    # 40-digit references every estimate bounds its error, at the edges too
+    a, u1, u2 = _window_gate_points()
+    h2r, h0r = routes._h2_route(a, u1, u2), routes._h0_route(a, u1)
+    assert h2r.converged.all() and h0r.converged.all()
+    for k, p in enumerate(zip(a.tolist(), u1.tolist(), u2.tolist())):
+        ref = float(REF.h2_mp(*p))
+        assert abs(h2r.value[k] - ref) <= h2r.error_estimate[k], (p, h2r.value[k], ref)
+        ref = float(REF.h0_mp(p[0], p[1]))
+        assert abs(h0r.value[k] - ref) <= h0r.error_estimate[k], (p, h0r.value[k], ref)
+
+
+def test_window_is_the_smallest_edge_its_tail_bound_allows():
+    # T < 12 only where e^{-T^2} M <= 1e-12, and no smaller edge would do
+    mass = np.concatenate([[0.0, 1.0, 1e-8, 1e150], 10.0 ** np.linspace(-20.0, 170.0, 400)])
+    half, tail = routes._window(mass)
+    assert set(half.tolist()) <= {1.5 * k for k in range(1, 9)}
+    assert (tail == np.exp(-half * half) * mass).all()
+    inside = half < 12.0
+    assert (tail[inside] <= 1e-12).all()
+    shorter = np.maximum(half - 1.5, 1.5)
+    assert (np.exp(-shorter * shorter) * mass > 1e-12)[half > 1.5].all()
+    assert half[:4].tolist() == [1.5, 6.0, 4.5, 12.0]
+    # H2's mass 2/|w1| bounds I2 = |Int (a/pi)/(quartic + a^2) dt|, and on
+    # the diagonal at a = 1e-300 (1e150) it leaves the whole [-12, 12]
+    a, u1, u2 = _window_gate_points()
+    bound = routes._i2_bound(a, u1, u2)
+    for k, p in enumerate(zip(a.tolist(), u1.tolist(), u2.tolist())):
+        assert abs(float(REF.i2_mp(*p))) <= bound[k]
+    diagonal = routes._i2_bound(np.array([1e-300]), np.array([3.0]), np.array([3.0]))
+    assert routes._window(diagonal)[0].tolist() == [12.0]
+
+
+def test_h2_quadrature_refuses_a_peak_just_beyond_the_line():
+    # A diagonal peak of mass ~e^{-u^2}/sqrt(a) just beyond |t| = 12 at tiny
+    # a: the endpoint heuristic of the [-12, 12] line could not see it, and
+    # these points returned 1.6e-195 for H2 = 3.6e31 and 1.5e-137 for
+    # 3.4e-3 as converged.  The window's tail bound e^{-144} 2/|w1| holds
+    # the peak, so the points fail, in their grid form too.
+    for point in ((5.77e-191, -12.084, -12.084), (6.39e-133, 12.581, 12.581)):
+        with pytest.raises(IntegrationError, match="^quadrature did not converge at"):
+            h2_quadrature(*point)
+        res = h2_quadrature_grid(*([p, 1.0] for p in point))
+        assert res.error.tolist() == ["IntegrationError", ""]
 
 
 # ------------------------------------------------- integral representations
@@ -1184,14 +1250,31 @@ def test_damping_small_sigma_near_one():
     "fn, args",
     [
         (d0, (1.0, 1e200, 1.0)),  # gamma^2 overflows: the peak density is 0
-        (d0, (1.0, 1e-170, 1.0)),  # gamma^2 underflows: 0/0 peak density
+        (d0, (1.0, 1e-320, 1.0)),  # the peak density 2/(pi gamma) overflows
         (d2, (1.0, 1e200, 1.0)),
-        (d2, (1.0, 0.5, 1e-170)),
+        (d2, (1.0, 0.5, 1e-320)),  # the peak density 1/(pi mu gamma) overflows
     ],
 )
 def test_damping_underflowing_peak_is_domain_error(fn, args):
     with pytest.raises(DomainError):
         fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn, grid, ref, args",
+    [
+        (d0, d0_grid, REF.d0_mp, (1e-300, 1e-300, 1.0)),
+        (d0, d0_grid, REF.d0_mp, (1.0, 1e-170, 1.0)),
+        (d2, d2_grid, REF.d2_mp, (1.0, 0.5, 1e-170)),
+    ],
+)
+def test_damping_where_the_peak_density_denominator_underflows(fn, grid, ref, args):
+    # the bare Breit-Wigner at the peak, 2/(pi gamma) or 1/(pi mu gamma), is
+    # a double here although its denominator underflows; these raised
+    # "denominator underflows" before
+    got = fn(*args)
+    assert abs(got - float(ref(*args))) <= 1e-14 * abs(got)
+    assert grid(*args).value == got
 
 
 def test_non_finite_profile_values_are_domain_errors():

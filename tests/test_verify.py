@@ -125,9 +125,9 @@ def test_oracle_integrates_each_orbit_once(monkeypatch):
 
 def test_verify_all_work_stays_bounded(monkeypatch):
     # the quadrature work of one `verify all` pass, counted rather than
-    # timed so it holds on any host: 9 refinement loops with 1,423,560
+    # timed so it holds on any host: 9 refinement loops with 891,210
     # integrand evaluations, and 11,206 trapezoid nodes on the rectangle's
-    # lines, 1,434,766 evaluations in all
+    # lines, 902,416 evaluations in all
     loops, evaluations = [0], [0]
     refine, rectangle = quadrature._refine, verify._rectangle_route
 
@@ -147,7 +147,7 @@ def test_verify_all_work_stays_bounded(monkeypatch):
     reports = run_suite("all")
     assert all(r.passed for r in reports)
     assert loops[0] <= 9
-    assert evaluations[0] <= 1_435_000
+    assert evaluations[0] <= 902_500
 
 
 def test_failed_reference_point_is_named(monkeypatch):
