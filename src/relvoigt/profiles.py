@@ -41,6 +41,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _DBL_MIN = 2.2250738585072014e-308
+_DBL_MAX = 1.7976931348623157e308
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,10 @@ def bw_nonrel(e: float, params: ProfileParams) -> float:
     """Nonrelativistic Breit-Wigner density (Gamma/2pi)/((E-mu)^2+(Gamma/2)^2).
 
     Unit-normalized Cauchy density centered at mu; maximum 2/(pi Gamma).
-    Where the denominator is below DBL_MIN the density is formed at a
-    power-of-2 scale, so it is returned wherever it is a double, and
-    DomainError names a point where it overflows (Gamma below ~4e-309).
+    Where the numerator is below DBL_MIN, or the denominator is below it or
+    overflows, the density is formed at a power-of-2 scale, so it is
+    returned wherever it is a double, and DomainError names a point where
+    it overflows (Gamma below ~4e-309).
     """
     e = require_finite("e", e)
     _require_positive("gamma", params.gamma)
@@ -112,9 +114,10 @@ def _bw_nonrel(e, mu, gamma, sigma) -> float:
     # which the callers check; sigma only names the parameters in the error
     # message, which is built on failure only
     d = e - mu
+    num = gamma / (2.0 * math.pi)
     den = d * d + 0.25 * gamma * gamma
-    if den >= _DBL_MIN:
-        return (gamma / (2.0 * math.pi)) / den
+    if num >= _DBL_MIN and _DBL_MIN <= den <= _DBL_MAX:
+        return num / den
     fw, xw = math.frexp(gamma)
     value = float(_small_cauchy(*math.frexp(d), fw, xw - 1))
     if not math.isfinite(value):
@@ -126,10 +129,10 @@ def bw_rel(e: float, params: ProfileParams) -> float:
     """Relativistic Breit-Wigner density (mu Gamma/pi)/((E^2-mu^2)^2+(mu Gamma)^2).
 
     Even in E with maxima at E = +-mu where it reaches 1/(pi mu Gamma).
-    A denominator below DBL_MIN is handled as in bw_nonrel.  DomainError
-    where the density is not representable: it overflows, or E^2 and mu^2
-    (or mu Gamma and the denominator) both overflow, which leaves inf - inf
-    (or inf / inf).
+    A numerator or denominator out of normal range is handled as in
+    bw_nonrel, E^2 - mu^2 as (E - mu)(E + mu), so a square or mu Gamma that
+    overflows leaves the density exact; DomainError where the density
+    itself overflows.
     """
     e = require_finite("e", e)
     _require_positive("mu", params.mu)
@@ -141,15 +144,17 @@ def _bw_rel(e, mu, gamma, sigma) -> float:
     # bw_rel at finite e and mu, gamma > 0, like _bw_nonrel
     q = e * e - mu * mu
     mg = mu * gamma
+    num = mg / math.pi
     den = q * q + mg * mg
-    if den < _DBL_MIN:
+    if num >= _DBL_MIN and _DBL_MIN <= den <= _DBL_MAX:
+        value = num / den
+    else:
         # q as (e - mu)(e + mu), whose factors keep the digits that the
-        # subnormal squares of e * e - mu * mu lose
+        # subnormal squares of e * e - mu * mu lose, and hold the value
+        # where those squares overflow
         (f1, x1), (f2, x2) = math.frexp(e - mu), math.frexp(e + mu)
         (fm, xm), (fg, xg) = math.frexp(mu), math.frexp(gamma)
         value = float(_small_cauchy(f1 * f2, x1 + x2, fm * fg, xm + xg))
-    else:
-        value = (mg / math.pi) / den
     if not math.isfinite(value):
         raise _out_of_range(value, e, mu, gamma, sigma)
     return value
@@ -157,11 +162,12 @@ def _bw_rel(e, mu, gamma, sigma) -> float:
 
 def _small_cauchy(fq, xq, fw, xw):
     # (w/pi) / (q^2 + w^2) for q = fq 2^xq and w = fw 2^xw, fw in [1/4, 1),
-    # given as significands and exponents where that denominator is below
-    # DBL_MIN.  It is formed at the scale 2^c of the larger of |q| and w,
-    # where neither square underflows, then scaled by 2^(xw - 2c), which
-    # rounds once to a subnormal or overflows to inf.  Elementwise, so the
-    # scalar and grid densities agree bit for bit.
+    # given as significands and exponents where w/pi or that denominator is
+    # outside the normal range.  It is formed at the scale 2^c of the larger
+    # of |q| and w, where neither square under- or overflows, then scaled by
+    # 2^(xw - 2c), which rounds once to a subnormal, underflows to 0 or
+    # overflows to inf.  Elementwise, so the scalar and grid densities agree
+    # bit for bit.
     c = np.where(fq == 0.0, xw, np.maximum(xw, xq))
     big_q, big_w = np.ldexp(fq, xq - c), np.ldexp(fw, xw - c)
     with np.errstate(over="ignore"):
@@ -256,12 +262,19 @@ def profile_rules(e, mu, gamma, sigma, invalid, bad) -> list:
 # np.errstate.
 
 
+def _out_of_normal(num, den):
+    # the grid densities that take _small_cauchy: the scalar forms' test
+    # num >= DBL_MIN and DBL_MIN <= den <= DBL_MAX fails, den NaN included
+    return ~((num >= _DBL_MIN) & (den >= _DBL_MIN) & (den <= _DBL_MAX))
+
+
 def bw_nonrel_grid(e, mu, gamma):
     """bw_nonrel over arrays at finite e and gamma > 0: densities, DomainError mask."""
     d = e - mu
+    num = gamma / (2.0 * math.pi)
     den = d * d + 0.25 * gamma * gamma
-    value = (gamma / (2.0 * math.pi)) / den
-    small = den < _DBL_MIN
+    value = num / den
+    small = _out_of_normal(num, den)
     if small.any():
         fw, xw = np.frexp(gamma)
         value = np.where(small, _small_cauchy(*np.frexp(d), fw, xw - 1), value)
@@ -272,9 +285,10 @@ def bw_rel_grid(e, mu, gamma):
     """bw_rel over arrays at finite e and mu, gamma > 0: densities, DomainError mask."""
     q = e * e - mu * mu
     mg = mu * gamma
+    num = mg / math.pi
     den = q * q + mg * mg
-    value = (mg / math.pi) / den
-    small = den < _DBL_MIN
+    value = num / den
+    small = _out_of_normal(num, den)
     if small.any():
         (f1, x1), (f2, x2) = np.frexp(e - mu), np.frexp(e + mu)
         (fm, xm), (fg, xg) = np.frexp(mu), np.frexp(gamma)

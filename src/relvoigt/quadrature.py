@@ -14,14 +14,15 @@ integral applies its own stop test, error-share split and budget of
 _MAX_SPLITS = 4,000 splits, finishes on its own and has its panels dropped.
 So one integrand call's abscissas stay bounded however many integrals a
 call carries, while the loop's per-panel bookkeeping grows with the call's
-initial panels.  Every route but h2_rectangle, a trapezoid sum, makes one
-batched call, and a single integral is a batch of one: the ``*_batch``
-integrators cover the real line, and _integrate_intervals finite windows
-with each window's analytic tail bound.  Those windows are the truncated
-half-lines of the H0 Laplace and H2 single_complex routes and each point's
-own real-line window in the H2 and H0 oracles, so integrate_real_line_batch
-has no route caller; it and its one scalar entry, integrate_real_line, a
-batch of one, are kept for the benchmark.
+initial panels.  _integrate_intervals is the layer's one batched
+interface: it integrates finite windows, each with its analytic tail bound.
+Every route but h2_rectangle, a trapezoid sum, makes one call to it, over
+the truncated half-lines of the H0 Laplace and H2 single_complex routes,
+each point's own real-line window in the H2 and H0 oracles, or, for
+i2_quadrature, the tan-mapped line of routes._compactified.  The scalar
+entry integrate_real_line is one such call over the real line truncated to
+[-12, 12], with a tail bound sampled at its ends; no route calls it, and it
+is kept for the benchmark.
 
 There is one stop rule, _met(error, value, tol), at _TOL = 1e-10 or a
 route's looser tol, which no caller sets; the loop, the final estimates with
@@ -34,11 +35,11 @@ receives a 2-D array of abscissas, one row per panel holding that panel's
 15 nodes, and an int column of shape (rows, 1) giving the index of the
 integral each row belongs to, so per-integral parameters are gathered once
 per row and broadcast along it.  It returns an array of the abscissas'
-shape.  (integrate_real_line_batch's tail bound makes one more call, the
-first, with a row of the two truncation points per integral.)  The kernel
-builds its nodes node-major, one row per Kronrod node, and hands the
-integrand that block's transpose, so the abscissas may be a
-non-C-contiguous view.  It may not write into them.  A return of the wrong shape raises IntegrationError
+shape.  (integrate_real_line's tail bound makes one more call, the first,
+with one row holding its two truncation points.)  The kernel builds its
+nodes node-major, one row per Kronrod node, and hands the integrand that
+block's transpose, so the abscissas may be a non-C-contiguous view.  It may
+not write into them.  A return of the wrong shape raises IntegrationError
 for the whole call.  A NaN or infinite value raises nothing: it leaves
 its own integral's total or estimate non-finite, so that integral alone
 stops unconverged, as QUADPACK reports a failed integral through its ier
@@ -53,24 +54,16 @@ itself is only ever invoked from the calling thread.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, require_finite, require_int
+from .errors import DomainError, IntegrationError, require_finite
 from .result import EvalResult, GridResult, grid_result
 
-__all__ = [
-    "QuadratureBatch",
-    "QuadratureResult",
-    "integrate_real_line",
-    "integrate_real_line_batch",
-    "integrate_real_line_compactified_batch",
-    "peak_seeds",
-]
+__all__ = ["QuadratureResult", "integrate_real_line"]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -343,14 +336,13 @@ def _integrate_intervals(
 ):
     """Integrate f over [lo[k], hi[k]] for every k to tol, in one refinement loop.
 
-    Every lo[k] < hi[k].  breaks, an (n, m) array, adds initial panel edges
-    per integral; they are clipped onto [lo, hi] and duplicates are dropped.
-    tail bounds what the windows leave out and joins each final estimate
-    before its last stop test.  The loop's bookkeeping grows with the call's
-    initial panels; the integrand calls do not.  Returns (value, error, converged, evaluations).
+    There is at least one window, and every lo[k] < hi[k].  breaks, an
+    (n, m) array, adds initial panel edges per integral; they are clipped
+    onto [lo, hi] and duplicates are dropped.  tail bounds what the windows
+    leave out and joins each final estimate before its last stop test.  The
+    loop's bookkeeping grows with the call's initial panels; the integrand
+    calls do not.  Returns (value, error, converged, evaluations).
     """
-    if lo.size == 0:
-        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
     if breaks is None:
         plo, phi, own = lo, hi, np.arange(lo.size)
     else:
@@ -398,50 +390,6 @@ def quadrature_grid(route, rules, *coords: np.ndarray) -> GridResult:
     return grid_result(shape, [*rules, (failed, IntegrationError)], value, estimate)
 
 
-def _seeds(x, n: int) -> np.ndarray:
-    # panel seeds as a finite (n, m) float array, row k for integral k, and
-    # m = 0 for no integrals; a complex or text seed does not cast to float
-    # under "same_kind"
-    try:
-        x = np.asarray(x).astype(float, casting="same_kind", copy=False)
-        x = x.reshape(n, x.size // max(n, 1))
-    except (TypeError, ValueError):
-        raise DomainError(f"seeds must be real numbers in n={n} rows of one length") from None
-    if not np.isfinite(x).all():
-        raise DomainError("seeds must be finite")
-    return x
-
-
-def peak_seeds(centers, width) -> np.ndarray:
-    """Panel seeds walking geometrically out of peaks of a given width.
-
-    centers is an (n, c) array of peak positions and width a length-n
-    array; row k of the result holds integral k's seeds: its centers, then
-    for each center x the pairs x - w, x + w for w = width, 4 width,
-    16 width, ... while w < 2.  Passing panel edges this way means
-    adaptive refinement never has to discover a spike much narrower than
-    its panel.  Rows with shorter walks are padded by repeating the
-    center, which adds no panel edge.  A width of 2 or more walks nowhere,
-    and so does one that is not positive (it could never reach 2).
-    """
-    centers = np.asarray(centers, dtype=float)
-    w = np.asarray(width, dtype=float).reshape(-1, 1)
-    w = np.where(w > 0.0, w, 2.0)
-    steps = []
-    while (w < 2.0).any():
-        steps.append(w)
-        w = w * 4.0
-    if not steps:
-        return centers
-    w = np.concatenate(steps, axis=1)
-    walks = [centers]
-    for x in centers.T:
-        x = x[:, None]
-        pair = np.stack([np.where(w < 2.0, x - w, x), np.where(w < 2.0, x + w, x)], axis=2)
-        walks.append(pair.reshape(len(x), -1))
-    return np.concatenate(walks, axis=1)
-
-
 def _lone(f: Integrand) -> BatchIntegrand:
     # a scalar integrand as a batched one: it sees the abscissas as one 1-D
     # array, node-major as the kernel builds them, so flattening the
@@ -455,74 +403,43 @@ def _lone(f: Integrand) -> BatchIntegrand:
     return g
 
 
-def integrate_real_line_batch(f: BatchIntegrand, n: int, *, seeds=None) -> QuadratureBatch:
-    """Integrate n Gaussian-envelope integrands over the real line at once.
-
-    Each integrand must decay like C e^{-t^2} beyond the window: the
-    integrals are truncated to [-R, R] with R = 12, and the Gaussian tail
-    bound (|f(-R)| + |f(R)|) / (2 R) is folded into each error estimate.
-    A problem centred elsewhere or of another width substitutes
-    t = c + s x itself.  seeds is an (n, m) array of panel seeds, row k
-    for integral k (repeat a value to pad a short row); they become
-    initial panel boundaries.  The call's memory grows with its up to
-    n * (16 + m) initial panels, as its seeds do.  An integral converges once
-    its estimate, tail bound included, meets _TOL within 4,000 panel splits;
-    a NaN or infinite value at a node or truncation point leaves it unconverged.
-    """
-    n = require_int("n", n, 0)
-    lo = np.full(n, -_RADIUS)
-    hi = np.full(n, _RADIUS)
-    pts = np.broadcast_to(_EDGES, (n, _EDGES.size))
-    if seeds is not None:
-        pts = np.concatenate([pts, _seeds(seeds, n)], axis=1)
-
-    # Gaussian tail bound at the truncation points; it may overflow like a
-    # panel sum, and a non-finite value there leaves a non-finite estimate
-    edge = np.abs(_call(f, np.stack([lo, hi], axis=1), np.arange(n)[:, None]))
-    with np.errstate(over="ignore"):
-        tail = (edge[:, 0] + edge[:, 1]) / (2.0 * _RADIUS)
-    value, error, converged, evaluations = _integrate_intervals(f, lo, hi, _TOL, pts, tail)
-    return QuadratureBatch(value, error, converged, evaluations + 2)
+def _seeds(x) -> np.ndarray:
+    # panel seeds as a finite (1, m) float array; a complex or text seed
+    # does not cast to float under "same_kind"
+    try:
+        x = np.asarray(x).astype(float, casting="same_kind", copy=False).reshape(1, -1)
+    except (TypeError, ValueError):
+        raise DomainError("seeds must be real numbers in n=1 rows of one length") from None
+    if not np.isfinite(x).all():
+        raise DomainError("seeds must be finite")
+    return x
 
 
 def integrate_real_line(f: Integrand, *, seeds: Sequence[float] | None = None) -> QuadratureResult:
-    """integrate_real_line_batch for one scalar integrand f(t), t a 1-D array.
+    """Integrate one Gaussian-envelope integrand f(t), t a 1-D array, over the real line.
 
-    A NaN or infinite value of f gives converged=False, not an exception.
+    f must decay like C e^{-t^2} beyond the window: the integral is
+    truncated to [-R, R] with R = 12, and the Gaussian tail bound
+    (|f(-R)| + |f(R)|) / (2 R) is folded into the error estimate.  A
+    problem centred elsewhere or of another width substitutes t = c + s x
+    itself.  seeds become initial panel boundaries.  The integral converges
+    once its estimate, tail bound included, meets _TOL within 4,000 panel
+    splits; a NaN or infinite value of f at a node or truncation point
+    gives converged=False, not an exception.
     """
-    r = integrate_real_line_batch(_lone(f), 1, seeds=seeds)
-    return QuadratureResult(
-        r.value.item(), r.error_estimate.item(), r.converged.item(), r.evaluations.item()
-    )
-
-
-def integrate_real_line_compactified_batch(
-    f: BatchIntegrand, n: int, *, seeds=None
-) -> QuadratureBatch:
-    """Integrate n algebraically decaying integrands over the real line at once.
-
-    Substitutes t = tan(theta) and integrates over (-pi/2, pi/2); valid
-    whenever (1 + t^2) f(t) -> 0 as |t| -> inf (decay faster than 1/t^2).
-    All abscissas are interior, so the endpoints are never evaluated.  This
-    covers integrands the Gaussian-envelope truncation of
-    integrate_real_line_batch would bias, such as pure rational densities.
-    seeds is an (n, m) array, row k for integral k.  The call's memory grows
-    with its up to n * (32 + m) initial panels, as its seeds do.  An integral
-    converges once its estimate meets _TOL within 4,000 panel splits; a NaN
-    or infinite value at a node leaves it unconverged.
-    """
-    n = require_int("n", n, 0)
-
-    def g(theta: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        t = np.tan(theta)
-        return _call(f, t, owner) * (1.0 + t * t)
-
-    half_pi = 0.5 * math.pi
-    pts = np.broadcast_to(np.linspace(-half_pi, half_pi, 33), (n, 33))
+    g = _lone(f)
+    pts = _EDGES[None, :]
     if seeds is not None:
-        pts = np.concatenate([pts, np.arctan(_seeds(seeds, n))], axis=1)
-    edge = np.full(n, half_pi)
-    return QuadratureBatch(*_integrate_intervals(g, -edge, edge, _TOL, pts))
+        pts = np.concatenate([pts, _seeds(seeds)], axis=1)
+
+    # Gaussian tail bound at the truncation points; it may overflow like a
+    # panel sum, and a non-finite value there leaves a non-finite estimate
+    edge = np.abs(_call(g, np.array([[-_RADIUS, _RADIUS]]), np.zeros((1, 1), dtype=np.intp)))
+    with np.errstate(over="ignore"):
+        tail = (edge[:, 0] + edge[:, 1]) / (2.0 * _RADIUS)
+    lo, hi = np.array([-_RADIUS]), np.array([_RADIUS])
+    value, error, converged, evaluations = _integrate_intervals(g, lo, hi, _TOL, pts, tail)
+    return QuadratureResult(value.item(), error.item(), converged.item(), evaluations.item() + 2)
 
 
 def _route_point(route, positive: bool, **point) -> EvalResult:

@@ -478,11 +478,10 @@ def _ratio(name, profile, bw, sigma, gamma, mu) -> float:
         return 1.0
     peak = profile(mu, mu, gamma, sigma)
     density = bw(mu, mu, gamma, sigma)
-    if density == 0.0:
-        raise DomainError(
-            f"Breit-Wigner peak density underflows to 0 at "
-            f"{ProfileParams(mu, gamma, sigma)!r}"
-        )
+    if density == 0.0 or peak == 0.0:
+        # a peak or density that underflowed to 0 leaves the ratio unknown
+        what = "Breit-Wigner peak density" if density == 0.0 else f"{name} peak profile"
+        raise DomainError(f"{what} underflows to 0 at {ProfileParams(mu, gamma, sigma)!r}")
     value = peak / density
     if not math.isfinite(value):
         raise DomainError(
@@ -500,8 +499,9 @@ def _ratio_grid(sigma, gamma, mu, profile_grid, bw_grid) -> GridResult:
         peak, bad = profile_grid(mu, mu, gamma, sigma)
         density, bw_bad = bw_grid(mu, mu, gamma)
         value = peak / density
-        # a zero density leaves the ratio of a finite peak inf or NaN
-        bad |= bw_bad | ~np.isfinite(value)
+        # a zero density leaves the ratio of a finite peak inf or NaN, and
+        # a zero peak leaves it unknown
+        bad |= bw_bad | ~np.isfinite(value) | (peak == 0.0)
     zero = sigma == 0.0
     rules = [
         (~(np.isfinite(sigma) & np.isfinite(gamma) & np.isfinite(mu)), DomainError),

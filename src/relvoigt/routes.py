@@ -15,13 +15,14 @@ whose line integral is one fixed trapezoidal sum per point over a padded
 array of node rows.  A route converges where its finite estimate is at most
 max(tol, tol |value|) at its one fixed tol; no caller sets a tol or a height.
 
-Every adaptive route but ``i2_quadrature``, whose line is compactified,
-integrates finite windows through ``_integrate_intervals`` and adds each
-window's analytic tail bound.  The H2 and H0 integrands are e^{-t^2} times
-a weight whose line integral is at most M (2/|w1| for H2, 1 for H0), so
-each point takes its own window [-T, T], T the smallest panel edge of the
-real line with e^{-T^2} M <= 1e-12, and no route calls
-``integrate_real_line_batch``.
+Every adaptive route integrates through ``quadrature._integrate_intervals``,
+the one batched integrator.  All but ``i2_quadrature`` integrate finite
+windows and add each window's analytic tail bound.  The H2 and H0
+integrands are e^{-t^2} times a weight whose line integral is at most M
+(2/|w1| for H2, 1 for H0), so each point takes its own window [-T, T], T
+the smallest panel edge of the real line with e^{-T^2} M <= 1e-12.  I2
+decays only like 1/t^4, so ``_compactified`` maps the whole line onto
+(-pi/2, pi/2) by t = tan(theta), as QUADPACK's QAGI maps an infinite range.
 
 The direct-quadrature oracles have grid forms as well (``h2_quadrature_grid``,
 ``i2_quadrature_grid``).  They integrate all points through the batched
@@ -42,11 +43,10 @@ from .quadrature import (
     _RADIUS,
     _TOL,
     QuadratureBatch,
+    _call,
     _integrate_intervals,
     _met,
     _route_point,
-    integrate_real_line_compactified_batch,
-    peak_seeds,
     quadrature_grid,
 )
 from .result import EvalResult, GridResult, grid_floats
@@ -61,6 +61,59 @@ _SQRT_PI = math.sqrt(math.pi)
 _LOOSE_TOL = 1e-8  # the target of single_complex and h2_rectangle; the others run at _TOL
 
 
+def _peak_seeds(centers, width) -> np.ndarray:
+    """Panel seeds walking geometrically out of peaks of a given width.
+
+    centers is an (n, c) array of peak positions and width a length-n
+    array; row k of the result holds integral k's seeds: its centers, then
+    for each center x the pairs x - w, x + w for w = width, 4 width,
+    16 width, ... while w < 2.  Passing panel edges this way means
+    adaptive refinement never has to discover a spike much narrower than
+    its panel.  Rows with shorter walks are padded by repeating the
+    center, which adds no panel edge.  A width of 2 or more walks nowhere,
+    and so does one that is not positive (it could never reach 2).
+    """
+    centers = np.asarray(centers, dtype=float)
+    w = np.asarray(width, dtype=float).reshape(-1, 1)
+    w = np.where(w > 0.0, w, 2.0)
+    steps = []
+    while (w < 2.0).any():
+        steps.append(w)
+        w = w * 4.0
+    if not steps:
+        return centers
+    w = np.concatenate(steps, axis=1)
+    walks = [centers]
+    for x in centers.T:
+        x = x[:, None]
+        pair = np.stack([np.where(w < 2.0, x - w, x), np.where(w < 2.0, x + w, x)], axis=2)
+        walks.append(pair.reshape(len(x), -1))
+    return np.concatenate(walks, axis=1)
+
+
+def _compactified(f, seeds) -> QuadratureBatch:
+    """Integrate algebraically decaying integrands over the real line, one per row of seeds.
+
+    seeds is an (n, m) array of panel seeds, row k for integral k.  The
+    substitution t = tan(theta) maps the line onto (-pi/2, pi/2), so it is
+    valid whenever (1 + t^2) f(t) -> 0 as |t| -> inf, and no node is an
+    endpoint.  An integral converges once its estimate meets _TOL within
+    4,000 panel splits; a NaN or infinite value at a node leaves it
+    unconverged.
+    """
+
+    def g(theta: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        t = np.tan(theta)
+        return _call(f, t, owner) * (1.0 + t * t)
+
+    half_pi = 0.5 * math.pi
+    n = len(seeds)
+    edges = np.broadcast_to(np.linspace(-half_pi, half_pi, 33), (n, 33))
+    edges = np.concatenate([edges, np.arctan(seeds)], axis=1)
+    window = np.full(n, half_pi)
+    return QuadratureBatch(*_integrate_intervals(g, -window, window, _TOL, edges))
+
+
 def _peaks(a, u1, u2):
     # Lorentzian-like peaks at u1 and u2, of half-width w = |a|/s with
     # s = max(|u1-u2|, |a|^{1/2}) and mass 1/s as a -> 0 (e^{-u^2}/s in H2).
@@ -70,7 +123,7 @@ def _peaks(a, u1, u2):
     scale = np.maximum(np.abs(u1 - u2), np.sqrt(aa))
     width = aa / scale
     u = np.stack([u1, u2])
-    return peak_seeds(u.T, np.where(width < 0.5, width, 2.0)), scale, u + width == u
+    return _peak_seeds(u.T, np.where(width < 0.5, width, 2.0)), scale, u + width == u
 
 
 def _bound_lost_points(r: QuadratureBatch, a, aa, bound, blind) -> QuadratureBatch:
@@ -159,7 +212,7 @@ def _h0_route(a, u) -> QuadratureBatch:
         out /= d
         return out
 
-    seeds = peak_seeds(u[:, None], np.minimum(np.abs(a), 0.5))
+    seeds = _peak_seeds(u[:, None], np.minimum(np.abs(a), 0.5))
     return _windowed(f, seeds, np.ones(a.size))[1]
 
 
@@ -177,7 +230,7 @@ def _i2_route(a, u1, u2) -> QuadratureBatch:
         return np.divide(pref[k], p, out=p)
 
     seeds, scale, unseen = _peaks(a, u1, u2)
-    r = integrate_real_line_compactified_batch(f, a.size, seeds=seeds)
+    r = _compactified(f, seeds)
     # on the whole line, an unseen peak matters unless its mass alone meets tol
     blind = unseen.any(axis=0) & ~_met(1.0 / scale, 0.0, _TOL)
     # |I2| = |2 Re(1/w1)| <= 2/|w1| and |w1|^2 = |(u1-u2)^2 + 4ia| >= 4|a|

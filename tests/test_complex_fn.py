@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from relvoigt import DomainError, complex_fn, faddeeva_w, h0, h2, rel_voigt, voigt
 from relvoigt.complex_fn import faddeeva_w_grid
-from relvoigt.quadrature import integrate_real_line, integrate_real_line_batch
+from relvoigt.quadrature import integrate_real_line
 
 from oracles import erfc_complex, erfc_real, erfcx_real
 from test_cli import run_python
@@ -111,12 +111,12 @@ def test_erfc_one_matches_defining_integral():
     # quadrature so the value does not come from the wrapped library: the
     # real-line integral of e^{-t^2} cut off below t = 1, with a panel edge there
 
-    def f(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+    def f(t: np.ndarray) -> np.ndarray:
         return np.where(t < 1.0, 0.0, np.exp(-t * t))
 
-    r = integrate_real_line_batch(f, 1, seeds=[[1.0]])
-    assert r.converged[0]
-    val = 2.0 / math.sqrt(math.pi) * r.value[0]
+    r = integrate_real_line(f, seeds=[1.0])
+    assert r.converged
+    val = 2.0 / math.sqrt(math.pi) * r.value
     assert abs(val - erfc_complex(1.0).real) < 1e-12
 
 

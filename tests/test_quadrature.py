@@ -11,13 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relvoigt import DomainError, IntegrationError
-from relvoigt.quadrature import (
-    QuadratureBatch,
-    integrate_real_line,
-    integrate_real_line_batch,
-    integrate_real_line_compactified_batch,
-    peak_seeds,
-)
+from relvoigt.quadrature import QuadratureBatch, integrate_real_line
 from relvoigt import quadrature, routes
 
 from oracles import erfc_real
@@ -25,12 +19,27 @@ from oracles import erfc_real
 SQRT_PI = math.sqrt(math.pi)
 
 
-def _interval(f, lo, hi, breaks=None):
-    # one integral of the batched integrand f over [lo, hi], breaks a (1, m)
-    # array of initial panel edges, through the refinement loop
-    lo, hi = np.array([lo]), np.array([hi])
-    out = quadrature._integrate_intervals(f, lo, hi, 1e-10, breaks)
+def _interval(f, lo, hi, breaks=None, tail=0.0):
+    # integral k of the batched integrand f over [lo[k], hi[k]] (scalars for
+    # one integral), breaks an (n, m) array of initial panel edges and tail
+    # the bound each estimate adds, through the refinement loop
+    lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
+    out = quadrature._integrate_intervals(f, lo, hi, 1e-10, breaks, tail)
     return QuadratureBatch(*out)
+
+
+def _real_line(f, n, seeds=None, tail=0.0):
+    # n integrals of f over the real line's truncation [-12, 12], from its
+    # uniform panel edges plus row k of seeds for integral k
+    edges = np.broadcast_to(quadrature._EDGES, (n, quadrature._EDGES.size))
+    if seeds is not None:
+        edges = np.concatenate([edges, seeds], axis=1)
+    return _interval(f, np.full(n, -12.0), np.full(n, 12.0), edges, tail)
+
+
+def _compactified(f, n):
+    # n integrals of f over the tan-mapped real line, with no seeds
+    return routes._compactified(f, np.zeros((n, 0)))
 
 
 def test_gaussian_integral():
@@ -43,8 +52,8 @@ def test_gaussian_integral():
     for scale in (0.25, 1e3):
         for r in (
             integrate_real_line(lambda t: scale * np.exp(-t * t)),
-            integrate_real_line_batch(lambda t, k: scale * np.exp(-t * t), 2),
-            integrate_real_line_compactified_batch(lambda t, k: scale / (1.0 + t**4), 2),
+            _real_line(lambda t, k: scale * np.exp(-t * t), 2),
+            _compactified(lambda t, k: scale / (1.0 + t**4), 2),
         ):
             value = np.abs(r.value)
             assert np.all(r.converged)
@@ -78,7 +87,7 @@ def test_interval_polynomials():
 
 def test_compactified_algebraic_decay():
     # Int dt/(1+t^4) = pi/sqrt(2); decays too slowly for plain truncation
-    r = integrate_real_line_compactified_batch(lambda t, k: 1.0 / (1.0 + t**4), 1)
+    r = _compactified(lambda t, k: 1.0 / (1.0 + t**4), 1)
     assert r.converged[0]
     assert abs(r.value[0] - math.pi / math.sqrt(2.0)) < 1e-11
 
@@ -145,7 +154,7 @@ def test_real_line_batch_matches_scalar_members():
     def f(t, k):
         return np.exp(-t * t) / ((t - c[k]) ** 2 + w[k] ** 2)
 
-    batch = integrate_real_line_batch(f, n, seeds=seeds)
+    batch = _real_line(f, n, seeds)
     assert batch.converged.all()
     for k in range(n):
         single = integrate_real_line(lambda t: f(t, k), seeds=seeds[k])
@@ -162,9 +171,9 @@ def test_compactified_batch_matches_scalar_members():
     def f(t, k):
         return w[k] / ((t - c[k]) ** 2 + w[k] ** 2) ** 2
 
-    batch = integrate_real_line_compactified_batch(f, n, seeds=c[:, None])
+    batch = routes._compactified(f, c[:, None])
     for k in range(n):
-        single = integrate_real_line_compactified_batch(lambda t, j: f(t, k), 1, seeds=[[c[k]]])
+        single = routes._compactified(lambda t, j: f(t, k), c[k : k + 1, None])
         _agree(batch, k, single)
         # Int w/((t-c)^2+w^2)^2 dt = pi/(2 w^2)
         assert abs(batch.value[k] - math.pi / (2.0 * w[k] ** 2)) <= 1e-9 * batch.value[k]
@@ -181,7 +190,7 @@ def test_exhausted_budget_stops_only_its_member(budget, widths, monkeypatch):
     def f(t, k):
         return np.exp(-t * t) / (t * t + w[k] ** 2)
 
-    batch = integrate_real_line_batch(f, 3, seeds=np.zeros((3, 1)))
+    batch = _real_line(f, 3, np.zeros((3, 1)))
     assert batch.converged.tolist() == [False, True, True]
     for k in range(3):
         _agree(batch, k, integrate_real_line(lambda t: f(t, k), seeds=[0.0]))
@@ -193,7 +202,7 @@ def test_nan_from_one_batch_member_stops_only_it():
         out[(k == 2) & (np.abs(t) < 0.5)] = np.nan
         return out
 
-    batch = integrate_real_line_batch(f, 4)
+    batch = _real_line(f, 4)
     assert batch.converged.tolist() == [True, True, False, True]
     assert math.isnan(batch.value[2]) and batch.error_estimate[2] == math.inf
     ok = [0, 1, 3]
@@ -215,14 +224,14 @@ def test_peak_seeds_walk_matches_the_loop():
     for _ in range(200):
         centers = rng.uniform(-5.0, 5.0, rng.integers(1, 3))
         width = 10.0 ** rng.uniform(-12.0, 0.5)
-        assert peak_seeds(centers[None, :], [width])[0].tolist() == walk(centers, width)
+        assert routes._peak_seeds(centers[None, :], [width])[0].tolist() == walk(centers, width)
     # rows of a batch are padded by repeating their centers
-    rows = peak_seeds([[0.0], [1.0]], [0.01, 1.0])
+    rows = routes._peak_seeds([[0.0], [1.0]], [0.01, 1.0])
     assert set(rows[0]) == set(walk([0.0], 0.01))
     assert set(rows[1]) == set(walk([1.0], 1.0))
-    assert peak_seeds([[1.0, 2.0]], [2.0]).tolist() == [[1.0, 2.0]]
+    assert routes._peak_seeds([[1.0, 2.0]], [2.0]).tolist() == [[1.0, 2.0]]
     # a width that underflowed to 0 can never grow past 2: no walk, no hang
-    assert peak_seeds([[1.0, 2.0]], [0.0]).tolist() == [[1.0, 2.0]]
+    assert routes._peak_seeds([[1.0, 2.0]], [0.0]).tolist() == [[1.0, 2.0]]
 
 
 # ------------------------------------------------------ one loop per call
@@ -257,18 +266,6 @@ def test_no_integrand_call_carries_more_than_a_chunk_of_panels():
     # 44 interior edges: 45 initial panels each, as in the h2 oracle
     breaks = np.broadcast_to(np.linspace(0.0, 1.0, 46)[1:-1], (130, 44))
     assert _chunk_rows(130, breaks) == runs(130 * 45)
-
-
-@pytest.mark.parametrize("kind", ["real_line", "compactified"])
-def test_a_batch_of_no_integrals_is_empty(kind):
-    integrate = {
-        "real_line": integrate_real_line_batch,
-        "compactified": integrate_real_line_compactified_batch,
-    }[kind]
-    for seeds in (None, np.zeros((0, 3))):
-        batch = integrate(lambda t, k: np.exp(-t * t), 0, seeds=seeds)
-        for field in (batch.value, batch.error_estimate, batch.converged, batch.evaluations):
-            assert field.shape == (0,)
 
 
 def _spikes(c, w):
@@ -322,19 +319,14 @@ def test_batched_integrand_sees_panel_rows_and_an_owner_column(kind):
         return _peaked(t, k, c, w)
 
     if kind == "real_line":
-        batch = integrate_real_line_batch(f, 3, seeds=c[:, None])
+        batch = _real_line(f, 3, c[:, None])
     else:
-        batch = integrate_real_line_compactified_batch(f, 3, seeds=c[:, None])
+        batch = routes._compactified(f, c[:, None])
     assert batch.converged.all()
-    rounds = calls[1:] if kind == "real_line" else calls
-    assert len(rounds) > 1
-    for t_shape, k_shape, k_kind in rounds:
+    assert len(calls) > 1
+    for t_shape, k_shape, k_kind in calls:
         assert len(t_shape) == 2 and t_shape[1] == 15
         assert k_shape == (t_shape[0], 1) and k_kind == "i"
-    if kind == "real_line":
-        # the Gaussian tail bound, taken before the refinement it joins:
-        # each integral's two truncation points
-        assert calls[0] == ((3, 2), (3, 1), "i")
 
 
 def _own_windows(f, center):
@@ -373,8 +365,11 @@ def test_scalar_integrand_still_sees_one_dimensional_abscissas(kind):
         r = _interval(g, -1.0, 2.0, np.array([[0.0]]))
     elif kind == "real_line":
         r = integrate_real_line(f, seeds=[0.0])
+        # the Gaussian tail bound, taken before the refinement it joins,
+        # sees the two truncation points
+        assert shapes[0] == (2,)
     else:
-        r = integrate_real_line_compactified_batch(g, 1, seeds=[0.0])
+        r = routes._compactified(g, np.array([[0.0]]))
     assert np.all(r.converged)
     assert len(shapes) > 1
     assert all(len(s) == 1 for s in shapes)
@@ -417,7 +412,7 @@ def test_scalar_entries_agree_with_their_panel_major_results(kind):
     elif kind == "real_line":
         r = integrate_real_line(lambda t: np.exp(-t * t))
     elif kind == "compactified":
-        r = integrate_real_line_compactified_batch(lambda t, k: 1.0 / (1e-4 + (t - 0.3) ** 2), 1)
+        r = _compactified(lambda t, k: 1.0 / (1e-4 + (t - 0.3) ** 2), 1)
     else:
         r = _interval(lambda t, k: np.exp(-t * t) / (t - (0.2 + 0.01j)) * np.exp(-0.1 * t),
                       0.0, 24.0)
@@ -435,10 +430,10 @@ _WRONG_LENGTH = "^integrand must return one value per abscissa$"
     [
         lambda: _interval(lambda t, k: t[:-1], 0.0, 1.0),
         lambda: integrate_real_line(lambda t: np.exp(-t * t)[:, None]),
-        lambda: integrate_real_line_compactified_batch(lambda t, k: np.zeros(3), 1),
-        lambda: integrate_real_line_batch(lambda t, k: np.exp(-t * t).ravel(), 2),
-        lambda: integrate_real_line_batch(lambda t, k: np.exp(-t * t)[:, :-1], 2),
-        lambda: integrate_real_line_compactified_batch(lambda t, k: np.ones(t.shape[0]), 2),
+        lambda: _compactified(lambda t, k: np.zeros(3), 1),
+        lambda: _real_line(lambda t, k: np.exp(-t * t).ravel(), 2),
+        lambda: _real_line(lambda t, k: np.exp(-t * t)[:, :-1], 2),
+        lambda: _compactified(lambda t, k: np.ones(t.shape[0]), 2),
     ],
     ids=["interval", "real_line", "compactified", "batch_flat", "batch_short_rows",
          "compactified_batch"],
@@ -577,24 +572,12 @@ def test_overflowing_finite_values_are_not_an_error():
     assert r.evaluations[0] == 15
 
 
-def _gauss(t, k):
-    return np.exp(-t * t)
-
-
-def _quartic(t, k):
-    return 1.0 / (1.0 + t**4)
-
-
-# one integral's seeds may come as a flat list
+# the seeds may come as a flat list or as one (1, m) row, the shape of a
+# batch of one
 _SEED_CALLS = {
     "real_line": lambda s: integrate_real_line(lambda t: np.exp(-t * t), seeds=[0.0, s]),
-    "real_line_batch": lambda s: integrate_real_line_batch(_gauss, 1, seeds=[[0.0, s]]),
-    "compactified": lambda s: integrate_real_line_compactified_batch(_quartic, 1, seeds=[s]),
-    "compactified_batch": lambda s: integrate_real_line_compactified_batch(
-        _quartic, 1, seeds=[[s]]
-    ),
+    "real_line_batch": lambda s: integrate_real_line(lambda t: np.exp(-t * t), seeds=[[0.0, s]]),
 }
-_SEED_ROWS = "^seeds must be real numbers in n=2 rows of one length$"
 
 
 @pytest.mark.parametrize(
@@ -605,8 +588,7 @@ _SEED_ROWS = "^seeds must be real numbers in n=2 rows of one length$"
             for name, call in _SEED_CALLS.items()
             for bad in (np.nan, np.inf)
         ),
-        # seeds or a count that numpy would reject with its own TypeError
-        # or ValueError
+        # seeds that numpy would reject with its own TypeError or ValueError
         pytest.param(
             lambda: integrate_real_line(lambda t: np.exp(-t * t), seeds=[1j]),
             "^seeds must be real numbers in n=1 rows of one length$",
@@ -617,29 +599,10 @@ _SEED_ROWS = "^seeds must be real numbers in n=2 rows of one length$"
             "^seeds must be real numbers in n=1 rows of one length$",
             id="text_seed",
         ),
-        pytest.param(
-            lambda: integrate_real_line_batch(_gauss, 2, seeds=[0.0, 1.0, 2.0]),
-            _SEED_ROWS,
-            id="real_line_batch_rows",
-        ),
-        pytest.param(
-            lambda: integrate_real_line_compactified_batch(_quartic, 2, seeds=[0.0, 1.0, 2.0]),
-            _SEED_ROWS,
-            id="compactified_batch_rows",
-        ),
-        pytest.param(
-            lambda: integrate_real_line_batch(_gauss, -1), "^n must be >= 0, got -1$",
-            id="negative_n",
-        ),
-        pytest.param(
-            lambda: integrate_real_line_compactified_batch(_quartic, 2.5),
-            "^n must be an integer, got 2.5$",
-            id="fractional_n",
-        ),
     ],
 )
 def test_non_finite_seed_names_the_seeds(call, message):
-    # a bad seed or integral count is a DomainError naming it
+    # a bad seed is a DomainError naming the seeds
     with pytest.raises(DomainError, match=message):
         call()
 
@@ -708,7 +671,8 @@ def test_non_finite_tail_bound_value_stops_only_its_integral():
     r = integrate_real_line(f)
     assert math.isnan(r.error_estimate) and not r.converged
     assert r.value == integrate_real_line(lambda t: np.exp(-t * t)).value
-    batch = integrate_real_line_batch(lambda t, k: np.where(k == 1, f(t), np.exp(-t * t)), 2)
+    # in a batch, a NaN tail bound stops only the integral it joins
+    batch = _real_line(lambda t, k: np.exp(-t * t), 2, tail=np.array([0.0, np.nan]))
     assert batch.converged.tolist() == [True, False]
     assert math.isnan(batch.error_estimate[1])
     assert abs(batch.value[0] - SQRT_PI) <= batch.error_estimate[0]

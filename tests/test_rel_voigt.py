@@ -47,12 +47,8 @@ from relvoigt import (
     v2_gamma0_limit,
     v2_grid,
 )
-from relvoigt.quadrature import (
-    integrate_real_line,
-    integrate_real_line_batch,
-    quadrature_grid,
-)
-from relvoigt import rel_voigt, routes, verify
+from relvoigt.quadrature import QuadratureBatch, integrate_real_line, quadrature_grid
+from relvoigt import quadrature, rel_voigt, routes, verify
 from relvoigt.rel_voigt import _pole_group
 from relvoigt.routes import _rectangle_route, _rep_single_complex
 
@@ -620,6 +616,16 @@ def test_quadrature_routes_fail_a_non_finite_integrand_at_its_point():
         h2_quadrature(5e-324, 0.0, 1.0)
 
 
+def _real_line(f, n, seeds=None):
+    # n integrals of f over the real line's truncation [-12, 12] in one
+    # refinement loop, from its uniform panel edges plus row k of seeds
+    edges = np.broadcast_to(quadrature._EDGES, (n, quadrature._EDGES.size))
+    if seeds is not None:
+        edges = np.concatenate([edges, seeds], axis=1)
+    lo, hi = np.full(n, -12.0), np.full(n, 12.0)
+    return QuadratureBatch(*quadrature._integrate_intervals(f, lo, hi, 1e-10, edges))
+
+
 def test_quadrature_grid_fails_only_the_point_with_a_nan_integrand():
     # a NaN integrand value stops only its own point's integral, so the one
     # route call fails that point alone
@@ -629,7 +635,7 @@ def test_quadrature_grid_fails_only_the_point_with_a_nan_integrand():
         def f(t, k):
             return np.where(x[k] == 0.0, np.nan, np.exp(-x[k] * t * t))
 
-        return integrate_real_line_batch(f, x.size)
+        return _real_line(f, x.size)
 
     res = quadrature_grid(route, [], x)
     assert res.error.tolist() == ["", "", "IntegrationError", ""]
@@ -651,7 +657,7 @@ def test_quadrature_grid_fails_a_poisoned_point_alone_in_chunks_of_1024():
         def f(t, k):
             return np.where(x[k] == 0.0, np.nan, np.exp(-x[k] * t * t))
 
-        return integrate_real_line_batch(f, x.size)
+        return _real_line(f, x.size)
 
     res = quadrature_grid(route, [], x)
     assert sizes == [1024, 476]
@@ -675,7 +681,7 @@ def test_quadrature_grid_fails_a_point_that_turns_non_finite_in_a_later_round():
             first_round.append(np.isfinite(v).all())
             return v
 
-        return integrate_real_line_batch(f, x.size, seeds=x[:, None])
+        return _real_line(f, x.size, x[:, None])
 
     res = quadrature_grid(route, [], x)
     assert first_round[0] and not all(first_round)
@@ -1152,14 +1158,10 @@ def test_v2_matches_convolution_quadrature():
 def test_v2_mass_matches_bw_rel_mass():
     # convolution with a unit-mass Gaussian preserves the total integral,
     # and that integral is the closed-form pole sum, not 1
-    from relvoigt.quadrature import integrate_real_line_compactified_batch
-
     mu, gamma, sigma = 1.0, 0.5, 0.3
     p = ProfileParams(mu=mu, gamma=gamma, sigma=sigma)
-    r = integrate_real_line_compactified_batch(
-        lambda e, k: np.vectorize(lambda x: v2(x, p))(e),
-        1,
-        seeds=[[-mu, mu]],
+    r = routes._compactified(
+        lambda e, k: np.vectorize(lambda x: v2(x, p))(e), np.array([[-mu, mu]])
     )
     assert r.converged[0]
     mass = i2_closed(mu * gamma, mu, -mu)
@@ -1249,9 +1251,9 @@ def test_damping_small_sigma_near_one():
 @pytest.mark.parametrize(
     "fn, args",
     [
-        (d0, (1.0, 1e200, 1.0)),  # gamma^2 overflows: the peak density is 0
+        (d0, (1e-300, 1e300, 1.0)),  # V0's reduced a = gamma/(2 sqrt2 sigma) overflows
         (d0, (1.0, 1e-320, 1.0)),  # the peak density 2/(pi gamma) overflows
-        (d2, (1.0, 1e200, 1.0)),
+        (d2, (1e150, 1.0, 1e200)),  # V2's peak, ~2e-351, underflows to 0
         (d2, (1.0, 0.5, 1e-320)),  # the peak density 1/(pi mu gamma) overflows
     ],
 )
@@ -1277,9 +1279,21 @@ def test_damping_where_the_peak_density_denominator_underflows(fn, grid, ref, ar
     assert grid(*args).value == got
 
 
+@pytest.mark.parametrize("fn, grid", [(d0, d0_grid), (d2, d2_grid)])
+def test_damping_where_the_peak_density_denominator_overflows(fn, grid):
+    # gamma^2 and (mu gamma)^2 overflow, and the peak densities 2/(pi gamma)
+    # and 1/(pi mu gamma) raised "underflows to 0" before.  a ~ 3.5e199,
+    # where H0(a, 0) = (1 - 1/(2a^2) + ...)/(a sqrt(pi)), so the ratio is 1
+    # within ~1e-399, and so is d2's
+    got = fn(1.0, 1e200, 1.0)
+    assert abs(got - 1.0) <= 4.0 * np.finfo(float).eps
+    assert grid(1.0, 1e200, 1.0).value == got
+
+
 def test_non_finite_profile_values_are_domain_errors():
-    # V0 = H0 / (sqrt(2 pi) sigma) overflows at a denormal sigma, and the
-    # relativistic peak density is inf - inf = NaN once mu^2 overflows
+    # V0 = H0 / (sqrt(2 pi) sigma) overflows at a denormal sigma, and V2's
+    # peak underflows to 0 at (sigma, gamma, mu) = (1e150, 1, 1e200), where
+    # d2 is ~6.3e-151
     with pytest.raises(DomainError):
         v0(1.0, ProfileParams(mu=1.0, gamma=1e-310, sigma=1e-322))
     with pytest.raises(DomainError):

@@ -22,7 +22,8 @@ from relvoigt import (
     h0_limit_a0,
     v0,
 )
-from relvoigt.quadrature import integrate_real_line, integrate_real_line_compactified_batch
+from relvoigt.quadrature import integrate_real_line
+from relvoigt.routes import _compactified
 from relvoigt.routes import _laplace_route
 
 from oracles import erfc_complex, erfc_real
@@ -169,11 +170,7 @@ def test_h0_laplace_rep_requires_positive_a():
 
 def test_v0_normalized():
     p = ProfileParams(mu=1.0, gamma=0.2, sigma=0.3)
-    r = integrate_real_line_compactified_batch(
-        lambda e, k: np.vectorize(lambda x: v0(x, p))(e),
-        1,
-        seeds=[[1.0]],
-    )
+    r = _compactified(lambda e, k: np.vectorize(lambda x: v0(x, p))(e), np.array([[1.0]]))
     assert r.converged[0]
     assert abs(r.value[0] - 1.0) < 1e-9
 
