@@ -6,8 +6,8 @@ ParameterError is the physical-parameter flavor (mu, gamma, sigma out of
 range).  IntegrationError signals quadrature breakdown: a point whose
 integral does not converge, or an integrand that returns the wrong shape.
 
-require_finite, require_int and check_side are the argument checks every
-module shares.
+require_finite and require_int are the argument checks every module
+shares.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "IntegrationError",
     "require_finite",
     "require_int",
-    "check_side",
 ]
 
 
@@ -81,9 +80,3 @@ def require_int(name: str, x, least: int) -> int:
         raise DomainError(f"{name} must be >= {least}, got {n!r}")
     return n
 
-
-def check_side(side: int) -> int:
-    """The side of a one-sided limit; DomainError unless it is +1 or -1."""
-    if side not in (1, -1):
-        raise DomainError(f"side must be +1 or -1, got {side!r}")
-    return side

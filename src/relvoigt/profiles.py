@@ -129,10 +129,10 @@ def bw_rel(e: float, params: ProfileParams) -> float:
     """Relativistic Breit-Wigner density (mu Gamma/pi)/((E^2-mu^2)^2+(mu Gamma)^2).
 
     Even in E with maxima at E = +-mu where it reaches 1/(pi mu Gamma).
-    A numerator or denominator out of normal range is handled as in
-    bw_nonrel, E^2 - mu^2 as (E - mu)(E + mu), so a square or mu Gamma that
-    overflows leaves the density exact; DomainError where the density
-    itself overflows.
+    E^2 - mu^2 is formed as (E - mu)(E + mu), which keeps its digits near
+    E = +-mu.  A numerator or denominator out of normal range is handled as
+    in bw_nonrel, so a square or mu Gamma that overflows leaves the density
+    exact; DomainError where the density itself overflows.
     """
     e = require_finite("e", e)
     _require_positive("mu", params.mu)
@@ -141,17 +141,18 @@ def bw_rel(e: float, params: ProfileParams) -> float:
 
 
 def _bw_rel(e, mu, gamma, sigma) -> float:
-    # bw_rel at finite e and mu, gamma > 0, like _bw_nonrel
-    q = e * e - mu * mu
+    # bw_rel at finite e and mu, gamma > 0, like _bw_nonrel; q = E^2 - mu^2
+    # as (e - mu)(e + mu), which keeps the digits that e * e - mu * mu
+    # cancels near E = +-mu
+    q = (e - mu) * (e + mu)
     mg = mu * gamma
     num = mg / math.pi
     den = q * q + mg * mg
     if num >= _DBL_MIN and _DBL_MIN <= den <= _DBL_MAX:
         value = num / den
     else:
-        # q as (e - mu)(e + mu), whose factors keep the digits that the
-        # subnormal squares of e * e - mu * mu lose, and hold the value
-        # where those squares overflow
+        # q's factors as significands and exponents, which hold the value
+        # where q or its square leaves the normal range
         (f1, x1), (f2, x2) = math.frexp(e - mu), math.frexp(e + mu)
         (fm, xm), (fg, xg) = math.frexp(mu), math.frexp(gamma)
         value = float(_small_cauchy(f1 * f2, x1 + x2, fm * fg, xm + xg))
@@ -283,7 +284,7 @@ def bw_nonrel_grid(e, mu, gamma):
 
 def bw_rel_grid(e, mu, gamma):
     """bw_rel over arrays at finite e and mu, gamma > 0: densities, DomainError mask."""
-    q = e * e - mu * mu
+    q = (e - mu) * (e + mu)
     mg = mu * gamma
     num = mg / math.pi
     den = q * q + mg * mg

@@ -332,29 +332,26 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, tol: float):
 
 
 def _integrate_intervals(
-    f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, tol: float, breaks=None, tail=0.0
-):
+    f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, tol: float, breaks: np.ndarray, tail=0.0
+) -> QuadratureBatch:
     """Integrate f over [lo[k], hi[k]] for every k to tol, in one refinement loop.
 
     There is at least one window, and every lo[k] < hi[k].  breaks, an
-    (n, m) array, adds initial panel edges per integral; they are clipped
-    onto [lo, hi] and duplicates are dropped.  tail bounds what the windows
-    leave out and joins each final estimate before its last stop test.  The
-    loop's bookkeeping grows with the call's initial panels; the integrand
-    calls do not.  Returns (value, error, converged, evaluations).
+    (n, m) array, adds initial panel edges per integral, none where m = 0;
+    they are clipped onto [lo, hi] and duplicates are dropped.  tail bounds
+    what the windows leave out and joins each final estimate before its
+    last stop test.  The loop's bookkeeping grows with the call's initial
+    panels; the integrand calls do not.
     """
-    if breaks is None:
-        plo, phi, own = lo, hi, np.arange(lo.size)
-    else:
-        l, h = lo[:, None], hi[:, None]
-        edges = np.sort(np.concatenate([l, h, np.clip(breaks, l, h)], axis=1), axis=1)
-        keep = edges[:, 1:] > edges[:, :-1]
-        plo, phi, own = edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
+    l, h = lo[:, None], hi[:, None]
+    edges = np.sort(np.concatenate([l, h, np.clip(breaks, l, h)], axis=1), axis=1)
+    keep = edges[:, 1:] > edges[:, :-1]
+    plo, phi, own = edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
     value, error, converged, evaluations = _refine(f, plo, phi, own, lo.size, tol)
     # a tail bound may overflow like a panel sum, leaving an inf estimate
     with np.errstate(over="ignore"):
         error = error + tail
-    return value, error, converged & _met(error, value, tol), evaluations
+    return QuadratureBatch(value, error, converged & _met(error, value, tol), evaluations)
 
 
 def quadrature_grid(route, rules, *coords: np.ndarray) -> GridResult:
@@ -438,8 +435,10 @@ def integrate_real_line(f: Integrand, *, seeds: Sequence[float] | None = None) -
     with np.errstate(over="ignore"):
         tail = (edge[:, 0] + edge[:, 1]) / (2.0 * _RADIUS)
     lo, hi = np.array([-_RADIUS]), np.array([_RADIUS])
-    value, error, converged, evaluations = _integrate_intervals(g, lo, hi, _TOL, pts, tail)
-    return QuadratureResult(value.item(), error.item(), converged.item(), evaluations.item() + 2)
+    r = _integrate_intervals(g, lo, hi, _TOL, pts, tail)
+    return QuadratureResult(
+        r.value.item(), r.error_estimate.item(), r.converged.item(), r.evaluations.item() + 2
+    )
 
 
 def _route_point(route, positive: bool, **point) -> EvalResult:

@@ -49,12 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex_fn import _wofz, faddeeva_w_grid
-from .errors import (
-    DomainError,
-    ParameterError,
-    check_side,
-    require_finite,
-)
+from .errors import DomainError, ParameterError, require_finite
 from .profiles import (
     _DBL_MIN,
     ProfileParams,
@@ -206,8 +201,8 @@ def _h2_closed_form_grid(a, u1, u2):
 def h2(a: float, u1: float, u2: float) -> EvalResult:
     """Relativistic line-broadening function.
 
-    Exactly a = 0 returns 0 (odd-function convention, matching h0; the
-    one-sided limits live in h2_limit_a0), a < 0 is the negated a > 0
+    Exactly a = 0 returns 0 (odd-function convention, matching h0;
+    h2_limit_a0 is the limit from above), a < 0 is the negated a > 0
     value, and every other point takes the closed form.  Its four Faddeeva
     terms are two complex-conjugate pairs, so it evaluates the two terms
     of one pair and doubles the real part.  Its error estimate is 1e-13
@@ -261,17 +256,17 @@ def h2_grid(a, u1, u2) -> GridResult:
     return grid_result(shape, [(bad, DomainError)], value, err)
 
 
-def h2_limit_a0(u1: float, u2: float, side: int) -> float:
-    """One-sided limit of H2 as a -> 0: +-(e^{-u1^2} + e^{-u2^2})/|u1-u2|.
+def h2_limit_a0(u1: float, u2: float) -> float:
+    """Limit of H2 as a -> 0 from above: (e^{-u1^2} + e^{-u2^2})/|u1-u2|.
 
-    A DomainError names a point where the limit leaves double range.
+    H2 is odd in a, so the limit from below is its negative.  A DomainError
+    names a point where the limit leaves double range.
     """
     u1 = require_finite("u1", u1)
     u2 = require_finite("u2", u2)
-    side = check_side(side)
     if u1 == u2:
         raise DomainError("limit divergent on degenerate manifold")
-    value = side * (math.exp(-u1 * u1) + math.exp(-u2 * u2)) / abs(u1 - u2)
+    value = (math.exp(-u1 * u1) + math.exp(-u2 * u2)) / abs(u1 - u2)
     if not math.isfinite(value):
         raise DomainError(f"h2_limit_a0 leaves double range at (u1, u2)=({u1!r}, {u2!r})")
     return value
@@ -410,17 +405,17 @@ def v2_grid(e, mu, gamma, sigma) -> GridResult:
     return grid_result(shape, profile_rules(e, mu, gamma, sigma, invalid, bad), value)
 
 
-def v2_gamma0_limit(e: float, mu: float, sigma: float, side: int) -> float:
-    """One-sided limit of V2 as gamma -> 0: a two-Gaussian line pair.
+def v2_gamma0_limit(e: float, mu: float, sigma: float) -> float:
+    """Limit of V2 as gamma -> 0 from above: a two-Gaussian line pair.
 
-    +-(1/(2 sigma mu sqrt(2 pi))) (e^{-(E-mu)^2/2 sigma^2} + e^{-(E+mu)^2/2 sigma^2}).
-    A DomainError names a point where the limit overflows; a sigma^2, a
-    square or a sigma mu outside double range is not one.
+    (1/(2 sigma mu sqrt(2 pi))) (e^{-(E-mu)^2/2 sigma^2} + e^{-(E+mu)^2/2 sigma^2}).
+    There is no limit from below, as v2 needs gamma > 0.  A DomainError
+    names a point where the limit overflows; a sigma^2, a square or a
+    sigma mu outside double range is not one.
     """
     e = require_finite("e", e)
     mu = require_finite("mu", mu)
     sigma = require_finite("sigma", sigma)
-    side = check_side(side)
     if mu == 0.0:
         raise DomainError("limit divergent on degenerate manifold mu = 0")
     if sigma <= 0.0:
@@ -434,8 +429,8 @@ def v2_gamma0_limit(e: float, mu: float, sigma: float, side: int) -> float:
         if pair < _DBL_MIN:
             pre = math.log(2.0 * math.sqrt(2.0 * math.pi) * sigma) + math.log(abs(mu))
             pair = math.exp(-0.5 * (z1 * z1) - pre) + math.exp(-0.5 * (z2 * z2) - pre)
-            return math.copysign(pair, side * mu)
-        return math.ldexp(side * pair / (2.0 * math.sqrt(2.0 * math.pi) * fs * fm), -es - em)
+            return math.copysign(pair, mu)
+        return math.ldexp(pair / (2.0 * math.sqrt(2.0 * math.pi) * fs * fm), -es - em)
     except OverflowError:
         raise DomainError(
             f"v2_gamma0_limit leaves double range at (e, mu, sigma)=({e!r}, {mu!r}, {sigma!r})"

@@ -1,11 +1,10 @@
 """Evaluation result records shared by the line-broadening functions.
 
-H2 has several routes with different accuracy characteristics (closed
-form, small-width series, large-u asymptotic, direct quadrature), so h2,
-each of its other routes and every quadrature evaluator return an
-EvalResult: the value together with an error estimate and a tag naming the
-route that produced it.  The evaluators with one route each (h0, v0, v2,
-d0, d2 and i2_closed) return a bare float.
+h2 (the closed form), its small-width series and large-u asymptote
+(h2_degenerate_series, h2_large_u_asymptotic) and every quadrature route
+differ in accuracy, so each returns an EvalResult: the value together with
+an error estimate and a tag naming the method that produced it.  The other
+evaluators (h0, v0, v2, d0, d2 and i2_closed) return a bare float.
 
 The grid evaluators (``h0_grid``, ``h2_grid``, ...) return a GridResult: one
 call over whole arrays of points, with the failure a scalar evaluator would

@@ -111,7 +111,7 @@ def _compactified(f, seeds) -> QuadratureBatch:
     edges = np.broadcast_to(np.linspace(-half_pi, half_pi, 33), (n, 33))
     edges = np.concatenate([edges, np.arctan(seeds)], axis=1)
     window = np.full(n, half_pi)
-    return QuadratureBatch(*_integrate_intervals(g, -window, window, _TOL, edges))
+    return _integrate_intervals(g, -window, window, _TOL, edges)
 
 
 def _peaks(a, u1, u2):
@@ -160,7 +160,7 @@ def _windowed(f, seeds, mass):
     # the window's tail bound in each estimate; returns T and the batch
     half, tail = _window(mass)
     edges = np.concatenate([np.broadcast_to(_EDGES, (half.size, _EDGES.size)), seeds], axis=1)
-    return half, QuadratureBatch(*_integrate_intervals(f, -half, half, _TOL, edges, tail))
+    return half, _integrate_intervals(f, -half, half, _TOL, edges, tail)
 
 
 def _i2_bound(a, u1, u2):
@@ -434,9 +434,7 @@ def _rep_single_complex(a, u1, u2) -> QuadratureBatch:
     j = np.arange(count.max())
     breaks = np.where(j < count[:, None] - 1, j * (x_max / (count - 1))[:, None], x_max[:, None])
     tail = np.exp(-a * x_max) / a
-    return QuadratureBatch(
-        *_integrate_intervals(f, np.zeros(a.size), x_max, _LOOSE_TOL, breaks, tail)
-    )
+    return _integrate_intervals(f, np.zeros(a.size), x_max, _LOOSE_TOL, breaks, tail)
 
 
 def h2_integral_rep(a: float, u1: float, u2: float, variant: str) -> EvalResult:
@@ -496,10 +494,8 @@ def _laplace_route(a, u) -> QuadratureBatch:
     width = 2.0 * _RADIUS
     edges = np.broadcast_to(np.linspace(0.0, width, 17), (a.size, 17))
     tail = math.exp(-_RADIUS * _RADIUS) / (_RADIUS * _SQRT_PI)
-    value, *rest = _integrate_intervals(
-        f, np.zeros(a.size), np.full(a.size, width), _TOL, edges, tail
-    )
-    return QuadratureBatch(value.real, *rest)
+    r = _integrate_intervals(f, np.zeros(a.size), np.full(a.size, width), _TOL, edges, tail)
+    return QuadratureBatch(r.value.real, r.error_estimate, r.converged, r.evaluations)
 
 
 def h0_laplace_rep(a: float, u: float) -> EvalResult:

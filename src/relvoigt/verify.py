@@ -322,19 +322,19 @@ def verify_limits() -> list[VerifyReport]:
         figure = max(figure, _shrink_figure(devs, 2.0))
     reports.append(_structural("h2 caption deviation decade shrink", figure, 6, 1.0))
 
-    devs = [abs(h0(1e-6, u) - h0_limit_a0(u, 1)) for u in (0.0, 1.0, 2.0)]
-    refs = [h0_limit_a0(u, 1) for u in (0.0, 1.0, 2.0)]
+    devs = [abs(h0(1e-6, u) - h0_limit_a0(u)) for u in (0.0, 1.0, 2.0)]
+    refs = [h0_limit_a0(u) for u in (0.0, 1.0, 2.0)]
     reports.append(_pointwise("h0 a -> 0 limit values", devs, refs, 5e-3))
 
     figure = 0.0
     for u in (0.0, 1.0, 2.0):
-        devs = [abs(h0(ai, u) - h0_limit_a0(u, 1)) for ai in (0.1, 0.01, 0.001)]
+        devs = [abs(h0(ai, u) - h0_limit_a0(u)) for ai in (0.1, 0.01, 0.001)]
         figure = max(figure, _monotone_figure(devs))
     reports.append(_structural("h0 limit approach monotone", figure, 9, 1.0))
 
     figure = 0.0
     for x, y in ((1.0, 0.0), (2.0, -1.0)):
-        limit = h2_limit_a0(x, y, 1)
+        limit = h2_limit_a0(x, y)
         devs = [abs(h2(ai, x, y).value - limit) for ai in (0.1, 0.01, 1e-3, 1e-4)]
         figure = max(figure, _monotone_figure(devs))
     reports.append(_structural("h2 limit approach monotone", figure, 8, 1.0))
@@ -371,7 +371,7 @@ def verify_limits() -> list[VerifyReport]:
                              [abs(peak - bare)], [bare], 1e-2))
 
     e, mu, sigma = 1.2, 1.0, 0.5
-    limit = v2_gamma0_limit(e, mu, sigma, 1)
+    limit = v2_gamma0_limit(e, mu, sigma)
     devs = [
         abs(v2(e, ProfileParams(mu=mu, gamma=g, sigma=sigma)) - limit)
         for g in (1e-2, 1e-3, 1e-4)

@@ -13,8 +13,8 @@ documented identity and exercised in tests only, since it overflows naively
 for large |u|.
 
 H0 is odd in a.  At exactly a = 0 the defining integral has a zero
-prefactor, so h0 returns 0 there; the one-sided limits +-e^{-u^2}, which do
-not agree, are exposed separately as h0_limit_a0.  The Laplace-type
+prefactor, so h0 returns 0 there; the one-sided limits +-e^{-u^2} do not
+agree, and h0_limit_a0 gives the one from above.  The Laplace-type
 representation that verifies H0 by quadrature is ``routes.h0_laplace_rep``.
 """
 
@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .complex_fn import _wofz, faddeeva_w_grid
-from .errors import DomainError, ParameterError, check_side, require_finite
+from .errors import DomainError, ParameterError, require_finite
 from .profiles import (
     ProfileParams,
     _reduce_nonrel,
@@ -70,11 +70,10 @@ def h0_grid(a, u) -> GridResult:
     return grid_result(shape, [(bad, DomainError)], value)
 
 
-def h0_limit_a0(u: float, side: int) -> float:
-    """One-sided limit of H0 as a -> 0 from the given side: side * e^{-u^2}."""
+def h0_limit_a0(u: float) -> float:
+    """Limit of H0 as a -> 0 from above: e^{-u^2}; from below it is -e^{-u^2}."""
     u = require_finite("u", u)
-    side = check_side(side)
-    return side * math.exp(-u * u)
+    return math.exp(-u * u)
 
 
 def v0(e: float, params: ProfileParams) -> float:

@@ -112,7 +112,7 @@ def test_bw_densities_where_their_denominator_underflows(e, mu, gamma):
     "e, mu, gamma",
     [
         (1.0, 1.0, 1e200),  # Gamma^2 and (mu Gamma)^2 overflow at the peaks
-        (1e200, 1e200, 1e-100),  # E^2 and mu^2 overflow: q = inf - inf
+        (1e200, 1e200, 1e-100),  # E^2 and mu^2 overflow, (E - mu)(E + mu) does not
         (-1e200, 1e200, 1e-100),  # and at the relativistic mirror peak
         (1e-100, 5e-101, 1e-310),  # subnormal Gamma/(2 pi) and mu Gamma/pi
     ],
@@ -141,6 +141,20 @@ def test_bw_nonrel_keeps_the_digits_of_a_subnormal_numerator():
     assert abs(got - want) <= 1e-15 * want
     with np.errstate(all="ignore"):
         assert bw_nonrel_grid(np.array([-x]), np.array([x]), np.array([2e-323]))[0][0] == got
+
+
+def test_bw_rel_keeps_the_digits_of_e_squared_minus_mu_squared():
+    # e * e - mu * mu cancels near E = +-mu, which left these densities
+    # 5.2e-5 and 7.5e-14 off their 50-digit values; q = (e - mu)(e + mu)
+    # keeps the digits, and the grid returns the scalar's bits
+    for e, mu, gamma in (
+        (12404.494449832457, 12404.494449822003, 8.195501066066618e-302),
+        (-0.3871591631653713, 0.3865285733848915, 4.129317516451576e-05),
+    ):
+        got = bw_rel(e, ProfileParams(mu=mu, gamma=gamma, sigma=1.0))
+        want = _bw_mp(e, mu, gamma)[1]
+        assert abs(got - want) <= 1e-15 * want, (e, got, want)
+        assert bw_rel_grid(np.array([e]), np.array([mu]), np.array([gamma]))[0][0] == got
 
 
 def test_bw_densities_that_overflow_name_their_point():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relvoigt import DomainError, IntegrationError
-from relvoigt.quadrature import QuadratureBatch, integrate_real_line
+from relvoigt.quadrature import integrate_real_line
 from relvoigt import quadrature, routes
 
 from oracles import erfc_real
@@ -21,11 +21,13 @@ SQRT_PI = math.sqrt(math.pi)
 
 def _interval(f, lo, hi, breaks=None, tail=0.0):
     # integral k of the batched integrand f over [lo[k], hi[k]] (scalars for
-    # one integral), breaks an (n, m) array of initial panel edges and tail
-    # the bound each estimate adds, through the refinement loop
+    # one integral), breaks an (n, m) array of initial panel edges, none by
+    # default, and tail the bound each estimate adds, through the
+    # refinement loop
     lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
-    out = quadrature._integrate_intervals(f, lo, hi, 1e-10, breaks, tail)
-    return QuadratureBatch(*out)
+    if breaks is None:
+        breaks = np.zeros((lo.size, 0))
+    return quadrature._integrate_intervals(f, lo, hi, 1e-10, breaks, tail)
 
 
 def _real_line(f, n, seeds=None, tail=0.0):
@@ -250,10 +252,9 @@ def _chunk_rows(n, breaks=None):
         rows.append(x.shape[0])
         return x * x
 
-    lo, hi = np.zeros(n), np.ones(n)
-    value, _, converged, _ = quadrature._integrate_intervals(f, lo, hi, 1e-10, breaks)
-    assert converged.all()
-    assert np.allclose(value, 1.0 / 3.0, rtol=1e-14, atol=0.0)
+    r = _interval(f, np.zeros(n), np.ones(n), breaks)
+    assert r.converged.all()
+    assert np.allclose(r.value, 1.0 / 3.0, rtol=1e-14, atol=0.0)
     return rows
 
 
@@ -277,7 +278,8 @@ def _spikes(c, w):
 
     n = c.size
     breaks = np.broadcast_to(np.linspace(-1.0, 1.0, 10)[1:-1], (n, 8))
-    return quadrature._integrate_intervals(f, np.full(n, -1.0), np.ones(n), 1e-10, breaks)
+    r = _interval(f, np.full(n, -1.0), np.ones(n), breaks)
+    return r.value, r.error_estimate, r.converged, r.evaluations
 
 
 @pytest.mark.parametrize("subdivisions", [4000, 30])
@@ -332,7 +334,8 @@ def test_batched_integrand_sees_panel_rows_and_an_owner_column(kind):
 def _own_windows(f, center):
     # integral k over its own window center[k] +- 12, in 16 initial panels
     edges = center[:, None] + np.linspace(-12.0, 12.0, 17)
-    return quadrature._integrate_intervals(f, edges[:, 0], edges[:, -1], 1e-10, edges)
+    r = _interval(f, edges[:, 0], edges[:, -1], edges)
+    return r.value, r.error_estimate, r.converged, r.evaluations
 
 
 def test_owner_column_matches_each_row_of_abscissas():

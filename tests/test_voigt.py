@@ -79,17 +79,17 @@ def test_h0_near_gaussian_limit():
 
 
 def test_h0_limit_values():
-    assert h0_limit_a0(0.0, 1) == 1.0
-    assert h0_limit_a0(0.0, -1) == -1.0
-    assert abs(h0_limit_a0(1.0, 1) - 1.0 / math.e) < 1e-16
-    with pytest.raises(DomainError):
-        h0_limit_a0(0.0, 2)
+    assert h0_limit_a0(0.0) == 1.0
+    assert abs(h0_limit_a0(1.0) - 1.0 / math.e) < 1e-16
 
 
 def test_h0_limit_approach_monotone():
+    # from above to the limit, and from below to its negative (H0 is odd in a)
     for u in (0.0, 1.0, 2.0):
         limit = math.exp(-u * u)
         devs = [abs(h0(a, u) - limit) for a in (0.1, 0.01, 0.001)]
+        assert devs[0] > devs[1] > devs[2]
+        devs = [abs(h0(-a, u) + limit) for a in (0.1, 0.01, 0.001)]
         assert devs[0] > devs[1] > devs[2]
 
 
