@@ -16,13 +16,16 @@ array of node rows.  A route converges where its finite estimate is at most
 max(tol, tol |value|) at its one fixed tol; no caller sets a tol or a height.
 
 Every adaptive route integrates through ``quadrature._integrate_intervals``,
-the one batched integrator.  All but ``i2_quadrature`` integrate finite
-windows and add each window's analytic tail bound.  The H2 and H0
-integrands are e^{-t^2} times a weight whose line integral is at most M
-(2/|w1| for H2, 1 for H0), so each point takes its own window [-T, T], T
-the smallest panel edge of the real line with e^{-T^2} M <= 1e-12.  I2
-decays only like 1/t^4, so ``_compactified`` maps the whole line onto
-(-pi/2, pi/2) by t = tan(theta), as QUADPACK's QAGI maps an infinite range.
+the one batched integrator.  The two half-line routes, ``h0_laplace_rep``
+and ``single_complex``, take the real parts of complex integrals in real
+arithmetic, so their estimates measure the real part alone.  All but
+``i2_quadrature`` integrate finite windows and add each window's analytic
+tail bound.  The H2 and H0 integrands are e^{-t^2} times a weight whose
+line integral is at most M (2/|w1| for H2, 1 for H0), so each point takes
+its own window [-T, T], T the smallest panel edge of the real line with
+e^{-T^2} M <= 1e-12.  I2 decays only like 1/t^4, so ``_compactified``
+maps the whole line onto (-pi/2, pi/2) by t = tan(theta), as QUADPACK's
+QAGI maps an infinite range.
 
 The direct-quadrature oracles have grid forms as well (``h2_quadrature_grid``,
 ``i2_quadrature_grid``).  They integrate all points through the batched
@@ -406,7 +409,14 @@ def _rep_single_complex(a, u1, u2) -> QuadratureBatch:
     #   H2 = (1/sqrt(pi)) Re Int_0^inf
     #            e^{-ax + (ix/4)(4 u1 u2 - (u1+u2)^2 x/(i+x))} / sqrt(1-ix) dx
     # with the principal branch of sqrt(1-ix), here at arrays of points with
-    # a > 0, in one batched call.  The modulus of the integrand is at most
+    # a > 0, in one batched call.  In real arithmetic, with
+    # x/(i+x) = x(x-i)/(1+x^2), r = x^2/(1+x^2) and
+    # 1/sqrt(1-ix) = (1+x^2)^{-1/4} e^{i atan(x)/2}, the integrand is
+    #   e^{Re z} cos(Im z + atan(x)/2) / ((1+x^2)^{1/4} sqrt(pi)),
+    #   Re z = -ax - (s^2/4) r,  Im z = x (u1 u2 - (s^2/4) r),
+    # with r formed as (x/hypot(1, x))^2 and (1+x^2)^{1/4} as
+    # sqrt(hypot(1, x)), so neither overflows before x does.  The modulus
+    # of the integrand is at most
     # e^{-ax}, so truncation at x_max = 50/a leaves a tail below e^{-50}/a,
     # which each point's estimate adds; the window ends there, however small
     # x_max is.  The phase oscillates at frequency about |u1 u2| near 0 and
@@ -425,10 +435,24 @@ def _rep_single_complex(a, u1, u2) -> QuadratureBatch:
         at = tuple(float(c[np.argmin(finite)]) for c in (a, u1, u2))
         raise DomainError(f"single_complex window or phase overflows at (a, u1, u2)={at!r}")
 
+    q4 = 0.25 * ss
+
     def f(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-        z = -a[k] * x + 0.25j * x * (p4[k] - ss[k] * x / (1j + x))
-        val = np.exp(z) / np.sqrt(1.0 - 1j * x)
-        return val.real / _SQRT_PI
+        # h = (1 + x^2)^{1/2}, then q = (s^2/4) r
+        h = np.hypot(1.0, x)
+        q = x / h
+        q *= q
+        q *= q4[k]
+        phase = p[k] - q
+        phase *= x
+        phase += 0.5 * np.arctan(x)
+        out = -a[k] * x
+        out -= q
+        np.exp(out, out=out)
+        out *= np.cos(phase, out=phase)
+        out /= np.sqrt(h, out=h)
+        out /= _SQRT_PI
+        return out
 
     # each row is np.linspace(0, x_max, count), padded by repeating x_max
     j = np.arange(count.max())
@@ -446,7 +470,8 @@ def h2_integral_rep(a: float, u1: float, u2: float, variant: str) -> EvalResult:
         H2 = (1/pi) Int dt e^{-t^2} Int_0^inf e^{-ax} cos(x (t-u1)(t-u2)) dx.
 
     variant "single_complex" collapses its t integral instead, leaving one
-    oscillatory x integral: the analogue of the classical
+    oscillatory x integral, the real part of a complex one, which it
+    evaluates in real arithmetic: the analogue of the classical
     H(a, u) = (1/sqrt(pi)) Int_0^inf e^{-ax - x^2/4} cos(ux) dx, and the
     independent verification route, whose target, 1e-8, is looser than
     h2_quadrature's: a point fails with IntegrationError unless its
@@ -480,30 +505,31 @@ def i2_quadrature_grid(a, u1, u2) -> GridResult:
 def _laplace_route(a, u) -> QuadratureBatch:
     # h0_laplace_rep at arrays of points with a > 0, in one batched call over
     # the window [0, 2R]: the real line's truncation under x = 2t.  The
-    # integrand's modulus is at most e^{-x^2/4}, so the tail beyond 2R is
-    # below erfc(R) < e^{-R^2}/(R sqrt(pi)), which each estimate adds.
-    z = -a + 1j * u
-
+    # integrand, e^{-ax - x^2/4} cos(ux) / sqrt(pi), is at most e^{-x^2/4},
+    # so the tail beyond 2R is below erfc(R) < e^{-R^2}/(R sqrt(pi)), which
+    # each estimate adds.
     def f(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-        out = z[k] * x
+        out = -a[k] * x
         out -= 0.25 * x * x
         np.exp(out, out=out)
+        out *= np.cos(u[k] * x)
         out /= _SQRT_PI
         return out
 
     width = 2.0 * _RADIUS
     edges = np.broadcast_to(np.linspace(0.0, width, 17), (a.size, 17))
     tail = math.exp(-_RADIUS * _RADIUS) / (_RADIUS * _SQRT_PI)
-    r = _integrate_intervals(f, np.zeros(a.size), np.full(a.size, width), _TOL, edges, tail)
-    return QuadratureBatch(r.value.real, r.error_estimate, r.converged, r.evaluations)
+    return _integrate_intervals(f, np.zeros(a.size), np.full(a.size, width), _TOL, edges, tail)
 
 
 def h0_laplace_rep(a: float, u: float) -> EvalResult:
     """H0 via its Laplace-type representation, a diagnostic cross-route.
 
-    H0(a, u) = Re (1/sqrt(pi)) Int_0^inf e^{-a x + i u x - x^2/4} dx,
-    valid for a > 0.  The integrand is bounded by e^{-x^2/4}, so the integral
-    is taken over the window [0, 24] to h2_quadrature's target, and the tail
-    beyond it, below 2e-64, is added to the error estimate.
+    H0(a, u) = Re (1/sqrt(pi)) Int_0^inf e^{-a x + i u x - x^2/4} dx
+             = (1/sqrt(pi)) Int_0^inf e^{-a x - x^2/4} cos(u x) dx,
+    valid for a > 0, and integrated in the second, real form.  The integrand
+    is bounded by e^{-x^2/4}, so the integral is taken over the window
+    [0, 24] to h2_quadrature's target, and the tail beyond it, below 2e-64,
+    is added to the error estimate.
     """
     return _route_point(_laplace_route, True, a=a, u=u)

@@ -53,6 +53,7 @@ from relvoigt.rel_voigt import _pole_group
 from relvoigt.routes import _rectangle_route, _rep_single_complex
 
 SQRT_PI = math.sqrt(math.pi)
+EPS = float(np.finfo(float).eps)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -900,10 +901,11 @@ def test_single_complex_nonconvergence_names_the_point():
 
 
 def test_single_complex_fails_where_its_tail_misses_the_target():
-    # the window 50/a = 5e17 adds the truncation tail e^{-50}/a ~ 1.9e-6 to
-    # the estimate, far above the 1e-8 target, so the point fails: the value
-    # the window reaches, 1.3765e-8, is 16% off H2 = 1.6402e-8
-    at = re.escape("(a, u1, u2)=(1e-16, 6.0, 6.0); error estimate 1.934e-06")
+    # the window 50/a = 5e17 adds the truncation tail e^{-50}/a = 1.9287e-6
+    # to the estimate, far above the 1e-8 target, so the point fails: the
+    # estimate is that tail plus the panels' 6.8e-10, and the value the
+    # window reaches, 1.6368e-8, is 0.2% off H2 = 1.6402e-8
+    at = re.escape("(a, u1, u2)=(1e-16, 6.0, 6.0); error estimate 1.929e-06")
     with pytest.raises(IntegrationError, match=f"^quadrature did not converge at {at}$"):
         h2_integral_rep(1e-16, 6.0, 6.0, "single_complex")
     a, u1, u2 = np.array([1e-16, 1.0]), np.array([6.0, 1.0]), np.array([6.0, 0.5])
@@ -921,6 +923,79 @@ def test_single_complex_edges_raise_without_warnings():
     for p in ((5e-324, 1.0, 0.0), (1.0, 1e300, 1e300), (1e-3, 1e200, -1e200)):
         with pytest.raises(DomainError, match=r"^single_complex window or phase overflows at"):
             h2_integral_rep(*p, "single_complex")
+
+
+def _route_integrand(route, *coords):
+    # the integrand the route hands the batched integrator at these points
+    seen = []
+
+    def capture(f, *args):
+        seen.append(f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(routes, "_integrate_intervals", capture)
+        route(*(np.asarray(c, dtype=float) for c in coords))
+    return seen[0]
+
+
+def _real_integrand_cases(rng, n, x_max):
+    # n seeded points with a log-uniform in [1e-3, 5], each with 400
+    # abscissas uniform on [0, x_max(a)] and 200 log-uniform up to 1e200,
+    # and the owner column the integrand takes
+    a = 10.0 ** rng.uniform(-3.0, math.log10(5.0), n)
+    x = np.concatenate(
+        [rng.uniform(0.0, 1.0, (n, 400)) * x_max(a)[:, None], 10.0 ** rng.uniform(0.0, 200.0, (n, 200))],
+        axis=1,
+    )
+    return a, x, np.arange(n)[:, None]
+
+
+def _assert_matches_complex_form(got, want, terms, modulus):
+    # the complex form is finite at every abscissa here, and so is the real
+    # one; they agree within 8 eps of the terms times the modulus, and
+    # exactly where the modulus underflows to 0
+    assert np.isfinite(want).all() and np.isfinite(got).all()
+    with np.errstate(invalid="ignore"):
+        bound = np.where(modulus > 0.0, 8.0 * EPS * terms * modulus, 0.0)
+    assert (np.abs(got - want) <= bound).all()
+
+
+def test_single_complex_integrand_is_the_real_part_of_the_complex_form():
+    # Re e^z / sqrt(1 - ix) / sqrt(pi), z = -ax + (ix/4)(4 u1 u2 - s^2 x/(i+x)),
+    # written in real arithmetic: both round the phase Im z to a few eps of
+    # x (|u1 u2| + s^2/4) and e^{Re z} to a few eps of |Re z|, so they agree
+    # to a few eps of those terms times the modulus; and the real form stays
+    # finite wherever the complex one is, up to x = 1e200, with no
+    # floating-point warning
+    rng = np.random.default_rng(33)
+    a, x, k = _real_integrand_cases(rng, 40, lambda a: 50.0 / a)
+    u1, u2 = rng.uniform(-6.0, 6.0, (2, a.size))
+    got = _route_integrand(_rep_single_complex, a, u1, u2)(x, k)
+    p, q4, b = (u1 * u2)[:, None], (0.25 * (u1 + u2) ** 2)[:, None], a[:, None]
+    with np.errstate(all="ignore"):
+        z = -b * x + 0.25j * x * (4.0 * p - 4.0 * q4 * x / (1j + x))
+        want = (np.exp(z) / np.sqrt(1.0 - 1j * x)).real / SQRT_PI
+        modulus = np.exp(z.real) / np.sqrt(np.hypot(1.0, x)) / SQRT_PI
+        terms = 1.0 + np.abs(z.real) + x * (np.abs(p) + q4)
+    _assert_matches_complex_form(got, want, terms, modulus)
+
+
+def test_laplace_integrand_is_the_real_part_of_the_complex_form():
+    # Re e^{(-a + iu)x - x^2/4} / sqrt(pi) as e^{-ax - x^2/4} cos(ux) / sqrt(pi),
+    # on the route's window [0, 24] and up to x = 1e200, for |u| <= 6
+    rng = np.random.default_rng(34)
+    a, x, k = _real_integrand_cases(rng, 40, lambda a: np.full(a.size, 24.0))
+    u = rng.uniform(-6.0, 6.0, a.size)
+    f = _route_integrand(routes._laplace_route, a, u)
+    b, c = a[:, None], u[:, None]
+    # the routes run with numpy's floating-point warnings off; x^2 overflows
+    with np.errstate(all="ignore"):
+        got = f(x, k)
+        z = (-b + 1j * c) * x - 0.25 * x * x
+        want = np.exp(z).real / SQRT_PI
+        terms = 1.0 + np.abs(z.real) + np.abs(c) * x
+        modulus = np.exp(z.real) / SQRT_PI
+    _assert_matches_complex_form(got, want, terms, modulus)
 
 
 def _representation_points():

@@ -125,11 +125,22 @@ def test_oracle_integrates_each_orbit_once(monkeypatch):
 
 def test_verify_all_work_stays_bounded(monkeypatch):
     # the quadrature work of one `verify all` pass, counted rather than
-    # timed so it holds on any host: 9 refinement loops with 891,210
+    # timed so it holds on any host: 9 refinement loops with 891,150
     # integrand evaluations, and 11,206 trapezoid nodes on the rectangle's
-    # lines, 902,416 evaluations in all
+    # lines, 902,356 evaluations in all; and the symmetry suite's six
+    # 500-point images of H2 in one h2_grid call
     loops, evaluations = [0], [0]
-    refine, rectangle = quadrature._refine, verify._rectangle_route
+    refine, rectangle, grid = quadrature._refine, verify._rectangle_route, verify.h2_grid
+    grid_calls = []
+
+    def counting_grid(*coords):
+        grid_calls.append(coords[0].size)
+        return grid(*coords)
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "h2_grid", counting_grid)
+        verify.verify_symmetry()
+    assert grid_calls == [3000]
 
     def counting(*args):
         out = refine(*args)
