@@ -35,16 +35,16 @@ receives a 2-D array of abscissas, one row per panel holding that panel's
 15 nodes, and an int column of shape (rows, 1) giving the index of the
 integral each row belongs to, so per-integral parameters are gathered once
 per row and broadcast along it.  It returns an array of the abscissas'
-shape.  (integrate_real_line's tail bound makes one more call, the first,
-with one row holding its two truncation points.)  The kernel builds its
-nodes node-major, one row per Kronrod node, and hands the integrand that
-block's transpose, so the abscissas may be a non-C-contiguous view.  It may
-not write into them.  A return of the wrong shape raises IntegrationError
-for the whole call.  A NaN or infinite value raises nothing: it leaves
-its own integral's total or estimate non-finite, so that integral alone
-stops unconverged, as QUADPACK reports a failed integral through its ier
-status, and the call's other integrals run on.  Complex-valued integrands
-are allowed (real and imaginary parts are integrated in one pass).
+shape, of real values.  (integrate_real_line's tail bound makes one more
+call, the first, with one row holding its two truncation points.)  The
+kernel builds its nodes node-major, one row per Kronrod node, and hands
+the integrand that block's transpose, so the abscissas may be a
+non-C-contiguous view.  It may not write into them.  A return of the wrong
+shape, or of complex values, raises IntegrationError for the whole call.
+A NaN or infinite value raises nothing: it leaves its own integral's total
+or estimate non-finite, so that integral alone stops unconverged, as
+QUADPACK reports a failed integral through its ier status, and the call's
+other integrals run on.
 
 Everything here is pure and writes no module state after import, so
 concurrent calls from multiple threads are safe; the integrand callable
@@ -156,7 +156,7 @@ class QuadratureResult:
     target of every integrator; evaluations counts integrand abscissas.
     """
 
-    value: float | complex
+    value: float
     error_estimate: float
     converged: bool
     evaluations: int
@@ -177,13 +177,15 @@ class QuadratureBatch:
 
 
 def _call(f: BatchIntegrand, x: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    # f at a 2-D block of abscissas, one row per owner entry; the values come
-    # back as float64 or complex128, so their |f| is a float64 buffer the
-    # kernel can reuse whatever dtype f returned
+    # f at a 2-D block of abscissas, one row per owner entry, as float64
+    # values; complex values are refused, as a cast would drop their
+    # imaginary parts
     fv = np.asarray(f(x, owner))
     if fv.shape != x.shape:
         raise IntegrationError("integrand must return one value per abscissa")
-    return fv.astype(np.result_type(fv, np.float64), copy=False)
+    if fv.dtype.kind == "c":
+        raise IntegrationError("integrand must return real values")
+    return fv.astype(np.float64, copy=False)
 
 
 def _eval_panels(f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
@@ -214,9 +216,8 @@ def _eval_panels(f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, owner: np.nd
         resk = (_WK @ fv) * half
         resg = (_WG @ fv[1:14:2]) * half
         mean = resk / (hi - lo)
-        # |f - mean| reuses the |f| buffer, in place when f is real
-        dev = fv - mean if np.iscomplexobj(fv) else np.subtract(fv, mean, out=buf)
-        resasc = (_WK @ np.abs(dev, out=buf)) * half
+        # |f - mean| reuses the |f| buffer, in place
+        resasc = (_WK @ np.abs(np.subtract(fv, mean, out=buf), out=buf)) * half
 
         # QUADPACK-style sharpened estimate for the Kronrod value
         raw = np.abs(resk - resg)
@@ -229,13 +230,6 @@ def _eval_panels(f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, owner: np.nd
         err = np.maximum(err, 50.0 * _EPS * resabs)
     err[overflow] = np.inf
     return resk, err
-
-
-def _sum_by(owner: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    # per-integral sums of a real or complex panel quantity
-    if np.iscomplexobj(x):
-        return np.bincount(owner, x.real, n) + 1j * np.bincount(owner, x.imag, n)
-    return np.bincount(owner, x, n)
 
 
 def _wide(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -275,12 +269,12 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, tol: float):
     evaluations = _XK.size * panels
     splits = np.zeros(n, dtype=np.int64)
     live = np.ones(n, dtype=bool)
-    value = np.zeros(n, dtype=val.dtype)
+    value = np.zeros(n)
     error = np.zeros(n)
     converged = np.zeros(n, dtype=bool)
 
     while True:
-        total = _sum_by(own, val, n)
+        total = np.bincount(own, val, n)
         total_err = np.bincount(own, err, n)
         done = _met(total_err, total, tol)
 
@@ -401,15 +395,18 @@ def _lone(f: Integrand) -> BatchIntegrand:
 
 
 def _seeds(x) -> np.ndarray:
-    # panel seeds as a finite (1, m) float array; a complex or text seed
-    # does not cast to float under "same_kind"
+    # a flat sequence of panel seeds as a finite (1, m) float array; a
+    # complex or text seed does not cast to float under "same_kind"
+    flat = "seeds must be a flat sequence of real numbers"
     try:
-        x = np.asarray(x).astype(float, casting="same_kind", copy=False).reshape(1, -1)
+        x = np.asarray(x).astype(float, casting="same_kind", copy=False)
     except (TypeError, ValueError):
-        raise DomainError("seeds must be real numbers in n=1 rows of one length") from None
+        raise DomainError(flat) from None
+    if x.ndim != 1:
+        raise DomainError(flat)
     if not np.isfinite(x).all():
         raise DomainError("seeds must be finite")
-    return x
+    return x[None, :]
 
 
 def integrate_real_line(f: Integrand, *, seeds: Sequence[float] | None = None) -> QuadratureResult:
@@ -419,7 +416,9 @@ def integrate_real_line(f: Integrand, *, seeds: Sequence[float] | None = None) -
     truncated to [-R, R] with R = 12, and the Gaussian tail bound
     (|f(-R)| + |f(R)|) / (2 R) is folded into the error estimate.  A
     problem centred elsewhere or of another width substitutes t = c + s x
-    itself.  seeds become initial panel boundaries.  The integral converges
+    itself.  f must return real values: a complex value raises
+    IntegrationError, as a return of the wrong shape does.  seeds, a flat
+    sequence, become initial panel boundaries.  The integral converges
     once its estimate, tail bound included, meets _TOL within 4,000 panel
     splits; a NaN or infinite value of f at a node or truncation point
     gives converged=False, not an exception.

@@ -51,6 +51,7 @@ import numpy as np
 from .complex_fn import _wofz, faddeeva_w_grid
 from .errors import DomainError, ParameterError, require_finite
 from .profiles import (
+    _DBL_MAX,
     _DBL_MIN,
     ProfileParams,
     _bw_nonrel,
@@ -315,6 +316,34 @@ def h2_large_u_asymptotic(a: float, u1: float, u2: float) -> EvalResult:
     return EvalResult(value, abs(value) * rel_next, "large_u_asymptotic")
 
 
+# w1's radicand (u1-u2)^2 + 4ia is formed as it stands where the sum of its
+# parts lies in [_RADICAND_MIN, DBL_MAX], and at a power-of-2 scale elsewhere
+_RADICAND_MIN = 2.0**-1021
+
+
+def _exponent(x):
+    # frexp's exponent of x, or one below every double's at x = 0
+    return np.where(x == 0.0, -1100, np.frexp(x)[1])
+
+
+def _i2_scaled(b, u1, u2):
+    """I2 at b = |a| with w1's radicand scaled by 2^(-2k); arrays or floats.
+
+    2^-k brings the larger of |u1 - u2| and 2 sqrt(b) into [1/2, 1) (a zero
+    one ignored; a difference past DBL_MAX counts as 2^1025), so
+    ds = (u1 - u2) 2^-k and w^2 = ds^2 + i b 2^(2-2k) lie well inside
+    double range, and I2 = 2^-k 2 Re(1/w).  k follows the difference, not
+    u1 and u2: near the diagonal at large |u| theirs would push b 2^(2-2k)
+    below the smallest double.  At b = 0 and u1 = u2 the value is NaN.
+    """
+    d = u1 - u2
+    big = np.isinf(d)
+    k = np.where(big, 1025, np.maximum(_exponent(d), _exponent(2.0 * np.sqrt(b))))
+    ds = np.where(big, np.ldexp(u1, -k) - np.ldexp(u2, -k), np.ldexp(d, -k))
+    wr, wi = _csqrt(ds * ds, np.ldexp(b, 2 - 2 * k))
+    return np.ldexp(2.0 * _cquot_real(1.0, 0.0, wr, wi), -k)
+
+
 def i2_closed(a: float, u1: float, u2: float) -> float:
     """Integral of the normalized H2 denominator kernel: Re(1/w1 + 1/w2).
 
@@ -322,7 +351,9 @@ def i2_closed(a: float, u1: float, u2: float) -> float:
     form.  Odd in a; as a -> 0+ it tends to 2/|u1 - u2|, which is also the
     exact value returned at a = 0 (the two square roots collapse to
     |u1 - u2|).  At a = 0 on the degenerate manifold the kernel has a real
-    double pole and no finite value exists.
+    double pole and no finite value exists.  Every finite point has its
+    value, however far its radicand (u1-u2)^2 + 4ia lies outside double
+    range; a DomainError names a point whose I2 passes DBL_MAX.
     """
     a = require_finite("a", a)
     u1 = require_finite("u1", u1)
@@ -330,13 +361,16 @@ def i2_closed(a: float, u1: float, u2: float) -> float:
     # the value at |a|, negated for a < 0; 1/w2 is conj(1/w1) bit for bit,
     # so Re(1/w1 + 1/w2) = 2 Re(1/w1)
     b = -a if a < 0.0 else a
-    w1 = _pole_group(b, u1, u2)[0]
-    if w1 == 0.0:
-        # a = 0 and (u1 - u2)^2 = 0, also when the gap squared underflows
+    if b == 0.0 and u1 == u2:
         raise DomainError("double pole on the real axis")
-    value = 2.0 * (1.0 / w1).real
-    if not math.isfinite(value):
-        raise DomainError(f"I2 overflows at (a, u1, u2)=({b!r}, {u1!r}, {u2!r})")
+    d = u1 - u2
+    if _RADICAND_MIN <= d * d + 4.0 * b <= _DBL_MAX:
+        value = 2.0 * (1.0 / cmath.sqrt(complex(d * d, 4.0 * b))).real
+    else:
+        with np.errstate(all="ignore"):
+            value = float(_i2_scaled(b, u1, u2))
+        if not math.isfinite(value):
+            raise DomainError(f"I2 overflows at (a, u1, u2)=({b!r}, {u1!r}, {u2!r})")
     return value if a >= 0.0 else -value
 
 
@@ -344,12 +378,16 @@ def i2_grid(a, u1, u2) -> GridResult:
     """i2_closed over broadcast arrays of points, bit for bit; no estimate."""
     shape, (a, u1, u2) = grid_floats(a=a, u1=u1, u2=u2)
     with np.errstate(all="ignore"):
+        b = np.abs(a)
         d = u1 - u2
-        w1r, w1i = _csqrt(d * d, 4.0 * np.abs(a))
-        inv_r = _cquot_real(1.0, 0.0, w1r, w1i)
-        value = 2.0 * inv_r
-        # w1 = 0 (a = 0 on the diagonal) has the imaginary part 0 / 0, so
-        # the double pole leaves the value NaN
+        x, y = d * d, 4.0 * b
+        w1r, w1i = _csqrt(x, y)
+        value = 2.0 * _cquot_real(1.0, 0.0, w1r, w1i)
+        radicand = x + y
+        out = ~((radicand >= _RADICAND_MIN) & (radicand <= _DBL_MAX))
+        if out.any():
+            value = np.where(out, _i2_scaled(b, u1, u2), value)
+        # the double pole (a = 0 on the diagonal) leaves the value NaN
         bad = ~(np.isfinite(a) & np.isfinite(u1) & np.isfinite(u2) & np.isfinite(value))
     return grid_result(shape, [(bad, DomainError)], np.where(a < 0.0, -value, value))
 

@@ -395,15 +395,11 @@ def test_scalar_integrand_gets_the_node_major_block_without_a_copy():
 # (value, error estimate, evaluations) of one integral on each path, as the
 # scalar entries computed it when their integrand was handed a panel-major
 # copy of the abscissas; a sum over the other layout may round differently
-# in the last bits.  The complex-valued integrand, whose real and imaginary
-# parts are integrated in one pass, runs over the half-line window [0, 24]
+# in the last bits
 _PANEL_MAJOR_RESULTS = {
     "interval": (3.899215201640467e-06, 5.3044623761938537e-11, 1470),
     "real_line": (1.772453850905516, 2.790419937341101e-11, 242),
     "compactified": (314.1592653589795, 1.4641225925534355e-09, 690),
-    "complex_interval": (
-        complex(0.8146524974527017, 2.8881653104145943), 2.0298557115740347e-11, 675
-    ),
 }
 
 
@@ -414,11 +410,8 @@ def test_scalar_entries_agree_with_their_panel_major_results(kind):
                       np.array([[0.3]]))
     elif kind == "real_line":
         r = integrate_real_line(lambda t: np.exp(-t * t))
-    elif kind == "compactified":
-        r = _compactified(lambda t, k: 1.0 / (1e-4 + (t - 0.3) ** 2), 1)
     else:
-        r = _interval(lambda t, k: np.exp(-t * t) / (t - (0.2 + 0.01j)) * np.exp(-0.1 * t),
-                      0.0, 24.0)
+        r = _compactified(lambda t, k: 1.0 / (1e-4 + (t - 0.3) ** 2), 1)
     value, estimate, evaluations = _PANEL_MAJOR_RESULTS[kind]
     r_value, r_estimate = np.ravel(r.value)[0], np.ravel(r.error_estimate)[0]
     assert np.all(r.converged) and np.all(r.evaluations == evaluations)
@@ -448,6 +441,28 @@ def test_wrong_length_return_is_an_integration_error(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: integrate_real_line(lambda t: f(t, 0)),
+        lambda f: _interval(f, 0.0, 24.0),
+    ],
+    ids=["real_line", "interval"],
+)
+def test_complex_values_are_an_integration_error(call):
+    # the kernel integrates real values only: a complex return fails the
+    # whole call, rather than being cast to its real part with a warning
+    calls = []
+
+    def f(t, k):
+        calls.append(t.shape)
+        return np.exp(-t * t) / (t - (0.2 + 0.01j))
+
+    with pytest.raises(IntegrationError, match="^integrand must return real values$"):
+        _no_warning(lambda: call(f))
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------- the K15 kernel
 #
 # The kernel builds its nodes node-major and sums contiguous rows; the
@@ -460,12 +475,6 @@ def _kernel_panels(n):
     lo = rng.uniform(-4.0, 4.0, n)
     hi = lo + rng.uniform(1e-3, 2.0, n)
     return lo, hi, rng.integers(0, 5, n), rng.uniform(-2.0, 2.0, 5), rng.uniform(0.05, 1.0, 5)
-
-
-def _fsum_weighted(w, v):
-    if np.iscomplexobj(v):
-        return complex(math.fsum((w * v).real), math.fsum((w * v).imag))
-    return math.fsum(w * v)
 
 
 def _qk15_estimate(raw, resasc, resabs):
@@ -490,25 +499,26 @@ def test_batched_integrand_sees_the_panel_major_nodes_bit_for_bit():
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 3000])
-@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["real", "oscillatory"])
 def test_kernel_sums_match_exact_sums_within_a_few_ulp(kind, n):
+    # a positive peaked integrand, and one whose values change sign
     lo, hi, own, c, w = _kernel_panels(n)
     if kind == "real":
         def f(t, k):
             return np.exp(-t * t) / ((t - c[k]) ** 2 + w[k] ** 2)
     else:
         def f(t, k):
-            return np.exp((1j * c[k] - 0.25) * t * t + 1j * w[k] * t)
+            return np.exp(-0.25 * t * t) * np.cos(c[k] * t * t + w[k] * t)
 
     value, estimate = quadrature._eval_panels(f, lo, hi, own)
     wk, wg = quadrature._WK, quadrature._WG
     for p in range(n):
         half, mid = 0.5 * (hi[p] - lo[p]), 0.5 * (lo[p] + hi[p])
         fv = f((half * quadrature._XK + mid)[None, :], own[p : p + 1, None])[0]
-        resk = _fsum_weighted(wk, fv) * half
-        resg = _fsum_weighted(wg, fv[1:14:2]) * half
-        resabs = _fsum_weighted(wk, np.abs(fv)) * half
-        resasc = _fsum_weighted(wk, np.abs(fv - resk / (hi[p] - lo[p]))) * half
+        resk = math.fsum(wk * fv) * half
+        resg = math.fsum(wg * fv[1:14:2]) * half
+        resabs = math.fsum(wk * np.abs(fv)) * half
+        resasc = math.fsum(wk * np.abs(fv - resk / (hi[p] - lo[p]))) * half
         # a few ulp of the panel's sum of |w f|
         slack = 8.0 * quadrature._EPS * resabs
         assert abs(value[p] - resk) <= slack, (p, value[p], resk)
@@ -575,33 +585,34 @@ def test_overflowing_finite_values_are_not_an_error():
     assert r.evaluations[0] == 15
 
 
-# the seeds may come as a flat list or as one (1, m) row, the shape of a
-# batch of one
+_NOT_FLAT = "^seeds must be a flat sequence of real numbers$"
+
+# the seeds come as a flat list; a (1, m) row of them is refused rather
+# than flattened
 _SEED_CALLS = {
-    "real_line": lambda s: integrate_real_line(lambda t: np.exp(-t * t), seeds=[0.0, s]),
-    "real_line_batch": lambda s: integrate_real_line(lambda t: np.exp(-t * t), seeds=[[0.0, s]]),
+    "real_line": (lambda s: [0.0, s], "^seeds must be finite$"),
+    "real_line_batch": (lambda s: [[0.0, s]], _NOT_FLAT),
 }
+
+
+def _seeded(seeds):
+    return lambda: integrate_real_line(lambda t: np.exp(-t * t), seeds=seeds)
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
         *(
-            pytest.param(lambda c=call, s=bad: c(s), "^seeds must be finite$", id=f"{name}-{bad}")
-            for name, call in _SEED_CALLS.items()
+            pytest.param(_seeded(row(bad)), message, id=f"{name}-{bad}")
+            for name, (row, message) in _SEED_CALLS.items()
             for bad in (np.nan, np.inf)
         ),
         # seeds that numpy would reject with its own TypeError or ValueError
-        pytest.param(
-            lambda: integrate_real_line(lambda t: np.exp(-t * t), seeds=[1j]),
-            "^seeds must be real numbers in n=1 rows of one length$",
-            id="complex_seed",
-        ),
-        pytest.param(
-            lambda: integrate_real_line(lambda t: np.exp(-t * t), seeds=["x"]),
-            "^seeds must be real numbers in n=1 rows of one length$",
-            id="text_seed",
-        ),
+        pytest.param(_seeded([1j]), _NOT_FLAT, id="complex_seed"),
+        pytest.param(_seeded(["x"]), _NOT_FLAT, id="text_seed"),
+        # finite seeds that are not a flat sequence are not flattened
+        pytest.param(_seeded([[1.0, 2.0], [3.0, 4.0]]), _NOT_FLAT, id="two_rows"),
+        pytest.param(_seeded(0.5), _NOT_FLAT, id="scalar_seed"),
     ],
 )
 def test_non_finite_seed_names_the_seeds(call, message):

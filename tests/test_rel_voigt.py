@@ -37,6 +37,7 @@ from relvoigt import (
     h2_quadrature_grid,
     h2_rectangle,
     i2_closed,
+    i2_grid,
     i2_quadrature,
     i2_quadrature_grid,
     faddeeva_w,
@@ -1104,14 +1105,49 @@ def test_i2_odd_in_a():
 
 def test_i2_a0_values():
     assert abs(i2_closed(0.0, 1.0, 0.0) - 2.0) < 1e-15
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^double pole on the real axis$"):
         i2_closed(0.0, 1.0, 1.0)
-    # the gap squared underflows: numerically the same double pole
-    with pytest.raises(DomainError):
-        i2_closed(0.0, 1e-200, 0.0)
-    # 4a overflows the pole algebra, which used to return NaN
-    with pytest.raises(DomainError):
-        i2_closed(1e308, 0.0, 1.0)
+    # the gap squared underflows, but the pole is simple: I2 = 2/|u1 - u2|
+    assert i2_closed(0.0, 1e-200, 0.0) == 2e200
+    # 4a overflows the pole algebra, but not I2, which is ~1/sqrt(2a) there
+    assert abs(i2_closed(1e308, 0.0, 1.0) - float(REF.i2_mp(1e308, 0.0, 1.0))) <= 1e-15 * 7.1e-155
+
+
+_DBL_MAX = 1.7976931348623157e308
+
+
+def test_i2_keeps_its_value_wherever_the_radicand_leaves_double_range():
+    """I2 against 40 digits where (u1-u2)^2 + 4|a| overflows or underflows.
+
+    a, the gap and the centre span the whole double range, and the grid
+    returns the scalar's bits.  Only a true double pole (a = 0, u1 = u2) and
+    an I2 beyond DBL_MAX raise.
+    """
+    rng = np.random.default_rng(1)
+    n = 3000
+    a = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-323, 308, n)
+    gap = 10.0 ** rng.uniform(-323, 308, n)
+    centre = rng.uniform(-1.0, 1.0, n) * gap
+    u1, u2 = centre + gap / 2, centre - gap / 2
+    # the diagonal at large |u| and a so small that 4a alone underflows the
+    # sum's range: the scale follows the gap, not u1 and u2
+    a[:20], u1[:20] = 10.0 ** rng.uniform(-323, -310, 20), 10.0 ** rng.uniform(0, 300, 20)
+    u2[:20] = u1[:20]
+    points = [*zip(a.tolist(), u1.tolist(), u2.tolist()),
+              (1.0, 1e200, -1e200), (1e308, 0.0, 0.0), (0.0, 1e-200, 0.0),
+              (5e-324, 1e-161, 0.0), (1e-320, 1e10, 1e10), (0.0, _DBL_MAX, -_DBL_MAX)]
+    grid = i2_grid(*(np.array(c) for c in zip(*points)))
+    assert not grid.codes.any()
+    for k, p in enumerate(points):
+        got = i2_closed(*p)
+        ref = float(REF.i2_mp(*p))
+        # within 1e-15 relative, or half the subnormal spacing below DBL_MIN
+        assert abs(got - ref) <= 1e-15 * abs(ref) + 2.5e-324, (p, got, ref)
+        assert grid.value[k].hex() == got.hex(), p
+    for p, message in (((0.0, 3.0, 3.0), "double pole"), ((0.0, 5e-324, 0.0), "I2 overflows")):
+        with pytest.raises(DomainError, match=message):
+            i2_closed(*p)
+        assert i2_grid(*p).codes == 1
 
 
 def _bits(z: complex) -> bytes:
