@@ -161,9 +161,9 @@ def _bw_rel(e, mu, gamma, sigma) -> float:
     return value
 
 
-def _small_cauchy(fq, xq, fw, xw):
-    # (w/pi) / (q^2 + w^2) for q = fq 2^xq and w = fw 2^xw, fw in [1/4, 1),
-    # given as significands and exponents where w/pi or that denominator is
+def _small_cauchy(fq, xq, fw, xw, div=math.pi):
+    # (w/div) / (q^2 + w^2) for q = fq 2^xq and w = fw 2^xw, 1/4 <= |fw| < 1,
+    # given as significands and exponents where w/div or that denominator is
     # outside the normal range.  It is formed at the scale 2^c of the larger
     # of |q| and w, where neither square under- or overflows, then scaled by
     # 2^(xw - 2c), which rounds once to a subnormal, underflows to 0 or
@@ -172,7 +172,7 @@ def _small_cauchy(fq, xq, fw, xw):
     c = np.where(fq == 0.0, xw, np.maximum(xw, xq))
     big_q, big_w = np.ldexp(fq, xq - c), np.ldexp(fw, xw - c)
     with np.errstate(over="ignore"):
-        return np.ldexp((fw / math.pi) / (big_q * big_q + big_w * big_w), xw - 2 * c)
+        return np.ldexp((fw / div) / (big_q * big_q + big_w * big_w), xw - 2 * c)
 
 
 def _out_of_range(value, e, mu, gamma, sigma) -> DomainError:

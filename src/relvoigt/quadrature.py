@@ -15,7 +15,8 @@ _MAX_SPLITS = 4,000 splits, finishes on its own and has its panels dropped.
 So one integrand call's abscissas stay bounded however many integrals a
 call carries, while the loop's per-panel bookkeeping grows with the call's
 initial panels.  _integrate_intervals is the layer's one batched
-interface: it integrates finite windows, each with its analytic tail bound.
+interface: given windows and panel counts, as QUADPACK's QAG takes a range
+and a limit, it lays out the panels and adds each window's tail bound.
 Every route but h2_rectangle, a trapezoid sum, makes one call to it, over
 the truncated half-lines of the H0 Laplace and H2 single_complex routes,
 each point's own real-line window in the H2 and H0 oracles, or, for
@@ -133,10 +134,9 @@ _MAX_SPLITS = 4000
 _TOL = 1e-10
 
 # the real-line half-width R, in units of the integrand's Gaussian envelope:
-# the e^{-t^2} tail beyond it is below 1e-62; the line's initial panel edges
-# are 1.5 apart
+# the e^{-t^2} tail beyond it is below 1e-62; the line starts as 16 panels,
+# 1.5 wide
 _RADIUS = 12.0
-_EDGES = np.linspace(-_RADIUS, _RADIUS, 17)
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -326,19 +326,23 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, tol: float):
 
 
 def _integrate_intervals(
-    f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, tol: float, breaks: np.ndarray, tail=0.0
+    f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, panels, tol: float, seeds=None, tail=0.0
 ) -> QuadratureBatch:
     """Integrate f over [lo[k], hi[k]] for every k to tol, in one refinement loop.
 
-    There is at least one window, and every lo[k] < hi[k].  breaks, an
-    (n, m) array, adds initial panel edges per integral, none where m = 0;
-    they are clipped onto [lo, hi] and duplicates are dropped.  tail bounds
+    There is at least one window, and every lo[k] < hi[k].  Window k starts
+    as panels[k] equal panels (an int or int array), with the edges that
+    np.linspace(lo[k], hi[k], panels[k] + 1) gives; seeds, an (n, m) array,
+    adds edges, clipped onto [lo, hi], duplicates dropped.  tail bounds
     what the windows leave out and joins each final estimate before its
     last stop test.  The loop's bookkeeping grows with the call's initial
     panels; the integrand calls do not.
     """
-    l, h = lo[:, None], hi[:, None]
-    edges = np.sort(np.concatenate([l, h, np.clip(breaks, l, h)], axis=1), axis=1)
+    l, h, n = lo[:, None], hi[:, None], np.broadcast_to(panels, lo.shape)[:, None]
+    j = np.arange(n.max() + 1)  # each row is linspace's, padded with hi
+    edges = np.where(j < n, j * ((h - l) / n) + l, h)
+    if seeds is not None:
+        edges = np.sort(np.concatenate([edges, np.clip(seeds, l, h)], axis=1), axis=1)
     keep = edges[:, 1:] > edges[:, :-1]
     plo, phi, own = edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
     value, error, converged, evaluations = _refine(f, plo, phi, own, lo.size, tol)
@@ -355,9 +359,9 @@ def quadrature_grid(route, rules, *coords: np.ndarray) -> GridResult:
     rules of the checks before the route, as grid_result takes them.
     route(*coords) integrates the points whose coordinates it is given and
     returns a QuadratureBatch.  It is called on up to _ROUTE_POINTS points
-    at a time to bound memory: a route builds its seeds, initial panel
-    edges and tail-bound rows for every point of a call at once, and its
-    refinement loop holds every live panel of them.
+    at a time to bound memory: a route builds its seeds and tail-bound
+    rows, and the integrator its initial panels, for every point of a call
+    at once, and the refinement loop holds every live panel of them.
     A point that does not converge fails with IntegrationError, as the
     scalar route raises there; a non-finite integrand value stops only its
     own point's integral, so each chunk is one route call.  The route runs
@@ -424,9 +428,7 @@ def integrate_real_line(f: Integrand, *, seeds: Sequence[float] | None = None) -
     gives converged=False, not an exception.
     """
     g = _lone(f)
-    pts = _EDGES[None, :]
-    if seeds is not None:
-        pts = np.concatenate([pts, _seeds(seeds)], axis=1)
+    pts = None if seeds is None else _seeds(seeds)
 
     # Gaussian tail bound at the truncation points; it may overflow like a
     # panel sum, and a non-finite value there leaves a non-finite estimate
@@ -434,7 +436,7 @@ def integrate_real_line(f: Integrand, *, seeds: Sequence[float] | None = None) -
     with np.errstate(over="ignore"):
         tail = (edge[:, 0] + edge[:, 1]) / (2.0 * _RADIUS)
     lo, hi = np.array([-_RADIUS]), np.array([_RADIUS])
-    r = _integrate_intervals(g, lo, hi, _TOL, pts, tail)
+    r = _integrate_intervals(g, lo, hi, 16, _TOL, pts, tail)
     return QuadratureResult(
         r.value.item(), r.error_estimate.item(), r.converged.item(), r.evaluations.item() + 2
     )

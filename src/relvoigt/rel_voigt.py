@@ -58,6 +58,7 @@ from .profiles import (
     _bw_rel,
     _reduce_rel,
     _require_positive,
+    _small_cauchy,
     bw_nonrel_grid,
     bw_rel_grid,
     profile_rules,
@@ -86,6 +87,7 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+_EPS = 2.0**-52
 
 # CPython's cmath.sqrt scales arguments whose parts are both below
 # DBL_MIN by 2^53 before taking the square root, and the result by 2^-27.
@@ -277,8 +279,9 @@ def h2_degenerate_series(a: float, u: float) -> EvalResult:
     """Two-term Laurent series of H2 on the degenerate manifold u1 = u2 = u.
 
     H2(a, u, u) = e^{-u^2}/sqrt(2a) + e^{-u^2} (2u^2 - 1) sqrt(a/2) + O(a),
-    valid for small a > 0; the error estimate is the next-order scale
-    e^{-u^2} a.
+    valid for small a > 0.  The estimate bounds the O(a) remainder, whose
+    a/(sqrt(pi) u^4)-type part outweighs e^{-u^2} a from |u| ~ 2, by
+    a (e^{-u^2} + 4/(sqrt(pi) (1 + u^2)^2)), plus (u^2 + 4) eps |value|.
     """
     a = require_finite("a", a)
     u = require_finite("u", u)
@@ -286,7 +289,8 @@ def h2_degenerate_series(a: float, u: float) -> EvalResult:
         raise DomainError(f"series requires a > 0, got {a!r}")
     g = math.exp(-u * u)
     value = g / math.sqrt(2.0 * a) + g * (2.0 * u * u - 1.0) * math.sqrt(0.5 * a)
-    return EvalResult(value, g * a, "degenerate_series")
+    estimate = a * (g + 4.0 / (_SQRT_PI * (1.0 + u * u) ** 2)) + (u * u + 4.0) * _EPS * abs(value)
+    return EvalResult(value, estimate, "degenerate_series")
 
 
 # h2_large_u_asymptotic needs min(|u1|, |u2|) at least this large
@@ -298,7 +302,9 @@ def h2_large_u_asymptotic(a: float, u1: float, u2: float) -> EvalResult:
 
     Requires min(|u1|, |u2|) >= 15.  The next-order relative error comes
     from the Gaussian moments of the expanded quartic and is dominated by
-    (3/2)(1/u1 + 1/u2)^2; the error estimate reports that scale.
+    (3/2)(1/u1 + 1/u2)^2; the estimate is twice that, for the orders beyond,
+    times |value|, plus 4 eps |value| (a subnormal's ulp) of rounding.  A
+    denominator past DBL_MAX is formed at a power-of-2 scale, as in bw_rel.
     """
     a = require_finite("a", a)
     u1 = require_finite("u1", u1)
@@ -311,9 +317,15 @@ def h2_large_u_asymptotic(a: float, u1: float, u2: float) -> EvalResult:
             f"asymptotic regime not reached: min(|u1|, |u2|)={m!r} below "
             f"threshold {_LARGE_U_THRESHOLD!r}"
         )
-    value = a / (_SQRT_PI * (u1 * u1 * u2 * u2 + a * a))
-    rel_next = 1.5 * (1.0 / abs(u1) + 1.0 / abs(u2)) ** 2
-    return EvalResult(value, abs(value) * rel_next, "large_u_asymptotic")
+    den = _SQRT_PI * (u1 * u1 * u2 * u2 + a * a)
+    if den <= _DBL_MAX:
+        value = a / den
+    else:  # (a/sqrt(pi)) / (q^2 + a^2) with q = u1 u2, from the frexp parts
+        (f1, x1), (f2, x2), (fa, xa) = math.frexp(u1), math.frexp(u2), math.frexp(a)
+        value = float(_small_cauchy(f1 * f2, x1 + x2, fa, xa, _SQRT_PI))
+    rel_next = 3.0 * (1.0 / abs(u1) + 1.0 / abs(u2)) ** 2
+    estimate = abs(value) * rel_next + max(4.0 * _EPS * abs(value), math.ulp(value))
+    return EvalResult(value, estimate, "large_u_asymptotic")
 
 
 # w1's radicand (u1-u2)^2 + 4ia is formed as it stands where the sum of its

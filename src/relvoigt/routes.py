@@ -16,16 +16,18 @@ array of node rows.  A route converges where its finite estimate is at most
 max(tol, tol |value|) at its one fixed tol; no caller sets a tol or a height.
 
 Every adaptive route integrates through ``quadrature._integrate_intervals``,
-the one batched integrator.  The two half-line routes, ``h0_laplace_rep``
-and ``single_complex``, take the real parts of complex integrals in real
-arithmetic, so their estimates measure the real part alone.  All but
-``i2_quadrature`` integrate finite windows and add each window's analytic
-tail bound.  The H2 and H0 integrands are e^{-t^2} times a weight whose
-line integral is at most M (2/|w1| for H2, 1 for H0), so each point takes
-its own window [-T, T], T the smallest panel edge of the real line with
-e^{-T^2} M <= 1e-12.  I2 decays only like 1/t^4, so ``_compactified``
-maps the whole line onto (-pi/2, pi/2) by t = tan(theta), as QUADPACK's
-QAGI maps an infinite range.
+the one batched integrator: a route hands it windows, panel counts, peak
+seeds and tail bounds, and the integrator lays out the panels.  The two
+half-line routes, ``h0_laplace_rep`` and ``single_complex``, take the real
+parts of complex integrals in real arithmetic, so their estimates measure
+the real part alone.  All but ``i2_quadrature`` integrate finite windows
+and pass each window's analytic tail bound; the H2 and I2 routes also pass
+their bound on the value lost where a * a overflows.  The H2 and H0
+integrands are e^{-t^2} times a weight whose line integral is at most M
+(2/|w1| for H2, 1 for H0), so each point takes its own window [-T, T], T
+the smallest panel edge of the real line with e^{-T^2} M <= 1e-12.  I2
+decays only like 1/t^4, so ``_compactified`` maps the whole line onto
+(-pi/2, pi/2) by t = tan(theta), as QUADPACK's QAGI maps an infinite range.
 
 The direct-quadrature oracles have grid forms as well (``h2_quadrature_grid``,
 ``i2_quadrature_grid``).  They integrate all points through the batched
@@ -41,7 +43,6 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import (
-    _EDGES,
     _EPS,
     _RADIUS,
     _TOL,
@@ -94,27 +95,24 @@ def _peak_seeds(centers, width) -> np.ndarray:
     return np.concatenate(walks, axis=1)
 
 
-def _compactified(f, seeds) -> QuadratureBatch:
+def _compactified(f, seeds, tail=0.0) -> QuadratureBatch:
     """Integrate algebraically decaying integrands over the real line, one per row of seeds.
 
     seeds is an (n, m) array of panel seeds, row k for integral k.  The
     substitution t = tan(theta) maps the line onto (-pi/2, pi/2), so it is
     valid whenever (1 + t^2) f(t) -> 0 as |t| -> inf, and no node is an
-    endpoint.  An integral converges once its estimate meets _TOL within
-    4,000 panel splits; a NaN or infinite value at a node leaves it
-    unconverged.
+    endpoint; the mapped line starts as 32 equal panels.  tail, a bound on
+    what the integrand loses, joins each estimate.  An integral converges
+    once its estimate meets _TOL within 4,000 panel splits; a NaN or
+    infinite value at a node leaves it unconverged.
     """
 
     def g(theta: np.ndarray, owner: np.ndarray) -> np.ndarray:
         t = np.tan(theta)
         return _call(f, t, owner) * (1.0 + t * t)
 
-    half_pi = 0.5 * math.pi
-    n = len(seeds)
-    edges = np.broadcast_to(np.linspace(-half_pi, half_pi, 33), (n, 33))
-    edges = np.concatenate([edges, np.arctan(seeds)], axis=1)
-    window = np.full(n, half_pi)
-    return _integrate_intervals(g, -window, window, _TOL, edges)
+    window = np.full(len(seeds), 0.5 * math.pi)
+    return _integrate_intervals(g, -window, window, 32, _TOL, np.arctan(seeds), tail)
 
 
 def _peaks(a, u1, u2):
@@ -129,20 +127,10 @@ def _peaks(a, u1, u2):
     return _peak_seeds(u.T, np.where(width < 0.5, width, 2.0)), scale, u + width == u
 
 
-def _bound_lost_points(r: QuadratureBatch, a, aa, bound, blind) -> QuadratureBatch:
-    # where a * a overflows the integrand and value are exactly 0; bound(|a|)
-    # joins just those points' estimates, so every other point keeps its bits.
-    # A blind point, whose value misses a peak no node can see, fails.
-    lost = np.isinf(aa)
-    err = r.error_estimate.copy()
-    err[lost] += bound(np.abs(a[lost]))
-    converged = r.converged & _met(err, r.value, _TOL) & ~blind
-    return QuadratureBatch(r.value, err, converged, r.evaluations)
-
-
 # each point's real-line window [-T, T] ends at one of the line's panel
-# edges, T the smallest whose tail bound e^{-T^2} M is at most 1% of _TOL,
-# or R where none is
+# edges, _WIDTH apart, T the smallest whose tail bound e^{-T^2} M is at
+# most 1% of _TOL, or R where none is
+_WIDTH = 1.5
 _WINDOW_TAIL = 0.01 * _TOL
 
 
@@ -150,20 +138,20 @@ def _window(mass):
     # T per point, and its tail bound, where mass M bounds Int |w(t)| dt over
     # the line for an integrand e^{-t^2} w(t): beyond |t| = T it is at most
     # e^{-T^2} M, however near T a peak of w sits
-    t = _EDGES[_EDGES > 0.0]
+    t = _WIDTH * np.arange(1.0, _RADIUS / _WIDTH + 1.0)
     bound = np.exp(-t * t) * mass[:, None]
     ok = bound <= _WINDOW_TAIL
     k = np.where(ok.any(axis=1), ok.argmax(axis=1), t.size - 1)
     return t[k], bound[np.arange(mass.size), k]
 
 
-def _windowed(f, seeds, mass):
+def _windowed(f, seeds, mass, lost=0.0):
     # f, e^{-t^2} times a weight of line mass at most mass, integrated over
-    # each point's window from the uniform edges and seeds inside it, with
-    # the window's tail bound in each estimate; returns T and the batch
+    # each point's window from panels _WIDTH wide and the seeds inside it,
+    # with the window's tail bound, plus lost, in each estimate; T, batch
     half, tail = _window(mass)
-    edges = np.concatenate([np.broadcast_to(_EDGES, (half.size, _EDGES.size)), seeds], axis=1)
-    return half, _integrate_intervals(f, -half, half, _TOL, edges, tail)
+    panels = np.rint(2.0 * half / _WIDTH).astype(np.int64)
+    return half, _integrate_intervals(f, -half, half, panels, _TOL, seeds, tail + lost)
 
 
 def _i2_bound(a, u1, u2):
@@ -190,11 +178,12 @@ def _h2_route(a, u1, u2) -> QuadratureBatch:
         return out
 
     seeds, _, unseen = _peaks(a, u1, u2)
-    half, r = _windowed(f, seeds, _i2_bound(a, u1, u2))
+    # where a * a overflows the value is 0, and |H2| <= 1/(|a| sqrt(pi)) joins the estimate
+    lost = np.where(np.isinf(aa), 1.0 / (_SQRT_PI * np.abs(a)), 0.0)
+    half, r = _windowed(f, seeds, _i2_bound(a, u1, u2), lost)
     # an unseen peak matters inside the window; beyond it, the bound holds it
     blind = (unseen & (np.abs([u1, u2]) <= half)).any(axis=0)
-    # |H2| <= (|a|/pi) Int e^{-t^2}/a^2 dt = 1/(|a| sqrt(pi))
-    return _bound_lost_points(r, a, aa, lambda b: 1.0 / (_SQRT_PI * b), blind)
+    return QuadratureBatch(r.value, r.error_estimate, r.converged & ~blind, r.evaluations)
 
 
 def _h0_route(a, u) -> QuadratureBatch:
@@ -233,11 +222,11 @@ def _i2_route(a, u1, u2) -> QuadratureBatch:
         return np.divide(pref[k], p, out=p)
 
     seeds, scale, unseen = _peaks(a, u1, u2)
-    r = _compactified(f, seeds)
+    # where a * a overflows the value is 0, and |I2| <= 2/|w1| <= 1/sqrt(|a|) joins the estimate
+    r = _compactified(f, seeds, np.where(np.isinf(aa), 1.0 / np.sqrt(np.abs(a)), 0.0))
     # on the whole line, an unseen peak matters unless its mass alone meets tol
     blind = unseen.any(axis=0) & ~_met(1.0 / scale, 0.0, _TOL)
-    # |I2| = |2 Re(1/w1)| <= 2/|w1| and |w1|^2 = |(u1-u2)^2 + 4ia| >= 4|a|
-    return _bound_lost_points(r, a, aa, lambda b: 1.0 / np.sqrt(b), blind)
+    return QuadratureBatch(r.value, r.error_estimate, r.converged & ~blind, r.evaluations)
 
 
 def _route_grid(route, a, u1, u2) -> GridResult:
@@ -420,16 +409,16 @@ def _rep_single_complex(a, u1, u2) -> QuadratureBatch:
     # e^{-ax}, so truncation at x_max = 50/a leaves a tail below e^{-50}/a,
     # which each point's estimate adds; the window ends there, however small
     # x_max is.  The phase oscillates at frequency about |u1 u2| near 0 and
-    # (u1-u2)^2/4 asymptotically, and each point's panel edges are
-    # pre-seeded on its own scale so no oscillation hides inside one panel.
+    # (u1-u2)^2/4 asymptotically, and each point starts from equal panels
+    # on its own scale, so no oscillation hides inside one panel.
     s = u1 + u2
     p = u1 * u2
     x_max = 50.0 / a
     p4, ss, dd = 4.0 * p, s * s, (u1 - u2) ** 2
     freq = np.maximum(np.maximum(np.abs(p), 0.25 * dd), 1e-3)
     step = np.minimum(1.0, 0.5 * math.pi / freq)
-    # int(x_max / step) + 2 breakpoints, at most 8,000 (step is 0 where u1 u2 overflows)
-    count = np.minimum(x_max / step, 7998.0).astype(np.int64) + 2
+    # int(x_max / step) + 1 equal panels, at most 7,999 (step is 0 where u1 u2 overflows)
+    panels = np.minimum(x_max / step, 7998.0).astype(np.int64) + 1
     finite = np.isfinite(np.stack([x_max, p4, ss, dd])).all(axis=0)
     if not finite.all():
         at = tuple(float(c[np.argmin(finite)]) for c in (a, u1, u2))
@@ -454,11 +443,8 @@ def _rep_single_complex(a, u1, u2) -> QuadratureBatch:
         out /= _SQRT_PI
         return out
 
-    # each row is np.linspace(0, x_max, count), padded by repeating x_max
-    j = np.arange(count.max())
-    breaks = np.where(j < count[:, None] - 1, j * (x_max / (count - 1))[:, None], x_max[:, None])
     tail = np.exp(-a * x_max) / a
-    return _integrate_intervals(f, np.zeros(a.size), x_max, _LOOSE_TOL, breaks, tail)
+    return _integrate_intervals(f, np.zeros(a.size), x_max, panels, _LOOSE_TOL, tail=tail)
 
 
 def h2_integral_rep(a: float, u1: float, u2: float, variant: str) -> EvalResult:
@@ -516,10 +502,9 @@ def _laplace_route(a, u) -> QuadratureBatch:
         out /= _SQRT_PI
         return out
 
-    width = 2.0 * _RADIUS
-    edges = np.broadcast_to(np.linspace(0.0, width, 17), (a.size, 17))
+    width = np.full(a.size, 2.0 * _RADIUS)
     tail = math.exp(-_RADIUS * _RADIUS) / (_RADIUS * _SQRT_PI)
-    return _integrate_intervals(f, np.zeros(a.size), np.full(a.size, width), _TOL, edges, tail)
+    return _integrate_intervals(f, np.zeros(a.size), width, 16, _TOL, tail=tail)
 
 
 def h0_laplace_rep(a: float, u: float) -> EvalResult:

@@ -54,11 +54,11 @@ from .rel_voigt import (
 from .result import GridResult
 from .routes import (
     _h0_route,
+    _h2_route,
+    _i2_route,
     _laplace_route,
     _rectangle_route,
     _rep_single_complex,
-    h2_quadrature_grid,
-    i2_quadrature_grid,
 )
 from .voigt import h0, h0_grid, h0_limit_a0
 
@@ -141,7 +141,7 @@ def _route_values(route, name: str, *coords: np.ndarray) -> np.ndarray:
     return _reference(res, name, *coords)
 
 
-def _twin_reference(quadrature_grid_fn, route: str, a, x, y) -> np.ndarray:
+def _twin_reference(route, name: str, a, x, y) -> np.ndarray:
     # the route's values on a grid whose u1 and u2 axes are the same list u,
     # from one point (i, j) per orbit of the integral's exact symmetries.
     # Both routes are symmetric in u1 <-> u2 bit for bit (the integrand
@@ -160,7 +160,7 @@ def _twin_reference(quadrature_grid_fn, route: str, a, x, y) -> np.ndarray:
         half = i + j <= m - 1
         i, j = i[half], j[half]
     pts = (a[..., i, j], x[..., i, j], y[..., i, j])
-    value = _reference(quadrature_grid_fn(*pts), route, *pts)
+    value = _route_values(route, name, *pts)
     want = np.empty(a.shape)
     want[..., i, j] = value
     want[..., j, i] = value
@@ -207,20 +207,20 @@ def verify_oracle() -> list[VerifyReport]:
     # and the mirror
     u_grid = np.linspace(-10.0, 10.0, 41)
     a, x, y = np.meshgrid([1e-3, 1e-2, 0.1, 1.0, 10.0], u_grid, u_grid, indexing="ij")
-    want = _twin_reference(h2_quadrature_grid, "h2 quadrature", a, x, y)
+    want = _twin_reference(_h2_route, "h2 quadrature", a, x, y)
     devs = np.abs(h2_grid(a, x, y).value - want)
     reports.append(_pointwise("h2 closed form vs quadrature", devs, want, 1e-8))
 
     # i2 closed form
     spots = (-2.0, 0.0, 1.0, 3.0)
     a, x, y = np.meshgrid([0.1, 1.0], spots, spots, indexing="ij")
-    want = _twin_reference(i2_quadrature_grid, "i2 quadrature", a, x, y)
+    want = _twin_reference(_i2_route, "i2 quadrature", a, x, y)
     devs = np.abs(i2_grid(a, x, y).value - want)
     reports.append(_pointwise("i2 closed form vs quadrature", devs.ravel(), want.ravel(), 1e-9))
 
     # degenerate Laurent series against quadrature, relative accuracy
     a, u = np.meshgrid([1e-4, 1e-5], [0.0, 1.0], indexing="ij")
-    want = _reference(h2_quadrature_grid(a, u, u), "h2 quadrature", a, u).ravel()
+    want = _route_values(_h2_route, "h2 quadrature", a, u, u).ravel()
     series = [h2_degenerate_series(ai, ui).value for ai, ui in zip(a.flat, u.flat)]
     reports.append(
         _relative("h2 degenerate series vs quadrature", np.abs(series - want), want, 1e-3)
@@ -378,7 +378,7 @@ def verify_limits() -> list[VerifyReport]:
 
     # H2 grows like a^{-1/2} on the diagonal, so a -> a/4 doubles it
     a, u = np.meshgrid([1e-4, 2.5e-5], [0.0, 1.0], indexing="ij")
-    lo, hi = _reference(h2_quadrature_grid(a, u, u), "h2 quadrature", a, u)
+    lo, hi = _route_values(_h2_route, "h2 quadrature", a, u, u)
     figure = np.max(np.abs(hi / lo / 2.0 - 1.0))
     reports.append(_structural("h2 degenerate growth ratio a -> a/4", figure, 4, 1e-2))
 

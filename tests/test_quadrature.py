@@ -19,24 +19,19 @@ from oracles import erfc_real
 SQRT_PI = math.sqrt(math.pi)
 
 
-def _interval(f, lo, hi, breaks=None, tail=0.0):
+def _interval(f, lo, hi, seeds=None, tail=0.0, panels=1):
     # integral k of the batched integrand f over [lo[k], hi[k]] (scalars for
-    # one integral), breaks an (n, m) array of initial panel edges, none by
-    # default, and tail the bound each estimate adds, through the
-    # refinement loop
+    # one integral) from panels equal panels, seeds an (n, m) array of extra
+    # initial panel edges, none by default, and tail the bound each estimate
+    # adds, through the refinement loop
     lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
-    if breaks is None:
-        breaks = np.zeros((lo.size, 0))
-    return quadrature._integrate_intervals(f, lo, hi, 1e-10, breaks, tail)
+    return quadrature._integrate_intervals(f, lo, hi, panels, 1e-10, seeds, tail)
 
 
 def _real_line(f, n, seeds=None, tail=0.0):
     # n integrals of f over the real line's truncation [-12, 12], from its
-    # uniform panel edges plus row k of seeds for integral k
-    edges = np.broadcast_to(quadrature._EDGES, (n, quadrature._EDGES.size))
-    if seeds is not None:
-        edges = np.concatenate([edges, seeds], axis=1)
-    return _interval(f, np.full(n, -12.0), np.full(n, 12.0), edges, tail)
+    # 16 uniform panels plus row k of seeds for integral k
+    return _interval(f, np.full(n, -12.0), np.full(n, 12.0), seeds, tail, 16)
 
 
 def _compactified(f, n):
@@ -243,7 +238,7 @@ def test_peak_seeds_walk_matches_the_loop():
 # as it would alone.
 
 
-def _chunk_rows(n, breaks=None):
+def _chunk_rows(n, seeds=None):
     # panel rows of each integrand call of one _integrate_intervals run
     # whose integrals all converge on their initial panels
     rows = []
@@ -252,7 +247,7 @@ def _chunk_rows(n, breaks=None):
         rows.append(x.shape[0])
         return x * x
 
-    r = _interval(f, np.zeros(n), np.ones(n), breaks)
+    r = _interval(f, np.zeros(n), np.ones(n), seeds)
     assert r.converged.all()
     assert np.allclose(r.value, 1.0 / 3.0, rtol=1e-14, atol=0.0)
     return rows
@@ -265,8 +260,8 @@ def test_no_integrand_call_carries_more_than_a_chunk_of_panels():
 
     assert _chunk_rows(1500) == runs(1500)
     # 44 interior edges: 45 initial panels each, as in the h2 oracle
-    breaks = np.broadcast_to(np.linspace(0.0, 1.0, 46)[1:-1], (130, 44))
-    assert _chunk_rows(130, breaks) == runs(130 * 45)
+    seeds = np.broadcast_to(np.linspace(0.0, 1.0, 46)[1:-1], (130, 44))
+    assert _chunk_rows(130, seeds) == runs(130 * 45)
 
 
 def _spikes(c, w):
@@ -277,8 +272,8 @@ def _spikes(c, w):
         return w[k] / ((t - c[k]) ** 2 + w[k] ** 2)
 
     n = c.size
-    breaks = np.broadcast_to(np.linspace(-1.0, 1.0, 10)[1:-1], (n, 8))
-    r = _interval(f, np.full(n, -1.0), np.ones(n), breaks)
+    seeds = np.broadcast_to(np.linspace(-1.0, 1.0, 10)[1:-1], (n, 8))
+    r = _interval(f, np.full(n, -1.0), np.ones(n), seeds)
     return r.value, r.error_estimate, r.converged, r.evaluations
 
 
@@ -297,6 +292,69 @@ def test_an_integral_refines_alike_alone_and_among_500_companions(subdivisions, 
         # place in the integrand call
         assert abs(v[0] - value[k]) <= 4 * np.spacing(value[k])
         assert abs(e[0] - error[k]) <= 1e-3 * error[k]
+
+
+# -------------------------------------------------------- one layout rule
+#
+# A caller hands the integrator windows and panel counts, as QUADPACK's QAG
+# takes a range and a limit; the integrator lays out the initial panels:
+# np.linspace's edges, plus any seeds strictly inside the window.
+
+
+def _initial_edges(lo, hi, panels, seeds=None):
+    # per integral, the initial panel edges _integrate_intervals hands the
+    # refinement loop, which must list each integral's panels contiguously
+    seen = {}
+
+    def capture(f, plo, phi, own, n, tol):
+        seen.update(plo=plo, phi=phi, own=own)
+        return np.zeros(n), np.zeros(n), np.ones(n, dtype=bool), np.zeros(n, dtype=np.int64)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_refine", capture)
+        quadrature._integrate_intervals(None, lo, hi, panels, 1e-10, seeds)
+    plo, phi, own = seen["plo"], seen["phi"], seen["own"]
+    assert (np.diff(own) >= 0).all()
+    rows = []
+    for k in range(lo.size):
+        mine = own == k
+        assert (plo[mine][1:] == phi[mine][:-1]).all()
+        rows.append(np.append(plo[mine], phi[mine][-1]))
+    return rows
+
+
+def _layout_cases():
+    # 40 seeded windows of widths 1e-6 to 1e3 anywhere in [-5e4, 5e4], and
+    # their panel counts, one for all or one each
+    rng = np.random.default_rng(35)
+    lo = rng.uniform(-50.0, 50.0, 40) * 10.0 ** rng.uniform(-3.0, 3.0, 40)
+    hi = lo + 10.0 ** rng.uniform(-6.0, 3.0, 40)
+    return rng, lo, hi, (17, rng.integers(1, 300, 40))
+
+
+def test_initial_panels_are_linspace_edges_bit_for_bit():
+    rng, lo, hi, cases = _layout_cases()
+    for panels in cases:
+        count = np.broadcast_to(panels, lo.shape)
+        want = [np.linspace(lo[k], hi[k], count[k] + 1) for k in range(lo.size)]
+        got = _initial_edges(lo, hi, panels)
+        assert [e.tobytes() for e in got] == [w.tobytes() for w in want]
+        # seeds inside the window add their edges, sorted in
+        inside = lo[:, None] + rng.uniform(0.0, 1.0, (lo.size, 3)) * (hi - lo)[:, None]
+        got = _initial_edges(lo, hi, panels, inside)
+        want = [np.unique(np.concatenate([w, s])) for w, s in zip(want, inside)]
+        assert [e.tobytes() for e in got] == [w.tobytes() for w in want]
+
+
+def test_seeds_outside_the_window_or_on_an_edge_add_nothing():
+    _, lo, hi, cases = _layout_cases()
+    for panels in cases:
+        bare = _initial_edges(lo, hi, panels)
+        width = hi - lo
+        on_edges = np.stack([e[[0, len(e) // 2, -1]] for e in bare])
+        outside = np.stack([lo - width, lo - 1e-3 * width, hi + width, np.full(lo.size, 1e300)], 1)
+        got = _initial_edges(lo, hi, panels, np.concatenate([on_edges, outside], axis=1))
+        assert [e.tobytes() for e in got] == [e.tobytes() for e in bare]
 
 
 # -------------------------------------------------------- integrand contract

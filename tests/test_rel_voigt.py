@@ -316,6 +316,16 @@ def test_degenerate_growth_ratio():
         assert abs(hi / lo - 2.0) < 1e-2
 
 
+def test_degenerate_series_estimate_bounds_its_error():
+    # against the 40-digit references on seeded points with a in [1e-30,
+    # 1e-4] and |u| <= 4: at |u| ~ 3 the algebraic a/(sqrt(pi) u^4)-type
+    # term outweighs e^{-u^2} a, and at the smallest a rounding does
+    rng = np.random.default_rng(35)
+    for a, u in zip(10.0 ** rng.uniform(-30.0, -4.0, 200), rng.uniform(-4.0, 4.0, 200)):
+        r = h2_degenerate_series(a, u)
+        assert abs(r.value - float(REF.h2_mp(a, u, u))) <= r.error_estimate, (a, u)
+
+
 def test_degenerate_series_domain():
     with pytest.raises(DomainError):
         h2_degenerate_series(0.0, 1.0)
@@ -354,6 +364,31 @@ def test_large_u_error_estimate_covers_truth():
         truth = abs(r.value - h2(1.0, u1, u2).value)
         assert truth <= r.error_estimate
         assert truth / abs(h2(1.0, u1, u2).value) <= tol
+
+
+def test_large_u_estimate_bounds_its_error():
+    # against the 40-digit references on seeded points with |a| in [1e-30,
+    # 1e6] and |u1|, |u2| in [15, 1e12], either sign: near the threshold the
+    # orders beyond (3/2)(1/u1 + 1/u2)^2 count, and at large |u| rounding
+    rng = np.random.default_rng(36)
+    signs = rng.choice([-1.0, 1.0], (3, 200))
+    a = signs[0] * 10.0 ** rng.uniform(-30.0, 6.0, 200)
+    u1, u2 = signs[1:] * 10.0 ** rng.uniform(math.log10(15.0), 12.0, (2, 200))
+    for p in zip(a.tolist(), u1.tolist(), u2.tolist()):
+        r = h2_large_u_asymptotic(*p)
+        assert abs(r.value - float(REF.h2_mp(*p))) <= r.error_estimate, p
+
+
+def test_large_u_value_where_the_denominator_overflows():
+    # a^2 or (u1 u2)^2 leaves double range, but H2 is a double: the far-pole
+    # value 1/(sqrt(pi) a) or a/(sqrt(pi) (u1 u2)^2), a subnormal in the last
+    # case, formed at a power-of-2 scale; the estimate still bounds the error
+    for p in ((1e300, 20.0, 30.0), (1e200, 1e50, 1e60), (1.0, 1e80, 1e80), (-1.0, 1e80, -1e80)):
+        r = h2_large_u_asymptotic(*p)
+        ref = float(REF.h2_mp(*p))
+        assert r.value != 0.0 and abs(r.value - ref) <= r.error_estimate, (p, r, ref)
+    assert h2_large_u_asymptotic(1e300, 20.0, 30.0).value == pytest.approx(5.6419e-301, rel=1e-4)
+    assert h2_large_u_asymptotic(1.0, 1e80, 1e80).value == 5.64e-321
 
 
 def test_large_u_linear_in_a():
@@ -622,12 +657,9 @@ def test_quadrature_routes_fail_a_non_finite_integrand_at_its_point():
 
 def _real_line(f, n, seeds=None):
     # n integrals of f over the real line's truncation [-12, 12] in one
-    # refinement loop, from its uniform panel edges plus row k of seeds
-    edges = np.broadcast_to(quadrature._EDGES, (n, quadrature._EDGES.size))
-    if seeds is not None:
-        edges = np.concatenate([edges, seeds], axis=1)
+    # refinement loop, from its 16 uniform panels plus row k of seeds
     lo, hi = np.full(n, -12.0), np.full(n, 12.0)
-    return quadrature._integrate_intervals(f, lo, hi, 1e-10, edges)
+    return quadrature._integrate_intervals(f, lo, hi, 16, 1e-10, seeds)
 
 
 def test_quadrature_grid_fails_only_the_point_with_a_nan_integrand():
@@ -930,7 +962,7 @@ def _route_integrand(route, *coords):
     # the integrand the route hands the batched integrator at these points
     seen = []
 
-    def capture(f, *args):
+    def capture(f, *args, **kwargs):
         seen.append(f)
 
     with pytest.MonkeyPatch.context() as mp:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relvoigt import IntegrationError, quadrature, routes, run_suite, verify
+from relvoigt import IntegrationError, quadrature, run_suite, verify
 from relvoigt.verify import verify_oracle, verify_representations
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_all.json"
@@ -71,9 +71,9 @@ def test_verify_all_passes_every_pinned_check():
 
 def test_no_refinement_round_grows_past_the_oracle_group(monkeypatch):
     # a refinement round reaches the integrand in runs of at most _CHUNK
-    # panels, however many integrals a route call refines together, so
-    # peak memory does not grow with the batches; 45,840 abscissas, the
-    # first round of 64 h2 oracle integrals of 45 panels each, bounds them
+    # panels of 15 nodes each, however many integrals a route call refines
+    # together, so peak memory does not grow with the batches; a pass
+    # reaches that bound exactly
     largest = [0]
     eval_panels = quadrature._eval_panels
 
@@ -84,7 +84,7 @@ def test_no_refinement_round_grows_past_the_oracle_group(monkeypatch):
     monkeypatch.setattr(quadrature, "_eval_panels", recording)
     reports = run_suite("all")
     assert all(r.passed for r in reports)
-    assert largest[0] <= 45_840
+    assert largest[0] <= quadrature._CHUNK * 15
 
 
 def test_verify_all_traced_memory_stays_bounded():
@@ -108,13 +108,13 @@ def test_oracle_integrates_each_orbit_once(monkeypatch):
     # 8,405 and 32 is still checked
     sizes = {"h2": [], "i2": []}
     for name in sizes:
-        route = getattr(routes, f"_{name}_route")
+        route = getattr(verify, f"_{name}_route")
 
         def counting(a, u1, u2, route=route, seen=sizes[name]):
             seen.append(a.size)
             return route(a, u1, u2)
 
-        monkeypatch.setattr(routes, f"_{name}_route", counting)
+        monkeypatch.setattr(verify, f"_{name}_route", counting)
     reports = verify_oracle()
     assert sum(sizes["h2"]) == 2205 + 4
     assert sum(sizes["i2"]) == 20
