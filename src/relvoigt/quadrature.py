@@ -125,8 +125,9 @@ _WG = np.array(
 # carries.  Smaller runs pay each integrand call's fixed overhead more often.
 _CHUNK = 2048
 
-# the grid forms hand their route at most this many points per call
-_ROUTE_POINTS = 1024
+# the grid forms hand their route at most this many points per call: the
+# verify oracle's H2 points (2,209) make one call, so one refinement loop
+_ROUTE_POINTS = 4096
 
 # an integral splits at most this many panels in all, and its target is
 # _TOL, which every integrator and all routes but two run at
@@ -325,6 +326,25 @@ def _refine(f: BatchIntegrand, plo, phi, own, n: int, tol: float):
         wide = np.concatenate([wide[keep], _wide(new_lo, new_hi)])
 
 
+def _layout(lo: np.ndarray, hi: np.ndarray, panels, seeds):
+    # the initial panels of _integrate_intervals as flat (lo, hi, owner)
+    # arrays; its (n, m) edge rows are freed on return, before the
+    # refinement loop starts
+    l, h, n = lo[:, None], hi[:, None], np.broadcast_to(panels, lo.shape)[:, None]
+    j = np.arange(n.max() + 1)  # each row is linspace's, padded with hi
+    edges = np.where(j < n, j * ((h - l) / n) + l, h)
+    if seeds is not None:
+        edges = np.concatenate([edges, np.clip(seeds, l, h)], axis=1)
+        edges.sort(axis=1)
+    keep = edges[:, 1:] > edges[:, :-1]
+    # entry k of the flat mask, in row r, is the panel from flat edge k + r
+    at = np.flatnonzero(keep)
+    own = at // keep.shape[1]
+    at += own
+    flat = edges.ravel()
+    return flat[at], flat[at + 1], own
+
+
 def _integrate_intervals(
     f: BatchIntegrand, lo: np.ndarray, hi: np.ndarray, panels, tol: float, seeds=None, tail=0.0
 ) -> QuadratureBatch:
@@ -338,13 +358,7 @@ def _integrate_intervals(
     last stop test.  The loop's bookkeeping grows with the call's initial
     panels; the integrand calls do not.
     """
-    l, h, n = lo[:, None], hi[:, None], np.broadcast_to(panels, lo.shape)[:, None]
-    j = np.arange(n.max() + 1)  # each row is linspace's, padded with hi
-    edges = np.where(j < n, j * ((h - l) / n) + l, h)
-    if seeds is not None:
-        edges = np.sort(np.concatenate([edges, np.clip(seeds, l, h)], axis=1), axis=1)
-    keep = edges[:, 1:] > edges[:, :-1]
-    plo, phi, own = edges[:, :-1][keep], edges[:, 1:][keep], np.nonzero(keep)[0]
+    plo, phi, own = _layout(lo, hi, panels, seeds)
     value, error, converged, evaluations = _refine(f, plo, phi, own, lo.size, tol)
     # a tail bound may overflow like a panel sum, leaving an inf estimate
     with np.errstate(over="ignore"):
@@ -358,10 +372,11 @@ def quadrature_grid(route, rules, *coords: np.ndarray) -> GridResult:
     coords are arrays of one shape, and rules the (mask, exception) failure
     rules of the checks before the route, as grid_result takes them.
     route(*coords) integrates the points whose coordinates it is given and
-    returns a QuadratureBatch.  It is called on up to _ROUTE_POINTS points
-    at a time to bound memory: a route builds its seeds and tail-bound
-    rows, and the integrator its initial panels, for every point of a call
-    at once, and the refinement loop holds every live panel of them.
+    returns a QuadratureBatch.  It is called on up to _ROUTE_POINTS = 4,096
+    points at a time to bound memory: a route builds its seeds and
+    tail-bound rows, and the integrator its initial panels, for every point
+    of a call at once, and the refinement loop holds every live panel of
+    them.
     A point that does not converge fails with IntegrationError, as the
     scalar route raises there; a non-finite integrand value stops only its
     own point's integral, so each chunk is one route call.  The route runs

@@ -13,18 +13,22 @@ Four suites, each a list of named checks summarized as VerifyReports:
   normalization, gamma -> 0, singular degenerate growth).
 
 Every quadrature reference comes from a batched route run over all grid
-points of its check, up to 1,024 points a call; a point that fails raises
+points of its check, up to 4,096 points a call, so each oracle route is
+called once, one refinement loop per route; a point that fails raises
 the IntegrationError naming it.  H2 and I2 depend on u1 and
 u2 only through (u1 - t)(u2 - t), so the defining integral is unchanged
 under u1 <-> u2 and, by t -> -t, under (u1, u2) -> (-u2, -u1).  The
 oracle integrates one point per orbit of both on a square u grid whose
-u axis is its own mirror (the h2 grid: 2,205 of 8,405 points), and on
-the triangle u1 <= u2 elsewhere (the i2 grid: 20 of 32), and copies each
-value to the rest of its orbit; the closed form is still checked at every
-point.  The routes keep the swap bit for bit and the mirror to within
-~1e-15 relative, so each copy is an honest quadrature of its point.  The
-suites are library code rather than test-only helpers so the CLI can run
-them in the field; the test suite drives the same entry points.
+u axis is its own mirror (the h2 grid: 2,205 of 8,405 points, in one
+call with the 4 degenerate-series points), and on the triangle u1 <= u2
+elsewhere (the i2 grid: 20 of 32).  H0 is even in u by t -> -t, and its
+u axis is its own mirror, so only u <= 0 is integrated (165 of 325
+points).  Each value is copied to the rest of its orbit; the closed form
+is still checked at every point.  The routes keep the swap bit for bit
+and the mirror to within ~1e-15 relative, so each copy is an honest
+quadrature of its point.  The suites are library code rather than
+test-only helpers so the CLI can run them in the field; the test suite
+drives the same entry points.
 """
 
 from __future__ import annotations
@@ -135,13 +139,38 @@ def _reference(res: GridResult, route: str, *coords: np.ndarray) -> np.ndarray:
 
 
 def _route_values(route, name: str, *coords: np.ndarray) -> np.ndarray:
-    # a batched route's values at the points, in route calls of up to 1,024
+    # a batched route's values at the points, in route calls of up to 4,096
     # points; IntegrationError naming the first point that fails
     res = quadrature_grid(route, [], *coords)
     return _reference(res, name, *coords)
 
 
-def _twin_reference(route, name: str, a, x, y) -> np.ndarray:
+def _mirrored(u: np.ndarray) -> bool:
+    # whether the list u along the grid's last axis is its own mirror,
+    # u[m-1-k] == -u[k], so that t -> -t maps grid points onto grid points
+    row = u.reshape(-1, u.shape[-1])[0]
+    return bool(np.all(row[::-1] == -row))
+
+
+def _even_reference(route, name: str, a, u) -> np.ndarray:
+    # the route's values on a grid whose last axis is the list u, for an
+    # integral even in u (t -> -t).  Where u is its own mirror, only the
+    # half k <= m - 1 - k (u <= 0) is integrated and each value copied to
+    # its mirror; the route keeps that mirror within its estimates, as the
+    # mirrored sums add in reverse order.
+    m = u.shape[-1]
+    k = np.arange(m)
+    mirror = _mirrored(u)
+    if mirror:
+        k = k[k <= m - 1 - k]
+    want = np.empty(a.shape)
+    want[..., k] = _route_values(route, name, a[..., k], u[..., k])
+    if mirror:
+        want[..., m - 1 - k] = want[..., k]
+    return want
+
+
+def _twin_reference(route, name: str, a, x, y, extra=((), (), ())):
     # the route's values on a grid whose u1 and u2 axes are the same list u,
     # from one point (i, j) per orbit of the integral's exact symmetries.
     # Both routes are symmetric in u1 <-> u2 bit for bit (the integrand
@@ -151,23 +180,27 @@ def _twin_reference(route, name: str, a, x, y) -> np.ndarray:
     # to (-u2, -u1) as well, and only the half i + j <= m - 1 (u1 + u2 <= 0)
     # is integrated.  The routes keep that mirror only to within ~1e-15
     # relative, as their sums add in reverse order, so a mirrored value is
-    # an honest quadrature of its point within its estimate.
+    # an honest quadrature of its point within its estimate.  The points
+    # extra = (a, u1, u2) of another check join the same route call;
+    # returns the grid's values and then, flat, theirs.
     m = a.shape[-1]
-    u = y.reshape(-1, m)[0]
-    mirror = bool(np.all(u[::-1] == -u))
+    mirror = _mirrored(y)
     i, j = np.triu_indices(m)
     if mirror:
         half = i + j <= m - 1
         i, j = i[half], j[half]
-    pts = (a[..., i, j], x[..., i, j], y[..., i, j])
+    grid = [c[..., i, j] for c in (a, x, y)]
+    pts = [np.concatenate([g.ravel(), np.ravel(e)]) for g, e in zip(grid, extra)]
     value = _route_values(route, name, *pts)
+    n = grid[0].size
+    twin = value[:n].reshape(grid[0].shape)
     want = np.empty(a.shape)
-    want[..., i, j] = value
-    want[..., j, i] = value
+    want[..., i, j] = twin
+    want[..., j, i] = twin
     if mirror:
-        want[..., m - 1 - j, m - 1 - i] = value
-        want[..., m - 1 - i, m - 1 - j] = value
-    return want
+        want[..., m - 1 - j, m - 1 - i] = twin
+        want[..., m - 1 - i, m - 1 - j] = twin
+    return want, value[n:]
 
 
 def verify_symmetry() -> list[VerifyReport]:
@@ -199,31 +232,32 @@ def verify_oracle() -> list[VerifyReport]:
 
     # h0 over its full grid
     a, u = np.meshgrid([1e-3, 1e-2, 0.1, 1.0, 10.0], np.linspace(-8.0, 8.0, 65), indexing="ij")
-    want = _route_values(_h0_route, "h0 quadrature", a, u)
+    want = _even_reference(_h0_route, "h0 quadrature", a, u)
     devs = np.abs(h0_grid(a, u).value - want)
     reports.append(_pointwise("h0 closed form vs quadrature", devs.ravel(), want.ravel(), 1e-9))
 
     # h2 over its full grid, integrated on one point per orbit of the swap
-    # and the mirror
+    # and the mirror, in one route call with the degenerate-series points
     u_grid = np.linspace(-10.0, 10.0, 41)
     a, x, y = np.meshgrid([1e-3, 1e-2, 0.1, 1.0, 10.0], u_grid, u_grid, indexing="ij")
-    want = _twin_reference(_h2_route, "h2 quadrature", a, x, y)
+    a0, u0 = np.meshgrid([1e-4, 1e-5], [0.0, 1.0], indexing="ij")
+    want, degenerate = _twin_reference(_h2_route, "h2 quadrature", a, x, y, (a0, u0, u0))
     devs = np.abs(h2_grid(a, x, y).value - want)
     reports.append(_pointwise("h2 closed form vs quadrature", devs, want, 1e-8))
 
     # i2 closed form
     spots = (-2.0, 0.0, 1.0, 3.0)
     a, x, y = np.meshgrid([0.1, 1.0], spots, spots, indexing="ij")
-    want = _twin_reference(_i2_route, "i2 quadrature", a, x, y)
+    want, _ = _twin_reference(_i2_route, "i2 quadrature", a, x, y)
     devs = np.abs(i2_grid(a, x, y).value - want)
     reports.append(_pointwise("i2 closed form vs quadrature", devs.ravel(), want.ravel(), 1e-9))
 
     # degenerate Laurent series against quadrature, relative accuracy
-    a, u = np.meshgrid([1e-4, 1e-5], [0.0, 1.0], indexing="ij")
-    want = _route_values(_h2_route, "h2 quadrature", a, u, u).ravel()
-    series = [h2_degenerate_series(ai, ui).value for ai, ui in zip(a.flat, u.flat)]
+    series = [h2_degenerate_series(ai, ui).value for ai, ui in zip(a0.flat, u0.flat)]
     reports.append(
-        _relative("h2 degenerate series vs quadrature", np.abs(series - want), want, 1e-3)
+        _relative(
+            "h2 degenerate series vs quadrature", np.abs(series - degenerate), degenerate, 1e-3
+        )
     )
 
     return reports

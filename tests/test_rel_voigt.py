@@ -679,11 +679,11 @@ def test_quadrature_grid_fails_only_the_point_with_a_nan_integrand():
     assert np.allclose(res.value[ok], np.sqrt(math.pi / x[ok]), rtol=1e-12, atol=0.0)
 
 
-def test_quadrature_grid_fails_a_poisoned_point_alone_in_chunks_of_1024():
-    # one of 1,500 points has a NaN integrand: the grid makes one route call
-    # per chunk of at most 1,024 points, fails that point alone, and every
-    # other point converges
-    x = np.linspace(0.5, 2.0, 1500)
+def test_quadrature_grid_fails_a_poisoned_point_alone_in_chunks_of_4096():
+    # one of 4,500 points has a NaN integrand: the grid makes one route call
+    # per chunk of at most 4,096 points, fails that point alone, and every
+    # other point, in its chunk and the next, converges
+    x = np.linspace(0.5, 2.0, 4500)
     x[700] = 0.0
     sizes = []
 
@@ -696,7 +696,7 @@ def test_quadrature_grid_fails_a_poisoned_point_alone_in_chunks_of_1024():
         return _real_line(f, x.size)
 
     res = quadrature_grid(route, [], x)
-    assert sizes == [1024, 476]
+    assert sizes == [4096, 404]
     assert np.flatnonzero(res.error != "").tolist() == [700]
     ok = res.error == ""
     assert np.allclose(res.value[ok], np.sqrt(math.pi / x[ok]), rtol=1e-12, atol=0.0)
@@ -763,6 +763,26 @@ def test_h2_route_keeps_the_mirror_within_its_estimates():
     a, u1, u2 = _twin_batch()
     got, mirrored = routes._h2_route(a, u1, u2), routes._h2_route(a, -u2, -u1)
     assert got.converged.all() and mirrored.converged.all()
+    dev = np.abs(got.value - mirrored.value)
+    assert (dev <= got.error_estimate + mirrored.error_estimate).all()
+
+
+@pytest.mark.parametrize("grid", ["oracle", "seeded"])
+def test_h0_route_keeps_the_mirror_within_its_estimates(grid):
+    # t -> -t maps H0(a, u) to H0(a, -u); the oracle integrates the u <= 0
+    # half of its grid and copies each value to -u, which holds only while
+    # the route refines the two alike and their values agree within both
+    # estimates (their sums add in reverse order, so not bit for bit)
+    if grid == "oracle":
+        a, u = np.meshgrid([1e-3, 1e-2, 0.1, 1.0, 10.0], np.linspace(-8.0, 8.0, 65))
+    else:
+        rng = np.random.default_rng(65)
+        a = 10.0 ** rng.uniform(-3.0, 1.0, 200)
+        u = rng.uniform(-8.0, 8.0, 200)
+    a, u = a.ravel(), u.ravel()
+    got, mirrored = routes._h0_route(a, u), routes._h0_route(a, -u)
+    assert got.converged.all() and mirrored.converged.all()
+    assert (got.evaluations == mirrored.evaluations).all()
     dev = np.abs(got.value - mirrored.value)
     assert (dev <= got.error_estimate + mirrored.error_estimate).all()
 

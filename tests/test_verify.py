@@ -89,7 +89,7 @@ def test_no_refinement_round_grows_past_the_oracle_group(monkeypatch):
 
 def test_verify_all_traced_memory_stays_bounded():
     # the refinement loop's bookkeeping grows with a route call's initial
-    # panels, and the grid forms cap a call at 1,024 points
+    # panels, and the grid forms cap a call at 4,096 points
     tracemalloc.start()
     try:
         reports = run_suite("all")
@@ -101,34 +101,36 @@ def test_verify_all_traced_memory_stays_bounded():
 
 
 def test_oracle_integrates_each_orbit_once(monkeypatch):
-    # the h2 grid's u axis is its own mirror, so it is integrated on one
-    # point per orbit of u1 <-> u2 and (u1, u2) -> (-u2, -u1): 5 x 441 h2
-    # points, plus the 4 degenerate-series points; the i2 spots are not, so
-    # it keeps the triangle u1 <= u2, 2 x 10 points; every point of the
-    # 8,405 and 32 is still checked
-    sizes = {"h2": [], "i2": []}
+    # each route is called once.  The h2 grid's u axis is its own mirror,
+    # so it is integrated on one point per orbit of u1 <-> u2 and
+    # (u1, u2) -> (-u2, -u1), 5 x 441 points, with the 4 degenerate-series
+    # points in the same call; the h0 grid's u axis is its own mirror too,
+    # so H0, even in u, is integrated on u <= 0, 5 x 33 points; the i2
+    # spots are not, so it keeps the triangle u1 <= u2, 2 x 10 points.
+    # Every point of the 8,405, 325 and 32 is still checked
+    sizes = {"h0": [], "h2": [], "i2": []}
     for name in sizes:
         route = getattr(verify, f"_{name}_route")
 
-        def counting(a, u1, u2, route=route, seen=sizes[name]):
+        def counting(a, *u, route=route, seen=sizes[name]):
             seen.append(a.size)
-            return route(a, u1, u2)
+            return route(a, *u)
 
         monkeypatch.setattr(verify, f"_{name}_route", counting)
     reports = verify_oracle()
-    assert sum(sizes["h2"]) == 2205 + 4
-    assert sum(sizes["i2"]) == 20
-    assert max(sizes["h2"]) <= 1024
+    assert sizes == {"h0": [165], "h2": [2205 + 4], "i2": [20]}
     assert [(r.name, r.grid_size) for r in reports] == CHECKS["oracle"]
     assert all(r.passed for r in reports)
 
 
 def test_verify_all_work_stays_bounded(monkeypatch):
     # the quadrature work of one `verify all` pass, counted rather than
-    # timed so it holds on any host: 9 refinement loops with 891,150
-    # integrand evaluations, and 11,206 trapezoid nodes on the rectangle's
-    # lines, 902,356 evaluations in all; and the symmetry suite's six
-    # 500-point images of H2 in one h2_grid call
+    # timed so it holds on any host: 6 refinement loops, one per route
+    # call (the oracle's h0, h2 and i2, the single_complex and Laplace
+    # representations, the growth ratio's h2), with 851,655 integrand
+    # evaluations, and 11,206 trapezoid nodes on the rectangle's lines,
+    # 862,861 evaluations in all; and the symmetry suite's six 500-point
+    # images of H2 in one h2_grid call
     loops, evaluations = [0], [0]
     refine, rectangle, grid = quadrature._refine, verify._rectangle_route, verify.h2_grid
     grid_calls = []
@@ -157,8 +159,8 @@ def test_verify_all_work_stays_bounded(monkeypatch):
     monkeypatch.setattr(verify, "_rectangle_route", counting_nodes)
     reports = run_suite("all")
     assert all(r.passed for r in reports)
-    assert loops[0] <= 9
-    assert evaluations[0] <= 902_500
+    assert loops[0] <= 6
+    assert evaluations[0] <= 863_000
 
 
 def test_failed_reference_point_is_named(monkeypatch):
