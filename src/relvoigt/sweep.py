@@ -17,7 +17,11 @@ finite normal nonzero x is scaled by an error-free double-double product
 with 2**e * 10**k, which fixes its 17 digits to within 1e-13 of a unit in
 the last one.  ``"%.16e"`` itself runs, number by number, on what that
 bound leaves open: numbers within 1e-6 of a rounding tie (every exact
-decimal tie among them), zeros, subnormals and non-finite numbers.
+decimal tie among them), zeros, subnormals and non-finite numbers.  The
+text is built as machine words, straight into each CSV line: a number
+and its comma are four uint64 words (sign, lead digit and "."; 8 digits;
+8 digits; "e", exponent and ","), each word one table lookup or two
+4-digit ones, and the NUL bytes that pad each word are dropped at the end.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import functools
 import math
 import operator
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import starmap
 from typing import Callable, Mapping, TextIO
@@ -213,7 +217,6 @@ _TIE = 1e-6
 # an exact decimal tie at 17 digits: put in place of a number the fast path
 # cannot take, it sends that number to the fallback
 _TIED = 123456789012345.625
-_WIDTH = 24  # the longest "%.16e" field, such as -1.2345678901234567e-308
 _BLOCK = 1024  # CSV rows formatted together: their temporaries stay in cache
 
 
@@ -262,28 +265,63 @@ class _Scales:
 _SCALES = _Scales()
 
 
+# A number's CSV field "%.16e," fills a record of _RECORD uint64 words, 32
+# bytes with NULs where the text is shorter: word 0 ends in the sign, lead
+# digit and ".", words 1 and 2 hold 8 digits each, and word 3 is "e", the
+# exponent and the comma.  Every table is built from bytes, and a digit word
+# is the OR of two 4-digit entries whose other half is NUL, so a word's
+# bytes are its text whatever the byte order.
+
+_RECORD = 4
+
+
 @functools.cache
-def _digits4() -> np.ndarray:
-    """ASCII digits of 0000..9999, each entry's four bytes read as one uint32."""
+def _digits4() -> tuple[np.ndarray, np.ndarray]:
+    """ASCII digits of 0000..9999 as the first and as the second half of a uint64 word."""
     n = np.arange(10000)
-    table = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1) + ord("0")
-    table = table.astype(np.uint8).view(np.uint32).ravel()
-    table.flags.writeable = False
-    return table
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1) + ord("0")
+    halves = np.zeros((2, 10000, 8), np.uint8)
+    halves[0, :, :4] = halves[1, :, 4:] = digits
+    halves.flags.writeable = False
+    first, second = halves.view(np.uint64)[..., 0]
+    return first, second
+
+
+def _words(parts: Iterable[bytes], size: int = 8) -> np.ndarray:
+    """The parts, each NUL-padded to size bytes, as uint64 words."""
+    return np.frombuffer(b"".join(part.ljust(size, b"\0") for part in parts), np.uint64)
+
+
+@functools.cache
+def _leads() -> np.ndarray:
+    """Word 0 of a record, "[-]d." after NULs, at lead digit d + 10 * negative."""
+    return _words((sign + b"%d." % d).rjust(8, b"\0") for sign in (b"", b"-") for d in range(10))
 
 
 @functools.cache
 def _exponents() -> np.ndarray:
-    """The bytes after "e" of "%.16e" for exponents -324..308, NUL-padded to a uint32."""
-    return np.frombuffer(b"".join((b"%+03d" % k).ljust(4, b"\0") for k in range(-324, 309)),
-                         np.uint32)
+    """Word 3 of a record, "e%+03d," for exponents -324..308, at exponent + 324."""
+    return _words(b"e%+03d," % k for k in range(-324, 309))
 
 
-def _format_e16(v: np.ndarray) -> np.ndarray:
-    """The bytes of "%.16e" % x for each double x of v, one NUL-padded row each.
+@functools.cache
+def _row_ends(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The last word of a row with a value, and the words after an error row's axis, by code.
 
-    Returns a (len(v), _WIDTH) uint8 array; dropping its NUL bytes leaves
-    exactly the text CPython's correctly rounded "%.16e" prints.
+    A row of width 2 has no estimate column, so its value ends in one more
+    comma; an error row ends ",,name\n" at either width.
+    """
+    end = _words([b"," * (3 - width) + b"\n"])
+    names = (b",,%s\n" % name.encode("ascii") for name in _GRID_NAMES)
+    return end, _words(names, 8 * (_RECORD * (width - 1) + 1)).reshape(len(_GRID_NAMES), -1)
+
+
+def _put_fields(out: np.ndarray, v: np.ndarray) -> None:
+    """Write "%.16e," % x for each double x of v into its record in out.
+
+    out is a uint64 array of v's shape plus an axis of _RECORD words (a
+    strided view of CSV lines will do); a record's bytes, NULs dropped, are
+    exactly the text CPython's correctly rounded "%.16e" prints, and a comma.
     """
     a = np.abs(v)
     m, e = np.frexp(np.where((a >= sys.float_info.min) & (a <= sys.float_info.max), a, _TIED))
@@ -304,53 +342,34 @@ def _format_e16(v: np.ndarray) -> np.ndarray:
     digits[carry] = 10**16
     exp10 = e0.astype(np.int64) + big + carry
 
-    n = len(v)
-    table = _digits4()
-    out = np.empty((n, _WIDTH), np.uint8)
-    out[:, 0] = np.where(v < 0.0, np.uint8(ord("-")), np.uint8(0))
-    lead = digits // 10**16
-    out[:, 1] = lead + ord("0")
-    out[:, 2] = ord(".")
-    rest = digits - lead * 10**16
-    upper = rest // 10**8
-    lower = rest - upper * 10**8
-    quads = np.empty((n, 4), np.int64)
-    quads[:, 0] = upper // 10**4
-    quads[:, 1] = upper - quads[:, 0] * 10**4
-    quads[:, 2] = lower // 10**4
-    quads[:, 3] = lower - quads[:, 2] * 10**4
-    out[:, 3:19] = table.take(quads).view(np.uint8)
-    out[:, 19] = ord("e")
-    out[:, 20:] = _exponents().take(exp10 + 324).view(np.uint8).reshape(n, 4)
+    upper = digits // 10**8  # the lead digit and the next 8
+    lower = digits - upper * 10**8
+    top = upper // 10**4
+    lead = top // 10**4
+    bottom = lower // 10**4
+    out[..., 0] = _leads().take(lead + 10 * (v < 0.0))
+    first, second = _digits4()
+    out[..., 1] = first.take(top - lead * 10**4) | second.take(upper - top * 10**4)
+    out[..., 2] = first.take(bottom) | second.take(lower - bottom * 10**4)
+    out[..., 3] = _exponents().take(exp10 + 324)
 
-    for i in np.flatnonzero(np.abs(frac - 0.5) < _TIE).tolist():
-        text = b"%.16e" % float(v[i])
-        out[i] = 0
-        out[i, : len(text)] = np.frombuffer(text, np.uint8)
-    return out
-
-
-# a CSV line's last field, the error name, and its newline, by failure code
-_CSV_TAILS = np.array(
-    [list(f"{name}\n".encode("ascii").ljust(1 + max(map(len, _GRID_NAMES)), b"\0"))
-     for name in _GRID_NAMES],
-    dtype=np.uint8,
-)
+    ties = np.abs(frac - 0.5) < _TIE
+    if ties.any():
+        for i in map(tuple, np.argwhere(ties).tolist()):
+            out[i] = _words([b"%.16e," % float(v[i])], 8 * _RECORD)
 
 
 def _csv_lines(numbers: np.ndarray, codes: np.ndarray) -> bytes:
     """CSV lines of rows with these numbers (axis, value[, estimate]) and failure codes."""
     n, width = numbers.shape
-    slot = _WIDTH + 1
-    lines = np.empty((n, 3 * slot + _CSV_TAILS.shape[1]), np.uint8)
-    slots = lines[:, : 3 * slot].reshape(n, 3, slot)
-    slots[:, :width, :_WIDTH] = _format_e16(numbers.ravel()).reshape(n, width, _WIDTH)
-    slots[:, width:, :_WIDTH] = 0
-    slots[:, :, _WIDTH] = ord(",")
-    slots[codes != 0, 1:, :_WIDTH] = 0  # an error row keeps its axis value alone
-    lines[:, 3 * slot :] = _CSV_TAILS.take(codes, axis=0)
-    flat = lines.ravel()
-    return flat[flat != 0].tobytes()
+    end, errors = _row_ends(width)
+    words = np.empty((n, _RECORD * width + 1), np.uint64)
+    _put_fields(words[:, :-1].reshape(n, width, _RECORD), numbers)
+    words[:, -1] = end
+    failed = codes.nonzero()[0]
+    if len(failed):  # an error row keeps its axis record alone
+        words[failed, _RECORD:] = errors.take(codes[failed], axis=0)
+    return words.tobytes().translate(None, b"\0")
 
 
 def run_sweep(spec: SweepSpec) -> SweepRows:
@@ -368,15 +387,19 @@ def write_csv(spec: SweepSpec, rows: SweepRows, stream: TextIO) -> None:
     vectorised pass: an error-free double-double scaling fixes the 17 digits
     of a finite normal nonzero number to within 1e-13 of a unit in the last
     one, and "%.16e" itself runs, number by number, only on numbers within
-    1e-6 of a rounding tie, zeros, subnormals and non-finite numbers.  Lines
-    are assembled as NUL-padded bytes, one array row each, and the NULs
-    dropped.
+    1e-6 of a rounding tie, zeros, subnormals and non-finite numbers.
+    Lines are assembled 1,024 at a time as uint64 words: each number is a
+    32-byte record of four words from table lookups (sign, lead digit and
+    "."; two words of 8 digits; "e", exponent and comma), written straight
+    into its line, and the line ends in one word, or at an error row in the
+    error name from a table.  Bytes the text does not fill are NUL, and one
+    pass per block drops them.
     """
     r = rows._result
     cols = [rows._x, r.value] if r.error_estimate is None else [rows._x, r.value, r.error_estimate]
     numbers = np.column_stack(cols)
     # error rows hold NaN, which only the fallback formats; their value and
-    # estimate slots are blanked anyway
+    # estimate records are overwritten anyway
     numbers[r.codes != 0, 1:] = 1.0
     text = [f"{spec.axis},value,error_estimate,error\n".encode("ascii")]
     for start in range(0, len(numbers), _BLOCK):

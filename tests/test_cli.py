@@ -306,6 +306,18 @@ def test_closed_form_import_loads_no_route_sweep_verify_or_cli():
     assert not (ROUTES | {"relvoigt.sweep", "relvoigt.verify", "relvoigt.cli"}) & loaded
 
 
+def test_sweep_import_builds_no_csv_table():
+    # the CSV formatter's lookup tables are built on first use, so a process
+    # that imports sweep and never writes CSV does not pay for them
+    r = run_python("-c", (
+        "import relvoigt.sweep as s\n"
+        "cached = [n for n, f in vars(s).items() if hasattr(f, 'cache_info')]\n"
+        "print(sorted(cached), [n for n in cached if getattr(s, n).cache_info().currsize])"
+    ))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "['_digits4', '_exponents', '_leads', '_row_ends'] []"
+
+
 def test_routes_load_neither_the_closed_forms_nor_scipy():
     loaded = loaded_by_code("import relvoigt.routes")
     assert ROUTES <= loaded

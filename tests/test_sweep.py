@@ -19,7 +19,11 @@ from relvoigt.sweep import (
     SweepRow,
     SweepRows,
     SweepSpec,
-    _format_e16,
+    _digits4,
+    _exponents,
+    _leads,
+    _put_fields,
+    _row_ends,
     json_payload,
     run_sweep,
     write_csv,
@@ -385,6 +389,28 @@ def test_serializers_match_row_by_row_reference(seed):
             assert all(type(v) in (float, type(None)) for k, v in row.items() if k != "error")
 
 
+@pytest.mark.parametrize("steps", [1023, 1024, 1025, 2049])
+def test_csv_across_the_row_block_boundary(steps):
+    # write_csv formats 1,024 rows at a time.  h2, with an estimate column,
+    # fails from a = 2**1022 on (its poles overflow), which is row 1,022
+    # here; v2, without one, fails where sigma <= 0, up to row 1,026 or two
+    # rows before the last.  Both axes step by powers of two, so every grid
+    # value is exact, and at 2,049 steps both fail on both sides of row 1,024
+    zero = min(1026, steps - 2)
+    specs = [
+        SweepSpec(function="h2", fixed={"u1": 0.5, "u2": -0.5}, axis="a",
+                  start=2.0**1013, stop=2.0**1012 * (steps + 1), steps=steps),
+        SweepSpec(function="v2", fixed={"e": 1.0, "mu": 1.0, "gamma": 0.5}, axis="sigma",
+                  start=-zero / 1024, stop=(steps - 1 - zero) / 1024, steps=steps),
+    ]
+    for spec, failed in zip(specs, (range(1022, steps), range(zero + 1))):
+        reference = _reference_rows(spec)
+        assert [i for i, r in enumerate(reference) if r.error] == list(failed)
+        buf = io.StringIO()
+        write_csv(spec, run_sweep(spec), buf)
+        assert buf.getvalue() == _reference_csv(spec, reference), (spec.function, steps)
+
+
 @pytest.mark.parametrize("kw", _EDGE_SWEEPS[:3] + [
     # error rows and estimates together: a < 0 is a ParameterError
     dict(function="h2", fixed={"u1": 1.0, "u2": 0.0}, axis="a", start=-1.0, stop=1.0, steps=9),
@@ -474,16 +500,18 @@ def test_all_functions_sweepable():
 
 
 def _formatted(values):
-    """The formatter's fields for values, as str, NUL bytes dropped."""
-    out = _format_e16(np.asarray(values, dtype=np.float64))
-    lines = np.column_stack([out, np.full(len(out), ord("\n"), np.uint8)]).ravel()
-    return lines[lines != 0].tobytes().decode("ascii").split("\n")[:-1]
+    """The field helper's records for values, as str, NUL bytes dropped, each with its comma."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.empty((len(values), 4), np.uint64)
+    _put_fields(out, values)
+    flat = out.view(np.uint8).ravel()
+    return [field + "," for field in flat[flat != 0].tobytes().decode("ascii").split(",")[:-1]]
 
 
 def _assert_formats_like_printf(values):
     values = np.asarray(values, dtype=np.float64)
     got = _formatted(values)
-    want = ["%.16e" % x for x in values.tolist()]
+    want = ["%.16e," % x for x in values.tolist()]
     if got != want:
         bad = [(x.hex(), g, w) for x, g, w in zip(values.tolist(), got, want) if g != w]
         pytest.fail(f"{len(got)} fields for {len(want)} numbers; first mismatches {bad[:10]}")
@@ -520,8 +548,29 @@ def test_format_e16_exponent_and_decade_edges():
 
 
 def test_format_e16_empty_input():
-    assert _format_e16(np.array([])).shape == (0, 24)
+    out = np.empty((0, 4), np.uint64)
+    _put_fields(out, np.array([]))
     assert _formatted([]) == []
+
+
+def test_record_tables_hold_their_ascii():
+    def text(words):
+        return np.asarray(words).tobytes()
+
+    assert text(_leads()[7 + 10]) == b"\0\0\0\0\0-7."
+    assert text(_leads()[3]) == b"\0" * 6 + b"3."
+    first, second = _digits4()
+    assert text(first[42]) == b"0042\0\0\0\0"
+    assert text(second[9876]) == b"\0" * 4 + b"9876"
+    assert text(first[42] | second[9876]) == b"00429876"
+    assert text(_exponents()[-5 + 324]) == b"e-05,\0\0\0"
+    assert text(_exponents()[-324 + 324]) == b"e-324,\0\0"
+    assert text(_exponents()[308 + 324]) == b"e+308,\0\0"
+    for width, end in ((2, b",\n"), (3, b"\n")):
+        last, errors = _row_ends(width)
+        assert text(last) == end.ljust(8, b"\0")
+        assert text(errors[2]).rstrip(b"\0") == b",,ParameterError\n"
+        assert errors.shape == (4, 4 * (width - 1) + 1)
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
