@@ -59,7 +59,6 @@ _HOMES = {
     "h2": "rel_voigt",
     "h2_grid": "rel_voigt",
     "h2_quadrature": "routes",
-    "h2_quadrature_grid": "routes",
     "h2_limit_a0": "rel_voigt",
     "h2_degenerate_series": "rel_voigt",
     "h2_large_u_asymptotic": "rel_voigt",
@@ -68,7 +67,6 @@ _HOMES = {
     "i2_closed": "rel_voigt",
     "i2_grid": "rel_voigt",
     "i2_quadrature": "routes",
-    "i2_quadrature_grid": "routes",
     "v2": "rel_voigt",
     "v2_grid": "rel_voigt",
     "v2_gamma0_limit": "rel_voigt",

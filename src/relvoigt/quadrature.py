@@ -29,7 +29,10 @@ There is one stop rule, _met(error, value, tol), at _TOL = 1e-10 or a
 route's looser tol, which no caller sets; the loop, the final estimates with
 their tail bounds and every route apply it, so neither an estimate nor a
 total that overflowed ever converges, and an integral whose total is no
-longer finite stops at once.
+longer finite stops at once.  This layer reports converged flags and raises
+for no unconverged integral: routes._converged, the one caller of a route,
+tests the flags and names a point that failed, so nothing here loads the
+result records.
 
 Integrand contract.  A batched integrand is called panel-major: it
 receives a 2-D array of abscissas, one row per panel holding that panel's
@@ -54,15 +57,12 @@ itself is only ever invoked from the calling thread.
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, require_finite
-from .result import EvalResult, GridResult, grid_result
+from .errors import DomainError, IntegrationError
 
 __all__ = ["QuadratureResult", "integrate_real_line"]
 
@@ -124,10 +124,6 @@ _WG = np.array(
 # _CHUNK, so its abscissas stay bounded however many integrals a call
 # carries.  Smaller runs pay each integrand call's fixed overhead more often.
 _CHUNK = 2048
-
-# the grid forms hand their route at most this many points per call: the
-# verify oracle's H2 points (2,209) make one call, so one refinement loop
-_ROUTE_POINTS = 4096
 
 # an integral splits at most this many panels in all, and its target is
 # _TOL, which every integrator and all routes but two run at
@@ -366,40 +362,6 @@ def _integrate_intervals(
     return QuadratureBatch(value, error, converged & _met(error, value, tol), evaluations)
 
 
-def quadrature_grid(route, rules, *coords: np.ndarray) -> GridResult:
-    """A batched quadrature route over the grid points that no rule fails.
-
-    coords are arrays of one shape, and rules the (mask, exception) failure
-    rules of the checks before the route, as grid_result takes them.
-    route(*coords) integrates the points whose coordinates it is given and
-    returns a QuadratureBatch.  It is called on up to _ROUTE_POINTS = 4,096
-    points at a time to bound memory: a route builds its seeds and
-    tail-bound rows, and the integrator its initial panels, for every point
-    of a call at once, and the refinement loop holds every live panel of
-    them.
-    A point that does not converge fails with IntegrationError, as the
-    scalar route raises there; a non-finite integrand value stops only its
-    own point's integral, so each chunk is one route call.  The route runs
-    with numpy's floating-point warnings off, as inside _route_point: a
-    value that leaves double range surfaces as a failed point or a value
-    within its target, not a warning.
-    """
-    shape = coords[0].shape
-    value = np.zeros(shape)
-    estimate = np.zeros(shape)
-    failed = np.zeros(shape, dtype=bool)
-    checked = functools.reduce(operator.or_, [mask for mask, _ in rules], np.zeros(shape, bool))
-    live = np.flatnonzero(~checked)
-    with np.errstate(all="ignore"):
-        for k0 in range(0, live.size, _ROUTE_POINTS):
-            idx = live[k0 : k0 + _ROUTE_POINTS]
-            r = route(*(c.flat[idx] for c in coords))
-            value.flat[idx] = r.value
-            estimate.flat[idx] = r.error_estimate
-            failed.flat[idx] = ~r.converged
-    return grid_result(shape, [*rules, (failed, IntegrationError)], value, estimate)
-
-
 def _lone(f: Integrand) -> BatchIntegrand:
     # a scalar integrand as a batched one: it sees the abscissas as one 1-D
     # array, node-major as the kernel builds them, so flattening the
@@ -455,31 +417,3 @@ def integrate_real_line(f: Integrand, *, seeds: Sequence[float] | None = None) -
     return QuadratureResult(
         r.value.item(), r.error_estimate.item(), r.converged.item(), r.evaluations.item() + 2
     )
-
-
-def _route_point(route, positive: bool, **point) -> EvalResult:
-    """A public scalar entry: one point, a first, through route(*coords).
-
-    Every coordinate must be finite and a > 0 if positive, else nonzero;
-    IntegrationError names a point that does not converge and its estimate.
-    The route runs with numpy's floating-point warnings off, so a value
-    that leaves double range surfaces as IntegrationError or a value within
-    its target, never as a RuntimeWarning.
-    """
-    for name, x in point.items():
-        point[name] = require_finite(name, x)
-    a = point["a"]
-    if positive and not a > 0.0:
-        raise DomainError(f"a must be > 0 on this route, got {a!r}")
-    if a == 0.0:
-        raise DomainError(f"a must be nonzero on this route, got {a!r}")
-    with np.errstate(all="ignore"):
-        r = route(*(np.array([x]) for x in point.values()))
-    value, estimate = float(r.value[0]), float(r.error_estimate[0])
-    if not r.converged[0]:
-        raise IntegrationError(
-            f"quadrature did not converge at ({', '.join(point)})="
-            f"({', '.join(map(repr, point.values()))}); "
-            f"error estimate {estimate:.3e}"
-        )
-    return EvalResult(value, estimate, "quadrature")

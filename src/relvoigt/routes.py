@@ -29,10 +29,11 @@ the smallest panel edge of the real line with e^{-T^2} M <= 1e-12.  I2
 decays only like 1/t^4, so ``_compactified`` maps the whole line onto
 (-pi/2, pi/2) by t = tan(theta), as QUADPACK's QAGI maps an infinite range.
 
-The direct-quadrature oracles have grid forms as well (``h2_quadrature_grid``,
-``i2_quadrature_grid``).  They integrate all points through the batched
-refinement loop of ``quadrature``, and agree with the scalar routes within
-the error estimates rather than bit for bit.
+One shell, ``_converged``, calls a route: once over all the points it is
+given, with numpy's floating-point warnings off, raising the
+IntegrationError that names the first point that did not converge.  Each
+scalar entry checks its point and makes a one-point call to it, and every
+verify reference calls it over the points of its check.
 """
 
 from __future__ import annotations
@@ -41,24 +42,11 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
-from .quadrature import (
-    _EPS,
-    _RADIUS,
-    _TOL,
-    QuadratureBatch,
-    _call,
-    _integrate_intervals,
-    _met,
-    _route_point,
-    quadrature_grid,
-)
-from .result import EvalResult, GridResult, grid_floats
+from .errors import DomainError, IntegrationError, require_finite
+from .quadrature import _EPS, _RADIUS, _TOL, QuadratureBatch, _call, _integrate_intervals, _met
+from .result import EvalResult
 
-__all__ = [
-    "h0_laplace_rep", "h2_quadrature", "h2_quadrature_grid", "h2_rectangle", "h2_integral_rep",
-    "i2_quadrature", "i2_quadrature_grid",
-]
+__all__ = ["h0_laplace_rep", "h2_quadrature", "h2_rectangle", "h2_integral_rep", "i2_quadrature"]
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -229,11 +217,45 @@ def _i2_route(a, u1, u2) -> QuadratureBatch:
     return QuadratureBatch(r.value, r.error_estimate, r.converged & ~blind, r.evaluations)
 
 
-def _route_grid(route, a, u1, u2) -> GridResult:
-    _, coords = grid_floats(a=a, u1=u1, u2=u2)
-    a, u1, u2 = np.broadcast_arrays(*coords)
-    bad = ~(np.isfinite(a) & np.isfinite(u1) & np.isfinite(u2)) | (a == 0.0)
-    return quadrature_grid(route, [(bad, DomainError)], a, u1, u2)
+def _converged(route, **coords):
+    """route's values and estimates at points where each one converged.
+
+    coords are arrays of one shape, or numbers, named as route's
+    parameters; route(*coords) runs once over all their points, flattened,
+    and returns a QuadratureBatch.  It runs with numpy's floating-point
+    warnings off, so a value that leaves double range surfaces as a failed
+    point or a value within its target, never as a RuntimeWarning.  The
+    first point that did not converge raises IntegrationError naming it
+    and its estimate; otherwise the values and estimates come back in the
+    coords' shape.
+    """
+    shape = np.shape(next(iter(coords.values())))
+    flat = [np.ravel(c) for c in coords.values()]
+    with np.errstate(all="ignore"):
+        r = route(*flat)
+    bad = np.flatnonzero(~r.converged)
+    if bad.size:
+        k = bad[0]
+        raise IntegrationError(
+            f"quadrature did not converge at ({', '.join(coords)})="
+            f"({', '.join(repr(float(c[k])) for c in flat)}); "
+            f"error estimate {r.error_estimate[k]:.3e}"
+        )
+    return r.value.reshape(shape), r.error_estimate.reshape(shape)
+
+
+def _at_point(route, positive: bool, **point) -> EvalResult:
+    # a public scalar entry: every coordinate finite and a > 0 if positive,
+    # else nonzero, then one one-point call through _converged
+    for name, x in point.items():
+        point[name] = require_finite(name, x)
+    a = point["a"]
+    if positive and not a > 0.0:
+        raise DomainError(f"a must be > 0 on this route, got {a!r}")
+    if a == 0.0:
+        raise DomainError(f"a must be nonzero on this route, got {a!r}")
+    value, estimate = _converged(route, **point)
+    return EvalResult(float(value), float(estimate), "quadrature")
 
 
 def h2_quadrature(a: float, u1: float, u2: float) -> EvalResult:
@@ -248,17 +270,7 @@ def h2_quadrature(a: float, u1: float, u2: float) -> EvalResult:
     bound e^{-T^2} 2/|w1| >= e^{-T^2} |I2| is at most 1e-12, or 12, and that
     bound joins the estimate, so a peak beyond T is held by it.
     """
-    return _route_point(_h2_route, False, a=a, u1=u1, u2=u2)
-
-
-def h2_quadrature_grid(a, u1, u2) -> GridResult:
-    """h2_quadrature over broadcast arrays of points, by batched quadrature.
-
-    A point fails with the exception name h2_quadrature raises there
-    (IntegrationError where it does not converge); the others agree with
-    h2_quadrature within the sum of both error estimates.
-    """
-    return _route_grid(_h2_route, a, u1, u2)
+    return _at_point(_h2_route, False, a=a, u1=u1, u2=u2)
 
 
 def _enclosed_poles(a, u1, u2):
@@ -388,7 +400,7 @@ def h2_rectangle(a: float, u1: float, u2: float) -> EvalResult:
     estimate where e^{y^2} overflows (a ~ 1,300) or y rounds to the poles'
     height (a ~ 1e32).  Poles that overflow raise DomainError.
     """
-    return _route_point(_rectangle_route, True, a=a, u1=u1, u2=u2)
+    return _at_point(_rectangle_route, True, a=a, u1=u1, u2=u2)
 
 
 def _rep_single_complex(a, u1, u2) -> QuadratureBatch:
@@ -469,7 +481,7 @@ def h2_integral_rep(a: float, u1: float, u2: float, variant: str) -> EvalResult:
     if variant not in ("double", "single_complex"):
         raise DomainError(f"unknown variant {variant!r}, expected 'double' or 'single_complex'")
     route = _h2_route if variant == "double" else _rep_single_complex
-    return _route_point(route, True, a=a, u1=u1, u2=u2)
+    return _at_point(route, True, a=a, u1=u1, u2=u2)
 
 
 def i2_quadrature(a: float, u1: float, u2: float) -> EvalResult:
@@ -480,12 +492,7 @@ def i2_quadrature(a: float, u1: float, u2: float) -> EvalResult:
     peak too narrow to see fails a point wherever its a -> 0 mass
     1/max(|u1 - u2|, |a|^{1/2}) is above that target.
     """
-    return _route_point(_i2_route, False, a=a, u1=u1, u2=u2)
-
-
-def i2_quadrature_grid(a, u1, u2) -> GridResult:
-    """i2_quadrature over broadcast arrays of points, like h2_quadrature_grid."""
-    return _route_grid(_i2_route, a, u1, u2)
+    return _at_point(_i2_route, False, a=a, u1=u1, u2=u2)
 
 
 def _laplace_route(a, u) -> QuadratureBatch:
@@ -517,4 +524,4 @@ def h0_laplace_rep(a: float, u: float) -> EvalResult:
     [0, 24] to h2_quadrature's target, and the tail beyond it, below 2e-64,
     is added to the error estimate.
     """
-    return _route_point(_laplace_route, True, a=a, u=u)
+    return _at_point(_laplace_route, True, a=a, u=u)

@@ -12,17 +12,17 @@ Four suites, each a list of named checks summarized as VerifyReports:
   direction of approach (a -> 0 captions, large-u asymptotics, damping
   normalization, gamma -> 0, singular degenerate growth).
 
-Every quadrature reference comes from a batched route run over all grid
-points of its check, up to 4,096 points a call, so each oracle route is
-called once, one refinement loop per route; a point that fails raises
-the IntegrationError naming it.  H2 and I2 depend on u1 and
-u2 only through (u1 - t)(u2 - t), so the defining integral is unchanged
-under u1 <-> u2 and, by t -> -t, under (u1, u2) -> (-u2, -u1).  The
-oracle integrates one point per orbit of both on a square u grid whose
-u axis is its own mirror (the h2 grid: 2,205 of 8,405 points, in one
-call with the 4 degenerate-series points), and on the triangle u1 <= u2
-elsewhere (the i2 grid: 20 of 32).  H0 is even in u by t -> -t, and its
-u axis is its own mirror, so only u <= 0 is integrated (165 of 325
+Every quadrature reference comes from one call of a batched route over
+all the points of its check, through routes._converged, so each route is
+one refinement loop; a point that does not converge raises the
+IntegrationError naming it, as the scalar entries do.  H2 and I2 depend
+on u1 and u2 only through (u1 - t)(u2 - t), so the defining integral is
+unchanged under u1 <-> u2 and, by t -> -t, under (u1, u2) -> (-u2, -u1).
+The oracle integrates one point per orbit of both on a square u grid
+whose u axis is its own mirror (the h2 grid: 2,205 of 8,405 points, in
+one call with the 4 degenerate-series points), and on the triangle
+u1 <= u2 elsewhere (the i2 grid: 20 of 32).  H0 is even in u by t -> -t, and
+its u axis is its own mirror, so only u <= 0 is integrated (165 of 325
 points).  Each value is copied to the rest of its orbit; the closed form
 is still checked at every point.  The routes keep the swap bit for bit
 and the mirror to within ~1e-15 relative, so each copy is an honest
@@ -41,7 +41,6 @@ import numpy as np
 from .catalog import SUITE_NAMES
 from .errors import DomainError, IntegrationError
 from .profiles import ProfileParams
-from .quadrature import quadrature_grid
 from .rel_voigt import (
     d0,
     d2,
@@ -57,6 +56,7 @@ from .rel_voigt import (
 )
 from .result import GridResult
 from .routes import (
+    _converged,
     _h0_route,
     _h2_route,
     _i2_route,
@@ -129,20 +129,13 @@ def _structural(name, figure, grid_size, tol) -> VerifyReport:
 
 
 def _reference(res: GridResult, route: str, *coords: np.ndarray) -> np.ndarray:
-    # the route's values, or the failure the scalar route raises at its
-    # first failed point
+    # the grid's values, or the failure the scalar form raises at its first
+    # failed point
     bad = np.flatnonzero(res.codes)
     if bad.size:
         at = tuple(float(c.flat[bad[0]]) for c in coords)
         raise IntegrationError(f"{route} failed with {res.error.flat[bad[0]]} at {at!r}")
     return res.value
-
-
-def _route_values(route, name: str, *coords: np.ndarray) -> np.ndarray:
-    # a batched route's values at the points, in route calls of up to 4,096
-    # points; IntegrationError naming the first point that fails
-    res = quadrature_grid(route, [], *coords)
-    return _reference(res, name, *coords)
 
 
 def _mirrored(u: np.ndarray) -> bool:
@@ -152,7 +145,7 @@ def _mirrored(u: np.ndarray) -> bool:
     return bool(np.all(row[::-1] == -row))
 
 
-def _even_reference(route, name: str, a, u) -> np.ndarray:
+def _even_reference(route, a, u) -> np.ndarray:
     # the route's values on a grid whose last axis is the list u, for an
     # integral even in u (t -> -t).  Where u is its own mirror, only the
     # half k <= m - 1 - k (u <= 0) is integrated and each value copied to
@@ -164,13 +157,13 @@ def _even_reference(route, name: str, a, u) -> np.ndarray:
     if mirror:
         k = k[k <= m - 1 - k]
     want = np.empty(a.shape)
-    want[..., k] = _route_values(route, name, a[..., k], u[..., k])
+    want[..., k] = _converged(route, a=a[..., k], u=u[..., k])[0]
     if mirror:
         want[..., m - 1 - k] = want[..., k]
     return want
 
 
-def _twin_reference(route, name: str, a, x, y, extra=((), (), ())):
+def _twin_reference(route, a, x, y, extra=((), (), ())):
     # the route's values on a grid whose u1 and u2 axes are the same list u,
     # from one point (i, j) per orbit of the integral's exact symmetries.
     # Both routes are symmetric in u1 <-> u2 bit for bit (the integrand
@@ -191,7 +184,7 @@ def _twin_reference(route, name: str, a, x, y, extra=((), (), ())):
         i, j = i[half], j[half]
     grid = [c[..., i, j] for c in (a, x, y)]
     pts = [np.concatenate([g.ravel(), np.ravel(e)]) for g, e in zip(grid, extra)]
-    value = _route_values(route, name, *pts)
+    value = _converged(route, **dict(zip(("a", "u1", "u2"), pts)))[0]
     n = grid[0].size
     twin = value[:n].reshape(grid[0].shape)
     want = np.empty(a.shape)
@@ -232,7 +225,7 @@ def verify_oracle() -> list[VerifyReport]:
 
     # h0 over its full grid
     a, u = np.meshgrid([1e-3, 1e-2, 0.1, 1.0, 10.0], np.linspace(-8.0, 8.0, 65), indexing="ij")
-    want = _even_reference(_h0_route, "h0 quadrature", a, u)
+    want = _even_reference(_h0_route, a, u)
     devs = np.abs(h0_grid(a, u).value - want)
     reports.append(_pointwise("h0 closed form vs quadrature", devs.ravel(), want.ravel(), 1e-9))
 
@@ -241,14 +234,14 @@ def verify_oracle() -> list[VerifyReport]:
     u_grid = np.linspace(-10.0, 10.0, 41)
     a, x, y = np.meshgrid([1e-3, 1e-2, 0.1, 1.0, 10.0], u_grid, u_grid, indexing="ij")
     a0, u0 = np.meshgrid([1e-4, 1e-5], [0.0, 1.0], indexing="ij")
-    want, degenerate = _twin_reference(_h2_route, "h2 quadrature", a, x, y, (a0, u0, u0))
+    want, degenerate = _twin_reference(_h2_route, a, x, y, (a0, u0, u0))
     devs = np.abs(h2_grid(a, x, y).value - want)
     reports.append(_pointwise("h2 closed form vs quadrature", devs, want, 1e-8))
 
     # i2 closed form
     spots = (-2.0, 0.0, 1.0, 3.0)
     a, x, y = np.meshgrid([0.1, 1.0], spots, spots, indexing="ij")
-    want, _ = _twin_reference(_i2_route, "i2 quadrature", a, x, y)
+    want, _ = _twin_reference(_i2_route, a, x, y)
     devs = np.abs(i2_grid(a, x, y).value - want)
     reports.append(_pointwise("i2 closed form vs quadrature", devs.ravel(), want.ravel(), 1e-9))
 
@@ -276,8 +269,8 @@ def verify_representations() -> list[VerifyReport]:
     routes = np.stack(
         [
             h2_grid(a, u1, u2).value,
-            _route_values(_rectangle_route, "h2 rectangle", a, u1, u2),
-            _route_values(_rep_single_complex, "h2 single_complex representation", a, u1, u2),
+            _converged(_rectangle_route, a=a, u1=u1, u2=u2)[0],
+            _converged(_rep_single_complex, a=a, u1=u1, u2=u2)[0],
         ]
     )
     devs = routes.max(axis=0) - routes.min(axis=0)
@@ -297,7 +290,7 @@ def verify_representations() -> list[VerifyReport]:
     ]
     a, u = np.array(spots).T
     want = h0_grid(a, u).value
-    devs = np.abs(_route_values(_laplace_route, "h0 Laplace representation", a, u) - want)
+    devs = np.abs(_converged(_laplace_route, a=a, u=u)[0] - want)
     reports.append(_pointwise("h0 Laplace representation vs closed form", devs, want, 1e-9))
 
     return reports
@@ -412,7 +405,7 @@ def verify_limits() -> list[VerifyReport]:
 
     # H2 grows like a^{-1/2} on the diagonal, so a -> a/4 doubles it
     a, u = np.meshgrid([1e-4, 2.5e-5], [0.0, 1.0], indexing="ij")
-    lo, hi = _route_values(_h2_route, "h2 quadrature", a, u, u)
+    lo, hi = _converged(_h2_route, a=a, u1=u, u2=u)[0]
     figure = np.max(np.abs(hi / lo / 2.0 - 1.0))
     reports.append(_structural("h2 degenerate growth ratio a -> a/4", figure, 4, 1e-2))
 

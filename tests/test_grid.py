@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from relvoigt import DomainError, EvalResult, RelVoigtError, routes
+from relvoigt import DomainError, EvalResult, RelVoigtError
 from relvoigt.sweep import FUNCTIONS
 
 # values that reach every edge of the scalar evaluators: non-finite, signed
@@ -111,31 +111,16 @@ def test_grid_result_shape_contract(function):
     assert listed.value[0] == listed.value[1] == grid(**{**args, names[-1]: 1.0}).value
 
 
-# every grid evaluator, with its parameter names and scalar evaluator over a
-# parameter dict, the two quadrature grids included
-_EVERY_GRID = {
-    **FUNCTIONS,
-    "h2_quadrature": (
-        ("a", "u1", "u2"),
-        lambda p: routes.h2_quadrature(p["a"], p["u1"], p["u2"]),
-        routes.h2_quadrature_grid,
-    ),
-    "i2_quadrature": (
-        ("a", "u1", "u2"),
-        lambda p: routes.i2_quadrature(p["a"], p["u1"], p["u2"]),
-        routes.i2_quadrature_grid,
-    ),
-}
 _POINT = {"a": 0.5, "u": 0.3, "u1": 0.4, "u2": -0.7, "e": 0.9, "mu": 1.1, "gamma": 0.2,
           "sigma": 0.3}
 
 
-@pytest.mark.parametrize("function", sorted(_EVERY_GRID))
+@pytest.mark.parametrize("function", sorted(FUNCTIONS))
 def test_grid_names_an_argument_that_is_not_real(function):
     # the DomainError the scalar evaluator raises, naming the argument, for
     # a complex or non-numeric value; DomainError is a ValueError as well.
     # A numpy complex scalar is refused too, rather than cast to its real part
-    names, scalar, grid = _EVERY_GRID[function]
+    names, scalar, grid = FUNCTIONS[function]
     args = {name: _POINT[name] for name in names}
     numpy_complex = np.complex128(0.5 + 1j), re.escape("np.complex128(0.5+1j)")
     for name in names:
@@ -152,9 +137,9 @@ def test_grid_names_an_argument_that_is_not_real(function):
             grid(**{**args, name: [[1.0], [1.0, 2.0]]})
 
 
-@pytest.mark.parametrize("function", sorted(_EVERY_GRID))
+@pytest.mark.parametrize("function", sorted(FUNCTIONS))
 def test_grid_arguments_that_do_not_broadcast_are_a_domain_error(function):
-    names, _, grid = _EVERY_GRID[function]
+    names, _, grid = FUNCTIONS[function]
     args = {name: _POINT[name] for name in names}
     first, last = names[0], names[-1]
     shapes = ", ".join(f"{n} {(2,) if n == first else (3,) if n == last else ()}" for n in names)

@@ -751,7 +751,7 @@ def test_non_finite_tail_bound_value_stops_only_its_integral():
     assert abs(batch.value[1] - batch.value[0]) <= batch.error_estimate[0]
 
 
-# ---------------------------------------------------- one scalar route shell
+# ------------------------------------------------------------ one route shell
 
 
 def _fake_route(converged):
@@ -760,20 +760,20 @@ def _fake_route(converged):
     def route(a, u):
         calls.append((a.tolist(), u.tolist()))
         return quadrature.QuadratureBatch(
-            a + u, np.array([0.25]), np.array([converged]), np.array([15])
+            a + u, np.full(a.size, 0.25), np.array(converged), np.full(a.size, 15)
         )
 
     return route, calls
 
 
 def test_route_point_makes_one_one_point_call():
-    route, calls = _fake_route(True)
-    r = quadrature._route_point(route, True, a=1.5, u=np.float64(-0.5))
+    route, calls = _fake_route([True])
+    r = routes._at_point(route, True, a=1.5, u=np.float64(-0.5))
     assert (r.value, r.error_estimate, r.method) == (1.0, 0.25, "quadrature")
     assert type(r.value) is float
     assert calls == [([1.5], [-0.5])]
     # a direct route takes either sign of a
-    assert quadrature._route_point(route, False, a=-1.5, u=0.5).value == -1.0
+    assert routes._at_point(route, False, a=-1.5, u=0.5).value == -1.0
 
 
 @pytest.mark.parametrize(
@@ -784,22 +784,40 @@ def test_route_point_makes_one_one_point_call():
         (True, {"a": 0.0, "u": 0.0}, r"^a must be > 0 on this route, got 0\.0$"),
         (True, {"a": -1.0, "u": 0.0}, r"^a must be > 0 on this route, got -1\.0$"),
         (False, {"a": -0.0, "u": 0.0}, r"^a must be nonzero on this route, got -0\.0$"),
+        (False, {"a": 1.0, "u": 1j}, "^u must be a real number, got 1j$"),
+        (True, {"a": "x", "u": 0.0}, "^a must be a real number, got 'x'$"),
     ],
 )
 def test_route_point_checks_the_point_before_the_call(positive, point, message):
-    route, calls = _fake_route(True)
+    route, calls = _fake_route([True])
     with pytest.raises(DomainError, match=message):
-        quadrature._route_point(route, positive, **point)
+        routes._at_point(route, positive, **point)
     assert calls == []
 
 
 def test_route_point_names_an_unconverged_point_and_its_estimate():
-    route, _ = _fake_route(False)
+    route, _ = _fake_route([False])
     with pytest.raises(
         IntegrationError,
         match=r"^quadrature did not converge at \(a, u\)=\(2\.0, 0\.5\); error estimate 2\.500e-01$",
     ):
-        quadrature._route_point(route, True, a=2.0, u=0.5)
+        routes._at_point(route, True, a=2.0, u=0.5)
+
+
+def test_converged_makes_one_call_over_every_point_and_names_the_first_failure():
+    # the points go to the route flattened, in one call; the values and
+    # estimates come back in the points' shape, and of two unconverged
+    # points the first is named
+    a, u = np.array([[1.0, 2.0], [3.0, 4.0]]), np.full((2, 2), 0.5)
+    route, calls = _fake_route([True] * 4)
+    value, estimate = routes._converged(route, a=a, u=u)
+    assert calls == [([1.0, 2.0, 3.0, 4.0], [0.5] * 4)]
+    assert value.tolist() == (a + u).tolist() and estimate.tolist() == [[0.25] * 2] * 2
+    route, calls = _fake_route([True, False, True, False])
+    at = r"^quadrature did not converge at \(a, u\)=\(2\.0, 0\.5\);"
+    with pytest.raises(IntegrationError, match=at):
+        routes._converged(route, a=a, u=u)
+    assert len(calls) == 1
 
 
 # Each public scalar route, the batched route it makes its one-point call

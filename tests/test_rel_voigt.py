@@ -34,12 +34,10 @@ from relvoigt import (
     h2_large_u_asymptotic,
     h2_limit_a0,
     h2_quadrature,
-    h2_quadrature_grid,
     h2_rectangle,
     i2_closed,
     i2_grid,
     i2_quadrature,
-    i2_quadrature_grid,
     faddeeva_w,
     pole_set,
     v0,
@@ -48,7 +46,7 @@ from relvoigt import (
     v2_gamma0_limit,
     v2_grid,
 )
-from relvoigt.quadrature import integrate_real_line, quadrature_grid
+from relvoigt.quadrature import integrate_real_line
 from relvoigt import quadrature, rel_voigt, routes, verify
 from relvoigt.rel_voigt import _pole_group
 from relvoigt.routes import _rectangle_route, _rep_single_complex
@@ -528,28 +526,47 @@ def test_rectangle_estimate_bounds_its_error():
         assert abs(batch.value[k] - ref) <= batch.error_estimate[k], (p, batch.value[k], ref)
 
 
+def _batch(route, **coords):
+    # the QuadratureBatch route returns when routes._converged calls it at
+    # coords, under the shell's errstate, whether or not every point converged
+    seen = []
+
+    def recording(*flat):
+        seen.append(route(*flat))
+        return seen[0]
+
+    try:
+        routes._converged(recording, **coords)
+    except IntegrationError:
+        pass
+    return seen[0]
+
+
 @pytest.mark.parametrize(
-    "scalar, grid", [(h2_quadrature, h2_quadrature_grid), (i2_quadrature, i2_quadrature_grid)]
+    "scalar, route", [(h2_quadrature, routes._h2_route), (i2_quadrature, routes._i2_route)]
 )
-def test_quadrature_grids_match_scalar_routes(scalar, grid):
-    # valid points agree within both error estimates; invalid ones and the
-    # unconverged one, where the merged peak at a = 1e-30 is not resolved,
-    # fail as the scalar raises
+def test_quadrature_grids_match_scalar_routes(scalar, route):
+    # the batched route and the scalar entry agree at valid points within
+    # both error estimates, and the unconverged point, where the merged peak
+    # at a = 1e-30 is not resolved, is the one where the scalar raises;
+    # the scalar refuses the invalid points before any route call
     rng = np.random.default_rng(15)
-    a = np.concatenate([10.0 ** rng.uniform(-4.0, 1.0, 40) * rng.choice([-1, 1], 40),
-                        [1e-30, 0.0, np.inf, 1.0]])
-    u1 = np.concatenate([rng.uniform(-5.0, 5.0, 40), [1.0, 1.0, 1.0, np.nan]])
-    u2 = np.concatenate([rng.uniform(-5.0, 5.0, 40), [1.0, 0.0, 0.0, 0.0]])
-    res = grid(a, u1, u2)
+    a = np.concatenate([10.0 ** rng.uniform(-4.0, 1.0, 40) * rng.choice([-1, 1], 40), [1e-30]])
+    u1 = np.concatenate([rng.uniform(-5.0, 5.0, 40), [1.0]])
+    u2 = np.concatenate([rng.uniform(-5.0, 5.0, 40), [1.0]])
+    r = _batch(route, a=a, u1=u1, u2=u2)
     for k in range(a.size):
         try:
             want = scalar(a[k], u1[k], u2[k])
-        except (DomainError, IntegrationError) as exc:
-            assert res.error[k] == type(exc).__name__
+        except IntegrationError:
+            assert not r.converged[k]
             continue
-        assert res.error[k] == ""
-        assert abs(res.value[k] - want.value) <= res.error_estimate[k] + want.error_estimate
-    assert res.error.tolist() == [""] * 40 + ["IntegrationError"] + ["DomainError"] * 3
+        assert r.converged[k]
+        assert abs(r.value[k] - want.value) <= r.error_estimate[k] + want.error_estimate
+    assert r.converged.tolist() == [True] * 40 + [False]
+    for point in ((0.0, 1.0, 0.0), (np.inf, 1.0, 0.0), (1.0, np.nan, 0.0)):
+        with pytest.raises(DomainError):
+            scalar(*point)
 
 
 def test_quadrature_with_underflowing_peak_width_terminates():
@@ -563,25 +580,26 @@ def test_quadrature_with_underflowing_peak_width_terminates():
 
 
 @pytest.mark.parametrize(
-    "route, grid, point",
+    "route, batched, point",
     [
-        (i2_quadrature, i2_quadrature_grid, (1e-100, 1.0, 2.0)),
-        (h2_quadrature, h2_quadrature_grid, (1e-140, 0.3, -1.7)),
-        (h2_quadrature, h2_quadrature_grid, (5e-324, 0.0, 1e10)),
+        (i2_quadrature, routes._i2_route, (1e-100, 1.0, 2.0)),
+        (h2_quadrature, routes._h2_route, (1e-140, 0.3, -1.7)),
+        (h2_quadrature, routes._h2_route, (5e-324, 0.0, 1e10)),
     ],
 )
-def test_oracles_fail_where_no_node_can_see_a_peak(route, grid, point):
+def test_oracles_fail_where_no_node_can_see_a_peak(route, batched, point):
     # Each peak at u is |a|/max(|u1-u2|, |a|^{1/2}) wide, so here u + width
     # == u: no panel edge or node lands in a peak, and the integral, which
     # converged to 1.8e-84 for I2 = 2, 4.5e-125 for H2 = 0.485 and 0 for
-    # H2 ~ 1e-10, misses it.  The point fails, in its grid form too.
+    # H2 ~ 1e-10, misses it.  The point fails, in a batch with a good one too.
     with pytest.raises(IntegrationError, match="^quadrature did not converge at"):
         route(*point)
-    res = grid(*([p, 1.0] for p in point))
-    assert res.error.tolist() == ["IntegrationError", ""]
+    a, u1, u2 = (np.array([p, 1.0]) for p in point)
+    assert _batch(batched, a=a, u1=u1, u2=u2).converged.tolist() == [False, True]
 
 
-# Points where a * a, the seed widths or the integrand leave double range.
+# Points where a * a, the seed widths or the integrand leave double range,
+# one at a time through the scalar entries or two in one batched route call.
 # Each entry lists every point's reference value, or IntegrationError: H2 and
 # I2 fall like 1/a and 1/sqrt(a) for large a, both are 1e-200 when the
 # peaks sit 1e200 apart, and with a * a = 0 the integrand divides by zero
@@ -591,14 +609,17 @@ _RANGE_EDGES = {
     "h2_tiny_a": (lambda: h2_quadrature(1e-300, 0.0, 0.5), [IntegrationError]),
     "i2_tiny_a": (lambda: i2_quadrature(1e-300, 0.0, 1.0), [IntegrationError]),
     "h2_grid_tiny_a": (
-        lambda: h2_quadrature_grid([1.0, 1e-300], 0.0, 0.5),
+        lambda: _batch(routes._h2_route, a=np.array([1.0, 1e-300]), u1=np.zeros(2),
+                       u2=np.full(2, 0.5)),
         [h2(1.0, 0.0, 0.5).value, IntegrationError],
     ),
     "i2_large_a": (lambda: i2_quadrature(1e300, 0.0, 1.0), [0.0]),
     "h2_far_peak": (lambda: h2_quadrature(1.0, 1e200, 0.0), [1e-200]),
     "i2_far_peak": (lambda: i2_quadrature(1.0, 1e200, 0.0), [1e-200]),
     "i2_grid_large_a": (
-        lambda: i2_quadrature_grid([1.0, 1e300], 0.0, 1.0), [i2_closed(1.0, 0.0, 1.0), 0.0]
+        lambda: _batch(routes._i2_route, a=np.array([1.0, 1e300]), u1=np.zeros(2),
+                       u2=np.ones(2)),
+        [i2_closed(1.0, 0.0, 1.0), 0.0],
     ),
 }
 
@@ -618,7 +639,7 @@ def test_quadrature_routes_at_range_edges_warn_nothing(case):
             if isinstance(r, EvalResult):
                 got = [r.value]
             else:
-                got = [IntegrationError if e else v for v, e in zip(r.value, r.error)]
+                got = [v if c else IntegrationError for v, c in zip(r.value, r.converged)]
     assert len(got) == len(want)
     for g, w in zip(got, want):
         if w is IntegrationError:
@@ -633,16 +654,18 @@ def test_quadrature_routes_bound_the_value_where_a_squared_overflows(a):
     # the estimates then carry |H2| <= 1/(|a| sqrt(pi)) and |I2| <= 1/sqrt(|a|)
     u1 = np.array([0.0, 0.0, 3.0, -7.5, 1e100])
     u2 = np.array([1.0, 0.0, -2.0, 7.5, -1e100])
-    grids = h2_quadrature_grid(a, u1, u2), i2_quadrature_grid(a, u1, u2)
-    assert all((g.error == "").all() and (g.value == 0.0).all() for g in grids)
+    # one batched call of each route, every point converged
+    batches = [routes._converged(route, a=np.full(5, a), u1=u1, u2=u2)
+               for route in (routes._h2_route, routes._i2_route)]
+    assert all((value == 0.0).all() for value, _ in batches)
     for k, u in enumerate(zip(u1, u2)):
         h2_ref, i2_ref = h2(a, *u), i2_closed(a, *u)
         h2_scalar, i2_scalar = h2_quadrature(a, *u), i2_quadrature(a, *u)
         for value, estimate in ((h2_scalar.value, h2_scalar.error_estimate),
-                                (grids[0].value[k], grids[0].error_estimate[k])):
+                                (batches[0][0][k], batches[0][1][k])):
             assert 0.0 < abs(value - h2_ref.value) <= estimate + h2_ref.error_estimate, (a, u)
         for value, estimate in ((i2_scalar.value, i2_scalar.error_estimate),
-                                (grids[1].value[k], grids[1].error_estimate[k])):
+                                (batches[1][0][k], batches[1][1][k])):
             assert 0.0 < abs(value - i2_ref) <= estimate, (a, u)
 
 
@@ -664,7 +687,7 @@ def _real_line(f, n, seeds=None):
 
 def test_quadrature_grid_fails_only_the_point_with_a_nan_integrand():
     # a NaN integrand value stops only its own point's integral, so the one
-    # route call fails that point alone
+    # route call fails that point alone, and the shell names it
     x = np.array([0.5, 1.0, 0.0, 2.0])
 
     def route(x):
@@ -673,33 +696,12 @@ def test_quadrature_grid_fails_only_the_point_with_a_nan_integrand():
 
         return _real_line(f, x.size)
 
-    res = quadrature_grid(route, [], x)
-    assert res.error.tolist() == ["", "", "IntegrationError", ""]
-    ok = res.error == ""
-    assert np.allclose(res.value[ok], np.sqrt(math.pi / x[ok]), rtol=1e-12, atol=0.0)
-
-
-def test_quadrature_grid_fails_a_poisoned_point_alone_in_chunks_of_4096():
-    # one of 4,500 points has a NaN integrand: the grid makes one route call
-    # per chunk of at most 4,096 points, fails that point alone, and every
-    # other point, in its chunk and the next, converges
-    x = np.linspace(0.5, 2.0, 4500)
-    x[700] = 0.0
-    sizes = []
-
-    def route(x):
-        sizes.append(x.size)
-
-        def f(t, k):
-            return np.where(x[k] == 0.0, np.nan, np.exp(-x[k] * t * t))
-
-        return _real_line(f, x.size)
-
-    res = quadrature_grid(route, [], x)
-    assert sizes == [4096, 404]
-    assert np.flatnonzero(res.error != "").tolist() == [700]
-    ok = res.error == ""
-    assert np.allclose(res.value[ok], np.sqrt(math.pi / x[ok]), rtol=1e-12, atol=0.0)
+    r = _batch(route, x=x)
+    assert r.converged.tolist() == [True, True, False, True]
+    ok = r.converged
+    assert np.allclose(r.value[ok], np.sqrt(math.pi / x[ok]), rtol=1e-12, atol=0.0)
+    with pytest.raises(IntegrationError, match=r"^quadrature did not converge at \(x\)=\(0\.0\);"):
+        routes._converged(route, x=x)
 
 
 def test_quadrature_grid_fails_a_point_that_turns_non_finite_in_a_later_round():
@@ -719,12 +721,12 @@ def test_quadrature_grid_fails_a_point_that_turns_non_finite_in_a_later_round():
 
         return _real_line(f, x.size, x[:, None])
 
-    res = quadrature_grid(route, [], x)
+    res = _batch(route, x=x)
     assert first_round[0] and not all(first_round)
-    assert res.error.tolist() == ["", "", "IntegrationError", "", ""]
+    assert res.converged.tolist() == [True, True, False, True, True]
     clean = route(x, poison=None)
     assert clean.converged.all()
-    ok = res.error == ""
+    ok = res.converged
     assert np.isnan(res.value[~ok]).all()
     assert np.allclose(res.value[ok], clean.value[ok], rtol=1e-12, atol=0.0)
     assert (np.abs(res.value - clean.value)[ok] <= clean.error_estimate[ok]).all()
@@ -843,12 +845,12 @@ def test_h2_quadrature_refuses_a_peak_just_beyond_the_line():
     # a: the endpoint heuristic of the [-12, 12] line could not see it, and
     # these points returned 1.6e-195 for H2 = 3.6e31 and 1.5e-137 for
     # 3.4e-3 as converged.  The window's tail bound e^{-144} 2/|w1| holds
-    # the peak, so the points fail, in their grid form too.
+    # the peak, so the points fail, in a batch with a good one too.
     for point in ((5.77e-191, -12.084, -12.084), (6.39e-133, 12.581, 12.581)):
         with pytest.raises(IntegrationError, match="^quadrature did not converge at"):
             h2_quadrature(*point)
-        res = h2_quadrature_grid(*([p, 1.0] for p in point))
-        assert res.error.tolist() == ["IntegrationError", ""]
+        a, u1, u2 = (np.array([p, 1.0]) for p in point)
+        assert _batch(routes._h2_route, a=a, u1=u1, u2=u2).converged.tolist() == [False, True]
 
 
 # ------------------------------------------------- integral representations
@@ -962,8 +964,8 @@ def test_single_complex_fails_where_its_tail_misses_the_target():
     with pytest.raises(IntegrationError, match=f"^quadrature did not converge at {at}$"):
         h2_integral_rep(1e-16, 6.0, 6.0, "single_complex")
     a, u1, u2 = np.array([1e-16, 1.0]), np.array([6.0, 1.0]), np.array([6.0, 0.5])
-    res = quadrature_grid(_rep_single_complex, [], a, u1, u2)
-    assert res.error.tolist() == ["IntegrationError", ""]
+    res = _batch(_rep_single_complex, a=a, u1=u1, u2=u2)
+    assert res.converged.tolist() == [False, True]
     assert res.value[1] == h2_integral_rep(1.0, 1.0, 0.5, "single_complex").value
 
 
@@ -1251,7 +1253,7 @@ def test_second_pole_group_is_conjugate_bitwise():
         assert [_bits(z) for z in (ps.w2, ps.t2_plus, ps.t2_minus)] == [_bits(z) for z in second]
 
 
-def test_i2_matches_quadrature_grid():
+def test_i2_matches_i2_quadrature():
     for a in (0.1, 1.0):
         for u1 in (-2.0, 0.0, 1.0, 3.0):
             for u2 in (-2.0, 0.0, 1.0, 3.0):

@@ -412,8 +412,10 @@ def test_csv_across_the_row_block_boundary(steps):
 
 
 @pytest.mark.parametrize("kw", _EDGE_SWEEPS[:3] + [
-    # error rows and estimates together: a < 0 is a ParameterError
-    dict(function="h2", fixed={"u1": 1.0, "u2": 0.0}, axis="a", start=-1.0, stop=1.0, steps=9),
+    # error rows and estimates together: 3 rows with estimates, then 5
+    # DomainError rows from a = 2**1022 on, where h2's poles overflow
+    dict(function="h2", fixed={"u1": 0.5, "u2": -0.5}, axis="a", start=2.0**1020,
+         stop=2.0**1023, steps=8),
 ])
 def test_sweep_rows_sequence_protocol(kw):
     spec = SweepSpec(**kw)

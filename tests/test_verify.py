@@ -89,7 +89,7 @@ def test_no_refinement_round_grows_past_the_oracle_group(monkeypatch):
 
 def test_verify_all_traced_memory_stays_bounded():
     # the refinement loop's bookkeeping grows with a route call's initial
-    # panels, and the grid forms cap a call at 4,096 points
+    # panels, and the largest call, the oracle's H2 points, is 2,209 points
     tracemalloc.start()
     try:
         reports = run_suite("all")
@@ -163,9 +163,30 @@ def test_verify_all_work_stays_bounded(monkeypatch):
     assert evaluations[0] <= 863_000
 
 
+def test_each_route_is_called_once_a_pass(monkeypatch):
+    # one `verify all` pass calls each batched route once over all the
+    # points of its check, in suite order, so each is one refinement loop;
+    # _h2_route twice, for the oracle and then the limits' growth ratio
+    names = ["_h0_route", "_h2_route", "_i2_route", "_rectangle_route", "_rep_single_complex",
+             "_laplace_route"]
+    calls = []
+    for name in names:
+        route = getattr(verify, name)
+
+        def counting(*coords, route=route, name=name):
+            calls.append(name)
+            return route(*coords)
+
+        monkeypatch.setattr(verify, name, counting)
+    reports = run_suite("all")
+    assert all(r.passed for r in reports)
+    assert calls == names + ["_h2_route"]
+
+
 def test_failed_reference_point_is_named(monkeypatch):
     # a route that leaves one point unconverged fails its check with the
-    # IntegrationError the scalar route raises, naming that point
+    # IntegrationError the scalar entries raise, naming that point and its
+    # estimate
     laplace = verify._laplace_route
 
     def one_unconverged(a, u):
@@ -177,7 +198,8 @@ def test_failed_reference_point_is_named(monkeypatch):
     monkeypatch.setattr(verify, "_laplace_route", one_unconverged)
     with pytest.raises(
         IntegrationError,
-        match=r"^h0 Laplace representation failed with IntegrationError at \(1\.0, 1\.5\)$",
+        match=r"^quadrature did not converge at \(a, u\)=\(1\.0, 1\.5\); "
+        r"error estimate \d\.\d{3}e[+-]\d\d$",
     ):
         verify_representations()
 
