@@ -15,10 +15,13 @@ library (a sweep with more steps than memory holds is one), 3 verification
 failure.  All output goes to stdout unless
 ``--output PATH`` is given; configuration is flags-only.
 
-The arguments, and an eval's parameter set, are checked against ``catalog``
-before numpy is imported, so ``--help`` and usage errors load neither numpy
-nor scipy.  Then eval and sweep import ``sweep``, whose FUNCTIONS holds the
-evaluators, and verify imports ``verify``, which alone loads quadrature.
+The arguments, and an eval's or a sweep's parameter set, are checked
+against ``catalog`` before numpy is imported, so ``--help`` and usage errors
+load neither numpy nor scipy.  Then eval and sweep import ``sweep``, whose
+FUNCTIONS holds the evaluators, and verify imports ``verify``, which alone
+loads quadrature.  An eval prints one record: the value, then the error
+estimate and method where the evaluator reports them, then a note at h2's
+a = 0.
 """
 
 from __future__ import annotations
@@ -82,16 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _given_params(args: argparse.Namespace) -> dict[str, float]:
-    return {
-        name: getattr(args, name)
-        for name in _PARAM_FLAGS
-        if getattr(args, name) is not None
-    }
-
-
 def _collect_params(args: argparse.Namespace, names: tuple[str, ...]) -> dict[str, float]:
-    given = _given_params(args)
+    given = {n: getattr(args, n) for n in _PARAM_FLAGS if getattr(args, n) is not None}
     missing = [n for n in names if n not in given]
     extra = [k for k in given if k not in names]
     if missing or extra:
@@ -137,50 +132,43 @@ def _eval_note(function: str, params: dict[str, float]) -> str | None:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    names = PARAMETERS[args.function]
-    params = _collect_params(args, names)
-    from .result import EvalResult
+    params = _collect_params(args, PARAMETERS[args.function])
     from .sweep import FUNCTIONS
 
     result = FUNCTIONS[args.function][1](params)
+    # the one record, in print order: the value, then the estimate and
+    # method where the evaluator reports them, then the a = 0 note
+    record = {"value": float(getattr(result, "value", result))}
+    for key in ("error_estimate", "method"):
+        if hasattr(result, key):
+            record[key] = getattr(result, key)
     note = _eval_note(args.function, params)
-
-    if isinstance(result, EvalResult):
-        value, err, method = result.value, result.error_estimate, result.method
-    else:
-        value, err, method = float(result), None, None
+    if note is not None:
+        record["note"] = note
 
     if args.json:
-        payload = {
-            "function": args.function,
-            "params": {k: params[k] for k in names},
-            "value": value,
-        }
-        if err is not None:
-            payload["error_estimate"] = err
-            payload["method"] = method
-        if note is not None:
-            payload["note"] = note
+        payload = {"function": args.function, "params": params, **record}
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = [f"value = {value!r}"]
-        if err is not None:
-            lines.append(f"error_estimate = {err!r}")
-            lines.append(f"method = {method}")
-        if note is not None:
-            lines.append(f"note = {note}")
-        text = "\n".join(lines) + "\n"
+        # str of a float is its repr
+        text = "".join(f"{k} = {v}\n" for k, v in record.items())
     _emit(text, args.output)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    names = PARAMETERS[args.function]
+    if args.axis not in names:
+        raise _UsageError(
+            f"--axis {args.axis} is not a parameter of {args.function} "
+            f"(parameters: {', '.join(names)})"
+        )
+    fixed = _collect_params(args, tuple(n for n in names if n != args.axis))
     from .sweep import SweepSpec, json_payload, run_sweep, write_csv
 
-    given = _given_params(args)
     spec = SweepSpec(
         function=args.function,
-        fixed=given,
+        fixed=fixed,
         axis=args.axis,
         start=args.start,
         stop=args.stop,

@@ -151,11 +151,6 @@ def pole_set(a: float, u1: float, u2: float) -> PoleSet:
 # (numpy's own complex division and abs differ in the last ulp).
 
 
-def _cmul_real(k: float, zr, zi):
-    """k * z for a float k, as CPython computes it: k is promoted to k + 0i."""
-    return k * zr - 0.0 * zi, k * zi + 0.0 * zr
-
-
 def _cquot_real(ar, ai, br, bi):
     """(a / b).real by CPython's _Py_c_quot (Smith's algorithm); b must be nonzero."""
     real_big = np.abs(br) >= np.abs(bi)
@@ -184,15 +179,19 @@ def _h2_closed_form_grid(a, u1, u2):
     the mask holds where h2 raises, as its poles or its value leave double
     range; a non-finite coordinate is the caller's check.
     """
-    # _pole_group's w1 and t1+-, then -t1-, in CPython's complex arithmetic
+    # _pole_group's w1 and t1+-, then -t1-, in CPython's complex arithmetic.
+    # There a real k times z is k + 0i times z, whose zero terms add only
+    # zeros here (w1i >= +0, and s +- w1r is -0.0 only at a = 0), so both
+    # parts are plain real products; s - w1's imaginary part stays
+    # 0.0 - w1i, which is +0.0 where w1i underflows to 0.
     d = u1 - u2
     s = u1 + u2
     w1r, w1i = _csqrt(d * d, 4.0 * np.abs(a))
-    t1p_r, t1p_i = _cmul_real(0.5, s + w1r, 0.0 + w1i)
-    t1m_r, t1m_i = _cmul_real(0.5, s - w1r, 0.0 - w1i)
+    t1p_r, t1p_i = 0.5 * (s + w1r), 0.5 * w1i
+    t1m_r, t1m_i = 0.5 * (s - w1r), 0.5 * (0.0 - w1i)
     fr, fi, f_ok = faddeeva_w_grid(t1p_r, t1p_i)
     gr, gi, g_ok = faddeeva_w_grid(-t1m_r, -t1m_i)
-    g1r = _cquot_real(fr + gr, fi + gi, *_cmul_real(2.0, w1r, w1i))
+    g1r = _cquot_real(fr + gr, fi + gi, 2.0 * w1r, 2.0 * w1i)
     value = 2.0 * g1r
     err = 1e-13 * (np.hypot(fr, fi) + np.hypot(gr, gi)) / np.hypot(w1r, w1i)
     zero = a == 0.0

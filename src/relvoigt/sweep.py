@@ -174,11 +174,7 @@ class SweepRows(Sequence[SweepRow]):
             i += len(self._x)
         if not 0 <= i < len(self._x):
             raise IndexError(f"sweep row index {index} out of range for {len(self._x)} rows")
-        x = float(self._x[i])
-        if r.codes[i]:
-            return SweepRow(x, None, None, _GRID_NAMES[r.codes[i]])
-        est = None if r.error_estimate is None else float(r.error_estimate[i])
-        return SweepRow(x, float(r.value[i]), est, "")
+        return SweepRow(*next(self[i : i + 1]._fields()))
 
     def __iter__(self) -> Iterator[SweepRow]:
         return starmap(SweepRow, self._fields())

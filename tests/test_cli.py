@@ -83,6 +83,17 @@ def test_usage_errors_exit_1():
     )
     assert r.returncode == 1
     assert "--tolerance" in r.stderr
+    # a sweep's flag set is checked as eval's is: a missing fixed parameter,
+    # an axis that is not a parameter, and an axis also given as a flag
+    sweep = ["sweep", "h2", "--axis", "u1", "--start", "0", "--stop", "1", "--steps", "3"]
+    for argv, message in [
+        ([*sweep, "--a", "1"], "missing --u2"),
+        ([*sweep[:3], "u", *sweep[4:], "--a", "1", "--u2", "0"], "--axis u is not"),
+        ([*sweep, "--a", "1", "--u1", "0", "--u2", "0"], "unexpected --u1"),
+    ]:
+        r = run_cli(*argv)
+        assert r.returncode == 1
+        assert r.stderr.startswith("usage error: ") and message in r.stderr
     # and verify has no global override: each check states its own
     r = run_cli("verify", "symmetry", "--tolerance", "5")
     assert r.returncode == 1
@@ -250,6 +261,38 @@ EVALS = [
 
 @pytest.mark.parametrize(
     "argv",
+    [*EVALS, ["eval", "h2", "--a", "0", "--u1", "1", "--u2", "0"]],
+    ids=lambda argv: argv[1] + ("-a0" if argv[3] == "0" else ""),
+)
+def test_eval_prints_one_record(argv, capsys):
+    # in process, against the evaluator: the value, then the estimate and
+    # method (h2 alone reports them), then h2's a = 0 note, in one key
+    # order as text and as JSON after the function and its parameters
+    argv = [arg for arg in argv if arg != "--json"]
+    function, flags = argv[1], argv[2:]
+    params = {flag[2:]: float(x) for flag, x in zip(flags[::2], flags[1::2])}
+    result = FUNCTIONS[function][1](params)
+    value = getattr(result, "value", result)
+    assert main([*argv, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # each key's text line, in order
+    printed = {"value": repr(value)}
+    assert hasattr(result, "method") == (function == "h2")
+    if function == "h2":
+        printed |= {"error_estimate": repr(result.error_estimate), "method": result.method}
+        assert (doc["error_estimate"], doc["method"]) == (result.error_estimate, result.method)
+        if params["a"] == 0.0:
+            printed["note"] = doc["note"]
+    assert list(doc) == ["function", "params", *printed]
+    assert doc["function"] == function
+    assert list(doc["params"].items()) == [(n, params[n]) for n in PARAMETERS[function]]
+    assert repr(doc["value"]) == repr(value)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "".join(f"{k} = {v}\n" for k, v in printed.items())
+
+
+@pytest.mark.parametrize(
+    "argv",
     [
         *EVALS,
         ["sweep", "v2", "--axis", "sigma", "--start", "-0.1", "--stop", "0.3",
@@ -364,8 +407,13 @@ def test_eval_loads_no_quadrature_or_verify(argv, code):
 
 @pytest.mark.parametrize(
     "argv, code",
-    [(["--help"], 0), (["eval", "h2", "--a", "1", "--u1", "0"], 1)],
-    ids=["help", "usage-error"],
+    [
+        (["--help"], 0),
+        (["eval", "h2", "--a", "1", "--u1", "0"], 1),
+        (["sweep", "h2", "--axis", "u1", "--start", "0", "--stop", "1", "--steps", "3",
+          "--a", "1"], 1),
+    ],
+    ids=["help", "usage-error", "sweep-usage-error"],
 )
 def test_help_and_usage_error_load_no_numpy_or_scipy(argv, code):
     status, loaded = loaded_by_command(*argv)

@@ -766,7 +766,7 @@ def _fake_route(converged):
     return route, calls
 
 
-def test_route_point_makes_one_one_point_call():
+def test_at_point_makes_one_one_point_call():
     route, calls = _fake_route([True])
     r = routes._at_point(route, True, a=1.5, u=np.float64(-0.5))
     assert (r.value, r.error_estimate, r.method) == (1.0, 0.25, "quadrature")
@@ -795,7 +795,7 @@ def test_route_point_checks_the_point_before_the_call(positive, point, message):
     assert calls == []
 
 
-def test_route_point_names_an_unconverged_point_and_its_estimate():
+def test_at_point_names_an_unconverged_point_and_its_estimate():
     route, _ = _fake_route([False])
     with pytest.raises(
         IntegrationError,

@@ -685,7 +685,7 @@ def _real_line(f, n, seeds=None):
     return quadrature._integrate_intervals(f, lo, hi, 16, 1e-10, seeds)
 
 
-def test_quadrature_grid_fails_only_the_point_with_a_nan_integrand():
+def test_route_call_fails_only_the_point_with_a_nan_integrand():
     # a NaN integrand value stops only its own point's integral, so the one
     # route call fails that point alone, and the shell names it
     x = np.array([0.5, 1.0, 0.0, 2.0])
@@ -704,7 +704,7 @@ def test_quadrature_grid_fails_only_the_point_with_a_nan_integrand():
         routes._converged(route, x=x)
 
 
-def test_quadrature_grid_fails_a_point_that_turns_non_finite_in_a_later_round():
+def test_route_call_fails_a_point_that_turns_non_finite_in_a_later_round():
     # point 0.3's integrand is NaN only on panels narrower than 0.05, which
     # refinement reaches rounds after the first: that stops its integral
     # there, and every other integral of the call refines on to its value
